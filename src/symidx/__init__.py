@@ -44,6 +44,7 @@ from .liealg import (
     adjoint,
     bi_invariant_directions,
     bracket,
+    brackets,
     derived_subalgebra,
     direct_sum,
     killing_form_positive,
@@ -82,6 +83,7 @@ __all__ = [
     "augment_left_invariant",
     "bi_invariant_directions",
     "bracket",
+    "brackets",
     "closed_geodesic_length",
     "cp2_centriole",
     "derived_subalgebra",

@@ -39,9 +39,11 @@ from .liealg import (
     adjoint,
     bi_invariant_directions,
     bracket,
+    brackets,
     largest_invariant_subspace,
     numerical_kernel,
     orthonormal_columns,
+    pair_indices,
     reference_form,
 )
 
@@ -49,6 +51,14 @@ from .liealg import (
 #: self-adjointness, geodesic preconditions).  Looser than the construction
 #: tolerance because these residuals accumulate a few matrix products.
 CHECK_TOL = 1e-8
+
+#: Largest denominator accepted for the ratio of two orbit frequencies.
+#: Any real lies within about 1/q^2 of a fraction with denominator q, so an
+#: unbounded search would call every ratio commensurable.  The orbits of
+#: the catalog have ratios 1 and 3/2; 64 leaves room for far finer
+#: windings and still rejects ratios such as sqrt(2), whose nearest
+#: fraction with denominator at most 64 (41/29) is 4e-4 away.
+MAX_WINDING_DENOMINATOR = 64
 
 
 class HomogeneousSpace:
@@ -93,13 +103,14 @@ class HomogeneousSpace:
         if isotropy.ambient_dim != n:
             raise ValueError("isotropy lives in the wrong ambient dimension")
 
-        for a in range(isotropy.dim):
-            for b in range(a + 1, isotropy.dim):
-                w = bracket(algebra, isotropy.basis[:, a], isotropy.basis[:, b])
-                if not isotropy.contains(w, CHECK_TOL):
-                    raise ValueError(
-                        f"isotropy is not a subalgebra: bracket of basis "
-                        f"vectors {a} and {b} leaves it")
+        h = isotropy.basis
+        first, second = pair_indices(isotropy.dim)
+        hh = brackets(algebra, h, h)[:, first, second]
+        leaks = np.flatnonzero(~isotropy.contains_columns(hh, CHECK_TOL))
+        if leaks.size:
+            raise ValueError(
+                f"isotropy is not a subalgebra: bracket of basis vectors "
+                f"{first[leaks[0]]} and {second[leaks[0]]} leaves it")
 
         if complement is None:
             q = reference_form(algebra, tol).gram
@@ -300,21 +311,15 @@ def transvection_space(sp: HomogeneousSpace,
     p = Subspace(alg.dim, numerical_kernel(sp.nabla_operator(), tol))
     s = Subspace.from_spanning(sp.dim, sp.eval_matrix @ p.basis, tol)
 
-    k_cols = []
-    for a in range(p.dim):
-        for b in range(a + 1, p.dim):
-            k_cols.append(bracket(alg, p.basis[:, a], p.basis[:, b]))
-    k_arr = np.array(k_cols).T if k_cols else np.zeros((alg.dim, 0))
+    # k's basis is reported, so its spanning set comes from bracket, whose
+    # rounding does not depend on how many pairs are batched
+    first, second = pair_indices(p.dim)
+    k_arr = bracket(alg, p.basis[:, first], p.basis[:, second])
     k = Subspace.from_spanning(alg.dim, k_arr, tol)
 
-    involutive = True
-    for a in range(k.dim):
-        for b in range(k.dim):
-            if not k.contains(bracket(alg, k.basis[:, a], k.basis[:, b]), CHECK_TOL):
-                involutive = False
-        for b in range(p.dim):
-            if not p.contains(bracket(alg, k.basis[:, a], p.basis[:, b]), CHECK_TOL):
-                involutive = False
+    involutive = bool(
+        k.contains_columns(brackets(alg, k.basis, k.basis), CHECK_TOL).all()
+        and p.contains_columns(brackets(alg, k.basis, p.basis), CHECK_TOL).all())
 
     joint = Subspace.from_spanning(alg.dim, np.hstack([k.basis, p.basis]), tol)
     return TransvectionReport(
@@ -347,14 +352,16 @@ def symmetry_ideal(sp: HomogeneousSpace, report: TransvectionReport | None = Non
     if g_d.dim + g_prime.dim != n:
         raise RuntimeError("internal: orthogonal split of the symmetry ideal "
                            "has the wrong dimension")
-    p_out = np.eye(n) - g_prime.projector()
-    for i in range(n):
-        resid = float(np.max(np.abs(p_out @ adjoint(alg, np.eye(n)[:, i])
-                                    @ g_prime.basis))) if g_prime.dim else 0.0
-        if resid > CHECK_TOL:
+    if g_prime.dim:
+        # adjoint(alg, e_i) is structure[i].T
+        leak = np.abs((np.eye(n) - g_prime.projector())
+                      @ alg.structure.transpose(0, 2, 1) @ g_prime.basis)
+        worst = leak.max(axis=(1, 2))
+        bad = np.flatnonzero(worst > CHECK_TOL)
+        if bad.size:
             raise RuntimeError(
                 f"internal: complement of the symmetry ideal is not an ideal "
-                f"(residual {resid:.3e})")
+                f"(residual {worst[bad[0]]:.3e})")
 
     k = report.coindex
     lhs = 2 * g_prime.dim
@@ -563,8 +570,11 @@ def closed_geodesic_length(sp: HomogeneousSpace, representation: np.ndarray,
     ValueError
         If the orbit is not a geodesic at the base point, the generator
         has eigenvalues off the imaginary axis (no periodic flow), the
-        frequencies are incommensurable within ``1e-8``, or the field is
-        in the kernel of the representation.
+        ratio of some frequency to the smallest one is not within relative
+        ``tol`` of a fraction with denominator at most
+        :data:`MAX_WINDING_DENOMINATOR` (incommensurable, or winding too
+        finely to resolve), or the field is in the kernel of the
+        representation.
     """
     x = np.asarray(x, dtype=float)
     speed = sp.tangent_norm(sp.evaluate(x))
@@ -594,14 +604,15 @@ def closed_geodesic_length(sp: HomogeneousSpace, representation: np.ndarray,
     base = distinct[0]
     multiples = []
     for f in distinct:
-        frac = Fraction(f / base).limit_denominator(10 ** 6)
-        if abs(float(frac) - f / base) > 1e-8:
+        ratio = f / base
+        frac = Fraction(ratio).limit_denominator(MAX_WINDING_DENOMINATOR)
+        if abs(float(frac) - ratio) > tol * ratio:
             raise ValueError(
-                f"frequencies {base:.6g} and {f:.6g} are incommensurable; "
-                f"the orbit does not close")
+                f"frequencies {base:.6g} and {f:.6g} are incommensurable "
+                f"(ratio {ratio:.12g} is {abs(float(frac) - ratio):.3e} from "
+                f"{frac}, the nearest fraction with denominator at most "
+                f"{MAX_WINDING_DENOMINATOR}); the orbit does not close")
         multiples.append(frac)
     steps = math.lcm(*[fr.denominator for fr in multiples])
-    winding = [steps * fr.numerator // fr.denominator for fr in multiples]
-    steps //= math.gcd(*winding)
     period = 2.0 * math.pi * steps / base
     return period * speed

@@ -18,15 +18,21 @@ flip itself.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 #: Default relative tolerance for every rank / kernel / residual decision.
-#: The spaces handled here have dimension at most ~15 and structure
-#: constants of order one, so 1e-9 leaves several orders of headroom
-#: between genuine zeros (~1e-14) and genuine nonzeros (~1).
+#: The algebras handled here have dimension up to about 100 and structure
+#: constants of order one; genuine zeros stay near 1e-13 even at that size,
+#: so 1e-9 leaves several orders of headroom between them and genuine
+#: nonzeros (~1).
 DEFAULT_TOL = 1e-9
+
+#: Entries per chunk of the Jacobi residual (see LieAlgebra.jacobi_residual).
+_JACOBI_CHUNK = 2 ** 18
 
 KILLING_CONVENTION = (
     "structure tensor stores brackets of Killing (right-invariant) fields; "
@@ -73,7 +79,9 @@ def numerical_kernel(a: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
         return np.zeros((0, 0))
     if m == 0:
         return np.eye(n)
-    _, s, vt = np.linalg.svd(a, full_matrices=True)
+    # The thin SVD already holds all n rows of V when m >= n; a wide matrix
+    # needs the full one, whose rows past m span the rest of the kernel.
+    _, s, vt = np.linalg.svd(a, full_matrices=m < n)
     r = int(np.sum(s > _sv_cutoff(s, tol)))
     return vt[r:].T
 
@@ -86,6 +94,13 @@ def orthonormal_columns(a: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     u, s, _ = np.linalg.svd(a, full_matrices=False)
     r = int(np.sum(s > _sv_cutoff(s, tol)))
     return u[:, :r]
+
+
+def pair_indices(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index arrays ``(first, second)`` of all pairs ``first < second < k``,
+    in ``itertools.combinations`` order."""
+    pairs = np.array(list(itertools.combinations(range(k), 2)), dtype=np.intp)
+    return pairs.reshape(-1, 2).T
 
 
 # ---------------------------------------------------------------------------
@@ -139,22 +154,42 @@ class Subspace:
     def dim(self) -> int:
         return self.basis.shape[1]
 
+    @cached_property
+    def _onb(self) -> np.ndarray:
+        q = orthonormal_columns(self.basis)
+        q.flags.writeable = False
+        return q
+
     def onb(self) -> np.ndarray:
-        """Orthonormal basis of the subspace."""
-        return orthonormal_columns(self.basis)
+        """Orthonormal basis of the subspace (computed once, read-only)."""
+        return self._onb
 
     def projector(self) -> np.ndarray:
         q = self.onb()
         return q @ q.T
 
+    def contains_columns(self, vecs: np.ndarray, tol: float = 1e-8) -> np.ndarray:
+        """Whether each vector of ``vecs`` lies in the subspace up to
+        relative residual ``tol``, all in one projection.
+
+        The first axis of ``vecs`` holds the coordinates; the result has
+        the shape of the remaining axes (one entry per vector).
+        """
+        vecs = np.asarray(vecs, dtype=float)
+        flat = vecs.reshape(len(vecs), math.prod(vecs.shape[1:]))
+        q = self.onb()
+        resid = flat - q @ (q.T @ flat)
+        # squared norms on both sides
+        inside = ((resid * resid).sum(axis=0)
+                  <= tol * tol * np.maximum(1.0, (flat * flat).sum(axis=0)))
+        return inside.reshape(vecs.shape[1:])
+
     def contains(self, vec: np.ndarray, tol: float = 1e-8) -> bool:
         """Whether ``vec`` lies in the subspace up to relative residual ``tol``."""
-        vec = np.asarray(vec, dtype=float)
-        resid = vec - self.projector() @ vec
-        return float(np.linalg.norm(resid)) <= tol * max(1.0, float(np.linalg.norm(vec)))
+        return bool(self.contains_columns(vec, tol))
 
     def contains_subspace(self, other: "Subspace", tol: float = 1e-8) -> bool:
-        return all(self.contains(other.basis[:, j], tol) for j in range(other.dim))
+        return bool(self.contains_columns(other.basis, tol).all())
 
     def equals(self, other: "Subspace", tol: float = 1e-8) -> bool:
         """Subspace equality (same dimension and mutual containment)."""
@@ -244,14 +279,28 @@ class LieAlgebra:
                              f"(residual {jac:.3e})")
 
     def jacobi_residual(self) -> float:
-        """Max-norm of the cyclic Jacobi sum over all basis triples."""
+        """Max-norm of the cyclic Jacobi sum over all basis triples.
+
+        The sum ``[[e_j, e_k], e_i] + [[e_k, e_i], e_j] + [[e_i, e_j], e_k]``
+        is formed by batched matmuls over chunks of the first index ``i``
+        holding at most ``max(dim^3, 2^18)`` entries, so memory stays
+        O(dim^3) (a few such chunks) instead of the dim^4 of the whole
+        tensor, and small algebras take a single chunk.
+        """
         c = self.structure
-        if self.dim == 0:
-            return 0.0
-        t1 = np.einsum("jka,iab->ijkb", c, c)
-        t2 = np.einsum("kia,jab->ijkb", c, c)
-        t3 = np.einsum("ija,kab->ijkb", c, c)
-        return float(np.max(np.abs(t1 + t2 + t3)))
+        n = self.dim
+        flat = c.reshape(n * n, n)
+        ct = c.transpose(1, 0, 2)
+        step = max(1, _JACOBI_CHUNK // max(1, n ** 3))
+        worst = 0.0
+        for lo in range(0, n, step):
+            ci = c[lo:lo + step]
+            # each term indexed [i, j, k, b] with i in the chunk
+            cyc = (flat @ ci).reshape(-1, n, n, n)          # sum_a c[j,k,a] c[i,a,b]
+            cyc += ct[lo:lo + step, None] @ c               # sum_a c[k,i,a] c[j,a,b]
+            cyc += (ci[:, None] @ c).transpose(0, 2, 1, 3)  # sum_a c[i,j,a] c[k,a,b]
+            worst = max(worst, float(np.max(np.abs(cyc))))
+        return worst
 
     def label_index(self, label: str) -> int:
         return self.basis_labels.index(label)
@@ -262,9 +311,28 @@ class LieAlgebra:
 # ---------------------------------------------------------------------------
 
 def bracket(alg: LieAlgebra, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Bracket of two coefficient vectors."""
-    return np.einsum("i,j,ijk->k", np.asarray(x, float), np.asarray(y, float),
-                     alg.structure)
+    """Bracket of two coefficient vectors, or column by column of two
+    (dim, k) arrays.
+
+    Every column is summed in the same order, whatever ``k`` is, so a
+    column's bracket is the same to the last bit alone or in a batch.
+    """
+    return np.einsum("i...,j...,ijk->k...", np.asarray(x, float),
+                     np.asarray(y, float), alg.structure)
+
+
+def brackets(alg: LieAlgebra, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """All pairwise brackets of the columns of ``a`` and ``b``.
+
+    Returns an array of shape (dim, ka, kb) whose slice ``[:, p, q]`` is
+    ``bracket(alg, a[:, p], b[:, q])`` up to rounding: two matrix
+    products, much faster than :func:`bracket` on many pairs, but summed
+    in another order.
+    """
+    a, b = np.asarray(a, float), np.asarray(b, float)
+    n = len(alg.structure)
+    left = (a.T @ alg.structure.reshape(n, n * n)).reshape(a.shape[1], n, n)
+    return (left.transpose(0, 2, 1) @ b).transpose(1, 0, 2)
 
 
 def adjoint(alg: LieAlgebra, x: np.ndarray) -> np.ndarray:
@@ -324,7 +392,7 @@ def direct_sum(a: LieAlgebra, b: LieAlgebra) -> LieAlgebra:
 
 def _flatten_real(mats: np.ndarray) -> np.ndarray:
     """Each matrix flattened to a real row vector (complex parts stacked)."""
-    flat = mats.reshape(mats.shape[0], -1)
+    flat = mats.reshape(mats.shape[0], mats.shape[1] * mats.shape[2])
     if np.iscomplexobj(flat):
         return np.hstack([flat.real, flat.imag])
     return np.asarray(flat, dtype=float)
@@ -369,19 +437,22 @@ def matrix_algebra(matrices, labels=None, tol: float = DEFAULT_TOL):
         raise ValueError("generating matrices are linearly dependent")
     basis_t = flat.T  # columns are the flattened generators
     scale = max(1.0, float(np.max(np.abs(flat))))
+    first, second = pair_indices(n)
+    comms = -(mats[first] @ mats[second] - mats[second] @ mats[first])
+    rhs = _flatten_real(comms).T
+    coeffs, _, _, _ = np.linalg.lstsq(basis_t, rhs, rcond=None)
+    resids = np.linalg.norm(basis_t @ coeffs - rhs, axis=0)
+    ceiling = tol * np.maximum(scale, np.linalg.norm(rhs, axis=0))
+    bad = np.flatnonzero(resids > ceiling)
+    if bad.size:
+        p = bad[0]
+        raise ValueError(
+            f"bracket of {labels[first[p]]} and {labels[second[p]]} leaves "
+            f"the span (residual {resids[p]:.3e}); not a Lie algebra basis"
+        )
     structure = np.zeros((n, n, n))
-    for i, j in itertools.combinations(range(n), 2):
-        comm = -(mats[i] @ mats[j] - mats[j] @ mats[i])
-        rhs = _flatten_real(comm[None, :, :])[0]
-        coeff, _, _, _ = np.linalg.lstsq(basis_t, rhs, rcond=None)
-        resid = float(np.linalg.norm(basis_t @ coeff - rhs))
-        if resid > tol * max(scale, float(np.linalg.norm(rhs))):
-            raise ValueError(
-                f"bracket of {labels[i]} and {labels[j]} leaves the span "
-                f"(residual {resid:.3e}); not a Lie algebra basis"
-            )
-        structure[i, j] = coeff
-        structure[j, i] = -coeff
+    structure[first, second] = coeffs.T
+    structure[second, first] = -coeffs.T
     return LieAlgebra(n, tuple(labels), structure), mats
 
 
@@ -397,13 +468,14 @@ def largest_invariant_subspace(alg: LieAlgebra, generators: np.ndarray,
     gens = np.atleast_2d(np.asarray(generators, dtype=float))
     if gens.shape[0] != alg.dim:
         raise ValueError("generators must be given as columns in algebra coordinates")
-    ads = [adjoint(alg, gens[:, k]) for k in range(gens.shape[1])]
+    # ads[k] is adjoint(alg, gens[:, k])
+    ads = np.tensordot(gens, alg.structure, axes=(0, 0)).transpose(0, 2, 1)
     w = seed.onb()
     for _ in range(seed.dim + 1):
         if w.shape[1] == 0:
             break
         p_out = np.eye(alg.dim) - w @ w.T
-        constraint = np.vstack([p_out @ ad @ w for ad in ads]) if ads else np.zeros((0, w.shape[1]))
+        constraint = (p_out @ ads @ w).reshape(-1, w.shape[1])
         keep = numerical_kernel(constraint, tol)
         if keep.shape[1] == w.shape[1]:
             break

@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 from importlib import resources
 
-import jsonschema
 import numpy as np
 
 from .homspace import (
@@ -48,6 +47,10 @@ def _load_schema(name: str) -> dict:
 
 
 def _validate(document: dict, schema_name: str):
+    # imported here: jsonschema takes tens of milliseconds to import, and
+    # only commands that read documents need it
+    import jsonschema
+
     schema = _load_schema(schema_name)
     validator = jsonschema.Draft202012Validator(schema)
     errors = sorted(validator.iter_errors(document),

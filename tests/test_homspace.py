@@ -45,6 +45,15 @@ def test_rejects_isotropy_that_is_not_a_subalgebra():
         HomogeneousSpace(alg, span, BilinearForm(np.eye(1)))
 
 
+def test_subalgebra_error_names_the_first_leaking_pair():
+    alg, _ = so_elementary(4)  # basis E12 E13 E14 E23 E24 E34
+    # E12 and E34 commute; E12 and E13 bracket to E23, as do E34 and E13
+    span = Subspace(6, np.eye(6)[:, [0, 5, 1]])
+    with pytest.raises(ValueError, match="basis vectors 0 and 2 leaves it"):
+        HomogeneousSpace(alg, span, BilinearForm(np.eye(3)),
+                         check_effective=False)
+
+
 def test_rejects_non_reductive_complement():
     alg, _ = so_elementary(3)
     h = Subspace(3, np.eye(3)[:, :1])
@@ -310,6 +319,17 @@ def test_length_of_mixed_frequency_orbit():
     length = closed_geodesic_length(torus, rep, np.array([1.0, 1.0]))
     # frequencies 2 and 3 close up after a full period 2*pi
     assert length == pytest.approx(2.0 * np.pi * np.sqrt(2.0), rel=1e-10)
+
+
+def test_length_rejects_irrational_frequency_ratio():
+    """Frequencies 1 and sqrt(2) never close up, however fine the grid."""
+    torus = flat_torus()
+    j = np.array([[0.0, -1.0], [1.0, 0.0]])
+    z = np.zeros((2, 2))
+    rep = np.stack([np.block([[j, z], [z, z]]),
+                    np.block([[z, z], [z, np.sqrt(2.0) * j]])])
+    with pytest.raises(ValueError, match="incommensurable"):
+        closed_geodesic_length(torus, rep, np.array([1.0, 1.0]))
 
 
 def test_length_error_paths():

@@ -1,6 +1,9 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from symidx import liealg
 from symidx.liealg import (
     BilinearForm,
     LieAlgebra,
@@ -11,6 +14,7 @@ from symidx.liealg import (
     algebra_to_dict,
     bi_invariant_directions,
     bracket,
+    brackets,
     derived_subalgebra,
     direct_sum,
     killing_form_positive,
@@ -239,3 +243,114 @@ def test_algebra_dict_round_trip():
     back = algebra_from_dict(algebra_to_dict(alg))
     assert back.basis_labels == alg.basis_labels
     np.testing.assert_allclose(back.structure, alg.structure)
+
+
+# -- batched primitives against their one-at-a-time definitions --------------
+
+def random_antisymmetric(rng, n):
+    """A dense structure-like tensor, antisymmetric in its first two indices
+    but with no reason to satisfy the Jacobi identity."""
+    c = rng.standard_normal((n, n, n))
+    return c - c.transpose(1, 0, 2)
+
+
+@pytest.mark.parametrize("n, ka, kb", [(5, 3, 4), (8, 8, 2), (6, 0, 3)])
+def test_brackets_match_pairwise_bracket(n, ka, kb):
+    rng = np.random.default_rng(100 + n)
+    # bracket and brackets only read the structure tensor
+    alg = SimpleNamespace(structure=random_antisymmetric(rng, n))
+    a = rng.standard_normal((n, ka))
+    b = rng.standard_normal((n, kb))
+    got = brackets(alg, a, b)
+    assert got.shape == (n, ka, kb)
+    first, second = np.triu_indices(ka, 1)
+    pairs = bracket(alg, a[:, first], a[:, second])
+    assert pairs.shape == (n, first.size)
+    for col, (p, q) in enumerate(zip(first, second)):
+        # a batch of columns rounds exactly like one column at a time
+        np.testing.assert_array_equal(
+            pairs[:, col], bracket(alg, a[:, p], a[:, q]))
+    for p in range(ka):
+        for q in range(kb):
+            want = np.einsum("i,j,ijk->k", a[:, p], b[:, q], alg.structure)
+            np.testing.assert_allclose(bracket(alg, a[:, p], b[:, q]), want,
+                                       atol=1e-12)
+            np.testing.assert_allclose(got[:, p, q], want, atol=1e-12)
+
+
+def reference_jacobi_residual(c):
+    """The whole dim^4 cyclic sum, formed at once."""
+    t1 = np.einsum("jka,iab->ijkb", c, c)
+    t2 = np.einsum("kia,jab->ijkb", c, c)
+    t3 = np.einsum("ija,kab->ijkb", c, c)
+    return float(np.max(np.abs(t1 + t2 + t3)))
+
+
+@pytest.mark.parametrize("chunk", [None, 1, 1100])
+def test_chunked_jacobi_residual_matches_the_full_tensor_formula(
+        chunk, monkeypatch):
+    if chunk is not None:
+        # one first index per chunk, or chunks of 2-3 with a short last one
+        monkeypatch.setattr(liealg, "_JACOBI_CHUNK", chunk)
+    rng = np.random.default_rng(31)
+    alg, _ = su3()
+    # a dense presentation of su(3): random change of basis
+    t = rng.standard_normal((8, 8))
+    dense = np.einsum("ip,jq,ijk,rk->pqr", t, t, alg.structure,
+                      np.linalg.inv(t))
+    perturbed = dense.copy()
+    perturbed[0, 1, 2] += 1e-3
+    perturbed[1, 0, 2] -= 1e-3
+    for c in (alg.structure, dense, perturbed, random_antisymmetric(rng, 7)):
+        # the unbound method reads only dim and structure, which lets it
+        # score tensors the constructor would reject
+        got = LieAlgebra.jacobi_residual(
+            SimpleNamespace(dim=c.shape[0], structure=c))
+        want = reference_jacobi_residual(c)
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-13)
+    assert reference_jacobi_residual(perturbed) > 1e-4
+    assert LieAlgebra.jacobi_residual(
+        SimpleNamespace(dim=0, structure=np.zeros((0, 0, 0)))) == 0.0
+
+
+@pytest.mark.parametrize("shape, rank", [
+    ((3, 7), 3),   # wide: the kernel reaches past the rows of a thin SVD
+    ((2, 9), 1),
+    ((9, 5), 3),   # tall
+    ((6, 6), 4),
+    ((4, 6), 0),   # all zero
+    ((6, 4), 0),
+])
+def test_numerical_kernel_is_complete_and_orthonormal(shape, rank):
+    m, n = shape
+    rng = np.random.default_rng(m * 10 + n)
+    a = rng.standard_normal((m, rank)) @ rng.standard_normal((rank, n))
+    ker = numerical_kernel(a)
+    assert ker.shape == (n, n - rank)
+    np.testing.assert_allclose(ker.T @ ker, np.eye(n - rank), atol=1e-12)
+    np.testing.assert_allclose(a @ ker, np.zeros((m, n - rank)), atol=1e-10)
+
+
+def test_matrix_algebra_names_the_first_pair_that_leaves_the_span():
+    def elementary(a, b):
+        m = np.zeros((4, 4))
+        m[a, b], m[b, a] = 1.0, -1.0
+        return m
+
+    # pairs in order: (e12, e34) commute, [e12, e13] = e23 leaves the span,
+    # and so does [e34, e13] = e14 later on
+    gens = np.array([elementary(0, 1), elementary(2, 3), elementary(0, 2)])
+    with pytest.raises(ValueError,
+                       match=r"bracket of e12 and e13 leaves the span "
+                             r"\(residual 1\.414e\+00\)"):
+        matrix_algebra(gens, ("e12", "e34", "e13"))
+
+
+def test_subspace_batched_containment():
+    sub = Subspace.from_spanning(4, np.eye(4)[:, :2])
+    vecs = np.array([[1.0, 0.0, 1.0], [2.0, 0.0, 0.0],
+                     [0.0, 1.0, 1e-12], [0.0, 0.0, 0.0]])
+    np.testing.assert_array_equal(sub.contains_columns(vecs),
+                                  [True, False, True])
+    assert sub.contains_columns(np.zeros((4, 2, 3))).shape == (2, 3)
+    assert sub.onb() is sub.onb()

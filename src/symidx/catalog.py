@@ -283,7 +283,7 @@ def orbit_space(algebra, representation, point, inner, label: str = "",
     return HomogeneousSpace(algebra, iso, metric, complement=comp, label=label)
 
 
-@dataclass
+@dataclass(eq=False)
 class CentrioleReport:
     """Shape data for a distance sphere fibred over a projective line.
 

@@ -233,7 +233,7 @@ class HomogeneousSpace:
 # reports
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(eq=False)
 class TransvectionReport:
     """Killing fields parallel at the base point and what they generate.
 
@@ -254,7 +254,7 @@ class TransvectionReport:
     relative_to_supplied_algebra: bool = True
 
 
-@dataclass
+@dataclass(eq=False)
 class BoundReport:
     """Dimension bound for the complementary factor of the symmetry ideal.
 
@@ -274,7 +274,7 @@ class BoundReport:
     equality: bool
 
 
-@dataclass
+@dataclass(eq=False)
 class JacobiSpectrum:
     """Spectrum of the curvature operator along a homogeneous geodesic.
 

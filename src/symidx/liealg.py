@@ -107,13 +107,14 @@ def pair_indices(k: int) -> tuple[np.ndarray, np.ndarray]:
 # core types
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Subspace:
     """A linear subspace of R^ambient_dim spanned by the columns of ``basis``.
 
     The basis is required to have full column rank; use
     :meth:`Subspace.from_spanning` to build a subspace from a possibly
-    redundant spanning set.
+    redundant spanning set.  ``==`` and ``hash`` go by identity; compare
+    subspaces with :meth:`equals`.
     """
 
     ambient_dim: int
@@ -198,7 +199,7 @@ class Subspace:
                 and other.contains_subspace(self, tol))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BilinearForm:
     """A symmetric bilinear form given by its Gram matrix.
 
@@ -234,7 +235,7 @@ class BilinearForm:
         return Subspace(self.dim, numerical_kernel(self.gram, tol))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LieAlgebra:
     """A finite-dimensional real Lie algebra with fixed basis.
 

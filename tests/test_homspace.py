@@ -20,6 +20,7 @@ from symidx.homspace import (
     transvection_space,
 )
 from symidx.catalog import (
+    cp2_centriole,
     round_sphere,
     so4_so2,
     spin3_berger,
@@ -34,6 +35,28 @@ J_VEC = np.array([0.0, 1.0, 0.0])
 def flat_torus(d=2):
     alg, _ = abelian(d)
     return HomogeneousSpace(alg, Subspace.zero(d), BilinearForm(np.eye(d)))
+
+
+def _round_s2():
+    return round_sphere(2)[0]
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Subspace(3, np.eye(3)[:, :2]),
+    lambda: BilinearForm(np.eye(2)),
+    lambda: so_elementary(3)[0],
+    lambda: transvection_space(_round_s2()),
+    lambda: symmetry_ideal(_round_s2()),
+    lambda: jacobi_operator(_round_s2(), _round_s2().m_basis[:, 0]),
+    lambda: cp2_centriole()[1],
+], ids=["Subspace", "BilinearForm", "LieAlgebra", "TransvectionReport",
+        "BoundReport", "JacobiSpectrum", "CentrioleReport"])
+def test_array_holding_values_compare_and_hash_by_identity(build):
+    """Field-wise == would compare arrays and raise; equal-looking values
+    are distinct objects, and Subspace.equals is the mathematical test."""
+    a, b = build(), build()
+    assert a == a and a != b
+    assert len({a, b, a}) == 2
 
 
 # -- constructor validation -------------------------------------------------
@@ -330,6 +353,19 @@ def test_length_rejects_irrational_frequency_ratio():
                     np.block([[z, z], [z, np.sqrt(2.0) * j]])])
     with pytest.raises(ValueError, match="incommensurable"):
         closed_geodesic_length(torus, rep, np.array([1.0, 1.0]))
+
+
+@pytest.mark.xfail(strict=True, raises=ValueError,
+                   reason="the length is taken from the period of the "
+                          "group, not from the return time of the orbit")
+def test_length_ignores_the_isotropy_part_of_the_field():
+    """E12 + sqrt(2) E34 on S^3: the E34 part fixes the base point and
+    commutes with E12, so the orbit is the great circle of E12."""
+    sp, info = round_sphere(3)  # basis E12 E13 E14 E23 E24 E34
+    x = np.zeros(6)
+    x[0], x[5] = 1.0, np.sqrt(2.0)
+    length = closed_geodesic_length(sp, info["representation"], x)
+    assert length == pytest.approx(2.0 * np.pi, rel=1e-10)
 
 
 def test_length_error_paths():

@@ -1,9 +1,11 @@
+import copy
 import json
 
 import numpy as np
 import pytest
 
-from symidx.catalog import round_sphere, so4_so2
+from symidx import serialize
+from symidx.catalog import from_name, round_sphere, so4_so2
 from symidx.homspace import jacobi_operator, symmetry_ideal, transvection_space
 from symidx.serialize import (
     SpaceFormatError,
@@ -121,3 +123,159 @@ def test_report_dicts_are_json_ready():
     # everything must survive a JSON encoding unchanged
     for payload in (rep, bound, spec):
         json.loads(json.dumps(payload))
+
+
+@pytest.mark.parametrize("field, token", [
+    ("structure", "NaN"),
+    ("isotropy", "Infinity"),
+    ("complement", "-Infinity"),
+    ("metric", "NaN"),
+])
+def test_load_space_refuses_non_finite_numbers(tmp_path, field, token):
+    """Python's json reads NaN and +-Infinity; JSON has neither.  Let
+    through, they failed much later as an SVD that did not converge, a
+    rank-deficient isotropy or an indefinite metric."""
+    doc = space_to_dict(round_sphere(2)[0])
+    rows = doc["algebra"]["structure"][0] if field == "structure" \
+        else doc[field]
+    rows[0][-1] = "TOKEN"
+    path = tmp_path / "nonfinite.json"
+    path.write_text(json.dumps(doc).replace('"TOKEN"', token))
+    with pytest.raises(SpaceFormatError, match=f"non-finite number {token}"):
+        load_space(str(path))
+
+
+def test_lie_algebra_schema_matches_the_space_schema_definition():
+    standalone = serialize._load_schema("lie_algebra.schema.json")
+    embedded = serialize._load_schema("space.schema.json")["$defs"][
+        "lie_algebra"]
+    for key in ("$schema", "$id", "title"):
+        standalone.pop(key)
+    assert standalone == embedded
+
+
+# -- the fast number-array path against the stock validator -----------------
+
+def _stock_error(document):
+    """(text, pointer) of the first error of jsonschema's own validator, as
+    SpaceFormatError would render it, or None for a valid document."""
+    import jsonschema
+
+    schema = serialize._load_schema("space.schema.json")
+    errors = sorted(
+        jsonschema.Draft202012Validator(schema).iter_errors(document),
+        key=lambda e: list(e.absolute_path))
+    if not errors:
+        return None
+    first = errors[0]
+    pointer = "/" + "/".join(str(part) for part in first.absolute_path)
+    return f"{pointer}: {first.message}", pointer
+
+
+def _fast_error(document):
+    try:
+        serialize._validate(document, "space.schema.json")
+    except SpaceFormatError as exc:
+        return str(exc), exc.pointer
+    return None
+
+
+def _containers(node):
+    """Every dict and list under node, node included."""
+    if isinstance(node, (dict, list)):
+        yield node
+        for child in node.values() if isinstance(node, dict) else node:
+            yield from _containers(child)
+
+
+def _replacement(rng):
+    choices = [
+        True, False, "x", None, 1, 0, -3, np.float64(0.25),
+        np.float32(1.5), np.int64(2), "so3",
+        [], [1.0, [2.0]], [[1.0], [2.0, 3.0]], {"a": 1.0}, {},
+    ]
+    return choices[rng.integers(len(choices))]
+
+
+def _mutate(document, rng):
+    doc = copy.deepcopy(document)
+    for _ in range(int(rng.integers(1, 3))):
+        spots = list(_containers(doc))
+        node = spots[rng.integers(len(spots))]
+        if isinstance(node, dict):
+            keys = sorted(node)
+            roll = rng.integers(5)
+            if roll == 0 and keys:
+                del node[keys[rng.integers(len(keys))]]
+            elif roll == 1:
+                node["extra"] = _replacement(rng)
+            elif keys:
+                node[keys[rng.integers(len(keys))]] = _replacement(rng)
+        else:
+            roll = rng.integers(4)
+            if roll == 0 and node:  # ragged: one entry short
+                node.pop()
+            elif roll == 1:  # ragged: one entry long
+                node.append(1.0 if rng.integers(2) else [1.0])
+            elif node:
+                node[rng.integers(len(node))] = _replacement(rng)
+    return doc
+
+
+def _differential_documents():
+    names = ["round-sphere:2", "so4-so2:0.5,0.8", "so4-so2:0.3,1.2,0.7",
+             "spin3:1,2,3", "product-spheres:0.5", "cp2-centriole"]
+    docs = [json.loads(json.dumps(space_to_dict(from_name(name)[0])))
+            for name in names]
+    inline = space_to_dict(round_sphere(4)[0])  # so(5)/so(4), dim 10
+    del inline["complement"]
+    docs.append(json.loads(json.dumps(inline)))
+    docs.append(two_sphere_document())
+    return docs
+
+
+def test_validation_agrees_with_the_stock_validator():
+    """Seeded mutations of emitted documents get the same verdict from the
+    fast path as from jsonschema's own Draft 2020-12 validator, and the
+    same first message and pointer when they are invalid.  True is the
+    case to watch: bool is an int subclass but not a JSON number."""
+    rng = np.random.default_rng(20260)
+    seen = {"valid": 0, "invalid": 0}
+    for document in _differential_documents():
+        assert _fast_error(document) is None is _stock_error(document)
+        for _ in range(30):
+            mutated = _mutate(document, rng)
+            want = _stock_error(mutated)
+            assert _fast_error(mutated) == want
+            seen["valid" if want is None else "invalid"] += 1
+    assert seen["valid"] >= 50 and seen["invalid"] >= 100
+
+
+@pytest.mark.parametrize("where, value", [
+    (("algebra", "structure", 1, 2, 0), True),
+    (("algebra", "structure", 1, 2, 0), False),
+    (("algebra", "structure", 1, 2, 0), None),
+    (("algebra", "structure", 1, 2, 0), "1.0"),
+    (("algebra", "structure", 1, 2, 0), [1.0]),
+    (("algebra", "structure", 1, 2), 1.0),
+    (("algebra", "labels"), [1.0, 2.0, 3.0]),
+    (("metric", 0), [True, 0.0]),
+])
+def test_placed_defects_agree_with_the_stock_validator(where, value):
+    sp, _ = round_sphere(2)
+    doc = json.loads(json.dumps(space_to_dict(sp)))
+    node = doc
+    for key in where[:-1]:
+        node = node[key]
+    node[where[-1]] = value
+    assert _fast_error(doc) == _stock_error(doc) is not None
+
+
+def test_number_arrays_under_further_keywords_are_left_to_jsonschema():
+    """The fast path skips the walk into rows, so it must not take a
+    schema whose rows carry keywords it does not check."""
+    row = {"type": "array", "items": {"type": "number"}}
+    assert serialize._numbers_only([[1.0, 2]], row)
+    assert not serialize._numbers_only([[1.0]], dict(row, minItems=2))
+    assert not serialize._numbers_only([1.0], {"type": "number",
+                                               "minimum": 0})

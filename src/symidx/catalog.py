@@ -22,15 +22,16 @@ from .liealg import (
     DEFAULT_TOL,
     BilinearForm,
     Subspace,
+    _flatten_real,
     derived_subalgebra,
     direct_sum,
     killing_form_positive,
     matrix_algebra,
     numerical_kernel,
     numerical_rank,
+    orthogonal_complement,
     quaternion_left_multiplication,
     quaternion_right_multiplication,
-    reference_form,
     so_elementary,
     spin3_quaternion,
 )
@@ -191,13 +192,6 @@ def spin3_berger(t: float):
 # product of a small and a unit sphere
 # ---------------------------------------------------------------------------
 
-def _quaternion_conjugation_block(idx: int) -> np.ndarray:
-    """Action of an imaginary basis quaternion on Im(H) by commutator,
-    as a 3x3 block in (i, j, k) coordinates."""
-    full = quaternion_left_multiplication(idx) - quaternion_right_multiplication(idx)
-    return full[1:, 1:]
-
-
 def product_of_spheres(rho: float):
     """S^2 of radius rho times the unit S^3, as one orbit of Spin(3)xSpin(3).
 
@@ -217,9 +211,9 @@ def product_of_spheres(rho: float):
     embed = np.zeros((7, 6))
     rep_blocks = np.zeros((6, 7, 7))
     for a in range(3):
-        conj = _quaternion_conjugation_block(a + 1)
         left = quaternion_left_multiplication(a + 1)
         right = quaternion_right_multiplication(a + 1)
+        conj = (left - right)[1:, 1:]  # commutator action on Im(H)
         embed[:3, a] = rho * conj @ unit_i[1:]
         embed[3:, a] = left @ unit_i
         embed[3:, a + 3] = -right @ unit_i
@@ -254,6 +248,18 @@ def product_of_spheres(rho: float):
 # group orbits in a matrix space
 # ---------------------------------------------------------------------------
 
+def _orbit_tangents(rep: np.ndarray, point: np.ndarray) -> np.ndarray:
+    """Orbit velocities at ``point``: slice ``[a]`` is ``[rep[a], point]``."""
+    return rep @ point - point @ rep
+
+
+def _induced_gram(inner, tangents: np.ndarray, fields: np.ndarray) -> np.ndarray:
+    """Gram matrix under ``inner`` of the orbit velocities of the fields
+    whose algebra coefficients are the columns of ``fields``."""
+    lifted = np.einsum("na,nij->aij", fields, tangents)
+    return np.array([[inner(a, b) for b in lifted] for a in lifted])
+
+
 def orbit_space(algebra, representation, point, inner, label: str = "",
                 tol: float = DEFAULT_TOL) -> HomogeneousSpace:
     """Orbit of a conjugation action through ``point`` as a homogeneous space.
@@ -263,21 +269,10 @@ def orbit_space(algebra, representation, point, inner, label: str = "",
     ``inner`` restricted to tangent values.  Raises if the induced metric
     is degenerate (the orbit is then too small for the chosen complement).
     """
-    rep = np.asarray(representation)
-    n = algebra.dim
-    tangents = np.array([rep[a] @ point - point @ rep[a] for a in range(n)])
-    flat = tangents.reshape(n, -1)
-    if np.iscomplexobj(flat):
-        flat = np.hstack([flat.real, flat.imag])
-    iso = Subspace(n, numerical_kernel(flat.T, tol))
-
-    q = reference_form(algebra, tol).gram
-    comp = Subspace(n, numerical_kernel(iso.basis.T @ q, tol)) \
-        if iso.dim else Subspace.full(n)
-    lifted = np.einsum("na,nij->aij", comp.basis, tangents)
-    gram = np.array([[inner(lifted[a], lifted[b]) for b in range(comp.dim)]
-                     for a in range(comp.dim)])
-    metric = BilinearForm(gram)
+    tangents = _orbit_tangents(np.asarray(representation), point)
+    iso = Subspace(algebra.dim, numerical_kernel(_flatten_real(tangents).T, tol))
+    comp = orthogonal_complement(algebra, iso, tol)
+    metric = BilinearForm(_induced_gram(inner, tangents, comp.basis))
     if not metric.is_positive_definite(tol):
         raise ValueError("induced metric on the orbit is degenerate")
     return HomogeneousSpace(algebra, iso, metric, complement=comp, label=label)
@@ -334,9 +329,7 @@ def cp2_centriole():
     sp = orbit_space(alg, rep, p, inner,
                      label="distance sphere around a line in CP^2")
 
-    pole_tangents = np.array([rep[a] @ pole - pole @ rep[a] for a in range(4)])
-    flat = pole_tangents.reshape(4, -1)
-    flat = np.hstack([flat.real, flat.imag])
+    flat = _flatten_real(_orbit_tangents(rep, pole))
     dim_base = numerical_rank(flat)
     pole_stabilizer = Subspace(4, numerical_kernel(flat.T))
     fiber = Subspace.from_spanning(sp.dim, sp.evaluate(pole_stabilizer.basis))
@@ -344,10 +337,7 @@ def cp2_centriole():
     report_t = transvection_space(sp)
 
     der = derived_subalgebra(alg)
-    lifted = np.einsum("na,nij->aij", der.basis, np.array(
-        [rep[a] @ p - p @ rep[a] for a in range(4)]))
-    gram_sub = np.array([[inner(lifted[a], lifted[b]) for b in range(der.dim)]
-                         for a in range(der.dim)])
+    gram_sub = _induced_gram(inner, _orbit_tangents(rep, p), der.basis)
     b_sub = killing_form_positive(alg).restricted_to(der)
     w, vecs = scipy.linalg.eigh(8.0 * gram_sub, b_sub)
 
@@ -444,7 +434,7 @@ def from_name(name: str):
 
 def default_spaces():
     """A representative list of (space, info) pairs across all families."""
-    out = [
+    return [
         round_sphere(2),
         round_sphere(3),
         so4_so2(0.5, 0.5),
@@ -452,7 +442,5 @@ def default_spaces():
         spin3_one_parameter(0.5),
         spin3_berger(1.5),
         product_of_spheres(1.0),
+        from_name("cp2-centriole"),
     ]
-    sp, rep = cp2_centriole()
-    out.append((sp, {"family": "cp2-centriole", "report": rep}))
-    return out

@@ -32,25 +32,21 @@ import numpy as np
 import scipy.linalg
 
 from .liealg import (
+    CHECK_TOL,
     DEFAULT_TOL,
     BilinearForm,
     LieAlgebra,
     Subspace,
     adjoint,
+    adjoints,
     bi_invariant_directions,
     bracket,
     brackets,
     largest_invariant_subspace,
     numerical_kernel,
-    orthonormal_columns,
+    orthogonal_complement,
     pair_indices,
-    reference_form,
 )
-
-#: Residual ceiling for derived structural statements (involutivity,
-#: self-adjointness, geodesic preconditions).  Looser than the construction
-#: tolerance because these residuals accumulate a few matrix products.
-CHECK_TOL = 1e-8
 
 #: Largest denominator accepted for the ratio of two orbit frequencies.
 #: Any real lies within about 1/q^2 of a fraction with denominator q, so an
@@ -113,8 +109,7 @@ class HomogeneousSpace:
                 f"{first[leaks[0]]} and {second[leaks[0]]} leaves it")
 
         if complement is None:
-            q = reference_form(algebra, tol).gram
-            complement = Subspace(n, numerical_kernel(isotropy.basis.T @ q, tol))
+            complement = orthogonal_complement(algebra, isotropy, tol)
         if complement.ambient_dim != n:
             raise ValueError("complement lives in the wrong ambient dimension")
         if isotropy.dim + complement.dim != n:
@@ -144,25 +139,23 @@ class HomogeneousSpace:
         self.metric = metric
         self._gram_inv = np.linalg.inv(metric.gram)
 
-        # reductivity and skew isotropy action, checked together
-        for a in range(isotropy.dim):
-            z = isotropy.basis[:, a]
-            ad_z = adjoint(algebra, z)
-            imgs = ad_z @ self.m_basis
-            reductive_resid = float(np.max(np.abs(self.h_coords @ imgs))) \
-                if isotropy.dim else 0.0
-            if reductive_resid > CHECK_TOL:
+        # reductivity and skew isotropy action of every isotropy vector at
+        # once; the first vector failing either is reported, reductivity first
+        imgs = adjoints(algebra, h) @ self.m_basis
+        reductive = np.abs(self.h_coords @ imgs).max(axis=(1, 2), initial=0.0)
+        ops = metric.gram @ self.eval_matrix @ imgs
+        skew = np.abs(ops + ops.transpose(0, 2, 1)).max(axis=(1, 2), initial=0.0)
+        bad = np.flatnonzero((reductive > CHECK_TOL) | (skew > CHECK_TOL))
+        if bad.size:
+            a = bad[0]
+            if reductive[a] > CHECK_TOL:
                 raise ValueError(
                     f"complement is not reductive: isotropy vector {a} maps "
-                    f"it outside itself (residual {reductive_resid:.3e})")
-            op = self.eval_matrix @ imgs
-            skew = metric.gram @ op
-            skew_resid = float(np.max(np.abs(skew + skew.T)))
-            if skew_resid > CHECK_TOL:
-                raise ValueError(
-                    f"isotropy vector {a} does not act skew-symmetrically "
-                    f"for the metric (residual {skew_resid:.3e}); the metric "
-                    f"is not invariant")
+                    f"it outside itself (residual {reductive[a]:.3e})")
+            raise ValueError(
+                f"isotropy vector {a} does not act skew-symmetrically "
+                f"for the metric (residual {skew[a]:.3e}); the metric "
+                f"is not invariant")
 
         if check_effective and isotropy.dim > 0:
             ineffective = largest_invariant_subspace(
@@ -346,16 +339,13 @@ def symmetry_ideal(sp: HomogeneousSpace, report: TransvectionReport | None = Non
         n, np.hstack([sp.h_basis, sp.m_basis @ report.s_space.basis]), tol)
     g_d = largest_invariant_subspace(alg, np.eye(n), seed, tol)
 
-    q = reference_form(alg, tol).gram
-    g_prime = Subspace(n, numerical_kernel(g_d.basis.T @ q, tol)) \
-        if g_d.dim else Subspace.full(n)
+    g_prime = orthogonal_complement(alg, g_d, tol)
     if g_d.dim + g_prime.dim != n:
         raise RuntimeError("internal: orthogonal split of the symmetry ideal "
                            "has the wrong dimension")
     if g_prime.dim:
-        # adjoint(alg, e_i) is structure[i].T
         leak = np.abs((np.eye(n) - g_prime.projector())
-                      @ alg.structure.transpose(0, 2, 1) @ g_prime.basis)
+                      @ adjoints(alg, np.eye(n)) @ g_prime.basis)
         worst = leak.max(axis=(1, 2))
         bad = np.flatnonzero(worst > CHECK_TOL)
         if bad.size:
@@ -393,6 +383,24 @@ def perpendicular_killing_space(sp: HomogeneousSpace,
 # curvature along homogeneous geodesics
 # ---------------------------------------------------------------------------
 
+def _unit_geodesic_field(sp: HomogeneousSpace, x: np.ndarray,
+                         tol: float) -> tuple[np.ndarray, float]:
+    """``(x / speed, speed)``, speed being the length of the value of ``x``
+    at the base point; raises unless it is nonzero with a geodesic orbit."""
+    x = np.asarray(x, dtype=float)
+    speed = sp.tangent_norm(sp.evaluate(x))
+    if speed <= tol:
+        raise ValueError("field evaluates to zero at the base point; "
+                         "it generates no geodesic direction")
+    xn = x / speed
+    drift = float(np.linalg.norm(sp.nabla_at_base(xn) @ sp.evaluate(xn)))
+    if drift > tol:
+        raise ValueError(
+            f"orbit of the field is not a geodesic at the base point "
+            f"(covariant derivative along itself has norm {drift:.3e})")
+    return xn, speed
+
+
 def jacobi_operator(sp: HomogeneousSpace, x: np.ndarray,
                     tol: float = CHECK_TOL) -> JacobiSpectrum:
     """Curvature operator R(., c')c' along the orbit geodesic of a field.
@@ -418,19 +426,7 @@ def jacobi_operator(sp: HomogeneousSpace, x: np.ndarray,
         direction), or the double bracket depends on the isotropy part of
         lifts, which would make the operator ill-defined.
     """
-    x = np.asarray(x, dtype=float)
-    speed = sp.tangent_norm(sp.evaluate(x))
-    if speed <= tol:
-        raise ValueError("field evaluates to zero at the base point; "
-                         "it generates no geodesic direction")
-    xn = x / speed
-    drift = sp.nabla_at_base(xn) @ sp.evaluate(xn)
-    drift_norm = float(np.linalg.norm(drift))
-    if drift_norm > tol:
-        raise ValueError(
-            f"orbit of the field is not a geodesic at the base point "
-            f"(covariant derivative along itself has norm {drift_norm:.3e})")
-
+    xn, _ = _unit_geodesic_field(sp, x, tol)
     ad_x = adjoint(sp.algebra, xn)
     if sp.dim_isotropy:
         lift_resid = float(np.max(np.abs(
@@ -455,22 +451,15 @@ def jacobi_operator(sp: HomogeneousSpace, x: np.ndarray,
     )
 
 
-def _cos_like(kappa: float, t: np.ndarray) -> np.ndarray:
+def _cos_sin_like(kappa: float, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The solutions of ``f'' + kappa f = 0`` with ``(f, f')(0)`` equal to
+    (1, 0) and to (0, 1)."""
+    r = np.sqrt(abs(kappa))
     if kappa > 1e-12:
-        return np.cos(np.sqrt(kappa) * t)
+        return np.cos(r * t), np.sin(r * t) / r
     if kappa < -1e-12:
-        return np.cosh(np.sqrt(-kappa) * t)
-    return np.ones_like(t)
-
-
-def _sin_like(kappa: float, t: np.ndarray) -> np.ndarray:
-    if kappa > 1e-12:
-        r = np.sqrt(kappa)
-        return np.sin(r * t) / r
-    if kappa < -1e-12:
-        r = np.sqrt(-kappa)
-        return np.sinh(r * t) / r
-    return np.asarray(t, dtype=float)
+        return np.cosh(r * t), np.sinh(r * t) / r
+    return np.ones_like(t), np.asarray(t, dtype=float)
 
 
 def jacobi_field(sp: HomogeneousSpace, spectrum: JacobiSpectrum,
@@ -492,7 +481,8 @@ def jacobi_field(sp: HomogeneousSpace, spectrum: JacobiSpectrum,
     cw = spectrum.eigenvectors.T @ g @ np.asarray(w0, dtype=float)
     out = np.zeros((t_arr.size, sp.dim))
     for i, kappa in enumerate(spectrum.eigenvalues):
-        coeff = cv[i] * _cos_like(kappa, t_arr) + cw[i] * _sin_like(kappa, t_arr)
+        cos_like, sin_like = _cos_sin_like(kappa, t_arr)
+        coeff = cv[i] * cos_like + cw[i] * sin_like
         out += np.outer(coeff, spectrum.eigenvectors[:, i])
     if np.isscalar(t) or np.asarray(t).ndim == 0:
         return out[0]
@@ -529,16 +519,16 @@ def augment_left_invariant(sp: HomogeneousSpace,
 
     structure = np.zeros((n + q, n + q, n + q))
     structure[:n, :n, :n] = alg.structure
-    for r in range(q):
-        for s in range(r + 1, q):
-            w = -bracket(alg, a.basis[:, r], a.basis[:, s])
-            coeff, res, _, _ = np.linalg.lstsq(a.basis, w, rcond=None)
-            resid = float(np.linalg.norm(a.basis @ coeff - w))
-            if resid > CHECK_TOL:
-                raise RuntimeError("internal: bi-invariant directions do not "
-                                   f"close under the bracket (residual {resid:.3e})")
-            structure[n + r, n + s, n:] = coeff
-            structure[n + s, n + r, n:] = -coeff
+    first, second = pair_indices(q)
+    w = -bracket(alg, a.basis[:, first], a.basis[:, second])
+    coeffs, _, _, _ = np.linalg.lstsq(a.basis, w, rcond=None)
+    resids = np.linalg.norm(a.basis @ coeffs - w, axis=0)
+    bad = np.flatnonzero(resids > CHECK_TOL)
+    if bad.size:
+        raise RuntimeError("internal: bi-invariant directions do not close "
+                           f"under the bracket (residual {resids[bad[0]]:.3e})")
+    structure[n + first, n + second, n:] = coeffs.T
+    structure[n + second, n + first, n:] = -coeffs.T
     labels = alg.basis_labels + tuple(f"op{r + 1}" for r in range(q))
     big = LieAlgebra(n + q, labels, structure,
                      convention_note=alg.convention_note
@@ -577,14 +567,7 @@ def closed_geodesic_length(sp: HomogeneousSpace, representation: np.ndarray,
         representation.
     """
     x = np.asarray(x, dtype=float)
-    speed = sp.tangent_norm(sp.evaluate(x))
-    if speed <= tol:
-        raise ValueError("field evaluates to zero at the base point")
-    drift = float(np.linalg.norm(sp.nabla_at_base(x) @ sp.evaluate(x)))
-    if drift > tol * speed * speed:
-        raise ValueError(f"orbit of the field is not a geodesic at the base "
-                         f"point (residual {drift:.3e})")
-
+    _, speed = _unit_geodesic_field(sp, x, tol)
     gen = np.einsum("i,ijk->jk", x, np.asarray(representation))
     scale = max(1.0, float(np.max(np.abs(gen))))
     eig = np.linalg.eigvals(gen)

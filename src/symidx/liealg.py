@@ -31,6 +31,11 @@ import numpy as np
 #: nonzeros (~1).
 DEFAULT_TOL = 1e-9
 
+#: Residual ceiling for derived statements (containment, involutivity,
+#: self-adjointness, geodesic preconditions); looser than DEFAULT_TOL because
+#: these residuals accumulate a few matrix products.
+CHECK_TOL = 1e-8
+
 #: Entries per chunk of the Jacobi residual (see LieAlgebra.jacobi_residual).
 _JACOBI_CHUNK = 2 ** 18
 
@@ -169,7 +174,7 @@ class Subspace:
         q = self.onb()
         return q @ q.T
 
-    def contains_columns(self, vecs: np.ndarray, tol: float = 1e-8) -> np.ndarray:
+    def contains_columns(self, vecs: np.ndarray, tol: float = CHECK_TOL) -> np.ndarray:
         """Whether each vector of ``vecs`` lies in the subspace up to
         relative residual ``tol``, all in one projection.
 
@@ -185,14 +190,14 @@ class Subspace:
                   <= tol * tol * np.maximum(1.0, (flat * flat).sum(axis=0)))
         return inside.reshape(vecs.shape[1:])
 
-    def contains(self, vec: np.ndarray, tol: float = 1e-8) -> bool:
+    def contains(self, vec: np.ndarray, tol: float = CHECK_TOL) -> bool:
         """Whether ``vec`` lies in the subspace up to relative residual ``tol``."""
         return bool(self.contains_columns(vec, tol))
 
-    def contains_subspace(self, other: "Subspace", tol: float = 1e-8) -> bool:
+    def contains_subspace(self, other: "Subspace", tol: float = CHECK_TOL) -> bool:
         return bool(self.contains_columns(other.basis, tol).all())
 
-    def equals(self, other: "Subspace", tol: float = 1e-8) -> bool:
+    def equals(self, other: "Subspace", tol: float = CHECK_TOL) -> bool:
         """Subspace equality (same dimension and mutual containment)."""
         return (self.dim == other.dim
                 and self.contains_subspace(other, tol)
@@ -303,9 +308,6 @@ class LieAlgebra:
             worst = max(worst, float(np.max(np.abs(cyc))))
         return worst
 
-    def label_index(self, label: str) -> int:
-        return self.basis_labels.index(label)
-
 
 # ---------------------------------------------------------------------------
 # algebra operations
@@ -339,6 +341,13 @@ def brackets(alg: LieAlgebra, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def adjoint(alg: LieAlgebra, x: np.ndarray) -> np.ndarray:
     """Matrix of ad_x = bracket(x, .) acting on coefficient vectors."""
     return np.einsum("i,ijk->kj", np.asarray(x, float), alg.structure)
+
+
+def adjoints(alg: LieAlgebra, gens: np.ndarray) -> np.ndarray:
+    """Shape (k, dim, dim): slice ``[p]`` is ``adjoint(alg, gens[:, p])``
+    up to rounding (one matrix product for all columns)."""
+    return np.tensordot(np.asarray(gens, float), alg.structure,
+                        axes=(0, 0)).transpose(0, 2, 1)
 
 
 def killing_form_positive(alg: LieAlgebra) -> BilinearForm:
@@ -378,6 +387,14 @@ def reference_form(alg: LieAlgebra, tol: float = DEFAULT_TOL) -> BilinearForm:
     t_inv = np.linalg.inv(np.hstack([z.basis, d.basis]))
     proj_z = t_inv[: z.dim, :]
     return BilinearForm(b.gram + proj_z.T @ proj_z)
+
+
+def orthogonal_complement(alg: LieAlgebra, sub: Subspace,
+                          tol: float = DEFAULT_TOL) -> Subspace:
+    """Complement of ``sub`` orthogonal for the ad-invariant
+    :func:`reference_form`; the zero subspace gives the whole algebra."""
+    q = reference_form(alg, tol).gram
+    return Subspace(alg.dim, numerical_kernel(sub.basis.T @ q, tol))
 
 
 def direct_sum(a: LieAlgebra, b: LieAlgebra) -> LieAlgebra:
@@ -469,8 +486,7 @@ def largest_invariant_subspace(alg: LieAlgebra, generators: np.ndarray,
     gens = np.atleast_2d(np.asarray(generators, dtype=float))
     if gens.shape[0] != alg.dim:
         raise ValueError("generators must be given as columns in algebra coordinates")
-    # ads[k] is adjoint(alg, gens[:, k])
-    ads = np.tensordot(gens, alg.structure, axes=(0, 0)).transpose(0, 2, 1)
+    ads = adjoints(alg, gens)
     w = seed.onb()
     for _ in range(seed.dim + 1):
         if w.shape[1] == 0:
@@ -614,9 +630,6 @@ def preset(name: str):
             raise ValueError(f"malformed abelian preset {name!r}") from None
         return abelian(n)
     raise ValueError(f"unknown algebra preset {name!r}")
-
-
-PRESET_NAMES = ("so3", "so4", "spin3_quat", "su3", "abelian:<n>")
 
 
 # ---------------------------------------------------------------------------

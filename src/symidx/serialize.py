@@ -113,8 +113,20 @@ def _validate(document: dict, schema_name: str):
         raise SpaceFormatError(first.message, pointer)
 
 
+def _finite(value, pointer: str) -> np.ndarray:
+    """``value`` as a float array; a NaN or infinity, which the schema
+    cannot exclude, raises :class:`SpaceFormatError` pointing at it."""
+    arr = np.asarray(value, dtype=float)
+    bad = np.argwhere(~np.isfinite(arr))
+    if bad.size:
+        raise SpaceFormatError(
+            f"non-finite number {arr[tuple(bad[0])]}; every entry must be "
+            f"a finite number", pointer + "".join(f"/{i}" for i in bad[0]))
+    return arr
+
+
 def _vectors_to_basis(rows, ambient: int, what: str) -> np.ndarray:
-    arr = np.asarray(rows, dtype=float)
+    arr = _finite(rows, f"/{what}")
     if arr.size == 0:
         return np.zeros((ambient, 0))
     if arr.ndim != 2 or arr.shape[1] != ambient:
@@ -129,14 +141,16 @@ def space_from_dict(document: dict, tol: float = DEFAULT_TOL) -> HomogeneousSpac
 
     Math-level failures (bad structure tensor, non-reductive complement,
     indefinite metric) propagate as plain ``ValueError`` from the
-    constructors; only format problems raise :class:`SpaceFormatError`.
+    constructors; only format problems, non-finite numbers among them,
+    raise :class:`SpaceFormatError`.
     """
     _validate(document, "space.schema.json")
     algebra_field = document["algebra"]
     if isinstance(algebra_field, str):
         algebra, _ = preset(algebra_field)
     else:
-        algebra = algebra_from_dict(algebra_field)
+        algebra = algebra_from_dict(dict(algebra_field, structure=_finite(
+            algebra_field["structure"], "/algebra/structure")))
 
     iso = Subspace(algebra.dim,
                    _vectors_to_basis(document["isotropy"], algebra.dim,
@@ -146,7 +160,7 @@ def space_from_dict(document: dict, tol: float = DEFAULT_TOL) -> HomogeneousSpac
         comp = Subspace(algebra.dim,
                         _vectors_to_basis(document["complement"], algebra.dim,
                                           "complement"))
-    metric = BilinearForm(np.asarray(document["metric"], dtype=float))
+    metric = BilinearForm(_finite(document["metric"], "/metric"))
     return HomogeneousSpace(algebra, iso, metric, complement=comp,
                             label=document.get("label", ""), tol=tol)
 

@@ -93,6 +93,34 @@ def test_rejects_metric_the_isotropy_does_not_preserve():
         HomogeneousSpace(alg, h, BilinearForm(np.diag([1.0, 2.0])))
 
 
+def two_circle_isotropy():
+    """spin(3) + spin(3) (basis i j k i j k) with isotropy (i@0, i@1), the
+    standard complement, and the complement in which j@1 is tilted by i@0:
+    i@0 still preserves it, i@1 does not."""
+    alg = direct_sum(spin3_quaternion()[0], spin3_quaternion()[0])
+    standard = np.eye(6)[:, [1, 2, 4, 5]]
+    tilted = standard.copy()
+    tilted[0, 2] = 1.0
+    return alg, Subspace(6, np.eye(6)[:, [0, 3]]), standard, tilted
+
+
+@pytest.mark.parametrize("complement, gram, message", [
+    # vector 1 fails both checks; reductivity is reported
+    ("tilted", [1, 1, 1, 2], "not reductive: isotropy vector 1 maps"),
+    ("standard", [1, 1, 1, 2], "isotropy vector 1 does not act skew"),
+    # vector 0 fails only skewness, vector 1 only reductivity: each vector
+    # is checked in full before the next
+    ("tilted", [1, 2, 1, 1], "isotropy vector 0 does not act skew"),
+])
+def test_reductive_and_skew_errors_name_the_first_offending_vector(
+        complement, gram, message):
+    alg, iso, standard, tilted = two_circle_isotropy()
+    comp = standard if complement == "standard" else tilted
+    with pytest.raises(ValueError, match=message + r".*\(residual 2\.000e\+00\)"):
+        HomogeneousSpace(alg, iso, BilinearForm(np.diag(gram).astype(float)),
+                         complement=Subspace(6, comp))
+
+
 def test_rejects_indefinite_metric():
     with pytest.raises(ValueError, match="positive definite"):
         HomogeneousSpace(abelian(2)[0], Subspace.zero(2),

@@ -10,6 +10,7 @@ from symidx.liealg import (
     Subspace,
     abelian,
     adjoint,
+    adjoints,
     algebra_from_dict,
     algebra_to_dict,
     bi_invariant_directions,
@@ -22,6 +23,7 @@ from symidx.liealg import (
     matrix_algebra,
     numerical_kernel,
     numerical_rank,
+    orthogonal_complement,
     orthonormal_columns,
     preset,
     quaternion_left_multiplication,
@@ -246,6 +248,34 @@ def test_algebra_dict_round_trip():
 
 
 # -- batched primitives against their one-at-a-time definitions --------------
+
+@pytest.mark.parametrize("k", [0, 1, 4])
+def test_adjoints_match_adjoint_column_by_column(k):
+    alg, _ = so_elementary(5)
+    gens = np.random.default_rng(8 + k).standard_normal((alg.dim, k))
+    got = adjoints(alg, gens)
+    assert got.shape == (k, alg.dim, alg.dim)
+    for p in range(k):
+        np.testing.assert_allclose(got[p], adjoint(alg, gens[:, p]),
+                                   atol=1e-12)
+
+
+@pytest.mark.parametrize("cols", [[], [0], [0, 5], [1, 2, 3]])
+def test_orthogonal_complement_is_reference_orthogonal_and_complementary(cols):
+    # so(4) plus a one-dimensional center, so the form is not just -B
+    alg = direct_sum(so_elementary(4)[0], abelian(1)[0])
+    rng = np.random.default_rng(len(cols))
+    sub = Subspace.from_spanning(
+        alg.dim, np.eye(alg.dim)[:, cols] + 0.3 * rng.standard_normal(
+            (alg.dim, len(cols))))
+    comp = orthogonal_complement(alg, sub)
+    assert comp.dim == alg.dim - sub.dim
+    q = reference_form(alg).gram
+    assert np.max(np.abs(sub.basis.T @ q @ comp.basis), initial=0.0) < 1e-12
+    assert numerical_rank(np.hstack([sub.basis, comp.basis])) == alg.dim
+    if not cols:
+        assert comp.equals(Subspace.full(alg.dim))
+
 
 def random_antisymmetric(rng, n):
     """A dense structure-like tensor, antisymmetric in its first two indices

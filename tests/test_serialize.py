@@ -145,6 +145,35 @@ def test_load_space_refuses_non_finite_numbers(tmp_path, field, token):
         load_space(str(path))
 
 
+@pytest.mark.parametrize("field, value, pointer", [
+    ("structure", float("nan"), "/algebra/structure/0/0/2"),
+    ("isotropy", float("inf"), "/isotropy/0/2"),
+    ("complement", -float("inf"), "/complement/0/2"),
+    ("metric", float("nan"), "/metric/0/1"),
+])
+def test_space_from_dict_refuses_non_finite_numbers(field, value, pointer):
+    """A document built in Python can hold NaN or +-inf, which no JSON
+    parse refused; they used to fail later as an SVD that did not
+    converge or an indefinite metric."""
+    doc = space_to_dict(round_sphere(2)[0])
+    rows = doc["algebra"]["structure"][0] if field == "structure" \
+        else doc[field]
+    rows[0][-1] = value
+    with pytest.raises(SpaceFormatError, match="non-finite number") as err:
+        space_from_dict(doc)
+    assert err.value.pointer == pointer
+
+
+@pytest.mark.parametrize("value", [5, 2.5, None, True, [1.0]])
+def test_algebra_of_neither_kind_reports_one_message(value):
+    doc = two_sphere_document()
+    doc["algebra"] = value
+    with pytest.raises(SpaceFormatError) as err:
+        space_from_dict(doc)
+    assert str(err.value) == (
+        f"/algebra: {value!r} is not valid under any of the given schemas")
+
+
 def test_lie_algebra_schema_matches_the_space_schema_definition():
     standalone = serialize._load_schema("lie_algebra.schema.json")
     embedded = serialize._load_schema("space.schema.json")["$defs"][

@@ -10,6 +10,7 @@ sweep command relies on to skip degenerate grid points.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -80,9 +81,15 @@ def round_sphere(n: int):
 # the five-dimensional quotient family
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _spin4():
+    """spin(3) + spin(3) and the representation of one summand, built once
+    per process; both are read-only, as every space of the quotient and
+    product families shares them."""
     a3, rep3 = spin3_quaternion()
-    return direct_sum(a3, a3), rep3
+    alg = direct_sum(a3, a3)
+    alg.structure.flags.writeable = False
+    return alg, rep3
 
 
 def _spin4_m_basis(lam: float) -> np.ndarray:

@@ -32,6 +32,7 @@ import numpy as np
 from . import catalog
 from .homspace import (
     augment_left_invariant,
+    curvature_psd,
     jacobi_operator,
     symmetry_ideal,
     transvection_space,
@@ -198,18 +199,22 @@ def _parse_grid(text: str, parser, name: str) -> list[float]:
     return values
 
 
-def _psd_flag(sp, report) -> bool:
-    ok = True
-    candidates = [sp.m_basis[:, a] for a in range(sp.dim)]
-    candidates += [report.p_space.basis[:, c]
-                   for c in range(report.p_space.dim)]
-    for x in candidates:
-        try:
-            spectrum = jacobi_operator(sp, x)
-        except ValueError:
-            continue
-        ok = ok and spectrum.psd_ok
-    return ok
+def _psd_flag(sp, report) -> tuple[bool, int]:
+    """``(psd_ok, refused)`` of the curvature operators along the tangent
+    basis directions and the parallel fields of a sweep point.
+
+    A candidate is refused when its curvature operator along an orbit
+    geodesic is not defined: its value at the base point is zero (a
+    parallel field inside the isotropy), its orbit is not a geodesic
+    (most tangent basis directions of a non-naturally-reductive metric),
+    or the operator depends on the lift or is not self-adjoint.  Refused
+    candidates say nothing about positivity; ``psd_ok`` holds when every
+    other candidate's operator is positive semidefinite, and ``refused``
+    counts the rest.
+    """
+    candidates = np.hstack([sp.m_basis, report.p_space.basis])
+    psd_ok, refused = curvature_psd(sp, candidates)
+    return bool(np.all(psd_ok | refused)), int(np.count_nonzero(refused))
 
 
 def _fmt(value) -> str:
@@ -268,25 +273,35 @@ def _sweep_points(args, parser):
                    lambda rho=rho: catalog.product_of_spheres(rho))
 
 
+def _counted(count: int, noun: str) -> str:
+    return f"{count} {noun}" + ("" if count == 1 else "s")
+
+
 def _cmd_sweep(args, tol, parser) -> int:
     rows = []
+    skipped = refused = 0
     for lam, s, t, rho, build in _sweep_points(args, parser):
         try:
             sp, _ = build()
         except ValueError:
+            skipped += 1
             continue
         report = transvection_space(sp, tol)
         bound = symmetry_ideal(sp, report, tol)
+        psd_ok, point_refused = _psd_flag(sp, report)
+        refused += point_refused
         fields = [_fmt(lam), _fmt(s), _fmt(t), _fmt(rho),
                   _fmt(report.index), _fmt(report.coindex),
-                  _fmt(report.dim_transvection),
-                  _fmt(_psd_flag(sp, report)),
+                  _fmt(report.dim_transvection), _fmt(psd_ok),
                   _fmt(bound.lhs), _fmt(bound.rhs), _fmt(bound.equality)]
         rows.append(",".join(fields))
     rows.sort()
     print(SWEEP_HEADER)
     for row in rows:
         print(row)
+    print(f"sweep: {_counted(skipped, 'grid point')} skipped, "
+          f"{_counted(refused, 'curvature candidate')} refused",
+          file=sys.stderr)
     return 0
 
 

@@ -159,7 +159,7 @@ class HomogeneousSpace:
 
         if check_effective and isotropy.dim > 0:
             ineffective = largest_invariant_subspace(
-                algebra, np.eye(n), isotropy, tol)
+                algebra, None, isotropy, tol)
             if ineffective.dim > 0:
                 raise ValueError(
                     f"the pair is not effective: an ideal of dimension "
@@ -337,7 +337,7 @@ def symmetry_ideal(sp: HomogeneousSpace, report: TransvectionReport | None = Non
     n = alg.dim
     seed = Subspace.from_spanning(
         n, np.hstack([sp.h_basis, sp.m_basis @ report.s_space.basis]), tol)
-    g_d = largest_invariant_subspace(alg, np.eye(n), seed, tol)
+    g_d = largest_invariant_subspace(alg, None, seed, tol)
 
     g_prime = orthogonal_complement(alg, g_d, tol)
     if g_d.dim + g_prime.dim != n:
@@ -345,7 +345,7 @@ def symmetry_ideal(sp: HomogeneousSpace, report: TransvectionReport | None = Non
                            "has the wrong dimension")
     if g_prime.dim:
         leak = np.abs((np.eye(n) - g_prime.projector())
-                      @ adjoints(alg, np.eye(n)) @ g_prime.basis)
+                      @ alg.ad_stack @ g_prime.basis)
         worst = leak.max(axis=(1, 2))
         bad = np.flatnonzero(worst > CHECK_TOL)
         if bad.size:
@@ -425,6 +425,14 @@ def jacobi_operator(sp: HomogeneousSpace, x: np.ndarray,
         geodesic there (nonzero covariant derivative in its own
         direction), or the double bracket depends on the isotropy part of
         lifts, which would make the operator ill-defined.
+
+    Notes
+    -----
+    :func:`curvature_psd` makes the same checks on many fields at once,
+    but it does not serve here: its batched sums round differently, which
+    would change the last bits of the printed direction and residual, and
+    it computes eigenvalues only, while this function also returns the
+    metric-orthonormal eigenvectors.
     """
     xn, _ = _unit_geodesic_field(sp, x, tol)
     ad_x = adjoint(sp.algebra, xn)
@@ -449,6 +457,55 @@ def jacobi_operator(sp: HomogeneousSpace, x: np.ndarray,
         direction=xn, operator=op, eigenvalues=w, eigenvectors=vecs,
         psd_ok=bool(w[0] >= -tol), selfadjoint_residual=selfadjoint_resid,
     )
+
+
+def curvature_psd(sp: HomogeneousSpace, xs: np.ndarray,
+                  tol: float = CHECK_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """Whether the curvature operator along the orbit geodesic of each
+    column of ``xs`` is positive semidefinite, all columns at once.
+
+    Returns ``(psd_ok, refused)``, two boolean arrays with one entry per
+    column.  A column is refused exactly where :func:`jacobi_operator`
+    raises, by the same rules and ``tol``: its value at the base point has
+    length at most ``tol``, the covariant derivative of the unit-speed
+    field along itself (the drift off the geodesic) exceeds ``tol``, or
+    the operator's lift or self-adjointness residual does.  Elsewhere
+    ``psd_ok`` is :func:`jacobi_operator`'s rule, smallest eigenvalue at
+    least ``-tol``; it is False where the column is refused.
+
+    The covariant derivative is linear in the field, so the speeds, the
+    drifts, the residuals and the operators each come from one batched
+    product.  The operators are whitened by the Cholesky factor of the
+    metric and their eigenvalues taken by one ``eigvalsh``.  The sums run
+    in another order than in :func:`jacobi_operator`, so the residuals and
+    eigenvalues differ from its own by roundoff, far below ``tol``.
+    """
+    xs = np.asarray(xs, dtype=float)
+    g, e, m = sp.metric.gram, sp.eval_matrix, sp.m_basis
+    vals = e @ xs
+    speed = np.sqrt(((g @ vals) * vals).sum(axis=0))
+    refused = ~(speed > tol)
+    xn = xs / np.where(refused, 1.0, speed)
+    vn = e @ xn
+
+    # the three terms of nabla_at_base for every column
+    ads = adjoints(sp.algebra, xn)
+    gv = g @ e @ ads @ m
+    term2 = np.moveaxis(sp._mm_eval @ (g @ vn), 2, 0)
+    rhs = 0.5 * (gv - gv.transpose(0, 2, 1) + term2)
+    nabla = sp._gram_inv @ rhs.transpose(0, 2, 1)
+    drift = np.linalg.norm(np.einsum("cab,bc->ca", nabla, vn), axis=1)
+
+    double = e @ ads @ ads
+    lift = np.abs(double @ sp.h_basis).max(axis=(1, 2), initial=0.0)
+    go = g @ -(double @ m)
+    asym = np.abs(go - go.transpose(0, 2, 1)).max(axis=(1, 2), initial=0.0)
+    refused |= (drift > tol) | (lift > tol) | (asym > tol)
+
+    white = np.linalg.inv(np.linalg.cholesky(g))
+    w = np.linalg.eigvalsh(white @ (0.5 * (go + go.transpose(0, 2, 1)))
+                           @ white.T)
+    return ~refused & np.all(w >= -tol, axis=1), refused
 
 
 def _cos_sin_like(kappa: float, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -17,6 +17,7 @@ flip itself.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -257,7 +258,9 @@ class LieAlgebra:
         Records the bracket convention; carried through serialization.
 
     Antisymmetry and the Jacobi identity are validated at construction
-    with absolute residual tolerance 1e-9.
+    with absolute residual tolerance 1e-9.  Facts that depend on the
+    algebra alone, its ad stack and its reference forms, are computed once
+    per instance and shared by every space built on it.
     """
 
     dim: int
@@ -307,6 +310,19 @@ class LieAlgebra:
             cyc += (ci[:, None] @ c).transpose(0, 2, 1, 3)  # sum_a c[i,j,a] c[k,a,b]
             worst = max(worst, float(np.max(np.abs(cyc))))
         return worst
+
+    @cached_property
+    def ad_stack(self) -> np.ndarray:
+        """``adjoints(self, eye(dim))``: slice ``[i]`` is the ad matrix of
+        basis vector ``i`` (computed once, read-only)."""
+        ads = adjoints(self, np.eye(self.dim))
+        ads.flags.writeable = False
+        return ads
+
+    @cached_property
+    def _reference_forms(self) -> dict:
+        # tol -> reference_form(self, tol); filled by reference_form
+        return {}
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +392,18 @@ def reference_form(alg: LieAlgebra, tol: float = DEFAULT_TOL) -> BilinearForm:
     kernel component, which keeps the extension ad-invariant.  Raises if
     the two pieces do not span (the algebra is then not of the compact plus
     abelian kind this package handles).
+
+    Computed once per algebra and ``tol``; the Gram matrix is read-only.
     """
+    forms = alg._reference_forms
+    if tol not in forms:
+        form = _reference_form(alg, tol)
+        form.gram.flags.writeable = False
+        forms[tol] = form
+    return forms[tol]
+
+
+def _reference_form(alg: LieAlgebra, tol: float) -> BilinearForm:
     b = killing_form_positive(alg)
     z = b.kernel(tol)
     if z.dim == 0:
@@ -474,19 +501,26 @@ def matrix_algebra(matrices, labels=None, tol: float = DEFAULT_TOL):
     return LieAlgebra(n, tuple(labels), structure), mats
 
 
-def largest_invariant_subspace(alg: LieAlgebra, generators: np.ndarray,
+def largest_invariant_subspace(alg: LieAlgebra, generators: np.ndarray | None,
                                seed: Subspace, tol: float = DEFAULT_TOL) -> Subspace:
-    """Largest subspace of ``seed`` invariant under ad of all ``generators``.
+    """Largest subspace of ``seed`` invariant under ad of all ``generators``
+    (columns in algebra coordinates); ``None`` means the whole algebra,
+    whose cached :attr:`LieAlgebra.ad_stack` is used, and gives the
+    largest ideal inside ``seed``.
 
     Iterates ``W <- {x in W : ad_g x in W for all g}`` from ``W = seed``
     until the dimension stabilizes, re-orthonormalizing each pass.  The
     iteration is capped at ``seed.dim + 1`` passes, which suffices because
     each productive pass strictly drops the dimension.
     """
-    gens = np.atleast_2d(np.asarray(generators, dtype=float))
-    if gens.shape[0] != alg.dim:
-        raise ValueError("generators must be given as columns in algebra coordinates")
-    ads = adjoints(alg, gens)
+    if generators is None:
+        ads = alg.ad_stack
+    else:
+        gens = np.atleast_2d(np.asarray(generators, dtype=float))
+        if gens.shape[0] != alg.dim:
+            raise ValueError("generators must be given as columns in algebra "
+                             "coordinates")
+        ads = adjoints(alg, gens)
     w = seed.onb()
     for _ in range(seed.dim + 1):
         if w.shape[1] == 0:
@@ -571,15 +605,19 @@ def quaternion_right_multiplication(idx: int) -> np.ndarray:
     return m
 
 
+@functools.cache
 def spin3_quaternion():
     """spin(3) = Im(H) with basis (i, j, k) acting by left multiplication.
 
     The Killing convention makes ``bracket(j, i) = 2k`` (the flow of the
     Killing field of j is left translation by exp(tj), and such fields
-    bracket to minus the quaternion commutator).
+    bracket to minus the quaternion commutator).  Built once per process;
+    the structure tensor and the representation are read-only.
     """
     mats = np.array([quaternion_left_multiplication(q) for q in (1, 2, 3)])
-    return matrix_algebra(mats, ("i", "j", "k"))
+    alg, rep = matrix_algebra(mats, ("i", "j", "k"))
+    alg.structure.flags.writeable = rep.flags.writeable = False
+    return alg, rep
 
 
 def su3():

@@ -33,6 +33,7 @@ from .homspace import (
 from .liealg import (
     DEFAULT_TOL,
     BilinearForm,
+    LieAlgebra,
     Subspace,
     algebra_from_dict,
     algebra_to_dict,
@@ -113,10 +114,41 @@ def _validate(document: dict, schema_name: str):
         raise SpaceFormatError(first.message, pointer)
 
 
-def _finite(value, pointer: str) -> np.ndarray:
-    """``value`` as a float array; a NaN or infinity, which the schema
-    cannot exclude, raises :class:`SpaceFormatError` pointing at it."""
-    arr = np.asarray(value, dtype=float)
+def _first_wrong_length(value, shape: tuple, path: tuple = ()):
+    """``(path, length, expected)`` of the first list, in document order,
+    whose length is not the one ``shape`` asks for at its depth, or None."""
+    if len(value) != shape[0]:
+        return path, len(value), shape[0]
+    if len(shape) > 1:
+        for i, row in enumerate(value):
+            found = _first_wrong_length(row, shape[1:], path + (i,))
+            if found:
+                return found
+    return None
+
+
+def _float_array(value, shape: tuple, pointer: str, rule: str) -> np.ndarray:
+    """``value``, nested lists of numbers as the schema guarantees, as a
+    float array of ``shape``.
+
+    Raises :class:`SpaceFormatError` pointing at the first list of the
+    wrong length (``rule`` says what the shape must be), or at the first
+    NaN or infinity; the schema can exclude neither.
+    """
+    try:
+        arr = np.asarray(value, dtype=float)
+    except ValueError:  # ragged: sibling lists of different lengths
+        arr = None
+    if arr is None or arr.shape != shape:
+        found = _first_wrong_length(value, shape)
+        if found:
+            path, length, expected = found
+            raise SpaceFormatError(
+                f"{rule}; found {length} entries where {expected} are "
+                f"expected", pointer + "".join(f"/{i}" for i in path))
+        # every length is right, so a level is empty and asarray dropped
+        # the levels below it
+        arr = np.zeros(shape)
     bad = np.argwhere(~np.isfinite(arr))
     if bad.size:
         raise SpaceFormatError(
@@ -126,14 +158,24 @@ def _finite(value, pointer: str) -> np.ndarray:
 
 
 def _vectors_to_basis(rows, ambient: int, what: str) -> np.ndarray:
-    arr = _finite(rows, f"/{what}")
-    if arr.size == 0:
-        return np.zeros((ambient, 0))
-    if arr.ndim != 2 or arr.shape[1] != ambient:
+    return _float_array(rows, (len(rows), ambient), f"/{what}",
+                        f"each {what} vector must have {ambient} entries").T
+
+
+def _algebra(field) -> LieAlgebra:
+    """The algebra of a document: a preset name or an inline algebra."""
+    if isinstance(field, str):
+        return preset(field)[0]
+    n = field["dim"]
+    if len(field["labels"]) != n:
         raise SpaceFormatError(
-            f"each {what} vector must have {ambient} entries",
-            f"/{what}")
-    return arr.T
+            f"an algebra of dimension {n} needs {n} labels; found "
+            f"{len(field['labels'])}", "/algebra/labels")
+    structure = _float_array(
+        field["structure"], (n, n, n), "/algebra/structure",
+        f"the structure tensor of a {n}-dimensional algebra must have shape "
+        f"({n}, {n}, {n})")
+    return algebra_from_dict(dict(field, structure=structure))
 
 
 def space_from_dict(document: dict, tol: float = DEFAULT_TOL) -> HomogeneousSpace:
@@ -141,17 +183,11 @@ def space_from_dict(document: dict, tol: float = DEFAULT_TOL) -> HomogeneousSpac
 
     Math-level failures (bad structure tensor, non-reductive complement,
     indefinite metric) propagate as plain ``ValueError`` from the
-    constructors; only format problems, non-finite numbers among them,
-    raise :class:`SpaceFormatError`.
+    constructors; only format problems, array shapes and non-finite
+    numbers among them, raise :class:`SpaceFormatError`.
     """
     _validate(document, "space.schema.json")
-    algebra_field = document["algebra"]
-    if isinstance(algebra_field, str):
-        algebra, _ = preset(algebra_field)
-    else:
-        algebra = algebra_from_dict(dict(algebra_field, structure=_finite(
-            algebra_field["structure"], "/algebra/structure")))
-
+    algebra = _algebra(document["algebra"])
     iso = Subspace(algebra.dim,
                    _vectors_to_basis(document["isotropy"], algebra.dim,
                                      "isotropy"))
@@ -160,7 +196,10 @@ def space_from_dict(document: dict, tol: float = DEFAULT_TOL) -> HomogeneousSpac
         comp = Subspace(algebra.dim,
                         _vectors_to_basis(document["complement"], algebra.dim,
                                           "complement"))
-    metric = BilinearForm(_finite(document["metric"], "/metric"))
+    rows = document["metric"]
+    metric = BilinearForm(_float_array(rows, (len(rows), len(rows)),
+                                       "/metric",
+                                       "the metric must be a square matrix"))
     return HomogeneousSpace(algebra, iso, metric, complement=comp,
                             label=document.get("label", ""), tol=tol)
 

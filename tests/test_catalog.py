@@ -163,3 +163,15 @@ def test_default_spaces_cover_all_families():
 def test_templates_are_documented():
     assert "cp2-centriole" in CATALOG_TEMPLATES
     assert any(t.startswith("so4-so2") for t in CATALOG_TEMPLATES)
+
+
+def test_quotient_and_product_families_share_one_read_only_algebra():
+    a, _ = so4_so2(0.5, 0.5)
+    b, _ = so4_so2(0.3, 1.2, 0.7)
+    c, _ = product_of_spheres(1.0)
+    assert a.algebra is b.algebra is c.algebra
+    with pytest.raises(ValueError, match="read-only"):
+        a.algebra.structure[0, 1, 2] = 0.0
+    rep = spin3_metric(1.0, 2.0, 3.0)[1]["representation"]
+    with pytest.raises(ValueError, match="read-only"):
+        rep[0, 0, 1] = 0.0

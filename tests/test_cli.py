@@ -5,6 +5,7 @@ import pytest
 
 from symidx.catalog import spin3_berger, so4_so2
 from symidx.cli import SWEEP_HEADER, main
+from symidx.homspace import jacobi_operator, transvection_space
 from symidx.serialize import space_to_dict
 
 
@@ -139,15 +140,37 @@ def test_sweep_uncoupled_grid(capsys):
         assert row.split(",")[4] == "0"
 
 
-def test_sweep_skips_invalid_points_silently(capsys):
+def test_sweep_skips_invalid_points_and_counts_them(capsys):
     # t = 2 inside the grid is the excluded round metric
-    code, out, _ = run(capsys, "sweep", "--family", "spin3",
-                       "--t", "1:3:0.5")
+    code, out, err = run(capsys, "sweep", "--family", "spin3",
+                         "--t", "1:3:0.5")
     lines = out.strip().splitlines()
     assert code == 0
     assert len(lines) == 1 + 4  # five grid points, one skipped
     t_values = {row.split(",")[2] for row in lines[1:]}
     assert "2" not in t_values
+    assert err == "sweep: 1 grid point skipped, 0 curvature candidates refused\n"
+
+
+def test_sweep_counts_the_refused_curvature_candidates(capsys):
+    """The stderr summary counts the candidates jacobi_operator raises on;
+    stdout holds the CSV alone."""
+    code, out, err = run(capsys, "sweep", "--family", "so4-so2",
+                         "--lambda", "0.5", "--s", "0.5:1.5:0.5", "--coupled")
+    assert code == 0 and out.startswith(SWEEP_HEADER + "\n")
+    assert len(out.splitlines()) == 4
+    swallowed = 0
+    for s in (0.5, 1.0, 1.5):
+        sp, _ = so4_so2(0.5, s)
+        report = transvection_space(sp)
+        for x in np.hstack([sp.m_basis, report.p_space.basis]).T:
+            try:
+                jacobi_operator(sp, x)
+            except ValueError:
+                swallowed += 1
+    assert swallowed > 0
+    assert err == (f"sweep: 0 grid points skipped, {swallowed} curvature "
+                   f"candidates refused\n")
 
 
 def test_sweep_product_family(capsys):

@@ -3,9 +3,11 @@ import pytest
 
 from symidx.liealg import (
     BilinearForm,
+    LieAlgebra,
     Subspace,
     abelian,
     direct_sum,
+    matrix_algebra,
     so_elementary,
     spin3_quaternion,
 )
@@ -13,6 +15,7 @@ from symidx.homspace import (
     HomogeneousSpace,
     augment_left_invariant,
     closed_geodesic_length,
+    curvature_psd,
     jacobi_field,
     jacobi_operator,
     perpendicular_killing_space,
@@ -21,6 +24,7 @@ from symidx.homspace import (
 )
 from symidx.catalog import (
     cp2_centriole,
+    product_of_spheres,
     round_sphere,
     so4_so2,
     spin3_berger,
@@ -315,6 +319,116 @@ def test_jacobi_rejects_vanishing_and_non_geodesic_fields():
     squashed, _ = spin3_berger(3.0)
     with pytest.raises(ValueError, match="not a geodesic"):
         jacobi_operator(squashed, np.array([1.0, 1.0, 0.0]))
+
+
+def _sl2_group(gram):
+    """SL(2, R) with a left-invariant metric: its basis directions are
+    geodesics, and two of them have curvature operators with negative
+    eigenvalues."""
+    h = np.diag([1.0, -1.0])
+    x = np.array([[0.0, 1.0], [1.0, 0.0]])
+    y = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    alg, _ = matrix_algebra(np.array([h, x, y]), ("h", "x", "y"))
+    return HomogeneousSpace(alg, Subspace.zero(3), BilinearForm(gram))
+
+
+def _heisenberg_group(gram):
+    """The Heisenberg group with a left-invariant metric: ad_x squares to
+    zero, so every curvature operator is zero and a field whose orbit is
+    not a geodesic fails on its drift alone."""
+    c = np.zeros((3, 3, 3))
+    c[0, 1, 2], c[1, 0, 2] = 1.0, -1.0
+    alg = LieAlgebra(3, ("x", "y", "z"), c, convention_note="test")
+    return HomogeneousSpace(alg, Subspace.zero(3), BilinearForm(gram),
+                            complement=Subspace.full(3))
+
+
+def _psd_by_loop(sp, candidates):
+    """The reference for curvature_psd: one jacobi_operator call per
+    column, a ValueError counting as a refusal."""
+    psd_ok, refused = [], []
+    for x in candidates.T:
+        try:
+            spectrum = jacobi_operator(sp, x)
+        except ValueError:
+            psd_ok.append(False)
+            refused.append(True)
+            continue
+        psd_ok.append(spectrum.psd_ok)
+        refused.append(False)
+    return np.array(psd_ok, dtype=bool), np.array(refused, dtype=bool)
+
+
+def _near_the_drift_ceiling(sp, x0, y, tol=1e-8):
+    """``x0 + eps y`` for a geodesic field ``x0``, with ``eps`` putting the
+    drift of the unit-speed field off its geodesic at about 0.6 and 1.6
+    times ``tol`` (it grows linearly in ``eps``); none if it does not grow."""
+    def drift(x):
+        xn = x / sp.tangent_norm(sp.evaluate(x))
+        return np.linalg.norm(sp.nabla_at_base(xn) @ sp.evaluate(xn))
+
+    slope = drift(x0 + 1e-4 * y) / 1e-4
+    if slope < 1e-3:
+        return np.zeros((len(x0), 0))
+    return np.stack([x0 + f * tol / slope * y for f in (0.6, 1.6)], axis=1)
+
+
+def _psd_draws(rng):
+    for _ in range(4):
+        lam, s = rng.uniform(0.05, 1.0), rng.uniform(0.05, 1.95)
+        yield so4_so2(lam, s)[0]
+        yield so4_so2(lam, s, rng.uniform(0.05, 3.0))[0]
+        yield so4_so2(lam, s, 2.0 - s + rng.uniform(-1e-6, 1e-6))[0]
+        yield spin3_metric(*rng.uniform(0.1, 4.0, 3))[0]
+        yield product_of_spheres(rng.uniform(0.1, 3.0))[0]
+        yield _sl2_group(np.diag(rng.uniform(0.5, 3.0, 3)))
+        yield _heisenberg_group(np.diag(rng.uniform(0.5, 3.0, 3)))
+    yield round_sphere(3)[0]
+
+
+def test_batched_psd_check_matches_the_jacobi_operator_loop():
+    """curvature_psd refuses exactly the fields jacobi_operator raises on
+    and agrees with its psd_ok elsewhere, on seeded draws of the catalog
+    families (coupled, uncoupled and within 1e-6 of the coupled stratum)
+    and of SL(2, R), the Heisenberg group and the round S^3.  The
+    candidates are those of a sweep (tangent basis directions and parallel
+    fields) plus isotropy fields and the zero field (no value at the base
+    point), random tangent combinations (mostly not geodesic) and random
+    sums of basis fields with isotropy parts (on S^3 some fail the lift
+    check alone, on the Heisenberg group some the geodesic check alone),
+    and fields just inside and just outside the drift ceiling."""
+    rng = np.random.default_rng(2027)
+    seen = {"psd": 0, "not psd": 0, "refused": 0}
+    for sp in _psd_draws(rng):
+        report = transvection_space(sp)
+        sweep_candidates = np.hstack([sp.m_basis, report.p_space.basis])
+        n = sp.algebra.dim
+        _, sweep_refused = _psd_by_loop(sp, sweep_candidates)
+        geodesic = sweep_candidates[:, ~sweep_refused]
+        candidates = np.hstack([
+            sweep_candidates, sp.h_basis, np.zeros((n, 1)),
+            sp.m_basis @ rng.normal(size=(sp.dim, 2)),
+            (sp.m_basis[:, :, None] + sp.h_basis[:, None, :]).reshape(n, -1),
+            rng.integers(-1, 2, size=(n, 8)).astype(float),
+            *[_near_the_drift_ceiling(sp, x0, rng.normal(size=n))
+              for x0 in geodesic.T]])
+        want_ok, want_refused = _psd_by_loop(sp, candidates)
+        got_ok, got_refused = curvature_psd(sp, candidates)
+        np.testing.assert_array_equal(got_refused, want_refused)
+        np.testing.assert_array_equal(got_ok, want_ok)
+        k = sweep_candidates.shape[1]
+        assert (np.count_nonzero(curvature_psd(sp, sweep_candidates)[1])
+                == np.count_nonzero(want_refused[:k]))
+        seen["psd"] += np.count_nonzero(want_ok)
+        seen["not psd"] += np.count_nonzero(~want_ok & ~want_refused)
+        seen["refused"] += np.count_nonzero(want_refused)
+    assert min(seen.values()) >= 8, seen
+
+
+def test_batched_psd_check_takes_no_candidates():
+    sp, _ = so4_so2(0.5, 0.5)
+    psd_ok, refused = curvature_psd(sp, np.zeros((6, 0)))
+    assert psd_ok.shape == refused.shape == (0,)
 
 
 def test_operator_scales_inversely_with_the_metric():

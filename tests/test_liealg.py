@@ -211,6 +211,60 @@ def test_reference_form_rejects_non_reductive_algebras():
         reference_form(alg)
 
 
+def _fresh(alg):
+    """An equal algebra with nothing cached yet."""
+    return LieAlgebra(alg.dim, alg.basis_labels, np.array(alg.structure),
+                      convention_note=alg.convention_note)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: so_elementary(5)[0],
+    lambda: su3()[0],
+    lambda: direct_sum(spin3_quaternion()[0], abelian(2)[0]),
+    lambda: abelian(0)[0],
+], ids=["so5", "su3", "spin3+R2", "zero"])
+def test_cached_ad_stack_is_the_adjoint_stack_of_the_basis(build):
+    alg = build()
+    stack = alg.ad_stack
+    assert stack is alg.ad_stack
+    np.testing.assert_array_equal(stack, adjoints(alg, np.eye(alg.dim)))
+    assert stack.dtype == float and not stack.flags.writeable
+    if alg.dim:
+        with pytest.raises(ValueError, match="read-only"):
+            stack[0, 0, 0] = 1.0
+
+
+def test_reference_form_is_cached_per_tolerance():
+    alg = direct_sum(spin3_quaternion()[0], abelian(2)[0])
+    loose, tight = reference_form(alg, 1e-6), reference_form(alg, 1e-9)
+    assert reference_form(alg, 1e-6) is loose
+    assert reference_form(alg, 1e-9) is tight
+    assert set(alg._reference_forms) == {1e-6, 1e-9}
+    for tol, form in ((1e-6, loose), (1e-9, tight)):
+        np.testing.assert_array_equal(form.gram,
+                                      reference_form(_fresh(alg), tol).gram)
+        assert not form.gram.flags.writeable
+
+
+def test_largest_ideal_uses_the_whole_algebra():
+    """Generators None mean every basis vector, through the cached stack."""
+    alg = direct_sum(spin3_quaternion()[0], abelian(1)[0])
+    seed = Subspace(4, np.eye(4)[:, 1:])
+    by_stack = largest_invariant_subspace(alg, None, seed)
+    by_basis = largest_invariant_subspace(alg, np.eye(4), seed)
+    np.testing.assert_array_equal(by_stack.basis, by_basis.basis)
+    assert by_stack.dim == 1
+
+
+def test_spin3_preset_is_built_once_and_read_only():
+    (alg, rep), (again, rep_again) = spin3_quaternion(), preset("spin3_quat")
+    assert alg is again and rep is rep_again
+    with pytest.raises(ValueError, match="read-only"):
+        alg.structure[0, 1, 2] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        rep[0, 0, 1] = 0.0
+
+
 def test_derived_subalgebra_of_u2_like_sum():
     both = direct_sum(spin3_quaternion()[0], abelian(1)[0])
     der = derived_subalgebra(both)

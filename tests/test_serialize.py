@@ -6,6 +6,7 @@ import pytest
 
 from symidx import serialize
 from symidx.catalog import from_name, round_sphere, so4_so2
+from symidx.cli import main
 from symidx.homspace import jacobi_operator, symmetry_ideal, transvection_space
 from symidx.serialize import (
     SpaceFormatError,
@@ -80,6 +81,67 @@ def test_wrong_vector_length_is_a_format_error():
     doc["isotropy"] = [[0.0, 1.0]]
     with pytest.raises(SpaceFormatError, match="3 entries"):
         space_from_dict(doc)
+
+
+def _s3_on_so4_document():
+    return {
+        "algebra": "so4",
+        "isotropy": [[0, 0, 0, 1, 0, 0], [0, 0, 0, 0, 1, 0],
+                     [0, 0, 0, 0, 0, 1]],
+        "complement": [[1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0],
+                       [0, 0, 1, 0, 0, 0]],
+        "metric": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+    }
+
+
+def _inline_two_sphere_document():
+    return json.loads(json.dumps(space_to_dict(round_sphere(2)[0])))
+
+
+def _with(document, path, value):
+    node = document
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return document
+
+
+@pytest.mark.parametrize("build, path, value, pointer, message", [
+    (_s3_on_so4_document, ("isotropy",),
+     [[0, 0, 0, 1, 0, 0], [0, 0, 0, 0, 1]], "/isotropy/1", "6 entries"),
+    (_s3_on_so4_document, ("complement", 2), [0, 0, 1, 0, 0, 0, 0],
+     "/complement/2", "6 entries"),
+    (two_sphere_document, ("metric",), [[1, 0], [0]], "/metric/1",
+     "square"),
+    (two_sphere_document, ("metric",), [[1, 0, 0], [0, 1, 0]], "/metric/0",
+     "square"),
+    (_inline_two_sphere_document, ("algebra", "structure"), [[[0.0]]],
+     "/algebra/structure", r"shape \(3, 3, 3\)"),
+    (_inline_two_sphere_document, ("algebra", "structure", 2, 1),
+     [0.0, 0.0], "/algebra/structure/2/1", r"shape \(3, 3, 3\)"),
+    (_inline_two_sphere_document, ("algebra", "labels"), ["a", "b"],
+     "/algebra/labels", "3 labels"),
+], ids=["ragged-isotropy", "long-complement-row", "ragged-metric",
+        "2x3-metric", "structure-1x1x1", "short-structure-row", "labels"])
+def test_malformed_shapes_are_format_errors(tmp_path, capsys, build, path,
+                                            value, pointer, message):
+    """Shapes the schema cannot express are refused with a pointer to the
+    first array of the wrong length, and the CLI exits with 2."""
+    document = _with(build(), path, value)
+    with pytest.raises(SpaceFormatError, match=message) as err:
+        space_from_dict(document)
+    assert err.value.pointer == pointer
+    file = tmp_path / "shape.json"
+    file.write_text(json.dumps(document))
+    assert main(["index", "--space", str(file)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {pointer}: ")
+
+
+def test_empty_arrays_keep_their_shape():
+    document = two_sphere_document()
+    document["isotropy"] = []
+    with pytest.raises(ValueError, match="do not add up"):
+        space_from_dict(document)
 
 
 def test_math_failures_stay_plain_value_errors():

@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .homspace import HomogeneousSpace, transvection_space
 from .liealg import (
@@ -26,11 +25,12 @@ from .liealg import (
     _flatten_real,
     derived_subalgebra,
     direct_sum,
+    eigenvalue_clusters,
     killing_form_positive,
     matrix_algebra,
-    numerical_kernel,
     numerical_rank,
     orthogonal_complement,
+    pencil_eigh,
     quaternion_left_multiplication,
     quaternion_right_multiplication,
     so_elementary,
@@ -233,7 +233,7 @@ def product_of_spheres(rho: float):
     values = embed @ m
     sp = HomogeneousSpace(
         alg,
-        Subspace(6, numerical_kernel(embed)),
+        Subspace.kernel_of(embed),
         BilinearForm(values.T @ values),
         complement=Subspace(6, m),
         label=f"S^2({rho:g}) x S^3",
@@ -277,7 +277,7 @@ def orbit_space(algebra, representation, point, inner, label: str = "",
     is degenerate (the orbit is then too small for the chosen complement).
     """
     tangents = _orbit_tangents(np.asarray(representation), point)
-    iso = Subspace(algebra.dim, numerical_kernel(_flatten_real(tangents).T, tol))
+    iso = Subspace.kernel_of(_flatten_real(tangents).T, tol)
     comp = orthogonal_complement(algebra, iso, tol)
     metric = BilinearForm(_induced_gram(inner, tangents, comp.basis))
     if not metric.is_positive_definite(tol):
@@ -338,7 +338,7 @@ def cp2_centriole():
 
     flat = _flatten_real(_orbit_tangents(rep, pole))
     dim_base = numerical_rank(flat)
-    pole_stabilizer = Subspace(4, numerical_kernel(flat.T))
+    pole_stabilizer = Subspace.kernel_of(flat.T)
     fiber = Subspace.from_spanning(sp.dim, sp.evaluate(pole_stabilizer.basis))
 
     report_t = transvection_space(sp)
@@ -346,28 +346,18 @@ def cp2_centriole():
     der = derived_subalgebra(alg)
     gram_sub = _induced_gram(inner, _orbit_tangents(rep, p), der.basis)
     b_sub = killing_form_positive(alg).restricted_to(der)
-    w, vecs = scipy.linalg.eigh(8.0 * gram_sub, b_sub)
+    w, vecs = pencil_eigh(8.0 * gram_sub, b_sub, 1e-9)
+    multiplicities = tuple(sorted((c.stop - c.start
+                                   for c in eigenvalue_clusters(w, 1e-9)),
+                                  reverse=True))
 
-    clusters: list[list[int]] = []
-    for idx in range(len(w)):
-        if clusters and abs(w[idx] - w[clusters[-1][-1]]) <= 1e-9:
-            clusters[-1].append(idx)
-        else:
-            clusters.append([idx])
-    multiplicities = tuple(sorted((len(c) for c in clusters), reverse=True))
-
-    distinguished = None
-    for idx in range(len(w)):
-        value = sp.evaluate(der.basis @ vecs[:, idx])
-        if fiber.contains(value):
-            distinguished = w[idx]
-            break
-    if distinguished is None:
+    in_fiber = fiber.contains_columns(sp.evaluate(der.basis @ vecs))
+    if not in_fiber.any():
         raise RuntimeError("internal: no pencil eigenvector is tangent "
                            "to the fiber")
-    others = [w[idx] for idx in range(len(w))
-              if abs(w[idx] - distinguished) > 1e-9]
-    berger_t = 2.0 * others[0] / distinguished if others else 2.0
+    distinguished = w[np.argmax(in_fiber)]
+    others = w[np.abs(w - distinguished) > 1e-9]
+    berger_t = 2.0 * others[0] / distinguished if others.size else 2.0
 
     report = CentrioleReport(
         dim_base=dim_base,

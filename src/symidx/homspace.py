@@ -27,9 +27,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from .liealg import (
     CHECK_TOL,
@@ -37,15 +37,14 @@ from .liealg import (
     BilinearForm,
     LieAlgebra,
     Subspace,
-    adjoint,
     adjoints,
     bi_invariant_directions,
-    bracket,
     brackets,
+    eigenvalue_clusters,
     largest_invariant_subspace,
-    numerical_kernel,
     orthogonal_complement,
     pair_indices,
+    pencil_eigh,
 )
 
 #: Largest denominator accepted for the ratio of two orbit frequencies.
@@ -165,11 +164,6 @@ class HomogeneousSpace:
                     f"the pair is not effective: an ideal of dimension "
                     f"{ineffective.dim} lies inside the isotropy")
 
-        # brackets of complement lifts, evaluated at the base point
-        m = self.m_basis
-        br = np.einsum("ia,jb,ijk->abk", m, m, algebra.structure)
-        self._mm_eval = np.einsum("abk,ck->abc", br, self.eval_matrix)
-
     # -- basic geometry -----------------------------------------------------
 
     @property
@@ -201,15 +195,8 @@ class HomogeneousSpace:
         docstring; metric invariance under the isotropy (validated at
         construction) makes the three lift-dependent terms cancel.
         """
-        x = np.asarray(x, dtype=float)
-        g = self.metric.gram
-        ad_x = adjoint(self.algebra, x)
-        v = self.eval_matrix @ ad_x @ self.m_basis
-        term1 = -(g @ v).T
-        term2 = self._mm_eval @ (g @ self.evaluate(x))
-        term3 = g @ v
-        rhs = 0.5 * (term1 + term2 + term3)
-        return self._gram_inv @ rhs.T
+        return np.tensordot(np.asarray(x, dtype=float), self._nabla_basis,
+                            axes=1)
 
     def nabla_operator(self) -> np.ndarray:
         """All base point derivatives at once: shape (dim^2, algebra dim).
@@ -217,9 +204,22 @@ class HomogeneousSpace:
         Column i is ``nabla_at_base(e_i)`` flattened; the kernel of this
         matrix is the space of Killing fields parallel at the base point.
         """
-        cols = [self.nabla_at_base(e).reshape(-1)
-                for e in np.eye(self.algebra.dim)]
-        return np.array(cols).T
+        return self._nabla_basis.reshape(self.algebra.dim, -1).T
+
+    @cached_property
+    def _nabla_basis(self) -> np.ndarray:
+        """Slice ``[i]`` is :meth:`nabla_at_base` of basis vector i; the
+        derivative is linear in the field, so contracting this stack with
+        coefficients gives any field's (computed once, read-only)."""
+        g, e, m = self.metric.gram, self.eval_matrix, self.m_basis
+        gv = g @ e @ self.algebra.ad_stack @ m
+        # brackets of complement lifts, evaluated at the base point
+        mm = np.einsum("kab,ck->abc", brackets(self.algebra, m, m), e)
+        term2 = np.moveaxis(mm @ (g @ e), 2, 0)
+        rhs = 0.5 * (gv - gv.transpose(0, 2, 1) + term2)
+        nablas = self._gram_inv @ rhs.transpose(0, 2, 1)
+        nablas.flags.writeable = False
+        return nablas
 
 
 # ---------------------------------------------------------------------------
@@ -272,10 +272,11 @@ class JacobiSpectrum:
     """Spectrum of the curvature operator along a homogeneous geodesic.
 
     ``eigenvalues`` are ascending, ``eigenvectors`` hold matching columns
-    orthonormal for the metric, ``operator`` is the full matrix in tangent
-    coordinates, and ``psd_ok`` records positive semidefiniteness up to
-    roundoff.  The generating field is normalized to unit speed at the
-    base point and returned in ``direction``.
+    orthonormal for the metric (canonical within each cluster of equal
+    eigenvalues, see :func:`~symidx.liealg.pencil_eigh`), ``operator`` is
+    the full matrix in tangent coordinates, and ``psd_ok`` records positive
+    semidefiniteness up to roundoff.  The generating field is normalized to
+    unit speed at the base point and returned in ``direction``.
     """
 
     direction: np.ndarray
@@ -301,14 +302,11 @@ def transvection_space(sp: HomogeneousSpace,
     ``[k, k] in k`` and ``[k, p] in p``.
     """
     alg = sp.algebra
-    p = Subspace(alg.dim, numerical_kernel(sp.nabla_operator(), tol))
+    p = Subspace.kernel_of(sp.nabla_operator(), tol)
     s = Subspace.from_spanning(sp.dim, sp.eval_matrix @ p.basis, tol)
-
-    # k's basis is reported, so its spanning set comes from bracket, whose
-    # rounding does not depend on how many pairs are batched
     first, second = pair_indices(p.dim)
-    k_arr = bracket(alg, p.basis[:, first], p.basis[:, second])
-    k = Subspace.from_spanning(alg.dim, k_arr, tol)
+    k = Subspace.from_spanning(
+        alg.dim, brackets(alg, p.basis, p.basis)[:, first, second], tol)
 
     involutive = bool(
         k.contains_columns(brackets(alg, k.basis, k.basis), CHECK_TOL).all()
@@ -372,10 +370,8 @@ def perpendicular_killing_space(sp: HomogeneousSpace,
     if report is None:
         report = transvection_space(sp, tol)
     rows = report.s_space.basis.T @ sp.metric.gram @ sp.eval_matrix
-    seed = Subspace(sp.algebra.dim, numerical_kernel(rows, tol))
+    seed = Subspace.kernel_of(rows, tol)
     gens = np.hstack([report.k_space.basis, report.p_space.basis])
-    if gens.shape[1] == 0:
-        return seed
     return largest_invariant_subspace(sp.algebra, gens, seed, tol)
 
 
@@ -383,22 +379,43 @@ def perpendicular_killing_space(sp: HomogeneousSpace,
 # curvature along homogeneous geodesics
 # ---------------------------------------------------------------------------
 
-def _unit_geodesic_field(sp: HomogeneousSpace, x: np.ndarray,
-                         tol: float) -> tuple[np.ndarray, float]:
-    """``(x / speed, speed)``, speed being the length of the value of ``x``
-    at the base point; raises unless it is nonzero with a geodesic orbit."""
-    x = np.asarray(x, dtype=float)
-    speed = sp.tangent_norm(sp.evaluate(x))
-    if speed <= tol:
+def _curvature(sp: HomogeneousSpace, xs: np.ndarray, tol: float) -> tuple:
+    """The curvature operators along the orbit geodesics of the columns of
+    ``xs``, and the residuals of their preconditions, all at once.
+
+    Returns ``(fields, speed, drift, lift, asym, ops, lowered)``, indexed
+    first by column: the field at unit speed (where its speed, the length
+    of its value at the base point, exceeds ``tol``), that speed, the
+    covariant derivative of the unit field along itself, the lift and
+    self-adjointness residuals of R(., c')c', that operator in tangent
+    coordinates, and the metric times it.
+    """
+    g, e = sp.metric.gram, sp.eval_matrix
+    vals = e @ xs
+    speed = np.sqrt(((g @ vals) * vals).sum(axis=0))
+    xn = xs / np.where(speed > tol, speed, 1.0)
+    vn = e @ xn
+    nabla = np.tensordot(xn.T, sp._nabla_basis, axes=1)
+    drift = np.linalg.norm(np.einsum("cab,bc->ca", nabla, vn), axis=1)
+    ads = adjoints(sp.algebra, xn)
+    double = e @ ads @ ads
+    lift = np.abs(double @ sp.h_basis).max(axis=(1, 2), initial=0.0)
+    op = -(double @ sp.m_basis)
+    go = g @ op
+    asym = np.abs(go - go.transpose(0, 2, 1)).max(axis=(1, 2), initial=0.0)
+    return xn.T, speed, drift, lift, asym, op, go
+
+
+def _require_geodesic(speed: float, drift: float, tol: float) -> None:
+    """Raise unless a field of this speed and drift (see
+    :func:`_curvature`) has a geodesic orbit through the base point."""
+    if not speed > tol:
         raise ValueError("field evaluates to zero at the base point; "
                          "it generates no geodesic direction")
-    xn = x / speed
-    drift = float(np.linalg.norm(sp.nabla_at_base(xn) @ sp.evaluate(xn)))
     if drift > tol:
         raise ValueError(
             f"orbit of the field is not a geodesic at the base point "
             f"(covariant derivative along itself has norm {drift:.3e})")
-    return xn, speed
 
 
 def jacobi_operator(sp: HomogeneousSpace, x: np.ndarray,
@@ -425,37 +442,22 @@ def jacobi_operator(sp: HomogeneousSpace, x: np.ndarray,
         geodesic there (nonzero covariant derivative in its own
         direction), or the double bracket depends on the isotropy part of
         lifts, which would make the operator ill-defined.
-
-    Notes
-    -----
-    :func:`curvature_psd` makes the same checks on many fields at once,
-    but it does not serve here: its batched sums round differently, which
-    would change the last bits of the printed direction and residual, and
-    it computes eigenvalues only, while this function also returns the
-    metric-orthonormal eigenvectors.
     """
-    xn, _ = _unit_geodesic_field(sp, x, tol)
-    ad_x = adjoint(sp.algebra, xn)
-    if sp.dim_isotropy:
-        lift_resid = float(np.max(np.abs(
-            sp.eval_matrix @ ad_x @ ad_x @ sp.h_basis)))
-        if lift_resid > tol:
-            raise ValueError(
-                f"curvature operator depends on the lift "
-                f"(isotropy residual {lift_resid:.3e})")
-    op = -sp.eval_matrix @ ad_x @ ad_x @ sp.m_basis
-
-    g = sp.metric.gram
-    go = g @ op
-    selfadjoint_resid = float(np.max(np.abs(go - go.T)))
-    if selfadjoint_resid > tol:
+    xn, speed, drift, lift, asym, op, go = (
+        v[0] for v in _curvature(sp, np.asarray(x, dtype=float)[:, None], tol))
+    _require_geodesic(speed, drift, tol)
+    if lift > tol:
+        raise ValueError(
+            f"curvature operator depends on the lift "
+            f"(isotropy residual {lift:.3e})")
+    if asym > tol:
         raise ValueError(
             f"curvature operator is not self-adjoint for the metric "
-            f"(residual {selfadjoint_resid:.3e})")
-    w, vecs = scipy.linalg.eigh(0.5 * (go + go.T), g)
+            f"(residual {asym:.3e})")
+    w, vecs = pencil_eigh(0.5 * (go + go.T), sp.metric.gram, tol)
     return JacobiSpectrum(
         direction=xn, operator=op, eigenvalues=w, eigenvectors=vecs,
-        psd_ok=bool(w[0] >= -tol), selfadjoint_residual=selfadjoint_resid,
+        psd_ok=bool(w[0] >= -tol), selfadjoint_residual=float(asym),
     )
 
 
@@ -473,36 +475,13 @@ def curvature_psd(sp: HomogeneousSpace, xs: np.ndarray,
     ``psd_ok`` is :func:`jacobi_operator`'s rule, smallest eigenvalue at
     least ``-tol``; it is False where the column is refused.
 
-    The covariant derivative is linear in the field, so the speeds, the
-    drifts, the residuals and the operators each come from one batched
-    product.  The operators are whitened by the Cholesky factor of the
-    metric and their eigenvalues taken by one ``eigvalsh``.  The sums run
-    in another order than in :func:`jacobi_operator`, so the residuals and
-    eigenvalues differ from its own by roundoff, far below ``tol``.
+    The operators are whitened by the Cholesky factor of the metric and
+    their eigenvalues taken by one ``eigvalsh``.
     """
-    xs = np.asarray(xs, dtype=float)
-    g, e, m = sp.metric.gram, sp.eval_matrix, sp.m_basis
-    vals = e @ xs
-    speed = np.sqrt(((g @ vals) * vals).sum(axis=0))
-    refused = ~(speed > tol)
-    xn = xs / np.where(refused, 1.0, speed)
-    vn = e @ xn
-
-    # the three terms of nabla_at_base for every column
-    ads = adjoints(sp.algebra, xn)
-    gv = g @ e @ ads @ m
-    term2 = np.moveaxis(sp._mm_eval @ (g @ vn), 2, 0)
-    rhs = 0.5 * (gv - gv.transpose(0, 2, 1) + term2)
-    nabla = sp._gram_inv @ rhs.transpose(0, 2, 1)
-    drift = np.linalg.norm(np.einsum("cab,bc->ca", nabla, vn), axis=1)
-
-    double = e @ ads @ ads
-    lift = np.abs(double @ sp.h_basis).max(axis=(1, 2), initial=0.0)
-    go = g @ -(double @ m)
-    asym = np.abs(go - go.transpose(0, 2, 1)).max(axis=(1, 2), initial=0.0)
-    refused |= (drift > tol) | (lift > tol) | (asym > tol)
-
-    white = np.linalg.inv(np.linalg.cholesky(g))
+    _, speed, drift, lift, asym, _, go = _curvature(
+        sp, np.asarray(xs, dtype=float), tol)
+    refused = ~(speed > tol) | (drift > tol) | (lift > tol) | (asym > tol)
+    white = np.linalg.inv(np.linalg.cholesky(sp.metric.gram))
     w = np.linalg.eigvalsh(white @ (0.5 * (go + go.transpose(0, 2, 1)))
                            @ white.T)
     return ~refused & np.all(w >= -tol, axis=1), refused
@@ -577,7 +556,7 @@ def augment_left_invariant(sp: HomogeneousSpace,
     structure = np.zeros((n + q, n + q, n + q))
     structure[:n, :n, :n] = alg.structure
     first, second = pair_indices(q)
-    w = -bracket(alg, a.basis[:, first], a.basis[:, second])
+    w = -brackets(alg, a.basis, a.basis)[:, first, second]
     coeffs, _, _, _ = np.linalg.lstsq(a.basis, w, rcond=None)
     resids = np.linalg.norm(a.basis @ coeffs - w, axis=0)
     bad = np.flatnonzero(resids > CHECK_TOL)
@@ -624,7 +603,8 @@ def closed_geodesic_length(sp: HomogeneousSpace, representation: np.ndarray,
         representation.
     """
     x = np.asarray(x, dtype=float)
-    _, speed = _unit_geodesic_field(sp, x, tol)
+    speed, drift = (v[0] for v in _curvature(sp, x[:, None], tol)[1:3])
+    _require_geodesic(speed, drift, tol)
     gen = np.einsum("i,ijk->jk", x, np.asarray(representation))
     scale = max(1.0, float(np.max(np.abs(gen))))
     eig = np.linalg.eigvals(gen)
@@ -637,13 +617,9 @@ def closed_geodesic_length(sp: HomogeneousSpace, representation: np.ndarray,
         raise ValueError("field is in the kernel of the representation; "
                          "no period is defined")
     freqs.sort()
-    distinct = [freqs[0]]
-    for f in freqs[1:]:
-        if f - distinct[-1] > tol * scale:
-            distinct.append(f)
-    base = distinct[0]
+    base = freqs[0]
     multiples = []
-    for f in distinct:
+    for f in (freqs[c.start] for c in eigenvalue_clusters(freqs, tol * scale)):
         ratio = f / base
         frac = Fraction(ratio).limit_denominator(MAX_WINDING_DENOMINATOR)
         if abs(float(frac) - ratio) > tol * ratio:
@@ -655,4 +631,4 @@ def closed_geodesic_length(sp: HomogeneousSpace, representation: np.ndarray,
         multiples.append(frac)
     steps = math.lcm(*[fr.denominator for fr in multiples])
     period = 2.0 * math.pi * steps / base
-    return period * speed
+    return float(period * speed)

@@ -102,6 +102,55 @@ def orthonormal_columns(a: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     return u[:, :r]
 
 
+def canonical_basis(q: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """The orthonormal basis of the span of the orthonormal columns ``q``
+    that the span alone determines, with entries below ``tol`` set to 0.0.
+
+    Pivot rows go greedily by largest residual row norm (the lowest row
+    wins norms within ``tol`` of the largest), which depends only on the
+    projector; the basis is the Q factor, with positive R diagonal, of the
+    projector's columns at the sorted pivots.
+    """
+    n, k = q.shape
+    if k == 0:
+        return np.zeros((n, 0))
+    if k == n:
+        return np.eye(n)
+    resid = np.array(q, dtype=float)
+    pivots = []
+    for _ in range(k):
+        norms = (resid * resid).sum(axis=1)
+        j = int(np.argmax(norms >= norms.max() - tol))
+        pivots.append(j)
+        r = resid[j] / math.sqrt(norms[j])
+        resid -= np.outer(resid @ r, r)
+    pivots.sort()
+    basis, tri = np.linalg.qr(q @ q[pivots].T)
+    basis *= np.sign(np.diag(tri))
+    basis[np.abs(basis) < tol] = 0.0
+    return basis
+
+
+def eigenvalue_clusters(w: np.ndarray, tol: float) -> list[slice]:
+    """Runs of the ascending eigenvalues ``w`` in which each eigenvalue is
+    within ``tol`` of the one before, as slices."""
+    edges = [0, *(np.flatnonzero(np.diff(w) > tol) + 1), len(w)]
+    return [slice(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
+
+
+def pencil_eigh(a: np.ndarray, b: np.ndarray,
+                tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues and ``b``-orthonormal eigenvectors of the
+    symmetric pencil ``a v = w b v``, ``b`` positive definite, whitened by
+    the Cholesky factor of ``b``; each of the :func:`eigenvalue_clusters`
+    gets the :func:`canonical_basis` of its whitened eigenspace."""
+    white = np.linalg.inv(np.linalg.cholesky(b))
+    w, u = np.linalg.eigh(white @ a @ white.T)
+    for cluster in eigenvalue_clusters(w, tol):
+        u[:, cluster] = canonical_basis(u[:, cluster], tol)
+    return w, white.T @ u + 0.0  # + 0.0 turns -0.0 into 0.0
+
+
 def pair_indices(k: int) -> tuple[np.ndarray, np.ndarray]:
     """Index arrays ``(first, second)`` of all pairs ``first < second < k``,
     in ``itertools.combinations`` order."""
@@ -119,8 +168,10 @@ class Subspace:
 
     The basis is required to have full column rank; use
     :meth:`Subspace.from_spanning` to build a subspace from a possibly
-    redundant spanning set.  ``==`` and ``hash`` go by identity; compare
-    subspaces with :meth:`equals`.
+    redundant spanning set, and :meth:`Subspace.kernel_of` for a null
+    space; these two have orthonormal bases, which serve as :meth:`onb`.
+    ``==`` and ``hash`` go by identity; compare subspaces with
+    :meth:`equals`.
     """
 
     ambient_dim: int
@@ -134,11 +185,21 @@ class Subspace:
                 f"({self.ambient_dim})"
             )
         object.__setattr__(self, "basis", b)
-        if b.shape[1] > 0 and numerical_rank(b) < b.shape[1]:
+        if ("_onb" not in self.__dict__ and b.shape[1] > 0
+                and numerical_rank(b) < b.shape[1]):
             raise ValueError(
                 f"basis of shape {b.shape} is rank deficient "
                 f"(rank {numerical_rank(b)})"
             )
+
+    @classmethod
+    def _orthonormal(cls, ambient_dim: int, q: np.ndarray) -> "Subspace":
+        # full rank by construction: __post_init__ sees _onb and skips the check
+        sub = cls.__new__(cls)
+        q.flags.writeable = False
+        sub.__dict__["_onb"] = q
+        sub.__init__(ambient_dim, q)
+        return sub
 
     @classmethod
     def from_spanning(cls, ambient_dim: int, vectors: np.ndarray,
@@ -146,8 +207,14 @@ class Subspace:
         """Subspace spanned by the columns of ``vectors`` (may be dependent)."""
         vectors = np.asarray(vectors, dtype=float)
         if vectors.size == 0:
-            return cls(ambient_dim, np.zeros((ambient_dim, 0)))
-        return cls(ambient_dim, orthonormal_columns(vectors, tol))
+            return cls.zero(ambient_dim)
+        return cls._orthonormal(ambient_dim, orthonormal_columns(vectors, tol))
+
+    @classmethod
+    def kernel_of(cls, a: np.ndarray, tol: float = DEFAULT_TOL) -> "Subspace":
+        """Null space of the matrix ``a``, a subspace of R^(columns of a)."""
+        a = np.atleast_2d(np.asarray(a, dtype=float))
+        return cls._orthonormal(a.shape[1], numerical_kernel(a, tol))
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
@@ -155,7 +222,7 @@ class Subspace:
 
     @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, np.eye(ambient_dim))
+        return cls._orthonormal(ambient_dim, np.eye(ambient_dim))
 
     @property
     def dim(self) -> int:
@@ -236,9 +303,6 @@ class BilinearForm:
     def restricted_to(self, sub: Subspace) -> np.ndarray:
         """Gram matrix of the form restricted to ``sub`` (in its basis)."""
         return sub.basis.T @ self.gram @ sub.basis
-
-    def kernel(self, tol: float = DEFAULT_TOL) -> Subspace:
-        return Subspace(self.dim, numerical_kernel(self.gram, tol))
 
 
 @dataclass(frozen=True, eq=False)
@@ -331,11 +395,7 @@ class LieAlgebra:
 
 def bracket(alg: LieAlgebra, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Bracket of two coefficient vectors, or column by column of two
-    (dim, k) arrays.
-
-    Every column is summed in the same order, whatever ``k`` is, so a
-    column's bracket is the same to the last bit alone or in a batch.
-    """
+    (dim, k) arrays."""
     return np.einsum("i...,j...,ijk->k...", np.asarray(x, float),
                      np.asarray(y, float), alg.structure)
 
@@ -344,9 +404,8 @@ def brackets(alg: LieAlgebra, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """All pairwise brackets of the columns of ``a`` and ``b``.
 
     Returns an array of shape (dim, ka, kb) whose slice ``[:, p, q]`` is
-    ``bracket(alg, a[:, p], b[:, q])`` up to rounding: two matrix
-    products, much faster than :func:`bracket` on many pairs, but summed
-    in another order.
+    ``bracket(alg, a[:, p], b[:, q])`` up to rounding, from two matrix
+    products.
     """
     a, b = np.asarray(a, float), np.asarray(b, float)
     n = len(alg.structure)
@@ -405,7 +464,7 @@ def reference_form(alg: LieAlgebra, tol: float = DEFAULT_TOL) -> BilinearForm:
 
 def _reference_form(alg: LieAlgebra, tol: float) -> BilinearForm:
     b = killing_form_positive(alg)
-    z = b.kernel(tol)
+    z = Subspace.kernel_of(b.gram, tol)
     if z.dim == 0:
         return b
     d = derived_subalgebra(alg, tol)
@@ -421,7 +480,7 @@ def orthogonal_complement(alg: LieAlgebra, sub: Subspace,
     """Complement of ``sub`` orthogonal for the ad-invariant
     :func:`reference_form`; the zero subspace gives the whole algebra."""
     q = reference_form(alg, tol).gram
-    return Subspace(alg.dim, numerical_kernel(sub.basis.T @ q, tol))
+    return Subspace.kernel_of(sub.basis.T @ q, tol)
 
 
 def direct_sum(a: LieAlgebra, b: LieAlgebra) -> LieAlgebra:
@@ -531,7 +590,7 @@ def largest_invariant_subspace(alg: LieAlgebra, generators: np.ndarray | None,
         if keep.shape[1] == w.shape[1]:
             break
         w = orthonormal_columns(w @ keep, tol)
-    return Subspace(alg.dim, w)
+    return Subspace._orthonormal(alg.dim, w)
 
 
 def bi_invariant_directions(alg: LieAlgebra, form, tol: float = DEFAULT_TOL) -> Subspace:
@@ -552,7 +611,7 @@ def bi_invariant_directions(alg: LieAlgebra, form, tol: float = DEFAULT_TOL) -> 
     #   g(bracket(e_a, e_b), e_c) + g(e_b, bracket(e_a, e_c)) = 0
     m = (np.einsum("abk,kc->bca", c, g) + np.einsum("ack,bk->bca", c, g))
     m = m.reshape(alg.dim * alg.dim, alg.dim)
-    return Subspace(alg.dim, numerical_kernel(m, tol))
+    return Subspace.kernel_of(m, tol)
 
 
 # ---------------------------------------------------------------------------

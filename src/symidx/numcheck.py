@@ -19,8 +19,9 @@ route reuses intermediate results of the other.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-import scipy.linalg
 
 from .homspace import HomogeneousSpace
 from .liealg import adjoint
@@ -33,6 +34,23 @@ INNER_STEP = 1e-4
 #: by finite differences, so the inputs carry ~1e-12 noise; a larger step
 #: keeps the noise amplification below the ~1e-8 truncation error).
 OUTER_STEP = 1e-2
+
+
+def _power_series(a: np.ndarray, shift: int) -> np.ndarray:
+    """``sum_k a^k / (k + shift)!``: ``exp(a)`` for shift 0 and the
+    differential series ``(exp(a) - 1) / a`` for shift 1.  Within the
+    chart's neighbourhood a dozen terms suffice; raises ``RuntimeError``
+    if a term is still above 1e-18 after 40 terms."""
+    term = np.eye(a.shape[0]) / math.factorial(shift)
+    total = term.copy()
+    for k in range(1, 40):
+        term = term @ a / (k + shift)
+        total += term
+        if float(np.max(np.abs(term))) < 1e-18:
+            return total
+    raise RuntimeError(f"power series in a matrix of norm "
+                       f"{np.linalg.norm(a):.3e} has not converged after "
+                       f"{k + 1} terms")
 
 
 def central_difference(f, x0: np.ndarray, axis: int, step: float) -> np.ndarray:
@@ -63,25 +81,12 @@ class ExponentialChart:
     def __init__(self, sp: HomogeneousSpace):
         self.sp = sp
 
-    def _differential_series(self, ad_x: np.ndarray) -> np.ndarray:
-        total = np.eye(ad_x.shape[0])
-        power = np.eye(ad_x.shape[0])
-        factor = 1.0
-        for k in range(1, 40):
-            power = power @ ad_x
-            factor /= (k + 1)
-            term = factor * power
-            total += term
-            if float(np.max(np.abs(term))) < 1e-18:
-                break
-        return total
-
     def frame(self, x: np.ndarray) -> np.ndarray:
         """Coordinate frame at x: column a is the a-th coordinate vector
         expressed in the tangent coordinates of the base point fibre."""
         sp = self.sp
         ad_x = adjoint(sp.algebra, sp.lift(x))
-        d = self._differential_series(ad_x)
+        d = _power_series(ad_x, 1)
         return sp.eval_matrix @ d @ sp.m_basis
 
     def metric(self, x: np.ndarray) -> np.ndarray:
@@ -92,7 +97,7 @@ class ExponentialChart:
         """Coordinate components at x of the Killing field with generator z."""
         sp = self.sp
         ad_x = adjoint(sp.algebra, sp.lift(x))
-        value = sp.eval_matrix @ scipy.linalg.expm(ad_x) @ np.asarray(z, float)
+        value = sp.eval_matrix @ _power_series(ad_x, 0) @ np.asarray(z, float)
         return np.linalg.solve(self.frame(x), value)
 
     def christoffel(self, x: np.ndarray, step: float = INNER_STEP) -> np.ndarray:

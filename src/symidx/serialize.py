@@ -37,6 +37,7 @@ from .liealg import (
     Subspace,
     algebra_from_dict,
     algebra_to_dict,
+    canonical_basis,
     preset,
 )
 from .verify import VerificationOutcome
@@ -241,8 +242,10 @@ def space_to_dict(sp: HomogeneousSpace) -> dict:
 
 
 def subspace_to_dict(sub: Subspace) -> dict:
+    """The subspace printed by its :func:`canonical_basis`, which the
+    subspace determines whatever basis it was computed in."""
     return {"ambient_dim": sub.ambient_dim, "dim": sub.dim,
-            "basis": sub.basis.T.tolist()}
+            "basis": canonical_basis(sub.onb()).T.tolist()}
 
 
 def transvection_to_dict(report: TransvectionReport) -> dict:

@@ -1,0 +1,47 @@
+"""Compare printed reports by what they mean, not by their bytes.
+
+A printed subspace is compared by its orthogonal projector and a
+spectrum by its eigenvalues; a basis is not an invariant of the input.
+"""
+
+import numpy as np
+
+
+def printed_projector(printed: dict) -> np.ndarray:
+    """Orthogonal projector onto a subspace printed as
+    ``{"ambient_dim", "dim", "basis"}`` (basis vectors as rows)."""
+    basis = np.asarray(printed["basis"], dtype=float).reshape(
+        printed["dim"], printed["ambient_dim"]).T
+    q = np.linalg.qr(basis)[0]
+    return q @ q.T
+
+
+def assert_same_subspace(a: dict, b: dict, tol: float = 1e-10):
+    assert (a["ambient_dim"], a["dim"]) == (b["ambient_dim"], b["dim"])
+    distance = float(np.max(np.abs(printed_projector(a) - printed_projector(b)),
+                            initial=0.0))
+    assert distance <= tol, f"projector distance {distance:.3e}"
+
+
+def assert_same_spectrum(a, b, tol: float = 1e-10):
+    np.testing.assert_allclose(np.asarray(a, dtype=float),
+                               np.asarray(b, dtype=float), rtol=0, atol=tol)
+
+
+def assert_same_report(a, b, tol: float = 1e-10, path: str = ""):
+    """Printed reports agree: subspaces by projector distance, floats
+    within ``tol``, everything else (integers, flags, labels) exactly."""
+    if isinstance(a, dict) and "basis" in a:
+        assert_same_subspace(a, b, tol)
+    elif isinstance(a, dict):
+        assert a.keys() == b.keys(), path
+        for key in a:
+            assert_same_report(a[key], b[key], tol, f"{path}/{key}")
+    elif isinstance(a, list):
+        assert len(a) == len(b), path
+        for i, (x, y) in enumerate(zip(a, b)):
+            assert_same_report(x, y, tol, f"{path}/{i}")
+    elif isinstance(a, float):
+        assert abs(a - b) <= tol, f"{path}: {a} != {b}"
+    else:
+        assert type(a) is type(b) and a == b, f"{path}: {a!r} != {b!r}"

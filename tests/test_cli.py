@@ -1,11 +1,22 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from symidx.catalog import spin3_berger, so4_so2
+import symidx
+from meaning import assert_same_report, assert_same_spectrum
+from symidx.catalog import (
+    product_of_spheres,
+    round_sphere,
+    so4_so2,
+    spin3_berger,
+)
 from symidx.cli import SWEEP_HEADER, main
 from symidx.homspace import jacobi_operator, transvection_space
+from symidx.liealg import canonical_basis
 from symidx.serialize import space_to_dict
 
 
@@ -73,6 +84,84 @@ def test_index_reports_the_quotient(capsys, quotient_file):
     assert payload["transvection"]["coindex"] == 3
     assert payload["transvection"]["dim_transvection"] == 3
     assert payload["bound"]["equality"] is True
+
+
+def _index_payload(capsys, tmp_path, document, name):
+    path = tmp_path / name
+    path.write_text(json.dumps(document))
+    code, out, _ = run(capsys, "index", "--space", str(path))
+    assert code == 0
+    assert "-0.0" not in out
+    return json.loads(out)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: round_sphere(3), lambda: round_sphere(4),
+    lambda: so4_so2(0.5, 0.8), lambda: so4_so2(0.3, 0.5, 1.1),
+    lambda: product_of_spheres(0.7)])
+def test_index_report_is_invariant_under_a_change_of_isotropy_basis(
+        capsys, tmp_path, build):
+    rng = np.random.default_rng(31)
+    doc = space_to_dict(build()[0])
+    iso = np.array(doc["isotropy"]).T
+    o, r = np.linalg.qr(rng.standard_normal((iso.shape[1],) * 2))
+    turned = dict(doc, isotropy=(iso @ (o * np.sign(np.diag(r)))).T.tolist())
+    before = _index_payload(capsys, tmp_path, doc, "doc.json")
+    after = _index_payload(capsys, tmp_path, turned, "turned.json")
+    # index, coindex, dims and bound exactly, subspaces by their projectors
+    assert_same_report(before, after)
+    for part in ("transvection", "bound"):
+        for key, value in before[part].items():
+            if isinstance(value, dict):
+                # printed by the same canonical rows, not merely the same span
+                np.testing.assert_allclose(after[part][key]["basis"],
+                                           value["basis"], rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_jacobi_prints_the_unit_cluster_by_its_canonical_basis(
+        capsys, tmp_path, n):
+    path = tmp_path / "sphere.json"
+    path.write_text(json.dumps(space_to_dict(round_sphere(n)[0])))
+    for direction in range(n):
+        code, out, _ = run(capsys, "jacobi", "--space", str(path),
+                           "--direction", str(direction))
+        assert code == 0
+        payload = json.loads(out)
+        assert_same_spectrum(payload["eigenvalues"], [0.0] + [1.0] * (n - 1))
+        cluster = np.array(payload["eigenvectors"][1:]).T
+        others = np.delete(np.eye(n), direction, axis=1)
+        np.testing.assert_allclose(cluster, others, rtol=0, atol=1e-15)
+        np.testing.assert_array_equal(cluster == 0.0, others == 0.0)
+        np.testing.assert_array_equal(cluster, canonical_basis(cluster))
+        assert "-0.0" not in out
+
+
+def test_scipy_is_not_imported(tmp_path):
+    sphere = tmp_path / "sphere.json"
+    sphere.write_text(json.dumps(space_to_dict(round_sphere(3)[0])))
+    script = f"""
+import contextlib, io, sys
+import symidx
+assert "scipy" not in sys.modules, "import symidx"
+from symidx.cli import main
+for argv in (["index", "--space", {str(sphere)!r}],
+             ["sweep", "--family", "so4-so2", "--lambda", "0.5",
+              "--s", "0.4:1.6:0.4", "--coupled"],
+             ["jacobi", "--space", {str(sphere)!r}, "--direction", "0"],
+             ["verify"]):
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code == 0, argv
+    assert "scipy" not in sys.modules, argv
+"""
+    src = os.path.dirname(os.path.dirname(symidx.__file__))
+    paths = [src, os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_index_augment_flag(capsys, squashed_file):

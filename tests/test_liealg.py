@@ -16,8 +16,10 @@ from symidx.liealg import (
     bi_invariant_directions,
     bracket,
     brackets,
+    canonical_basis,
     derived_subalgebra,
     direct_sum,
+    eigenvalue_clusters,
     killing_form_positive,
     largest_invariant_subspace,
     matrix_algebra,
@@ -25,6 +27,7 @@ from symidx.liealg import (
     numerical_rank,
     orthogonal_complement,
     orthonormal_columns,
+    pencil_eigh,
     preset,
     quaternion_left_multiplication,
     reference_form,
@@ -149,6 +152,26 @@ def test_subspace_operations():
     assert sub.equals(other)
     with pytest.raises(ValueError, match="rank deficient"):
         Subspace(3, np.array([[1.0, 2.0], [1.0, 2.0], [0.0, 0.0]]))
+    # dependent up to roundoff is dependent too
+    with pytest.raises(ValueError, match=r"rank deficient \(rank 1\)"):
+        Subspace(3, np.array([[1.0, 1.0], [1.0, 1.0 + 1e-14], [0.0, 0.0]]))
+
+
+def test_spanning_sets_and_kernels_serve_their_basis_as_onb():
+    rng = np.random.default_rng(8)
+    vectors = rng.standard_normal((5, 2)) @ rng.standard_normal((2, 4))
+    sub = Subspace.from_spanning(5, vectors)
+    assert sub.dim == 2
+    assert sub.onb() is sub.basis
+    np.testing.assert_allclose(sub.basis.T @ sub.basis, np.eye(2), atol=1e-12)
+    assert sub.contains_columns(vectors).all()
+
+    ker = Subspace.kernel_of(vectors.T)
+    assert (ker.ambient_dim, ker.dim) == (5, 3)
+    assert ker.onb() is ker.basis
+    np.testing.assert_allclose(vectors.T @ ker.basis, 0.0, atol=1e-12)
+    with pytest.raises(ValueError, match="do not match ambient_dim"):
+        Subspace.from_spanning(4, vectors)
 
 
 def test_bilinear_form_definiteness_and_restriction():
@@ -438,3 +461,62 @@ def test_subspace_batched_containment():
                                   [True, False, True])
     assert sub.contains_columns(np.zeros((4, 2, 3))).shape == (2, 3)
     assert sub.onb() is sub.onb()
+
+
+def _random_orthogonal(rng, k):
+    q, r = np.linalg.qr(rng.standard_normal((k, k)))
+    return q * np.sign(np.diag(r))
+
+
+@pytest.mark.parametrize("n,k", [(7, 3), (5, 1), (6, 5), (12, 6)])
+def test_canonical_basis_depends_only_on_the_span(n, k):
+    rng = np.random.default_rng(n * 10 + k)
+    q = np.linalg.qr(rng.standard_normal((n, k)))[0]
+    c = canonical_basis(q)
+    for _ in range(3):
+        np.testing.assert_allclose(
+            canonical_basis(q @ _random_orthogonal(rng, k)), c,
+            rtol=0, atol=1e-12)
+    np.testing.assert_allclose(c.T @ c, np.eye(k), atol=1e-12)
+    np.testing.assert_allclose(c @ c.T, q @ q.T, atol=1e-12)
+
+
+def test_canonical_basis_prints_exact_zeros_and_short_paths():
+    rng = np.random.default_rng(3)
+    # the span of e1 and e3 in R^4, handed over in a rotated basis whose
+    # zero rows may carry -0.0 from the product
+    q = np.eye(4)[:, [0, 2]] @ -_random_orthogonal(rng, 2)
+    c = canonical_basis(q)
+    np.testing.assert_allclose(c, np.eye(4)[:, [0, 2]], atol=1e-15)
+    assert not np.any(np.signbit(c) & (c == 0.0))
+    noisy = canonical_basis(np.linalg.qr(
+        np.eye(5)[:, :3] @ _random_orthogonal(rng, 3) + 1e-17)[0])
+    assert np.count_nonzero(noisy) == 3
+    assert canonical_basis(np.zeros((4, 0))).shape == (4, 0)
+    np.testing.assert_array_equal(
+        canonical_basis(_random_orthogonal(rng, 3)), np.eye(3))
+
+
+def test_eigenvalue_clusters_chain_neighbours_within_tol():
+    w = np.array([0.0, 1e-10, 1.0, 1.0 + 5e-10, 1.0 + 9e-10, 2.0])
+    assert eigenvalue_clusters(w, 1e-9) == [slice(0, 2), slice(2, 5),
+                                            slice(5, 6)]
+    assert eigenvalue_clusters(np.zeros(0), 1e-9) == [slice(0, 0)]
+
+
+def test_pencil_eigh_is_b_orthonormal_and_canonical_in_clusters():
+    rng = np.random.default_rng(12)
+    r = rng.standard_normal((4, 4))
+    b = r @ r.T + 4.0 * np.eye(4)
+    # a = b d b with d = diag(1, 1, 1, 3): eigenvalue 1 three times
+    o = _random_orthogonal(rng, 4)
+    white = np.linalg.inv(np.linalg.cholesky(b))
+    lw = np.linalg.inv(white)
+    a = lw @ o @ np.diag([1.0, 1.0, 1.0, 3.0]) @ o.T @ lw.T
+    w, v = pencil_eigh(a, b, 1e-9)
+    np.testing.assert_allclose(w, [1.0, 1.0, 1.0, 3.0], atol=1e-12)
+    np.testing.assert_allclose(v.T @ b @ v, np.eye(4), atol=1e-12)
+    np.testing.assert_allclose(a @ v, b @ v * w, atol=1e-10)
+    # the repeated eigenspace, whitened, is printed by its canonical basis
+    u = np.linalg.inv(white.T) @ v[:, :3]
+    np.testing.assert_allclose(u, canonical_basis(u), atol=1e-12)

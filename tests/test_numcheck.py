@@ -13,6 +13,7 @@ from symidx.catalog import round_sphere, so4_so2, spin3_berger
 from symidx.homspace import jacobi_field, jacobi_operator
 from symidx.numcheck import (
     ExponentialChart,
+    _power_series,
     central_difference,
     integrate_field_equation,
 )
@@ -108,3 +109,21 @@ def test_integrator_converges(steps, expect):
     times, values = integrate_field_equation(k, np.array([1.0]),
                                              np.array([0.0]), np.pi, steps)
     assert abs(values[-1, 0] - np.cos(np.pi)) < expect
+
+
+def test_power_series_gives_exp_and_its_differential():
+    theta = 0.3
+    a = np.array([[0.0, -theta], [theta, 0.0]])
+    rotation = np.array([[np.cos(theta), -np.sin(theta)],
+                         [np.sin(theta), np.cos(theta)]])
+    np.testing.assert_allclose(_power_series(a, 0), rotation, atol=1e-15)
+    # a (exp(a) - 1) / a = exp(a) - 1
+    np.testing.assert_allclose(a @ _power_series(a, 1), rotation - np.eye(2),
+                               atol=1e-15)
+    np.testing.assert_array_equal(_power_series(np.zeros((3, 3)), 1),
+                                  np.eye(3))
+
+
+def test_power_series_refuses_to_stop_before_converging():
+    with pytest.raises(RuntimeError, match="has not converged after 40 terms"):
+        _power_series(40.0 * np.eye(2), 0)

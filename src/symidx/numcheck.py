@@ -7,11 +7,11 @@ module rebuilds the same quantities the pedestrian way, as an oracle:
 * a coordinate chart ``x -> Exp(sum x_a xi_a) . base`` whose metric
   components follow from the structure tensor alone,
 * Christoffel symbols and curvature by high-order central differences of
-  those components,
+  those components, the chart evaluated once per call on a whole stencil,
 * covariant derivatives of Killing fields from their coordinate
   components plus the symbols,
-* a Runge-Kutta integrator for the second order field equation along a
-  geodesic.
+* classical Runge-Kutta for the second order field equation along a
+  geodesic, one product with its constant step matrix per step.
 
 Agreement between the two routes is asserted in the test suite; neither
 route reuses intermediate results of the other.
@@ -19,12 +19,9 @@ route reuses intermediate results of the other.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .homspace import HomogeneousSpace
-from .liealg import adjoint
 
 #: Inner step for first derivatives of analytic chart quantities.  With the
 #: fourth order stencil the truncation error is ~1e-16 and roundoff ~1e-12.
@@ -35,30 +32,47 @@ INNER_STEP = 1e-4
 #: keeps the noise amplification below the ~1e-8 truncation error).
 OUTER_STEP = 1e-2
 
+# offsets (in steps) and weights (over 12 steps) of the fourth order stencil
+_OFFSETS = np.array([2.0, 1.0, -1.0, -2.0])
+_WEIGHTS = np.array([-1.0, 8.0, -8.0, 1.0])
 
-def _power_series(a: np.ndarray, shift: int) -> np.ndarray:
-    """``sum_k a^k / (k + shift)!``: ``exp(a)`` for shift 0 and the
-    differential series ``(exp(a) - 1) / a`` for shift 1.  Within the
-    chart's neighbourhood a dozen terms suffice; raises ``RuntimeError``
-    if a term is still above 1e-18 after 40 terms."""
-    term = np.eye(a.shape[0]) / math.factorial(shift)
-    total = term.copy()
+
+def _exp_and_differential(a: np.ndarray):
+    """``(exp(a), (exp(a) - 1) / a)`` of a stack of matrices, from one walk
+    over the powers ``a^k / k!``; raises ``RuntimeError`` if a term of any
+    slice is still above 1e-18 after 40 terms (near the origin a dozen do)."""
+    term = np.broadcast_to(np.eye(a.shape[-1]), a.shape).copy()
+    exp, differential = term.copy(), term.copy()
     for k in range(1, 40):
-        term = term @ a / (k + shift)
-        total += term
+        term = term @ a / k
+        exp += term
+        differential += term / (k + 1)
         if float(np.max(np.abs(term))) < 1e-18:
-            return total
+            return exp, differential
     raise RuntimeError(f"power series in a matrix of norm "
-                       f"{np.linalg.norm(a):.3e} has not converged after "
-                       f"{k + 1} terms")
+                       f"{np.max(np.linalg.norm(a, axis=(-2, -1))):.3e} has "
+                       f"not converged after {k + 1} terms")
+
+
+def _stencil(x0: np.ndarray, step: float) -> np.ndarray:
+    """``x0`` (leading batch axes allowed), then ``x0 + o * step * e_a`` for
+    every axis a and offset o: shape ``(1 + 4 n,) + x0.shape``."""
+    shifts = step * _OFFSETS[:, None] * np.eye(x0.shape[-1])[:, None, :]
+    points = x0 + shifts.reshape((-1,) + (1,) * (x0.ndim - 1) + x0.shape[-1:])
+    return np.concatenate([x0[None], points])
+
+
+def _derivatives(values: np.ndarray, step: float):
+    """Centre value and derivatives (axis first) from :func:`_stencil`."""
+    per_axis = values[1:].reshape((-1, 4) + values.shape[1:])
+    return values[0], np.tensordot(_WEIGHTS, per_axis, (0, 1)) / (12 * step)
 
 
 def central_difference(f, x0: np.ndarray, axis: int, step: float) -> np.ndarray:
     """Fourth order central difference of an array-valued function."""
-    e = np.zeros_like(x0)
-    e[axis] = 1.0
-    return (-f(x0 + 2 * step * e) + 8 * f(x0 + step * e)
-            - 8 * f(x0 - step * e) + f(x0 - 2 * step * e)) / (12 * step)
+    e = np.eye(len(x0))[axis]
+    values = [f(x0 + t * e) for t in _stencil(np.zeros(1), step)[:, 0]]
+    return _derivatives(np.array(values), step)[1][0]
 
 
 class ExponentialChart:
@@ -74,62 +88,59 @@ class ExponentialChart:
     * a Killing field pulled to the chart is ``exp(ad_X)`` applied to its
       generator, evaluated and re-expressed in the frame.
 
-    Only used in a small neighbourhood of the origin (finite difference
-    stencils), where the series are numerically exact.
+    Points may carry leading batch axes, ``(..., n)``.  Only used in a
+    small neighbourhood of the origin (finite difference stencils), where
+    the series are numerically exact.
     """
 
     def __init__(self, sp: HomogeneousSpace):
         self.sp = sp
 
+    def _series(self, x: np.ndarray):
+        """``exp(ad_X)`` and the coordinate frame at the points x."""
+        sp = self.sp
+        exp, differential = _exp_and_differential(np.tensordot(
+            np.asarray(x, float) @ sp.m_basis.T, sp.algebra.ad_stack, 1))
+        return exp, sp.eval_matrix @ differential @ sp.m_basis
+
     def frame(self, x: np.ndarray) -> np.ndarray:
         """Coordinate frame at x: column a is the a-th coordinate vector
         expressed in the tangent coordinates of the base point fibre."""
-        sp = self.sp
-        ad_x = adjoint(sp.algebra, sp.lift(x))
-        d = _power_series(ad_x, 1)
-        return sp.eval_matrix @ d @ sp.m_basis
+        return self._series(x)[1]
 
     def metric(self, x: np.ndarray) -> np.ndarray:
         f = self.frame(x)
-        return f.T @ self.sp.metric.gram @ f
+        return np.swapaxes(f, -1, -2) @ self.sp.metric.gram @ f
 
     def killing_components(self, z: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """Coordinate components at x of the Killing field with generator z."""
-        sp = self.sp
-        ad_x = adjoint(sp.algebra, sp.lift(x))
-        value = sp.eval_matrix @ _power_series(ad_x, 0) @ np.asarray(z, float)
-        return np.linalg.solve(self.frame(x), value)
+        """Coordinate components at x of the Killing field with generator z,
+        or column by column of a ``(dim g, k)`` matrix of generators."""
+        z = np.asarray(z, dtype=float)
+        exp, frame = self._series(x)
+        value = self.sp.eval_matrix @ exp @ z.reshape(len(z), -1)
+        return np.linalg.solve(frame, value).reshape(
+            frame.shape[:-1] + z.shape[1:])
 
     def christoffel(self, x: np.ndarray, step: float = INNER_STEP) -> np.ndarray:
-        """Symbols G[c, a, b] = Gamma^c_ab at x, from metric derivatives."""
-        n = self.sp.dim
+        """Symbols G[..., c, a, b] = Gamma^c_ab at x, from metric derivatives."""
         x = np.asarray(x, dtype=float)
-        dg = np.array([central_difference(self.metric, x, a, step)
-                       for a in range(n)])
-        g_inv = np.linalg.inv(self.metric(x))
+        g, dg = _derivatives(self.metric(_stencil(x, step)), step)
+        dg = np.moveaxis(dg, 0, -3)  # dg[..., a, b, d] = d_a g_bd
         # Gamma^c_ab = 1/2 g^cd (d_a g_bd + d_b g_ad - d_d g_ab)
-        braces = (np.einsum("abd->abd", dg)
-                  + np.einsum("bad->abd", dg)
-                  - np.einsum("dab->abd", dg))
-        return 0.5 * np.einsum("cd,abd->cab", g_inv, braces)
+        braces = dg + np.swapaxes(dg, -3, -2) - np.moveaxis(dg, -3, -1)
+        return 0.5 * np.einsum("...cd,...abd->...cab", np.linalg.inv(g), braces)
 
     def curvature_at_origin(self, outer_step: float = OUTER_STEP,
                             inner_step: float = INNER_STEP) -> np.ndarray:
         """Curvature tensor R[d, c, a, b] = R^d_cab at the origin."""
-        n = self.sp.dim
-        x0 = np.zeros(n)
-        gamma = self.christoffel(x0, inner_step)
-        dgamma = np.array([
-            central_difference(lambda y: self.christoffel(y, inner_step),
-                               x0, a, outer_step)
-            for a in range(n)])
+        points = _stencil(np.zeros(self.sp.dim), outer_step)
+        gamma, dgamma = _derivatives(self.christoffel(points, inner_step),
+                                     outer_step)
         # R^d_cab = d_a Gamma^d_bc - d_b Gamma^d_ac
         #           + Gamma^d_ae Gamma^e_bc - Gamma^d_be Gamma^e_ac
-        first = np.einsum("adbc->dcab", dgamma)
-        second = np.einsum("bdac->dcab", dgamma)
-        third = np.einsum("dae,ebc->dcab", gamma, gamma)
-        fourth = np.einsum("dbe,eac->dcab", gamma, gamma)
-        return first - second + third - fourth
+        half = (np.einsum("adbc->dcab", dgamma)
+                + np.einsum("dae,ebc->dcab", gamma, gamma))
+        return half - np.swapaxes(half, 2, 3)
 
     def nabla_killing_fd(self, z: np.ndarray,
                          step: float = INNER_STEP) -> np.ndarray:
@@ -137,18 +148,14 @@ class ExponentialChart:
 
         Column b is the derivative in the b-th coordinate direction, in
         base point tangent coordinates; directly comparable to
-        :meth:`HomogeneousSpace.nabla_at_base`.
+        :meth:`HomogeneousSpace.nabla_at_base`.  A ``(dim g, k)`` matrix of
+        generators gives shape ``(n, n, k)``, all columns from one stencil.
         """
-        n = self.sp.dim
-        x0 = np.zeros(n)
-        z = np.asarray(z, dtype=float)
-        dz = np.array([
-            central_difference(lambda y: self.killing_components(z, y),
-                               x0, b, step)
-            for b in range(n)])
-        z0 = self.killing_components(z, x0)
+        x0 = np.zeros(self.sp.dim)
+        z0, dz = _derivatives(self.killing_components(z, _stencil(x0, step)),
+                              step)
         gamma = self.christoffel(x0, step)
-        return dz.T + np.einsum("cbe,e->cb", gamma, z0)
+        return np.swapaxes(dz, 0, 1) + np.einsum("cbe,e...->cb...", gamma, z0)
 
     def jacobi_matrix_fd(self, u: np.ndarray) -> np.ndarray:
         """Matrix of J -> R(J, u)u at the origin, u normalized to unit length.
@@ -161,8 +168,7 @@ class ExponentialChart:
         """
         u = np.asarray(u, dtype=float)
         u = u / self.sp.tangent_norm(u)
-        r = self.curvature_at_origin()
-        return np.einsum("dcab,b,c->da", r, u, u)
+        return np.einsum("dcab,b,c->da", self.curvature_at_origin(), u, u)
 
 
 def integrate_field_equation(k_matrix: np.ndarray, v0: np.ndarray,
@@ -171,24 +177,18 @@ def integrate_field_equation(k_matrix: np.ndarray, v0: np.ndarray,
     """Integrate ``y'' = -K y`` by classical Runge-Kutta.
 
     Returns (times, values) with ``values[i]`` the solution at
-    ``times[i]``; initial value ``v0``, initial derivative ``w0``.
+    ``times[i]``; initial value ``v0``, initial derivative ``w0``.  For
+    ``y' = A y``, ``A = [[0, I], [-K, 0]]``, the four stages of a step
+    compose to ``P = I + hA + (hA)^2/2 + (hA)^3/6 + (hA)^4/24``.
     """
-    k_matrix = np.asarray(k_matrix, dtype=float)
-    y = np.concatenate([np.asarray(v0, float), np.asarray(w0, float)])
-    n = k_matrix.shape[0]
-
-    def rhs(state):
-        return np.concatenate([state[n:], -k_matrix @ state[:n]])
-
-    h = t_end / steps
-    times = np.linspace(0.0, t_end, steps + 1)
-    values = np.zeros((steps + 1, n))
-    values[0] = y[:n]
+    n = len(k_matrix)
+    ha = (t_end / steps) * np.block([[np.zeros((n, n)), np.eye(n)],
+                                     [-np.asarray(k_matrix, float),
+                                      np.zeros((n, n))]])
+    eye = np.eye(2 * n)
+    step_matrix = eye + ha @ (eye + ha @ (eye + ha @ (eye + ha / 4) / 3) / 2)
+    states = np.empty((steps + 1, 2 * n))
+    states[0] = np.concatenate([np.asarray(v0, float), np.asarray(w0, float)])
     for i in range(steps):
-        k1 = rhs(y)
-        k2 = rhs(y + 0.5 * h * k1)
-        k3 = rhs(y + 0.5 * h * k2)
-        k4 = rhs(y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        values[i + 1] = y[:n]
-    return times, values
+        np.matmul(step_matrix, states[i], out=states[i + 1])
+    return np.linspace(0.0, t_end, steps + 1), states[:, :n]

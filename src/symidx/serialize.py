@@ -290,6 +290,7 @@ def outcome_to_dict(outcome: VerificationOutcome) -> dict:
         "expected": _plain(outcome.expected),
         "actual": _plain(outcome.actual),
         "detail": outcome.detail,
+        "duration_ms": outcome.duration_ms,
     }
 
 

@@ -14,6 +14,7 @@ the whole run fail.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +34,6 @@ from .liealg import (
     BilinearForm,
     LieAlgebra,
     Subspace,
-    adjoint,
     killing_form_positive,
     so_elementary,
 )
@@ -48,6 +48,7 @@ class VerificationOutcome:
     expected: object = None
     actual: object = None
     detail: str = ""
+    duration_ms: float = 0.0         # wall time of the check body
 
 
 class _CheckFailure(Exception):
@@ -140,12 +141,11 @@ def _check_quotient_uncoupled(hook):
         rep = transvection_space(sp)
         _require(rep.index == 0,
                  f"lam={lam}, s={s}, t={t}: index {rep.index} != 0")
-        chart = ExponentialChart(sp)
+        gens = np.eye(sp.algebra.dim)
+        numeric = ExponentialChart(sp).nabla_killing_fd(gens)
         for col in range(sp.algebra.dim):
-            z = np.eye(sp.algebra.dim)[:, col]
-            algebraic = sp.nabla_at_base(z)
-            numeric = chart.nabla_killing_fd(z)
-            err = float(np.max(np.abs(algebraic - numeric)))
+            algebraic = sp.nabla_at_base(gens[:, col])
+            err = float(np.max(np.abs(algebraic - numeric[:, :, col])))
             worst = max(worst, err)
             _require(err <= 1e-6,
                      f"lam={lam}, s={s}, t={t}: derivative of field {col} "
@@ -372,13 +372,12 @@ def _check_invariant_residuals(hook):
                      f"{sp.label}: derivative operator is not skew "
                      f"({skew:.3e})")
         b = killing_form_positive(sp.algebra).gram
-        for a in range(sp.algebra.dim):
-            ad = adjoint(sp.algebra, np.eye(sp.algebra.dim)[:, a])
-            inv = float(np.max(np.abs(b @ ad + ad.T @ b)))
-            worst = max(worst, inv)
-            _require(inv <= 1e-8,
-                     f"{sp.label}: trace form is not ad-invariant "
-                     f"({inv:.3e})")
+        ads = sp.algebra.ad_stack
+        inv = float(np.max(np.abs(b @ ads + ads.transpose(0, 2, 1) @ b),
+                           initial=0.0))
+        worst = max(worst, inv)
+        _require(inv <= 1e-8,
+                 f"{sp.label}: trace form is not ad-invariant ({inv:.3e})")
         scaled = HomogeneousSpace(
             sp.algebra, sp.isotropy, BilinearForm(2.5 * gram),
             complement=sp.complement, label=sp.label + " scaled")
@@ -431,17 +430,20 @@ def run_checks(name_filter: str | None = None,
         if name_filter and name_filter not in name:
             continue
         hook = structure_hook if name == "structure-tensor-validation" else None
+        start = time.perf_counter()
         try:
             expected, actual = fn(hook)
-            outcomes.append(VerificationOutcome(
+            outcome = VerificationOutcome(
                 check_name=name, status="pass", provenance=provenance,
-                expected=expected, actual=actual))
+                expected=expected, actual=actual)
         except _CheckFailure as exc:
-            outcomes.append(VerificationOutcome(
+            outcome = VerificationOutcome(
                 check_name=name, status="fail", provenance=provenance,
-                detail=str(exc)))
+                detail=str(exc))
         except Exception as exc:  # noqa: BLE001 - report, do not crash the run
-            outcomes.append(VerificationOutcome(
+            outcome = VerificationOutcome(
                 check_name=name, status="fail", provenance=provenance,
-                detail=f"{type(exc).__name__}: {exc}"))
+                detail=f"{type(exc).__name__}: {exc}")
+        outcome.duration_ms = 1e3 * (time.perf_counter() - start)
+        outcomes.append(outcome)
     return outcomes

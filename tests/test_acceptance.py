@@ -6,9 +6,15 @@ summary line per criterion is written straight to the terminal so the
 output reads as a checklist even under capture.
 """
 
+import json
+
 import numpy as np
 import pytest
 
+from symidx import verify
+from symidx.cli import main
+from symidx.homspace import HomogeneousSpace
+from symidx.serialize import outcome_to_dict
 from symidx.verify import CHECK_NAMES, run_checks
 
 CRITERIA = [
@@ -64,18 +70,64 @@ def test_full_registry_is_green():
     assert not failing, f"failing checks: {failing}"
 
 
+def corrupt(structure):
+    broken = structure.copy()
+    broken[0, 1, 2] += 1e-3
+    return broken
+
+
 def test_negative_control_fails_the_run():
     """A corrupted structure tensor must be caught, proving the checks
     can fail at all."""
-    def corrupt(structure):
-        broken = structure.copy()
-        broken[0, 1, 2] += 1e-3
-        return broken
-
     outcomes = run_checks("structure", structure_hook=corrupt)
     assert len(outcomes) == 1
     assert outcomes[0].status == "fail"
     assert "antisymmetric" in outcomes[0].detail
+
+
+def test_derivative_oracle_catches_a_wrong_base_formula(monkeypatch, capsys):
+    """The finite-difference oracle must disagree with a Koszul derivative
+    that is off by 1e-5 in one entry, so it does not compare a route with
+    itself."""
+    nabla_at_base = HomogeneousSpace.nabla_at_base
+
+    def off_by_one_entry(self, x):
+        wrong = nabla_at_base(self, x).copy()
+        wrong[0, 1] += 1e-5
+        return wrong
+
+    monkeypatch.setattr(HomogeneousSpace, "nabla_at_base", off_by_one_entry)
+    assert main(["verify", "--filter", "uncoupled"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert [o["check"] for o in payload] == [
+        "so4-so2-uncoupled-derivative-oracle"]
+    assert payload[0]["status"] == "fail"
+    assert "finite difference oracle" in payload[0]["detail"]
+
+
+def test_integrated_oracle_catches_a_wrong_closed_form(monkeypatch):
+    """The Runge-Kutta oracle must disagree with closed-form Jacobi fields
+    that are off by 1e-4."""
+    jacobi_field = verify.jacobi_field
+
+    def perturbed(*args, **kwargs):
+        return jacobi_field(*args, **kwargs) + 1e-4
+
+    monkeypatch.setattr(verify, "jacobi_field", perturbed)
+    outcomes = run_checks("curvature-operator-oracle")
+    assert len(outcomes) == 1
+    assert outcomes[0].status == "fail"
+    assert "closed form and integrated field differ" in outcomes[0].detail
+
+
+def test_every_outcome_carries_its_duration():
+    outcomes = (run_checks("spin3")
+                + run_checks("structure", structure_hook=corrupt))
+    assert [o.status for o in outcomes] == ["pass", "pass", "fail"]
+    for outcome in outcomes:
+        printed = outcome_to_dict(outcome)["duration_ms"]
+        assert isinstance(printed, float)
+        assert printed == outcome.duration_ms >= 0.0
 
 
 def test_every_criterion_names_real_checks():

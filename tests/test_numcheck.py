@@ -4,16 +4,25 @@ These tests intentionally compare two independent routes: the closed
 algebraic expressions at the base point against derivatives taken in an
 exponential coordinate chart.  Tolerances reflect fourth-order central
 differences with the default steps.
+
+The batched chart is also compared with the per-point route it replaced,
+kept below as the reference: one point, one field and one power series at
+a time, and Runge-Kutta by its four explicit stages.
 """
+
+import math
 
 import numpy as np
 import pytest
 
 from symidx.catalog import round_sphere, so4_so2, spin3_berger
 from symidx.homspace import jacobi_field, jacobi_operator
+from symidx.liealg import adjoint
 from symidx.numcheck import (
+    INNER_STEP,
+    OUTER_STEP,
     ExponentialChart,
-    _power_series,
+    _exp_and_differential,
     central_difference,
     integrate_field_equation,
 )
@@ -116,14 +125,193 @@ def test_power_series_gives_exp_and_its_differential():
     a = np.array([[0.0, -theta], [theta, 0.0]])
     rotation = np.array([[np.cos(theta), -np.sin(theta)],
                          [np.sin(theta), np.cos(theta)]])
-    np.testing.assert_allclose(_power_series(a, 0), rotation, atol=1e-15)
+    exp, differential = _exp_and_differential(a)
+    np.testing.assert_allclose(exp, rotation, atol=1e-15)
     # a (exp(a) - 1) / a = exp(a) - 1
-    np.testing.assert_allclose(a @ _power_series(a, 1), rotation - np.eye(2),
+    np.testing.assert_allclose(a @ differential, rotation - np.eye(2),
                                atol=1e-15)
-    np.testing.assert_array_equal(_power_series(np.zeros((3, 3)), 1),
+    np.testing.assert_array_equal(_exp_and_differential(np.zeros((3, 3)))[1],
                                   np.eye(3))
 
 
 def test_power_series_refuses_to_stop_before_converging():
     with pytest.raises(RuntimeError, match="has not converged after 40 terms"):
-        _power_series(40.0 * np.eye(2), 0)
+        _exp_and_differential(40.0 * np.eye(2))
+
+
+def test_power_series_of_a_stack_refuses_for_one_large_slice():
+    stack = np.zeros((3, 2, 2))
+    stack[1] = 40.0 * np.eye(2)
+    with pytest.raises(RuntimeError, match="has not converged after 40 terms"):
+        _exp_and_differential(stack)
+
+
+def test_power_series_of_a_zero_stack_is_exactly_the_identity():
+    exp, differential = _exp_and_differential(np.zeros((4, 2, 3, 3)))
+    identities = np.broadcast_to(np.eye(3), (4, 2, 3, 3))
+    np.testing.assert_array_equal(exp, identities)
+    np.testing.assert_array_equal(differential, identities)
+
+
+# ---------------------------------------------------------------------------
+# the per-point route, as the reference for the batched chart
+# ---------------------------------------------------------------------------
+
+def reference_power_series(a, shift):
+    """``sum_k a^k / (k + shift)!`` of one matrix."""
+    term = np.eye(a.shape[0]) / math.factorial(shift)
+    total = term.copy()
+    for k in range(1, 40):
+        term = term @ a / (k + shift)
+        total += term
+        if float(np.max(np.abs(term))) < 1e-18:
+            return total
+    raise RuntimeError("not converged")
+
+
+def reference_central_difference(f, x0, axis, step):
+    e = np.zeros_like(x0)
+    e[axis] = 1.0
+    return (-f(x0 + 2 * step * e) + 8 * f(x0 + step * e)
+            - 8 * f(x0 - step * e) + f(x0 - 2 * step * e)) / (12 * step)
+
+
+class ReferenceChart:
+    """The chart one point and one field at a time."""
+
+    def __init__(self, sp):
+        self.sp = sp
+
+    def frame(self, x):
+        sp = self.sp
+        ad_x = adjoint(sp.algebra, sp.lift(x))
+        return sp.eval_matrix @ reference_power_series(ad_x, 1) @ sp.m_basis
+
+    def metric(self, x):
+        f = self.frame(x)
+        return f.T @ self.sp.metric.gram @ f
+
+    def killing_components(self, z, x):
+        sp = self.sp
+        ad_x = adjoint(sp.algebra, sp.lift(x))
+        value = sp.eval_matrix @ reference_power_series(ad_x, 0) @ z
+        return np.linalg.solve(self.frame(x), value)
+
+    def christoffel(self, x, step=INNER_STEP):
+        n = self.sp.dim
+        dg = np.array([reference_central_difference(self.metric, x, a, step)
+                       for a in range(n)])
+        braces = (dg + np.einsum("bad->abd", dg) - np.einsum("dab->abd", dg))
+        return 0.5 * np.einsum("cd,abd->cab", np.linalg.inv(self.metric(x)),
+                               braces)
+
+    def curvature_at_origin(self):
+        x0 = np.zeros(self.sp.dim)
+        gamma = self.christoffel(x0)
+        dgamma = np.array([
+            reference_central_difference(self.christoffel, x0, a, OUTER_STEP)
+            for a in range(self.sp.dim)])
+        return (np.einsum("adbc->dcab", dgamma)
+                - np.einsum("bdac->dcab", dgamma)
+                + np.einsum("dae,ebc->dcab", gamma, gamma)
+                - np.einsum("dbe,eac->dcab", gamma, gamma))
+
+    def nabla_killing_fd(self, z):
+        x0 = np.zeros(self.sp.dim)
+        dz = np.array([reference_central_difference(
+            lambda y: self.killing_components(z, y), x0, b, INNER_STEP)
+            for b in range(self.sp.dim)])
+        z0 = self.killing_components(z, x0)
+        return dz.T + np.einsum("cbe,e->cb", self.christoffel(x0), z0)
+
+
+def reference_rk4(k_matrix, v0, w0, t_end, steps):
+    """Classical Runge-Kutta by its four explicit stages."""
+    n = len(v0)
+    y = np.concatenate([v0, w0])
+
+    def rhs(state):
+        return np.concatenate([state[n:], -k_matrix @ state[:n]])
+
+    h = t_end / steps
+    values = [y[:n]]
+    for _ in range(steps):
+        k1 = rhs(y)
+        k2 = rhs(y + 0.5 * h * k1)
+        k3 = rhs(y + 0.5 * h * k2)
+        k4 = rhs(y + h * k3)
+        y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        values.append(y[:n])
+    return np.array(values)
+
+
+REFERENCE_SPACES = {
+    "so4_so2 coupled": lambda: so4_so2(0.5, 0.8)[0],
+    "so4_so2 uncoupled": lambda: so4_so2(0.5, 1.0, 0.5)[0],
+    "spin3_berger": lambda: spin3_berger(1.5)[0],
+    "round_sphere(3)": lambda: round_sphere(3)[0],
+}
+
+
+def _seeded_points(sp, shape, seed=5):
+    return 0.1 * np.random.default_rng(seed).standard_normal(shape + (sp.dim,))
+
+
+@pytest.mark.parametrize("name", REFERENCE_SPACES)
+def test_stacked_chart_agrees_with_the_per_point_route(name):
+    sp = REFERENCE_SPACES[name]()
+    chart, ref = ExponentialChart(sp), ReferenceChart(sp)
+    points = _seeded_points(sp, (2, 3))
+    gens = np.random.default_rng(6).standard_normal((sp.algebra.dim, 2))
+    frames, metrics = chart.frame(points), chart.metric(points)
+    fields = chart.killing_components(gens, points)
+    assert fields.shape == (2, 3, sp.dim, 2)
+    for i in np.ndindex(2, 3):
+        x = points[i]
+        np.testing.assert_allclose(frames[i], ref.frame(x), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(chart.frame(x), ref.frame(x),
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(metrics[i], ref.metric(x),
+                                   rtol=0, atol=1e-12)
+        for p in range(2):
+            want = ref.killing_components(gens[:, p], x)
+            np.testing.assert_allclose(fields[i][:, p], want,
+                                       rtol=0, atol=1e-12)
+            np.testing.assert_allclose(
+                chart.killing_components(gens[:, p], x), want,
+                rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("name", REFERENCE_SPACES)
+def test_batched_derivatives_agree_with_the_per_point_route(name):
+    sp = REFERENCE_SPACES[name]()
+    chart, ref = ExponentialChart(sp), ReferenceChart(sp)
+    points = _seeded_points(sp, (3,))
+    gammas = chart.christoffel(points)
+    for x, gamma in zip(points, gammas):
+        np.testing.assert_allclose(gamma, ref.christoffel(x),
+                                   rtol=0, atol=1e-9)
+    np.testing.assert_allclose(chart.curvature_at_origin(),
+                               ref.curvature_at_origin(), rtol=0, atol=1e-9)
+    gens = np.hstack([np.eye(sp.algebra.dim),
+                      np.random.default_rng(7).standard_normal(
+                          (sp.algebra.dim, 2))])
+    nablas = chart.nabla_killing_fd(gens)
+    assert nablas.shape == (sp.dim, sp.dim, gens.shape[1])
+    for p in range(gens.shape[1]):
+        np.testing.assert_allclose(nablas[:, :, p],
+                                   ref.nabla_killing_fd(gens[:, p]),
+                                   rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("steps", [250, 2000])
+def test_step_matrix_is_the_four_stage_runge_kutta(steps):
+    rng = np.random.default_rng(19)
+    root = rng.standard_normal((4, 4))
+    k = root @ root.T
+    v0, w0 = rng.standard_normal((2, 4))
+    times, values = integrate_field_equation(k, v0, w0, math.pi, steps)
+    want = reference_rk4(k, v0, w0, math.pi, steps)
+    np.testing.assert_array_equal(times, np.linspace(0.0, math.pi, steps + 1))
+    scale = float(np.max(np.abs(want)))
+    assert float(np.max(np.abs(values - want))) <= 1e-12 * scale

@@ -28,7 +28,6 @@ from .liealg import (
     eigenvalue_clusters,
     killing_form_positive,
     matrix_algebra,
-    numerical_rank,
     orthogonal_complement,
     pencil_eigh,
     quaternion_left_multiplication,
@@ -282,7 +281,8 @@ def orbit_space(algebra, representation, point, inner, label: str = "",
     metric = BilinearForm(_induced_gram(inner, tangents, comp.basis))
     if not metric.is_positive_definite(tol):
         raise ValueError("induced metric on the orbit is degenerate")
-    return HomogeneousSpace(algebra, iso, metric, complement=comp, label=label)
+    return HomogeneousSpace(algebra, iso, metric, complement=comp, label=label,
+                            tol=tol)
 
 
 @dataclass(eq=False)
@@ -336,9 +336,9 @@ def cp2_centriole():
     sp = orbit_space(alg, rep, p, inner,
                      label="distance sphere around a line in CP^2")
 
-    flat = _flatten_real(_orbit_tangents(rep, pole))
-    dim_base = numerical_rank(flat)
-    pole_stabilizer = Subspace.kernel_of(flat.T)
+    pole_stabilizer = Subspace.kernel_of(
+        _flatten_real(_orbit_tangents(rep, pole)).T)
+    dim_base = alg.dim - pole_stabilizer.dim
     fiber = Subspace.from_spanning(sp.dim, sp.evaluate(pole_stabilizer.basis))
 
     report_t = transvection_space(sp)

@@ -14,8 +14,9 @@ jacobi
 catalog
     List the named example spaces or emit one as a JSON document.
 
-Exit codes: 0 on success, 1 when a computation fails or a check does not
-pass, 2 for unusable input (bad arguments, malformed or invalid JSON).
+Exit codes: 0 on success, 1 when a computation fails (any ValueError,
+mapped in ``main``) or a check does not pass, 2 for unusable input (bad
+arguments, unreadable files, malformed or invalid JSON, unknown names).
 The numerical tolerance is ``--tol`` when given, else the ``SYMIDX_TOL``
 environment variable, else 1e-9.
 """
@@ -122,21 +123,6 @@ def _emit_json(payload) -> None:
     print(json.dumps(payload, indent=2, sort_keys=True))
 
 
-def _load_or_fail(path: str, tol: float):
-    """Returns (space, exit_code); space is None when exit_code is set."""
-    try:
-        return load_space(path, tol), None
-    except SpaceFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return None, 2
-    except OSError as exc:
-        print(f"error: cannot read {path}: {exc.strerror}", file=sys.stderr)
-        return None, 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return None, 1
-
-
 def _cmd_verify(args, tol, structure_hook) -> int:
     outcomes = run_checks(args.filter, structure_hook=structure_hook)
     if not outcomes:
@@ -148,21 +134,11 @@ def _cmd_verify(args, tol, structure_hook) -> int:
 
 
 def _cmd_index(args, tol) -> int:
-    sp, code = _load_or_fail(args.space, tol)
-    if code is not None:
-        return code
+    sp = load_space(args.space, tol)
     if args.augment:
-        try:
-            sp = augment_left_invariant(sp, tol)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-    try:
-        report = transvection_space(sp, tol)
-        bound = symmetry_ideal(sp, report, tol)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        sp = augment_left_invariant(sp, tol)
+    report = transvection_space(sp, tol)
+    bound = symmetry_ideal(sp, report, tol)
     _emit_json({
         "label": sp.label,
         "dim": sp.dim,
@@ -306,16 +282,10 @@ def _cmd_sweep(args, tol, parser) -> int:
 
 
 def _cmd_jacobi(args, tol, parser) -> int:
-    sp, code = _load_or_fail(args.space, tol)
-    if code is not None:
-        return code
+    sp = load_space(args.space, tol)
     if not 0 <= args.direction < sp.dim:
         parser.error(f"--direction must be in 0..{sp.dim - 1} for this space")
-    try:
-        spectrum = jacobi_operator(sp, sp.m_basis[:, args.direction])
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    spectrum = jacobi_operator(sp, sp.m_basis[:, args.direction])
     payload = spectrum_to_dict(spectrum)
     payload["label"] = sp.label
     payload["direction_index"] = args.direction
@@ -332,7 +302,7 @@ def _cmd_catalog(args, tol, parser) -> int:
         parser.error("catalog emit needs a name")
     try:
         sp, _ = catalog.from_name(args.name)
-    except ValueError as exc:
+    except ValueError as exc:  # an unknown name is unusable input
         print(f"error: {exc}", file=sys.stderr)
         return 2
     _emit_json(space_to_dict(sp))
@@ -356,6 +326,16 @@ def main(argv=None, structure_hook=None) -> int:
     except SystemExit as exc:
         code = exc.code
         return int(code) if code is not None else 0
+    except (SpaceFormatError, OSError) as exc:
+        if isinstance(exc, OSError) and exc.filename is None:
+            raise  # not a file the command reads, e.g. a closed stdout
+        reason = (f"cannot read {exc.filename}: {exc.strerror}"
+                  if isinstance(exc, OSError) else exc)
+        print(f"error: {reason}", file=sys.stderr)
+        return 2
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -42,6 +42,7 @@ from .liealg import (
     brackets,
     eigenvalue_clusters,
     largest_invariant_subspace,
+    numerical_rank,
     orthogonal_complement,
     pair_indices,
     pencil_eigh,
@@ -73,23 +74,20 @@ class HomogeneousSpace:
         Inner product on the tangent space, in complement coordinates.
     label : str
         Display name used in reports.
-    check_effective : bool
-        Reject pairs where the algebra has a nonzero ideal inside the
-        isotropy (fields that act trivially).
 
     Raises
     ------
     ValueError
         If the isotropy is not a subalgebra, the complement is not
         reductive or does not complete the isotropy to the whole algebra,
-        the metric is not positive definite, or the isotropy fails to act
-        by metric-skew operators on the complement.
+        the metric is not positive definite, the isotropy fails to act
+        by metric-skew operators on the complement, or the pair is not
+        effective (a nonzero ideal of the algebra lies in the isotropy).
     """
 
     def __init__(self, algebra: LieAlgebra, isotropy: Subspace,
                  metric: BilinearForm, complement: Subspace | None = None,
-                 label: str = "", check_effective: bool = True,
-                 tol: float = DEFAULT_TOL):
+                 label: str = "", tol: float = DEFAULT_TOL):
         self.algebra = algebra
         self.isotropy = isotropy
         self.label = label
@@ -118,7 +116,7 @@ class HomogeneousSpace:
         self.complement = complement
 
         t = np.hstack([isotropy.basis, complement.basis])
-        if np.linalg.matrix_rank(t) < n:
+        if numerical_rank(t, tol) < n:
             raise ValueError("isotropy and complement overlap")
         t_inv = np.linalg.inv(t)
         self.h_basis = isotropy.basis
@@ -156,7 +154,7 @@ class HomogeneousSpace:
                 f"for the metric (residual {skew[a]:.3e}); the metric "
                 f"is not invariant")
 
-        if check_effective and isotropy.dim > 0:
+        if isotropy.dim > 0:
             ineffective = largest_invariant_subspace(
                 algebra, None, isotropy, tol)
             if ineffective.dim > 0:

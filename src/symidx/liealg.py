@@ -12,7 +12,8 @@ matrix commutator: for the quaternion model of spin(3) this gives
 is -2k.  Mixing the two conventions silently flips the sign of the
 geodesic spray and of curvature terms, so every :class:`LieAlgebra`
 carries a ``convention_note`` and :func:`matrix_algebra` applies the
-flip itself.
+flip itself.  The note lives in memory only: the JSON layout has no
+field for it, and :func:`algebra_from_dict` gives the default note.
 """
 
 from __future__ import annotations
@@ -319,7 +320,7 @@ class LieAlgebra:
         ``bracket(e_i, e_j) = sum_k structure[i, j, k] e_k`` in the Killing
         field convention (see module docstring).
     convention_note : str
-        Records the bracket convention; carried through serialization.
+        Records the bracket convention; not serialized (module docstring).
 
     Antisymmetry and the Jacobi identity are validated at construction
     with absolute residual tolerance 1e-9.  Facts that depend on the

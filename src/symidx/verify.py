@@ -86,7 +86,7 @@ def _check_structure_tensor(hook):
     return ({"max_residual": 1e-9}, {"jacobi_residual": residual})
 
 
-def _check_round_spheres(hook):
+def _check_round_spheres():
     actual = {}
     for n in range(2, 6):
         sp, info = catalog.round_sphere(n)
@@ -118,7 +118,7 @@ _UNCOUPLED_GRID = [(lam, s, t) for lam in (0.25, 0.5, 1.0)
                    for (s, t) in ((0.5, 0.5), (1.0, 0.5), (1.5, 1.0))]
 
 
-def _check_quotient_coupled(hook):
+def _check_quotient_coupled():
     actual = {}
     for lam, s in _COUPLED_GRID:
         sp, _ = catalog.so4_so2(lam, s)
@@ -134,7 +134,7 @@ def _check_quotient_coupled(hook):
     return {"index": 2, "coindex": 3, "points": len(_COUPLED_GRID)}, actual
 
 
-def _check_quotient_uncoupled(hook):
+def _check_quotient_uncoupled():
     worst = 0.0
     for lam, s, t in _UNCOUPLED_GRID:
         sp, _ = catalog.so4_so2(lam, s, t)
@@ -154,7 +154,7 @@ def _check_quotient_uncoupled(hook):
             {"worst_fd_error": worst, "points": len(_UNCOUPLED_GRID)})
 
 
-def _check_bound_equalities(hook):
+def _check_bound_equalities():
     actual = {}
     sp, _ = catalog.so4_so2(0.5, 0.5)
     bound = symmetry_ideal(sp)
@@ -182,7 +182,7 @@ def _check_bound_equalities(hook):
     return {"quotient": (12, 12), "squashed": (6, 6), "line": (6, 6)}, actual
 
 
-def _check_product_spheres(hook):
+def _check_product_spheres():
     actual = {}
     for rho in (0.5, 1.0, 2.0):
         sp, info = catalog.product_of_spheres(rho)
@@ -209,7 +209,7 @@ def _check_product_spheres(hook):
     return {"metric_tolerance": 1e-9, "index": 2, "bound": (12, 12)}, actual
 
 
-def _check_spin3_line(hook):
+def _check_spin3_line():
     actual = {}
     for s in (0.25, 0.5, 0.75):
         sp, info = catalog.spin3_one_parameter(s)
@@ -230,7 +230,7 @@ def _check_spin3_line(hook):
     return {"index": 1, "len_j": "2*pi*sqrt(s)", "len_i": "2*pi*sqrt(2)"}, actual
 
 
-def _check_spin3_augmented(hook):
+def _check_spin3_augmented():
     actual = {}
     for t in (0.5, 1.5, 3.0):
         sp, _ = catalog.spin3_berger(t)
@@ -285,7 +285,7 @@ def _jacobi_oracle_cases():
     yield sp, np.array([1.0, 0.0, 0.0]), "Spin(3) line"
 
 
-def _check_jacobi_oracle(hook):
+def _check_jacobi_oracle():
     actual = {}
     rng = np.random.default_rng(280)
     for sp, direction, name in _jacobi_oracle_cases():
@@ -309,7 +309,7 @@ def _check_jacobi_oracle(hook):
     return {"tolerance": 1e-5, "interval": "[0, pi]"}, actual
 
 
-def _check_centriole(hook):
+def _check_centriole():
     sp, report = catalog.cp2_centriole()
     _require((report.dim_base, report.dim_fiber, report.dim_sphere) == (2, 1, 3),
              f"dimensions ({report.dim_base}, {report.dim_fiber}, "
@@ -334,7 +334,7 @@ def _residual_spaces():
     yield augment_left_invariant(sp)
 
 
-def _check_invariant_residuals(hook):
+def _check_invariant_residuals():
     rng = np.random.default_rng(167)
     worst = 0.0
     count = 0
@@ -429,10 +429,10 @@ def run_checks(name_filter: str | None = None,
     for name, provenance, fn in CHECKS:
         if name_filter and name_filter not in name:
             continue
-        hook = structure_hook if name == "structure-tensor-validation" else None
+        args = (structure_hook,) if name == "structure-tensor-validation" else ()
         start = time.perf_counter()
         try:
-            expected, actual = fn(hook)
+            expected, actual = fn(*args)
             outcome = VerificationOutcome(
                 check_name=name, status="pass", provenance=provenance,
                 expected=expected, actual=actual)

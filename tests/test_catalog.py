@@ -8,6 +8,7 @@ from symidx.catalog import (
     cp2_centriole,
     default_spaces,
     from_name,
+    orbit_space,
     product_of_spheres,
     round_sphere,
     so4_so2,
@@ -16,6 +17,7 @@ from symidx.catalog import (
     spin3_one_parameter,
 )
 from symidx.homspace import HomogeneousSpace, transvection_space
+from symidx.liealg import so_elementary
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -114,6 +116,14 @@ def test_product_embedding_kernel_is_the_isotropy():
     # tangent values of the complement columns are orthogonal in R^7
     vals = embed @ sp.m_basis
     np.testing.assert_allclose(vals.T @ vals, sp.metric.gram, atol=1e-12)
+
+
+def test_orbit_space_builds_the_space_with_its_tolerance():
+    alg, rep = so_elementary(3)
+    sp = orbit_space(alg, rep, np.diag([1.0, 0.0, 0.0]),
+                     lambda a, b: 0.5 * float(np.trace(a @ b.T)), tol=1e-6)
+    assert (sp.dim, sp.dim_isotropy) == (2, 1)
+    assert sp.tol == 1e-6
 
 
 def test_centriole_report():

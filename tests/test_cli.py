@@ -14,6 +14,7 @@ from symidx.catalog import (
     so4_so2,
     spin3_berger,
 )
+from symidx import cli
 from symidx.cli import SWEEP_HEADER, main
 from symidx.homspace import jacobi_operator, transvection_space
 from symidx.liealg import canonical_basis
@@ -200,6 +201,40 @@ def test_index_exit_codes(capsys, tmp_path):
     code, _, err = run(capsys, "index", "--space", str(indefinite))
     assert code == 1
     assert "positive definite" in err
+
+
+@pytest.mark.parametrize("command", ["sweep", "index"])
+def test_a_value_error_anywhere_in_a_command_is_exit_one(
+        capsys, monkeypatch, quotient_file, command):
+    def boom(*args, **kwargs):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(cli, "transvection_space", boom)
+    argv = {"sweep": ["--family", "spin3", "--t", "1.5"],
+            "index": ["--space", quotient_file]}[command]
+    code, out, err = run(capsys, command, *argv)
+    assert (code, out, err) == (1, "", "error: boom\n")
+
+
+def test_an_unreadable_file_is_exit_two(capsys, tmp_path):
+    missing = str(tmp_path / "missing.json")
+    code, _, err = run(capsys, "index", "--space", missing)
+    assert code == 2
+    assert err == f"error: cannot read {missing}: No such file or directory\n"
+    code, _, err = run(capsys, "jacobi", "--space", str(tmp_path),
+                       "--direction", "0")
+    assert code == 2
+    assert err.startswith(f"error: cannot read {tmp_path}: ")
+
+
+def test_a_failed_write_to_stdout_is_not_a_read_error(
+        monkeypatch, quotient_file):
+    def closed(payload):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(cli, "_emit_json", closed)
+    with pytest.raises(BrokenPipeError):
+        main(["index", "--space", quotient_file])
 
 
 def test_sweep_header_and_sorting(capsys):

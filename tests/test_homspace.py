@@ -77,8 +77,7 @@ def test_subalgebra_error_names_the_first_leaking_pair():
     # E12 and E34 commute; E12 and E13 bracket to E23, as do E34 and E13
     span = Subspace(6, np.eye(6)[:, [0, 5, 1]])
     with pytest.raises(ValueError, match="basis vectors 0 and 2 leaves it"):
-        HomogeneousSpace(alg, span, BilinearForm(np.eye(3)),
-                         check_effective=False)
+        HomogeneousSpace(alg, span, BilinearForm(np.eye(3)))
 
 
 def test_rejects_non_reductive_complement():
@@ -86,6 +85,19 @@ def test_rejects_non_reductive_complement():
     h = Subspace(3, np.eye(3)[:, :1])
     cols = np.array([[0.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
     with pytest.raises(ValueError, match="not reductive"):
+        HomogeneousSpace(alg, h, BilinearForm(np.eye(2)),
+                         complement=Subspace(3, cols))
+
+
+def test_nearly_overlapping_complement_is_refused_as_overlap():
+    """The overlap check uses the package's rank rule: a complement vector
+    1e-12 away from the isotropy overlaps it, rather than passing a
+    machine-epsilon rank test and failing reductivity with a huge
+    residual."""
+    alg, _ = so_elementary(3)
+    h = Subspace(3, np.eye(3)[:, :1])
+    cols = np.array([[0.0, 1.0], [1.0, 0.0], [0.0, 1e-12]])
+    with pytest.raises(ValueError, match="isotropy and complement overlap"):
         HomogeneousSpace(alg, h, BilinearForm(np.eye(2)),
                          complement=Subspace(3, cols))
 

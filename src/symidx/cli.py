@@ -24,6 +24,7 @@ environment variable, else 1e-9.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -54,7 +55,11 @@ SWEEP_HEADER = ("lambda,s,t,rho,index,coindex,dim_transvection,"
                 "psd_ok,bound_lhs,bound_rhs,equality")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``symidx`` argument parser, built once per process, so that an
+    in-process caller of :func:`main` pays for it once; ``parse_args``
+    keeps no state in it between calls."""
     parser = argparse.ArgumentParser(
         prog="symidx",
         description="Index of symmetry computations for compact "

@@ -7,13 +7,16 @@ are validated against the shipped JSON Schemas before any numerics run;
 schema violations raise :class:`SpaceFormatError` carrying a JSON pointer
 to the offending element.
 
-Validation is linear in the size of the document.  The validator is
-built once per schema, and its ``items`` keyword accepts an array of
-numbers, however deeply nested, with one type test per number instead
-of jsonschema's walk through every element; any array that test does
-not accept is handed to that walk, so invalid documents get jsonschema's
-own errors.  On so(12)/so(11), with 287 496 structure constants, this
-takes validation from about 1.5 s to about 36 ms.
+Validation is linear in the size of the document.  A plain accept check,
+:func:`_surely_valid`, decides the documents the schema surely accepts
+without importing jsonschema.  Only a document it does not accept goes
+to jsonschema, so every error keeps jsonschema's own message and
+pointer.  That validator is built once, and its ``items`` keyword
+accepts an array of numbers, however deeply nested, with one type test
+per number instead of jsonschema's walk through every element; any
+array that test does not accept is handed to that walk.  On
+so(12)/so(11), with 287 496 structure constants, this takes validation
+of an invalid document from about 1.5 s to about 36 ms.
 """
 
 from __future__ import annotations
@@ -52,6 +55,9 @@ class SpaceFormatError(ValueError):
         self.pointer = pointer or "/"
 
 
+_SPACE_SCHEMA = "space.schema.json"
+
+
 def _load_schema(name: str) -> dict:
     text = resources.files("symidx.schemas").joinpath(name).read_text()
     return json.loads(text)
@@ -79,9 +85,46 @@ def _numbers_only(instance: list, items_schema) -> bool:
     return False
 
 
+_SPACE_REQUIRED = frozenset(("algebra", "isotropy", "metric"))
+_SPACE_KEYS = _SPACE_REQUIRED | {"complement", "label"}
+_ALGEBRA_REQUIRED = frozenset(("dim", "labels", "structure"))
+_ALGEBRA_KEYS = _ALGEBRA_REQUIRED | {"convention_note"}
+_ROW = {"type": "array", "items": {"type": "number"}}
+_SLICE = {"type": "array", "items": _ROW}
+
+
+def _surely_valid(document) -> bool:
+    """Whether :data:`_SPACE_SCHEMA` surely accepts ``document``.
+
+    False means "not decided here", not "invalid".  Types are matched
+    exactly, as in :func:`_numbers_only`: bool, a float ``dim`` and numpy
+    scalars are left to jsonschema.
+    """
+    if not (type(document) is dict
+            and _SPACE_REQUIRED <= document.keys() <= _SPACE_KEYS
+            and type(document.get("label", "")) is str
+            and all(type(document[key]) is list
+                    and _numbers_only(document[key], _ROW)
+                    for key in ("isotropy", "complement", "metric")
+                    if key in document)):
+        return False
+    algebra = document["algebra"]
+    if type(algebra) is str:
+        return True
+    return (type(algebra) is dict
+            and _ALGEBRA_REQUIRED <= algebra.keys() <= _ALGEBRA_KEYS
+            and type(algebra["dim"]) is int and algebra["dim"] >= 0
+            and type(algebra["labels"]) is list
+            and all(type(label) is str for label in algebra["labels"])
+            and type(algebra["structure"]) is list
+            and _numbers_only(algebra["structure"], _SLICE)
+            and type(algebra.get("convention_note", "")) is str)
+
+
 @functools.cache
-def _validator(schema_name: str):
-    """Draft 2020-12 validator for a shipped schema, built once per name.
+def _validator():
+    """Draft 2020-12 validator for :data:`_SPACE_SCHEMA`, built once, for
+    the documents :func:`_surely_valid` does not accept.
 
     Its ``items`` keyword accepts an array of numbers, or nested arrays
     ending in numbers, with one type test per number.  Anything that test
@@ -90,7 +133,7 @@ def _validator(schema_name: str):
     stock validator.
     """
     # imported here: jsonschema takes tens of milliseconds to import, and
-    # only commands that read documents need it
+    # only documents that the accept check leaves undecided need it
     import jsonschema
 
     stock = jsonschema.Draft202012Validator.VALIDATORS["items"]
@@ -103,11 +146,15 @@ def _validator(schema_name: str):
 
     cls = jsonschema.validators.extend(jsonschema.Draft202012Validator,
                                        {"items": items})
-    return cls(_load_schema(schema_name))
+    return cls(_load_schema(_SPACE_SCHEMA))
 
 
-def _validate(document: dict, schema_name: str):
-    errors = sorted(_validator(schema_name).iter_errors(document),
+def _validate(document: dict):
+    """Raise :class:`SpaceFormatError` at the first error, in document
+    order, unless :data:`_SPACE_SCHEMA` accepts ``document``."""
+    if _surely_valid(document):
+        return
+    errors = sorted(_validator().iter_errors(document),
                     key=lambda e: list(e.absolute_path))
     if errors:
         first = errors[0]
@@ -187,7 +234,7 @@ def space_from_dict(document: dict, tol: float = DEFAULT_TOL) -> HomogeneousSpac
     constructors; only format problems, array shapes and non-finite
     numbers among them, raise :class:`SpaceFormatError`.
     """
-    _validate(document, "space.schema.json")
+    _validate(document)
     algebra = _algebra(document["algebra"])
     iso = Subspace(algebra.dim,
                    _vectors_to_basis(document["isotropy"], algebra.dim,
@@ -215,7 +262,8 @@ def load_space(path: str, tol: float = DEFAULT_TOL) -> HomogeneousSpace:
     """Read and validate a space document from a file.
 
     ``NaN``, ``Infinity`` and ``-Infinity``, which Python's ``json`` reads
-    by default but JSON does not define, raise :class:`SpaceFormatError`.
+    by default but JSON does not define, raise :class:`SpaceFormatError`,
+    and so does a file that is not UTF-8.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -224,6 +272,8 @@ def load_space(path: str, tol: float = DEFAULT_TOL) -> HomogeneousSpace:
             raise SpaceFormatError(
                 f"not valid JSON: {exc.msg} (line {exc.lineno}, "
                 f"column {exc.colno})") from exc
+        except UnicodeDecodeError as exc:
+            raise SpaceFormatError(f"not valid UTF-8: {exc}") from exc
     if not isinstance(document, dict):
         raise SpaceFormatError("top level must be an object")
     return space_from_dict(document, tol)

@@ -138,6 +138,17 @@ def test_jacobi_prints_the_unit_cluster_by_its_canonical_basis(
         assert "-0.0" not in out
 
 
+def _run_script(script: str):
+    """Run ``script`` in a fresh interpreter that imports this checkout's
+    symidx, and require it to exit 0."""
+    src = os.path.dirname(os.path.dirname(symidx.__file__))
+    paths = [src, os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_scipy_is_not_imported(tmp_path):
     sphere = tmp_path / "sphere.json"
     sphere.write_text(json.dumps(space_to_dict(round_sphere(3)[0])))
@@ -157,12 +168,47 @@ for argv in (["index", "--space", {str(sphere)!r}],
     assert code == 0, argv
     assert "scipy" not in sys.modules, argv
 """
-    src = os.path.dirname(os.path.dirname(symidx.__file__))
-    paths = [src, os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
-    proc = subprocess.run([sys.executable, "-c", script], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
+    _run_script(script)
+
+
+def test_jsonschema_is_imported_only_for_an_invalid_document(tmp_path):
+    sphere = tmp_path / "sphere.json"
+    sphere.write_text(json.dumps(space_to_dict(round_sphere(3)[0])))
+    bad = space_to_dict(round_sphere(3)[0])
+    bad["metric"][0][0] = True
+    invalid = tmp_path / "invalid.json"
+    invalid.write_text(json.dumps(bad))
+    script = f"""
+import contextlib, io, sys
+import symidx
+assert "jsonschema" not in sys.modules, "import symidx"
+from symidx.cli import main
+for argv in (["index", "--space", {str(sphere)!r}],
+             ["jacobi", "--space", {str(sphere)!r}, "--direction", "0"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0, argv
+    assert "jsonschema" not in sys.modules, argv
+err = io.StringIO()
+with contextlib.redirect_stderr(err):
+    assert main(["index", "--space", {str(invalid)!r}]) == 2
+assert err.getvalue() == "error: /metric/0/0: True is not of type 'number'\\n", \\
+    err.getvalue()
+assert "jsonschema" in sys.modules
+"""
+    _run_script(script)
+
+
+def test_the_cached_parser_carries_nothing_between_calls(capsys,
+                                                         squashed_file):
+    assert cli.build_parser() is cli.build_parser()
+    assert json.loads(run(capsys, "index", "--space", squashed_file,
+                          "--augment")[1])["augmented"] is True
+    assert json.loads(run(capsys, "index", "--space",
+                          squashed_file)[1])["augmented"] is False
+    assert run(capsys, "sweep", "--family", "spin3")[0] == 2
+    code, out, _ = run(capsys, "sweep", "--family", "spin3", "--t", "1.5")
+    assert code == 0
+    assert out.splitlines()[0] == SWEEP_HEADER and len(out.splitlines()) == 2
 
 
 def test_index_augment_flag(capsys, squashed_file):
@@ -225,6 +271,15 @@ def test_an_unreadable_file_is_exit_two(capsys, tmp_path):
                        "--direction", "0")
     assert code == 2
     assert err.startswith(f"error: cannot read {tmp_path}: ")
+
+
+def test_a_document_that_is_not_utf8_is_exit_two(capsys, tmp_path):
+    path = tmp_path / "latin.json"
+    path.write_bytes(b"\xff\xfe{}")
+    code, _, err = run(capsys, "index", "--space", str(path))
+    assert code == 2
+    assert err.startswith("error: not valid UTF-8: ")
+    assert err.count("\n") == 1
 
 
 def test_a_failed_write_to_stdout_is_not_a_read_error(

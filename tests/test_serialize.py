@@ -252,7 +252,7 @@ def _stock_error(document):
     SpaceFormatError would render it, or None for a valid document."""
     import jsonschema
 
-    schema = serialize._load_schema("space.schema.json")
+    schema = serialize._load_schema(serialize._SPACE_SCHEMA)
     errors = sorted(
         jsonschema.Draft202012Validator(schema).iter_errors(document),
         key=lambda e: list(e.absolute_path))
@@ -265,7 +265,7 @@ def _stock_error(document):
 
 def _fast_error(document):
     try:
-        serialize._validate(document, "space.schema.json")
+        serialize._validate(document)
     except SpaceFormatError as exc:
         return str(exc), exc.pointer
     return None
@@ -329,15 +329,21 @@ def test_validation_agrees_with_the_stock_validator():
     """Seeded mutations of emitted documents get the same verdict from the
     fast path as from jsonschema's own Draft 2020-12 validator, and the
     same first message and pointer when they are invalid.  True is the
-    case to watch: bool is an int subclass but not a JSON number."""
+    case to watch: bool is an int subclass but not a JSON number.  The
+    accept check takes every emitted document, one per catalog template
+    and an inline so(5)/so(4) without its complement among them, so
+    valid documents never reach jsonschema; and it never takes a document
+    the stock validator rejects."""
     rng = np.random.default_rng(20260)
     seen = {"valid": 0, "invalid": 0}
     for document in _differential_documents():
         assert _fast_error(document) is None is _stock_error(document)
+        assert serialize._surely_valid(document)
         for _ in range(30):
             mutated = _mutate(document, rng)
             want = _stock_error(mutated)
             assert _fast_error(mutated) == want
+            assert want is None or not serialize._surely_valid(mutated)
             seen["valid" if want is None else "invalid"] += 1
     assert seen["valid"] >= 50 and seen["invalid"] >= 100
 
@@ -351,6 +357,8 @@ def test_validation_agrees_with_the_stock_validator():
     (("algebra", "structure", 1, 2), 1.0),
     (("algebra", "labels"), [1.0, 2.0, 3.0]),
     (("metric", 0), [True, 0.0]),
+    (("label",), 1.0),
+    (("algebra", "convention_note"), ["so(3)"]),
 ])
 def test_placed_defects_agree_with_the_stock_validator(where, value):
     sp, _ = round_sphere(2)
@@ -360,6 +368,19 @@ def test_placed_defects_agree_with_the_stock_validator(where, value):
         node = node[key]
     node[where[-1]] = value
     assert _fast_error(doc) == _stock_error(doc) is not None
+    assert not serialize._surely_valid(doc)
+
+
+@pytest.mark.parametrize("change", [
+    {"dim": 3.0}, {"dim": np.int64(3)}, {"dim": True}, {"dim": -1}])
+def test_the_accept_check_leaves_doubtful_algebras_to_jsonschema(change):
+    """A ``dim`` of 3.0, which jsonschema counts as an integer, a numpy
+    integer, a bool and a negative number are left to jsonschema, which
+    accepts the first and rejects the rest as before."""
+    doc = json.loads(json.dumps(space_to_dict(round_sphere(2)[0])))
+    doc["algebra"].update(change)
+    assert not serialize._surely_valid(doc)
+    assert _fast_error(doc) == _stock_error(doc)
 
 
 def test_number_arrays_under_further_keywords_are_left_to_jsonschema():

@@ -106,14 +106,16 @@ def _spin4_m_basis(lam: float) -> np.ndarray:
     return m
 
 
-def so4_so2(lam: float, s: float, t: float | None = None):
+def so4_so2(lam: float, s: float, t: float | None = None,
+            tol: float = DEFAULT_TOL):
     """Circle quotients of Spin(4) with a two-parameter invariant metric.
 
     The circle winds through both factors with slope ``lam``; the metric
     assigns 2 to the two diagonal directions, ``s`` to the weighted
     i-direction and ``t`` to the remaining two.  The default ``t = 2 - s``
     is the coupled stratum where two independent Killing fields become
-    parallel at the base point.
+    parallel at the base point.  ``tol`` is the space's tolerance (see
+    :class:`~symidx.homspace.HomogeneousSpace`).
     """
     if not 0.0 < lam <= 1.0:
         raise ValueError(f"slope parameter {lam} outside (0, 1]")
@@ -132,6 +134,7 @@ def so4_so2(lam: float, s: float, t: float | None = None):
         BilinearForm(np.diag([2.0, 2.0, s, t, t])),
         complement=Subspace(6, _spin4_m_basis(lam)),
         label=f"Spin(4)/S1 lam={lam:g} s={s:g} t={t:g}",
+        tol=tol,
     )
     info = {
         "family": "so4-so2",
@@ -147,13 +150,14 @@ def so4_so2(lam: float, s: float, t: float | None = None):
 # metrics on the three-sphere group
 # ---------------------------------------------------------------------------
 
-def spin3_metric(a1: float, a2: float, a3: float):
+def spin3_metric(a1: float, a2: float, a3: float, tol: float = DEFAULT_TOL):
     """The group of unit quaternions with a diagonal left metric.
 
     Tangent basis order is (j, k, i) and the Gram matrix diag(a1, a2, a3)
     is expressed in units of one eighth of the Killing form, so
     (1, 1, 1) is the round sphere of radius one half and (t, t, 2) the
-    classical squashed family with distinguished i-direction.
+    classical squashed family with distinguished i-direction.  ``tol`` is
+    the space's tolerance.
     """
     for name, val in (("a1", a1), ("a2", a2), ("a3", a3)):
         if val <= 0.0:
@@ -169,27 +173,28 @@ def spin3_metric(a1: float, a2: float, a3: float):
         BilinearForm(np.diag([a1, a2, a3])),
         complement=Subspace(3, m),
         label=f"Spin(3) metric ({a1:g}, {a2:g}, {a3:g})",
+        tol=tol,
     )
     info = {"family": "spin3", "a": (a1, a2, a3), "representation": rep}
     return sp, info
 
 
-def spin3_one_parameter(s: float):
+def spin3_one_parameter(s: float, tol: float = DEFAULT_TOL):
     """The line of metrics (s, 2-s, 2) whose i-direction stays parallel."""
     if not 0.0 < s < 1.0:
         raise ValueError(f"parameter s={s} outside (0, 1)")
-    sp, info = spin3_metric(s, 2.0 - s, 2.0)
+    sp, info = spin3_metric(s, 2.0 - s, 2.0, tol)
     info = dict(info, family="spin3-line", s=s)
     return sp, info
 
 
-def spin3_berger(t: float):
+def spin3_berger(t: float, tol: float = DEFAULT_TOL):
     """The squashed metrics (t, t, 2); t = 2 (the round case) is excluded."""
     if t <= 0.0:
         raise ValueError(f"parameter t={t} must be positive")
     if abs(t - 2.0) <= 1e-12:
         raise ValueError("t=2 is the round sphere, not a squashed metric")
-    sp, info = spin3_metric(t, t, 2.0)
+    sp, info = spin3_metric(t, t, 2.0, tol)
     info = dict(info, family="spin3-berger", t=t)
     return sp, info
 
@@ -198,7 +203,7 @@ def spin3_berger(t: float):
 # product of a small and a unit sphere
 # ---------------------------------------------------------------------------
 
-def product_of_spheres(rho: float):
+def product_of_spheres(rho: float, tol: float = DEFAULT_TOL):
     """S^2 of radius rho times the unit S^3, as one orbit of Spin(3)xSpin(3).
 
     The first factor acts by conjugation on imaginary quaternions, the
@@ -207,7 +212,8 @@ def product_of_spheres(rho: float):
     ambient R^3 x R^4.  The complement is chosen to diagonalize it,
     reusing the circle-quotient basis at slope 1/(1+2 rho^2); the
     resulting Gram matrix is the coupled two-parameter metric scaled by
-    the homothety recorded in the info dictionary.
+    the homothety recorded in the info dictionary.  ``tol`` is the
+    space's tolerance, the isotropy kernel's included.
     """
     if rho <= 0.0:
         raise ValueError(f"radius rho={rho} must be positive")
@@ -232,10 +238,11 @@ def product_of_spheres(rho: float):
     values = embed @ m
     sp = HomogeneousSpace(
         alg,
-        Subspace.kernel_of(embed),
+        Subspace.kernel_of(embed, tol),
         BilinearForm(values.T @ values),
         complement=Subspace(6, m),
         label=f"S^2({rho:g}) x S^3",
+        tol=tol,
     )
     info = {
         "family": "product-spheres",
@@ -346,9 +353,9 @@ def cp2_centriole():
     der = derived_subalgebra(alg)
     gram_sub = _induced_gram(inner, _orbit_tangents(rep, p), der.basis)
     b_sub = killing_form_positive(alg).restricted_to(der)
-    w, vecs = pencil_eigh(8.0 * gram_sub, b_sub, 1e-9)
+    w, vecs = pencil_eigh(8.0 * gram_sub, b_sub, sp.tol)
     multiplicities = tuple(sorted((c.stop - c.start
-                                   for c in eigenvalue_clusters(w, 1e-9)),
+                                   for c in eigenvalue_clusters(w, sp.tol)),
                                   reverse=True))
 
     in_fiber = fiber.contains_columns(sp.evaluate(der.basis @ vecs))
@@ -356,7 +363,7 @@ def cp2_centriole():
         raise RuntimeError("internal: no pencil eigenvector is tangent "
                            "to the fiber")
     distinguished = w[np.argmax(in_fiber)]
-    others = w[np.abs(w - distinguished) > 1e-9]
+    others = w[np.abs(w - distinguished) > sp.tol]
     berger_t = 2.0 * others[0] / distinguished if others.size else 2.0
 
     report = CentrioleReport(

@@ -128,8 +128,8 @@ def _emit_json(payload) -> None:
     print(json.dumps(payload, indent=2, sort_keys=True))
 
 
-def _cmd_verify(args, tol, structure_hook) -> int:
-    outcomes = run_checks(args.filter, structure_hook=structure_hook)
+def _cmd_verify(args) -> int:
+    outcomes = run_checks(args.filter)
     if not outcomes:
         print(f"error: no check matches filter {args.filter!r}",
               file=sys.stderr)
@@ -141,9 +141,9 @@ def _cmd_verify(args, tol, structure_hook) -> int:
 def _cmd_index(args, tol) -> int:
     sp = load_space(args.space, tol)
     if args.augment:
-        sp = augment_left_invariant(sp, tol)
-    report = transvection_space(sp, tol)
-    bound = symmetry_ideal(sp, report, tol)
+        sp = augment_left_invariant(sp)
+    report = transvection_space(sp)
+    bound = symmetry_ideal(sp, report)
     _emit_json({
         "label": sp.label,
         "dim": sp.dim,
@@ -209,8 +209,9 @@ def _fmt(value) -> str:
 
 
 def _sweep_points(args, parser):
-    """Yield (lam, s, t, rho, builder_args) per grid point; the first four
-    entries are the CSV parameter fields (None prints empty)."""
+    """Yield (lam, s, t, rho, build) per grid point: the CSV parameter
+    fields (None prints empty) and the catalog builder of the point's
+    space, its parameters bound, still to be called with ``tol=``."""
     family = args.family
     if family == "so4-so2":
         if args.rho is not None:
@@ -227,7 +228,7 @@ def _sweep_points(args, parser):
                 for t in tvals:
                     t_used = 2.0 - s if t is None else t
                     yield (lam, s, t_used, None,
-                           lambda lam=lam, s=s, t=t: catalog.so4_so2(lam, s, t))
+                           functools.partial(catalog.so4_so2, lam, s, t))
     elif family == "spin3":
         if args.lam is not None or args.rho is not None:
             parser.error("spin3 sweeps take only --s or --t")
@@ -238,11 +239,11 @@ def _sweep_points(args, parser):
         if args.s is not None:
             for s in _parse_grid(args.s, parser, "s"):
                 yield (None, s, None, None,
-                       lambda s=s: catalog.spin3_one_parameter(s))
+                       functools.partial(catalog.spin3_one_parameter, s))
         else:
             for t in _parse_grid(args.t, parser, "t"):
                 yield (None, None, t, None,
-                       lambda t=t: catalog.spin3_berger(t))
+                       functools.partial(catalog.spin3_berger, t))
     else:
         if any(v is not None for v in (args.lam, args.s, args.t)) \
                 or args.coupled:
@@ -251,7 +252,7 @@ def _sweep_points(args, parser):
             parser.error("product-spheres needs --rho")
         for rho in _parse_grid(args.rho, parser, "rho"):
             yield (None, None, None, rho,
-                   lambda rho=rho: catalog.product_of_spheres(rho))
+                   functools.partial(catalog.product_of_spheres, rho))
 
 
 def _counted(count: int, noun: str) -> str:
@@ -263,12 +264,12 @@ def _cmd_sweep(args, tol, parser) -> int:
     skipped = refused = 0
     for lam, s, t, rho, build in _sweep_points(args, parser):
         try:
-            sp, _ = build()
+            sp, _ = build(tol=tol)
         except ValueError:
             skipped += 1
             continue
-        report = transvection_space(sp, tol)
-        bound = symmetry_ideal(sp, report, tol)
+        report = transvection_space(sp)
+        bound = symmetry_ideal(sp, report)
         psd_ok, point_refused = _psd_flag(sp, report)
         refused += point_refused
         fields = [_fmt(lam), _fmt(s), _fmt(t), _fmt(rho),
@@ -298,7 +299,7 @@ def _cmd_jacobi(args, tol, parser) -> int:
     return 0
 
 
-def _cmd_catalog(args, tol, parser) -> int:
+def _cmd_catalog(args, parser) -> int:
     if args.action == "list":
         for template in catalog.CATALOG_TEMPLATES:
             print(template)
@@ -314,20 +315,20 @@ def _cmd_catalog(args, tol, parser) -> int:
     return 0
 
 
-def main(argv=None, structure_hook=None) -> int:
+def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
         tol = _resolve_tol(args, parser)
         if args.command == "verify":
-            return _cmd_verify(args, tol, structure_hook)
+            return _cmd_verify(args)
         if args.command == "index":
             return _cmd_index(args, tol)
         if args.command == "sweep":
             return _cmd_sweep(args, tol, parser)
         if args.command == "jacobi":
             return _cmd_jacobi(args, tol, parser)
-        return _cmd_catalog(args, tol, parser)
+        return _cmd_catalog(args, parser)
     except SystemExit as exc:
         code = exc.code
         return int(code) if code is not None else 0

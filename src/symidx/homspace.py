@@ -74,6 +74,12 @@ class HomogeneousSpace:
         Inner product on the tangent space, in complement coordinates.
     label : str
         Display name used in reports.
+    tol : float
+        Cutoff of every rank decision about the space, fixed here: the
+        validation below and, read as ``sp.tol``, the parallel fields of
+        :func:`transvection_space`, the ideals of :func:`symmetry_ideal`
+        and :func:`perpendicular_killing_space`, and the bi-invariant
+        directions of :func:`augment_left_invariant`.
 
     Raises
     ------
@@ -289,8 +295,7 @@ class JacobiSpectrum:
 # parallel Killing fields and the symmetry index
 # ---------------------------------------------------------------------------
 
-def transvection_space(sp: HomogeneousSpace,
-                       tol: float = DEFAULT_TOL) -> TransvectionReport:
+def transvection_space(sp: HomogeneousSpace) -> TransvectionReport:
     """Compute the parallel-at-base Killing fields and the symmetry index.
 
     The kernel of the stacked derivative operator gives ``p_space``; its
@@ -299,7 +304,7 @@ def transvection_space(sp: HomogeneousSpace,
     ``k_space + p_space`` is checked for the expected bracket relations
     ``[k, k] in k`` and ``[k, p] in p``.
     """
-    alg = sp.algebra
+    alg, tol = sp.algebra, sp.tol
     p = Subspace.kernel_of(sp.nabla_operator(), tol)
     s = Subspace.from_spanning(sp.dim, sp.eval_matrix @ p.basis, tol)
     first, second = pair_indices(p.dim)
@@ -318,8 +323,8 @@ def transvection_space(sp: HomogeneousSpace,
     )
 
 
-def symmetry_ideal(sp: HomogeneousSpace, report: TransvectionReport | None = None,
-                   tol: float = DEFAULT_TOL) -> BoundReport:
+def symmetry_ideal(sp: HomogeneousSpace,
+                   report: TransvectionReport | None = None) -> BoundReport:
     """Split off the ideal responsible for the parallel directions.
 
     Seeds the largest-ideal iteration with isotropy plus the lifted
@@ -328,8 +333,8 @@ def symmetry_ideal(sp: HomogeneousSpace, report: TransvectionReport | None = Non
     its dimension enters the bound ``2 dim(g_prime) <= k (k + 1)``.
     """
     if report is None:
-        report = transvection_space(sp, tol)
-    alg = sp.algebra
+        report = transvection_space(sp)
+    alg, tol = sp.algebra, sp.tol
     n = alg.dim
     seed = Subspace.from_spanning(
         n, np.hstack([sp.h_basis, sp.m_basis @ report.s_space.basis]), tol)
@@ -357,8 +362,8 @@ def symmetry_ideal(sp: HomogeneousSpace, report: TransvectionReport | None = Non
 
 
 def perpendicular_killing_space(sp: HomogeneousSpace,
-                                report: TransvectionReport | None = None,
-                                tol: float = DEFAULT_TOL) -> Subspace:
+                                report: TransvectionReport | None = None
+                                ) -> Subspace:
     """Largest bracket-stable space of fields orthogonal to ``s_space``.
 
     Starts from all Killing fields whose base point value is orthogonal to
@@ -366,32 +371,32 @@ def perpendicular_killing_space(sp: HomogeneousSpace,
     under ``k_space`` and ``p_space``.
     """
     if report is None:
-        report = transvection_space(sp, tol)
+        report = transvection_space(sp)
     rows = report.s_space.basis.T @ sp.metric.gram @ sp.eval_matrix
-    seed = Subspace.kernel_of(rows, tol)
+    seed = Subspace.kernel_of(rows, sp.tol)
     gens = np.hstack([report.k_space.basis, report.p_space.basis])
-    return largest_invariant_subspace(sp.algebra, gens, seed, tol)
+    return largest_invariant_subspace(sp.algebra, gens, seed, sp.tol)
 
 
 # ---------------------------------------------------------------------------
 # curvature along homogeneous geodesics
 # ---------------------------------------------------------------------------
 
-def _curvature(sp: HomogeneousSpace, xs: np.ndarray, tol: float) -> tuple:
+def _curvature(sp: HomogeneousSpace, xs: np.ndarray) -> tuple:
     """The curvature operators along the orbit geodesics of the columns of
     ``xs``, and the residuals of their preconditions, all at once.
 
     Returns ``(fields, speed, drift, lift, asym, ops, lowered)``, indexed
     first by column: the field at unit speed (where its speed, the length
-    of its value at the base point, exceeds ``tol``), that speed, the
-    covariant derivative of the unit field along itself, the lift and
+    of its value at the base point, exceeds ``CHECK_TOL``), that speed,
+    the covariant derivative of the unit field along itself, the lift and
     self-adjointness residuals of R(., c')c', that operator in tangent
     coordinates, and the metric times it.
     """
     g, e = sp.metric.gram, sp.eval_matrix
     vals = e @ xs
     speed = np.sqrt(((g @ vals) * vals).sum(axis=0))
-    xn = xs / np.where(speed > tol, speed, 1.0)
+    xn = xs / np.where(speed > CHECK_TOL, speed, 1.0)
     vn = e @ xn
     nabla = np.tensordot(xn.T, sp._nabla_basis, axes=1)
     drift = np.linalg.norm(np.einsum("cab,bc->ca", nabla, vn), axis=1)
@@ -404,20 +409,19 @@ def _curvature(sp: HomogeneousSpace, xs: np.ndarray, tol: float) -> tuple:
     return xn.T, speed, drift, lift, asym, op, go
 
 
-def _require_geodesic(speed: float, drift: float, tol: float) -> None:
+def _require_geodesic(speed: float, drift: float) -> None:
     """Raise unless a field of this speed and drift (see
     :func:`_curvature`) has a geodesic orbit through the base point."""
-    if not speed > tol:
+    if not speed > CHECK_TOL:
         raise ValueError("field evaluates to zero at the base point; "
                          "it generates no geodesic direction")
-    if drift > tol:
+    if drift > CHECK_TOL:
         raise ValueError(
             f"orbit of the field is not a geodesic at the base point "
             f"(covariant derivative along itself has norm {drift:.3e})")
 
 
-def jacobi_operator(sp: HomogeneousSpace, x: np.ndarray,
-                    tol: float = CHECK_TOL) -> JacobiSpectrum:
+def jacobi_operator(sp: HomogeneousSpace, x: np.ndarray) -> JacobiSpectrum:
     """Curvature operator R(., c')c' along the orbit geodesic of a field.
 
     Parameters
@@ -429,9 +433,6 @@ def jacobi_operator(sp: HomogeneousSpace, x: np.ndarray,
         unit speed at the base point, so the eigenvalues are sectional
         curvatures of the planes spanned by the direction and the
         eigenvectors.
-    tol : float
-        Ceiling for the geodesic precondition and the self-adjointness
-        and lift-independence residuals.
 
     Raises
     ------
@@ -439,50 +440,54 @@ def jacobi_operator(sp: HomogeneousSpace, x: np.ndarray,
         If the field vanishes at the base point, or its orbit is not a
         geodesic there (nonzero covariant derivative in its own
         direction), or the double bracket depends on the isotropy part of
-        lifts, which would make the operator ill-defined.
+        lifts, which would make the operator ill-defined.  Each of these
+        residuals is held to :data:`~symidx.liealg.CHECK_TOL`, and
+        ``psd_ok`` allows a smallest eigenvalue down to ``-CHECK_TOL``.
     """
     xn, speed, drift, lift, asym, op, go = (
-        v[0] for v in _curvature(sp, np.asarray(x, dtype=float)[:, None], tol))
-    _require_geodesic(speed, drift, tol)
-    if lift > tol:
+        v[0] for v in _curvature(sp, np.asarray(x, dtype=float)[:, None]))
+    _require_geodesic(speed, drift)
+    if lift > CHECK_TOL:
         raise ValueError(
             f"curvature operator depends on the lift "
             f"(isotropy residual {lift:.3e})")
-    if asym > tol:
+    if asym > CHECK_TOL:
         raise ValueError(
             f"curvature operator is not self-adjoint for the metric "
             f"(residual {asym:.3e})")
-    w, vecs = pencil_eigh(0.5 * (go + go.T), sp.metric.gram, tol)
+    w, vecs = pencil_eigh(0.5 * (go + go.T), sp.metric.gram, CHECK_TOL)
     return JacobiSpectrum(
         direction=xn, operator=op, eigenvalues=w, eigenvectors=vecs,
-        psd_ok=bool(w[0] >= -tol), selfadjoint_residual=float(asym),
+        psd_ok=bool(w[0] >= -CHECK_TOL), selfadjoint_residual=float(asym),
     )
 
 
-def curvature_psd(sp: HomogeneousSpace, xs: np.ndarray,
-                  tol: float = CHECK_TOL) -> tuple[np.ndarray, np.ndarray]:
+def curvature_psd(sp: HomogeneousSpace,
+                  xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Whether the curvature operator along the orbit geodesic of each
     column of ``xs`` is positive semidefinite, all columns at once.
 
     Returns ``(psd_ok, refused)``, two boolean arrays with one entry per
     column.  A column is refused exactly where :func:`jacobi_operator`
-    raises, by the same rules and ``tol``: its value at the base point has
-    length at most ``tol``, the covariant derivative of the unit-speed
-    field along itself (the drift off the geodesic) exceeds ``tol``, or
-    the operator's lift or self-adjointness residual does.  Elsewhere
-    ``psd_ok`` is :func:`jacobi_operator`'s rule, smallest eigenvalue at
-    least ``-tol``; it is False where the column is refused.
+    raises, by the same rules and :data:`~symidx.liealg.CHECK_TOL`: its
+    value at the base point has length at most the tolerance, the
+    covariant derivative of the unit-speed field along itself (the drift
+    off the geodesic) exceeds it, or the operator's lift or
+    self-adjointness residual does.  Elsewhere ``psd_ok`` is
+    :func:`jacobi_operator`'s rule, smallest eigenvalue at least minus
+    the tolerance; it is False where the column is refused.
 
     The operators are whitened by the Cholesky factor of the metric and
     their eigenvalues taken by one ``eigvalsh``.
     """
     _, speed, drift, lift, asym, _, go = _curvature(
-        sp, np.asarray(xs, dtype=float), tol)
-    refused = ~(speed > tol) | (drift > tol) | (lift > tol) | (asym > tol)
+        sp, np.asarray(xs, dtype=float))
+    refused = (~(speed > CHECK_TOL) | (drift > CHECK_TOL)
+               | (lift > CHECK_TOL) | (asym > CHECK_TOL))
     white = np.linalg.inv(np.linalg.cholesky(sp.metric.gram))
     w = np.linalg.eigvalsh(white @ (0.5 * (go + go.transpose(0, 2, 1)))
                            @ white.T)
-    return ~refused & np.all(w >= -tol, axis=1), refused
+    return ~refused & np.all(w >= -CHECK_TOL, axis=1), refused
 
 
 def _cos_sin_like(kappa: float, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -527,8 +532,7 @@ def jacobi_field(sp: HomogeneousSpace, spectrum: JacobiSpectrum,
 # augmentation by invariant fields from the other side
 # ---------------------------------------------------------------------------
 
-def augment_left_invariant(sp: HomogeneousSpace,
-                           tol: float = DEFAULT_TOL) -> HomogeneousSpace:
+def augment_left_invariant(sp: HomogeneousSpace) -> HomogeneousSpace:
     """Enlarge the Killing algebra of a group manifold by bi-invariant
     directions acting from the other side.
 
@@ -546,7 +550,7 @@ def augment_left_invariant(sp: HomogeneousSpace,
     alg = sp.algebra
     n = alg.dim
     form = sp.eval_matrix.T @ sp.metric.gram @ sp.eval_matrix
-    a = bi_invariant_directions(alg, form, tol)
+    a = bi_invariant_directions(alg, form, sp.tol)
     q = a.dim
     if q == 0:
         return sp
@@ -580,7 +584,7 @@ def augment_left_invariant(sp: HomogeneousSpace,
 # ---------------------------------------------------------------------------
 
 def closed_geodesic_length(sp: HomogeneousSpace, representation: np.ndarray,
-                           x: np.ndarray, tol: float = CHECK_TOL) -> float:
+                           x: np.ndarray) -> float:
     """Length of the closed orbit geodesic generated by the field x.
 
     The period is that of the one-parameter group ``exp(t X)`` in the
@@ -595,32 +599,32 @@ def closed_geodesic_length(sp: HomogeneousSpace, representation: np.ndarray,
         If the orbit is not a geodesic at the base point, the generator
         has eigenvalues off the imaginary axis (no periodic flow), the
         ratio of some frequency to the smallest one is not within relative
-        ``tol`` of a fraction with denominator at most
-        :data:`MAX_WINDING_DENOMINATOR` (incommensurable, or winding too
+        :data:`~symidx.liealg.CHECK_TOL` of a fraction with denominator at
+        most :data:`MAX_WINDING_DENOMINATOR` (incommensurable, or winding too
         finely to resolve), or the field is in the kernel of the
         representation.
     """
     x = np.asarray(x, dtype=float)
-    speed, drift = (v[0] for v in _curvature(sp, x[:, None], tol)[1:3])
-    _require_geodesic(speed, drift, tol)
+    speed, drift = (v[0] for v in _curvature(sp, x[:, None])[1:3])
+    _require_geodesic(speed, drift)
     gen = np.einsum("i,ijk->jk", x, np.asarray(representation))
-    scale = max(1.0, float(np.max(np.abs(gen))))
+    cutoff = CHECK_TOL * max(1.0, float(np.max(np.abs(gen))))
     eig = np.linalg.eigvals(gen)
-    if float(np.max(np.abs(eig.real))) > tol * scale:
+    if float(np.max(np.abs(eig.real))) > cutoff:
         raise ValueError("generator has eigenvalues off the imaginary axis; "
                          "the flow is not periodic")
     freqs = np.abs(eig.imag)
-    freqs = freqs[freqs > tol * scale]
+    freqs = freqs[freqs > cutoff]
     if freqs.size == 0:
         raise ValueError("field is in the kernel of the representation; "
                          "no period is defined")
     freqs.sort()
     base = freqs[0]
     multiples = []
-    for f in (freqs[c.start] for c in eigenvalue_clusters(freqs, tol * scale)):
+    for f in (freqs[c.start] for c in eigenvalue_clusters(freqs, cutoff)):
         ratio = f / base
         frac = Fraction(ratio).limit_denominator(MAX_WINDING_DENOMINATOR)
-        if abs(float(frac) - ratio) > tol * ratio:
+        if abs(float(frac) - ratio) > CHECK_TOL * ratio:
             raise ValueError(
                 f"frequencies {base:.6g} and {f:.6g} are incommensurable "
                 f"(ratio {ratio:.12g} is {abs(float(frac) - ratio):.3e} from "

@@ -68,13 +68,6 @@ def _derivatives(values: np.ndarray, step: float):
     return values[0], np.tensordot(_WEIGHTS, per_axis, (0, 1)) / (12 * step)
 
 
-def central_difference(f, x0: np.ndarray, axis: int, step: float) -> np.ndarray:
-    """Fourth order central difference of an array-valued function."""
-    e = np.eye(len(x0))[axis]
-    values = [f(x0 + t * e) for t in _stencil(np.zeros(1), step)[:, 0]]
-    return _derivatives(np.array(values), step)[1][0]
-
-
 class ExponentialChart:
     """Normal-style coordinates on a homogeneous space near the base point.
 

@@ -6,9 +6,9 @@ the origin of the expected value: ``published`` for classical facts,
 ``derived`` for values frozen after computing them with the independent
 oracles in :mod:`symidx.numcheck`, ``trivial`` for structural assertions.
 
-The first check validates structure tensors and accepts an optional
-corruption hook so the test suite can confirm that a broken tensor makes
-the whole run fail.
+The first check rebuilds a structure tensor through :class:`LieAlgebra`'s
+validation; it is the negative-control fixture of the test suite, which
+corrupts that tensor to confirm that a broken one makes the run fail.
 """
 
 from __future__ import annotations
@@ -76,12 +76,9 @@ def _opposite_directions(space) -> np.ndarray:
 # check bodies
 # ---------------------------------------------------------------------------
 
-def _check_structure_tensor(hook):
+def _check_structure_tensor():
     alg, _ = so_elementary(4)
-    tensor = alg.structure.copy()
-    if hook is not None:
-        tensor = hook(tensor)
-    rebuilt = LieAlgebra(alg.dim, alg.basis_labels, tensor)
+    rebuilt = LieAlgebra(alg.dim, alg.basis_labels, alg.structure.copy())
     residual = rebuilt.jacobi_residual()
     return ({"max_residual": 1e-9}, {"jacobi_residual": residual})
 
@@ -417,22 +414,15 @@ CHECKS = (
 CHECK_NAMES = tuple(name for name, _, _ in CHECKS)
 
 
-def run_checks(name_filter: str | None = None,
-               structure_hook=None) -> list[VerificationOutcome]:
-    """Run the bundled checks, optionally restricted by substring.
-
-    ``structure_hook`` is applied to the tensor inside the structure
-    validation check only; it exists so tests can prove that a corrupted
-    tensor is caught.
-    """
+def run_checks(name_filter: str | None = None) -> list[VerificationOutcome]:
+    """Run the bundled checks, optionally restricted by substring."""
     outcomes = []
     for name, provenance, fn in CHECKS:
         if name_filter and name_filter not in name:
             continue
-        args = (structure_hook,) if name == "structure-tensor-validation" else ()
         start = time.perf_counter()
         try:
-            expected, actual = fn(*args)
+            expected, actual = fn()
             outcome = VerificationOutcome(
                 check_name=name, status="pass", provenance=provenance,
                 expected=expected, actual=actual)

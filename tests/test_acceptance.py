@@ -70,16 +70,23 @@ def test_full_registry_is_green():
     assert not failing, f"failing checks: {failing}"
 
 
-def corrupt(structure):
-    broken = structure.copy()
-    broken[0, 1, 2] += 1e-3
-    return broken
+def corrupt_structure_tensors(monkeypatch):
+    """Make the structure validation check rebuild a corrupted tensor."""
+    lie_algebra = verify.LieAlgebra
+
+    def corrupted(dim, labels, structure, *args, **kwargs):
+        broken = structure.copy()
+        broken[0, 1, 2] += 1e-3
+        return lie_algebra(dim, labels, broken, *args, **kwargs)
+
+    monkeypatch.setattr(verify, "LieAlgebra", corrupted)
 
 
-def test_negative_control_fails_the_run():
+def test_negative_control_fails_the_run(monkeypatch):
     """A corrupted structure tensor must be caught, proving the checks
     can fail at all."""
-    outcomes = run_checks("structure", structure_hook=corrupt)
+    corrupt_structure_tensors(monkeypatch)
+    outcomes = run_checks("structure")
     assert len(outcomes) == 1
     assert outcomes[0].status == "fail"
     assert "antisymmetric" in outcomes[0].detail
@@ -120,9 +127,10 @@ def test_integrated_oracle_catches_a_wrong_closed_form(monkeypatch):
     assert "closed form and integrated field differ" in outcomes[0].detail
 
 
-def test_every_outcome_carries_its_duration():
-    outcomes = (run_checks("spin3")
-                + run_checks("structure", structure_hook=corrupt))
+def test_every_outcome_carries_its_duration(monkeypatch):
+    outcomes = run_checks("spin3")
+    corrupt_structure_tensors(monkeypatch)
+    outcomes += run_checks("structure")
     assert [o.status for o in outcomes] == ["pass", "pass", "fail"]
     for outcome in outcomes:
         printed = outcome_to_dict(outcome)["duration_ms"]

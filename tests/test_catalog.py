@@ -126,6 +126,20 @@ def test_orbit_space_builds_the_space_with_its_tolerance():
     assert sp.tol == 1e-6
 
 
+def test_builders_build_the_space_with_their_tolerance():
+    """1e-8 off the coupled stratum, two singular values of the parallel
+    field equation are about 1e-8: a space built at 1e-5 decides index 2."""
+    sp, _ = so4_so2(0.5, 0.8, 1.2 + 1e-8, tol=1e-5)
+    assert sp.tol == 1e-5
+    assert transvection_space(sp).index == 2
+    assert transvection_space(so4_so2(0.5, 0.8, 1.2 + 1e-8)[0]).index == 0
+    for sp, _ in (spin3_metric(1.0, 2.0, 3.0, tol=1e-7),
+                  spin3_one_parameter(0.5, tol=1e-7),
+                  spin3_berger(1.5, tol=1e-7),
+                  product_of_spheres(1.0, tol=1e-7)):
+        assert sp.tol == 1e-7
+
+
 def test_centriole_report():
     sp, report = cp2_centriole()
     assert report.dim_sphere == 3

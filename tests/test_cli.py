@@ -14,7 +14,7 @@ from symidx.catalog import (
     so4_so2,
     spin3_berger,
 )
-from symidx import cli
+from symidx import cli, verify
 from symidx.cli import SWEEP_HEADER, main
 from symidx.homspace import jacobi_operator, transvection_space
 from symidx.liealg import canonical_basis
@@ -35,8 +35,8 @@ def squashed_file(tmp_path):
     return str(path)
 
 
-def run(capsys, *argv, **kwargs):
-    code = main(list(argv), **kwargs)
+def run(capsys, *argv):
+    code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -64,14 +64,16 @@ def test_verify_filter_without_match_fails(capsys):
     assert "no check" in err
 
 
-def test_verify_negative_control(capsys):
-    def corrupt(structure):
+def test_verify_negative_control(capsys, monkeypatch):
+    lie_algebra = verify.LieAlgebra
+
+    def corrupted(dim, labels, structure, *args, **kwargs):
         broken = structure.copy()
         broken[0, 1, 2] += 1e-3
-        return broken
+        return lie_algebra(dim, labels, broken, *args, **kwargs)
 
-    code, out, _ = run(capsys, "verify", "--filter", "structure",
-                       structure_hook=corrupt)
+    monkeypatch.setattr(verify, "LieAlgebra", corrupted)
+    code, out, _ = run(capsys, "verify", "--filter", "structure")
     assert code == 1
     payload = json.loads(out)
     assert payload[0]["status"] == "fail"
@@ -431,6 +433,42 @@ def test_tolerance_sources(capsys, quotient_file, monkeypatch):
     assert run(capsys, "index", "--space", quotient_file)[0] == 0
     monkeypatch.setenv("SYMIDX_TOL", "not-a-number")
     assert run(capsys, "index", "--space", quotient_file)[0] == 2
+
+
+def _recording_tolerances(monkeypatch):
+    """The tolerances of the spaces whose index the CLI computes."""
+    seen = []
+    inner = cli.transvection_space
+
+    def recording(sp):
+        seen.append(sp.tol)
+        return inner(sp)
+
+    monkeypatch.setattr(cli, "transvection_space", recording)
+    return seen
+
+
+def test_tol_decides_the_index_near_the_coupled_stratum(capsys, tmp_path,
+                                                        monkeypatch):
+    """``--tol`` reaches the space and with it every rank decision: 1e-8
+    off the coupled stratum the index is 0 at the default and 2 at 1e-5."""
+    seen = _recording_tolerances(monkeypatch)
+    path = tmp_path / "near.json"
+    path.write_text(json.dumps(space_to_dict(so4_so2(0.5, 0.8, 1.2 + 1e-8)[0])))
+    code, out, _ = run(capsys, "index", "--space", str(path))
+    assert code == 0
+    assert json.loads(out)["transvection"]["index"] == 0
+    code, out, _ = run(capsys, "index", "--space", str(path), "--tol", "1e-5")
+    assert code == 0
+    assert json.loads(out)["transvection"]["index"] == 2
+
+    code, out, _ = run(capsys, "sweep", "--family", "so4-so2", "--lambda",
+                       "0.5", "--s", "0.8", "--t", "1.20000001",
+                       "--tol", "1e-5")
+    assert code == 0
+    assert out.splitlines() == [SWEEP_HEADER,
+                                "0.5,0.8,1.20000001,,2,3,3,true,12,12,true"]
+    assert seen == [1e-9, 1e-5, 1e-5]
 
 
 def test_usage_errors_exit_with_two(capsys):

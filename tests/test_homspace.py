@@ -1,6 +1,9 @@
+import inspect
+
 import numpy as np
 import pytest
 
+from symidx import homspace
 from symidx.liealg import (
     BilinearForm,
     LieAlgebra,
@@ -299,6 +302,12 @@ def test_augmented_round_metric_recovers_full_symmetry():
     assert rep.index == 3 and rep.coindex == 0
 
 
+def test_augmented_space_keeps_the_tolerance():
+    aug = augment_left_invariant(spin3_berger(1.5, tol=1e-7)[0])
+    assert aug.algebra.dim == 4
+    assert aug.tol == 1e-7
+
+
 def test_augmentation_requires_trivial_isotropy():
     sp, _ = round_sphere(2)
     with pytest.raises(ValueError, match="trivial isotropy"):
@@ -542,3 +551,23 @@ def test_length_error_paths():
     with pytest.raises(ValueError, match="not a geodesic"):
         closed_geodesic_length(squashed, info["representation"],
                                np.array([1.0, 1.0, 0.0]))
+
+
+# -- one tolerance per space ------------------------------------------------
+
+def test_no_function_of_a_space_takes_its_own_tolerance():
+    """A space carries the tolerance it was built with; a function of a
+    space that took another would decide ranks at a second cutoff."""
+    of_a_space = {}
+    for name, fn in inspect.getmembers(homspace, inspect.isfunction):
+        if name.startswith("_") or fn.__module__ != homspace.__name__:
+            continue
+        params = list(inspect.signature(fn, eval_str=True).parameters.values())
+        if params and params[0].annotation is HomogeneousSpace:
+            of_a_space[name] = [p.name for p in params]
+    assert {"transvection_space", "symmetry_ideal",
+            "perpendicular_killing_space", "augment_left_invariant",
+            "jacobi_operator", "curvature_psd",
+            "closed_geodesic_length"} <= set(of_a_space)
+    taking_tol = sorted(n for n, params in of_a_space.items() if "tol" in params)
+    assert not taking_tol, f"functions of a space that take tol: {taking_tol}"

@@ -22,19 +22,23 @@ from symidx.numcheck import (
     INNER_STEP,
     OUTER_STEP,
     ExponentialChart,
+    _derivatives,
     _exp_and_differential,
-    central_difference,
+    _stencil,
     integrate_field_equation,
 )
 
 
 def test_central_difference_order():
+    """The oracles' stencil is fourth order: at step 1e-3 its error is
+    below 1e-11 (a second order one would miss by 1e-7 or more)."""
     def f(x):
-        return np.array([np.sin(x[0]), np.cos(2.0 * x[0])])
+        return np.stack([np.sin(x[..., 0]), np.cos(2.0 * x[..., 0])], axis=-1)
 
-    d = central_difference(f, np.array([0.7]), axis=0, step=1e-3)
+    step = 1e-3
+    _, d = _derivatives(f(_stencil(np.array([0.7]), step)), step)
     exact = np.array([np.cos(0.7), -2.0 * np.sin(1.4)])
-    np.testing.assert_allclose(d, exact, atol=1e-11)
+    np.testing.assert_allclose(d[0], exact, atol=1e-11)
 
 
 def test_frame_is_the_identity_at_the_origin():

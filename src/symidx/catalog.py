@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .homspace import HomogeneousSpace, transvection_space
+from .homspace import HomogeneousSpace, Presentation, transvection_space
 from .liealg import (
     DEFAULT_TOL,
     BilinearForm,
@@ -41,18 +41,19 @@ from .liealg import (
 # round spheres
 # ---------------------------------------------------------------------------
 
-def round_sphere(n: int):
-    """The unit sphere S^n as a rotation group orbit.
+def round_sphere(n: int, tol: float = DEFAULT_TOL):
+    """The unit sphere S^n, n >= 1, as a rotation group orbit.
 
     The Killing algebra is so(n+1) on the elementary skew basis; the
     isotropy fixes the first coordinate axis and the complement consists
     of the rotations moving it.  The metric is the identity Gram matrix,
     which pins the radius to one: every tangent basis direction generates
     a great circle of length 2 pi and the curvature operator along it has
-    one zero eigenvalue and n-1 eigenvalues equal to one.
+    one zero eigenvalue and n-1 eigenvalues equal to one.  ``tol`` is the
+    space's tolerance (see :class:`~symidx.homspace.Presentation`).
     """
-    if not 2 <= n <= 5:
-        raise ValueError(f"sphere dimension {n} outside the supported range 2..5")
+    if n < 1:
+        raise ValueError(f"sphere dimension {n} must be at least 1")
     alg, rep = so_elementary(n + 1)
     pairs = list(itertools.combinations(range(n + 1), 2))
     h_idx = [k for k, (a, _) in enumerate(pairs) if a > 0]
@@ -64,6 +65,7 @@ def round_sphere(n: int):
         BilinearForm(np.eye(n)),
         complement=Subspace(alg.dim, eye[:, m_idx]),
         label=f"round sphere S^{n}",
+        tol=tol,
     )
     info = {
         "family": "round-sphere",
@@ -106,6 +108,26 @@ def _spin4_m_basis(lam: float) -> np.ndarray:
     return m
 
 
+def so4_so2_presentation(lam: float, tol: float = DEFAULT_TOL) -> Presentation:
+    """The quotient of :func:`so4_so2` without its metric."""
+    if not 0.0 < lam <= 1.0:
+        raise ValueError(f"slope parameter {lam} outside (0, 1]")
+    alg, _ = _spin4()
+    iso = np.zeros((6, 1))
+    iso[0, 0] = iso[3, 0] = 1.0
+    return Presentation(alg, Subspace(6, iso),
+                        Subspace(6, _spin4_m_basis(lam)), tol)
+
+
+def so4_so2_gram(s: float, t: float) -> np.ndarray:
+    """The Gram matrix diag(2, 2, s, t, t) of :func:`so4_so2`."""
+    if not 0.0 < s < 2.0:
+        raise ValueError(f"metric parameter s={s} outside (0, 2)")
+    if t <= 0.0:
+        raise ValueError(f"metric parameter t={t} must be positive")
+    return np.diag([2.0, 2.0, s, t, t])
+
+
 def so4_so2(lam: float, s: float, t: float | None = None,
             tol: float = DEFAULT_TOL):
     """Circle quotients of Spin(4) with a two-parameter invariant metric.
@@ -115,27 +137,13 @@ def so4_so2(lam: float, s: float, t: float | None = None,
     i-direction and ``t`` to the remaining two.  The default ``t = 2 - s``
     is the coupled stratum where two independent Killing fields become
     parallel at the base point.  ``tol`` is the space's tolerance (see
-    :class:`~symidx.homspace.HomogeneousSpace`).
+    :class:`~symidx.homspace.Presentation`).
     """
-    if not 0.0 < lam <= 1.0:
-        raise ValueError(f"slope parameter {lam} outside (0, 1]")
-    if not 0.0 < s < 2.0:
-        raise ValueError(f"metric parameter s={s} outside (0, 2)")
+    pres = so4_so2_presentation(lam, tol)
     if t is None:
         t = 2.0 - s
-    if t <= 0.0:
-        raise ValueError(f"metric parameter t={t} must be positive")
-    alg, _ = _spin4()
-    iso = np.zeros((6, 1))
-    iso[0, 0] = iso[3, 0] = 1.0
-    sp = HomogeneousSpace(
-        alg,
-        Subspace(6, iso),
-        BilinearForm(np.diag([2.0, 2.0, s, t, t])),
-        complement=Subspace(6, _spin4_m_basis(lam)),
-        label=f"Spin(4)/S1 lam={lam:g} s={s:g} t={t:g}",
-        tol=tol,
-    )
+    sp = pres.space(BilinearForm(so4_so2_gram(s, t)),
+                    label=f"Spin(4)/S1 lam={lam:g} s={s:g} t={t:g}")
     info = {
         "family": "so4-so2",
         "lam": lam,
@@ -150,6 +158,14 @@ def so4_so2(lam: float, s: float, t: float | None = None,
 # metrics on the three-sphere group
 # ---------------------------------------------------------------------------
 
+def spin3_presentation(tol: float = DEFAULT_TOL) -> Presentation:
+    """Spin(3) with tangent basis order (j, k, i), without a metric."""
+    m = np.zeros((3, 3))
+    m[1, 0] = m[2, 1] = m[0, 2] = 1.0  # j, k, i
+    return Presentation(spin3_quaternion()[0], Subspace.zero(3), Subspace(3, m),
+                        tol)
+
+
 def spin3_metric(a1: float, a2: float, a3: float, tol: float = DEFAULT_TOL):
     """The group of unit quaternions with a diagonal left metric.
 
@@ -162,41 +178,40 @@ def spin3_metric(a1: float, a2: float, a3: float, tol: float = DEFAULT_TOL):
     for name, val in (("a1", a1), ("a2", a2), ("a3", a3)):
         if val <= 0.0:
             raise ValueError(f"metric coefficient {name}={val} must be positive")
-    alg, rep = spin3_quaternion()
-    m = np.zeros((3, 3))
-    m[1, 0] = 1.0  # j
-    m[2, 1] = 1.0  # k
-    m[0, 2] = 1.0  # i
-    sp = HomogeneousSpace(
-        alg,
-        Subspace.zero(3),
+    sp = spin3_presentation(tol).space(
         BilinearForm(np.diag([a1, a2, a3])),
-        complement=Subspace(3, m),
-        label=f"Spin(3) metric ({a1:g}, {a2:g}, {a3:g})",
-        tol=tol,
-    )
-    info = {"family": "spin3", "a": (a1, a2, a3), "representation": rep}
+        label=f"Spin(3) metric ({a1:g}, {a2:g}, {a3:g})")
+    info = {"family": "spin3", "a": (a1, a2, a3),
+            "representation": spin3_quaternion()[1]}
     return sp, info
 
 
-def spin3_one_parameter(s: float, tol: float = DEFAULT_TOL):
-    """The line of metrics (s, 2-s, 2) whose i-direction stays parallel."""
+def spin3_line(s: float) -> tuple:
+    """The metric coefficients (s, 2-s, 2) of :func:`spin3_one_parameter`."""
     if not 0.0 < s < 1.0:
         raise ValueError(f"parameter s={s} outside (0, 1)")
-    sp, info = spin3_metric(s, 2.0 - s, 2.0, tol)
-    info = dict(info, family="spin3-line", s=s)
-    return sp, info
+    return s, 2.0 - s, 2.0
 
 
-def spin3_berger(t: float, tol: float = DEFAULT_TOL):
-    """The squashed metrics (t, t, 2); t = 2 (the round case) is excluded."""
+def spin3_squashed(t: float) -> tuple:
+    """The metric coefficients (t, t, 2) of :func:`spin3_berger`."""
     if t <= 0.0:
         raise ValueError(f"parameter t={t} must be positive")
     if abs(t - 2.0) <= 1e-12:
         raise ValueError("t=2 is the round sphere, not a squashed metric")
-    sp, info = spin3_metric(t, t, 2.0, tol)
-    info = dict(info, family="spin3-berger", t=t)
-    return sp, info
+    return t, t, 2.0
+
+
+def spin3_one_parameter(s: float, tol: float = DEFAULT_TOL):
+    """The line of metrics (s, 2-s, 2) whose i-direction stays parallel."""
+    sp, info = spin3_metric(*spin3_line(s), tol)
+    return sp, dict(info, family="spin3-line", s=s)
+
+
+def spin3_berger(t: float, tol: float = DEFAULT_TOL):
+    """The squashed metrics (t, t, 2); t = 2 (the round case) is excluded."""
+    sp, info = spin3_metric(*spin3_squashed(t), tol)
+    return sp, dict(info, family="spin3-berger", t=t)
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +329,7 @@ class CentrioleReport:
     fiber_tangent: Subspace
 
 
-def cp2_centriole():
+def cp2_centriole(tol: float = DEFAULT_TOL):
     """Distance sphere around a projective line in the projective plane.
 
     The stabilizer of the line (one unitary block plus a phase) acts on
@@ -323,6 +338,8 @@ def cp2_centriole():
     line.  The plane is normalized to holomorphic curvature 4 by the
     half-trace inner product, and the induced metric on the orbit is a
     squashed three-sphere whose squashing ratio the report records.
+    ``tol`` is the space's tolerance, and that of every rank decision
+    behind the report.
     """
     t1 = np.diag([2j, -1j, -1j])
     t2 = np.diag([0.0, 1j, -1j])
@@ -341,21 +358,22 @@ def cp2_centriole():
         return 0.5 * float(np.real(np.trace(a @ b)))
 
     sp = orbit_space(alg, rep, p, inner,
-                     label="distance sphere around a line in CP^2")
+                     label="distance sphere around a line in CP^2", tol=tol)
 
     pole_stabilizer = Subspace.kernel_of(
-        _flatten_real(_orbit_tangents(rep, pole)).T)
+        _flatten_real(_orbit_tangents(rep, pole)).T, tol)
     dim_base = alg.dim - pole_stabilizer.dim
-    fiber = Subspace.from_spanning(sp.dim, sp.evaluate(pole_stabilizer.basis))
+    fiber = Subspace.from_spanning(sp.dim, sp.evaluate(pole_stabilizer.basis),
+                                   tol)
 
     report_t = transvection_space(sp)
 
-    der = derived_subalgebra(alg)
+    der = derived_subalgebra(alg, tol)
     gram_sub = _induced_gram(inner, _orbit_tangents(rep, p), der.basis)
     b_sub = killing_form_positive(alg).restricted_to(der)
-    w, vecs = pencil_eigh(8.0 * gram_sub, b_sub, sp.tol)
+    w, vecs = pencil_eigh(8.0 * gram_sub, b_sub, tol)
     multiplicities = tuple(sorted((c.stop - c.start
-                                   for c in eigenvalue_clusters(w, sp.tol)),
+                                   for c in eigenvalue_clusters(w, tol)),
                                   reverse=True))
 
     in_fiber = fiber.contains_columns(sp.evaluate(der.basis @ vecs))
@@ -363,7 +381,7 @@ def cp2_centriole():
         raise RuntimeError("internal: no pencil eigenvector is tangent "
                            "to the fiber")
     distinguished = w[np.argmax(in_fiber)]
-    others = w[np.abs(w - distinguished) > sp.tol]
+    others = w[np.abs(w - distinguished) > tol]
     berger_t = 2.0 * others[0] / distinguished if others.size else 2.0
 
     report = CentrioleReport(
@@ -405,8 +423,9 @@ def _split_params(text: str, count_min: int, count_max: int, name: str):
                          f"parameter") from None
 
 
-def from_name(name: str):
-    """Build a catalog space from its colon-and-comma name.
+def from_name(name: str, tol: float = DEFAULT_TOL):
+    """Build a catalog space from its colon-and-comma name, at the
+    tolerance ``tol``.
 
     Accepted forms are listed in ``CATALOG_TEMPLATES``; parameters are
     floats except the sphere dimension.
@@ -417,20 +436,20 @@ def from_name(name: str):
         n = int(params[0])
         if n != params[0]:
             raise ValueError(f"sphere dimension must be an integer, got {tail}")
-        return round_sphere(n)
+        return round_sphere(n, tol)
     if head == "so4-so2":
         params = _split_params(tail, 2, 3, name)
-        return so4_so2(*params)
+        return so4_so2(*params, tol=tol)
     if head == "spin3":
         params = _split_params(tail, 3, 3, name)
-        return spin3_metric(*params)
+        return spin3_metric(*params, tol=tol)
     if head == "product-spheres":
         params = _split_params(tail, 1, 1, name)
-        return product_of_spheres(params[0])
+        return product_of_spheres(params[0], tol)
     if head == "cp2-centriole":
         if tail:
             raise ValueError("cp2-centriole takes no parameters")
-        sp, report = cp2_centriole()
+        sp, report = cp2_centriole(tol)
         return sp, {"family": "cp2-centriole", "report": report}
     raise ValueError(f"unknown catalog name {name!r}; known forms: "
                      + ", ".join(CATALOG_TEMPLATES))

@@ -34,12 +34,12 @@ import numpy as np
 from . import catalog
 from .homspace import (
     augment_left_invariant,
-    curvature_psd,
     jacobi_operator,
     symmetry_ideal,
     transvection_space,
+    transvection_stack,
 )
-from .liealg import DEFAULT_TOL
+from .liealg import DEFAULT_TOL, checked_tol
 from .serialize import (
     SpaceFormatError,
     bound_to_dict,
@@ -113,15 +113,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_tol(args, parser) -> float:
-    if args.tol is not None:
-        return args.tol
-    env = os.environ.get("SYMIDX_TOL")
-    if env:
-        try:
-            return float(env)
-        except ValueError:
-            parser.error(f"SYMIDX_TOL={env!r} is not a number")
-    return DEFAULT_TOL
+    """``--tol``, else ``SYMIDX_TOL``, else the default; a tolerance that is
+    not a finite number in (0, 1) is a usage error."""
+    source, tol = "--tol", args.tol
+    if tol is None:
+        source, tol = "SYMIDX_TOL", os.environ.get("SYMIDX_TOL") or DEFAULT_TOL
+    try:
+        return checked_tol(tol)
+    except ValueError as exc:
+        parser.error(f"{source}={tol}: {exc}")
 
 
 def _emit_json(payload) -> None:
@@ -180,24 +180,6 @@ def _parse_grid(text: str, parser, name: str) -> list[float]:
     return values
 
 
-def _psd_flag(sp, report) -> tuple[bool, int]:
-    """``(psd_ok, refused)`` of the curvature operators along the tangent
-    basis directions and the parallel fields of a sweep point.
-
-    A candidate is refused when its curvature operator along an orbit
-    geodesic is not defined: its value at the base point is zero (a
-    parallel field inside the isotropy), its orbit is not a geodesic
-    (most tangent basis directions of a non-naturally-reductive metric),
-    or the operator depends on the lift or is not self-adjoint.  Refused
-    candidates say nothing about positivity; ``psd_ok`` holds when every
-    other candidate's operator is positive semidefinite, and ``refused``
-    counts the rest.
-    """
-    candidates = np.hstack([sp.m_basis, report.p_space.basis])
-    psd_ok, refused = curvature_psd(sp, candidates)
-    return bool(np.all(psd_ok | refused)), int(np.count_nonzero(refused))
-
-
 def _fmt(value) -> str:
     if value is None:
         return ""
@@ -209,9 +191,10 @@ def _fmt(value) -> str:
 
 
 def _sweep_points(args, parser):
-    """Yield (lam, s, t, rho, build) per grid point: the CSV parameter
-    fields (None prints empty) and the catalog builder of the point's
-    space, its parameters bound, still to be called with ``tol=``."""
+    """Yield (presentation, points) per presentation of the grid: its
+    builder, to call with the tolerance, and per point the CSV parameter
+    fields (None prints empty) and the Gram matrix as a function of the
+    presentation.  Builders raise ``ValueError`` outside their family."""
     family = args.family
     if family == "so4-so2":
         if args.rho is not None:
@@ -223,12 +206,12 @@ def _sweep_points(args, parser):
         lams = _parse_grid(args.lam, parser, "lambda")
         svals = _parse_grid(args.s, parser, "s")
         tvals = [None] if args.coupled else _parse_grid(args.t, parser, "t")
+        pairs = [(s, 2.0 - s if t is None else t) for s in svals for t in tvals]
         for lam in lams:
-            for s in svals:
-                for t in tvals:
-                    t_used = 2.0 - s if t is None else t
-                    yield (lam, s, t_used, None,
-                           functools.partial(catalog.so4_so2, lam, s, t))
+            yield (functools.partial(catalog.so4_so2_presentation, lam),
+                   [((lam, s, t, None),
+                     lambda _, s=s, t=t: catalog.so4_so2_gram(s, t))
+                    for s, t in pairs])
     elif family == "spin3":
         if args.lam is not None or args.rho is not None:
             parser.error("spin3 sweeps take only --s or --t")
@@ -237,22 +220,25 @@ def _sweep_points(args, parser):
         if args.coupled:
             parser.error("--coupled does not apply to spin3")
         if args.s is not None:
-            for s in _parse_grid(args.s, parser, "s"):
-                yield (None, s, None, None,
-                       functools.partial(catalog.spin3_one_parameter, s))
+            points = [((None, s, None, None),
+                       lambda _, s=s: np.diag(catalog.spin3_line(s)))
+                      for s in _parse_grid(args.s, parser, "s")]
         else:
-            for t in _parse_grid(args.t, parser, "t"):
-                yield (None, None, t, None,
-                       functools.partial(catalog.spin3_berger, t))
+            points = [((None, None, t, None),
+                       lambda _, t=t: np.diag(catalog.spin3_squashed(t)))
+                      for t in _parse_grid(args.t, parser, "t")]
+        yield catalog.spin3_presentation, points
     else:
         if any(v is not None for v in (args.lam, args.s, args.t)) \
                 or args.coupled:
             parser.error("product-spheres sweeps take only --rho")
         if args.rho is None:
             parser.error("product-spheres needs --rho")
+        # the isotropy and complement move with rho: the point's space is
+        # its own presentation
         for rho in _parse_grid(args.rho, parser, "rho"):
-            yield (None, None, None, rho,
-                   functools.partial(catalog.product_of_spheres, rho))
+            yield (lambda tol, rho=rho: catalog.product_of_spheres(rho, tol)[0],
+                   [((None, None, None, rho), lambda sp: sp.metric.gram)])
 
 
 def _counted(count: int, noun: str) -> str:
@@ -260,23 +246,35 @@ def _counted(count: int, noun: str) -> str:
 
 
 def _cmd_sweep(args, tol, parser) -> int:
+    """Validate each presentation of the grid once and decide its metrics
+    by one :func:`transvection_stack`; a point that its builders or the
+    metric checks refuse is skipped."""
     rows = []
     skipped = refused = 0
-    for lam, s, t, rho, build in _sweep_points(args, parser):
+    for presentation, points in _sweep_points(args, parser):
         try:
-            sp, _ = build(tol=tol)
+            pres = presentation(tol)
         except ValueError:
-            skipped += 1
+            skipped += len(points)
             continue
-        report = transvection_space(sp)
-        bound = symmetry_ideal(sp, report)
-        psd_ok, point_refused = _psd_flag(sp, report)
-        refused += point_refused
-        fields = [_fmt(lam), _fmt(s), _fmt(t), _fmt(rho),
-                  _fmt(report.index), _fmt(report.coindex),
-                  _fmt(report.dim_transvection), _fmt(psd_ok),
-                  _fmt(bound.lhs), _fmt(bound.rhs), _fmt(bound.equality)]
-        rows.append(",".join(fields))
+        fields, grams = [], []
+        for params, gram in points:
+            try:
+                grams.append(gram(pres))
+                fields.append(params)
+            except ValueError:
+                skipped += 1
+        reports, psd_ok, point_refused = transvection_stack(pres, grams)
+        refused += int(point_refused.sum())
+        skipped += reports.count(None)
+        for params, report, psd in zip(fields, reports, psd_ok):
+            if report is None:
+                continue
+            bound = symmetry_ideal(pres, report)
+            rows.append(",".join([
+                *map(_fmt, params), _fmt(report.index), _fmt(report.coindex),
+                _fmt(report.dim_transvection), _fmt(bool(psd)),
+                _fmt(bound.lhs), _fmt(bound.rhs), _fmt(bound.equality)]))
     rows.sort()
     print(SWEEP_HEADER)
     for row in rows:
@@ -299,7 +297,7 @@ def _cmd_jacobi(args, tol, parser) -> int:
     return 0
 
 
-def _cmd_catalog(args, parser) -> int:
+def _cmd_catalog(args, tol, parser) -> int:
     if args.action == "list":
         for template in catalog.CATALOG_TEMPLATES:
             print(template)
@@ -307,7 +305,7 @@ def _cmd_catalog(args, parser) -> int:
     if args.name is None:
         parser.error("catalog emit needs a name")
     try:
-        sp, _ = catalog.from_name(args.name)
+        sp, _ = catalog.from_name(args.name, tol)
     except ValueError as exc:  # an unknown name is unusable input
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -328,7 +326,7 @@ def main(argv=None) -> int:
             return _cmd_sweep(args, tol, parser)
         if args.command == "jacobi":
             return _cmd_jacobi(args, tol, parser)
-        return _cmd_catalog(args, parser)
+        return _cmd_catalog(args, tol, parser)
     except SystemExit as exc:
         code = exc.code
         return int(code) if code is not None else 0

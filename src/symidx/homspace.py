@@ -40,12 +40,15 @@ from .liealg import (
     adjoints,
     bi_invariant_directions,
     brackets,
+    checked_tol,
     eigenvalue_clusters,
     largest_invariant_subspace,
     numerical_rank,
     orthogonal_complement,
     pair_indices,
     pencil_eigh,
+    stacked_kernels,
+    stacked_spans,
 )
 
 #: Largest denominator accepted for the ratio of two orbit frequencies.
@@ -57,8 +60,9 @@ from .liealg import (
 MAX_WINDING_DENOMINATOR = 64
 
 
-class HomogeneousSpace:
-    """A reductive homogeneous space with an invariant metric.
+class Presentation:
+    """A reductive pair without a metric: what every invariant metric on it
+    shares, validated once.
 
     Parameters
     ----------
@@ -70,10 +74,6 @@ class HomogeneousSpace:
         Reductive complement identified with the tangent space.  When
         omitted it is the orthogonal complement of the isotropy for the
         ad-invariant reference form of the algebra.
-    metric : BilinearForm
-        Inner product on the tangent space, in complement coordinates.
-    label : str
-        Display name used in reports.
     tol : float
         Cutoff of every rank decision about the space, fixed here: the
         validation below and, read as ``sp.tol``, the parallel fields of
@@ -84,20 +84,17 @@ class HomogeneousSpace:
     Raises
     ------
     ValueError
-        If the isotropy is not a subalgebra, the complement is not
-        reductive or does not complete the isotropy to the whole algebra,
-        the metric is not positive definite, the isotropy fails to act
-        by metric-skew operators on the complement, or the pair is not
-        effective (a nonzero ideal of the algebra lies in the isotropy).
+        If ``tol`` is not a finite number in (0, 1), the isotropy is not a
+        subalgebra, the complement does not complete the isotropy to the
+        whole algebra or is not reductive, or the pair is not effective (a
+        nonzero ideal of the algebra lies in the isotropy).
     """
 
     def __init__(self, algebra: LieAlgebra, isotropy: Subspace,
-                 metric: BilinearForm, complement: Subspace | None = None,
-                 label: str = "", tol: float = DEFAULT_TOL):
+                 complement: Subspace | None = None, tol: float = DEFAULT_TOL):
         self.algebra = algebra
         self.isotropy = isotropy
-        self.label = label
-        self.tol = float(tol)
+        self.tol = tol = checked_tol(tol)
         n = algebra.dim
         if isotropy.ambient_dim != n:
             raise ValueError("isotropy lives in the wrong ambient dimension")
@@ -126,39 +123,20 @@ class HomogeneousSpace:
             raise ValueError("isotropy and complement overlap")
         t_inv = np.linalg.inv(t)
         self.h_basis = isotropy.basis
-        self.m_basis = complement.basis
+        self.m_basis = m = complement.basis
         self.h_coords = t_inv[: isotropy.dim, :]
         #: Value of a Killing field at the base point, as a matrix:
         #: tangent coordinates of the field with algebra coefficients x
         #: are ``eval_matrix @ x``.
         self.eval_matrix = t_inv[isotropy.dim:, :]
 
-        if metric.dim != complement.dim:
-            raise ValueError(
-                f"metric dimension {metric.dim} does not match the "
-                f"complement dimension {complement.dim}")
-        if not metric.is_positive_definite(tol):
-            raise ValueError("metric is not positive definite")
-        self.metric = metric
-        self._gram_inv = np.linalg.inv(metric.gram)
-
-        # reductivity and skew isotropy action of every isotropy vector at
-        # once; the first vector failing either is reported, reductivity first
-        imgs = adjoints(algebra, h) @ self.m_basis
+        imgs = adjoints(algebra, h) @ m
         reductive = np.abs(self.h_coords @ imgs).max(axis=(1, 2), initial=0.0)
-        ops = metric.gram @ self.eval_matrix @ imgs
-        skew = np.abs(ops + ops.transpose(0, 2, 1)).max(axis=(1, 2), initial=0.0)
-        bad = np.flatnonzero((reductive > CHECK_TOL) | (skew > CHECK_TOL))
+        bad = np.flatnonzero(reductive > CHECK_TOL)
         if bad.size:
-            a = bad[0]
-            if reductive[a] > CHECK_TOL:
-                raise ValueError(
-                    f"complement is not reductive: isotropy vector {a} maps "
-                    f"it outside itself (residual {reductive[a]:.3e})")
             raise ValueError(
-                f"isotropy vector {a} does not act skew-symmetrically "
-                f"for the metric (residual {skew[a]:.3e}); the metric "
-                f"is not invariant")
+                f"complement is not reductive: isotropy vector {bad[0]} maps "
+                f"it outside itself (residual {reductive[bad[0]]:.3e})")
 
         if isotropy.dim > 0:
             ineffective = largest_invariant_subspace(
@@ -168,7 +146,8 @@ class HomogeneousSpace:
                     f"the pair is not effective: an ideal of dimension "
                     f"{ineffective.dim} lies inside the isotropy")
 
-    # -- basic geometry -----------------------------------------------------
+        #: Tangent part of ad(h) m, the metric-free factor of the skew check.
+        self._e_ad_h_m = self.eval_matrix @ imgs
 
     @property
     def dim(self) -> int:
@@ -186,6 +165,46 @@ class HomogeneousSpace:
     def lift(self, v: np.ndarray) -> np.ndarray:
         """The complement lift of a tangent vector (a canonical Killing field)."""
         return self.m_basis @ np.asarray(v, dtype=float)
+
+    def space(self, metric: BilinearForm, label: str = "") -> "HomogeneousSpace":
+        """This presentation with ``metric``, by the metric checks alone."""
+        sp = HomogeneousSpace.__new__(HomogeneousSpace)
+        vars(sp).update(vars(self))
+        sp._set_metric(metric, label)
+        return sp
+
+
+class HomogeneousSpace(Presentation):
+    """A :class:`Presentation` with an invariant ``metric`` (a
+    :class:`~symidx.liealg.BilinearForm` on the tangent space, in complement
+    coordinates) and a display ``label``.  After the presentation's checks,
+    raises ``ValueError`` if the metric is not positive definite or the
+    isotropy fails to act by metric-skew operators on the complement.
+    """
+
+    def __init__(self, algebra: LieAlgebra, isotropy: Subspace,
+                 metric: BilinearForm, complement: Subspace | None = None,
+                 label: str = "", tol: float = DEFAULT_TOL):
+        super().__init__(algebra, isotropy, complement, tol)
+        self._set_metric(metric, label)
+
+    def _set_metric(self, metric: BilinearForm, label: str) -> None:
+        if metric.dim != self.dim:
+            raise ValueError(
+                f"metric dimension {metric.dim} does not match the "
+                f"complement dimension {self.dim}")
+        definite, skew = _metric_residuals(self, metric.gram[None])
+        if not definite[0] > self.tol:
+            raise ValueError("metric is not positive definite")
+        bad = np.flatnonzero(skew[0] > CHECK_TOL)
+        if bad.size:
+            raise ValueError(
+                f"isotropy vector {bad[0]} does not act skew-symmetrically "
+                f"for the metric (residual {skew[0, bad[0]]:.3e}); the metric "
+                f"is not invariant")
+        self.metric = metric
+        self.label = label
+        vars(self).pop("_nabla_basis", None)  # one copied by space()
 
     def tangent_norm(self, v: np.ndarray) -> float:
         v = np.asarray(v, dtype=float)
@@ -215,15 +234,34 @@ class HomogeneousSpace:
         """Slice ``[i]`` is :meth:`nabla_at_base` of basis vector i; the
         derivative is linear in the field, so contracting this stack with
         coefficients gives any field's (computed once, read-only)."""
-        g, e, m = self.metric.gram, self.eval_matrix, self.m_basis
-        gv = g @ e @ self.algebra.ad_stack @ m
-        # brackets of complement lifts, evaluated at the base point
-        mm = np.einsum("kab,ck->abc", brackets(self.algebra, m, m), e)
-        term2 = np.moveaxis(mm @ (g @ e), 2, 0)
-        rhs = 0.5 * (gv - gv.transpose(0, 2, 1) + term2)
-        nablas = self._gram_inv @ rhs.transpose(0, 2, 1)
+        nablas = _nablas(self, self.metric.gram[None])[0]
         nablas.flags.writeable = False
         return nablas
+
+
+def _metric_residuals(pres: Presentation, grams: np.ndarray) -> tuple:
+    """The metric checks of the Gram matrices ``grams`` (N, dim, dim):
+    ``definite[i]``, the smallest eigenvalue of ``grams[i]`` over the
+    largest or 1, must exceed ``pres.tol``, and ``skew[i, a]``, the
+    largest entry of ``G A + (G A)^T`` for the action A of isotropy
+    vector a, must not exceed :data:`~symidx.liealg.CHECK_TOL`."""
+    w = np.linalg.eigvalsh(grams) if pres.dim else np.ones((len(grams), 1))
+    ops = grams[:, None] @ pres._e_ad_h_m
+    return (w[:, 0] / np.maximum(1.0, w[:, -1]),
+            np.abs(ops + ops.swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0))
+
+
+def _nablas(pres: Presentation, grams: np.ndarray) -> np.ndarray:
+    """Shape (N, algebra dim, dim, dim): :attr:`HomogeneousSpace._nabla_basis`
+    for each metric of ``grams``, by the Koszul identity."""
+    alg, e, m = pres.algebra, pres.eval_matrix, pres.m_basis
+    ge = (grams @ e)[:, None]
+    gv = ge @ alg.ad_stack @ m
+    # brackets of complement lifts, evaluated at the base point
+    mm = np.einsum("kab,ck->abc", brackets(alg, m, m), e)
+    term2 = np.moveaxis(mm @ ge, -1, 1)
+    rhs = 0.5 * (gv - gv.swapaxes(-1, -2) + term2)
+    return np.linalg.inv(grams)[:, None] @ rhs.swapaxes(-1, -2)
 
 
 # ---------------------------------------------------------------------------
@@ -302,35 +340,87 @@ def transvection_space(sp: HomogeneousSpace) -> TransvectionReport:
     values at the base point give ``s_space`` whose dimension is the index
     of symmetry (relative to the supplied algebra).  The pair
     ``k_space + p_space`` is checked for the expected bracket relations
-    ``[k, k] in k`` and ``[k, p] in p``.
+    ``[k, k] in k`` and ``[k, p] in p``.  This is the one-metric case of
+    :func:`transvection_stack`.
     """
-    alg, tol = sp.algebra, sp.tol
-    p = Subspace.kernel_of(sp.nabla_operator(), tol)
-    s = Subspace.from_spanning(sp.dim, sp.eval_matrix @ p.basis, tol)
-    first, second = pair_indices(p.dim)
-    k = Subspace.from_spanning(
-        alg.dim, brackets(alg, p.basis, p.basis)[:, first, second], tol)
-
-    involutive = bool(
-        k.contains_columns(brackets(alg, k.basis, k.basis), CHECK_TOL).all()
-        and p.contains_columns(brackets(alg, k.basis, p.basis), CHECK_TOL).all())
-
-    joint = Subspace.from_spanning(alg.dim, np.hstack([k.basis, p.basis]), tol)
-    return TransvectionReport(
-        p_space=p, k_space=k, s_space=s,
-        index=s.dim, coindex=sp.dim - s.dim,
-        dim_transvection=joint.dim, involutive_ok=involutive,
-    )
+    return _transvections(sp, sp.metric.gram[None], sp._nabla_basis[None],
+                          curvature=False)[0][0]
 
 
-def symmetry_ideal(sp: HomogeneousSpace,
+def transvection_stack(pres: Presentation, grams: np.ndarray) -> tuple:
+    """:func:`transvection_space` and the sign of the curvature for each
+    metric of ``grams`` (N, dim, dim) on ``pres``, in stacked calls: one
+    each for the metric checks, the derivatives and the parallel fields,
+    then one per group of metrics with parallel fields of one dimension for
+    the spans and the curvature operators, with the one-metric cutoffs.
+
+    Returns ``(reports, psd_ok, refused)``.  ``reports[i]`` is None where
+    :class:`HomogeneousSpace` refuses the metric.  Of the curvature
+    candidates, the tangent basis directions and the parallel fields,
+    ``refused[i]`` counts those :func:`jacobi_operator` raises on, and
+    ``psd_ok[i]`` holds when the others' operators are all psd (see
+    :func:`curvature_psd`).
+    """
+    grams = np.asarray(grams, dtype=float).reshape(-1, pres.dim, pres.dim)
+    definite, skew = _metric_residuals(pres, grams)
+    ok = (definite > pres.tol) & np.all(skew <= CHECK_TOL, axis=1)
+    reports = [None] * len(grams)
+    psd_ok, refused = np.zeros(len(grams), bool), np.zeros(len(grams), int)
+    if ok.any():
+        found, psd_ok[ok], refused[ok] = _transvections(
+            pres, grams[ok], _nablas(pres, grams[ok]), curvature=True)
+        for i, report in zip(np.flatnonzero(ok).tolist(), found):
+            reports[i] = report
+    return reports, psd_ok, refused
+
+
+def _transvections(pres: Presentation, grams: np.ndarray, nablas: np.ndarray,
+                   curvature: bool) -> tuple:
+    """:func:`transvection_stack` for metrics that pass the metric checks,
+    given their :func:`_nablas`; without ``curvature`` the flags stay 0."""
+    alg, tol, n = pres.algebra, pres.tol, pres.algebra.dim
+    v, nullity = stacked_kernels(nablas.reshape(len(grams), n, -1)
+                                 .swapaxes(-1, -2), tol)
+    reports = [None] * len(grams)
+    psd_ok, refused = np.zeros(len(grams), bool), np.zeros(len(grams), int)
+    for k in sorted(set(nullity.tolist())):
+        group = np.flatnonzero(nullity == k)
+        p = v[group, :, n - k:]
+        s, s_rank = stacked_spans(pres.eval_matrix @ p, tol)
+        first, second = pair_indices(k)
+        kb, k_rank = stacked_spans(brackets(alg, p, p)[..., first, second], tol)
+        if curvature:
+            ms = np.broadcast_to(pres.m_basis, (len(group), n, pres.dim))
+            ok, out = _curvature_psd(pres, grams[group], nablas[group],
+                                     np.concatenate([ms, p], axis=-1))
+            psd_ok[group] = np.all(ok | out, axis=1)
+            refused[group] = out.sum(axis=1)
+        for j, i in enumerate(group.tolist()):
+            p_sp = Subspace._orthonormal(n, p[j])
+            k_sp = Subspace._orthonormal(n, kb[j, :, :k_rank[j]])
+            s_sp = Subspace._orthonormal(pres.dim, s[j, :, :s_rank[j]])
+            involutive = bool(
+                k_sp.contains_columns(brackets(alg, k_sp.basis, k_sp.basis),
+                                      CHECK_TOL).all()
+                and p_sp.contains_columns(brackets(alg, k_sp.basis, p[j]),
+                                          CHECK_TOL).all())
+            reports[i] = TransvectionReport(
+                p_space=p_sp, k_space=k_sp, s_space=s_sp, index=s_sp.dim,
+                coindex=pres.dim - s_sp.dim, involutive_ok=involutive,
+                dim_transvection=numerical_rank(
+                    np.hstack([k_sp.basis, p[j]]), tol))
+    return reports, psd_ok, refused
+
+
+def symmetry_ideal(sp: Presentation,
                    report: TransvectionReport | None = None) -> BoundReport:
     """Split off the ideal responsible for the parallel directions.
 
     Seeds the largest-ideal iteration with isotropy plus the lifted
     ``s_space``; the orthogonal complement for the ad-invariant reference
     form is again an ideal (internal error if the numerics disagree) and
-    its dimension enters the bound ``2 dim(g_prime) <= k (k + 1)``.
+    its dimension enters the bound ``2 dim(g_prime) <= k (k + 1)``.  Only
+    the presentation of ``sp`` is read.
     """
     if report is None:
         report = transvection_space(sp)
@@ -382,31 +472,34 @@ def perpendicular_killing_space(sp: HomogeneousSpace,
 # curvature along homogeneous geodesics
 # ---------------------------------------------------------------------------
 
-def _curvature(sp: HomogeneousSpace, xs: np.ndarray) -> tuple:
+def _curvature(pres: Presentation, grams: np.ndarray, nablas: np.ndarray,
+               xs: np.ndarray) -> tuple:
     """The curvature operators along the orbit geodesics of the columns of
-    ``xs``, and the residuals of their preconditions, all at once.
+    ``xs``, and the residuals of their preconditions, all at once, for
+    metrics ``grams`` (N, dim, dim) with their :func:`_nablas` and fields
+    ``xs`` (N, algebra dim, K).
 
     Returns ``(fields, speed, drift, lift, asym, ops, lowered)``, indexed
-    first by column: the field at unit speed (where its speed, the length
-    of its value at the base point, exceeds ``CHECK_TOL``), that speed,
-    the covariant derivative of the unit field along itself, the lift and
-    self-adjointness residuals of R(., c')c', that operator in tangent
-    coordinates, and the metric times it.
+    by metric and column: the field at unit speed (where its speed, the
+    length of its value at the base point, exceeds ``CHECK_TOL``), that
+    speed, the covariant derivative of the unit field along itself, the
+    lift and self-adjointness residuals of R(., c')c', that operator in
+    tangent coordinates, and the metric times it.
     """
-    g, e = sp.metric.gram, sp.eval_matrix
+    e = pres.eval_matrix
     vals = e @ xs
-    speed = np.sqrt(((g @ vals) * vals).sum(axis=0))
-    xn = xs / np.where(speed > CHECK_TOL, speed, 1.0)
+    speed = np.sqrt(((grams @ vals) * vals).sum(axis=-2))
+    xn = xs / np.where(speed > CHECK_TOL, speed, 1.0)[:, None, :]
     vn = e @ xn
-    nabla = np.tensordot(xn.T, sp._nabla_basis, axes=1)
-    drift = np.linalg.norm(np.einsum("cab,bc->ca", nabla, vn), axis=1)
-    ads = adjoints(sp.algebra, xn)
+    nabla = np.einsum("nic,niab->ncab", xn, nablas)
+    drift = np.linalg.norm(np.einsum("ncab,nbc->nca", nabla, vn), axis=-1)
+    ads = adjoints(pres.algebra, xn)
     double = e @ ads @ ads
-    lift = np.abs(double @ sp.h_basis).max(axis=(1, 2), initial=0.0)
-    op = -(double @ sp.m_basis)
-    go = g @ op
-    asym = np.abs(go - go.transpose(0, 2, 1)).max(axis=(1, 2), initial=0.0)
-    return xn.T, speed, drift, lift, asym, op, go
+    lift = np.abs(double @ pres.h_basis).max(axis=(-2, -1), initial=0.0)
+    op = -(double @ pres.m_basis)
+    go = grams[:, None] @ op
+    asym = np.abs(go - go.swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0)
+    return xn.swapaxes(-1, -2), speed, drift, lift, asym, op, go
 
 
 def _require_geodesic(speed: float, drift: float) -> None:
@@ -444,8 +537,9 @@ def jacobi_operator(sp: HomogeneousSpace, x: np.ndarray) -> JacobiSpectrum:
         residuals is held to :data:`~symidx.liealg.CHECK_TOL`, and
         ``psd_ok`` allows a smallest eigenvalue down to ``-CHECK_TOL``.
     """
-    xn, speed, drift, lift, asym, op, go = (
-        v[0] for v in _curvature(sp, np.asarray(x, dtype=float)[:, None]))
+    xn, speed, drift, lift, asym, op, go = (v[0, 0] for v in _curvature(
+        sp, sp.metric.gram[None], sp._nabla_basis[None],
+        np.asarray(x, dtype=float)[None, :, None]))
     _require_geodesic(speed, drift)
     if lift > CHECK_TOL:
         raise ValueError(
@@ -475,19 +569,26 @@ def curvature_psd(sp: HomogeneousSpace,
     off the geodesic) exceeds it, or the operator's lift or
     self-adjointness residual does.  Elsewhere ``psd_ok`` is
     :func:`jacobi_operator`'s rule, smallest eigenvalue at least minus
-    the tolerance; it is False where the column is refused.
-
-    The operators are whitened by the Cholesky factor of the metric and
-    their eigenvalues taken by one ``eigvalsh``.
+    the tolerance; it is False where the column is refused.  This is the
+    one-metric case of the check in :func:`transvection_stack`.
     """
-    _, speed, drift, lift, asym, _, go = _curvature(
-        sp, np.asarray(xs, dtype=float))
+    return tuple(r[0] for r in _curvature_psd(
+        sp, sp.metric.gram[None], sp._nabla_basis[None],
+        np.asarray(xs, dtype=float)[None]))
+
+
+def _curvature_psd(pres: Presentation, grams: np.ndarray, nablas: np.ndarray,
+                   xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`curvature_psd` for the metrics and fields of :func:`_curvature`.
+    The operators are whitened by the Cholesky factors of the metrics and
+    their eigenvalues taken by one ``eigvalsh``."""
+    _, speed, drift, lift, asym, _, go = _curvature(pres, grams, nablas, xs)
     refused = (~(speed > CHECK_TOL) | (drift > CHECK_TOL)
                | (lift > CHECK_TOL) | (asym > CHECK_TOL))
-    white = np.linalg.inv(np.linalg.cholesky(sp.metric.gram))
-    w = np.linalg.eigvalsh(white @ (0.5 * (go + go.transpose(0, 2, 1)))
-                           @ white.T)
-    return ~refused & np.all(w >= -CHECK_TOL, axis=1), refused
+    white = np.linalg.inv(np.linalg.cholesky(grams))[:, None]
+    w = np.linalg.eigvalsh(white @ (0.5 * (go + go.swapaxes(-1, -2)))
+                           @ white.swapaxes(-1, -2))
+    return ~refused & np.all(w >= -CHECK_TOL, axis=-1), refused
 
 
 def _cos_sin_like(kappa: float, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -605,7 +706,8 @@ def closed_geodesic_length(sp: HomogeneousSpace, representation: np.ndarray,
         representation.
     """
     x = np.asarray(x, dtype=float)
-    speed, drift = (v[0] for v in _curvature(sp, x[:, None])[1:3])
+    speed, drift = (v[0, 0] for v in _curvature(
+        sp, sp.metric.gram[None], sp._nabla_basis[None], x[None, :, None])[1:3])
     _require_geodesic(speed, drift)
     gen = np.einsum("i,ijk->jk", x, np.asarray(representation))
     cutoff = CHECK_TOL * max(1.0, float(np.max(np.abs(gen))))

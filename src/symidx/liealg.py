@@ -51,13 +51,23 @@ KILLING_CONVENTION = (
 # rank / kernel primitives
 # ---------------------------------------------------------------------------
 
-def _sv_cutoff(s: np.ndarray, tol: float) -> float:
+def checked_tol(tol) -> float:
+    """``tol`` as a float, if it is finite and in (0, 1), else ValueError:
+    a cutoff of 0 or less keeps noise, one of 1 or more every signal."""
+    tol = float(tol)
+    if not 0.0 < tol < 1.0:  # also false for nan
+        raise ValueError(f"tolerance {tol!r} is not a number in (0, 1)")
+    return tol
+
+
+def _sv_cutoff(s: np.ndarray, tol: float) -> np.ndarray:
     # Relative cutoff with a unit floor: matrices in this package have O(1)
     # entries when they are nonzero at all, so the floor only engages for
     # matrices that are zero up to roundoff (where a purely relative cutoff
-    # would misread noise singular values as full rank).
-    top = float(s[0]) if s.size else 0.0
-    return tol * max(top, 1.0)
+    # would misread noise singular values as full rank).  ``s`` holds the
+    # nonempty descending singular values of a matrix, or of a stack of
+    # them along the last axis, which the cutoffs keep with length one.
+    return tol * np.maximum(s[..., :1], 1.0)
 
 
 def numerical_rank(a: np.ndarray, tol: float = DEFAULT_TOL) -> int:
@@ -67,6 +77,33 @@ def numerical_rank(a: np.ndarray, tol: float = DEFAULT_TOL) -> int:
         return 0
     s = np.linalg.svd(a, compute_uv=False)
     return int(np.sum(s > _sv_cutoff(s, tol)))
+
+
+def stacked_kernels(a: np.ndarray, tol: float = DEFAULT_TOL) -> tuple:
+    """The kernels of the matrices ``a`` (..., m, n) by one SVD call and the
+    cutoff of :func:`numerical_kernel`: ``(v, nullity)``, where the last
+    ``nullity[i]`` columns of ``v[i]`` (n, n) are an orthonormal basis of
+    the kernel of ``a[i]``."""
+    a = np.asarray(a, dtype=float)
+    *lead, m, n = a.shape
+    if m == 0 or n == 0:
+        return np.zeros((*lead, n, n)) + np.eye(n), np.full(lead, n)
+    # The thin SVD already holds all n rows of V when m >= n; a wide matrix
+    # needs the full one, whose rows past m span the rest of the kernel.
+    _, s, vt = np.linalg.svd(a, full_matrices=m < n)
+    return vt.swapaxes(-1, -2), n - (s > _sv_cutoff(s, tol)).sum(axis=-1)
+
+
+def stacked_spans(a: np.ndarray, tol: float = DEFAULT_TOL) -> tuple:
+    """The column spaces of the matrices ``a`` (..., m, k) by one SVD call
+    and the cutoff of :func:`orthonormal_columns`: ``(u, rank)``, where the
+    first ``rank[i]`` columns of ``u[i]`` are an orthonormal basis."""
+    a = np.asarray(a, dtype=float)
+    *lead, m, k = a.shape
+    if m == 0 or k == 0:
+        return np.zeros((*lead, m, 0)), np.zeros(lead, dtype=np.intp)
+    u, s, _ = np.linalg.svd(a, full_matrices=False)
+    return u, (s > _sv_cutoff(s, tol)).sum(axis=-1)
 
 
 def numerical_kernel(a: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -80,27 +117,15 @@ def numerical_kernel(a: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     tol : float
         Relative singular value cutoff.
     """
-    a = np.atleast_2d(np.asarray(a, dtype=float))
-    m, n = a.shape
-    if n == 0:
-        return np.zeros((0, 0))
-    if m == 0:
-        return np.eye(n)
-    # The thin SVD already holds all n rows of V when m >= n; a wide matrix
-    # needs the full one, whose rows past m span the rest of the kernel.
-    _, s, vt = np.linalg.svd(a, full_matrices=m < n)
-    r = int(np.sum(s > _sv_cutoff(s, tol)))
-    return vt[r:].T
+    a = np.atleast_2d(a)
+    v, nullity = stacked_kernels(a, tol)
+    return v[:, a.shape[1] - nullity:]
 
 
 def orthonormal_columns(a: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Orthonormal basis (columns) of the column space of ``a``."""
-    a = np.atleast_2d(np.asarray(a, dtype=float))
-    if a.shape[1] == 0:
-        return np.zeros((a.shape[0], 0))
-    u, s, _ = np.linalg.svd(a, full_matrices=False)
-    r = int(np.sum(s > _sv_cutoff(s, tol)))
-    return u[:, :r]
+    u, rank = stacked_spans(np.atleast_2d(a), tol)
+    return u[:, :rank]
 
 
 def canonical_basis(q: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -406,12 +431,10 @@ def brackets(alg: LieAlgebra, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     Returns an array of shape (dim, ka, kb) whose slice ``[:, p, q]`` is
     ``bracket(alg, a[:, p], b[:, q])`` up to rounding, from two matrix
-    products.
+    products; leading (stack) axes of ``a`` and ``b`` lead the result.
     """
-    a, b = np.asarray(a, float), np.asarray(b, float)
-    n = len(alg.structure)
-    left = (a.T @ alg.structure.reshape(n, n * n)).reshape(a.shape[1], n, n)
-    return (left.transpose(0, 2, 1) @ b).transpose(1, 0, 2)
+    b = np.asarray(b, float)
+    return (adjoints(alg, a) @ b[..., None, :, :]).swapaxes(-2, -3)
 
 
 def adjoint(alg: LieAlgebra, x: np.ndarray) -> np.ndarray:
@@ -421,9 +444,12 @@ def adjoint(alg: LieAlgebra, x: np.ndarray) -> np.ndarray:
 
 def adjoints(alg: LieAlgebra, gens: np.ndarray) -> np.ndarray:
     """Shape (k, dim, dim): slice ``[p]`` is ``adjoint(alg, gens[:, p])``
-    up to rounding (one matrix product for all columns)."""
-    return np.tensordot(np.asarray(gens, float), alg.structure,
-                        axes=(0, 0)).transpose(0, 2, 1)
+    up to rounding (one matrix product for all columns); leading (stack)
+    axes of ``gens`` lead the result."""
+    gens = np.asarray(gens, float)
+    n = len(alg.structure)
+    left = gens.swapaxes(-1, -2) @ alg.structure.reshape(n, n * n)
+    return left.reshape(*left.shape[:-1], n, n).swapaxes(-1, -2)
 
 
 def killing_form_positive(alg: LieAlgebra) -> BilinearForm:

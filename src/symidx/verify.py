@@ -21,7 +21,6 @@ import numpy as np
 
 from . import catalog
 from .homspace import (
-    HomogeneousSpace,
     augment_left_invariant,
     closed_geodesic_length,
     jacobi_field,
@@ -375,9 +374,7 @@ def _check_invariant_residuals():
         worst = max(worst, inv)
         _require(inv <= 1e-8,
                  f"{sp.label}: trace form is not ad-invariant ({inv:.3e})")
-        scaled = HomogeneousSpace(
-            sp.algebra, sp.isotropy, BilinearForm(2.5 * gram),
-            complement=sp.complement, label=sp.label + " scaled")
+        scaled = sp.space(BilinearForm(2.5 * gram), sp.label + " scaled")
         scaled_rep = transvection_space(scaled)
         _require(scaled_rep.index == rep.index
                  and scaled_rep.p_space.equals(rep.p_space, 1e-8),

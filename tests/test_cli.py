@@ -1,5 +1,7 @@
+import functools
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -14,11 +16,11 @@ from symidx.catalog import (
     so4_so2,
     spin3_berger,
 )
-from symidx import cli, verify
+from symidx import catalog, cli, verify
 from symidx.cli import SWEEP_HEADER, main
 from symidx.homspace import jacobi_operator, transvection_space
 from symidx.liealg import canonical_basis
-from symidx.serialize import space_to_dict
+from symidx.serialize import load_space, space_to_dict
 
 
 @pytest.fixture
@@ -257,7 +259,8 @@ def test_a_value_error_anywhere_in_a_command_is_exit_one(
     def boom(*args, **kwargs):
         raise ValueError("boom")
 
-    monkeypatch.setattr(cli, "transvection_space", boom)
+    monkeypatch.setattr(cli, {"sweep": "transvection_stack",
+                              "index": "transvection_space"}[command], boom)
     argv = {"sweep": ["--family", "spin3", "--t", "1.5"],
             "index": ["--space", quotient_file]}[command]
     code, out, err = run(capsys, command, *argv)
@@ -354,6 +357,106 @@ def test_sweep_counts_the_refused_curvature_candidates(capsys):
                    f"candidates refused\n")
 
 
+def _sweep_values(spec: str) -> list:
+    """The values ``symidx sweep`` makes of ``A:B:STEP``."""
+    start, stop, step = (float(v) for v in spec.split(":"))
+    return [start + k * step for k in range(int((stop - start) / step) + 2)
+            if start + k * step <= stop + 1e-12]
+
+
+def _per_point(capsys, tmp_path, build, name, fields):
+    """A sweep point by the one-space path: its CSV row and refused count
+    from the catalog builder (``None`` where it refuses the point), then
+    ``index`` on the ``catalog emit`` document and one jacobi_operator
+    call per curvature candidate of the loaded document."""
+    try:
+        build()
+    except ValueError:
+        return None, 0
+    code, doc, err = run(capsys, "catalog", "emit", name)
+    assert code == 0, err
+    path = tmp_path / "point.json"
+    path.write_text(doc)
+    code, out, _ = run(capsys, "index", "--space", str(path))
+    assert code == 0
+    tv, bound = json.loads(out)["transvection"], json.loads(out)["bound"]
+    sp = load_space(str(path))
+    psd_ok, refused = True, 0
+    for x in np.hstack([sp.m_basis, transvection_space(sp).p_space.basis]).T:
+        try:
+            psd_ok &= jacobi_operator(sp, x).psd_ok
+        except ValueError:
+            refused += 1
+    row = [*("" if v is None else "%.12g" % v for v in fields),
+           tv["index"], tv["coindex"], tv["dim_transvection"], psd_ok,
+           bound["lhs"], bound["rhs"], bound["equality"]]
+    return ",".join(str(v).lower() for v in row), refused
+
+
+def test_stacked_sweep_equals_the_per_point_path(capsys, tmp_path):
+    """A sweep validates each presentation once and decides its metrics in
+    stacked calls; every row must be what the one-space path gives for its
+    point, and the stderr counts those of per-point builds and
+    jacobi_operator calls.  The seeded grids cross the coupled stratum
+    t = 2 - s, run along the spin3 line (s, 2 - s, 2) and through the
+    excluded round metric t = 2, and leave their families (a slope above
+    1, s = 2.15, s = 1.1 on the line, a negative radius)."""
+    rng = np.random.default_rng(2031)
+    s0 = 0.2 * int(rng.integers(2, 9))
+    lam = 0.05 * int(rng.integers(2, 8))
+    t_spec = f"{2 - s0 - 0.2:.4f}:{2 - s0 + 0.2:.4f}:0.1"
+    berger = f"{0.5 * int(rng.integers(1, 3)):.1f}:3:0.5"
+    sweeps = [
+        (["--family", "so4-so2", "--lambda", f"{lam:.2f}:1.3:0.35",
+          "--s", repr(s0), "--t", t_spec],
+         [(catalog.so4_so2, (a, s0, t), f"so4-so2:{a!r},{s0!r},{t!r}",
+           (a, s0, t, None))
+          for a in _sweep_values(f"{lam:.2f}:1.3:0.35")
+          for t in _sweep_values(t_spec)]),
+        (["--family", "so4-so2", "--lambda", "0.25:0.75:0.25",
+          "--s", "0.35:2.15:0.45", "--coupled"],
+         [(catalog.so4_so2, (a, s), f"so4-so2:{a!r},{s!r},{2.0 - s!r}",
+           (a, s, 2.0 - s, None))
+          for a in _sweep_values("0.25:0.75:0.25")
+          for s in _sweep_values("0.35:2.15:0.45")]),
+        (["--family", "spin3", "--s", "0.1:1.1:0.2"],
+         [(catalog.spin3_one_parameter, (s,), f"spin3:{s!r},{2.0 - s!r},2.0",
+           (None, s, None, None)) for s in _sweep_values("0.1:1.1:0.2")]),
+        (["--family", "spin3", "--t", berger],
+         [(catalog.spin3_berger, (t,), f"spin3:{t!r},{t!r},2.0",
+           (None, None, t, None)) for t in _sweep_values(berger)]),
+        (["--family", "product-spheres", "--rho=-0.1:1.5:0.4"],
+         [(catalog.product_of_spheres, (r,), f"product-spheres:{r!r}",
+           (None, None, None, r)) for r in _sweep_values("-0.1:1.5:0.4")]),
+    ]
+    seen = {"rows": 0, "skipped": 0, "refused": 0, "index 0": 0,
+            "index 2": 0}
+    for argv, points in sweeps:
+        code, out, err = run(capsys, "sweep", *argv)
+        assert code == 0
+        want, skipped, refused = [], 0, 0
+        for builder, params, name, fields in points:
+            row, point_refused = _per_point(
+                capsys, tmp_path, functools.partial(builder, *params), name,
+                fields)
+            if row is None:
+                skipped += 1
+            else:
+                want.append(row)
+                refused += point_refused
+        assert out.splitlines() == [SWEEP_HEADER] + sorted(want)
+        counts = re.fullmatch(r"sweep: (\d+) grid points? skipped, "
+                              r"(\d+) curvature candidates? refused\n", err)
+        assert counts and counts.groups() == (str(skipped), str(refused))
+        seen["rows"] += len(want)
+        seen["skipped"] += skipped
+        seen["refused"] += refused
+        for row in want:
+            index = row.split(",")[4]
+            seen[f"index {index}"] = seen.get(f"index {index}", 0) + 1
+    assert min(seen.values()) > 0 and seen["index 1"] > 0, seen
+
+
 def test_sweep_product_family(capsys):
     code, out, _ = run(capsys, "sweep", "--family", "product-spheres",
                        "--rho", "0.5:1.5:0.5")
@@ -435,16 +538,62 @@ def test_tolerance_sources(capsys, quotient_file, monkeypatch):
     assert run(capsys, "index", "--space", quotient_file)[0] == 2
 
 
-def _recording_tolerances(monkeypatch):
-    """The tolerances of the spaces whose index the CLI computes."""
+@pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf", "1"])
+def test_a_tolerance_outside_zero_one_is_a_usage_error(capsys, quotient_file,
+                                                        tol):
+    """A cutoff of 0 or less keeps noise singular values and one of 1 or
+    more drops genuine ones: on the index-2 quotient, --tol 0 and -1 used
+    to print index 0 and --tol nan a false overlap error."""
+    for argv in (["index", "--space", quotient_file],
+                 ["sweep", "--family", "so4-so2", "--lambda", "0.5",
+                  "--s", "0.8", "--coupled"]):
+        code, out, err = run(capsys, *argv, f"--tol={tol}")
+        assert (code, out) == (2, "")
+        assert f"--tol={float(tol)}: tolerance" in err
+        assert "not a number in (0, 1)" in err
+
+
+@pytest.mark.parametrize("tol", ["nan", "0", "-1e-9"])
+def test_a_nonsense_tolerance_in_the_environment_is_a_usage_error(
+        capsys, quotient_file, monkeypatch, tol):
+    monkeypatch.setenv("SYMIDX_TOL", tol)
+    code, out, err = run(capsys, "index", "--space", quotient_file)
+    assert (code, out) == (2, "")
+    assert f"SYMIDX_TOL={tol}: tolerance" in err
+
+
+@pytest.mark.parametrize("name, builder", [
+    ("round-sphere:2", "round_sphere"),
+    ("so4-so2:0.5,0.8,1.20000001", "so4_so2"),
+    ("spin3:1,2,3", "spin3_metric"),
+    ("product-spheres:0.7", "product_of_spheres"),
+    ("cp2-centriole", "cp2_centriole"),
+])
+def test_catalog_emit_builds_the_space_at_the_given_tolerance(
+        capsys, monkeypatch, name, builder):
     seen = []
-    inner = cli.transvection_space
 
-    def recording(sp):
+    def recording(*args, inner=getattr(catalog, builder), **kwargs):
+        sp, info = inner(*args, **kwargs)
         seen.append(sp.tol)
-        return inner(sp)
+        return sp, info
 
-    monkeypatch.setattr(cli, "transvection_space", recording)
+    monkeypatch.setattr(catalog, builder, recording)
+    assert run(capsys, "catalog", "emit", name, "--tol", "1e-5")[0] == 0
+    assert run(capsys, "catalog", "emit", name)[0] == 0
+    assert seen == [1e-5, 1e-9]
+
+
+def _recording_tolerances(monkeypatch):
+    """The tolerances of the spaces (index) and presentations (sweep) whose
+    index the CLI computes."""
+    seen = []
+    for name in ("transvection_space", "transvection_stack"):
+        def recording(pres, *args, inner=getattr(cli, name)):
+            seen.append(pres.tol)
+            return inner(pres, *args)
+
+        monkeypatch.setattr(cli, name, recording)
     return seen
 
 

@@ -16,6 +16,7 @@ from symidx.liealg import (
 )
 from symidx.homspace import (
     HomogeneousSpace,
+    Presentation,
     augment_left_invariant,
     closed_geodesic_length,
     curvature_psd,
@@ -24,6 +25,7 @@ from symidx.homspace import (
     perpendicular_killing_space,
     symmetry_ideal,
     transvection_space,
+    transvection_stack,
 )
 from symidx.catalog import (
     cp2_centriole,
@@ -127,9 +129,9 @@ def two_circle_isotropy():
     # vector 1 fails both checks; reductivity is reported
     ("tilted", [1, 1, 1, 2], "not reductive: isotropy vector 1 maps"),
     ("standard", [1, 1, 1, 2], "isotropy vector 1 does not act skew"),
-    # vector 0 fails only skewness, vector 1 only reductivity: each vector
-    # is checked in full before the next
-    ("tilted", [1, 2, 1, 1], "isotropy vector 0 does not act skew"),
+    # vector 0 fails only skewness, vector 1 only reductivity: reductivity
+    # belongs to the presentation, whose checks run before the metric's
+    ("tilted", [1, 2, 1, 1], "not reductive: isotropy vector 1 maps"),
 ])
 def test_reductive_and_skew_errors_name_the_first_offending_vector(
         complement, gram, message):
@@ -138,6 +140,16 @@ def test_reductive_and_skew_errors_name_the_first_offending_vector(
     with pytest.raises(ValueError, match=message + r".*\(residual 2\.000e\+00\)"):
         HomogeneousSpace(alg, iso, BilinearForm(np.diag(gram).astype(float)),
                          complement=Subspace(6, comp))
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf"), 1.0])
+def test_rejects_a_tolerance_outside_zero_one(tol):
+    alg, _ = so_elementary(3)
+    h = Subspace(3, np.eye(3)[:, :1])
+    with pytest.raises(ValueError, match=r"not a number in \(0, 1\)"):
+        Presentation(alg, h, tol=tol)
+    with pytest.raises(ValueError, match=r"not a number in \(0, 1\)"):
+        HomogeneousSpace(alg, h, BilinearForm(np.eye(2)), tol=tol)
 
 
 def test_rejects_indefinite_metric():
@@ -446,6 +458,76 @@ def test_batched_psd_check_matches_the_jacobi_operator_loop():
     assert min(seen.values()) >= 8, seen
 
 
+def test_a_stack_of_metrics_is_decided_as_each_metric_alone():
+    """transvection_stack decides the metrics of one presentation together;
+    per metric it gives None where HomogeneousSpace refuses the metric, and
+    otherwise transvection_space's report with the psd flag and refused
+    count of one jacobi_operator call per tangent basis direction and
+    parallel field.  The stacks interleave metrics whose answers differ:
+    on SL(2, R), diagonal metrics (geodesic basis directions, operators
+    not psd) and rotated ones (every candidate refused); on so4-so2,
+    metrics on the coupled stratum t = 2 - s, on the stratum t = 2 + s and
+    off both; and an indefinite metric and two the isotropy does not
+    preserve."""
+    rng = np.random.default_rng(2032)
+
+    def rotated(w):
+        q = np.linalg.qr(rng.standard_normal((len(w), len(w))))[0]
+        return q @ np.diag(w) @ q.T
+
+    so4 = so4_so2(0.4, 0.5)[0]
+    stacks = [
+        (_sl2_group(np.eye(3)),
+         [f(rng.uniform(0.5, 3.0, 3)) for _ in range(3)
+          for f in (np.diag, rotated)] + [np.diag([1.0, -1.0, 1.0])]),
+        (so4, [np.diag([2.0, 2.0, s, t, t])
+               for s, t in [(0.5, 1.5), (0.9, 2.9), (0.5, 1.2), (0.3, 1.7),
+                            (0.4, 2.4), (1.1, 0.8)]]
+         + [np.diag([2.0, 3.0, 0.5, 1.5, 1.5]),
+            np.diag([2.0, 2.0, 0.5, 1.5, 1.0])]),
+    ]
+    seen = {"refused metric": 0, "psd": 0, "not psd": 0, "index": set()}
+    for pres, grams in stacks:
+        reports, psd_ok, refused = transvection_stack(pres, np.array(grams))
+        for gram, report, ok, count in zip(grams, reports, psd_ok, refused):
+            try:
+                sp = pres.space(BilinearForm(gram))
+            except ValueError:
+                assert report is None and not ok and count == 0
+                seen["refused metric"] += 1
+                continue
+            want = transvection_space(sp)
+            assert (report.index, report.coindex, report.dim_transvection,
+                    report.involutive_ok) == (
+                want.index, want.coindex, want.dim_transvection,
+                want.involutive_ok)
+            for got_space, want_space in ((report.p_space, want.p_space),
+                                          (report.k_space, want.k_space),
+                                          (report.s_space, want.s_space)):
+                assert got_space.equals(want_space)
+            candidates = np.hstack([sp.m_basis, want.p_space.basis])
+            want_ok, want_refused = _psd_by_loop(sp, candidates)
+            assert ok == np.all(want_ok | want_refused)
+            assert count == np.count_nonzero(want_refused)
+            seen["psd" if ok else "not psd"] += 1
+            seen["index"].add(report.index)
+    assert seen["refused metric"] == 3 and seen["psd"] and seen["not psd"]
+    assert seen["index"] == {0, 2}, seen
+
+
+def test_a_space_built_from_a_space_takes_the_new_metric():
+    """Presentation.space on a space whose derivative is already computed
+    decides with the derivative of the new metric."""
+    sp, _ = so4_so2(0.5, 0.5)
+    assert transvection_space(sp).index == 2
+    other = sp.space(BilinearForm(np.diag([2.0, 2.0, 0.5, 1.2, 1.2])))
+    want, _ = so4_so2(0.5, 0.5, 1.2)
+    np.testing.assert_allclose(other.nabla_operator(), want.nabla_operator(),
+                               atol=1e-12)
+    assert transvection_space(other).index == transvection_space(want).index
+    assert transvection_space(other).index == 0
+
+
 def test_batched_psd_check_takes_no_candidates():
     sp, _ = so4_so2(0.5, 0.5)
     psd_ok, refused = curvature_psd(sp, np.zeros((6, 0)))
@@ -556,18 +638,19 @@ def test_length_error_paths():
 # -- one tolerance per space ------------------------------------------------
 
 def test_no_function_of_a_space_takes_its_own_tolerance():
-    """A space carries the tolerance it was built with; a function of a
-    space that took another would decide ranks at a second cutoff."""
+    """A space, and a presentation, carries the tolerance it was built
+    with; a function of either that took another would decide ranks at a
+    second cutoff."""
     of_a_space = {}
     for name, fn in inspect.getmembers(homspace, inspect.isfunction):
         if name.startswith("_") or fn.__module__ != homspace.__name__:
             continue
         params = list(inspect.signature(fn, eval_str=True).parameters.values())
-        if params and params[0].annotation is HomogeneousSpace:
+        if params and params[0].annotation in (HomogeneousSpace, Presentation):
             of_a_space[name] = [p.name for p in params]
-    assert {"transvection_space", "symmetry_ideal",
-            "perpendicular_killing_space", "augment_left_invariant",
-            "jacobi_operator", "curvature_psd",
+    assert {"transvection_space", "transvection_stack",
+            "symmetry_ideal", "perpendicular_killing_space",
+            "augment_left_invariant", "jacobi_operator", "curvature_psd",
             "closed_geodesic_length"} <= set(of_a_space)
     taking_tol = sorted(n for n, params in of_a_space.items() if "tol" in params)
     assert not taking_tol, f"functions of a space that take tol: {taking_tol}"

@@ -33,6 +33,8 @@ from symidx.liealg import (
     reference_form,
     so_elementary,
     spin3_quaternion,
+    stacked_kernels,
+    stacked_spans,
     su3,
 )
 
@@ -335,6 +337,9 @@ def test_adjoints_match_adjoint_column_by_column(k):
     for p in range(k):
         np.testing.assert_allclose(got[p], adjoint(alg, gens[:, p]),
                                    atol=1e-12)
+    stack = np.stack([gens, -2.0 * gens])
+    np.testing.assert_allclose(adjoints(alg, stack),
+                               np.stack([got, -2.0 * got]), atol=1e-12)
 
 
 @pytest.mark.parametrize("cols", [[], [0], [0, 5], [1, 2, 3]])
@@ -383,6 +388,12 @@ def test_brackets_match_pairwise_bracket(n, ka, kb):
             np.testing.assert_allclose(bracket(alg, a[:, p], b[:, q]), want,
                                        atol=1e-12)
             np.testing.assert_allclose(got[:, p, q], want, atol=1e-12)
+    # a stack of column sets, one pair per leading index
+    c, d = rng.standard_normal((n, ka)), rng.standard_normal((n, kb))
+    stacked = brackets(alg, np.stack([a, c]), np.stack([b, d]))
+    assert stacked.shape == (2, n, ka, kb)
+    np.testing.assert_allclose(stacked[0], got, atol=1e-12)
+    np.testing.assert_allclose(stacked[1], brackets(alg, c, d), atol=1e-12)
 
 
 def reference_jacobi_residual(c):
@@ -520,3 +531,35 @@ def test_pencil_eigh_is_b_orthonormal_and_canonical_in_clusters():
     # the repeated eigenspace, whitened, is printed by its canonical basis
     u = np.linalg.inv(white.T) @ v[:, :3]
     np.testing.assert_allclose(u, canonical_basis(u), atol=1e-12)
+
+
+@pytest.mark.parametrize("shape", [(7, 4), (3, 6), (5, 5), (0, 4), (4, 0)])
+def test_stacked_rank_primitives_match_the_per_matrix_ones(shape):
+    """One SVD call over a stack decides each matrix as numerical_kernel
+    and orthonormal_columns decide it alone: random matrices of every rank,
+    an all-zero one and one of roundoff noise, tall, wide, square and
+    empty, under one and under two leading axes."""
+    m, n = shape
+    rng = np.random.default_rng(10 * m + n)
+    stack = np.array(
+        [rng.standard_normal((m, r)) @ rng.standard_normal((r, n))
+         for r in range(min(m, n) + 1)]
+        + [np.zeros((m, n)), 1e-13 * rng.standard_normal((m, n))])
+    v, nullity = stacked_kernels(stack)
+    u, rank = stacked_spans(stack)
+    assert v.shape == (len(stack), n, n) and u.shape[:2] == (len(stack), m)
+    for a, vi, k, ui, r in zip(stack, v, nullity, u, rank):
+        ker, cols = numerical_kernel(a), orthonormal_columns(a)
+        assert (k, r) == (ker.shape[1], cols.shape[1])
+        np.testing.assert_allclose(vi[:, n - k:] @ vi[:, n - k:].T,
+                                   ker @ ker.T, atol=1e-12)
+        np.testing.assert_allclose(ui[:, :r] @ ui[:, :r].T, cols @ cols.T,
+                                   atol=1e-12)
+    assert list(rank[:-2]) == list(range(min(m, n) + 1))
+    assert rank[-2] == rank[-1] == 0
+    half = len(stack) // 2
+    pairs = stack[: 2 * half].reshape(half, 2, m, n)
+    np.testing.assert_array_equal(stacked_kernels(pairs)[1],
+                                  nullity[: 2 * half].reshape(half, 2))
+    np.testing.assert_array_equal(stacked_spans(pairs)[1],
+                                  rank[: 2 * half].reshape(half, 2))

@@ -4,36 +4,33 @@ The checks are deterministic (results and a tracemalloc bound), not
 timings; together they take under a second.
 """
 
-import itertools
 import tracemalloc
 
-import numpy as np
 import pytest
 
-from symidx.homspace import HomogeneousSpace, symmetry_ideal, transvection_space
-from symidx.liealg import BilinearForm, Subspace, so_elementary
+from symidx.catalog import round_sphere
+from symidx.homspace import symmetry_ideal, transvection_space
 
 N = 11
 
 
 @pytest.fixture(scope="module")
-def so12():
-    return so_elementary(N + 1)[0]
+def sphere():
+    return round_sphere(N)[0]
 
 
-def test_so12_sphere_pipeline(so12):
+@pytest.fixture(scope="module")
+def so12(sphere):
+    return sphere.algebra
+
+
+def test_so12_sphere_pipeline(sphere):
     """so(12)/so(11) is the round 11-sphere: symmetric, so index 11,
     coindex 0, and a bound 0 = 0 with no complementary ideal."""
-    pairs = list(itertools.combinations(range(N + 1), 2))
-    eye = np.eye(so12.dim)
-    h_idx = [k for k, (a, _) in enumerate(pairs) if a > 0]
-    m_idx = [k for k, (a, _) in enumerate(pairs) if a == 0]
-    sp = HomogeneousSpace(so12, Subspace(so12.dim, eye[:, h_idx]),
-                          BilinearForm(np.eye(N)),
-                          complement=Subspace(so12.dim, eye[:, m_idx]))
+    sp = sphere
     report = transvection_space(sp)
     assert (report.index, report.coindex) == (N, 0)
-    assert report.dim_transvection == so12.dim
+    assert report.dim_transvection == sp.algebra.dim
     assert report.involutive_ok
     bound = symmetry_ideal(sp, report)
     assert (bound.lhs, bound.rhs, bound.equality) == (0, 0, True)

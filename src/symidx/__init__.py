@@ -41,7 +41,6 @@ from .liealg import (
     BilinearForm,
     LieAlgebra,
     Subspace,
-    adjoint,
     bi_invariant_directions,
     bracket,
     brackets,
@@ -79,7 +78,6 @@ __all__ = [
     "Subspace",
     "TransvectionReport",
     "VerificationOutcome",
-    "adjoint",
     "augment_left_invariant",
     "bi_invariant_directions",
     "bracket",

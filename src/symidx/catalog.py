@@ -294,15 +294,14 @@ def orbit_space(algebra, representation, point, inner, label: str = "",
 
     The representation acts on matrices by commutator; the isotropy is
     the kernel of ``X -> [rep(X), point]`` and the metric is the ambient
-    ``inner`` restricted to tangent values.  Raises if the induced metric
-    is degenerate (the orbit is then too small for the chosen complement).
+    ``inner`` restricted to tangent values.  A degenerate induced metric
+    is refused as :class:`~symidx.homspace.HomogeneousSpace` refuses any
+    metric that is not positive definite, after the checks of the pair.
     """
     tangents = _orbit_tangents(np.asarray(representation), point)
     iso = Subspace.kernel_of(_flatten_real(tangents).T, tol)
     comp = orthogonal_complement(algebra, iso, tol)
     metric = BilinearForm(_induced_gram(inner, tangents, comp.basis))
-    if not metric.is_positive_definite(tol):
-        raise ValueError("induced metric on the orbit is degenerate")
     return HomogeneousSpace(algebra, iso, metric, complement=comp, label=label,
                             tol=tol)
 

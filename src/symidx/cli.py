@@ -18,7 +18,8 @@ Exit codes: 0 on success, 1 when a computation fails (any ValueError,
 mapped in ``main``) or a check does not pass, 2 for unusable input (bad
 arguments, unreadable files, malformed or invalid JSON, unknown names).
 The numerical tolerance is ``--tol`` when given, else the ``SYMIDX_TOL``
-environment variable, else 1e-9.
+environment variable, else 1e-9; ``verify`` takes none, as its checks fix
+their own.
 """
 
 from __future__ import annotations
@@ -71,8 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
              "environment variable, else 1e-9)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("verify", parents=[common],
-                       help="run the bundled verification checks")
+    p = sub.add_parser("verify", help="run the bundled verification checks")
     p.add_argument("--filter", default=None,
                    help="only run checks whose name contains this substring")
 
@@ -317,9 +317,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        tol = _resolve_tol(args, parser)
         if args.command == "verify":
             return _cmd_verify(args)
+        tol = _resolve_tol(args, parser)
         if args.command == "index":
             return _cmd_index(args, tol)
         if args.command == "sweep":

@@ -102,7 +102,7 @@ class Presentation:
         h = isotropy.basis
         first, second = pair_indices(isotropy.dim)
         hh = brackets(algebra, h, h)[:, first, second]
-        leaks = np.flatnonzero(~isotropy.contains_columns(hh, CHECK_TOL))
+        leaks = np.flatnonzero(~isotropy.contains_columns(hh))
         if leaks.size:
             raise ValueError(
                 f"isotropy is not a subalgebra: bracket of basis vectors "
@@ -193,15 +193,9 @@ class HomogeneousSpace(Presentation):
             raise ValueError(
                 f"metric dimension {metric.dim} does not match the "
                 f"complement dimension {self.dim}")
-        definite, skew = _metric_residuals(self, metric.gram[None])
-        if not definite[0] > self.tol:
-            raise ValueError("metric is not positive definite")
-        bad = np.flatnonzero(skew[0] > CHECK_TOL)
-        if bad.size:
-            raise ValueError(
-                f"isotropy vector {bad[0]} does not act skew-symmetrically "
-                f"for the metric (residual {skew[0, bad[0]]:.3e}); the metric "
-                f"is not invariant")
+        refusal = _metric_refusals(self, metric.gram[None])[0]
+        if refusal:
+            raise ValueError(refusal)
         self.metric = metric
         self.label = label
         vars(self).pop("_nabla_basis", None)  # one copied by space()
@@ -239,16 +233,29 @@ class HomogeneousSpace(Presentation):
         return nablas
 
 
-def _metric_residuals(pres: Presentation, grams: np.ndarray) -> tuple:
-    """The metric checks of the Gram matrices ``grams`` (N, dim, dim):
-    ``definite[i]``, the smallest eigenvalue of ``grams[i]`` over the
-    largest or 1, must exceed ``pres.tol``, and ``skew[i, a]``, the
-    largest entry of ``G A + (G A)^T`` for the action A of isotropy
-    vector a, must not exceed :data:`~symidx.liealg.CHECK_TOL`."""
+def _metric_refusals(pres: Presentation, grams: np.ndarray) -> list:
+    """Why :class:`HomogeneousSpace` refuses each metric of ``grams``
+    (N, dim, dim) on ``pres``, or None where it takes it: the one metric
+    rule of a space and a sweep.  A metric must be positive definite, its
+    smallest eigenvalue over the largest or 1 exceeding ``pres.tol``, and
+    each isotropy vector must act skew-symmetrically, the largest entry of
+    ``G A + (G A)^T`` for its action A at most
+    :data:`~symidx.liealg.CHECK_TOL`."""
     w = np.linalg.eigvalsh(grams) if pres.dim else np.ones((len(grams), 1))
     ops = grams[:, None] @ pres._e_ad_h_m
-    return (w[:, 0] / np.maximum(1.0, w[:, -1]),
-            np.abs(ops + ops.swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0))
+    skew = np.abs(ops + ops.swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0)
+    definite = w[:, 0] / np.maximum(1.0, w[:, -1]) > pres.tol
+    not_skew = skew > CHECK_TOL
+    refusals = [None] * len(grams)
+    for i in np.flatnonzero(~definite | not_skew.any(axis=1)).tolist():
+        if not definite[i]:
+            refusals[i] = "metric is not positive definite"
+            continue
+        a = int(not_skew[i].argmax())
+        refusals[i] = (
+            f"isotropy vector {a} does not act skew-symmetrically for the "
+            f"metric (residual {skew[i, a]:.3e}); the metric is not invariant")
+    return refusals
 
 
 def _nablas(pres: Presentation, grams: np.ndarray) -> np.ndarray:
@@ -343,8 +350,7 @@ def transvection_space(sp: HomogeneousSpace) -> TransvectionReport:
     ``[k, k] in k`` and ``[k, p] in p``.  This is the one-metric case of
     :func:`transvection_stack`.
     """
-    return _transvections(sp, sp.metric.gram[None], sp._nabla_basis[None],
-                          curvature=False)[0][0]
+    return _transvections(sp, sp._nabla_basis[None])[0]
 
 
 def transvection_stack(pres: Presentation, grams: np.ndarray) -> tuple:
@@ -359,57 +365,57 @@ def transvection_stack(pres: Presentation, grams: np.ndarray) -> tuple:
     candidates, the tangent basis directions and the parallel fields,
     ``refused[i]`` counts those :func:`jacobi_operator` raises on, and
     ``psd_ok[i]`` holds when the others' operators are all psd (see
-    :func:`curvature_psd`).
+    :func:`_curvature_psd`).
     """
     grams = np.asarray(grams, dtype=float).reshape(-1, pres.dim, pres.dim)
-    definite, skew = _metric_residuals(pres, grams)
-    ok = (definite > pres.tol) & np.all(skew <= CHECK_TOL, axis=1)
+    kept = np.flatnonzero([r is None for r in _metric_refusals(pres, grams)])
     reports = [None] * len(grams)
     psd_ok, refused = np.zeros(len(grams), bool), np.zeros(len(grams), int)
-    if ok.any():
-        found, psd_ok[ok], refused[ok] = _transvections(
-            pres, grams[ok], _nablas(pres, grams[ok]), curvature=True)
-        for i, report in zip(np.flatnonzero(ok).tolist(), found):
-            reports[i] = report
+    if not kept.size:
+        return reports, psd_ok, refused
+    nablas = _nablas(pres, grams[kept])
+    found = _transvections(pres, nablas)
+    dims = np.array([report.p_space.dim for report in found])
+    for k in set(dims.tolist()):
+        group = np.flatnonzero(dims == k)
+        p = np.stack([found[j].p_space.basis for j in group])
+        ms = np.broadcast_to(pres.m_basis, (len(group), *pres.m_basis.shape))
+        fine, out = _curvature_psd(pres, grams[kept[group]], nablas[group],
+                                   np.concatenate([ms, p], axis=-1))
+        psd_ok[kept[group]] = np.all(fine | out, axis=1)
+        refused[kept[group]] = out.sum(axis=1)
+    for i, report in zip(kept.tolist(), found):
+        reports[i] = report
     return reports, psd_ok, refused
 
 
-def _transvections(pres: Presentation, grams: np.ndarray, nablas: np.ndarray,
-                   curvature: bool) -> tuple:
-    """:func:`transvection_stack` for metrics that pass the metric checks,
-    given their :func:`_nablas`; without ``curvature`` the flags stay 0."""
+def _transvections(pres: Presentation, nablas: np.ndarray) -> list:
+    """The reports of :func:`transvection_stack` for metrics that pass the
+    metric checks, given their :func:`_nablas`."""
     alg, tol, n = pres.algebra, pres.tol, pres.algebra.dim
-    v, nullity = stacked_kernels(nablas.reshape(len(grams), n, -1)
+    v, nullity = stacked_kernels(nablas.reshape(len(nablas), n, -1)
                                  .swapaxes(-1, -2), tol)
-    reports = [None] * len(grams)
-    psd_ok, refused = np.zeros(len(grams), bool), np.zeros(len(grams), int)
+    reports = [None] * len(nablas)
     for k in sorted(set(nullity.tolist())):
         group = np.flatnonzero(nullity == k)
         p = v[group, :, n - k:]
         s, s_rank = stacked_spans(pres.eval_matrix @ p, tol)
         first, second = pair_indices(k)
         kb, k_rank = stacked_spans(brackets(alg, p, p)[..., first, second], tol)
-        if curvature:
-            ms = np.broadcast_to(pres.m_basis, (len(group), n, pres.dim))
-            ok, out = _curvature_psd(pres, grams[group], nablas[group],
-                                     np.concatenate([ms, p], axis=-1))
-            psd_ok[group] = np.all(ok | out, axis=1)
-            refused[group] = out.sum(axis=1)
         for j, i in enumerate(group.tolist()):
             p_sp = Subspace._orthonormal(n, p[j])
             k_sp = Subspace._orthonormal(n, kb[j, :, :k_rank[j]])
             s_sp = Subspace._orthonormal(pres.dim, s[j, :, :s_rank[j]])
             involutive = bool(
-                k_sp.contains_columns(brackets(alg, k_sp.basis, k_sp.basis),
-                                      CHECK_TOL).all()
-                and p_sp.contains_columns(brackets(alg, k_sp.basis, p[j]),
-                                          CHECK_TOL).all())
+                k_sp.contains_columns(
+                    brackets(alg, k_sp.basis, k_sp.basis)).all()
+                and p_sp.contains_columns(brackets(alg, k_sp.basis, p[j])).all())
             reports[i] = TransvectionReport(
                 p_space=p_sp, k_space=k_sp, s_space=s_sp, index=s_sp.dim,
                 coindex=pres.dim - s_sp.dim, involutive_ok=involutive,
                 dim_transvection=numerical_rank(
                     np.hstack([k_sp.basis, p[j]]), tol))
-    return reports, psd_ok, refused
+    return reports
 
 
 def symmetry_ideal(sp: Presentation,
@@ -502,16 +508,35 @@ def _curvature(pres: Presentation, grams: np.ndarray, nablas: np.ndarray,
     return xn.swapaxes(-1, -2), speed, drift, lift, asym, op, go
 
 
-def _require_geodesic(speed: float, drift: float) -> None:
-    """Raise unless a field of this speed and drift (see
-    :func:`_curvature`) has a geodesic orbit through the base point."""
-    if not speed > CHECK_TOL:
-        raise ValueError("field evaluates to zero at the base point; "
-                         "it generates no geodesic direction")
-    if drift > CHECK_TOL:
-        raise ValueError(
-            f"orbit of the field is not a geodesic at the base point "
-            f"(covariant derivative along itself has norm {drift:.3e})")
+#: Why a field has no curvature operator, by the precondition it fails
+#: first; each message takes the failing residual of :func:`_curvature`.
+_CURVATURE_REFUSALS = (
+    "field evaluates to zero at the base point; it generates no geodesic "
+    "direction",
+    "orbit of the field is not a geodesic at the base point (covariant "
+    "derivative along itself has norm {:.3e})",
+    "curvature operator depends on the lift (isotropy residual {:.3e})",
+    "curvature operator is not self-adjoint for the metric (residual {:.3e})",
+)
+
+
+def _curvature_refusal(speed, drift, lift=0.0, asym=0.0) -> np.ndarray:
+    """Per field, the index into :data:`_CURVATURE_REFUSALS` of the first
+    precondition its residuals from :func:`_curvature` fail, or -1: the
+    speed must exceed :data:`~symidx.liealg.CHECK_TOL`, and the drift, lift
+    and self-adjointness residuals must not.  Given speed and drift alone,
+    it decides whether the orbit is a geodesic."""
+    failed = np.stack(np.broadcast_arrays(
+        ~(speed > CHECK_TOL), drift > CHECK_TOL, lift > CHECK_TOL,
+        asym > CHECK_TOL))
+    return np.where(failed.any(axis=0), failed.argmax(axis=0), -1)
+
+
+def _refuse_curvature(*residuals) -> None:
+    """Raise the :func:`_curvature_refusal` of one field, if it has one."""
+    first = int(_curvature_refusal(*residuals))
+    if first >= 0:
+        raise ValueError(_CURVATURE_REFUSALS[first].format(residuals[first]))
 
 
 def jacobi_operator(sp: HomogeneousSpace, x: np.ndarray) -> JacobiSpectrum:
@@ -540,15 +565,7 @@ def jacobi_operator(sp: HomogeneousSpace, x: np.ndarray) -> JacobiSpectrum:
     xn, speed, drift, lift, asym, op, go = (v[0, 0] for v in _curvature(
         sp, sp.metric.gram[None], sp._nabla_basis[None],
         np.asarray(x, dtype=float)[None, :, None]))
-    _require_geodesic(speed, drift)
-    if lift > CHECK_TOL:
-        raise ValueError(
-            f"curvature operator depends on the lift "
-            f"(isotropy residual {lift:.3e})")
-    if asym > CHECK_TOL:
-        raise ValueError(
-            f"curvature operator is not self-adjoint for the metric "
-            f"(residual {asym:.3e})")
+    _refuse_curvature(speed, drift, lift, asym)
     w, vecs = pencil_eigh(0.5 * (go + go.T), sp.metric.gram, CHECK_TOL)
     return JacobiSpectrum(
         direction=xn, operator=op, eigenvalues=w, eigenvectors=vecs,
@@ -556,35 +573,22 @@ def jacobi_operator(sp: HomogeneousSpace, x: np.ndarray) -> JacobiSpectrum:
     )
 
 
-def curvature_psd(sp: HomogeneousSpace,
-                  xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Whether the curvature operator along the orbit geodesic of each
-    column of ``xs`` is positive semidefinite, all columns at once.
-
-    Returns ``(psd_ok, refused)``, two boolean arrays with one entry per
-    column.  A column is refused exactly where :func:`jacobi_operator`
-    raises, by the same rules and :data:`~symidx.liealg.CHECK_TOL`: its
-    value at the base point has length at most the tolerance, the
-    covariant derivative of the unit-speed field along itself (the drift
-    off the geodesic) exceeds it, or the operator's lift or
-    self-adjointness residual does.  Elsewhere ``psd_ok`` is
-    :func:`jacobi_operator`'s rule, smallest eigenvalue at least minus
-    the tolerance; it is False where the column is refused.  This is the
-    one-metric case of the check in :func:`transvection_stack`.
-    """
-    return tuple(r[0] for r in _curvature_psd(
-        sp, sp.metric.gram[None], sp._nabla_basis[None],
-        np.asarray(xs, dtype=float)[None]))
-
-
 def _curvature_psd(pres: Presentation, grams: np.ndarray, nablas: np.ndarray,
                    xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`curvature_psd` for the metrics and fields of :func:`_curvature`.
-    The operators are whitened by the Cholesky factors of the metrics and
-    their eigenvalues taken by one ``eigvalsh``."""
-    _, speed, drift, lift, asym, _, go = _curvature(pres, grams, nablas, xs)
-    refused = (~(speed > CHECK_TOL) | (drift > CHECK_TOL)
-               | (lift > CHECK_TOL) | (asym > CHECK_TOL))
+    """Whether the curvature operator along the orbit geodesic of each
+    field is positive semidefinite, for the metrics and fields of
+    :func:`_curvature`, all at once.
+
+    Returns ``(psd_ok, refused)``, two boolean arrays indexed by metric and
+    field.  A field is refused exactly where :func:`jacobi_operator`
+    raises, by the one :func:`_curvature_refusal`.  Elsewhere ``psd_ok`` is
+    :func:`jacobi_operator`'s rule, smallest eigenvalue at least
+    ``-CHECK_TOL``; it is False where the field is refused.  The operators
+    are whitened by the Cholesky factors of the metrics and their
+    eigenvalues taken by one ``eigvalsh``.
+    """
+    _, *residuals, _, go = _curvature(pres, grams, nablas, xs)
+    refused = _curvature_refusal(*residuals) >= 0
     white = np.linalg.inv(np.linalg.cholesky(grams))[:, None]
     w = np.linalg.eigvalsh(white @ (0.5 * (go + go.swapaxes(-1, -2)))
                            @ white.swapaxes(-1, -2))
@@ -708,7 +712,7 @@ def closed_geodesic_length(sp: HomogeneousSpace, representation: np.ndarray,
     x = np.asarray(x, dtype=float)
     speed, drift = (v[0, 0] for v in _curvature(
         sp, sp.metric.gram[None], sp._nabla_basis[None], x[None, :, None])[1:3])
-    _require_geodesic(speed, drift)
+    _refuse_curvature(speed, drift)
     gen = np.einsum("i,ijk->jk", x, np.asarray(representation))
     cutoff = CHECK_TOL * max(1.0, float(np.max(np.abs(gen))))
     eig = np.linalg.eigvals(gen)

@@ -268,9 +268,9 @@ class Subspace:
         q = self.onb()
         return q @ q.T
 
-    def contains_columns(self, vecs: np.ndarray, tol: float = CHECK_TOL) -> np.ndarray:
+    def contains_columns(self, vecs: np.ndarray) -> np.ndarray:
         """Whether each vector of ``vecs`` lies in the subspace up to
-        relative residual ``tol``, all in one projection.
+        relative residual :data:`CHECK_TOL`, all in one projection.
 
         The first axis of ``vecs`` holds the coordinates; the result has
         the shape of the remaining axes (one entry per vector).
@@ -280,30 +280,28 @@ class Subspace:
         q = self.onb()
         resid = flat - q @ (q.T @ flat)
         # squared norms on both sides
-        inside = ((resid * resid).sum(axis=0)
-                  <= tol * tol * np.maximum(1.0, (flat * flat).sum(axis=0)))
+        inside = ((resid * resid).sum(axis=0) <= CHECK_TOL * CHECK_TOL
+                  * np.maximum(1.0, (flat * flat).sum(axis=0)))
         return inside.reshape(vecs.shape[1:])
 
-    def contains(self, vec: np.ndarray, tol: float = CHECK_TOL) -> bool:
-        """Whether ``vec`` lies in the subspace up to relative residual ``tol``."""
-        return bool(self.contains_columns(vec, tol))
+    def contains(self, vec: np.ndarray) -> bool:
+        """Whether ``vec`` lies in the subspace (see :meth:`contains_columns`)."""
+        return bool(self.contains_columns(vec))
 
-    def contains_subspace(self, other: "Subspace", tol: float = CHECK_TOL) -> bool:
-        return bool(self.contains_columns(other.basis, tol).all())
+    def contains_subspace(self, other: "Subspace") -> bool:
+        return bool(self.contains_columns(other.basis).all())
 
-    def equals(self, other: "Subspace", tol: float = CHECK_TOL) -> bool:
+    def equals(self, other: "Subspace") -> bool:
         """Subspace equality (same dimension and mutual containment)."""
         return (self.dim == other.dim
-                and self.contains_subspace(other, tol)
-                and other.contains_subspace(self, tol))
+                and self.contains_subspace(other)
+                and other.contains_subspace(self))
 
 
 @dataclass(frozen=True, eq=False)
 class BilinearForm:
-    """A symmetric bilinear form given by its Gram matrix.
-
-    Definiteness is reported by :meth:`is_positive_definite`, never assumed.
-    """
+    """A symmetric bilinear form given by its Gram matrix, of any
+    signature; a space decides whether its metric is positive definite."""
 
     gram: np.ndarray
 
@@ -319,12 +317,6 @@ class BilinearForm:
     @property
     def dim(self) -> int:
         return self.gram.shape[0]
-
-    def is_positive_definite(self, tol: float = DEFAULT_TOL) -> bool:
-        if self.dim == 0:
-            return True
-        w = np.linalg.eigvalsh(self.gram)
-        return bool(w[0] > tol * max(1.0, float(w[-1])))
 
     def restricted_to(self, sub: Subspace) -> np.ndarray:
         """Gram matrix of the form restricted to ``sub`` (in its basis)."""
@@ -437,15 +429,11 @@ def brackets(alg: LieAlgebra, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (adjoints(alg, a) @ b[..., None, :, :]).swapaxes(-2, -3)
 
 
-def adjoint(alg: LieAlgebra, x: np.ndarray) -> np.ndarray:
-    """Matrix of ad_x = bracket(x, .) acting on coefficient vectors."""
-    return np.einsum("i,ijk->kj", np.asarray(x, float), alg.structure)
-
-
 def adjoints(alg: LieAlgebra, gens: np.ndarray) -> np.ndarray:
-    """Shape (k, dim, dim): slice ``[p]`` is ``adjoint(alg, gens[:, p])``
-    up to rounding (one matrix product for all columns); leading (stack)
-    axes of ``gens`` lead the result."""
+    """Shape (k, dim, dim): slice ``[p]`` is the matrix of
+    ``ad_x = bracket(x, .)`` for ``x = gens[:, p]``, acting on coefficient
+    vectors (one matrix product for all columns); leading (stack) axes of
+    ``gens`` lead the result."""
     gens = np.asarray(gens, float)
     n = len(alg.structure)
     left = gens.swapaxes(-1, -2) @ alg.structure.reshape(n, n * n)

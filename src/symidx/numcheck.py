@@ -114,40 +114,40 @@ class ExponentialChart:
         return np.linalg.solve(frame, value).reshape(
             frame.shape[:-1] + z.shape[1:])
 
-    def christoffel(self, x: np.ndarray, step: float = INNER_STEP) -> np.ndarray:
-        """Symbols G[..., c, a, b] = Gamma^c_ab at x, from metric derivatives."""
+    def christoffel(self, x: np.ndarray) -> np.ndarray:
+        """Symbols G[..., c, a, b] = Gamma^c_ab at x, from metric derivatives
+        at :data:`INNER_STEP`."""
         x = np.asarray(x, dtype=float)
-        g, dg = _derivatives(self.metric(_stencil(x, step)), step)
+        g, dg = _derivatives(self.metric(_stencil(x, INNER_STEP)), INNER_STEP)
         dg = np.moveaxis(dg, 0, -3)  # dg[..., a, b, d] = d_a g_bd
         # Gamma^c_ab = 1/2 g^cd (d_a g_bd + d_b g_ad - d_d g_ab)
         braces = dg + np.swapaxes(dg, -3, -2) - np.moveaxis(dg, -3, -1)
         return 0.5 * np.einsum("...cd,...abd->...cab", np.linalg.inv(g), braces)
 
-    def curvature_at_origin(self, outer_step: float = OUTER_STEP,
-                            inner_step: float = INNER_STEP) -> np.ndarray:
-        """Curvature tensor R[d, c, a, b] = R^d_cab at the origin."""
-        points = _stencil(np.zeros(self.sp.dim), outer_step)
-        gamma, dgamma = _derivatives(self.christoffel(points, inner_step),
-                                     outer_step)
+    def curvature_at_origin(self) -> np.ndarray:
+        """Curvature tensor R[d, c, a, b] = R^d_cab at the origin, from
+        derivatives of :meth:`christoffel` at :data:`OUTER_STEP`."""
+        points = _stencil(np.zeros(self.sp.dim), OUTER_STEP)
+        gamma, dgamma = _derivatives(self.christoffel(points), OUTER_STEP)
         # R^d_cab = d_a Gamma^d_bc - d_b Gamma^d_ac
         #           + Gamma^d_ae Gamma^e_bc - Gamma^d_be Gamma^e_ac
         half = (np.einsum("adbc->dcab", dgamma)
                 + np.einsum("dae,ebc->dcab", gamma, gamma))
         return half - np.swapaxes(half, 2, 3)
 
-    def nabla_killing_fd(self, z: np.ndarray,
-                         step: float = INNER_STEP) -> np.ndarray:
+    def nabla_killing_fd(self, z: np.ndarray) -> np.ndarray:
         """Covariant derivative matrix of a Killing field at the origin.
 
         Column b is the derivative in the b-th coordinate direction, in
         base point tangent coordinates; directly comparable to
         :meth:`HomogeneousSpace.nabla_at_base`.  A ``(dim g, k)`` matrix of
-        generators gives shape ``(n, n, k)``, all columns from one stencil.
+        generators gives shape ``(n, n, k)``, all columns from one stencil
+        at :data:`INNER_STEP`.
         """
         x0 = np.zeros(self.sp.dim)
-        z0, dz = _derivatives(self.killing_components(z, _stencil(x0, step)),
-                              step)
-        gamma = self.christoffel(x0, step)
+        z0, dz = _derivatives(
+            self.killing_components(z, _stencil(x0, INNER_STEP)), INNER_STEP)
+        gamma = self.christoffel(x0)
         return np.swapaxes(dz, 0, 1) + np.einsum("cbe,e...->cb...", gamma, z0)
 
     def jacobi_matrix_fd(self, u: np.ndarray) -> np.ndarray:

@@ -377,14 +377,14 @@ def _check_invariant_residuals():
         scaled = sp.space(BilinearForm(2.5 * gram), sp.label + " scaled")
         scaled_rep = transvection_space(scaled)
         _require(scaled_rep.index == rep.index
-                 and scaled_rep.p_space.equals(rep.p_space, 1e-8),
+                 and scaled_rep.p_space.equals(rep.p_space),
                  f"{sp.label}: subspace reports change under metric scaling")
         bound = symmetry_ideal(sp, rep)
         _require(bound.lhs <= bound.rhs,
                  f"{sp.label}: dimension bound violated "
                  f"({bound.lhs} > {bound.rhs})")
         scaled_bound = symmetry_ideal(scaled, scaled_rep)
-        _require(scaled_bound.gD.equals(bound.gD, 1e-8),
+        _require(scaled_bound.gD.equals(bound.gD),
                  f"{sp.label}: symmetry ideal changes under metric scaling")
     return ({"max_residual": 1e-8},
             {"spaces": count, "worst_residual": worst})

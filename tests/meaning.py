@@ -2,9 +2,15 @@
 
 A printed subspace is compared by its orthogonal projector and a
 spectrum by its eigenvalues; a basis is not an invariant of the input.
+:func:`adjoint` is the one-vector reference for ``liealg.adjoints``.
 """
 
 import numpy as np
+
+
+def adjoint(alg, x) -> np.ndarray:
+    """Matrix of ad_x = bracket(x, .) acting on coefficient vectors."""
+    return np.einsum("i,ijk->kj", np.asarray(x, float), alg.structure)
 
 
 def printed_projector(printed: dict) -> np.ndarray:

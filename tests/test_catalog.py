@@ -127,6 +127,13 @@ def test_orbit_space_builds_the_space_with_its_tolerance():
     assert sp.tol == 1e-6
 
 
+def test_orbit_space_refuses_a_degenerate_metric_as_any_space_does():
+    """The induced metric is decided by the space's one metric check."""
+    alg, rep = so_elementary(3)
+    with pytest.raises(ValueError, match="metric is not positive definite"):
+        orbit_space(alg, rep, np.diag([1.0, 0.0, 0.0]), lambda a, b: 0.0)
+
+
 def test_builders_build_the_space_with_their_tolerance():
     """1e-8 off the coupled stratum, two singular values of the parallel
     field equation are about 1e-8: a space built at 1e-5 decides index 2."""

@@ -66,6 +66,20 @@ def test_verify_filter_without_match_fails(capsys):
     assert "no check" in err
 
 
+def test_verify_takes_no_tolerance(capsys, monkeypatch):
+    """verify's checks fix their own tolerances, so it offers no --tol and
+    does not read SYMIDX_TOL."""
+    code, out, err = run(capsys, "verify", "--filter", "structure",
+                         "--tol", "1e-3")
+    assert (code, out) == (2, "")
+    assert "unrecognized arguments: --tol" in err
+    monkeypatch.setenv("SYMIDX_TOL", "junk")
+    code, out, _ = run(capsys, "verify", "--filter", "structure")
+    assert code == 0
+    assert [e["check"] for e in json.loads(out)] == [
+        "structure-tensor-validation"]
+
+
 def test_verify_negative_control(capsys, monkeypatch):
     lie_algebra = verify.LieAlgebra
 

@@ -19,7 +19,6 @@ from symidx.homspace import (
     Presentation,
     augment_left_invariant,
     closed_geodesic_length,
-    curvature_psd,
     jacobi_field,
     jacobi_operator,
     perpendicular_killing_space,
@@ -219,9 +218,9 @@ def test_coupled_quotient_transvection_report():
     # the parallel fields are the diagonal j and k pairs
     for w in (np.array([0, 1, 0, 0, 1, 0.0]), np.array([0, 0, 1, 0, 0, 1.0])):
         lifted = sp.lift(sp.evaluate(w))
-        assert rep.p_space.contains(lifted, 1e-8)
+        assert rep.p_space.contains(lifted)
     assert rep.k_space.dim == 1
-    assert rep.k_space.contains(np.array([1, 0, 0, 1, 0, 0.0]), 1e-8)
+    assert rep.k_space.contains(np.array([1, 0, 0, 1, 0, 0.0]))
 
 
 def test_uncoupled_quotient_has_no_symmetry():
@@ -241,7 +240,7 @@ def test_one_parameter_line_keeps_one_parallel_field():
     sp, _ = spin3_one_parameter(0.3)
     rep = transvection_space(sp)
     assert rep.index == 1
-    assert rep.p_space.contains(np.array([1.0, 0.0, 0.0]), 1e-8)
+    assert rep.p_space.contains(np.array([1.0, 0.0, 0.0]))
     assert rep.s_space.dim == 1
 
 
@@ -271,7 +270,7 @@ def test_augmented_squashed_sphere_bound():
     assert bound.lhs == bound.rhs == 6
     assert bound.equality
     assert bound.gD.dim == 1
-    assert bound.gD.contains(np.array([0.0, 0.0, 0.0, 1.0]), 1e-8)
+    assert bound.gD.contains(np.array([0.0, 0.0, 0.0, 1.0]))
 
 
 def test_perpendicular_space_of_the_coupled_quotient():
@@ -374,6 +373,13 @@ def _heisenberg_group(gram):
     alg = LieAlgebra(3, ("x", "y", "z"), c, convention_note="test")
     return HomogeneousSpace(alg, Subspace.zero(3), BilinearForm(gram),
                             complement=Subspace.full(3))
+
+
+def curvature_psd(sp, xs):
+    """The stacked psd check of transvection_stack on one metric and the
+    columns of ``xs``: ``(psd_ok, refused)``, one entry per column."""
+    return tuple(r[0] for r in homspace._curvature_psd(
+        sp, sp.metric.gram[None], sp._nabla_basis[None], xs[None]))
 
 
 def _psd_by_loop(sp, candidates):
@@ -528,6 +534,25 @@ def test_a_space_built_from_a_space_takes_the_new_metric():
     assert transvection_space(other).index == 0
 
 
+def test_each_curvature_refusal_names_the_first_failing_precondition():
+    """jacobi_operator raises by the precondition that fails first (speed,
+    drift, lift, self-adjointness), the stacked check refuses the same
+    fields, and closed_geodesic_length applies the first two."""
+    sp, _ = so4_so2(0.8, 1.6, 0.4)
+    fields = np.array([[0, 0, 0, 0, 0, 0], [0, 0, 1, 1, 1, 0],
+                       [0, 1, -1, 0, 0, 0], [-1, 0, 0, 0, 0, 0]], float).T
+    messages = ["evaluates to zero", "not a geodesic", "depends on the lift",
+                "not self-adjoint"]
+    for x, message in zip(fields.T, messages):
+        with pytest.raises(ValueError, match=message):
+            jacobi_operator(sp, x)
+    assert curvature_psd(sp, fields)[1].all()
+    rep = np.zeros((6, 2, 2))
+    for x, message in zip(fields.T[:2], messages):
+        with pytest.raises(ValueError, match=message):
+            closed_geodesic_length(sp, rep, x)
+
+
 def test_batched_psd_check_takes_no_candidates():
     sp, _ = so4_so2(0.5, 0.5)
     psd_ok, refused = curvature_psd(sp, np.zeros((6, 0)))
@@ -650,7 +675,7 @@ def test_no_function_of_a_space_takes_its_own_tolerance():
             of_a_space[name] = [p.name for p in params]
     assert {"transvection_space", "transvection_stack",
             "symmetry_ideal", "perpendicular_killing_space",
-            "augment_left_invariant", "jacobi_operator", "curvature_psd",
+            "augment_left_invariant", "jacobi_operator",
             "closed_geodesic_length"} <= set(of_a_space)
     taking_tol = sorted(n for n, params in of_a_space.items() if "tol" in params)
     assert not taking_tol, f"functions of a space that take tol: {taking_tol}"

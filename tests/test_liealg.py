@@ -3,13 +3,14 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from meaning import adjoint
 from symidx import liealg
+from symidx.homspace import Presentation
 from symidx.liealg import (
     BilinearForm,
     LieAlgebra,
     Subspace,
     abelian,
-    adjoint,
     adjoints,
     algebra_from_dict,
     algebra_to_dict,
@@ -177,11 +178,14 @@ def test_spanning_sets_and_kernels_serve_their_basis_as_onb():
 
 
 def test_bilinear_form_definiteness_and_restriction():
+    """A form may be indefinite; a space decides whether it is a metric."""
     form = BilinearForm(np.diag([2.0, 1.0, 0.5]))
-    assert form.is_positive_definite()
+    group = Presentation(spin3_quaternion()[0], Subspace.zero(3))
+    assert group.space(form).metric is form
     sub = Subspace(3, np.array([[1.0], [0.0], [0.0]]))
     np.testing.assert_allclose(form.restricted_to(sub), [[2.0]])
-    assert not BilinearForm(np.diag([1.0, -1.0])).is_positive_definite()
+    with pytest.raises(ValueError, match="not positive definite"):
+        group.space(BilinearForm(np.diag([1.0, -1.0, 1.0])))
     with pytest.raises(ValueError, match="symmetric"):
         BilinearForm(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
@@ -218,7 +222,7 @@ def test_largest_invariant_subspace_finds_ideals():
 def test_reference_form_extends_over_the_center():
     both = direct_sum(spin3_quaternion()[0], abelian(2)[0])
     q = reference_form(both)
-    assert q.is_positive_definite()
+    assert np.linalg.eigvalsh(q.gram)[0] > 0.5
     # ad-invariance: q(ad_x y, z) + q(y, ad_x z) = 0 for basis x
     for a in range(5):
         ad = adjoint(both, np.eye(5)[:, a])

@@ -15,9 +15,9 @@ import math
 import numpy as np
 import pytest
 
+from meaning import adjoint
 from symidx.catalog import round_sphere, so4_so2, spin3_berger
 from symidx.homspace import jacobi_field, jacobi_operator
-from symidx.liealg import adjoint
 from symidx.numcheck import (
     INNER_STEP,
     OUTER_STEP,

@@ -88,9 +88,7 @@ def _spin4():
     per process; both are read-only, as every space of the quotient and
     product families shares them."""
     a3, rep3 = spin3_quaternion()
-    alg = direct_sum(a3, a3)
-    alg.structure.flags.writeable = False
-    return alg, rep3
+    return direct_sum(a3, a3), rep3
 
 
 def _spin4_m_basis(lam: float) -> np.ndarray:

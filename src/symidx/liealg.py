@@ -340,15 +340,33 @@ class LieAlgebra:
         Records the bracket convention; not serialized (module docstring).
 
     Antisymmetry and the Jacobi identity are validated at construction
-    with absolute residual tolerance 1e-9.  Facts that depend on the
-    algebra alone, its ad stack and its reference forms, are computed once
-    per instance and shared by every space built on it.
+    with absolute residual tolerance :data:`DEFAULT_TOL`, the latter by the
+    O(dim^5) sum of :meth:`jacobi_residual` unless a certified bound on it
+    is at most ``DEFAULT_TOL``.  Only :func:`matrix_algebra` and
+    :func:`direct_sum` certify, and a certified tensor is read-only; this
+    constructor, :func:`algebra_from_dict` and copies run the sum.  Facts
+    that depend on the algebra alone, its ad stack and its reference
+    forms, are computed once per instance and shared by every space built
+    on it.
     """
 
     dim: int
     basis_labels: tuple
     structure: np.ndarray
     convention_note: str = KILLING_CONVENTION
+
+    _jacobi_bound = None  # set by _certified; not a dataclass field
+
+    @classmethod
+    def _certified(cls, labels: tuple, structure: np.ndarray,
+                   bound: float) -> "LieAlgebra":
+        # ``bound`` bounds the exact Jacobi sum of ``structure``, which is
+        # made read-only; __post_init__ sees the bound before it validates
+        alg = cls.__new__(cls)
+        structure.flags.writeable = False
+        alg.__dict__["_jacobi_bound"] = bound
+        alg.__init__(len(labels), labels, structure)
+        return alg
 
     def __post_init__(self):
         c = np.asarray(self.structure, dtype=float)
@@ -364,10 +382,11 @@ class LieAlgebra:
         if asym > DEFAULT_TOL:
             raise ValueError(f"structure tensor is not antisymmetric "
                              f"(residual {asym:.3e})")
-        jac = self.jacobi_residual()
-        if jac > DEFAULT_TOL:
-            raise ValueError(f"structure tensor violates the Jacobi identity "
-                             f"(residual {jac:.3e})")
+        if self._jacobi_bound is None or self._jacobi_bound > DEFAULT_TOL:
+            jac = self.jacobi_residual()
+            if jac > DEFAULT_TOL:
+                raise ValueError(f"structure tensor violates the Jacobi "
+                                 f"identity (residual {jac:.3e})")
 
     def jacobi_residual(self) -> float:
         """Max-norm of the cyclic Jacobi sum over all basis triples.
@@ -499,14 +518,19 @@ def orthogonal_complement(alg: LieAlgebra, sub: Subspace,
 
 
 def direct_sum(a: LieAlgebra, b: LieAlgebra) -> LieAlgebra:
-    """Direct sum of two algebras; labels get ``@0`` / ``@1`` suffixes."""
+    """Direct sum of two algebras; labels get ``@0`` / ``@1`` suffixes.
+    Two certified summands certify it by the larger bound, since a triple
+    that meets both has a Jacobi sum of exactly zero."""
     n, m = a.dim, b.dim
     c = np.zeros((n + m, n + m, n + m))
     c[:n, :n, :n] = a.structure
     c[n:, n:, n:] = b.structure
     labels = tuple(f"{lab}@0" for lab in a.basis_labels) + tuple(
         f"{lab}@1" for lab in b.basis_labels)
-    return LieAlgebra(n + m, labels, c)
+    if a._jacobi_bound is None or b._jacobi_bound is None:
+        return LieAlgebra(n + m, labels, c)
+    return LieAlgebra._certified(labels, c, max(a._jacobi_bound,
+                                                b._jacobi_bound))
 
 
 def _flatten_real(mats: np.ndarray) -> np.ndarray:
@@ -537,7 +561,8 @@ def matrix_algebra(matrices, labels=None, tol: float = DEFAULT_TOL):
     Returns
     -------
     (LieAlgebra, ndarray)
-        The algebra and the stacked representation matrices.
+        The algebra, certified by :func:`_fit_jacobi_bound` and read-only,
+        and the stacked representation matrices.
 
     Raises
     ------
@@ -552,7 +577,10 @@ def matrix_algebra(matrices, labels=None, tol: float = DEFAULT_TOL):
     if labels is None:
         labels = tuple(f"m{k}" for k in range(n))
     flat = _flatten_real(mats)
-    if numerical_rank(flat, tol) < n:
+    # one SVD gives the rank decision of numerical_rank and the sigma_min
+    # of the certificate
+    sv = np.linalg.svd(flat, compute_uv=False)
+    if np.sum(sv > _sv_cutoff(sv, tol)) < n:
         raise ValueError("generating matrices are linearly dependent")
     basis_t = flat.T  # columns are the flattened generators
     scale = max(1.0, float(np.max(np.abs(flat))))
@@ -572,7 +600,36 @@ def matrix_algebra(matrices, labels=None, tol: float = DEFAULT_TOL):
     structure = np.zeros((n, n, n))
     structure[first, second] = coeffs.T
     structure[second, first] = -coeffs.T
-    return LieAlgebra(n, tuple(labels), structure), mats
+    bound = _fit_jacobi_bound(flat, sv, coeffs, resids, first, second,
+                              mats.shape[1])
+    return LieAlgebra._certified(tuple(labels), structure, bound), mats
+
+
+def _fit_jacobi_bound(flat, sv, coeffs, resids, first, second, d) -> float:
+    """Upper bound on the Jacobi sum of the tensor that matrix_algebra
+    fits to the d x d generators ``flat`` (singular values ``sv``), from
+    its coefficients and computed residual norms per pair.
+
+    With rho(x) = sum_a x_a M_a and exact residuals rho(c_ij) + [M_i, M_j]
+    = R_ij, the Jacobi identity of commutators leaves rho(J_ijk) =
+    sum_cyc ([M_k, R_ij] + sum_a c_ij^a R_ak), so |J_ijk| <= 3 r (2 m + c1)
+    / sigma_min: r the largest ||R_ij||_F, m the largest ||M_k||_F, c1 the
+    largest sum_a |c_ij^a|.  r adds to the computed residuals Higham's
+    gamma_k = k u rounding bounds of the fit and commutator products, and
+    sigma_min gives up the rounding of the SVD.
+    """
+    n, width = flat.shape
+    u = np.finfo(float).eps / 2.0  # unit roundoff
+    norms = np.linalg.norm(flat, axis=1)
+    rounding = ((n + 2) * u * np.linalg.norm(flat)
+                * np.linalg.norm(coeffs, axis=0)
+                + (3 * d + 10) * u * norms[first] * norms[second])
+    r = np.max(resids * (1.0 + (width + 2) * u) + rounding, initial=0.0)
+    c1 = np.max(np.abs(coeffs).sum(axis=0), initial=0.0)
+    sigma = sv[-1] - (n + width) * u * sv[0]
+    if sigma <= 0.0:
+        return math.inf
+    return float(3.0 * r * (2.0 * norms.max() + c1) / sigma)
 
 
 def largest_invariant_subspace(alg: LieAlgebra, generators: np.ndarray | None,
@@ -690,7 +747,7 @@ def spin3_quaternion():
     """
     mats = np.array([quaternion_left_multiplication(q) for q in (1, 2, 3)])
     alg, rep = matrix_algebra(mats, ("i", "j", "k"))
-    alg.structure.flags.writeable = rep.flags.writeable = False
+    rep.flags.writeable = False
     return alg, rep
 
 

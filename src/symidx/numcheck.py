@@ -68,6 +68,17 @@ def _derivatives(values: np.ndarray, step: float):
     return values[0], np.tensordot(_WEIGHTS, per_axis, (0, 1)) / (12 * step)
 
 
+def _christoffel(metrics: np.ndarray) -> np.ndarray:
+    """Symbols G[..., c, a, b] = Gamma^c_ab at the centre of the stencil
+    whose metric components are ``metrics`` (from :func:`_stencil` at
+    :data:`INNER_STEP`)."""
+    g, dg = _derivatives(metrics, INNER_STEP)
+    dg = np.moveaxis(dg, 0, -3)  # dg[..., a, b, d] = d_a g_bd
+    # Gamma^c_ab = 1/2 g^cd (d_a g_bd + d_b g_ad - d_d g_ab)
+    braces = dg + np.swapaxes(dg, -3, -2) - np.moveaxis(dg, -3, -1)
+    return 0.5 * np.einsum("...cd,...abd->...cab", np.linalg.inv(g), braces)
+
+
 class ExponentialChart:
     """Normal-style coordinates on a homogeneous space near the base point.
 
@@ -101,28 +112,29 @@ class ExponentialChart:
         expressed in the tangent coordinates of the base point fibre."""
         return self._series(x)[1]
 
+    def _metric_in(self, frame: np.ndarray) -> np.ndarray:
+        return np.swapaxes(frame, -1, -2) @ self.sp.metric.gram @ frame
+
+    def _components_in(self, z: np.ndarray, exp: np.ndarray,
+                       frame: np.ndarray) -> np.ndarray:
+        z = np.asarray(z, dtype=float)
+        value = self.sp.eval_matrix @ exp @ z.reshape(len(z), -1)
+        return np.linalg.solve(frame, value).reshape(
+            frame.shape[:-1] + z.shape[1:])
+
     def metric(self, x: np.ndarray) -> np.ndarray:
-        f = self.frame(x)
-        return np.swapaxes(f, -1, -2) @ self.sp.metric.gram @ f
+        return self._metric_in(self.frame(x))
 
     def killing_components(self, z: np.ndarray, x: np.ndarray) -> np.ndarray:
         """Coordinate components at x of the Killing field with generator z,
         or column by column of a ``(dim g, k)`` matrix of generators."""
-        z = np.asarray(z, dtype=float)
-        exp, frame = self._series(x)
-        value = self.sp.eval_matrix @ exp @ z.reshape(len(z), -1)
-        return np.linalg.solve(frame, value).reshape(
-            frame.shape[:-1] + z.shape[1:])
+        return self._components_in(z, *self._series(x))
 
     def christoffel(self, x: np.ndarray) -> np.ndarray:
         """Symbols G[..., c, a, b] = Gamma^c_ab at x, from metric derivatives
         at :data:`INNER_STEP`."""
         x = np.asarray(x, dtype=float)
-        g, dg = _derivatives(self.metric(_stencil(x, INNER_STEP)), INNER_STEP)
-        dg = np.moveaxis(dg, 0, -3)  # dg[..., a, b, d] = d_a g_bd
-        # Gamma^c_ab = 1/2 g^cd (d_a g_bd + d_b g_ad - d_d g_ab)
-        braces = dg + np.swapaxes(dg, -3, -2) - np.moveaxis(dg, -3, -1)
-        return 0.5 * np.einsum("...cd,...abd->...cab", np.linalg.inv(g), braces)
+        return _christoffel(self.metric(_stencil(x, INNER_STEP)))
 
     def curvature_at_origin(self) -> np.ndarray:
         """Curvature tensor R[d, c, a, b] = R^d_cab at the origin, from
@@ -144,10 +156,10 @@ class ExponentialChart:
         generators gives shape ``(n, n, k)``, all columns from one stencil
         at :data:`INNER_STEP`.
         """
-        x0 = np.zeros(self.sp.dim)
-        z0, dz = _derivatives(
-            self.killing_components(z, _stencil(x0, INNER_STEP)), INNER_STEP)
-        gamma = self.christoffel(x0)
+        # one walk of the series gives the field components and the metric
+        exp, frame = self._series(_stencil(np.zeros(self.sp.dim), INNER_STEP))
+        z0, dz = _derivatives(self._components_in(z, exp, frame), INNER_STEP)
+        gamma = _christoffel(self._metric_in(frame))
         return np.swapaxes(dz, 0, 1) + np.einsum("cbe,e...->cb...", gamma, z0)
 
     def jacobi_matrix_fd(self, u: np.ndarray) -> np.ndarray:

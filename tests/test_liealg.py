@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from meaning import adjoint
-from symidx import liealg
-from symidx.homspace import Presentation
+from symidx import liealg, verify
+from symidx.catalog import cp2_centriole, spin3_berger
+from symidx.homspace import Presentation, augment_left_invariant
 from symidx.liealg import (
+    DEFAULT_TOL,
     BilinearForm,
     LieAlgebra,
     Subspace,
@@ -567,3 +569,104 @@ def test_stacked_rank_primitives_match_the_per_matrix_ones(shape):
                                   nullity[: 2 * half].reshape(half, 2))
     np.testing.assert_array_equal(stacked_spans(pairs)[1],
                                   rank[: 2 * half].reshape(half, 2))
+
+
+def record_jacobi_sums(monkeypatch) -> list:
+    """Wrap LieAlgebra.jacobi_residual: each exact sum appends (the
+    certificate of its algebra, its structure tensor, its value)."""
+    calls = []
+    exact = LieAlgebra.jacobi_residual
+
+    def recorded(self):
+        value = exact(self)
+        calls.append((self._jacobi_bound, self.structure, value))
+        return value
+
+    monkeypatch.setattr(LieAlgebra, "jacobi_residual", recorded)
+    return calls
+
+
+def rebased(gens, seed):
+    """The algebra of ``gens`` after a seeded dense change of generator
+    basis of condition number 100."""
+    rng = np.random.default_rng(seed)
+    n = len(gens)
+    q1, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    q2, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    t = q1 @ np.diag(np.geomspace(1.0, 0.01, n)) @ q2
+    return matrix_algebra(np.einsum("ab,bij->aij", t, gens))[0]
+
+
+@pytest.mark.parametrize("build", [
+    *(pytest.param(lambda n=n: so_elementary(n)[0], id=f"so{n}")
+      for n in range(2, 13)),
+    pytest.param(lambda: su3()[0], id="su3"),
+    pytest.param(lambda: spin3_quaternion()[0], id="spin3"),
+    pytest.param(lambda: cp2_centriole()[0].algebra, id="cp2-centriole"),
+    *(pytest.param(lambda seed=seed: rebased(so_elementary(5)[1], seed),
+                   id=f"so5-dense-real-{seed}") for seed in range(3)),
+    *(pytest.param(lambda seed=seed: rebased(su3()[1], seed),
+                   id=f"su3-dense-complex-{seed}") for seed in range(3)),
+])
+def test_certificate_bounds_the_exact_jacobi_sum(build):
+    """matrix_algebra certifies its tensor by a bound that holds and that
+    the exact sum does not need to run behind."""
+    alg = build()
+    assert alg.jacobi_residual() <= alg._jacobi_bound <= DEFAULT_TOL
+
+
+@pytest.mark.parametrize("noise, tol, refused", [(1e-8, 1e-6, False),
+                                                 (1e-5, 1e-3, True)])
+def test_a_fit_the_certificate_cannot_bound_is_decided_by_the_exact_sum(
+        noise, tol, refused, monkeypatch):
+    """Noisy so(4) generators pass closure at a loose tol, and their fit
+    residuals are too large for the certificate: the exact sum runs once
+    and accepts or refuses the tensor, as it would with no certificate."""
+    rng = np.random.default_rng(5)
+    gens = so_elementary(4)[1] + noise * rng.standard_normal((6, 4, 4))
+    calls = record_jacobi_sums(monkeypatch)
+    if refused:
+        with pytest.raises(ValueError, match="Jacobi identity"):
+            matrix_algebra(gens, tol=tol)
+    else:
+        matrix_algebra(gens, tol=tol)
+    [(bound, structure, value)] = calls
+    assert bound > DEFAULT_TOL
+    assert value == pytest.approx(reference_jacobi_residual(structure),
+                                  rel=1e-9, abs=1e-15)
+    assert (value > DEFAULT_TOL) == refused
+
+
+def uncertified_copy():
+    alg = so_elementary(4)[0]
+    copy = LieAlgebra(alg.dim, alg.basis_labels, alg.structure.copy())
+    assert copy.structure.flags.writeable
+    return copy
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(uncertified_copy, id="copy-of-certified"),
+    pytest.param(lambda: algebra_from_dict(algebra_to_dict(su3()[0])),
+                 id="from-dict"),
+    pytest.param(lambda: direct_sum(spin3_quaternion()[0], abelian(1)[0]),
+                 id="sum-with-uncertified"),
+    pytest.param(lambda: augment_left_invariant(spin3_berger(1.5)[0]),
+                 id="augmented"),
+    pytest.param(lambda: verify.run_checks("structure"), id="verify"),
+])
+def test_uncertified_constructions_run_the_exact_sum(build, monkeypatch):
+    calls = record_jacobi_sums(monkeypatch)
+    build()
+    assert calls and all(bound is None for bound, _, _ in calls)
+
+
+def test_certified_tensors_are_read_only_and_sums_keep_the_larger_bound(
+        monkeypatch):
+    calls = record_jacobi_sums(monkeypatch)
+    a, b = so_elementary(5)[0], su3()[0]
+    both = direct_sum(a, b)
+    assert calls == []
+    assert both._jacobi_bound == max(a._jacobi_bound, b._jacobi_bound)
+    for alg in (a, b, both):
+        with pytest.raises(ValueError, match="read-only"):
+            alg.structure[0, 1, 2] = 0.0

@@ -1,6 +1,7 @@
-"""Scale guard: the round sphere so(12)/so(11), algebra dimension 66.
+"""Scale guard: the round spheres so(12)/so(11) and so(15)/so(14), algebra
+dimension 66 and 105.
 
-The checks are deterministic (results and a tracemalloc bound), not
+The checks are deterministic (results and tracemalloc bounds), not
 timings; together they take under a second.
 """
 
@@ -10,8 +11,15 @@ import pytest
 
 from symidx.catalog import round_sphere
 from symidx.homspace import symmetry_ideal, transvection_space
+from symidx.liealg import DEFAULT_TOL
 
 N = 11
+
+#: Traced peak of building so(15)/so(14): 40.9 MiB measured (numpy 2.4,
+#: CPython 3.11).  It is reached inside matrix_algebra, where the 5 460
+#: pair commutators are formed, before the space is built; the exact
+#: Jacobi sum, when it ran, peaked below it.
+SO15_BUILD_PEAK_MIB = 48
 
 
 @pytest.fixture(scope="module")
@@ -24,16 +32,40 @@ def so12(sphere):
     return sphere.algebra
 
 
-def test_so12_sphere_pipeline(sphere):
-    """so(12)/so(11) is the round 11-sphere: symmetric, so index 11,
+@pytest.fixture(scope="module")
+def so15_sphere():
+    """round_sphere(14) and the traced peak of building it, in bytes."""
+    tracemalloc.start()
+    try:
+        sp = round_sphere(14)[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return sp, peak
+
+
+def assert_round_sphere(sp, n):
+    """so(n+1)/so(n) is the round n-sphere: symmetric, so index n,
     coindex 0, and a bound 0 = 0 with no complementary ideal."""
-    sp = sphere
     report = transvection_space(sp)
-    assert (report.index, report.coindex) == (N, 0)
+    assert (report.index, report.coindex) == (n, 0)
     assert report.dim_transvection == sp.algebra.dim
     assert report.involutive_ok
     bound = symmetry_ideal(sp, report)
     assert (bound.lhs, bound.rhs, bound.equality) == (0, 0, True)
+
+
+def test_so12_sphere_pipeline(sphere):
+    assert_round_sphere(sphere, N)
+
+
+def test_so15_sphere_is_certified_and_built_within_its_memory(so15_sphere):
+    """The 105-dimensional algebra skips the O(dim^5) Jacobi sum on its
+    certificate and gives the round 14-sphere."""
+    sp, peak = so15_sphere
+    assert sp.algebra._jacobi_bound <= DEFAULT_TOL
+    assert peak < SO15_BUILD_PEAK_MIB * 2**20
+    assert_round_sphere(sp, 14)
 
 
 def test_jacobi_residual_memory_is_cubic(so12):

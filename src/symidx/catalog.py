@@ -88,7 +88,9 @@ def _spin4():
     per process; both are read-only, as every space of the quotient and
     product families shares them."""
     a3, rep3 = spin3_quaternion()
-    return direct_sum(a3, a3), rep3
+    alg = direct_sum(a3, a3)
+    alg.structure.flags.writeable = False
+    return alg, rep3
 
 
 def _spin4_m_basis(lam: float) -> np.ndarray:

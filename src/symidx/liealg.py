@@ -342,12 +342,11 @@ class LieAlgebra:
     Antisymmetry and the Jacobi identity are validated at construction
     with absolute residual tolerance :data:`DEFAULT_TOL`, the latter by the
     O(dim^5) sum of :meth:`jacobi_residual` unless a certified bound on it
-    is at most ``DEFAULT_TOL``.  Only :func:`matrix_algebra` and
-    :func:`direct_sum` certify, and a certified tensor is read-only; this
-    constructor, :func:`algebra_from_dict` and copies run the sum.  Facts
-    that depend on the algebra alone, its ad stack and its reference
-    forms, are computed once per instance and shared by every space built
-    on it.
+    is at most ``DEFAULT_TOL``.  Only :func:`matrix_algebra` certifies,
+    and a certified tensor is read-only; this constructor,
+    :func:`algebra_from_dict` and copies run the sum.  Facts that depend
+    on the algebra alone, its ad stack and its reference forms, are
+    computed once per instance and shared by every space built on it.
     """
 
     dim: int
@@ -518,19 +517,14 @@ def orthogonal_complement(alg: LieAlgebra, sub: Subspace,
 
 
 def direct_sum(a: LieAlgebra, b: LieAlgebra) -> LieAlgebra:
-    """Direct sum of two algebras; labels get ``@0`` / ``@1`` suffixes.
-    Two certified summands certify it by the larger bound, since a triple
-    that meets both has a Jacobi sum of exactly zero."""
+    """Direct sum of two algebras; labels get ``@0`` / ``@1`` suffixes."""
     n, m = a.dim, b.dim
     c = np.zeros((n + m, n + m, n + m))
     c[:n, :n, :n] = a.structure
     c[n:, n:, n:] = b.structure
     labels = tuple(f"{lab}@0" for lab in a.basis_labels) + tuple(
         f"{lab}@1" for lab in b.basis_labels)
-    if a._jacobi_bound is None or b._jacobi_bound is None:
-        return LieAlgebra(n + m, labels, c)
-    return LieAlgebra._certified(labels, c, max(a._jacobi_bound,
-                                                b._jacobi_bound))
+    return LieAlgebra(n + m, labels, c)
 
 
 def _flatten_real(mats: np.ndarray) -> np.ndarray:

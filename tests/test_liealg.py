@@ -599,7 +599,7 @@ def rebased(gens, seed):
 
 @pytest.mark.parametrize("build", [
     *(pytest.param(lambda n=n: so_elementary(n)[0], id=f"so{n}")
-      for n in range(2, 13)),
+      for n in range(2, 12)),
     pytest.param(lambda: su3()[0], id="su3"),
     pytest.param(lambda: spin3_quaternion()[0], id="spin3"),
     pytest.param(lambda: cp2_centriole()[0].algebra, id="cp2-centriole"),
@@ -610,7 +610,8 @@ def rebased(gens, seed):
 ])
 def test_certificate_bounds_the_exact_jacobi_sum(build):
     """matrix_algebra certifies its tensor by a bound that holds and that
-    the exact sum does not need to run behind."""
+    the exact sum does not need to run behind (so(12), whose exact sum
+    takes a third of a second, is checked in test_scale)."""
     alg = build()
     assert alg.jacobi_residual() <= alg._jacobi_bound <= DEFAULT_TOL
 
@@ -650,6 +651,8 @@ def uncertified_copy():
                  id="from-dict"),
     pytest.param(lambda: direct_sum(spin3_quaternion()[0], abelian(1)[0]),
                  id="sum-with-uncertified"),
+    pytest.param(lambda: direct_sum(so_elementary(3)[0], su3()[0]),
+                 id="sum-of-certified"),
     pytest.param(lambda: augment_left_invariant(spin3_berger(1.5)[0]),
                  id="augmented"),
     pytest.param(lambda: verify.run_checks("structure"), id="verify"),
@@ -660,13 +663,10 @@ def test_uncertified_constructions_run_the_exact_sum(build, monkeypatch):
     assert calls and all(bound is None for bound, _, _ in calls)
 
 
-def test_certified_tensors_are_read_only_and_sums_keep_the_larger_bound(
-        monkeypatch):
+def test_certified_tensors_are_read_only(monkeypatch):
     calls = record_jacobi_sums(monkeypatch)
     a, b = so_elementary(5)[0], su3()[0]
-    both = direct_sum(a, b)
     assert calls == []
-    assert both._jacobi_bound == max(a._jacobi_bound, b._jacobi_bound)
-    for alg in (a, b, both):
+    for alg in (a, b):
         with pytest.raises(ValueError, match="read-only"):
             alg.structure[0, 1, 2] = 0.0

@@ -37,6 +37,7 @@ from .homspace import (
     augment_left_invariant,
     jacobi_operator,
     symmetry_ideal,
+    symmetry_ideals,
     transvection_space,
     transvection_stack,
 )
@@ -247,8 +248,8 @@ def _counted(count: int, noun: str) -> str:
 
 def _cmd_sweep(args, tol, parser) -> int:
     """Validate each presentation of the grid once and decide its metrics
-    by one :func:`transvection_stack`; a point that its builders or the
-    metric checks refuse is skipped."""
+    by one :func:`transvection_stack` and one :func:`symmetry_ideals`; a
+    point that its builders or the metric checks refuse is skipped."""
     rows = []
     skipped = refused = 0
     for presentation, points in _sweep_points(args, parser):
@@ -267,10 +268,10 @@ def _cmd_sweep(args, tol, parser) -> int:
         reports, psd_ok, point_refused = transvection_stack(pres, grams)
         refused += int(point_refused.sum())
         skipped += reports.count(None)
-        for params, report, psd in zip(fields, reports, psd_ok):
-            if report is None:
-                continue
-            bound = symmetry_ideal(pres, report)
+        kept = [i for i, report in enumerate(reports) if report is not None]
+        bounds = symmetry_ideals(pres, [reports[i] for i in kept])
+        for i, bound in zip(kept, bounds):
+            params, report, psd = fields[i], reports[i], psd_ok[i]
             rows.append(",".join([
                 *map(_fmt, params), _fmt(report.index), _fmt(report.coindex),
                 _fmt(report.dim_transvection), _fmt(bool(psd)),

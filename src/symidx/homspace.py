@@ -42,12 +42,17 @@ from .liealg import (
     brackets,
     checked_tol,
     eigenvalue_clusters,
+    equal_groups,
+    invariant_subspaces,
     largest_invariant_subspace,
     numerical_rank,
     orthogonal_complement,
     pair_indices,
     pencil_eigh,
+    reference_form,
+    stacked_contains,
     stacked_kernels,
+    stacked_leaks,
     stacked_spans,
 )
 
@@ -375,9 +380,8 @@ def transvection_stack(pres: Presentation, grams: np.ndarray) -> tuple:
         return reports, psd_ok, refused
     nablas = _nablas(pres, grams[kept])
     found = _transvections(pres, nablas)
-    dims = np.array([report.p_space.dim for report in found])
-    for k in set(dims.tolist()):
-        group = np.flatnonzero(dims == k)
+    for _, group in equal_groups([report.p_space.dim for report in found]):
+        group = np.arange(len(found))[group]
         p = np.stack([found[j].p_space.basis for j in group])
         ms = np.broadcast_to(pres.m_basis, (len(group), *pres.m_basis.shape))
         fine, out = _curvature_psd(pres, grams[kept[group]], nablas[group],
@@ -391,70 +395,95 @@ def transvection_stack(pres: Presentation, grams: np.ndarray) -> tuple:
 
 def _transvections(pres: Presentation, nablas: np.ndarray) -> list:
     """The reports of :func:`transvection_stack` for metrics that pass the
-    metric checks, given their :func:`_nablas`."""
+    metric checks, given their :func:`_nablas`, in stacked calls per group
+    of equal ``p_space``, then ``k_space``, dimension."""
     alg, tol, n = pres.algebra, pres.tol, pres.algebra.dim
     v, nullity = stacked_kernels(nablas.reshape(len(nablas), n, -1)
                                  .swapaxes(-1, -2), tol)
     reports = [None] * len(nablas)
-    for k in sorted(set(nullity.tolist())):
-        group = np.flatnonzero(nullity == k)
+    for k, group in equal_groups(nullity):
+        group = np.arange(len(nablas))[group]
         p = v[group, :, n - k:]
         s, s_rank = stacked_spans(pres.eval_matrix @ p, tol)
         first, second = pair_indices(k)
         kb, k_rank = stacked_spans(brackets(alg, p, p)[..., first, second], tol)
-        for j, i in enumerate(group.tolist()):
-            p_sp = Subspace._orthonormal(n, p[j])
-            k_sp = Subspace._orthonormal(n, kb[j, :, :k_rank[j]])
-            s_sp = Subspace._orthonormal(pres.dim, s[j, :, :s_rank[j]])
-            involutive = bool(
-                k_sp.contains_columns(
-                    brackets(alg, k_sp.basis, k_sp.basis)).all()
-                and p_sp.contains_columns(brackets(alg, k_sp.basis, p[j])).all())
-            reports[i] = TransvectionReport(
-                p_space=p_sp, k_space=k_sp, s_space=s_sp, index=s_sp.dim,
-                coindex=pres.dim - s_sp.dim, involutive_ok=involutive,
-                dim_transvection=numerical_rank(
-                    np.hstack([k_sp.basis, p[j]]), tol))
+        for r, sub in equal_groups(k_rank):
+            kk, pp = kb[sub, :, :r], p[sub]
+            involutive = (
+                stacked_contains(kk, brackets(alg, kk, kk)).all(axis=-1)
+                & stacked_contains(pp, brackets(alg, kk, pp)).all(axis=-1))
+            dim_transvection = numerical_rank(np.concatenate([kk, pp], -1),
+                                              tol)
+            for j, g in enumerate(np.arange(len(p))[sub].tolist()):
+                s_sp = Subspace._orthonormal(pres.dim, s[g, :, :s_rank[g]])
+                reports[group[g]] = TransvectionReport(
+                    p_space=Subspace._orthonormal(n, p[g]),
+                    k_space=Subspace._orthonormal(n, kk[j]),
+                    s_space=s_sp, index=s_sp.dim, coindex=pres.dim - s_sp.dim,
+                    dim_transvection=int(dim_transvection[j]),
+                    involutive_ok=bool(involutive[j]))
     return reports
 
 
 def symmetry_ideal(sp: Presentation,
                    report: TransvectionReport | None = None) -> BoundReport:
-    """Split off the ideal responsible for the parallel directions.
-
-    Seeds the largest-ideal iteration with isotropy plus the lifted
-    ``s_space``; the orthogonal complement for the ad-invariant reference
-    form is again an ideal (internal error if the numerics disagree) and
-    its dimension enters the bound ``2 dim(g_prime) <= k (k + 1)``.  Only
-    the presentation of ``sp`` is read.
+    """Split off the ideal responsible for the parallel directions: the
+    one-report case of :func:`symmetry_ideals`.  Only the presentation of
+    ``sp`` is read; ``report`` defaults to :func:`transvection_space`'s.
     """
     if report is None:
         report = transvection_space(sp)
-    alg, tol = sp.algebra, sp.tol
-    n = alg.dim
-    seed = Subspace.from_spanning(
-        n, np.hstack([sp.h_basis, sp.m_basis @ report.s_space.basis]), tol)
-    g_d = largest_invariant_subspace(alg, None, seed, tol)
+    return symmetry_ideals(sp, [report])[0]
 
-    g_prime = orthogonal_complement(alg, g_d, tol)
-    if g_d.dim + g_prime.dim != n:
-        raise RuntimeError("internal: orthogonal split of the symmetry ideal "
-                           "has the wrong dimension")
-    if g_prime.dim:
-        leak = np.abs((np.eye(n) - g_prime.projector())
-                      @ alg.ad_stack @ g_prime.basis)
-        worst = leak.max(axis=(1, 2))
-        bad = np.flatnonzero(worst > CHECK_TOL)
-        if bad.size:
+
+def symmetry_ideals(pres: Presentation, reports: list) -> list:
+    """The :class:`BoundReport` of each transvection report of ``reports``
+    on ``pres``, in stacked calls per group of equal dimension.
+
+    Seeds the largest-ideal iteration of :func:`invariant_subspaces` with
+    isotropy plus the lifted ``s_space``; the orthogonal complement for the
+    ad-invariant reference form is again an ideal (internal error if the
+    numerics disagree) and its dimension enters the bound
+    ``2 dim(g_prime) <= k (k + 1)``.
+    """
+    alg, tol, n = pres.algebra, pres.tol, pres.algebra.dim
+    h = pres.h_basis
+    ideals = []  # (rows of reports, stacked bases of their gD)
+    for k, group in equal_groups([report.index for report in reports]):
+        group = np.arange(len(reports))[group]
+        seeds = np.empty((len(group), n, h.shape[1] + k))
+        seeds[..., :h.shape[1]] = h
+        seeds[..., h.shape[1]:] = pres.m_basis @ np.array(
+            [reports[i].s_space.basis for i in group.tolist()])
+        u, rank = stacked_spans(seeds, tol)
+        for d, part in equal_groups(rank):
+            ideals += [(group[part][rows], g_d) for rows, g_d in
+                       invariant_subspaces(alg.ad_stack, u[part, :, :d], tol)]
+
+    q = reference_form(alg, tol).gram
+    out = [None] * len(reports)
+    for rows, g_d in ideals:
+        d = g_d.shape[-1]
+        v, nullity = stacked_kernels(g_d.swapaxes(-1, -2) @ q, tol)
+        if (nullity != n - d).any():
+            raise RuntimeError("internal: orthogonal split of the symmetry "
+                               "ideal has the wrong dimension")
+        g_prime = v[:, :, d:]
+        # the complement of 0 or of the whole algebra is an ideal exactly
+        worst = (np.abs(stacked_leaks(alg.ad_stack, g_prime)).max(
+            axis=(-2, -1)) if 0 < d < n else np.zeros(1))
+        if worst.max() > CHECK_TOL:
             raise RuntimeError(
                 f"internal: complement of the symmetry ideal is not an ideal "
-                f"(residual {worst[bad[0]]:.3e})")
-
-    k = report.coindex
-    lhs = 2 * g_prime.dim
-    rhs = k * (k + 1)
-    return BoundReport(gD=g_d, g_prime=g_prime, k=k,
-                       lhs=lhs, rhs=rhs, equality=lhs == rhs)
+                f"(residual {worst[worst > CHECK_TOL][0]:.3e})")
+        for j, i in enumerate(rows.tolist()):
+            k = reports[i].coindex
+            lhs, rhs = 2 * (n - d), k * (k + 1)
+            out[i] = BoundReport(
+                gD=Subspace._orthonormal(n, g_d[j]),
+                g_prime=Subspace._orthonormal(n, g_prime[j]),
+                k=k, lhs=lhs, rhs=rhs, equality=lhs == rhs)
+    return out
 
 
 def perpendicular_killing_space(sp: HomogeneousSpace,

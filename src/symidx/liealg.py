@@ -70,13 +70,17 @@ def _sv_cutoff(s: np.ndarray, tol: float) -> np.ndarray:
     return tol * np.maximum(s[..., :1], 1.0)
 
 
-def numerical_rank(a: np.ndarray, tol: float = DEFAULT_TOL) -> int:
-    """Rank of ``a`` by singular values above a relative cutoff."""
+def numerical_rank(a: np.ndarray, tol: float = DEFAULT_TOL):
+    """Rank of ``a`` by singular values above a relative cutoff; for a
+    stack (..., m, n), the array of the ranks of its matrices, by one SVD
+    call."""
     a = np.atleast_2d(np.asarray(a, dtype=float))
-    if min(a.shape) == 0:
-        return 0
-    s = np.linalg.svd(a, compute_uv=False)
-    return int(np.sum(s > _sv_cutoff(s, tol)))
+    if min(a.shape[-2:]) == 0:
+        rank = np.zeros(a.shape[:-2], dtype=np.intp)
+    else:
+        s = np.linalg.svd(a, compute_uv=False)
+        rank = (s > _sv_cutoff(s, tol)).sum(axis=-1)
+    return int(rank) if a.ndim == 2 else rank
 
 
 def stacked_kernels(a: np.ndarray, tol: float = DEFAULT_TOL) -> tuple:
@@ -104,6 +108,31 @@ def stacked_spans(a: np.ndarray, tol: float = DEFAULT_TOL) -> tuple:
         return np.zeros((*lead, m, 0)), np.zeros(lead, dtype=np.intp)
     u, s, _ = np.linalg.svd(a, full_matrices=False)
     return u, (s > _sv_cutoff(s, tol)).sum(axis=-1)
+
+
+def stacked_contains(q: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """Whether each vector of ``vecs`` lies in the span of the orthonormal
+    columns of ``q`` (..., n, r) up to relative residual :data:`CHECK_TOL`,
+    all in one projection.  The axis of ``vecs`` after the stack axes of
+    ``q`` holds the coordinates; the result has one entry per vector,
+    flattened to shape (..., m)."""
+    flat = vecs.reshape(*q.shape[:-1], math.prod(vecs.shape[q.ndim - 1:]))
+    resid = flat - q @ (q.swapaxes(-1, -2) @ flat)
+    # squared norms on both sides
+    return ((resid * resid).sum(axis=-2) <= CHECK_TOL * CHECK_TOL
+            * np.maximum(1.0, (flat * flat).sum(axis=-2)))
+
+
+def equal_groups(keys) -> list:
+    """``(key, index)`` for each distinct integer of ``keys``, ascending:
+    the groups of a ragged stack that one stacked call decides together.
+    ``index`` selects the group along the first axis; it is
+    ``slice(None)``, a view, when all keys are equal."""
+    keys = np.asarray(keys)
+    distinct = sorted(set(keys.tolist()))
+    if len(distinct) == 1:
+        return [(distinct[0], slice(None))]
+    return [(key, np.flatnonzero(keys == key)) for key in distinct]
 
 
 def numerical_kernel(a: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -211,8 +240,7 @@ class Subspace:
                 f"({self.ambient_dim})"
             )
         object.__setattr__(self, "basis", b)
-        if ("_onb" not in self.__dict__ and b.shape[1] > 0
-                and numerical_rank(b) < b.shape[1]):
+        if b.shape[1] > 0 and numerical_rank(b) < b.shape[1]:
             raise ValueError(
                 f"basis of shape {b.shape} is rank deficient "
                 f"(rank {numerical_rank(b)})"
@@ -220,11 +248,13 @@ class Subspace:
 
     @classmethod
     def _orthonormal(cls, ambient_dim: int, q: np.ndarray) -> "Subspace":
-        # full rank by construction: __post_init__ sees _onb and skips the check
+        # q, orthonormal float columns, is its own onb and has full rank; a
+        # row count that does not match is left for __post_init__ to report
+        if q.shape[0] != ambient_dim:
+            return cls(ambient_dim, q)
         sub = cls.__new__(cls)
         q.flags.writeable = False
-        sub.__dict__["_onb"] = q
-        sub.__init__(ambient_dim, q)
+        sub.__dict__.update(ambient_dim=ambient_dim, basis=q, _onb=q)
         return sub
 
     @classmethod
@@ -276,13 +306,7 @@ class Subspace:
         the shape of the remaining axes (one entry per vector).
         """
         vecs = np.asarray(vecs, dtype=float)
-        flat = vecs.reshape(len(vecs), math.prod(vecs.shape[1:]))
-        q = self.onb()
-        resid = flat - q @ (q.T @ flat)
-        # squared norms on both sides
-        inside = ((resid * resid).sum(axis=0) <= CHECK_TOL * CHECK_TOL
-                  * np.maximum(1.0, (flat * flat).sum(axis=0)))
-        return inside.reshape(vecs.shape[1:])
+        return stacked_contains(self.onb(), vecs).reshape(vecs.shape[1:])
 
     def contains(self, vec: np.ndarray) -> bool:
         """Whether ``vec`` lies in the subspace (see :meth:`contains_columns`)."""
@@ -464,9 +488,10 @@ def killing_form_positive(alg: LieAlgebra) -> BilinearForm:
     Positive definite exactly when the algebra is of compact type; in the
     quaternion model of spin(3) this gives B(i, i) = 8.
     """
-    c = alg.structure
-    gram = -np.einsum("imk,jkm->ij", c, c) if alg.dim else np.zeros((0, 0))
-    return BilinearForm(gram)
+    c, n = alg.structure, alg.dim
+    # sum over (m, k) of c[i, m, k] c[j, k, m], as one matrix product
+    return BilinearForm(-(c.reshape(n, n * n)
+                          @ c.swapaxes(1, 2).reshape(n, n * n).T))
 
 
 def derived_subalgebra(alg: LieAlgebra, tol: float = DEFAULT_TOL) -> Subspace:
@@ -631,12 +656,8 @@ def largest_invariant_subspace(alg: LieAlgebra, generators: np.ndarray | None,
     """Largest subspace of ``seed`` invariant under ad of all ``generators``
     (columns in algebra coordinates); ``None`` means the whole algebra,
     whose cached :attr:`LieAlgebra.ad_stack` is used, and gives the
-    largest ideal inside ``seed``.
-
-    Iterates ``W <- {x in W : ad_g x in W for all g}`` from ``W = seed``
-    until the dimension stabilizes, re-orthonormalizing each pass.  The
-    iteration is capped at ``seed.dim + 1`` passes, which suffices because
-    each productive pass strictly drops the dimension.
+    largest ideal inside ``seed``.  The one-seed case of
+    :func:`invariant_subspaces`.
     """
     if generators is None:
         ads = alg.ad_stack
@@ -646,17 +667,47 @@ def largest_invariant_subspace(alg: LieAlgebra, generators: np.ndarray | None,
             raise ValueError("generators must be given as columns in algebra "
                              "coordinates")
         ads = adjoints(alg, gens)
-    w = seed.onb()
-    for _ in range(seed.dim + 1):
-        if w.shape[1] == 0:
-            break
-        p_out = np.eye(alg.dim) - w @ w.T
-        constraint = (p_out @ ads @ w).reshape(-1, w.shape[1])
-        keep = numerical_kernel(constraint, tol)
-        if keep.shape[1] == w.shape[1]:
-            break
-        w = orthonormal_columns(w @ keep, tol)
-    return Subspace._orthonormal(alg.dim, w)
+    (_, w), = invariant_subspaces(ads, seed.onb()[None], tol)
+    return Subspace._orthonormal(alg.dim, w[0])
+
+
+def invariant_subspaces(ads: np.ndarray, seeds: np.ndarray,
+                        tol: float) -> list:
+    """For each orthonormal basis of the stack ``seeds`` (N, n, r), an
+    orthonormal basis of the largest subspace of its span that every
+    matrix of ``ads`` (K, n, n) maps into itself.
+
+    Iterates ``W <- W K`` for an orthonormal basis K of the kernel of
+    :func:`stacked_leaks`, ``{x in W : ad x in W for every ad}``, which
+    keeps W orthonormal, until the dimension stops falling; each productive
+    pass drops it, so a seed of dimension r takes at most r + 1 passes.
+    Each pass takes one kernel call per group of equal dimension and
+    re-splits the stack by the new dimension.  Returns ``(rows, bases)``
+    pairs, one per group: the bases (len(rows), n, d) of ``seeds[rows]``.
+    """
+    work, out = [(np.arange(len(seeds)), seeds)], []
+    while work:
+        rows, w = work.pop()
+        r = w.shape[-1]
+        if r in (0, w.shape[-2]):  # zero and the whole space are invariant
+            out.append((rows, w))
+            continue
+        v, nullity = stacked_kernels(
+            stacked_leaks(ads, w).reshape(len(w), -1, r), tol)
+        for k, sub in equal_groups(nullity):
+            if k == r:
+                out.append((rows[sub], w[sub]))
+                continue
+            work.append((rows[sub], w[sub] @ v[sub, :, r - k:]))
+    return out
+
+
+def stacked_leaks(ads: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``(1 - W W^T) ad W`` for each matrix ad of ``ads`` (K, n, n) and each
+    orthonormal basis W of ``w`` (N, n, r): what ad maps out of the span
+    of W, shape (N, K, n, r)."""
+    p_out = np.eye(w.shape[-2]) - w @ w.swapaxes(-1, -2)
+    return (p_out[:, None] @ ads) @ w[:, None]
 
 
 def bi_invariant_directions(alg: LieAlgebra, form, tol: float = DEFAULT_TOL) -> Subspace:

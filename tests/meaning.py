@@ -2,15 +2,35 @@
 
 A printed subspace is compared by its orthogonal projector and a
 spectrum by its eigenvalues; a basis is not an invariant of the input.
-:func:`adjoint` is the one-vector reference for ``liealg.adjoints``.
+:func:`adjoint` is the one-vector reference for ``liealg.adjoints``, and
+:func:`invariant_by_loop` the one-seed reference for
+``liealg.invariant_subspaces``.
 """
 
 import numpy as np
+
+from symidx.liealg import numerical_kernel, orthonormal_columns
 
 
 def adjoint(alg, x) -> np.ndarray:
     """Matrix of ad_x = bracket(x, .) acting on coefficient vectors."""
     return np.einsum("i,ijk->kj", np.asarray(x, float), alg.structure)
+
+
+def invariant_by_loop(ads, w, tol) -> np.ndarray:
+    """Orthonormal basis of the largest subspace of the span of the
+    orthonormal columns ``w`` that every matrix of ``ads`` maps into
+    itself: the kernel of ``(1 - W W^T) ad W`` per pass, spanned afresh
+    from ``W`` times it, until the dimension stops falling."""
+    for _ in range(w.shape[1] + 1):
+        if w.shape[1] == 0:
+            break
+        leaks = (np.eye(len(w)) - w @ w.T) @ ads @ w
+        keep = numerical_kernel(leaks.reshape(-1, w.shape[1]), tol)
+        if keep.shape[1] == w.shape[1]:
+            break
+        w = orthonormal_columns(w @ keep, tol)
+    return w
 
 
 def printed_projector(printed: dict) -> np.ndarray:

@@ -16,7 +16,7 @@ from symidx.catalog import (
     so4_so2,
     spin3_berger,
 )
-from symidx import catalog, cli, verify
+from symidx import catalog, cli, homspace, verify
 from symidx.cli import SWEEP_HEADER, main
 from symidx.homspace import jacobi_operator, transvection_space
 from symidx.liealg import canonical_basis
@@ -405,6 +405,46 @@ def _per_point(capsys, tmp_path, build, name, fields):
            tv["index"], tv["coindex"], tv["dim_transvection"], psd_ok,
            bound["lhs"], bound["rhs"], bound["equality"]]
     return ",".join(str(v).lower() for v in row), refused
+
+
+@pytest.mark.parametrize("argv, presentations", [
+    (["--family", "so4-so2", "--lambda", "0.2:0.6:0.2", "--s", "0.5:1.5:0.5",
+      "--coupled"], 3),
+    (["--family", "so4-so2", "--lambda", "0.5:1.5:0.5", "--s", "0.5",
+      "--t", "1:2:0.5"], 2),
+    (["--family", "spin3", "--s", "0.1:1.1:0.2"], 1),
+    (["--family", "product-spheres", "--rho=-0.5:1.5:0.5"], 3),
+])
+def test_a_sweep_decides_its_ideals_in_one_call_per_presentation(
+        capsys, monkeypatch, argv, presentations):
+    """Each presentation the sweep builds (a slope above 1 and a negative
+    radius build none) gets one transvection_stack and one symmetry_ideals
+    call, with the reports of all its kept points; the one-report
+    symmetry_ideal is never called."""
+    calls = {"stack": 0, "ideals": 0, "points": 0}
+
+    def counted(key, inner):
+        def call(pres, items):
+            calls[key] += 1
+            out = inner(pres, items)
+            if key == "ideals":
+                calls["points"] += len(items)
+            return out
+        return call
+
+    def refused(*args, **kwargs):
+        raise AssertionError("symmetry_ideal called from a sweep")
+
+    monkeypatch.setattr(cli, "transvection_stack",
+                        counted("stack", cli.transvection_stack))
+    monkeypatch.setattr(cli, "symmetry_ideals",
+                        counted("ideals", cli.symmetry_ideals))
+    monkeypatch.setattr(cli, "symmetry_ideal", refused)
+    monkeypatch.setattr(homspace, "symmetry_ideal", refused)
+    code, out, _ = run(capsys, "sweep", *argv)
+    assert code == 0
+    assert calls["stack"] == calls["ideals"] == presentations
+    assert calls["points"] == len(out.splitlines()) - 1 > 0
 
 
 def test_stacked_sweep_equals_the_per_point_path(capsys, tmp_path):

@@ -31,10 +31,15 @@ from symidx.catalog import (
     product_of_spheres,
     round_sphere,
     so4_so2,
+    so4_so2_gram,
+    so4_so2_presentation,
     spin3_berger,
+    spin3_line,
     spin3_metric,
     spin3_one_parameter,
+    spin3_presentation,
 )
+from meaning import invariant_by_loop
 
 I_VEC = np.array([1.0, 0.0, 0.0])
 J_VEC = np.array([0.0, 1.0, 0.0])
@@ -519,6 +524,51 @@ def test_a_stack_of_metrics_is_decided_as_each_metric_alone():
             seen["index"].add(report.index)
     assert seen["refused metric"] == 3 and seen["psd"] and seen["not psd"]
     assert seen["index"] == {0, 2}, seen
+
+
+def test_stacked_symmetry_ideals_equal_the_one_report_path():
+    """symmetry_ideals decides the reports of one presentation together;
+    each bound must be symmetry_ideal's for its report alone, with the gD
+    of the per-seed loop of meaning.invariant_by_loop.  The seeded stacks
+    mix index 0 with both so4-so2 strata t = 2 - s and t = 2 + s (index
+    2), spin3 metrics of index 0 and 1, centriole metrics of index 1 whose
+    gD is the centre, and round S^3 metrics of full index whose gD is the
+    whole algebra."""
+    rng = np.random.default_rng(2043)
+    cp2 = cp2_centriole()[0]
+    stacks = [
+        (so4_so2_presentation(rng.uniform(0.2, 0.9)),
+         [so4_so2_gram(s, t) for s in rng.uniform(0.2, 1.8, 3)
+          for t in (2.0 - s, 2.0 + s, rng.uniform(0.3, 3.0))]),
+        (spin3_presentation(),
+         [np.diag(w) for w in rng.uniform(0.5, 3.0, (3, 3))]
+         + [np.diag(spin3_line(s)) for s in rng.uniform(0.1, 0.9, 2)]),
+        (cp2, [c * cp2.metric.gram for c in rng.uniform(0.5, 2.0, 2)]
+         + [np.diag([a, 1.0, 1.0]) for a in rng.uniform(0.5, 3.0, 2)]),
+        (round_sphere(3)[0],
+         [c * np.eye(3) for c in rng.uniform(0.5, 2.0, 3)]),
+    ]
+    seen = set()
+    for pres, grams in stacks:
+        rng.shuffle(grams)
+        reports = transvection_stack(pres, np.array(grams))[0]
+        assert None not in reports
+        bounds = homspace.symmetry_ideals(pres, reports)
+        for report, bound in zip(reports, bounds):
+            want = symmetry_ideal(pres, report)
+            assert (bound.k, bound.lhs, bound.rhs, bound.equality) == (
+                want.k, want.lhs, want.rhs, want.equality)
+            assert bound.gD.equals(want.gD)
+            assert bound.g_prime.equals(want.g_prime)
+            seed = Subspace.from_spanning(pres.algebra.dim, np.hstack(
+                [pres.h_basis, pres.m_basis @ report.s_space.basis]))
+            by_loop = invariant_by_loop(pres.algebra.ad_stack, seed.onb(),
+                                        pres.tol)
+            assert bound.gD.equals(Subspace(pres.algebra.dim, by_loop))
+            seen.add((report.index, report.coindex, bound.gD.dim))
+    assert {i for i, _, _ in seen} >= {0, 1, 2, 3}, seen
+    assert {(c, d) for _, c, d in seen} >= {(3, 0), (5, 0), (2, 1), (0, 6)}, \
+        seen
 
 
 def test_a_space_built_from_a_space_takes_the_new_metric():

@@ -3,7 +3,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from meaning import adjoint
+from meaning import adjoint, invariant_by_loop
 from symidx import liealg, verify
 from symidx.catalog import cp2_centriole, spin3_berger
 from symidx.homspace import Presentation, augment_left_invariant
@@ -285,6 +285,44 @@ def test_largest_ideal_uses_the_whole_algebra():
     by_basis = largest_invariant_subspace(alg, np.eye(4), seed)
     np.testing.assert_array_equal(by_stack.basis, by_basis.basis)
     assert by_stack.dim == 1
+
+
+def test_stacked_invariant_iteration_equals_the_per_seed_loop():
+    """invariant_subspaces re-splits a stack of seeds as their dimensions
+    fall; each seed's result must span what largest_invariant_subspace and
+    the per-seed loop of meaning.invariant_by_loop give it.  On
+    so(3) + so(3) + R each seed is a sum of ideals (the factors A, B and
+    the centre Z) padded with random vectors, so one stack holds seeds
+    whose largest ideals differ in dimension; the generators case takes
+    ad of random fields instead of the whole algebra."""
+    rng = np.random.default_rng(2041)
+    so3 = so_elementary(3)[0]
+    alg = direct_sum(direct_sum(so3, so3), abelian(1)[0])
+    eye = np.eye(7)
+    ideals = [eye[:, :0], eye[:, :3], eye[:, 3:6], eye[:, 6:], eye[:, 3:],
+              eye[:, [0, 1, 2, 6]], eye[:, :6]]
+    seen = set()
+    for r in range(8):
+        cols = [np.hstack([j, rng.standard_normal((7, r - j.shape[1]))])
+                for j in ideals if j.shape[1] <= r]
+        cols += [rng.standard_normal((7, r)) for _ in range(2)]
+        seeds = np.stack([orthonormal_columns(c) for c in cols])
+        gens = rng.standard_normal((7, 2))
+        for ads, generators in ((alg.ad_stack, None),
+                                (adjoints(alg, gens), gens)):
+            found = [None] * len(seeds)
+            for rows, bases in liealg.invariant_subspaces(ads, seeds,
+                                                          DEFAULT_TOL):
+                for row, basis in zip(rows.tolist(), bases):
+                    found[row] = Subspace(7, basis)
+            for seed, got in zip(seeds, found):
+                want = largest_invariant_subspace(alg, generators,
+                                                  Subspace(7, seed))
+                assert got.equals(want)
+                assert got.equals(Subspace(7, invariant_by_loop(
+                    ads, seed, DEFAULT_TOL)))
+                seen.add((r, got.dim))
+    assert {d for r, d in seen if r == 4} >= {0, 1, 3, 4}, seen
 
 
 def test_spin3_preset_is_built_once_and_read_only():

@@ -93,9 +93,11 @@ def _spin4():
     return alg, rep3
 
 
-def _spin4_m_basis(lam: float) -> np.ndarray:
-    """Complement basis for the circle quotient of Spin(4), columns in the
+def so4_so2_complement(lam: float) -> Subspace:
+    """The complement of :func:`so4_so2` at slope ``lam``, columns in the
     order (diagonal j, diagonal k, weighted i, weighted j, weighted k)."""
+    if not 0.0 < lam <= 1.0:
+        raise ValueError(f"slope parameter {lam} outside (0, 1]")
     cp = 1.0 / math.sqrt(8.0 * (1.0 + lam))
     ce = 1.0 / math.sqrt(8.0 * (1.0 + 1.0 / lam))
     i0, j0, k0, i1, j1, k1 = range(6)
@@ -105,18 +107,19 @@ def _spin4_m_basis(lam: float) -> np.ndarray:
     m[i0, 2], m[i1, 2] = ce, -ce / lam
     m[j0, 3], m[j1, 3] = ce, -ce / lam
     m[k0, 4], m[k1, 4] = ce, -ce / lam
-    return m
+    return Subspace(6, m)
+
+
+def spin4_quotient(complement, tol: float) -> Presentation:
+    """Spin(4) over the circle R(e0 + e3) with a complement of
+    :func:`so4_so2_complement` or a stack of them, one per metric."""
+    iso = Subspace(6, np.array([[1.0, 0.0, 0.0, 1.0, 0.0, 0.0]]).T)
+    return Presentation(_spin4()[0], iso, complement, tol)
 
 
 def so4_so2_presentation(lam: float, tol: float = DEFAULT_TOL) -> Presentation:
     """The quotient of :func:`so4_so2` without its metric."""
-    if not 0.0 < lam <= 1.0:
-        raise ValueError(f"slope parameter {lam} outside (0, 1]")
-    alg, _ = _spin4()
-    iso = np.zeros((6, 1))
-    iso[0, 0] = iso[3, 0] = 1.0
-    return Presentation(alg, Subspace(6, iso),
-                        Subspace(6, _spin4_m_basis(lam)), tol)
+    return spin4_quotient(so4_so2_complement(lam), tol)
 
 
 def so4_so2_gram(s: float, t: float) -> np.ndarray:
@@ -218,23 +221,12 @@ def spin3_berger(t: float, tol: float = DEFAULT_TOL):
 # product of a small and a unit sphere
 # ---------------------------------------------------------------------------
 
-def product_of_spheres(rho: float, tol: float = DEFAULT_TOL):
-    """S^2 of radius rho times the unit S^3, as one orbit of Spin(3)xSpin(3).
-
-    The first factor acts by conjugation on imaginary quaternions, the
-    second pair by left and right translation on unit quaternions; the
-    base point is (rho i, i).  The metric is induced from the flat
-    ambient R^3 x R^4.  The complement is chosen to diagonalize it,
-    reusing the circle-quotient basis at slope 1/(1+2 rho^2); the
-    resulting Gram matrix is the coupled two-parameter metric scaled by
-    the homothety recorded in the info dictionary.  ``tol`` is the
-    space's tolerance, the isotropy kernel's included.
-    """
+def _product_embedding(rho: float) -> tuple:
+    """The values at the base point (rho i, i) of the fields of
+    :func:`product_of_spheres` (7 x 6) and their representation."""
     if rho <= 0.0:
         raise ValueError(f"radius rho={rho} must be positive")
-    alg, _ = _spin4()
     unit_i = np.array([0.0, 1.0, 0.0, 0.0])
-
     embed = np.zeros((7, 6))
     rep_blocks = np.zeros((6, 7, 7))
     for a in range(3):
@@ -247,22 +239,50 @@ def product_of_spheres(rho: float, tol: float = DEFAULT_TOL):
         rep_blocks[a, :3, :3] = conj
         rep_blocks[a, 3:, 3:] = left
         rep_blocks[a + 3, 3:, 3:] = -right
+    return embed, rep_blocks
 
-    lam = 1.0 / (1.0 + 2.0 * rho * rho)
-    m = _spin4_m_basis(lam)
-    values = embed @ m
-    sp = HomogeneousSpace(
-        alg,
-        Subspace.kernel_of(embed, tol),
-        BilinearForm(values.T @ values),
-        complement=Subspace(6, m),
-        label=f"S^2({rho:g}) x S^3",
-        tol=tol,
-    )
+
+def product_of_spheres_metric(rho: float) -> tuple:
+    """The complement of :func:`product_of_spheres` at radius ``rho`` and
+    the Gram matrix that the ambient metric induces on it."""
+    embed, _ = _product_embedding(rho)
+    complement = so4_so2_complement(1.0 / (1.0 + 2.0 * rho * rho))
+    values = embed @ complement.basis
+    return complement, values.T @ values
+
+
+def product_of_spheres_presentation(complement, tol: float) -> Presentation:
+    """:func:`product_of_spheres` without its metric, with a complement of
+    :func:`product_of_spheres_metric` or a stack of them.  The isotropy,
+    the kernel of the embedding, is one line at every radius: taken at 1."""
+    return Presentation(_spin4()[0],
+                        Subspace.kernel_of(_product_embedding(1.0)[0], tol),
+                        complement, tol)
+
+
+def product_of_spheres(rho: float, tol: float = DEFAULT_TOL):
+    """S^2 of radius rho times the unit S^3, as one orbit of Spin(3)xSpin(3).
+
+    The first factor acts by conjugation on imaginary quaternions, the
+    second pair by left and right translation on unit quaternions; the
+    base point is (rho i, i).  The metric is induced from the flat
+    ambient R^3 x R^4.  Only the complement moves with rho: the isotropy,
+    the kernel of the embedding, is the line of (e0 + e3)/sqrt(2), the
+    circle of :func:`so4_so2`, and the complement, chosen to diagonalize
+    the metric, is that of :func:`so4_so2` at slope 1/(1+2 rho^2); the Gram
+    matrix is the coupled two-parameter metric scaled by the homothety in
+    the info dictionary.  ``tol`` is the space's tolerance, the isotropy
+    kernel's included.
+    """
+    embed, rep_blocks = _product_embedding(rho)
+    complement, gram = product_of_spheres_metric(rho)
+    sp = HomogeneousSpace(_spin4()[0], Subspace.kernel_of(embed, tol),
+                          BilinearForm(gram), complement=complement,
+                          label=f"S^2({rho:g}) x S^3", tol=tol)
     info = {
         "family": "product-spheres",
         "rho": rho,
-        "lam": lam,
+        "lam": 1.0 / (1.0 + 2.0 * rho * rho),
         "s": 2.0 * (1.0 + rho * rho) / (1.0 + 2.0 * rho * rho),
         "t": 2.0 * rho * rho / (1.0 + 2.0 * rho * rho),
         "homothety": (1.0 + 2.0 * rho * rho) / 8.0,

@@ -192,10 +192,10 @@ def _fmt(value) -> str:
 
 
 def _sweep_points(args, parser):
-    """Yield (presentation, points) per presentation of the grid: its
-    builder, to call with the tolerance, and per point the CSV parameter
-    fields (None prints empty) and the Gram matrix as a function of the
-    presentation.  Builders raise ``ValueError`` outside their family."""
+    """The grid as ``(presentation, points)``: the builder of the points'
+    presentation from their complements and tol, and per point its CSV
+    fields (None prints empty) and a function giving its complement and
+    Gram matrix, which raises ``ValueError`` outside the family."""
     family = args.family
     if family == "so4-so2":
         if args.rho is not None:
@@ -208,38 +208,65 @@ def _sweep_points(args, parser):
         svals = _parse_grid(args.s, parser, "s")
         tvals = [None] if args.coupled else _parse_grid(args.t, parser, "t")
         pairs = [(s, 2.0 - s if t is None else t) for s in svals for t in tvals]
-        for lam in lams:
-            yield (functools.partial(catalog.so4_so2_presentation, lam),
-                   [((lam, s, t, None),
-                     lambda _, s=s, t=t: catalog.so4_so2_gram(s, t))
-                    for s, t in pairs])
-    elif family == "spin3":
+        complement = functools.cache(catalog.so4_so2_complement)
+        return catalog.spin4_quotient, [
+            ((lam, s, t, None), lambda lam=lam, s=s, t=t: (
+                complement(lam), catalog.so4_so2_gram(s, t)))
+            for lam in lams for s, t in pairs]
+    if family == "spin3":
         if args.lam is not None or args.rho is not None:
             parser.error("spin3 sweeps take only --s or --t")
         if (args.s is None) == (args.t is None):
             parser.error("spin3 needs exactly one of --s or --t")
         if args.coupled:
             parser.error("--coupled does not apply to spin3")
-        if args.s is not None:
-            points = [((None, s, None, None),
-                       lambda _, s=s: np.diag(catalog.spin3_line(s)))
-                      for s in _parse_grid(args.s, parser, "s")]
-        else:
-            points = [((None, None, t, None),
-                       lambda _, t=t: np.diag(catalog.spin3_squashed(t)))
-                      for t in _parse_grid(args.t, parser, "t")]
-        yield catalog.spin3_presentation, points
-    else:
-        if any(v is not None for v in (args.lam, args.s, args.t)) \
-                or args.coupled:
-            parser.error("product-spheres sweeps take only --rho")
-        if args.rho is None:
-            parser.error("product-spheres needs --rho")
-        # the isotropy and complement move with rho: the point's space is
-        # its own presentation
-        for rho in _parse_grid(args.rho, parser, "rho"):
-            yield (lambda tol, rho=rho: catalog.product_of_spheres(rho, tol)[0],
-                   [((None, None, None, rho), lambda sp: sp.metric.gram)])
+        line = args.s is not None
+        metric = catalog.spin3_line if line else catalog.spin3_squashed
+        return lambda _, tol: catalog.spin3_presentation(tol), [
+            ((None, v, None, None) if line else (None, None, v, None),
+             lambda v=v: (None, np.diag(metric(v))))
+            for v in (_parse_grid(args.s, parser, "s") if line
+                      else _parse_grid(args.t, parser, "t"))]
+    if any(v is not None for v in (args.lam, args.s, args.t)) or args.coupled:
+        parser.error("product-spheres sweeps take only --rho")
+    if args.rho is None:
+        parser.error("product-spheres needs --rho")
+    # only the complement moves with rho: one stack at the slopes 1/(1+2 rho^2)
+    return catalog.product_of_spheres_presentation, [
+        ((None, None, None, rho),
+         functools.partial(catalog.product_of_spheres_metric, rho))
+        for rho in _parse_grid(args.rho, parser, "rho")]
+
+
+def _sweep_rows(presentation, points, tol) -> tuple:
+    """The CSV rows of the points kept, in the numeric order of their
+    parameters (whose empty fields are the same at every point of a grid),
+    decided on one presentation, a stack unless they share one complement,
+    and the count of refused curvature candidates."""
+    kept = []
+    for params, point in points:
+        try:
+            kept.append((params, *point()))
+        except ValueError:
+            pass
+    if not kept:
+        return [], 0
+    kept.sort(key=lambda point: point[0])
+    fields, complements, grams = zip(*kept)
+    shared = all(c is complements[0] for c in complements)
+    try:
+        pres = presentation(complements[0] if shared else complements, tol)
+    except ValueError:
+        return [], 0
+    reports, psd_ok, refused = transvection_stack(pres, grams)
+    rows = [",".join([
+        *map(_fmt, params), _fmt(report.index), _fmt(report.coindex),
+        _fmt(report.dim_transvection), _fmt(bool(psd)),
+        _fmt(bound.lhs), _fmt(bound.rhs), _fmt(bound.equality)])
+        for params, report, psd, bound in zip(
+            fields, reports, psd_ok, symmetry_ideals(pres, reports))
+        if report is not None]
+    return rows, int(refused.sum())
 
 
 def _counted(count: int, noun: str) -> str:
@@ -247,41 +274,16 @@ def _counted(count: int, noun: str) -> str:
 
 
 def _cmd_sweep(args, tol, parser) -> int:
-    """Validate each presentation of the grid once and decide its metrics
-    by one :func:`transvection_stack` and one :func:`symmetry_ideals`; a
-    point that its builders or the metric checks refuse is skipped."""
-    rows = []
-    skipped = refused = 0
-    for presentation, points in _sweep_points(args, parser):
-        try:
-            pres = presentation(tol)
-        except ValueError:
-            skipped += len(points)
-            continue
-        fields, grams = [], []
-        for params, gram in points:
-            try:
-                grams.append(gram(pres))
-                fields.append(params)
-            except ValueError:
-                skipped += 1
-        reports, psd_ok, point_refused = transvection_stack(pres, grams)
-        refused += int(point_refused.sum())
-        skipped += reports.count(None)
-        kept = [i for i, report in enumerate(reports) if report is not None]
-        bounds = symmetry_ideals(pres, [reports[i] for i in kept])
-        for i, bound in zip(kept, bounds):
-            params, report, psd = fields[i], reports[i], psd_ok[i]
-            rows.append(",".join([
-                *map(_fmt, params), _fmt(report.index), _fmt(report.coindex),
-                _fmt(report.dim_transvection), _fmt(bool(psd)),
-                _fmt(bound.lhs), _fmt(bound.rhs), _fmt(bound.equality)]))
-    rows.sort()
+    """Validate the grid's presentation once and decide its metrics by one
+    :func:`transvection_stack` and one :func:`symmetry_ideals`; a point
+    that the builders or the checks refuse is skipped."""
+    presentation, points = _sweep_points(args, parser)
+    rows, refused = _sweep_rows(presentation, points, tol)
     print(SWEEP_HEADER)
     for row in rows:
         print(row)
-    print(f"sweep: {_counted(skipped, 'grid point')} skipped, "
-          f"{_counted(refused, 'curvature candidate')} refused",
+    print(f"sweep: {_counted(len(points) - len(rows), 'grid point')} "
+          f"skipped, {_counted(refused, 'curvature candidate')} refused",
           file=sys.stderr)
     return 0
 

@@ -75,10 +75,12 @@ class Presentation:
         Killing fields of the space, in the right-invariant convention.
     isotropy : Subspace
         Subalgebra of fields vanishing at the base point.
-    complement : Subspace or None
+    complement : Subspace, sequence of Subspace, or None
         Reductive complement identified with the tangent space.  When
         omitted it is the orthogonal complement of the isotropy for the
-        ad-invariant reference form of the algebra.
+        ad-invariant reference form.  A sequence of one shape is a stack,
+        one per metric of :func:`transvection_stack`: its arrays get a
+        leading axis, and a failing member is refused alone, as it raises.
     tol : float
         Cutoff of every rank decision about the space, fixed here: the
         validation below and, read as ``sp.tol``, the parallel fields of
@@ -96,16 +98,16 @@ class Presentation:
     """
 
     def __init__(self, algebra: LieAlgebra, isotropy: Subspace,
-                 complement: Subspace | None = None, tol: float = DEFAULT_TOL):
+                 complement=None, tol: float = DEFAULT_TOL):
         self.algebra = algebra
         self.isotropy = isotropy
         self.tol = tol = checked_tol(tol)
-        n = algebra.dim
+        n, r = algebra.dim, isotropy.dim
         if isotropy.ambient_dim != n:
             raise ValueError("isotropy lives in the wrong ambient dimension")
 
         h = isotropy.basis
-        first, second = pair_indices(isotropy.dim)
+        first, second = pair_indices(r)
         hh = brackets(algebra, h, h)[:, first, second]
         leaks = np.flatnonzero(~isotropy.contains_columns(hh))
         if leaks.size:
@@ -115,35 +117,39 @@ class Presentation:
 
         if complement is None:
             complement = orthogonal_complement(algebra, isotropy, tol)
-        if complement.ambient_dim != n:
+        stacked = not isinstance(complement, Subspace)
+        comps = list(complement) if stacked else [complement]
+        if comps[0].ambient_dim != n:  # a stack's members share its shape
             raise ValueError("complement lives in the wrong ambient dimension")
-        if isotropy.dim + complement.dim != n:
+        if r + comps[0].dim != n:
             raise ValueError(
-                f"isotropy ({isotropy.dim}) and complement ({complement.dim}) "
-                f"do not add up to the algebra dimension ({n})")
-        self.complement = complement
+                f"isotropy ({r}) and complement ({comps[0].dim}) do not add "
+                f"up to the algebra dimension ({n})")
 
-        t = np.hstack([isotropy.basis, complement.basis])
-        if numerical_rank(t, tol) < n:
-            raise ValueError("isotropy and complement overlap")
+        # the complement checks, stacked: a single complement is a stack of 1
+        m = np.array([comp.basis for comp in comps])
+        t = np.concatenate([h[None].repeat(len(m), axis=0), m], axis=-1)
+        overlap = numerical_rank(t, tol) < n
+        t[overlap] = np.eye(n)  # keeps the inverses of refused members finite
         t_inv = np.linalg.inv(t)
-        self.h_basis = isotropy.basis
-        self.m_basis = m = complement.basis
-        self.h_coords = t_inv[: isotropy.dim, :]
-        #: Value of a Killing field at the base point, as a matrix:
-        #: tangent coordinates of the field with algebra coefficients x
-        #: are ``eval_matrix @ x``.
-        self.eval_matrix = t_inv[isotropy.dim:, :]
+        imgs = adjoints(algebra, h) @ m[:, None]
+        reductive = np.abs(t_inv[:, None, :r] @ imgs).max(axis=(-2, -1),
+                                                           initial=0.0)
+        refusals = [
+            "isotropy and complement overlap" if lap else
+            f"complement is not reductive: isotropy vector {bad.argmax()} "
+            f"maps it outside itself (residual {res[bad.argmax()]:.3e})"
+            if bad.any() else None
+            for lap, res, bad in zip(overlap, reductive, reductive > CHECK_TOL)]
+        if not stacked:
+            if refusals[0]:
+                raise ValueError(refusals[0])
+            m, t_inv, imgs = complement.basis, t_inv[0], imgs[0]
+        self.complement = np.array(comps, dtype=object) if stacked else comps[0]
+        #: Per member, its refusal or None; one None broadcasts to any stack.
+        self._refusals = np.array(refusals, dtype=object)
 
-        imgs = adjoints(algebra, h) @ m
-        reductive = np.abs(self.h_coords @ imgs).max(axis=(1, 2), initial=0.0)
-        bad = np.flatnonzero(reductive > CHECK_TOL)
-        if bad.size:
-            raise ValueError(
-                f"complement is not reductive: isotropy vector {bad[0]} maps "
-                f"it outside itself (residual {reductive[bad[0]]:.3e})")
-
-        if isotropy.dim > 0:
+        if r > 0:
             ineffective = largest_invariant_subspace(
                 algebra, None, isotropy, tol)
             if ineffective.dim > 0:
@@ -151,13 +157,31 @@ class Presentation:
                     f"the pair is not effective: an ideal of dimension "
                     f"{ineffective.dim} lies inside the isotropy")
 
+        self.h_basis = h
+        self.m_basis = m
+        self.h_coords = t_inv[..., :r, :]
+        #: Value of a Killing field at the base point, as a matrix:
+        #: tangent coordinates of the field with algebra coefficients x
+        #: are ``eval_matrix @ x``.
+        self.eval_matrix = t_inv[..., r:, :]
         #: Tangent part of ad(h) m, the metric-free factor of the skew check.
-        self._e_ad_h_m = self.eval_matrix @ imgs
+        self._e_ad_h_m = self.eval_matrix[..., None, :, :] @ imgs
+
+    def _members(self, rows) -> "Presentation":
+        """The stack of members ``rows``; one complement serves every row."""
+        if self.m_basis.ndim == 2:
+            return self
+        part = Presentation.__new__(Presentation)
+        vars(part).update(vars(self))
+        for name in ("complement", "_refusals", "m_basis", "h_coords",
+                     "eval_matrix", "_e_ad_h_m"):
+            setattr(part, name, getattr(self, name)[rows])
+        return part
 
     @property
     def dim(self) -> int:
         """Dimension of the space (= dimension of the complement)."""
-        return self.complement.dim
+        return self.m_basis.shape[-1]
 
     @property
     def dim_isotropy(self) -> int:
@@ -245,14 +269,16 @@ def _metric_refusals(pres: Presentation, grams: np.ndarray) -> list:
     smallest eigenvalue over the largest or 1 exceeding ``pres.tol``, and
     each isotropy vector must act skew-symmetrically, the largest entry of
     ``G A + (G A)^T`` for its action A at most
-    :data:`~symidx.liealg.CHECK_TOL`."""
+    :data:`~symidx.liealg.CHECK_TOL`; on a stack, after member i's own."""
     w = np.linalg.eigvalsh(grams) if pres.dim else np.ones((len(grams), 1))
     ops = grams[:, None] @ pres._e_ad_h_m
     skew = np.abs(ops + ops.swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0)
     definite = w[:, 0] / np.maximum(1.0, w[:, -1]) > pres.tol
     not_skew = skew > CHECK_TOL
-    refusals = [None] * len(grams)
+    refusals = list(np.broadcast_to(pres._refusals, len(grams)))
     for i in np.flatnonzero(~definite | not_skew.any(axis=1)).tolist():
+        if refusals[i]:  # the presentation's checks come first
+            continue
         if not definite[i]:
             refusals[i] = "metric is not positive definite"
             continue
@@ -268,9 +294,9 @@ def _nablas(pres: Presentation, grams: np.ndarray) -> np.ndarray:
     for each metric of ``grams``, by the Koszul identity."""
     alg, e, m = pres.algebra, pres.eval_matrix, pres.m_basis
     ge = (grams @ e)[:, None]
-    gv = ge @ alg.ad_stack @ m
+    gv = ge @ alg.ad_stack @ m[..., None, :, :]
     # brackets of complement lifts, evaluated at the base point
-    mm = np.einsum("kab,ck->abc", brackets(alg, m, m), e)
+    mm = np.einsum("...kab,...ck->...abc", brackets(alg, m, m), e)
     term2 = np.moveaxis(mm @ ge, -1, 1)
     rhs = 0.5 * (gv - gv.swapaxes(-1, -2) + term2)
     return np.linalg.inv(grams)[:, None] @ rhs.swapaxes(-1, -2)
@@ -358,12 +384,18 @@ def transvection_space(sp: HomogeneousSpace) -> TransvectionReport:
     return _transvections(sp, sp._nabla_basis[None])[0]
 
 
+#: Most metrics of one stacked call: all 190 of a sweep's grid at once add
+#: 3 MiB to its peak memory, chunks of 32 under one.
+_STACK_ROWS = 32
+
+
 def transvection_stack(pres: Presentation, grams: np.ndarray) -> tuple:
     """:func:`transvection_space` and the sign of the curvature for each
     metric of ``grams`` (N, dim, dim) on ``pres``, in stacked calls: one
-    each for the metric checks, the derivatives and the parallel fields,
-    then one per group of metrics with parallel fields of one dimension for
-    the spans and the curvature operators, with the one-metric cutoffs.
+    for the metric checks, then per chunk of at most ``_STACK_ROWS`` metrics
+    one each for the derivatives and the parallel fields, and one per group
+    with parallel fields of one dimension for the spans and the curvature
+    operators, with the one-metric cutoffs.
 
     Returns ``(reports, psd_ok, refused)``.  ``reports[i]`` is None where
     :class:`HomogeneousSpace` refuses the metric.  Of the curvature
@@ -376,20 +408,22 @@ def transvection_stack(pres: Presentation, grams: np.ndarray) -> tuple:
     kept = np.flatnonzero([r is None for r in _metric_refusals(pres, grams)])
     reports = [None] * len(grams)
     psd_ok, refused = np.zeros(len(grams), bool), np.zeros(len(grams), int)
-    if not kept.size:
-        return reports, psd_ok, refused
-    nablas = _nablas(pres, grams[kept])
-    found = _transvections(pres, nablas)
-    for _, group in equal_groups([report.p_space.dim for report in found]):
-        group = np.arange(len(found))[group]
-        p = np.stack([found[j].p_space.basis for j in group])
-        ms = np.broadcast_to(pres.m_basis, (len(group), *pres.m_basis.shape))
-        fine, out = _curvature_psd(pres, grams[kept[group]], nablas[group],
-                                   np.concatenate([ms, p], axis=-1))
-        psd_ok[kept[group]] = np.all(fine | out, axis=1)
-        refused[kept[group]] = out.sum(axis=1)
-    for i, report in zip(kept.tolist(), found):
-        reports[i] = report
+    for lo in range(0, len(kept), _STACK_ROWS):
+        rows = kept[lo:lo + _STACK_ROWS]
+        part = pres._members(rows)
+        nablas = _nablas(part, grams[rows])
+        found = _transvections(part, nablas)
+        for _, group in equal_groups([rep.p_space.dim for rep in found]):
+            group = np.arange(len(found))[group]
+            sub = part._members(group)
+            p = np.stack([found[j].p_space.basis for j in group])
+            ms = sub.m_basis * np.ones((len(group), 1, 1))
+            fine, out = _curvature_psd(sub, grams[rows[group]], nablas[group],
+                                       np.concatenate([ms, p], axis=-1))
+            psd_ok[rows[group]] = np.all(fine | out, axis=1)
+            refused[rows[group]] = out.sum(axis=1)
+        for i, report in zip(rows.tolist(), found):
+            reports[i] = report
     return reports, psd_ok, refused
 
 
@@ -404,7 +438,7 @@ def _transvections(pres: Presentation, nablas: np.ndarray) -> list:
     for k, group in equal_groups(nullity):
         group = np.arange(len(nablas))[group]
         p = v[group, :, n - k:]
-        s, s_rank = stacked_spans(pres.eval_matrix @ p, tol)
+        s, s_rank = stacked_spans(pres._members(group).eval_matrix @ p, tol)
         first, second = pair_indices(k)
         kb, k_rank = stacked_spans(brackets(alg, p, p)[..., first, second], tol)
         for r, sub in equal_groups(k_rank):
@@ -438,7 +472,8 @@ def symmetry_ideal(sp: Presentation,
 
 def symmetry_ideals(pres: Presentation, reports: list) -> list:
     """The :class:`BoundReport` of each transvection report of ``reports``
-    on ``pres``, in stacked calls per group of equal dimension.
+    on ``pres`` (of member i of a stack), in stacked calls per group of
+    equal dimension; a None report, a refused metric, gives None.
 
     Seeds the largest-ideal iteration of :func:`invariant_subspaces` with
     isotropy plus the lifted ``s_space``; the orthogonal complement for the
@@ -449,11 +484,12 @@ def symmetry_ideals(pres: Presentation, reports: list) -> list:
     alg, tol, n = pres.algebra, pres.tol, pres.algebra.dim
     h = pres.h_basis
     ideals = []  # (rows of reports, stacked bases of their gD)
-    for k, group in equal_groups([report.index for report in reports]):
-        group = np.arange(len(reports))[group]
+    kept = [i for i, report in enumerate(reports) if report is not None]
+    for k, group in equal_groups([reports[i].index for i in kept]):
+        group = np.array(kept)[group]
         seeds = np.empty((len(group), n, h.shape[1] + k))
         seeds[..., :h.shape[1]] = h
-        seeds[..., h.shape[1]:] = pres.m_basis @ np.array(
+        seeds[..., h.shape[1]:] = pres._members(group).m_basis @ np.array(
             [reports[i].s_space.basis for i in group.tolist()])
         u, rank = stacked_spans(seeds, tol)
         for d, part in equal_groups(rank):
@@ -529,9 +565,9 @@ def _curvature(pres: Presentation, grams: np.ndarray, nablas: np.ndarray,
     nabla = np.einsum("nic,niab->ncab", xn, nablas)
     drift = np.linalg.norm(np.einsum("ncab,nbc->nca", nabla, vn), axis=-1)
     ads = adjoints(pres.algebra, xn)
-    double = e @ ads @ ads
+    double = e[..., None, :, :] @ ads @ ads
     lift = np.abs(double @ pres.h_basis).max(axis=(-2, -1), initial=0.0)
-    op = -(double @ pres.m_basis)
+    op = -(double @ pres.m_basis[..., None, :, :])
     go = grams[:, None] @ op
     asym = np.abs(go - go.swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0)
     return xn.swapaxes(-1, -2), speed, drift, lift, asym, op, go

@@ -294,10 +294,6 @@ class Subspace:
         """Orthonormal basis of the subspace (computed once, read-only)."""
         return self._onb
 
-    def projector(self) -> np.ndarray:
-        q = self.onb()
-        return q @ q.T
-
     def contains_columns(self, vecs: np.ndarray) -> np.ndarray:
         """Whether each vector of ``vecs`` lies in the subspace up to
         relative residual :data:`CHECK_TOL`, all in one projection.
@@ -401,7 +397,8 @@ class LieAlgebra:
             raise ValueError(f"{len(labels)} labels for dimension {n}")
         object.__setattr__(self, "structure", c)
         object.__setattr__(self, "basis_labels", labels)
-        asym = float(np.max(np.abs(c + c.transpose(1, 0, 2)))) if n else 0.0
+        asym = c + c.transpose(1, 0, 2)
+        asym = float(np.max(np.abs(asym, out=asym))) if n else 0.0
         if asym > DEFAULT_TOL:
             raise ValueError(f"structure tensor is not antisymmetric "
                              f"(residual {asym:.3e})")
@@ -604,11 +601,16 @@ def matrix_algebra(matrices, labels=None, tol: float = DEFAULT_TOL):
     basis_t = flat.T  # columns are the flattened generators
     scale = max(1.0, float(np.max(np.abs(flat))))
     first, second = pair_indices(n)
-    comms = -(mats[first] @ mats[second] - mats[second] @ mats[first])
+    comms = _killing_commutators(mats, first, second)
     rhs = _flatten_real(comms).T
     coeffs, _, _, _ = np.linalg.lstsq(basis_t, rhs, rcond=None)
-    resids = np.linalg.norm(basis_t @ coeffs - rhs, axis=0)
-    ceiling = tol * np.maximum(scale, np.linalg.norm(rhs, axis=0))
+    fit = basis_t @ coeffs
+    fit -= rhs
+    fit *= fit  # squared in place: np.linalg.norm's column sums, no copy
+    rhs *= rhs
+    resids = np.sqrt(fit.sum(axis=0))
+    ceiling = tol * np.maximum(scale, np.sqrt(rhs.sum(axis=0)))
+    del comms, rhs, fit  # the largest arrays, freed before the tensor's
     bad = np.flatnonzero(resids > ceiling)
     if bad.size:
         p = bad[0]
@@ -622,6 +624,19 @@ def matrix_algebra(matrices, labels=None, tol: float = DEFAULT_TOL):
     bound = _fit_jacobi_bound(flat, sv, coeffs, resids, first, second,
                               mats.shape[1])
     return LieAlgebra._certified(tuple(labels), structure, bound), mats
+
+
+def _killing_commutators(mats, first, second) -> np.ndarray:
+    """Minus the commutators [M_i, M_j] of the pairs (first, second), in
+    place by chunks of at most _JACOBI_CHUNK entries, not all pairs at once."""
+    comms = np.empty((len(first), *mats.shape[1:]), dtype=mats.dtype)
+    step = max(1, _JACOBI_CHUNK // mats[0].size)
+    for lo in range(0, len(first), step):
+        a, b = mats[first[lo:lo + step]], mats[second[lo:lo + step]]
+        out = np.matmul(a, b, out=comms[lo:lo + step])
+        out -= b @ a
+        np.negative(out, out=out)
+    return comms
 
 
 def _fit_jacobi_bound(flat, sv, coeffs, resids, first, second, d) -> float:

@@ -2,9 +2,10 @@
 
 A printed subspace is compared by its orthogonal projector and a
 spectrum by its eigenvalues; a basis is not an invariant of the input.
-:func:`adjoint` is the one-vector reference for ``liealg.adjoints``, and
+:func:`adjoint` is the one-vector reference for ``liealg.adjoints``,
 :func:`invariant_by_loop` the one-seed reference for
-``liealg.invariant_subspaces``.
+``liealg.invariant_subspaces``, and :func:`projector` the orthogonal
+projector onto a ``Subspace``.
 """
 
 import numpy as np
@@ -15,6 +16,12 @@ from symidx.liealg import numerical_kernel, orthonormal_columns
 def adjoint(alg, x) -> np.ndarray:
     """Matrix of ad_x = bracket(x, .) acting on coefficient vectors."""
     return np.einsum("i,ijk->kj", np.asarray(x, float), alg.structure)
+
+
+def projector(sub) -> np.ndarray:
+    """Orthogonal projector onto the subspace ``sub``."""
+    q = sub.onb()
+    return q @ q.T
 
 
 def invariant_by_loop(ads, w, tol) -> np.ndarray:

@@ -12,12 +12,13 @@ from symidx.catalog import (
     product_of_spheres,
     round_sphere,
     so4_so2,
+    so4_so2_presentation,
     spin3_berger,
     spin3_metric,
     spin3_one_parameter,
 )
 from symidx.homspace import HomogeneousSpace, transvection_space
-from symidx.liealg import so_elementary
+from symidx.liealg import Subspace, so_elementary
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
@@ -101,6 +102,23 @@ def test_product_of_spheres_matches_the_quotient_family(rho):
     assert sp.isotropy.contains(np.array([1.0, 0, 0, 1.0, 0, 0]))
     rep = transvection_space(sp)
     assert (rep.index, rep.coindex) == (2, 3)
+
+
+def test_product_of_spheres_moves_only_its_complement():
+    """At every radius the isotropy is the line through (e0 + e3)/sqrt(2),
+    the circle of so4_so2, and the complement is so4_so2's at the slope
+    1/(1 + 2 rho^2): a product sweep is one presentation with a stack of
+    complements."""
+    rng = np.random.default_rng(1517)
+    circle = Subspace(6, np.array([[1.0, 0.0, 0.0, 1.0, 0.0, 0.0]]).T)
+    for rho in [0.05, 10.0, *rng.uniform(0.05, 10.0, 8)]:
+        sp, _ = product_of_spheres(rho)
+        assert sp.isotropy.equals(circle)
+        np.testing.assert_allclose(np.abs(sp.h_basis[:, 0]),
+                                   circle.onb()[:, 0], rtol=0, atol=1e-15)
+        want = so4_so2_presentation(1.0 / (1.0 + 2.0 * rho * rho))
+        np.testing.assert_array_equal(sp.complement.basis,
+                                      want.complement.basis)
 
 
 def test_product_radius_must_be_positive():

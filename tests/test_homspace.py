@@ -31,6 +31,7 @@ from symidx.catalog import (
     product_of_spheres,
     round_sphere,
     so4_so2,
+    so4_so2_complement,
     so4_so2_gram,
     so4_so2_presentation,
     spin3_berger,
@@ -38,6 +39,7 @@ from symidx.catalog import (
     spin3_metric,
     spin3_one_parameter,
     spin3_presentation,
+    spin4_quotient,
 )
 from meaning import invariant_by_loop
 
@@ -569,6 +571,64 @@ def test_stacked_symmetry_ideals_equal_the_one_report_path():
     assert {i for i, _, _ in seen} >= {0, 1, 2, 3}, seen
     assert {(c, d) for _, c, d in seen} >= {(3, 0), (5, 0), (2, 1), (0, 6)}, \
         seen
+
+
+def test_a_stacked_presentation_refuses_exactly_its_failing_members():
+    """A stack of so4-so2 complements, one per metric, refuses the member
+    whose complement overlaps the isotropy and the one whose complement is
+    not reductive with the messages a single presentation raises, and a
+    bad metric on either with the complement's message; it decides every
+    other member as transvection_space and symmetry_ideal do."""
+    rng = np.random.default_rng(1519)
+    good = [so4_so2_complement(lam) for lam in rng.uniform(0.1, 1.0, 6)]
+    overlap = good[1].basis.copy()
+    overlap[:, 0] = [1.0, 0.0, 0.0, 1.0, 0.0, 0.0]
+    # m0 + 0.3 h: still completes the isotropy, but ad(h) m1 is m0
+    unreductive = good[3].basis.copy()
+    unreductive[:, 0] += 0.3 * np.array([1.0, 0.0, 0.0, 1.0, 0.0, 0.0])
+    complements = [good[0], Subspace(6, overlap), good[2],
+                   Subspace(6, unreductive), good[4], good[5], good[1]]
+    s = rng.uniform(0.2, 1.8, 7)
+    grams = [so4_so2_gram(v, 2.0 - v if i % 2 else rng.uniform(0.3, 3.0))
+             for i, v in enumerate(s)]
+    grams[1] = grams[6] = np.diag([2.0, 2.0, -1.0, 1.0, 1.0])
+    messages = {}
+    for i in (1, 3):
+        with pytest.raises(ValueError) as refusal:
+            spin4_quotient(complements[i], 1e-9)
+        messages[i] = str(refusal.value)
+    assert "overlap" in messages[1] and "not reductive" in messages[3]
+    messages[6] = "metric is not positive definite"
+
+    stack = spin4_quotient(complements, 1e-9)
+    assert homspace._metric_refusals(stack, np.array(grams)) == [
+        messages.get(i) for i in range(7)]
+    reports, psd_ok, refused = transvection_stack(stack, grams)
+    bounds = homspace.symmetry_ideals(stack, reports)
+    indices = set()
+    for i, (comp, gram) in enumerate(zip(complements, grams)):
+        if i in messages:
+            assert reports[i] is None and bounds[i] is None
+            continue
+        sp = spin4_quotient(comp, 1e-9).space(BilinearForm(gram))
+        want = transvection_space(sp)
+        got = reports[i]
+        assert (got.index, got.coindex, got.dim_transvection) == (
+            want.index, want.coindex, want.dim_transvection)
+        for name in ("p_space", "k_space", "s_space"):
+            assert getattr(got, name).equals(getattr(want, name))
+        one = transvection_stack(sp, [gram])
+        assert (psd_ok[i], refused[i]) == (one[1][0], one[2][0])
+        bound = symmetry_ideal(sp, want)
+        assert (bounds[i].lhs, bounds[i].rhs) == (bound.lhs, bound.rhs)
+        assert bounds[i].gD.equals(bound.gD)
+        indices.add(got.index)
+    assert indices == {0, 2}
+    # one metric per member: a stack does not broadcast to other counts
+    with pytest.raises(ValueError, match="broadcast"):
+        transvection_stack(stack, grams[:6])
+    with pytest.raises(ValueError, match="broadcast"):
+        stack.space(BilinearForm(np.eye(5)))
 
 
 def test_a_space_built_from_a_space_takes_the_new_metric():

@@ -8,7 +8,7 @@ frozen values.
 import numpy as np
 import pytest
 
-from meaning import adjoint
+from meaning import adjoint, projector
 from symidx.liealg import (
     BilinearForm,
     Subspace,
@@ -159,6 +159,6 @@ def test_random_subspace_projectors(seed):
     rng = np.random.default_rng(seed)
     cols = rng.standard_normal((6, 3))
     sub = Subspace.from_spanning(6, cols)
-    p = sub.projector()
+    p = projector(sub)
     np.testing.assert_allclose(p @ p, p, atol=1e-10)
     np.testing.assert_allclose(p @ cols, cols, atol=1e-10)

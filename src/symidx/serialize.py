@@ -7,22 +7,20 @@ are validated against the shipped JSON Schemas before any numerics run;
 schema violations raise :class:`SpaceFormatError` carrying a JSON pointer
 to the offending element.
 
-Validation is linear in the size of the document.  A plain accept check,
-:func:`_surely_valid`, decides the documents the schema surely accepts
-without importing jsonschema.  Only a document it does not accept goes
-to jsonschema, so every error keeps jsonschema's own message and
-pointer.  That validator is built once, and its ``items`` keyword
-accepts an array of numbers, however deeply nested, with one type test
-per number instead of jsonschema's walk through every element; any
-array that test does not accept is handed to that walk.  On
-so(12)/so(11), with 287 496 structure constants, this takes validation
-of an invalid document from about 1.5 s to about 36 ms.
+One walker, :func:`_errors`, reads the shipped schema and gives every
+error with jsonschema's Draft 2020-12 message and path, so no JSON
+Schema library is needed at run time.  Validation is linear in the size
+of the document: an array of numbers, however deeply nested, costs one
+type test per number, and only an array that test does not accept is
+walked entry by entry.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import json
+import numbers
 from importlib import resources
 
 import numpy as np
@@ -55,111 +53,98 @@ class SpaceFormatError(ValueError):
         self.pointer = pointer or "/"
 
 
-_SPACE_SCHEMA = "space.schema.json"
-
-
 def _load_schema(name: str) -> dict:
     text = resources.files("symidx.schemas").joinpath(name).read_text()
     return json.loads(text)
 
 
-_NUMBER_TYPES = frozenset((float, int))
+@functools.cache
+def _space_schema() -> dict:
+    return _load_schema("space.schema.json")
+
+
+_TYPES = {"number": numbers.Number, "integer": int, "array": list,
+          "object": dict, "string": str}
 
 
 def _numbers_only(instance: list, items_schema) -> bool:
     """Whether every entry of ``instance`` passes ``items_schema`` when that
-    schema is ``{"type": "number"}`` or arrays of arrays ending in it.
-
-    False means "not decided here", not "invalid".  Types are matched
-    exactly: bool is an int subclass, and numpy scalars are left to
-    jsonschema's own type checker.
+    schema is ``{"type": "number"}`` or arrays of arrays ending in it, at
+    one type test per number.  False means "not decided here", not
+    "invalid": types are matched exactly, so bool, an int subclass, and
+    numpy scalars are left to the walk in :func:`_errors`.
     """
-    if items_schema == {"type": "number"}:
-        return set(map(type, instance)) <= _NUMBER_TYPES
-    if (isinstance(items_schema, dict)
-            and items_schema.keys() == {"type", "items"}
-            and items_schema["type"] == "array"):
-        inner = items_schema["items"]
-        return all(type(row) is list and _numbers_only(row, inner)
-                   for row in instance)
-    return False
+    while items_schema != {"type": "number"}:
+        if not (isinstance(items_schema, dict)
+                and items_schema.keys() == {"type", "items"}
+                and items_schema["type"] == "array"
+                and set(map(type, instance)) <= {list}):
+            return False
+        items_schema = items_schema["items"]
+        instance = list(itertools.chain.from_iterable(instance))
+    return set(map(type, instance)) <= {float, int}
 
 
-_SPACE_REQUIRED = frozenset(("algebra", "isotropy", "metric"))
-_SPACE_KEYS = _SPACE_REQUIRED | {"complement", "label"}
-_ALGEBRA_REQUIRED = frozenset(("dim", "labels", "structure"))
-_ALGEBRA_KEYS = _ALGEBRA_REQUIRED | {"convention_note"}
-_ROW = {"type": "array", "items": {"type": "number"}}
-_SLICE = {"type": "array", "items": _ROW}
-
-
-def _surely_valid(document) -> bool:
-    """Whether :data:`_SPACE_SCHEMA` surely accepts ``document``.
-
-    False means "not decided here", not "invalid".  Types are matched
-    exactly, as in :func:`_numbers_only`: bool, a float ``dim`` and numpy
-    scalars are left to jsonschema.
-    """
-    if not (type(document) is dict
-            and _SPACE_REQUIRED <= document.keys() <= _SPACE_KEYS
-            and type(document.get("label", "")) is str
-            and all(type(document[key]) is list
-                    and _numbers_only(document[key], _ROW)
-                    for key in ("isotropy", "complement", "metric")
-                    if key in document)):
+def _is_type(instance, name: str) -> bool:
+    """Draft 2020-12's type test for the types the schemas name: bool is
+    none of them, and an integral float is an integer."""
+    if isinstance(instance, bool):
         return False
-    algebra = document["algebra"]
-    if type(algebra) is str:
-        return True
-    return (type(algebra) is dict
-            and _ALGEBRA_REQUIRED <= algebra.keys() <= _ALGEBRA_KEYS
-            and type(algebra["dim"]) is int and algebra["dim"] >= 0
-            and type(algebra["labels"]) is list
-            and all(type(label) is str for label in algebra["labels"])
-            and type(algebra["structure"]) is list
-            and _numbers_only(algebra["structure"], _SLICE)
-            and type(algebra.get("convention_note", "")) is str)
+    if name == "integer" and isinstance(instance, float):
+        return instance.is_integer()
+    return isinstance(instance, _TYPES[name])
 
 
-@functools.cache
-def _validator():
-    """Draft 2020-12 validator for :data:`_SPACE_SCHEMA`, built once, for
-    the documents :func:`_surely_valid` does not accept.
+def _errors(instance, schema: dict, path: tuple = ()):
+    """``(path, message)`` of each error of ``instance`` under ``schema``, in
+    the order and wording of jsonschema's Draft 2020-12 validator.
 
-    Its ``items`` keyword accepts an array of numbers, or nested arrays
-    ending in numbers, with one type test per number.  Anything that test
-    does not accept goes to jsonschema's own ``items``, so every document
-    gets the same verdict and, when invalid, the same errors as with the
-    stock validator.
+    Reads the keywords the shipped schemas use; ``additionalProperties``
+    is only ever false there, and ``$ref`` points into the space schema.
     """
-    # imported here: jsonschema takes tens of milliseconds to import, and
-    # only documents that the accept check leaves undecided need it
-    import jsonschema
-
-    stock = jsonschema.Draft202012Validator.VALIDATORS["items"]
-
-    def items(validator, items_schema, instance, schema):
-        if (type(instance) is list and "prefixItems" not in schema
-                and _numbers_only(instance, items_schema)):
-            return
-        yield from stock(validator, items_schema, instance, schema)
-
-    cls = jsonschema.validators.extend(jsonschema.Draft202012Validator,
-                                       {"items": items})
-    return cls(_load_schema(_SPACE_SCHEMA))
+    for keyword, value in schema.items():
+        if keyword == "type" and not _is_type(instance, value):
+            yield path, f"{instance!r} is not of type {value!r}"
+        elif keyword == "minimum" and _is_type(instance, "number") \
+                and instance < value:
+            yield path, f"{instance!r} is less than the minimum of {value!r}"
+        elif keyword == "required" and isinstance(instance, dict):
+            for name in value:
+                if name not in instance:
+                    yield path, f"{name!r} is a required property"
+        elif keyword == "additionalProperties" and isinstance(instance, dict):
+            extras = sorted(set(instance).difference(schema["properties"]),
+                            key=str)
+            if extras:
+                names = ", ".join(map(repr, extras))
+                verb = "was" if len(extras) == 1 else "were"
+                yield path, ("Additional properties are not allowed "
+                             f"({names} {verb} unexpected)")
+        elif keyword == "properties" and isinstance(instance, dict):
+            for name, sub in value.items():
+                if name in instance:
+                    yield from _errors(instance[name], sub, path + (name,))
+        elif keyword == "items" and isinstance(instance, list) \
+                and not _numbers_only(instance, value):
+            for i, entry in enumerate(instance):
+                yield from _errors(entry, value, path + (i,))
+        elif keyword == "anyOf" and all(any(_errors(instance, sub, path))
+                                        for sub in value):
+            yield path, (f"{instance!r} is not valid under any of the "
+                         "given schemas")
+        elif keyword == "$ref":
+            yield from _errors(instance, functools.reduce(
+                dict.__getitem__, value[2:].split("/"), _space_schema()), path)
 
 
 def _validate(document: dict):
-    """Raise :class:`SpaceFormatError` at the first error, in document
-    order, unless :data:`_SPACE_SCHEMA` accepts ``document``."""
-    if _surely_valid(document):
-        return
-    errors = sorted(_validator().iter_errors(document),
-                    key=lambda e: list(e.absolute_path))
-    if errors:
-        first = errors[0]
-        pointer = "/" + "/".join(str(part) for part in first.absolute_path)
-        raise SpaceFormatError(first.message, pointer)
+    """Raise :class:`SpaceFormatError` at the error with the smallest path,
+    unless the space schema accepts ``document``."""
+    first = min(_errors(document, _space_schema()),
+                key=lambda error: error[0], default=None)
+    if first:
+        path, message = first
+        raise SpaceFormatError(message, "/" + "/".join(map(str, path)))
 
 
 def _first_wrong_length(value, shape: tuple, path: tuple = ()):

@@ -245,14 +245,14 @@ def test_lie_algebra_schema_matches_the_space_schema_definition():
     assert standalone == embedded
 
 
-# -- the fast number-array path against the stock validator -----------------
+# -- the schema walker against jsonschema, the reference implementation ----
 
 def _stock_error(document):
     """(text, pointer) of the first error of jsonschema's own validator, as
     SpaceFormatError would render it, or None for a valid document."""
     import jsonschema
 
-    schema = serialize._load_schema(serialize._SPACE_SCHEMA)
+    schema = serialize._load_schema("space.schema.json")
     errors = sorted(
         jsonschema.Draft202012Validator(schema).iter_errors(document),
         key=lambda e: list(e.absolute_path))
@@ -327,23 +327,19 @@ def _differential_documents():
 
 def test_validation_agrees_with_the_stock_validator():
     """Seeded mutations of emitted documents get the same verdict from the
-    fast path as from jsonschema's own Draft 2020-12 validator, and the
-    same first message and pointer when they are invalid.  True is the
-    case to watch: bool is an int subclass but not a JSON number.  The
-    accept check takes every emitted document, one per catalog template
-    and an inline so(5)/so(4) without its complement among them, so
-    valid documents never reach jsonschema; and it never takes a document
-    the stock validator rejects."""
+    walker as from jsonschema's own Draft 2020-12 validator, and the same
+    first message and pointer when they are invalid.  True is the case to
+    watch: bool is an int subclass but not a JSON number.  Every emitted
+    document, one per catalog template and an inline so(5)/so(4) without
+    its complement among them, is valid."""
     rng = np.random.default_rng(20260)
     seen = {"valid": 0, "invalid": 0}
     for document in _differential_documents():
         assert _fast_error(document) is None is _stock_error(document)
-        assert serialize._surely_valid(document)
         for _ in range(30):
             mutated = _mutate(document, rng)
             want = _stock_error(mutated)
             assert _fast_error(mutated) == want
-            assert want is None or not serialize._surely_valid(mutated)
             seen["valid" if want is None else "invalid"] += 1
     assert seen["valid"] >= 50 and seen["invalid"] >= 100
 
@@ -359,35 +355,56 @@ def test_validation_agrees_with_the_stock_validator():
     (("metric", 0), [True, 0.0]),
     (("label",), 1.0),
     (("algebra", "convention_note"), ["so(3)"]),
+    ([("zeta",), ("alpha",)], 1.0),
+    (("algebra", "extra"), 1.0),
+    (("algebra",), 5),
+    (("algebra",), [1.0]),
+    (("metric", 0, 0), np.float64(2.0)),
+    (("algebra", "structure", 1, 2, 0), np.float32(0.5)),
 ])
 def test_placed_defects_agree_with_the_stock_validator(where, value):
+    """``value`` placed at ``where``, or at each of a list of places.
+    Beyond ``_mutate``'s defects: two unexpected keys at the top level,
+    which the message sorts; an unexpected key in an inline algebra; an
+    algebra of neither kind; and numpy floats, which are numbers, so the
+    document stays valid."""
     sp, _ = round_sphere(2)
     doc = json.loads(json.dumps(space_to_dict(sp)))
-    node = doc
-    for key in where[:-1]:
-        node = node[key]
-    node[where[-1]] = value
-    assert _fast_error(doc) == _stock_error(doc) is not None
-    assert not serialize._surely_valid(doc)
+    for path in where if isinstance(where, list) else [where]:
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+    want = _stock_error(doc)
+    assert _fast_error(doc) == want
+    assert (want is None) == isinstance(value, np.floating)
 
 
 @pytest.mark.parametrize("change", [
     {"dim": 3.0}, {"dim": np.int64(3)}, {"dim": True}, {"dim": -1}])
 def test_the_accept_check_leaves_doubtful_algebras_to_jsonschema(change):
-    """A ``dim`` of 3.0, which jsonschema counts as an integer, a numpy
-    integer, a bool and a negative number are left to jsonschema, which
-    accepts the first and rejects the rest as before."""
+    """Draft 2020-12's integer: a ``dim`` of 3.0 is one, and a numpy
+    integer, a bool and a negative number are refused, with jsonschema's
+    verdict and message in each case."""
     doc = json.loads(json.dumps(space_to_dict(round_sphere(2)[0])))
     doc["algebra"].update(change)
-    assert not serialize._surely_valid(doc)
     assert _fast_error(doc) == _stock_error(doc)
 
 
-def test_number_arrays_under_further_keywords_are_left_to_jsonschema():
-    """The fast path skips the walk into rows, so it must not take a
-    schema whose rows carry keywords it does not check."""
+def test_number_arrays_under_further_keywords_are_walked_entry_by_entry():
+    """The walker's fast leaf skips the walk into rows, so it must not
+    take a schema whose rows or numbers carry further keywords; those
+    arrays are walked entry by entry and get jsonschema's errors."""
+    import jsonschema
+
     row = {"type": "array", "items": {"type": "number"}}
     assert serialize._numbers_only([[1.0, 2]], row)
     assert not serialize._numbers_only([[1.0]], dict(row, minItems=2))
-    assert not serialize._numbers_only([1.0], {"type": "number",
-                                               "minimum": 0})
+    positive = {"type": "number", "minimum": 0}
+    assert not serialize._numbers_only([1.0], positive)
+    schema = {"type": "array", "items": {"type": "array", "items": positive}}
+    instance = [[1.0, -2.0], [True, -0.5]]
+    want = [(tuple(e.absolute_path), e.message) for e in
+            jsonschema.Draft202012Validator(schema).iter_errors(instance)]
+    assert list(serialize._errors(instance, schema)) == want
+    assert [path for path, _ in want] == [(0, 1), (1, 0), (1, 1)]

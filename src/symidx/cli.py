@@ -44,12 +44,11 @@ from .homspace import (
 from .liealg import DEFAULT_TOL, checked_tol
 from .serialize import (
     SpaceFormatError,
-    bound_to_dict,
     load_space,
     outcome_to_dict,
+    plain,
     space_to_dict,
     spectrum_to_dict,
-    transvection_to_dict,
 )
 from .verify import run_checks
 
@@ -149,8 +148,8 @@ def _cmd_index(args, tol) -> int:
         "label": sp.label,
         "dim": sp.dim,
         "augmented": bool(args.augment),
-        "transvection": transvection_to_dict(report),
-        "bound": bound_to_dict(bound),
+        "transvection": plain(report),
+        "bound": plain(bound),
     })
     return 0
 

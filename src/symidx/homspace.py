@@ -738,9 +738,7 @@ def augment_left_invariant(sp: HomogeneousSpace) -> HomogeneousSpace:
     structure[n + first, n + second, n:] = coeffs.T
     structure[n + second, n + first, n:] = -coeffs.T
     labels = alg.basis_labels + tuple(f"op{r + 1}" for r in range(q))
-    big = LieAlgebra(n + q, labels, structure,
-                     convention_note=alg.convention_note
-                     + "; opposite-side generators appended")
+    big = LieAlgebra(n + q, labels, structure)
 
     iso = Subspace(n + q, np.vstack([a.basis, -np.eye(q)]))
     comp = Subspace(n + q, np.vstack([sp.m_basis, np.zeros((q, sp.dim))]))

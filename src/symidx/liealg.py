@@ -10,10 +10,8 @@ faithful matrix representation, that bracket is the *negative* of the
 matrix commutator: for the quaternion model of spin(3) this gives
 ``bracket(j, i) = 2k`` even though the quaternion commutator ji - ij
 is -2k.  Mixing the two conventions silently flips the sign of the
-geodesic spray and of curvature terms, so every :class:`LieAlgebra`
-carries a ``convention_note`` and :func:`matrix_algebra` applies the
-flip itself.  The note lives in memory only: the JSON layout has no
-field for it, and :func:`algebra_from_dict` gives the default note.
+geodesic spray and of curvature terms, so :func:`matrix_algebra`
+applies the flip itself.
 """
 
 from __future__ import annotations
@@ -40,11 +38,6 @@ CHECK_TOL = 1e-8
 
 #: Entries per chunk of the Jacobi residual (see LieAlgebra.jacobi_residual).
 _JACOBI_CHUNK = 2 ** 18
-
-KILLING_CONVENTION = (
-    "structure tensor stores brackets of Killing (right-invariant) fields; "
-    "equal to minus the matrix commutator of any generating representation"
-)
 
 
 # ---------------------------------------------------------------------------
@@ -356,23 +349,20 @@ class LieAlgebra:
     structure : ndarray, shape (dim, dim, dim)
         ``bracket(e_i, e_j) = sum_k structure[i, j, k] e_k`` in the Killing
         field convention (see module docstring).
-    convention_note : str
-        Records the bracket convention; not serialized (module docstring).
 
     Antisymmetry and the Jacobi identity are validated at construction
     with absolute residual tolerance :data:`DEFAULT_TOL`, the latter by the
     O(dim^5) sum of :meth:`jacobi_residual` unless a certified bound on it
     is at most ``DEFAULT_TOL``.  Only :func:`matrix_algebra` certifies,
-    and a certified tensor is read-only; this constructor,
-    :func:`algebra_from_dict` and copies run the sum.  Facts that depend
-    on the algebra alone, its ad stack and its reference forms, are
-    computed once per instance and shared by every space built on it.
+    and a certified tensor is read-only; this constructor and copies run
+    the sum.  Facts that depend on the algebra alone, its ad stack and its
+    reference forms, are computed once per instance and shared by every
+    space built on it.
     """
 
     dim: int
     basis_labels: tuple
     structure: np.ndarray
-    convention_note: str = KILLING_CONVENTION
 
     _jacobi_bound = None  # set by _certified; not a dataclass field
 
@@ -768,7 +758,6 @@ def so_elementary(n: int):
     return matrix_algebra(np.array(mats), tuple(labels))
 
 
-_QUAT_BASIS = ("1", "i", "j", "k")
 # product table of unit quaternions: _QUAT_MUL[a][b] = (sign, index of a*b)
 _QUAT_MUL = {
     (0, 0): (1, 0), (0, 1): (1, 1), (0, 2): (1, 2), (0, 3): (1, 3),
@@ -832,9 +821,8 @@ def abelian(n: int):
     """The abelian algebra R^n (zero structure tensor, no representation)."""
     if n < 0:
         raise ValueError("dimension must be nonnegative")
-    alg = LieAlgebra(n, tuple(f"a{k + 1}" for k in range(n)), np.zeros((n, n, n)),
-                     convention_note="abelian; all brackets vanish")
-    return alg, None
+    labels = tuple(f"a{k + 1}" for k in range(n))
+    return LieAlgebra(n, labels, np.zeros((n, n, n))), None
 
 
 def preset(name: str):
@@ -860,21 +848,3 @@ def preset(name: str):
         return abelian(n)
     raise ValueError(f"unknown algebra preset {name!r}")
 
-
-# ---------------------------------------------------------------------------
-# JSON layout
-# ---------------------------------------------------------------------------
-
-def algebra_to_dict(alg: LieAlgebra) -> dict:
-    """Plain-JSON layout: {"dim", "labels", "structure"}."""
-    return {
-        "dim": alg.dim,
-        "labels": list(alg.basis_labels),
-        "structure": alg.structure.tolist(),
-    }
-
-
-def algebra_from_dict(d: dict) -> LieAlgebra:
-    """Inverse of :func:`algebra_to_dict`; revalidates all invariants."""
-    return LieAlgebra(int(d["dim"]), tuple(d["labels"]),
-                      np.asarray(d["structure"], dtype=float))

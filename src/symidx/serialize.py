@@ -1,18 +1,19 @@
-"""JSON layouts for spaces and reports.
+"""The JSON layouts of algebras, spaces and reports, known nowhere else.
 
-Spaces are stored as an algebra (inline structure constants or a preset
-name), isotropy and complement bases given as lists of coefficient
-vectors, and a Gram matrix in complement coordinates.  Input documents
-are validated against the shipped JSON Schemas before any numerics run;
-schema violations raise :class:`SpaceFormatError` carrying a JSON pointer
-to the offending element.
+A space is an algebra (a preset name, or inline ``dim``, ``labels`` and
+structure constants), isotropy and complement bases as lists of
+coefficient vectors, and a Gram matrix in complement coordinates; a
+report is printed field by field by :func:`plain`.  Input documents are
+validated against the shipped JSON Schema before any numerics run; a
+violation raises :class:`SpaceFormatError` with a JSON pointer to the
+offending element.
 
-One walker, :func:`_errors`, reads the shipped schema and gives every
-error with jsonschema's Draft 2020-12 message and path, so no JSON
-Schema library is needed at run time.  Validation is linear in the size
-of the document: an array of numbers, however deeply nested, costs one
-type test per number, and only an array that test does not accept is
-walked entry by entry.
+One walker, :func:`_errors`, reads the shipped schema and gives each
+error with jsonschema's Draft 2020-12 message and path (but see there
+for an inline algebra), so no JSON Schema library is needed at run time.
+Validation is linear in the size of the document: an array of numbers,
+however deeply nested, costs one type test per number, and only an
+array that test does not accept is walked entry by entry.
 """
 
 from __future__ import annotations
@@ -36,8 +37,6 @@ from .liealg import (
     BilinearForm,
     LieAlgebra,
     Subspace,
-    algebra_from_dict,
-    algebra_to_dict,
     canonical_basis,
     preset,
 )
@@ -97,10 +96,13 @@ def _is_type(instance, name: str) -> bool:
 
 def _errors(instance, schema: dict, path: tuple = ()):
     """``(path, message)`` of each error of ``instance`` under ``schema``, in
-    the order and wording of jsonschema's Draft 2020-12 validator.
+    the order and wording of jsonschema's Draft 2020-12 validator, but an
+    ``anyOf`` with one branch of the instance's type gives that branch's
+    errors: a wrong entry of an inline algebra is named, not the algebra.
 
     Reads the keywords the shipped schemas use; ``additionalProperties``
-    is only ever false there, and ``$ref`` points into the space schema.
+    is only ever false there, ``$ref`` points into the space schema, and
+    each branch of an ``anyOf`` names its type.
     """
     for keyword, value in schema.items():
         if keyword == "type" and not _is_type(instance, value):
@@ -128,13 +130,23 @@ def _errors(instance, schema: dict, path: tuple = ()):
                 and not _numbers_only(instance, value):
             for i, entry in enumerate(instance):
                 yield from _errors(entry, value, path + (i,))
-        elif keyword == "anyOf" and all(any(_errors(instance, sub, path))
-                                        for sub in value):
-            yield path, (f"{instance!r} is not valid under any of the "
-                         "given schemas")
+        elif keyword == "anyOf":
+            fits = [sub for sub in map(_resolved, value)
+                    if _is_type(instance, sub["type"])]
+            if len(fits) == 1:
+                yield from _errors(instance, fits[0], path)
+            elif all(any(_errors(instance, sub, path)) for sub in value):
+                yield path, (f"{instance!r} is not valid under any of the "
+                             "given schemas")
         elif keyword == "$ref":
-            yield from _errors(instance, functools.reduce(
-                dict.__getitem__, value[2:].split("/"), _space_schema()), path)
+            yield from _errors(instance, _resolved(schema), path)
+
+
+def _resolved(schema: dict) -> dict:
+    """``schema``, or what its ``$ref`` names in the space schema."""
+    ref = schema.get("$ref")
+    return functools.reduce(dict.__getitem__, ref[2:].split("/"),
+                            _space_schema()) if ref else schema
 
 
 def _validate(document: dict):
@@ -190,9 +202,11 @@ def _float_array(value, shape: tuple, pointer: str, rule: str) -> np.ndarray:
     return arr
 
 
-def _vectors_to_basis(rows, ambient: int, what: str) -> np.ndarray:
-    return _float_array(rows, (len(rows), ambient), f"/{what}",
-                        f"each {what} vector must have {ambient} entries").T
+def _span(rows, ambient: int, what: str) -> Subspace:
+    """The span of a document's list of ``what`` vectors."""
+    return Subspace(ambient, _float_array(
+        rows, (len(rows), ambient), f"/{what}",
+        f"each {what} vector must have {ambient} entries").T)
 
 
 def _algebra(field) -> LieAlgebra:
@@ -208,7 +222,7 @@ def _algebra(field) -> LieAlgebra:
         field["structure"], (n, n, n), "/algebra/structure",
         f"the structure tensor of a {n}-dimensional algebra must have shape "
         f"({n}, {n}, {n})")
-    return algebra_from_dict(dict(field, structure=structure))
+    return LieAlgebra(int(n), field["labels"], structure)
 
 
 def space_from_dict(document: dict, tol: float = DEFAULT_TOL) -> HomogeneousSpace:
@@ -221,14 +235,9 @@ def space_from_dict(document: dict, tol: float = DEFAULT_TOL) -> HomogeneousSpac
     """
     _validate(document)
     algebra = _algebra(document["algebra"])
-    iso = Subspace(algebra.dim,
-                   _vectors_to_basis(document["isotropy"], algebra.dim,
-                                     "isotropy"))
-    comp = None
-    if "complement" in document:
-        comp = Subspace(algebra.dim,
-                        _vectors_to_basis(document["complement"], algebra.dim,
-                                          "complement"))
+    iso = _span(document["isotropy"], algebra.dim, "isotropy")
+    comp = (_span(document["complement"], algebra.dim, "complement")
+            if "complement" in document else None)
     rows = document["metric"]
     metric = BilinearForm(_float_array(rows, (len(rows), len(rows)),
                                        "/metric",
@@ -266,7 +275,9 @@ def load_space(path: str, tol: float = DEFAULT_TOL) -> HomogeneousSpace:
 
 def space_to_dict(sp: HomogeneousSpace) -> dict:
     out = {
-        "algebra": algebra_to_dict(sp.algebra),
+        "algebra": {"dim": sp.algebra.dim,
+                    "labels": list(sp.algebra.basis_labels),
+                    "structure": sp.algebra.structure.tolist()},
         "isotropy": sp.isotropy.basis.T.tolist(),
         "complement": sp.complement.basis.T.tolist(),
         "metric": sp.metric.gram.tolist(),
@@ -274,37 +285,6 @@ def space_to_dict(sp: HomogeneousSpace) -> dict:
     if sp.label:
         out["label"] = sp.label
     return out
-
-
-def subspace_to_dict(sub: Subspace) -> dict:
-    """The subspace printed by its :func:`canonical_basis`, which the
-    subspace determines whatever basis it was computed in."""
-    return {"ambient_dim": sub.ambient_dim, "dim": sub.dim,
-            "basis": canonical_basis(sub.onb()).T.tolist()}
-
-
-def transvection_to_dict(report: TransvectionReport) -> dict:
-    return {
-        "index": report.index,
-        "coindex": report.coindex,
-        "dim_transvection": report.dim_transvection,
-        "involutive_ok": report.involutive_ok,
-        "relative_to_supplied_algebra": report.relative_to_supplied_algebra,
-        "p_space": subspace_to_dict(report.p_space),
-        "k_space": subspace_to_dict(report.k_space),
-        "s_space": subspace_to_dict(report.s_space),
-    }
-
-
-def bound_to_dict(report: BoundReport) -> dict:
-    return {
-        "k": report.k,
-        "lhs": report.lhs,
-        "rhs": report.rhs,
-        "equality": report.equality,
-        "gD": subspace_to_dict(report.gD),
-        "g_prime": subspace_to_dict(report.g_prime),
-    }
 
 
 def spectrum_to_dict(spectrum: JacobiSpectrum) -> dict:
@@ -322,19 +302,26 @@ def outcome_to_dict(outcome: VerificationOutcome) -> dict:
         "check": outcome.check_name,
         "status": outcome.status,
         "provenance": outcome.provenance,
-        "expected": _plain(outcome.expected),
-        "actual": _plain(outcome.actual),
+        "expected": plain(outcome.expected),
+        "actual": plain(outcome.actual),
         "detail": outcome.detail,
         "duration_ms": outcome.duration_ms,
     }
 
 
-def _plain(value):
-    """Recursively convert numpy scalars and arrays for json.dumps."""
+def plain(value):
+    """``value`` as data for ``json.dumps``: a report by its fields, a
+    subspace by its :func:`canonical_basis`, which the subspace alone
+    determines, and numpy scalars and arrays as Python ones, at any depth."""
+    if isinstance(value, (TransvectionReport, BoundReport)):
+        value = vars(value)  # a dataclass's instance dict: its fields
+    if isinstance(value, Subspace):
+        return {"ambient_dim": value.ambient_dim, "dim": value.dim,
+                "basis": canonical_basis(value.onb()).T.tolist()}
     if isinstance(value, dict):
-        return {str(k): _plain(v) for k, v in value.items()}
+        return {str(k): plain(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
-        return [_plain(v) for v in value]
+        return [plain(v) for v in value]
     if isinstance(value, np.ndarray):
         return value.tolist()
     if isinstance(value, (np.floating, np.integer, np.bool_)):

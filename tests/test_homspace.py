@@ -377,7 +377,7 @@ def _heisenberg_group(gram):
     not a geodesic fails on its drift alone."""
     c = np.zeros((3, 3, 3))
     c[0, 1, 2], c[1, 0, 2] = 1.0, -1.0
-    alg = LieAlgebra(3, ("x", "y", "z"), c, convention_note="test")
+    alg = LieAlgebra(3, ("x", "y", "z"), c)
     return HomogeneousSpace(alg, Subspace.zero(3), BilinearForm(gram),
                             complement=Subspace.full(3))
 

@@ -5,8 +5,12 @@ import pytest
 
 from meaning import adjoint, invariant_by_loop
 from symidx import liealg, verify
-from symidx.catalog import cp2_centriole, spin3_berger
-from symidx.homspace import Presentation, augment_left_invariant
+from symidx.catalog import cp2_centriole, round_sphere, spin3_berger
+from symidx.homspace import (
+    HomogeneousSpace,
+    Presentation,
+    augment_left_invariant,
+)
 from symidx.liealg import (
     DEFAULT_TOL,
     BilinearForm,
@@ -14,8 +18,6 @@ from symidx.liealg import (
     Subspace,
     abelian,
     adjoints,
-    algebra_from_dict,
-    algebra_to_dict,
     bi_invariant_directions,
     bracket,
     brackets,
@@ -40,6 +42,7 @@ from symidx.liealg import (
     stacked_spans,
     su3,
 )
+from symidx.serialize import space_from_dict, space_to_dict
 
 I, J, K = np.eye(3)
 
@@ -237,15 +240,14 @@ def test_reference_form_rejects_non_reductive_algebras():
     c = np.zeros((2, 2, 2))
     c[0, 1, 1] = 1.0
     c[1, 0, 1] = -1.0
-    alg = LieAlgebra(2, ("x", "y"), c, convention_note="test")
+    alg = LieAlgebra(2, ("x", "y"), c)
     with pytest.raises(ValueError, match="do not split"):
         reference_form(alg)
 
 
 def _fresh(alg):
     """An equal algebra with nothing cached yet."""
-    return LieAlgebra(alg.dim, alg.basis_labels, np.array(alg.structure),
-                      convention_note=alg.convention_note)
+    return LieAlgebra(alg.dim, alg.basis_labels, np.array(alg.structure))
 
 
 @pytest.mark.parametrize("build", [
@@ -364,10 +366,10 @@ def test_quaternion_left_multiplication_table():
 
 
 def test_algebra_dict_round_trip():
-    alg, _ = so_elementary(4)
-    back = algebra_from_dict(algebra_to_dict(alg))
-    assert back.basis_labels == alg.basis_labels
-    np.testing.assert_allclose(back.structure, alg.structure)
+    sp, _ = round_sphere(3)  # so(4)/so(3)
+    back = space_from_dict(space_to_dict(sp)).algebra
+    assert back.basis_labels == sp.algebra.basis_labels
+    np.testing.assert_allclose(back.structure, sp.algebra.structure)
 
 
 # -- batched primitives against their one-at-a-time definitions --------------
@@ -685,7 +687,8 @@ def uncertified_copy():
 
 @pytest.mark.parametrize("build", [
     pytest.param(uncertified_copy, id="copy-of-certified"),
-    pytest.param(lambda: algebra_from_dict(algebra_to_dict(su3()[0])),
+    pytest.param(lambda: space_from_dict(space_to_dict(HomogeneousSpace(
+        su3()[0], Subspace.zero(8), BilinearForm(np.eye(8))))),
                  id="from-dict"),
     pytest.param(lambda: direct_sum(spin3_quaternion()[0], abelian(1)[0]),
                  id="sum-with-uncertified"),

@@ -13,6 +13,7 @@ from symidx.liealg import (
     BilinearForm,
     Subspace,
     bracket,
+    direct_sum,
     killing_form_positive,
     preset,
 )
@@ -22,7 +23,14 @@ from symidx.homspace import (
     symmetry_ideal,
     transvection_space,
 )
-from symidx.catalog import round_sphere, so4_so2, spin3_metric
+from symidx.catalog import (
+    cp2_centriole,
+    product_of_spheres,
+    round_sphere,
+    so4_so2,
+    spin3_metric,
+    spin3_one_parameter,
+)
 from symidx.serialize import space_from_dict, space_to_dict
 
 
@@ -141,6 +149,61 @@ def test_serialization_preserves_the_index():
     for sp in random_quotients(rng, 3):
         back = space_from_dict(space_to_dict(sp))
         assert transvection_space(back).index == transvection_space(sp).index
+
+
+def _block_diagonal(x, y):
+    out = np.zeros((x.shape[0] + y.shape[0], x.shape[1] + y.shape[1]))
+    out[:x.shape[0], :x.shape[1]] = x
+    out[x.shape[0]:, x.shape[1]:] = y
+    return out
+
+
+def product_space(a, b):
+    """The Riemannian product of two spaces, presented by the direct sum of
+    their algebras with block isotropy, complement and metric."""
+    n = a.algebra.dim + b.algebra.dim
+    return HomogeneousSpace(
+        direct_sum(a.algebra, b.algebra),
+        Subspace(n, _block_diagonal(a.isotropy.basis, b.isotropy.basis)),
+        BilinearForm(_block_diagonal(a.metric.gram, b.metric.gram)),
+        complement=Subspace(n, _block_diagonal(a.complement.basis,
+                                               b.complement.basis)))
+
+
+def catalog_draws(rng):
+    """One space of each catalog kind, its parameters drawn from ``rng``."""
+    lam, s = rng.uniform(0.1, 1.0), rng.uniform(0.1, 1.9)
+    return [
+        round_sphere(2)[0],
+        so4_so2(lam, s)[0],  # coupled
+        so4_so2(lam, s, t=2.0 - s + rng.choice([-1, 1]) * rng.uniform(
+            0.1, 0.5))[0],
+        spin3_metric(*rng.uniform(0.2, 2.5, size=3))[0],
+        spin3_one_parameter(rng.uniform(0.1, 1.9))[0],
+        product_of_spheres(rng.uniform(0.3, 2.0))[0],
+        cp2_centriole()[0],
+    ]
+
+
+@pytest.mark.parametrize("seed", [11, 12])
+def test_index_and_ideal_dimensions_add_over_products(seed):
+    """On the product of two spaces, presented by the direct sum of their
+    algebras, the index, ``dim gD`` and ``2 dim g'`` are the sums of the
+    factors' values: an ideal inside a product subspace projects to
+    ideals inside the factors."""
+    rng = np.random.default_rng(seed)
+    spaces = catalog_draws(rng)
+    decided = [(transvection_space(sp), symmetry_ideal(sp)) for sp in spaces]
+    pairs = [(i, j) for i in range(len(spaces)) for j in range(i, len(spaces))]
+    for k in rng.choice(len(pairs), size=12, replace=False):
+        i, j = rng.permutation(pairs[k])  # the order of the summands too
+        product = product_space(spaces[i], spaces[j])
+        rep = transvection_space(product)
+        bound = symmetry_ideal(product, rep)
+        (rep_i, bound_i), (rep_j, bound_j) = decided[i], decided[j]
+        assert rep.index == rep_i.index + rep_j.index
+        assert bound.gD.dim == bound_i.gD.dim + bound_j.gD.dim
+        assert bound.lhs == bound_i.lhs + bound_j.lhs
 
 
 def test_evaluation_and_lift_are_mutually_inverse():

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 
 import numpy as np
@@ -8,14 +9,14 @@ from symidx import serialize
 from symidx.catalog import from_name, round_sphere, so4_so2
 from symidx.cli import main
 from symidx.homspace import jacobi_operator, symmetry_ideal, transvection_space
+from symidx.liealg import Subspace, canonical_basis
 from symidx.serialize import (
     SpaceFormatError,
-    bound_to_dict,
     load_space,
+    plain,
     space_from_dict,
     space_to_dict,
     spectrum_to_dict,
-    transvection_to_dict,
 )
 
 
@@ -174,10 +175,10 @@ def test_load_space_rejects_non_object(tmp_path):
 
 def test_report_dicts_are_json_ready():
     sp, _ = so4_so2(0.5, 0.6)
-    rep = transvection_to_dict(transvection_space(sp))
+    rep = plain(transvection_space(sp))
     assert rep["index"] == 2 and rep["coindex"] == 3
     assert rep["relative_to_supplied_algebra"] is True
-    bound = bound_to_dict(symmetry_ideal(sp))
+    bound = plain(symmetry_ideal(sp))
     assert bound["equality"] is True
     assert (bound["lhs"], bound["rhs"], bound["k"]) == (12, 12, 3)
     spec = spectrum_to_dict(jacobi_operator(sp, np.array([0, 1, 0, 0, 1, 0.0])))
@@ -185,6 +186,40 @@ def test_report_dicts_are_json_ready():
     # everything must survive a JSON encoding unchanged
     for payload in (rep, bound, spec):
         json.loads(json.dumps(payload))
+
+
+@pytest.mark.parametrize("decide", [transvection_space, symmetry_ideal])
+def test_plain_prints_a_report_by_its_fields(decide):
+    """Exactly the report's dataclass fields, each subspace by the canonical
+    basis of its span: another basis of the same span prints the same."""
+    sp, _ = so4_so2(0.3, 1.2, 0.7)
+    report = decide(sp)
+    out = plain(report)
+    names = [field.name for field in dataclasses.fields(report)]
+    assert sorted(out) == sorted(names)
+    mix = np.random.default_rng(6).standard_normal((sp.algebra.dim,) * 2)
+    for name in names:
+        value = getattr(report, name)
+        if isinstance(value, Subspace):
+            other = Subspace(value.ambient_dim,
+                             value.basis @ mix[:value.dim, :value.dim])
+            assert out[name] == plain(other) == {
+                "ambient_dim": value.ambient_dim, "dim": value.dim,
+                "basis": canonical_basis(value.onb()).T.tolist()}
+        else:
+            assert out[name] == value
+            assert type(out[name]) in (int, bool)
+    assert json.loads(json.dumps(out)) == out
+
+
+def test_an_integral_float_dim_loads_as_an_integer():
+    """Draft 2020-12 counts 3.0 as an integer, so the document is valid,
+    and the space it loads prints ``"dim": 3``."""
+    doc = json.loads(json.dumps(space_to_dict(round_sphere(2)[0])))
+    doc["algebra"]["dim"] = 3.0
+    out = space_to_dict(space_from_dict(doc))
+    assert type(out["algebra"]["dim"]) is int
+    assert '{"dim": 3, ' in json.dumps(out["algebra"])
 
 
 @pytest.mark.parametrize("field, token", [
@@ -236,6 +271,19 @@ def test_algebra_of_neither_kind_reports_one_message(value):
         f"/algebra: {value!r} is not valid under any of the given schemas")
 
 
+def test_a_wrong_entry_in_an_inline_algebra_is_pointed_at():
+    """The ``algebra`` of a document is an object or a string, and an
+    object can only be an inline algebra: a wrong entry in one is refused
+    at its own place, not with the repr of the whole algebra, which for
+    so(12)/so(11) ran to over a million characters."""
+    doc = json.loads(json.dumps(space_to_dict(round_sphere(11)[0])))
+    doc["algebra"]["structure"][5][7][3] = True
+    with pytest.raises(SpaceFormatError) as err:
+        space_from_dict(doc)
+    assert str(err.value) == (
+        "/algebra/structure/5/7/3: True is not of type 'number'")
+
+
 def test_lie_algebra_schema_matches_the_space_schema_definition():
     standalone = serialize._load_schema("lie_algebra.schema.json")
     embedded = serialize._load_schema("space.schema.json")["$defs"][
@@ -249,13 +297,32 @@ def test_lie_algebra_schema_matches_the_space_schema_definition():
 
 def _stock_error(document):
     """(text, pointer) of the first error of jsonschema's own validator, as
-    SpaceFormatError would render it, or None for a valid document."""
+    SpaceFormatError would render it, or None for a valid document.  An
+    ``anyOf`` error stands for the first error, by path, of its branch of
+    the instance's type when only one branch has that type."""
     import jsonschema
 
     schema = serialize._load_schema("space.schema.json")
-    errors = sorted(
-        jsonschema.Draft202012Validator(schema).iter_errors(document),
-        key=lambda e: list(e.absolute_path))
+    validator = jsonschema.Draft202012Validator(schema)
+
+    def branch_type(branch):
+        if "$ref" in branch:
+            branch = schema["$defs"][branch["$ref"].rsplit("/", 1)[1]]
+        return branch["type"]
+
+    def stand_in(error):
+        if error.validator != "anyOf":
+            return error
+        fits = [i for i, branch in enumerate(error.validator_value)
+                if validator.is_type(error.instance, branch_type(branch))]
+        if len(fits) != 1:
+            return error
+        return min((e for e in error.context
+                    if e.relative_schema_path[0] == fits[0]),
+                   key=lambda e: list(e.absolute_path))
+
+    errors = sorted(map(stand_in, validator.iter_errors(document)),
+                    key=lambda e: list(e.absolute_path))
     if not errors:
         return None
     first = errors[0]

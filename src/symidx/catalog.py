@@ -367,7 +367,7 @@ def cp2_centriole(tol: float = DEFAULT_TOL):
     t4 = np.zeros((3, 3), dtype=complex)
     t4[1, 2] = t4[2, 1] = 1j
     alg, rep = matrix_algebra(np.array([t1, t2, t3, t4]),
-                              ("T1", "T2", "T3", "T4"))
+                              ("T1", "T2", "T3", "T4"), tol)
 
     p = 0.5 * np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 0.0]],
                        dtype=complex)

@@ -432,8 +432,8 @@ def _transvections(pres: Presentation, nablas: np.ndarray) -> list:
     metric checks, given their :func:`_nablas`, in stacked calls per group
     of equal ``p_space``, then ``k_space``, dimension."""
     alg, tol, n = pres.algebra, pres.tol, pres.algebra.dim
-    v, nullity = stacked_kernels(nablas.reshape(len(nablas), n, -1)
-                                 .swapaxes(-1, -2), tol)
+    v, nullity = stacked_kernels(
+        nablas.reshape(len(nablas), n, pres.dim ** 2).swapaxes(-1, -2), tol)
     reports = [None] * len(nablas)
     for k, group in equal_groups(nullity):
         group = np.arange(len(nablas))[group]

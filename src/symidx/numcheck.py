@@ -11,7 +11,7 @@ module rebuilds the same quantities the pedestrian way, as an oracle:
 * covariant derivatives of Killing fields from their coordinate
   components plus the symbols,
 * classical Runge-Kutta for the second order field equation along a
-  geodesic, one product with its constant step matrix per step.
+  geodesic, one product with powers of its step matrix per block of steps.
 
 Agreement between the two routes is asserted in the test suite; neither
 route reuses intermediate results of the other.
@@ -35,6 +35,9 @@ OUTER_STEP = 1e-2
 # offsets (in steps) and weights (over 12 steps) of the fourth order stencil
 _OFFSETS = np.array([2.0, 1.0, -1.0, -2.0])
 _WEIGHTS = np.array([-1.0, 8.0, -8.0, 1.0])
+# steps per block of integrate_field_equation, and entries its powers may hold
+_RK4_BLOCK = 64
+_RK4_ENTRIES = 2 ** 16
 
 
 def _exp_and_differential(a: np.ndarray):
@@ -184,16 +187,23 @@ def integrate_field_equation(k_matrix: np.ndarray, v0: np.ndarray,
     Returns (times, values) with ``values[i]`` the solution at
     ``times[i]``; initial value ``v0``, initial derivative ``w0``.  For
     ``y' = A y``, ``A = [[0, I], [-K, 0]]``, the four stages of a step
-    compose to ``P = I + hA + (hA)^2/2 + (hA)^3/6 + (hA)^4/24``.
+    compose to ``P = I + hA + (hA)^2/2 + (hA)^3/6 + (hA)^4/24``; a block
+    of b states is ``P^1 ... P^b`` times the state before it.
     """
     n = len(k_matrix)
     ha = (t_end / steps) * np.block([[np.zeros((n, n)), np.eye(n)],
                                      [-np.asarray(k_matrix, float),
                                       np.zeros((n, n))]])
     eye = np.eye(2 * n)
-    step_matrix = eye + ha @ (eye + ha @ (eye + ha @ (eye + ha / 4) / 3) / 2)
+    block = max(1, min(steps, _RK4_BLOCK, _RK4_ENTRIES // (4 * n * n)))
+    powers = np.empty((block, 2 * n, 2 * n))
+    powers[0] = eye + ha @ (eye + ha @ (eye + ha @ (eye + ha / 4) / 3) / 2)
+    done = 1
+    while done < block:  # P^(done+1) ... P^(2 done) from P^done
+        powers[done:2 * done] = powers[:block - done][:done] @ powers[done - 1]
+        done *= 2
     states = np.empty((steps + 1, 2 * n))
     states[0] = np.concatenate([np.asarray(v0, float), np.asarray(w0, float)])
-    for i in range(steps):
-        np.matmul(step_matrix, states[i], out=states[i + 1])
+    for lo in range(0, steps, block):
+        states[lo + 1:lo + 1 + block] = powers[:steps - lo] @ states[lo]
     return np.linspace(0.0, t_end, steps + 1), states[:, :n]

@@ -213,7 +213,7 @@ def _algebra(field) -> LieAlgebra:
     """The algebra of a document: a preset name or an inline algebra."""
     if isinstance(field, str):
         return preset(field)[0]
-    n = field["dim"]
+    n = int(field["dim"])  # an integral float such as 3.0 is an integer
     if len(field["labels"]) != n:
         raise SpaceFormatError(
             f"an algebra of dimension {n} needs {n} labels; found "
@@ -222,7 +222,7 @@ def _algebra(field) -> LieAlgebra:
         field["structure"], (n, n, n), "/algebra/structure",
         f"the structure tensor of a {n}-dimensional algebra must have shape "
         f"({n}, {n}, {n})")
-    return LieAlgebra(int(n), field["labels"], structure)
+    return LieAlgebra(n, field["labels"], structure)
 
 
 def space_from_dict(document: dict, tol: float = DEFAULT_TOL) -> HomogeneousSpace:

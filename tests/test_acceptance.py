@@ -11,7 +11,7 @@ import json
 import numpy as np
 import pytest
 
-from symidx import verify
+from symidx import catalog, verify
 from symidx.cli import main
 from symidx.homspace import HomogeneousSpace
 from symidx.serialize import outcome_to_dict
@@ -125,6 +125,38 @@ def test_integrated_oracle_catches_a_wrong_closed_form(monkeypatch):
     assert len(outcomes) == 1
     assert outcomes[0].status == "fail"
     assert "closed form and integrated field differ" in outcomes[0].detail
+
+
+def test_integrated_oracle_catches_a_wrong_integrator(monkeypatch):
+    """The closed-form Jacobi fields must disagree with integrated states
+    that are off by 1e-4, so the oracle fails from either side."""
+    integrate = verify.integrate_field_equation
+
+    def perturbed(*args, **kwargs):
+        times, values = integrate(*args, **kwargs)
+        return times, values + 1e-4
+
+    monkeypatch.setattr(verify, "integrate_field_equation", perturbed)
+    outcomes = run_checks("curvature-operator-oracle")
+    assert len(outcomes) == 1
+    assert outcomes[0].status == "fail"
+    assert "closed form and integrated field differ" in outcomes[0].detail
+
+
+def test_quotient_checks_build_one_presentation_per_slope(monkeypatch):
+    """Both so4-so2 checks validate the quotient once per slope (three
+    each), not once per grid point."""
+    calls = []
+    presentation = catalog.so4_so2_presentation
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return presentation(*args, **kwargs)
+
+    monkeypatch.setattr(catalog, "so4_so2_presentation", counted)
+    outcomes = run_checks("so4-so2")
+    assert [o.status for o in outcomes] == ["pass", "pass"]
+    assert len(calls) == 6
 
 
 def test_every_outcome_carries_its_duration(monkeypatch):

@@ -1,8 +1,10 @@
+import inspect
 import math
 
 import numpy as np
 import pytest
 
+from symidx import catalog
 from symidx.catalog import (
     CATALOG_TEMPLATES,
     cp2_centriole,
@@ -176,6 +178,24 @@ def test_centriole_report():
     assert report.shape_multiplicities == (2, 1)
     assert isinstance(sp, HomogeneousSpace)
     assert report.fiber_tangent.dim == 1
+
+
+def test_centriole_builds_its_algebra_with_its_tolerance(monkeypatch):
+    """``tol`` reaches every rank decision behind the report, the algebra's
+    too."""
+    seen = []
+    matrix_algebra = catalog.matrix_algebra
+
+    def recorded(*args, **kwargs):
+        call = inspect.signature(matrix_algebra).bind(*args, **kwargs)
+        call.apply_defaults()
+        seen.append(call.arguments["tol"])
+        return matrix_algebra(*args, **kwargs)
+
+    monkeypatch.setattr(catalog, "matrix_algebra", recorded)
+    sp, _ = cp2_centriole(tol=1e-7)
+    assert seen == [1e-7]
+    assert sp.tol == 1e-7
 
 
 def test_from_name_round_trips_every_template():

@@ -114,6 +114,20 @@ def _index_payload(capsys, tmp_path, document, name):
     return json.loads(out)
 
 
+@pytest.mark.parametrize("dim", [0, 0.0])
+def test_index_reports_the_point(capsys, tmp_path, dim):
+    """The zero-dimensional space is valid under the schema (``minimum: 0``,
+    and 0.0 is an integer in Draft 2020-12): index, coindex and both sides
+    of the bound are 0."""
+    algebra = {"dim": dim, "labels": [], "structure": []}
+    payload = _index_payload(capsys, tmp_path, {
+        "algebra": algebra, "isotropy": [], "complement": [], "metric": []},
+        "point.json")
+    report, bound = payload["transvection"], payload["bound"]
+    assert (report["index"], report["coindex"]) == (0, 0)
+    assert (bound["lhs"], bound["rhs"], bound["equality"]) == (0, 0, True)
+
+
 @pytest.mark.parametrize("build", [
     lambda: round_sphere(3), lambda: round_sphere(4),
     lambda: so4_so2(0.5, 0.8), lambda: so4_so2(0.3, 0.5, 1.1),

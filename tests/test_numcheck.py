@@ -21,6 +21,8 @@ from symidx.homspace import jacobi_field, jacobi_operator
 from symidx.numcheck import (
     INNER_STEP,
     OUTER_STEP,
+    _RK4_BLOCK,
+    _RK4_ENTRIES,
     ExponentialChart,
     _derivatives,
     _exp_and_differential,
@@ -317,5 +319,42 @@ def test_step_matrix_is_the_four_stage_runge_kutta(steps):
     times, values = integrate_field_equation(k, v0, w0, math.pi, steps)
     want = reference_rk4(k, v0, w0, math.pi, steps)
     np.testing.assert_array_equal(times, np.linspace(0.0, math.pi, steps + 1))
+    scale = float(np.max(np.abs(want)))
+    assert float(np.max(np.abs(values - want))) <= 1e-12 * scale
+
+
+def _field_operator(kind, n, seed):
+    """A seeded symmetric ``n x n`` K: positive semidefinite, or with
+    eigenvalues of both signs, whose solutions grow exponentially."""
+    root = np.random.default_rng(seed).standard_normal((n, n))
+    if kind == "psd":
+        return root @ root.T
+    return (root + root.T) / 2
+
+
+@pytest.mark.parametrize("kind", ["psd", "indefinite"])
+@pytest.mark.parametrize("steps", [1, 7, _RK4_BLOCK - 1, _RK4_BLOCK,
+                                   _RK4_BLOCK + 1, 2001])
+def test_blocked_integrator_agrees_with_the_four_stages(kind, steps):
+    # at n = 4 the entry budget leaves whole blocks of _RK4_BLOCK steps
+    assert _RK4_ENTRIES >= _RK4_BLOCK * 8 * 8
+    k = _field_operator(kind, 4, 23)
+    if kind == "indefinite":
+        assert np.linalg.eigvalsh(k).min() < 0 < np.linalg.eigvalsh(k).max()
+    v0, w0 = np.random.default_rng(29).standard_normal((2, 4))
+    times, values = integrate_field_equation(k, v0, w0, math.pi, steps)
+    want = reference_rk4(k, v0, w0, math.pi, steps)
+    assert values.shape == want.shape == (steps + 1, 4)
+    scale = float(np.max(np.abs(want)))
+    assert float(np.max(np.abs(values - want))) <= 1e-12 * scale
+
+
+def test_entry_budget_shortens_the_block_of_a_large_operator():
+    n = 48  # (2n)^2 = 9216 entries a power, so a block of 7 steps
+    assert _RK4_ENTRIES // (4 * n * n) < _RK4_BLOCK
+    k = _field_operator("psd", n, 31) / n
+    v0, w0 = np.random.default_rng(37).standard_normal((2, n))
+    times, values = integrate_field_equation(k, v0, w0, 1.0, 30)
+    want = reference_rk4(k, v0, w0, 1.0, 30)
     scale = float(np.max(np.abs(want)))
     assert float(np.max(np.abs(values - want))) <= 1e-12 * scale

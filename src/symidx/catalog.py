@@ -276,9 +276,8 @@ def product_of_spheres(rho: float, tol: float = DEFAULT_TOL):
     """
     embed, rep_blocks = _product_embedding(rho)
     complement, gram = product_of_spheres_metric(rho)
-    sp = HomogeneousSpace(_spin4()[0], Subspace.kernel_of(embed, tol),
-                          BilinearForm(gram), complement=complement,
-                          label=f"S^2({rho:g}) x S^3", tol=tol)
+    sp = product_of_spheres_presentation(complement, tol).space(
+        BilinearForm(gram), label=f"S^2({rho:g}) x S^3")
     info = {
         "family": "product-spheres",
         "rho": rho,
@@ -389,7 +388,7 @@ def cp2_centriole(tol: float = DEFAULT_TOL):
 
     der = derived_subalgebra(alg, tol)
     gram_sub = _induced_gram(inner, _orbit_tangents(rep, p), der.basis)
-    b_sub = killing_form_positive(alg).restricted_to(der)
+    b_sub = der.basis.T @ killing_form_positive(alg).gram @ der.basis
     w, vecs = pencil_eigh(8.0 * gram_sub, b_sub, tol)
     multiplicities = tuple(sorted((c.stop - c.start
                                    for c in eigenvalue_clusters(w, tol)),

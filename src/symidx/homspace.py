@@ -7,7 +7,7 @@ space at a base point, and an inner product on ``m``.  Everything downstream
 vanishing derivative there, curvature operators along homogeneous geodesics)
 is computed from the structure tensor alone, relative to the supplied
 algebra: if ``g`` is smaller than the full isometry algebra the derived
-invariants are relative to ``g``, and the reports say so.
+invariants are relative to ``g``.
 
 The covariant derivative at the base point comes from the Koszul identity
 specialized to Killing fields X, Y, Z (each a one-parameter flow through
@@ -80,7 +80,8 @@ class Presentation:
         omitted it is the orthogonal complement of the isotropy for the
         ad-invariant reference form.  A sequence of one shape is a stack,
         one per metric of :func:`transvection_stack`: its arrays get a
-        leading axis, and a failing member is refused alone, as it raises.
+        leading axis, ``complement`` keeps the sequence, and a failing
+        member is refused alone, as it raises.
     tol : float
         Cutoff of every rank decision about the space, fixed here: the
         validation below and, read as ``sp.tol``, the parallel fields of
@@ -145,7 +146,7 @@ class Presentation:
             if refusals[0]:
                 raise ValueError(refusals[0])
             m, t_inv, imgs = complement.basis, t_inv[0], imgs[0]
-        self.complement = np.array(comps, dtype=object) if stacked else comps[0]
+        self.complement = complement
         #: Per member, its refusal or None; one None broadcasts to any stack.
         self._refusals = np.array(refusals, dtype=object)
 
@@ -159,7 +160,6 @@ class Presentation:
 
         self.h_basis = h
         self.m_basis = m
-        self.h_coords = t_inv[..., :r, :]
         #: Value of a Killing field at the base point, as a matrix:
         #: tangent coordinates of the field with algebra coefficients x
         #: are ``eval_matrix @ x``.
@@ -173,8 +173,7 @@ class Presentation:
             return self
         part = Presentation.__new__(Presentation)
         vars(part).update(vars(self))
-        for name in ("complement", "_refusals", "m_basis", "h_coords",
-                     "eval_matrix", "_e_ad_h_m"):
+        for name in ("_refusals", "m_basis", "eval_matrix", "_e_ad_h_m"):
             setattr(part, name, getattr(self, name)[rows])
         return part
 
@@ -182,10 +181,6 @@ class Presentation:
     def dim(self) -> int:
         """Dimension of the space (= dimension of the complement)."""
         return self.m_basis.shape[-1]
-
-    @property
-    def dim_isotropy(self) -> int:
-        return self.isotropy.dim
 
     def evaluate(self, x: np.ndarray) -> np.ndarray:
         """Value at the base point of the Killing field with coefficients x."""
@@ -229,10 +224,6 @@ class HomogeneousSpace(Presentation):
         self.label = label
         vars(self).pop("_nabla_basis", None)  # one copied by space()
 
-    def tangent_norm(self, v: np.ndarray) -> float:
-        v = np.asarray(v, dtype=float)
-        return float(np.sqrt(v @ self.metric.gram @ v))
-
     def nabla_at_base(self, x: np.ndarray) -> np.ndarray:
         """Covariant derivative at the base point of the Killing field x.
 
@@ -250,7 +241,7 @@ class HomogeneousSpace(Presentation):
         Column i is ``nabla_at_base(e_i)`` flattened; the kernel of this
         matrix is the space of Killing fields parallel at the base point.
         """
-        return self._nabla_basis.reshape(self.algebra.dim, -1).T
+        return self._nabla_basis.reshape(self.algebra.dim, self.dim ** 2).T
 
     @cached_property
     def _nabla_basis(self) -> np.ndarray:
@@ -324,7 +315,6 @@ class TransvectionReport:
     coindex: int
     dim_transvection: int
     involutive_ok: bool
-    relative_to_supplied_algebra: bool = True
 
 
 @dataclass(eq=False)
@@ -381,7 +371,7 @@ def transvection_space(sp: HomogeneousSpace) -> TransvectionReport:
     ``[k, k] in k`` and ``[k, p] in p``.  This is the one-metric case of
     :func:`transvection_stack`.
     """
-    return _transvections(sp, sp._nabla_basis[None])[0]
+    return _transvections(sp, sp._nabla_basis[None])[0][0]
 
 
 #: Most metrics of one stacked call: all 190 of a sweep's grid at once add
@@ -412,11 +402,9 @@ def transvection_stack(pres: Presentation, grams: np.ndarray) -> tuple:
         rows = kept[lo:lo + _STACK_ROWS]
         part = pres._members(rows)
         nablas = _nablas(part, grams[rows])
-        found = _transvections(part, nablas)
-        for _, group in equal_groups([rep.p_space.dim for rep in found]):
-            group = np.arange(len(found))[group]
+        found, groups = _transvections(part, nablas)
+        for group, p in groups:
             sub = part._members(group)
-            p = np.stack([found[j].p_space.basis for j in group])
             ms = sub.m_basis * np.ones((len(group), 1, 1))
             fine, out = _curvature_psd(sub, grams[rows[group]], nablas[group],
                                        np.concatenate([ms, p], axis=-1))
@@ -427,17 +415,21 @@ def transvection_stack(pres: Presentation, grams: np.ndarray) -> tuple:
     return reports, psd_ok, refused
 
 
-def _transvections(pres: Presentation, nablas: np.ndarray) -> list:
+def _transvections(pres: Presentation, nablas: np.ndarray) -> tuple:
     """The reports of :func:`transvection_stack` for metrics that pass the
     metric checks, given their :func:`_nablas`, in stacked calls per group
-    of equal ``p_space``, then ``k_space``, dimension."""
+    of equal ``p_space``, then ``k_space``, dimension.
+
+    Returns ``(reports, groups)``: ``groups`` holds, per group of equal
+    ``p_space`` dimension, the positions of its metrics and their stacked
+    ``p_space`` bases."""
     alg, tol, n = pres.algebra, pres.tol, pres.algebra.dim
     v, nullity = stacked_kernels(
         nablas.reshape(len(nablas), n, pres.dim ** 2).swapaxes(-1, -2), tol)
-    reports = [None] * len(nablas)
+    reports, groups = [None] * len(nablas), []
     for k, group in equal_groups(nullity):
-        group = np.arange(len(nablas))[group]
         p = v[group, :, n - k:]
+        groups.append((group, p))
         s, s_rank = stacked_spans(pres._members(group).eval_matrix @ p, tol)
         first, second = pair_indices(k)
         kb, k_rank = stacked_spans(brackets(alg, p, p)[..., first, second], tol)
@@ -448,7 +440,7 @@ def _transvections(pres: Presentation, nablas: np.ndarray) -> list:
                 & stacked_contains(pp, brackets(alg, kk, pp)).all(axis=-1))
             dim_transvection = numerical_rank(np.concatenate([kk, pp], -1),
                                               tol)
-            for j, g in enumerate(np.arange(len(p))[sub].tolist()):
+            for j, g in enumerate(sub.tolist()):
                 s_sp = Subspace._orthonormal(pres.dim, s[g, :, :s_rank[g]])
                 reports[group[g]] = TransvectionReport(
                     p_space=Subspace._orthonormal(n, p[g]),
@@ -456,7 +448,7 @@ def _transvections(pres: Presentation, nablas: np.ndarray) -> list:
                     s_space=s_sp, index=s_sp.dim, coindex=pres.dim - s_sp.dim,
                     dim_transvection=int(dim_transvection[j]),
                     involutive_ok=bool(involutive[j]))
-    return reports
+    return reports, groups
 
 
 def symmetry_ideal(sp: Presentation,
@@ -714,7 +706,7 @@ def augment_left_invariant(sp: HomogeneousSpace) -> HomogeneousSpace:
     isotropy identifying the two actions at the base point.  When no such
     direction exists the space is returned unchanged.
     """
-    if sp.dim_isotropy != 0:
+    if sp.isotropy.dim != 0:
         raise ValueError("augmentation needs trivial isotropy "
                          "(a group manifold presentation)")
     alg = sp.algebra

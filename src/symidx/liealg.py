@@ -119,13 +119,10 @@ def stacked_contains(q: np.ndarray, vecs: np.ndarray) -> np.ndarray:
 def equal_groups(keys) -> list:
     """``(key, index)`` for each distinct integer of ``keys``, ascending:
     the groups of a ragged stack that one stacked call decides together.
-    ``index`` selects the group along the first axis; it is
-    ``slice(None)``, a view, when all keys are equal."""
+    ``index`` is the array of the group's positions along the first axis."""
     keys = np.asarray(keys)
-    distinct = sorted(set(keys.tolist()))
-    if len(distinct) == 1:
-        return [(distinct[0], slice(None))]
-    return [(key, np.flatnonzero(keys == key)) for key in distinct]
+    return [(key, np.flatnonzero(keys == key))
+            for key in sorted(set(keys.tolist()))]
 
 
 def numerical_kernel(a: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -214,10 +211,11 @@ def pair_indices(k: int) -> tuple[np.ndarray, np.ndarray]:
 class Subspace:
     """A linear subspace of R^ambient_dim spanned by the columns of ``basis``.
 
-    The basis is required to have full column rank; use
-    :meth:`Subspace.from_spanning` to build a subspace from a possibly
-    redundant spanning set, and :meth:`Subspace.kernel_of` for a null
-    space; these two have orthonormal bases, which serve as :meth:`onb`.
+    The basis is required to have full column rank, decided by the SVD
+    that also gives :meth:`onb`; use :meth:`Subspace.from_spanning` to
+    build a subspace from a possibly redundant spanning set, and
+    :meth:`Subspace.kernel_of` for a null space; these two have orthonormal
+    bases, which serve as :meth:`onb`.
     ``==`` and ``hash`` go by identity; compare subspaces with
     :meth:`equals`.
     """
@@ -233,11 +231,12 @@ class Subspace:
                 f"({self.ambient_dim})"
             )
         object.__setattr__(self, "basis", b)
-        if b.shape[1] > 0 and numerical_rank(b) < b.shape[1]:
+        u, rank = stacked_spans(b)
+        if rank < b.shape[1]:
             raise ValueError(
-                f"basis of shape {b.shape} is rank deficient "
-                f"(rank {numerical_rank(b)})"
-            )
+                f"basis of shape {b.shape} is rank deficient (rank {rank})")
+        u.flags.writeable = False
+        self.__dict__["_onb"] = u
 
     @classmethod
     def _orthonormal(cls, ambient_dim: int, q: np.ndarray) -> "Subspace":
@@ -269,19 +268,9 @@ class Subspace:
     def zero(cls, ambient_dim: int) -> "Subspace":
         return cls(ambient_dim, np.zeros((ambient_dim, 0)))
 
-    @classmethod
-    def full(cls, ambient_dim: int) -> "Subspace":
-        return cls._orthonormal(ambient_dim, np.eye(ambient_dim))
-
     @property
     def dim(self) -> int:
         return self.basis.shape[1]
-
-    @cached_property
-    def _onb(self) -> np.ndarray:
-        q = orthonormal_columns(self.basis)
-        q.flags.writeable = False
-        return q
 
     def onb(self) -> np.ndarray:
         """Orthonormal basis of the subspace (computed once, read-only)."""
@@ -301,14 +290,11 @@ class Subspace:
         """Whether ``vec`` lies in the subspace (see :meth:`contains_columns`)."""
         return bool(self.contains_columns(vec))
 
-    def contains_subspace(self, other: "Subspace") -> bool:
-        return bool(self.contains_columns(other.basis).all())
-
     def equals(self, other: "Subspace") -> bool:
         """Subspace equality (same dimension and mutual containment)."""
-        return (self.dim == other.dim
-                and self.contains_subspace(other)
-                and other.contains_subspace(self))
+        return bool(self.dim == other.dim
+                    and self.contains_columns(other.basis).all()
+                    and other.contains_columns(self.basis).all())
 
 
 @dataclass(frozen=True, eq=False)
@@ -330,10 +316,6 @@ class BilinearForm:
     @property
     def dim(self) -> int:
         return self.gram.shape[0]
-
-    def restricted_to(self, sub: Subspace) -> np.ndarray:
-        """Gram matrix of the form restricted to ``sub`` (in its basis)."""
-        return sub.basis.T @ self.gram @ sub.basis
 
 
 @dataclass(frozen=True, eq=False)

@@ -175,7 +175,7 @@ class ExponentialChart:
         equation everywhere.
         """
         u = np.asarray(u, dtype=float)
-        u = u / self.sp.tangent_norm(u)
+        u = u / np.sqrt(u @ self.sp.metric.gram @ u)
         return np.einsum("dcab,b,c->da", self.curvature_at_origin(), u, u)
 
 

@@ -52,14 +52,10 @@ class SpaceFormatError(ValueError):
         self.pointer = pointer or "/"
 
 
-def _load_schema(name: str) -> dict:
-    text = resources.files("symidx.schemas").joinpath(name).read_text()
-    return json.loads(text)
-
-
 @functools.cache
 def _space_schema() -> dict:
-    return _load_schema("space.schema.json")
+    return json.loads(resources.files("symidx.schemas")
+                      .joinpath("space.schema.json").read_text())
 
 
 _TYPES = {"number": numbers.Number, "integer": int, "array": list,

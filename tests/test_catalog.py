@@ -64,7 +64,7 @@ def test_quotient_gram_matrix_and_coupling_flag():
 
 def test_quotient_isotropy_is_the_diagonal_circle():
     sp, _ = so4_so2(0.5, 0.5)
-    assert sp.dim_isotropy == 1
+    assert sp.isotropy.dim == 1
     assert sp.isotropy.contains(np.array([1.0, 0, 0, 1.0, 0, 0]))
     np.testing.assert_allclose(sp.evaluate(np.array([1.0, 0, 0, 1.0, 0, 0])),
                                np.zeros(5), atol=1e-12)
@@ -86,7 +86,8 @@ def test_spin3_gram_order():
     # tangent basis order is (j, k, i)
     j = np.array([0.0, 1.0, 0.0])
     np.testing.assert_allclose(sp.evaluate(j), [1.0, 0.0, 0.0])
-    assert sp.tangent_norm(sp.evaluate(j)) == pytest.approx(math.sqrt(0.5))
+    v = sp.evaluate(j)
+    assert np.sqrt(v @ sp.metric.gram @ v) == pytest.approx(math.sqrt(0.5))
 
 
 @pytest.mark.parametrize("rho", [0.5, 1.0, 2.0])
@@ -100,7 +101,7 @@ def test_product_of_spheres_matches_the_quotient_family(rho):
     np.testing.assert_allclose(sp.metric.gram,
                                c * np.diag([2.0, 2.0, s, t, t]), atol=1e-12)
     # isotropy is the diagonal distinguished circle
-    assert sp.dim_isotropy == 1
+    assert sp.isotropy.dim == 1
     assert sp.isotropy.contains(np.array([1.0, 0, 0, 1.0, 0, 0]))
     rep = transvection_space(sp)
     assert (rep.index, rep.coindex) == (2, 3)
@@ -123,6 +124,23 @@ def test_product_of_spheres_moves_only_its_complement():
                                       want.complement.basis)
 
 
+def test_product_of_spheres_keeps_the_bases_of_its_own_radius():
+    """product_of_spheres builds through the sweep's presentation, whose
+    isotropy is the kernel of the embedding at radius 1.  At every radius
+    its isotropy and complement bases are, bit for bit, the kernel of that
+    radius's own embedding and the complement of product_of_spheres_metric,
+    so the document that catalog emit writes cannot move."""
+    rng = np.random.default_rng(1519)
+    for rho in rng.uniform(0.05, 5.0, 200):
+        sp, _ = product_of_spheres(rho)
+        for got, want in (
+                (sp.isotropy.basis,
+                 Subspace.kernel_of(catalog._product_embedding(rho)[0]).basis),
+                (sp.complement.basis,
+                 catalog.product_of_spheres_metric(rho)[0].basis)):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 def test_product_radius_must_be_positive():
     with pytest.raises(ValueError, match="positive"):
         product_of_spheres(0.0)
@@ -143,7 +161,7 @@ def test_orbit_space_builds_the_space_with_its_tolerance():
     alg, rep = so_elementary(3)
     sp = orbit_space(alg, rep, np.diag([1.0, 0.0, 0.0]),
                      lambda a, b: 0.5 * float(np.trace(a @ b.T)), tol=1e-6)
-    assert (sp.dim, sp.dim_isotropy) == (2, 1)
+    assert (sp.dim, sp.isotropy.dim) == (2, 1)
     assert sp.tol == 1e-6
 
 

@@ -213,6 +213,14 @@ def test_derivative_operator_is_metric_skew():
         np.testing.assert_allclose(g @ n, -(g @ n).T, atol=1e-9)
 
 
+def test_derivative_operator_of_the_point_is_empty():
+    """The zero-dimensional space has no tangent directions: its derivative
+    operator has no rows and no columns."""
+    point = HomogeneousSpace(abelian(0)[0], Subspace.zero(0),
+                             BilinearForm(np.zeros((0, 0))))
+    assert point.nabla_operator().shape == (0, 0)
+
+
 # -- transvection data ------------------------------------------------------
 
 def test_coupled_quotient_transvection_report():
@@ -221,7 +229,6 @@ def test_coupled_quotient_transvection_report():
     assert (rep.index, rep.coindex) == (2, 3)
     assert rep.dim_transvection == 3
     assert rep.involutive_ok
-    assert rep.relative_to_supplied_algebra
     # the parallel fields are the diagonal j and k pairs
     for w in (np.array([0, 1, 0, 0, 1, 0.0]), np.array([0, 0, 1, 0, 0, 1.0])):
         lifted = sp.lift(sp.evaluate(w))
@@ -379,7 +386,7 @@ def _heisenberg_group(gram):
     c[0, 1, 2], c[1, 0, 2] = 1.0, -1.0
     alg = LieAlgebra(3, ("x", "y", "z"), c)
     return HomogeneousSpace(alg, Subspace.zero(3), BilinearForm(gram),
-                            complement=Subspace.full(3))
+                            complement=Subspace(3, np.eye(3)))
 
 
 def curvature_psd(sp, xs):
@@ -410,7 +417,8 @@ def _near_the_drift_ceiling(sp, x0, y, tol=1e-8):
     drift of the unit-speed field off its geodesic at about 0.6 and 1.6
     times ``tol`` (it grows linearly in ``eps``); none if it does not grow."""
     def drift(x):
-        xn = x / sp.tangent_norm(sp.evaluate(x))
+        v = sp.evaluate(x)
+        xn = x / np.sqrt(v @ sp.metric.gram @ v)
         return np.linalg.norm(sp.nabla_at_base(xn) @ sp.evaluate(xn))
 
     slope = drift(x0 + 1e-4 * y) / 1e-4
@@ -481,7 +489,9 @@ def test_a_stack_of_metrics_is_decided_as_each_metric_alone():
     not psd) and rotated ones (every candidate refused); on so4-so2,
     metrics on the coupled stratum t = 2 - s, on the stratum t = 2 + s and
     off both; and an indefinite metric and two the isotropy does not
-    preserve."""
+    preserve.  A last stack holds coupled so4-so2 metrics at one slope,
+    whose parallel fields all have one dimension: one group, the whole
+    stack."""
     rng = np.random.default_rng(2032)
 
     def rotated(w):
@@ -498,6 +508,7 @@ def test_a_stack_of_metrics_is_decided_as_each_metric_alone():
                             (0.4, 2.4), (1.1, 0.8)]]
          + [np.diag([2.0, 3.0, 0.5, 1.5, 1.5]),
             np.diag([2.0, 2.0, 0.5, 1.5, 1.0])]),
+        (so4, [so4_so2_gram(s, 2.0 - s) for s in rng.uniform(0.2, 1.8, 5)]),
     ]
     seen = {"refused metric": 0, "psd": 0, "not psd": 0, "index": set()}
     for pres, grams in stacks:
@@ -526,6 +537,8 @@ def test_a_stack_of_metrics_is_decided_as_each_metric_alone():
             seen["index"].add(report.index)
     assert seen["refused metric"] == 3 and seen["psd"] and seen["not psd"]
     assert seen["index"] == {0, 2}, seen
+    # the last stack: every metric kept, all parallel fields of one dimension
+    assert [report.p_space.dim for report in reports] == [2] * 5
 
 
 def test_stacked_symmetry_ideals_equal_the_one_report_path():

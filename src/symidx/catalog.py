@@ -435,10 +435,13 @@ def _split_params(text: str, count_min: int, count_max: int, name: str):
         raise ValueError(f"catalog name {name!r} needs {wanted} "
                          f"parameter(s), got {len(parts)}")
     try:
-        return [float(p) for p in parts]
+        values = [float(p) for p in parts]
     except ValueError:
         raise ValueError(f"catalog name {name!r} has a non-numeric "
                          f"parameter") from None
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"catalog name {name!r} has a non-finite parameter")
+    return values
 
 
 def from_name(name: str, tol: float = DEFAULT_TOL):

@@ -155,26 +155,22 @@ def _cmd_index(args, tol) -> int:
 
 
 def _parse_grid(text: str, parser, name: str) -> list[float]:
-    parts = text.split(":")
     try:
-        if len(parts) == 1:
-            return [float(parts[0])]
-        if len(parts) == 3:
-            start, stop, step = (float(p) for p in parts)
-        else:
-            raise ValueError
+        parts = [float(p) for p in text.split(":")]
     except ValueError:
+        parts = []
+    if len(parts) not in (1, 3):
         parser.error(f"--{name} expects a number or A:B:STEP, got {text!r}")
+    if not np.isfinite(parts).all():  # a NaN or infinite grid never ends
+        parser.error(f"--{name}: values must be finite, got {text!r}")
+    if len(parts) == 1:
+        return parts
+    start, stop, step = parts
     if step <= 0:
         parser.error(f"--{name}: step must be positive")
     values = []
-    k = 0
-    while True:
-        v = start + k * step
-        if v > stop + 1e-12:
-            break
+    while (v := start + len(values) * step) <= stop + 1e-12:
         values.append(v)
-        k += 1
     if not values:
         parser.error(f"--{name}: empty grid")
     return values

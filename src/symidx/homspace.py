@@ -94,8 +94,13 @@ class Presentation:
     ValueError
         If ``tol`` is not a finite number in (0, 1), the isotropy is not a
         subalgebra, the complement does not complete the isotropy to the
-        whole algebra or is not reductive, or the pair is not effective (a
-        nonzero ideal of the algebra lies in the isotropy).
+        whole algebra or is not reductive, or the pair is not effective: a
+        nonzero ideal of the algebra lies in the isotropy.  As ``[h, m]``
+        lies in ``m``, the x in ``h`` with ``[x, m]`` in ``h`` have
+        ``[x, m] = 0`` and, by the Jacobi identity, form the largest such
+        ideal, of dimension the nullity at ``tol`` of x -> tangent part of
+        ``[x, m]`` on the first member that passes the complement checks.
+        A stack with no such member is built and refuses each metric.
     """
 
     def __init__(self, algebra: LieAlgebra, isotropy: Subspace,
@@ -108,8 +113,9 @@ class Presentation:
             raise ValueError("isotropy lives in the wrong ambient dimension")
 
         h = isotropy.basis
+        ad_h = adjoints(algebra, h)
         first, second = pair_indices(r)
-        hh = brackets(algebra, h, h)[:, first, second]
+        hh = (ad_h @ h).swapaxes(0, 1)[:, first, second]
         leaks = np.flatnonzero(~isotropy.contains_columns(hh))
         if leaks.size:
             raise ValueError(
@@ -133,7 +139,7 @@ class Presentation:
         overlap = numerical_rank(t, tol) < n
         t[overlap] = np.eye(n)  # keeps the inverses of refused members finite
         t_inv = np.linalg.inv(t)
-        imgs = adjoints(algebra, h) @ m[:, None]
+        imgs = ad_h @ m[:, None]
         reductive = np.abs(t_inv[:, None, :r] @ imgs).max(axis=(-2, -1),
                                                            initial=0.0)
         refusals = [
@@ -142,21 +148,21 @@ class Presentation:
             f"maps it outside itself (residual {res[bad.argmax()]:.3e})"
             if bad.any() else None
             for lap, res, bad in zip(overlap, reductive, reductive > CHECK_TOL)]
+        e_ad_h_m = t_inv[:, None, r:] @ imgs
+        if None in refusals:  # effectiveness, from the first passing member
+            action = e_ad_h_m[refusals.index(None)].reshape(r, (n - r) ** 2)
+            ideal = stacked_kernels(action.T, tol)[1]
+            if ideal:
+                raise ValueError(
+                    f"the pair is not effective: an ideal of dimension "
+                    f"{ideal} lies inside the isotropy")
         if not stacked:
             if refusals[0]:
                 raise ValueError(refusals[0])
-            m, t_inv, imgs = complement.basis, t_inv[0], imgs[0]
+            m, t_inv, e_ad_h_m = complement.basis, t_inv[0], e_ad_h_m[0]
         self.complement = complement
         #: Per member, its refusal or None; one None broadcasts to any stack.
         self._refusals = np.array(refusals, dtype=object)
-
-        if r > 0:
-            ineffective = largest_invariant_subspace(
-                algebra, None, isotropy, tol)
-            if ineffective.dim > 0:
-                raise ValueError(
-                    f"the pair is not effective: an ideal of dimension "
-                    f"{ineffective.dim} lies inside the isotropy")
 
         self.h_basis = h
         self.m_basis = m
@@ -165,7 +171,7 @@ class Presentation:
         #: are ``eval_matrix @ x``.
         self.eval_matrix = t_inv[..., r:, :]
         #: Tangent part of ad(h) m, the metric-free factor of the skew check.
-        self._e_ad_h_m = self.eval_matrix[..., None, :, :] @ imgs
+        self._e_ad_h_m = e_ad_h_m
 
     def _members(self, rows) -> "Presentation":
         """The stack of members ``rows``; one complement serves every row."""

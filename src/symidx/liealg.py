@@ -638,23 +638,18 @@ def _fit_jacobi_bound(flat, sv, coeffs, resids, first, second, d) -> float:
     return float(3.0 * r * (2.0 * norms.max() + c1) / sigma)
 
 
-def largest_invariant_subspace(alg: LieAlgebra, generators: np.ndarray | None,
+def largest_invariant_subspace(alg: LieAlgebra, generators: np.ndarray,
                                seed: Subspace, tol: float = DEFAULT_TOL) -> Subspace:
     """Largest subspace of ``seed`` invariant under ad of all ``generators``
-    (columns in algebra coordinates); ``None`` means the whole algebra,
-    whose cached :attr:`LieAlgebra.ad_stack` is used, and gives the
-    largest ideal inside ``seed``.  The one-seed case of
+    (columns in algebra coordinates); with ``eye(dim)`` as the generators
+    it is the largest ideal inside ``seed``.  The one-seed case of
     :func:`invariant_subspaces`.
     """
-    if generators is None:
-        ads = alg.ad_stack
-    else:
-        gens = np.atleast_2d(np.asarray(generators, dtype=float))
-        if gens.shape[0] != alg.dim:
-            raise ValueError("generators must be given as columns in algebra "
-                             "coordinates")
-        ads = adjoints(alg, gens)
-    (_, w), = invariant_subspaces(ads, seed.onb()[None], tol)
+    gens = np.atleast_2d(np.asarray(generators, dtype=float))
+    if gens.shape[0] != alg.dim:
+        raise ValueError("generators must be given as columns in algebra "
+                         "coordinates")
+    (_, w), = invariant_subspaces(adjoints(alg, gens), seed.onb()[None], tol)
     return Subspace._orthonormal(alg.dim, w[0])
 
 

@@ -561,6 +561,16 @@ def test_sweep_argument_validation(capsys):
                "--s", "0.5", "--coupled")[0] == 2
 
 
+@pytest.mark.parametrize("grid", ["nan:1:0.1", "0.1:1:nan", "0.1:inf:0.1",
+                                  "-inf:1:0.1", "0.1:1:inf", "nan"])
+def test_a_sweep_grid_must_be_finite(capsys, grid):
+    """A NaN or infinite start, stop or step would never reach the end of
+    the grid; it is a usage error."""
+    code, out, err = run(capsys, "sweep", "--family", "spin3", f"--s={grid}")
+    assert code == 2 and out == ""
+    assert f"--s: values must be finite, got {grid!r}" in err
+
+
 def test_jacobi_direction(capsys, quotient_file):
     code, out, _ = run(capsys, "jacobi", "--space", quotient_file,
                        "--direction", "0")
@@ -609,6 +619,15 @@ def test_catalog_emit_unknown_name(capsys):
     code, _, err = run(capsys, "catalog", "emit", "moebius:1")
     assert code == 2
     assert "unknown catalog name" in err
+
+
+@pytest.mark.parametrize("name", ["round-sphere:1e400", "so4-so2:0.5,0.5,nan",
+                                  "spin3:nan,1,1", "product-spheres:inf",
+                                  "so4-so2:-inf,0.5"])
+def test_catalog_emit_refuses_a_non_finite_parameter(capsys, name):
+    code, out, err = run(capsys, "catalog", "emit", name)
+    assert code == 2 and out == ""
+    assert err == f"error: catalog name {name!r} has a non-finite parameter\n"
 
 
 def test_tolerance_sources(capsys, quotient_file, monkeypatch):

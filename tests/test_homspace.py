@@ -10,7 +10,9 @@ from symidx.liealg import (
     Subspace,
     abelian,
     direct_sum,
+    largest_invariant_subspace,
     matrix_algebra,
+    orthogonal_complement,
     so_elementary,
     spin3_quaternion,
 )
@@ -170,6 +172,116 @@ def test_rejects_ineffective_pair():
     h = Subspace(6, np.vstack([np.eye(3), np.zeros((3, 3))]))
     with pytest.raises(ValueError, match="not effective"):
         HomogeneousSpace(both, h, BilinearForm(np.eye(3)))
+
+
+def _so3_so3_r():
+    """so(3) + so(3) + R: factors A (basis 0-2) and B (3-5), centre Z (6)."""
+    so3 = so_elementary(3)[0]
+    return direct_sum(direct_sum(so3, so3), abelian(1)[0])
+
+
+def _seeded_subalgebras(rng):
+    """Subalgebras of so(3) + so(3) + R as spanning columns: whole factors,
+    random circles in one factor, the centre, circles tilted into the
+    centre, and sums of these that still close under the bracket."""
+    eye = np.eye(7)
+
+    def circle(factor, tilt=0.0):
+        u = np.zeros(7)
+        u[3 * factor:3 * factor + 3] = rng.standard_normal(3)
+        return (u / np.linalg.norm(u) + tilt * eye[:, 6])[:, None]
+
+    a, b, z = eye[:, :3], eye[:, 3:6], eye[:, 6:]
+    tilted = circle(0, rng.uniform(0.5, 2.0))
+    return {
+        "A": a, "circle": circle(0), "Z": z, "tilted": tilted,
+        "A+circle": np.hstack([a, circle(1)]),
+        "A+Z": np.hstack([a, z]),
+        "circle+Z": np.hstack([circle(1), z]),
+        "tilted+Z": np.hstack([tilted, z]),
+        "circle+circle": np.hstack([circle(0), circle(1)]),
+        "A+tilted": np.hstack([a, circle(1, rng.uniform(0.5, 2.0))]),
+        "circle+tilted": np.hstack([circle(0), circle(1, 1.0)]),
+        "A+B": np.hstack([a, b]),
+        "all": eye,
+    }
+
+
+def _rotation(rng, k):
+    return np.linalg.qr(rng.standard_normal((k, k)))[0]
+
+
+@pytest.mark.parametrize("rotate", [False, True], ids=["basis", "rotated"])
+def test_effectiveness_is_the_kernel_of_the_isotropy_action(rotate):
+    """The constructor refuses exactly the subalgebras that hold a nonzero
+    ideal, with the reference-orthogonal complement, and names the
+    dimension of the largest one; a rotated basis of either side changes
+    nothing."""
+    rng = np.random.default_rng(2027)
+    alg = _so3_so3_r()
+    dims = set()
+    for name, cols in _seeded_subalgebras(rng).items():
+        iso = Subspace.from_spanning(7, cols)
+        comp = orthogonal_complement(alg, iso)
+        if rotate:
+            iso = Subspace(7, iso.basis @ _rotation(rng, iso.dim))
+            comp = Subspace(7, comp.basis @ _rotation(rng, comp.dim))
+        ideal = largest_invariant_subspace(alg, np.eye(7), iso).dim
+        dims.add(ideal)
+        if ideal == 0:
+            assert Presentation(alg, iso, comp).dim == 7 - iso.dim, name
+            continue
+        with pytest.raises(ValueError, match=rf"not effective: an ideal of "
+                           rf"dimension {ideal} lies inside the isotropy"):
+            Presentation(alg, iso, comp)
+    assert dims == {0, 1, 3, 4, 6, 7}
+
+
+def _ineffective_stack_members():
+    """The factor A of so(3) + so(3) + R as isotropy, an ideal, with a
+    complement that overlaps it, one that is not reductive and the
+    reference complement."""
+    alg = _so3_so3_r()
+    iso = Subspace(7, np.eye(7)[:, :3])
+    good = orthogonal_complement(alg, iso)
+    overlap = good.basis.copy()
+    overlap[:, 0] = np.eye(7)[:, 0]
+    unreductive = good.basis.copy()
+    unreductive[:, 0] += 0.3 * np.eye(7)[:, 1]  # [A, m] leaves m
+    return alg, iso, Subspace(7, overlap), Subspace(7, unreductive), good
+
+
+def test_a_stack_led_by_an_overlapping_member_refuses_an_ineffective_pair():
+    """Effectiveness comes from the first member that passes, not from the
+    identity placeholder of an overlapping first member: for the effective
+    circle E13 of A, the member spanned by E13, E23, B and Z has
+    [E13, E23] on E12, the placeholder's isotropy row, so read through it
+    E13 would act trivially."""
+    alg, iso, overlap, unreductive, good = _ineffective_stack_members()
+    with pytest.raises(ValueError, match="not effective: an ideal of "
+                       "dimension 3"):
+        Presentation(alg, iso, [overlap, unreductive, good])
+    circle = Subspace(7, np.eye(7)[:, 1:2])
+    stack = Presentation(alg, circle, [Subspace(7, np.eye(7)[:, 1:]),
+                                       orthogonal_complement(alg, circle)])
+    assert list(stack._refusals) == ["isotropy and complement overlap", None]
+
+
+def test_a_stack_with_no_passing_member_refuses_each_metric_alone():
+    """Effectiveness is read off a member that passes the complement
+    checks; a stack without one is built, and each metric is refused with
+    its member's message, as a single presentation raises it."""
+    alg, iso, overlap, unreductive, _ = _ineffective_stack_members()
+    messages = []
+    for comp in (overlap, unreductive):
+        with pytest.raises(ValueError) as refusal:
+            Presentation(alg, iso, comp)
+        messages.append(str(refusal.value))
+    assert "overlap" in messages[0] and "not reductive" in messages[1]
+    stack = Presentation(alg, iso, [overlap, unreductive])
+    grams = np.array([np.eye(4)] * 2)
+    assert homspace._metric_refusals(stack, grams) == messages
+    assert transvection_stack(stack, grams)[0] == [None, None]
 
 
 def test_rejects_mismatched_metric_dimension():

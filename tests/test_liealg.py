@@ -279,16 +279,6 @@ def test_reference_form_is_cached_per_tolerance():
         assert not form.gram.flags.writeable
 
 
-def test_largest_ideal_uses_the_whole_algebra():
-    """Generators None mean every basis vector, through the cached stack."""
-    alg = direct_sum(spin3_quaternion()[0], abelian(1)[0])
-    seed = Subspace(4, np.eye(4)[:, 1:])
-    by_stack = largest_invariant_subspace(alg, None, seed)
-    by_basis = largest_invariant_subspace(alg, np.eye(4), seed)
-    np.testing.assert_array_equal(by_stack.basis, by_basis.basis)
-    assert by_stack.dim == 1
-
-
 def test_stacked_invariant_iteration_equals_the_per_seed_loop():
     """invariant_subspaces re-splits a stack of seeds as their dimensions
     fall; each seed's result must span what largest_invariant_subspace and
@@ -310,7 +300,7 @@ def test_stacked_invariant_iteration_equals_the_per_seed_loop():
         cols += [rng.standard_normal((7, r)) for _ in range(2)]
         seeds = np.stack([orthonormal_columns(c) for c in cols])
         gens = rng.standard_normal((7, 2))
-        for ads, generators in ((alg.ad_stack, None),
+        for ads, generators in ((alg.ad_stack, eye),
                                 (adjoints(alg, gens), gens)):
             found = [None] * len(seeds)
             for rows, bases in liealg.invariant_subspaces(ads, seeds,

@@ -17,10 +17,10 @@ from symidx.liealg import DEFAULT_TOL, so_elementary
 
 N = 11
 
-#: Traced peak of building so(15)/so(14): 39.3 MiB measured (numpy 2.4,
-#: CPython 3.11), reached in the effectiveness check of the presentation;
-#: the exact Jacobi sum, when it ran, peaked below it.
-SO15_BUILD_PEAK_MIB = 48
+#: Traced peak of building so(15)/so(14): 27.0 MiB measured (numpy 2.4,
+#: CPython 3.11), reached in the subalgebra check of the presentation,
+#: which holds the isotropy's ad stack and its brackets with the algebra.
+SO15_BUILD_PEAK_MIB = 32
 
 #: Traced peak of matrix_algebra on so(15): 23.8 MiB measured, where it
 #: was 40.9 MiB while the 5 460 pair commutators were formed all at once.

@@ -41,8 +41,14 @@ from .liealg import (
 # round spheres
 # ---------------------------------------------------------------------------
 
+#: Largest sphere dimension built: so(17), of dimension 136, a little above
+#: the algebras of about 100 dimensions this package is meant for.
+MAX_SPHERE_DIM = 16
+
+
 def round_sphere(n: int, tol: float = DEFAULT_TOL):
-    """The unit sphere S^n, n >= 1, as a rotation group orbit.
+    """The unit sphere S^n, 1 <= n <= MAX_SPHERE_DIM, as a rotation group
+    orbit.
 
     The Killing algebra is so(n+1) on the elementary skew basis; the
     isotropy fixes the first coordinate axis and the complement consists
@@ -54,6 +60,9 @@ def round_sphere(n: int, tol: float = DEFAULT_TOL):
     """
     if n < 1:
         raise ValueError(f"sphere dimension {n} must be at least 1")
+    if n > MAX_SPHERE_DIM:  # before so(n+1) asks for its arrays
+        raise ValueError(f"sphere dimension must be at most MAX_SPHERE_DIM "
+                         f"= {MAX_SPHERE_DIM}")
     alg, rep = so_elementary(n + 1)
     pairs = list(itertools.combinations(range(n + 1), 2))
     h_idx = [k for k, (a, _) in enumerate(pairs) if a > 0]

@@ -27,6 +27,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 
@@ -54,6 +55,9 @@ from .verify import run_checks
 
 SWEEP_HEADER = ("lambda,s,t,rho,index,coindex,dim_transvection,"
                 "psd_ok,bound_lhs,bound_rhs,equality")
+
+#: Most points a sweep grid may have, on each axis and over all axes.
+MAX_GRID_POINTS = 10 ** 5
 
 
 @functools.cache
@@ -168,9 +172,13 @@ def _parse_grid(text: str, parser, name: str) -> list[float]:
     start, stop, step = parts
     if step <= 0:
         parser.error(f"--{name}: step must be positive")
-    values = []
-    while (v := start + len(values) * step) <= stop + 1e-12:
-        values.append(v)
+    span = (stop + 1e-12 - start) / step  # +-inf if it overflows
+    if span >= MAX_GRID_POINTS:
+        parser.error(f"--{name}: more than MAX_GRID_POINTS = "
+                     f"{MAX_GRID_POINTS} grid points")
+    # start + k step rises with k, so the points kept are a prefix
+    values = [v for k in range(math.floor(max(span, -1.0)) + 2)
+              if (v := start + k * step) <= stop + 1e-12]
     if not values:
         parser.error(f"--{name}: empty grid")
     return values
@@ -202,6 +210,9 @@ def _sweep_points(args, parser):
         lams = _parse_grid(args.lam, parser, "lambda")
         svals = _parse_grid(args.s, parser, "s")
         tvals = [None] if args.coupled else _parse_grid(args.t, parser, "t")
+        if len(lams) * len(svals) * len(tvals) > MAX_GRID_POINTS:
+            parser.error(f"the grid has more than MAX_GRID_POINTS = "
+                         f"{MAX_GRID_POINTS} points")
         pairs = [(s, 2.0 - s if t is None else t) for s in svals for t in tvals]
         complement = functools.cache(catalog.so4_so2_complement)
         return catalog.spin4_quotient, [

@@ -727,7 +727,7 @@ def augment_left_invariant(sp: HomogeneousSpace) -> HomogeneousSpace:
     structure[:n, :n, :n] = alg.structure
     first, second = pair_indices(q)
     w = -brackets(alg, a.basis, a.basis)[:, first, second]
-    coeffs, _, _, _ = np.linalg.lstsq(a.basis, w, rcond=None)
+    coeffs = a.basis.T @ w  # the basis of a kernel is orthonormal
     resids = np.linalg.norm(a.basis @ coeffs - w, axis=0)
     bad = np.flatnonzero(resids > CHECK_TOL)
     if bad.size:

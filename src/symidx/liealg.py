@@ -562,21 +562,22 @@ def matrix_algebra(matrices, labels=None, tol: float = DEFAULT_TOL):
     if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
         raise ValueError(f"expected a stack of square matrices, got shape {mats.shape}")
     n = mats.shape[0]
+    if n == 0:  # no generators span the zero algebra
+        return abelian(0)[0], mats
     if labels is None:
         labels = tuple(f"m{k}" for k in range(n))
     flat = _flatten_real(mats)
-    # one SVD gives the rank decision of numerical_rank and the sigma_min
-    # of the certificate
-    sv = np.linalg.svd(flat, compute_uv=False)
+    # one thin SVD gives the rank decision of numerical_rank, the sigma_min
+    # of the certificate and the least-squares fit by (flat^T)^+ = u s^-1 vt
+    u, sv, vt = np.linalg.svd(flat, full_matrices=False)
     if np.sum(sv > _sv_cutoff(sv, tol)) < n:
         raise ValueError("generating matrices are linearly dependent")
-    basis_t = flat.T  # columns are the flattened generators
     scale = max(1.0, float(np.max(np.abs(flat))))
     first, second = pair_indices(n)
     comms = _killing_commutators(mats, first, second)
     rhs = _flatten_real(comms).T
-    coeffs, _, _, _ = np.linalg.lstsq(basis_t, rhs, rcond=None)
-    fit = basis_t @ coeffs
+    coeffs = (u / sv) @ (vt @ rhs)
+    fit = flat.T @ coeffs  # residuals of the coefficients as stored
     fit -= rhs
     fit *= fit  # squared in place: np.linalg.norm's column sums, no copy
     rhs *= rhs

@@ -34,6 +34,7 @@ from .liealg import (
     LieAlgebra,
     Subspace,
     killing_form_positive,
+    numerical_rank,
     so_elementary,
 )
 from .numcheck import ExponentialChart, integrate_field_equation
@@ -66,7 +67,7 @@ def _opposite_directions(space) -> np.ndarray:
     n = space.algebra.dim - space.dim
     top = space.isotropy.basis[: space.dim, :]
     bottom = space.isotropy.basis[space.dim:, :]
-    if n == 0 or abs(np.linalg.det(bottom)) < 1e-12:
+    if n == 0 or numerical_rank(bottom) < n:
         raise _CheckFailure("space does not look augmented")
     return -top @ np.linalg.inv(bottom)
 

@@ -4,8 +4,9 @@ A printed subspace is compared by its orthogonal projector and a
 spectrum by its eigenvalues; a basis is not an invariant of the input.
 :func:`adjoint` is the one-vector reference for ``liealg.adjoints``,
 :func:`invariant_by_loop` the one-seed reference for
-``liealg.invariant_subspaces``, and :func:`projector` the orthogonal
-projector onto a ``Subspace``.
+``liealg.invariant_subspaces``, :func:`lstsq_structure` the least-squares
+reference for ``liealg.matrix_algebra``, and :func:`projector` the
+orthogonal projector onto a ``Subspace``.
 """
 
 import numpy as np
@@ -78,3 +79,22 @@ def assert_same_report(a, b, tol: float = 1e-10, path: str = ""):
         assert abs(a - b) <= tol, f"{path}: {a} != {b}"
     else:
         assert type(a) is type(b) and a == b, f"{path}: {a!r} != {b!r}"
+
+
+def lstsq_structure(mats) -> np.ndarray:
+    """Structure tensor, in the Killing convention, of the algebra spanned
+    by the linearly independent matrices ``mats``: minus each commutator
+    fitted to the generators by ``np.linalg.lstsq``, the reference for
+    ``liealg.matrix_algebra``."""
+    mats = np.asarray(mats)
+    n = len(mats)
+    prods = mats[:, None] @ mats[None]  # [i, j] holds M_i M_j
+    comms = prods.swapaxes(0, 1) - prods
+
+    def flat(a):  # each matrix as a real row, complex parts side by side
+        a = a.reshape(len(a), -1)
+        return np.hstack([a.real, a.imag]) if np.iscomplexobj(a) else a
+
+    fit = np.linalg.lstsq(flat(mats).T, flat(comms.reshape(n * n, -1)).T,
+                          rcond=None)[0]
+    return fit.T.reshape(n, n, n)

@@ -1,5 +1,6 @@
 import inspect
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from symidx import catalog
 from symidx.catalog import (
     CATALOG_TEMPLATES,
+    MAX_SPHERE_DIM,
     cp2_centriole,
     default_spaces,
     from_name,
@@ -35,9 +37,25 @@ def test_round_sphere_shapes(n):
 
 @pytest.mark.parametrize("n", [0, -1])
 def test_round_sphere_dimension_range(n):
-    """S^n needs so(n+1), so n >= 1; there is no upper limit."""
+    """S^n needs so(n+1), so n >= 1."""
     with pytest.raises(ValueError, match="must be at least 1"):
         round_sphere(n)
+
+
+@pytest.mark.parametrize("n", [MAX_SPHERE_DIM + 1, 10 ** 5, int(1e300)])
+def test_round_sphere_refuses_a_dimension_above_the_limit(n):
+    """The limit is named and keeps so(15), which test_scale builds; the
+    refusal comes before so(n+1) allocates anything."""
+    assert MAX_SPHERE_DIM >= 14
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"at most MAX_SPHERE_DIM = "
+                                             f"{MAX_SPHERE_DIM}"):
+            round_sphere(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 16
 
 
 def test_quotient_parameter_validation():

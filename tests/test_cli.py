@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -569,6 +570,56 @@ def test_a_sweep_grid_must_be_finite(capsys, grid):
     code, out, err = run(capsys, "sweep", "--family", "spin3", f"--s={grid}")
     assert code == 2 and out == ""
     assert f"--s: values must be finite, got {grid!r}" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--family", "spin3", "--s", "0.1:1:1e-12"],
+    ["--family", "spin3", "--t", "0:1:1e-5"],  # 100 001 points
+    ["--family", "product-spheres", "--rho=-1e308:1e308:1"],
+    ["--family", "so4-so2", "--lambda", "0.1:1:1e-3", "--s", "0.1:1:1e-3",
+     "--t", "0.1:1:1e-2"],  # 901 x 901 x 91 points over the axes
+])
+def test_a_sweep_grid_is_counted_before_it_is_filled(capsys, argv):
+    """A grid of more than MAX_GRID_POINTS points, on one axis or over all,
+    is a usage error, decided before its points are built."""
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "sweep", *argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and out == ""
+    assert f"MAX_GRID_POINTS = {cli.MAX_GRID_POINTS}" in err
+    assert peak < 2 ** 20
+
+
+def test_a_sweep_grid_may_have_max_grid_points(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "MAX_GRID_POINTS", 4)
+    assert run(capsys, "sweep", "--family", "spin3", "--s", "0.1:0.4:0.1")[0] == 0
+    assert run(capsys, "sweep", "--family", "spin3", "--s", "0.1:0.5:0.1")[0] == 2
+    assert run(capsys, "sweep", "--family", "so4-so2", "--lambda", "0.5",
+               "--s", "0.5:1:0.5", "--t", "0.5:1:0.5")[0] == 0
+    code, _, err = run(capsys, "sweep", "--family", "so4-so2", "--lambda",
+                       "0.5", "--s", "0.5:1:0.5", "--t", "0.5:1.5:0.5")
+    assert code == 2
+    assert "the grid has more than MAX_GRID_POINTS = 4 points" in err
+
+
+def test_a_sweep_that_refuses_every_point_prints_the_header_alone(capsys):
+    """t = 2 is the excluded round metric, the grid's one point."""
+    code, out, err = run(capsys, "sweep", "--family", "spin3", "--t", "2")
+    assert code == 0
+    assert out == SWEEP_HEADER + "\n"
+    assert err == "sweep: 1 grid point skipped, 0 curvature candidates refused\n"
+
+
+@pytest.mark.parametrize("name", ["round-sphere:1e300", "round-sphere:100000",
+                                  f"round-sphere:{catalog.MAX_SPHERE_DIM + 1}"])
+def test_catalog_emit_refuses_a_sphere_above_the_limit(capsys, name):
+    code, out, err = run(capsys, "catalog", "emit", name)
+    assert code == 2 and out == ""
+    assert err == (f"error: sphere dimension must be at most MAX_SPHERE_DIM "
+                   f"= {catalog.MAX_SPHERE_DIM}\n")
 
 
 def test_jacobi_direction(capsys, quotient_file):

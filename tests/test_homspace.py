@@ -9,6 +9,7 @@ from symidx.liealg import (
     LieAlgebra,
     Subspace,
     abelian,
+    brackets,
     direct_sum,
     largest_invariant_subspace,
     matrix_algebra,
@@ -437,6 +438,22 @@ def test_augmented_round_metric_recovers_full_symmetry():
     assert aug.algebra.dim == 6
     rep = transvection_space(aug)
     assert rep.index == 3 and rep.coindex == 0
+
+
+def test_augmentation_fits_the_opposite_brackets_as_lstsq_does():
+    """The bi-invariant directions come as an orthonormal basis, so the
+    coordinates of their brackets are a projection: the fit
+    np.linalg.lstsq gives, to the last bits."""
+    sp = spin3_metric(2.0, 2.0, 2.0)[0]
+    aug = augment_left_invariant(sp)
+    n = sp.algebra.dim
+    a = aug.isotropy.basis[:n]  # the isotropy is spanned by [a; -I]
+    q = a.shape[1]
+    np.testing.assert_allclose(a.T @ a, np.eye(q), rtol=0, atol=1e-15)
+    w = -brackets(sp.algebra, a, a).reshape(n, q * q)
+    want = np.linalg.lstsq(a, w, rcond=None)[0].reshape(q, q, q)
+    np.testing.assert_allclose(aug.algebra.structure[n:, n:, n:],
+                               want.transpose(1, 2, 0), rtol=0, atol=1e-13)
 
 
 def test_augmented_space_keeps_the_tolerance():

@@ -3,8 +3,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from meaning import adjoint, invariant_by_loop
-from symidx import liealg, verify
+from meaning import adjoint, invariant_by_loop, lstsq_structure
+from symidx import catalog, liealg, verify
 from symidx.catalog import cp2_centriole, round_sphere, spin3_berger
 from symidx.homspace import (
     HomogeneousSpace,
@@ -644,6 +644,85 @@ def test_certificate_bounds_the_exact_jacobi_sum(build):
     takes a third of a second, is checked in test_scale)."""
     alg = build()
     assert alg.jacobi_residual() <= alg._jacobi_bound <= DEFAULT_TOL
+
+
+def cp2_centriole_generators() -> np.ndarray:
+    """The generators that cp2_centriole hands to matrix_algebra."""
+    seen = []
+
+    def recording(mats, *args, **kwargs):
+        seen.append(np.array(mats))
+        return matrix_algebra(mats, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(catalog, "matrix_algebra", recording)
+        cp2_centriole()
+    return seen[0]
+
+
+def compact_sum_with_centre(seed) -> np.ndarray:
+    """Generators of so(k) + su(2) + u(1), k seeded in 3..5, block-diagonal
+    in C^(k+3), conjugated by a seeded rotation and mixed by a seeded
+    orthogonal change of generator basis."""
+    rng = np.random.default_rng(seed)
+    blocks = [so_elementary(int(rng.integers(3, 6)))[1], su3()[1][:3, :2, :2],
+              np.array([[[1j]]])]
+    d = sum(len(b[0]) for b in blocks)
+    gens, at = [], 0
+    for b in blocks:
+        g = np.zeros((len(b), d, d), dtype=complex)
+        g[:, at:at + len(b[0]), at:at + len(b[0])] = b
+        gens.append(g)
+        at += len(b[0])
+    gens = np.concatenate(gens)
+    rot = np.linalg.qr(rng.standard_normal((d, d)))[0]
+    mix = np.linalg.qr(rng.standard_normal((len(gens),) * 2))[0]
+    return np.einsum("ab,bij->aij", mix, rot @ gens @ rot.T)
+
+
+@pytest.mark.parametrize("gens", [
+    *(pytest.param(lambda n=n: so_elementary(n)[1], id=f"so{n}")
+      for n in range(3, 16)),
+    pytest.param(lambda: su3()[1], id="su3"),
+    pytest.param(lambda: spin3_quaternion()[1], id="spin3"),
+    pytest.param(cp2_centriole_generators, id="cp2-centriole"),
+    *(pytest.param(lambda seed=seed: compact_sum_with_centre(seed),
+                   id=f"compact-sum-with-centre-{seed}") for seed in range(4)),
+])
+def test_the_one_svd_fit_equals_the_lstsq_fit(gens):
+    """matrix_algebra reads the least-squares fit off the factors of its one
+    SVD; it is the fit np.linalg.lstsq gives, to the last bits."""
+    gens = gens()
+    np.testing.assert_allclose(matrix_algebra(gens)[0].structure,
+                               lstsq_structure(gens), rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("gens", [
+    pytest.param(lambda: so_elementary(6)[1], id="so6"),
+    pytest.param(lambda: su3()[1], id="su3"),
+    pytest.param(lambda: compact_sum_with_centre(0),
+                 id="compact-sum-with-centre"),
+])
+def test_matrix_algebra_factors_its_generators_once(gens, monkeypatch):
+    gens, calls = gens(), []
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append("svd")
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    monkeypatch.setattr(np.linalg, "lstsq",
+                        lambda *args, **kwargs: calls.append("lstsq"))
+    matrix_algebra(gens)
+    assert calls == ["svd"]
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_no_generators_span_the_zero_algebra(dtype):
+    alg, rep = matrix_algebra(np.zeros((0, 3, 3), dtype=dtype))
+    assert (alg.dim, alg.basis_labels, alg.structure.shape) == (0, (), (0, 0, 0))
+    assert rep.shape == (0, 3, 3)
 
 
 @pytest.mark.parametrize("noise, tol, refused", [(1e-8, 1e-6, False),

@@ -22,8 +22,9 @@ N = 11
 #: which holds the isotropy's ad stack and its brackets with the algebra.
 SO15_BUILD_PEAK_MIB = 32
 
-#: Traced peak of matrix_algebra on so(15): 23.8 MiB measured, where it
-#: was 40.9 MiB while the 5 460 pair commutators were formed all at once.
+#: Traced peak of matrix_algebra on so(15): 24.1 MiB measured (numpy 2.4,
+#: CPython 3.11), with the thin SVD factors that give the fit; it was
+#: 40.9 MiB while the 5 460 pair commutators were formed all at once.
 SO15_ALGEBRA_PEAK_MIB = 28
 
 

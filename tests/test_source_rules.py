@@ -1,0 +1,35 @@
+"""Every rank decision of the package goes through ``liealg._sv_cutoff`` on
+singular values it holds.  ``np.linalg.lstsq`` and ``np.linalg.matrix_rank``
+each take a decomposition of their own under a rank rule of their own
+(``rcond``, ``tol``), so no module of the package may name them."""
+
+import ast
+import pathlib
+
+import symidx
+
+FORBIDDEN = ("lstsq", "matrix_rank")
+
+
+def named_uses(names) -> list:
+    """``file:line name`` of each attribute or name in ``names`` that a
+    module of the package uses, imports included."""
+    found = []
+    for path in sorted(pathlib.Path(symidx.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            name = (node.attr if isinstance(node, ast.Attribute)
+                    else node.id if isinstance(node, ast.Name)
+                    else node.name if isinstance(node, ast.alias) else None)
+            if name in names:
+                found.append(f"{path.name}:{getattr(node, 'lineno', '?')} "
+                             f"{name}")
+    return found
+
+
+def test_no_module_takes_a_second_rank_rule():
+    assert named_uses(FORBIDDEN) == []
+
+
+def test_the_scan_sees_a_use():
+    """The scan is not vacuous: it finds the package's own SVD calls."""
+    assert any(use.startswith("liealg.py:") for use in named_uses(("svd",)))

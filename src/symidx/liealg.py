@@ -20,7 +20,6 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -203,6 +202,14 @@ def pair_indices(k: int) -> tuple[np.ndarray, np.ndarray]:
     return pairs.reshape(-1, 2).T
 
 
+@functools.cache
+def _colex_pairs(n: int) -> tuple:
+    """Colex pairs p < q < n, p n + q, k (k - 1) / 2 and the mask i < p[t]."""
+    q, p = np.nonzero(np.tri(n, k=-1, dtype=bool))
+    k = np.arange(n)
+    return p, q, p * n + q, k * (k - 1) // 2, k < p[:, None]
+
+
 # ---------------------------------------------------------------------------
 # core types
 # ---------------------------------------------------------------------------
@@ -334,12 +341,12 @@ class LieAlgebra:
 
     Antisymmetry and the Jacobi identity are validated at construction
     with absolute residual tolerance :data:`DEFAULT_TOL`, the latter by the
-    O(dim^5) sum of :meth:`jacobi_residual` unless a certified bound on it
-    is at most ``DEFAULT_TOL``.  Only :func:`matrix_algebra` certifies,
-    and a certified tensor is read-only; this constructor and copies run
-    the sum.  Facts that depend on the algebra alone, its ad stack and its
-    reference forms, are computed once per instance and shared by every
-    space built on it.
+    exact sum of :meth:`jacobi_residual` over the triples i < j < k, about
+    dim^5 / 2 multiply-adds, unless a certified bound on it is that small.
+    Only :func:`matrix_algebra` certifies, and a certified tensor is
+    read-only; this constructor and copies run the sum.  Facts that depend
+    on the algebra alone, its ad stack and its reference forms, are
+    computed once per instance and shared by every space built on it.
     """
 
     dim: int
@@ -381,30 +388,38 @@ class LieAlgebra:
                                  f"identity (residual {jac:.3e})")
 
     def jacobi_residual(self) -> float:
-        """Max-norm of the cyclic Jacobi sum over all basis triples.
-
-        The sum ``[[e_j, e_k], e_i] + [[e_k, e_i], e_j] + [[e_i, e_j], e_k]``
-        is formed by batched matmuls over chunks of the first index ``i``
-        holding at most ``max(dim^3, 2^18)`` entries, so memory stays
-        O(dim^3) (a few such chunks) instead of the dim^4 of the whole
-        tensor, and small algebras take a single chunk.
-        """
-        c = self.structure
+        """Max-norm of ``[[e_i, e_j], e_k] + cyclic`` over i < j < k for the
+        antisymmetric part a = (c - c.transpose(1, 0, 2)) / 2 of the tensor
+        c.  The constructor's antisymmetry check runs first and bounds c - a
+        by DEFAULT_TOL; a is c on every catalog, matrix-built and emitted
+        algebra.  The sum is T[ij, k] + T[jk, i] - T[ik, j], where T[pq, z]
+        = [e_z, [e_p, e_q]] comes from BLAS products of the rows a[p, q],
+        p < q, by blocks of k of at most ``_JACOBI_CHUNK`` entries: about
+        dim^5 / 2 multiply-adds in O(dim^3) memory, not 3 dim^5."""
         n = self.dim
-        flat = c.reshape(n * n, n)
-        ct = c.transpose(1, 0, 2)
-        step = max(1, _JACOBI_CHUNK // max(1, n ** 3))
-        worst = 0.0
-        for lo in range(0, n, step):
-            ci = c[lo:lo + step]
-            # each term indexed [i, j, k, b] with i in the chunk
-            cyc = (flat @ ci).reshape(-1, n, n, n)          # sum_a c[j,k,a] c[i,a,b]
-            cyc += ct[lo:lo + step, None] @ c               # sum_a c[k,i,a] c[j,a,b]
-            cyc += (ci[:, None] @ c).transpose(0, 2, 1, 3)  # sum_a c[i,j,a] c[k,a,b]
-            worst = max(worst, float(np.max(np.abs(cyc))))
-        return worst
+        a = self.structure - self.structure.transpose(1, 0, 2)  # 2a
+        p, q, pq, tri, below = _colex_pairs(n)
+        rows = a.reshape(n * n, n).take(pq, 0)  # row tri[q] + p: 2 [e_p, e_q]
+        cols = a.reshape(n, n * n)  # rows @ cols[:, zn:zn + n] is -4 T[:, z]
+        worst, k0 = 0.0, 0
+        while k0 < n:  # the block k0 <= k < k1
+            r0 = k0 * (k0 - 1) // 2  # pair rows r0 <= t < r1 end in the block
+            k1, r1 = k0 + 1, r0 + k0
+            while k1 < n and (r1 + k1 - r0) * (k1 + 1) * n <= _JACOBI_CHUNK:
+                k1, r1 = k1 + 1, r1 + k1
+            y = (rows[r0:r1] @ cols[:, :k1 * n]).reshape(-1, n)
+            t, i = below[r0:r1, :k1].nonzero()  # (i, j, k) by t = (j, k), i
+            j, k = p[r0:r1][t], q[r0:r1][t]
+            jac = y.take(t * k1 + i, 0)             # -4 T[jk, i]
+            jac -= y.take((t - j + i) * k1 + j, 0)  # +4 T[ik, j]
+            if k0:  # the first block's product holds the pairs below k1
+                y = (rows[:r1] @ cols[:, k0 * n:k1 * n]).reshape(-1, n)
+            jac += y.take((tri[j] + i) * (k1 - k0) + k - k0, 0)  # -4 T[ij, k]
+            worst = max(worst, float(np.abs(jac, out=jac).max(initial=0.0)))
+            k0 = k1
+        return worst / 4  # the sum is quadratic in 2a
 
-    @cached_property
+    @functools.cached_property
     def ad_stack(self) -> np.ndarray:
         """``adjoints(self, eye(dim))``: slice ``[i]`` is the ad matrix of
         basis vector ``i`` (computed once, read-only)."""
@@ -412,7 +427,7 @@ class LieAlgebra:
         ads.flags.writeable = False
         return ads
 
-    @cached_property
+    @functools.cached_property
     def _reference_forms(self) -> dict:
         # tol -> reference_form(self, tol); filled by reference_form
         return {}
@@ -593,7 +608,7 @@ def matrix_algebra(matrices, labels=None, tol: float = DEFAULT_TOL):
         )
     structure = np.zeros((n, n, n))
     structure[first, second] = coeffs.T
-    structure[second, first] = -coeffs.T
+    structure[second, first] = 0.0 - coeffs.T  # no -0.0
     bound = _fit_jacobi_bound(flat, sv, coeffs, resids, first, second,
                               mats.shape[1])
     return LieAlgebra._certified(tuple(labels), structure, bound), mats

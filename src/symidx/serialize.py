@@ -274,9 +274,9 @@ def space_to_dict(sp: HomogeneousSpace) -> dict:
         "algebra": {"dim": sp.algebra.dim,
                     "labels": list(sp.algebra.basis_labels),
                     "structure": sp.algebra.structure.tolist()},
-        "isotropy": sp.isotropy.basis.T.tolist(),
-        "complement": sp.complement.basis.T.tolist(),
-        "metric": sp.metric.gram.tolist(),
+        "isotropy": (sp.isotropy.basis.T + 0.0).tolist(),  # + 0.0: no -0.0
+        "complement": (sp.complement.basis.T + 0.0).tolist(),
+        "metric": (sp.metric.gram + 0.0).tolist(),
     }
     if sp.label:
         out["label"] = sp.label

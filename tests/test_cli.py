@@ -666,6 +666,28 @@ def test_catalog_list_and_emit(capsys, tmp_path):
     assert json.loads(out)["transvection"]["index"] == 2
 
 
+def negative_zeros(value) -> int:
+    """The number of -0.0 among the numbers of a JSON value."""
+    if isinstance(value, dict):
+        return sum(negative_zeros(v) for v in value.values())
+    if isinstance(value, list):
+        return sum(negative_zeros(v) for v in value)
+    return int(isinstance(value, float) and value == 0.0
+               and np.signbit(value))
+
+
+@pytest.mark.parametrize("name", [
+    *(f"round-sphere:{n}" for n in (1, 2, 4, 7)),
+    "so4-so2:0.5,0.8", "so4-so2:0.3,1.2,0.4", "spin3:1,2,3", "spin3:1,1,1",
+    "product-spheres:2.5", "cp2-centriole"])
+def test_catalog_emit_prints_no_negative_zero(capsys, name):
+    """matrix_algebra negates no zero coefficient, and the isotropy,
+    complement and metric of a document are written with +0.0."""
+    code, out, _ = run(capsys, "catalog", "emit", name)
+    assert code == 0
+    assert negative_zeros(json.loads(out)) == 0
+
+
 def test_catalog_emit_unknown_name(capsys):
     code, _, err = run(capsys, "catalog", "emit", "moebius:1")
     assert code == 2

@@ -1,3 +1,4 @@
+import itertools
 from types import SimpleNamespace
 
 import numpy as np
@@ -433,18 +434,26 @@ def test_brackets_match_pairwise_bracket(n, ka, kb):
 
 
 def reference_jacobi_residual(c):
-    """The whole dim^4 cyclic sum, formed at once."""
+    """The whole dim^4 cyclic sum over every ordered triple, formed at once
+    by three products."""
     t1 = np.einsum("jka,iab->ijkb", c, c)
     t2 = np.einsum("kia,jab->ijkb", c, c)
     t3 = np.einsum("ija,kab->ijkb", c, c)
-    return float(np.max(np.abs(t1 + t2 + t3)))
+    return float(np.max(np.abs(t1 + t2 + t3), initial=0.0))
+
+
+def jacobi_sum(c) -> float:
+    """LieAlgebra.jacobi_residual of ``c``: the unbound method reads only
+    dim and structure, which lets it score tensors the constructor would
+    reject."""
+    return LieAlgebra.jacobi_residual(SimpleNamespace(dim=len(c), structure=c))
 
 
 @pytest.mark.parametrize("chunk", [None, 1, 1100])
 def test_chunked_jacobi_residual_matches_the_full_tensor_formula(
         chunk, monkeypatch):
     if chunk is not None:
-        # one first index per chunk, or chunks of 2-3 with a short last one
+        # one k per block, or on su(3) a block of six k and one of two
         monkeypatch.setattr(liealg, "_JACOBI_CHUNK", chunk)
     rng = np.random.default_rng(31)
     alg, _ = su3()
@@ -455,16 +464,70 @@ def test_chunked_jacobi_residual_matches_the_full_tensor_formula(
     perturbed = dense.copy()
     perturbed[0, 1, 2] += 1e-3
     perturbed[1, 0, 2] -= 1e-3
-    for c in (alg.structure, dense, perturbed, random_antisymmetric(rng, 7)):
-        # the unbound method reads only dim and structure, which lets it
-        # score tensors the constructor would reject
-        got = LieAlgebra.jacobi_residual(
-            SimpleNamespace(dim=c.shape[0], structure=c))
+    tensors = [alg.structure, dense, perturbed, random_antisymmetric(rng, 7)]
+    # below dimension 3 there is no triple i < j < k, and at 3 only one
+    small = [random_antisymmetric(rng, n) for n in range(4)]
+    for c in tensors + small:
         want = reference_jacobi_residual(c)
-        assert got == pytest.approx(want, rel=1e-12, abs=1e-13)
+        assert jacobi_sum(c) == pytest.approx(want, rel=1e-12, abs=1e-13)
     assert reference_jacobi_residual(perturbed) > 1e-4
-    assert LieAlgebra.jacobi_residual(
-        SimpleNamespace(dim=0, structure=np.zeros((0, 0, 0)))) == 0.0
+    assert [jacobi_sum(c) == 0.0 for c in small] == [True, True, True, False]
+
+
+@pytest.mark.parametrize("chunk", [None, 1])
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: so_elementary(4)[0], id="so4"),
+    pytest.param(lambda: rebased(su3()[1], 0), id="su3-dense"),
+])
+def test_every_violation_of_the_jacobi_identity_is_seen(
+        build, chunk, monkeypatch):
+    """c[i, j, a] += 0.5 and c[j, i, a] -= 0.5 at every position (i, j, a),
+    i != j: the sum over i < j < k equals the cyclic sum over every
+    ordered triple, in one block and in blocks of one k."""
+    if chunk is not None:
+        monkeypatch.setattr(liealg, "_JACOBI_CHUNK", chunk)
+    c = build().structure
+    n = len(c)
+    for i, j, a in itertools.product(range(n), repeat=3):
+        if i == j:
+            continue
+        bad = c.copy()
+        bad[i, j, a] += 0.5
+        bad[j, i, a] -= 0.5
+        want = reference_jacobi_residual(bad)
+        assert want > 1e-3
+        assert jacobi_sum(bad) == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("seed, drift, refused", [
+    (7, 0.0, False),
+    (7, 1e-10, False),
+    (7, 3e-10, True),
+    (8, 1e-9, True),
+])
+def test_a_near_antisymmetric_tensor_is_judged_by_its_antisymmetric_part(
+        seed, drift, refused):
+    """so(4) plus an antisymmetric drift plus a symmetric part below
+    DEFAULT_TOL / 2, which the antisymmetry check lets through: the
+    residual is the cyclic sum of the antisymmetric part, and the
+    constructor accepts or refuses the tensor as that sum decides, where
+    the cyclic sum of the tensor itself would refuse every one."""
+    rng = np.random.default_rng(seed)
+    sym = rng.uniform(-1.0, 1.0, (6, 6, 6))
+    sym = 0.2 * DEFAULT_TOL * (sym + sym.transpose(1, 0, 2))
+    c = so_elementary(4)[0].structure + drift * random_antisymmetric(rng, 6)
+    c += sym
+    anti = 0.5 * (c - c.transpose(1, 0, 2))
+    want = reference_jacobi_residual(anti)
+    assert jacobi_sum(c) == pytest.approx(want, rel=1e-12, abs=1e-25)
+    assert (want > DEFAULT_TOL) == refused
+    assert reference_jacobi_residual(c) > DEFAULT_TOL
+    labels = [f"e{k}" for k in range(6)]
+    if refused:
+        with pytest.raises(ValueError, match="Jacobi identity"):
+            LieAlgebra(6, labels, c)
+    else:
+        assert LieAlgebra(6, labels, c).structure is not None
 
 
 @pytest.mark.parametrize("shape, rank", [
@@ -640,8 +703,8 @@ def rebased(gens, seed):
 ])
 def test_certificate_bounds_the_exact_jacobi_sum(build):
     """matrix_algebra certifies its tensor by a bound that holds and that
-    the exact sum does not need to run behind (so(12), whose exact sum
-    takes a third of a second, is checked in test_scale)."""
+    the exact sum does not need to run behind (so(12), the largest whose
+    exact sum a test runs, is checked in test_scale)."""
     alg = build()
     assert alg.jacobi_residual() <= alg._jacobi_bound <= DEFAULT_TOL
 

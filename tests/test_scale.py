@@ -27,6 +27,12 @@ SO15_BUILD_PEAK_MIB = 32
 #: 40.9 MiB while the 5 460 pair commutators were formed all at once.
 SO15_ALGEBRA_PEAK_MIB = 28
 
+#: Traced peak of the exact Jacobi sum on so(12), the first call in the
+#: process: 7.8 MiB measured (numpy 2.4, CPython 3.11; 3.3 on so(8) and 5.6
+#: on so(10)), of which the antisymmetric part and its pair rows take 3.3,
+#: and the products and gathers of one block of k the rest.
+JACOBI_PEAK_MIB = 10
+
 
 @pytest.fixture(scope="module")
 def sphere():
@@ -91,8 +97,9 @@ def test_so15_algebra_forms_its_commutators_within_its_memory():
 
 def test_jacobi_residual_memory_is_cubic(so12):
     """The three dim^4 tensors of the whole cyclic sum take 150 MB each here;
-    the residual works one first index at a time instead.  The sum is at
-    most the certificate, as for the smaller so(n) in test_liealg."""
+    the residual works on a block of its largest index k at a time
+    instead.  The sum is at most the certificate, as for the smaller so(n)
+    in test_liealg."""
     tracemalloc.start()
     try:
         residual = so12.jacobi_residual()
@@ -101,4 +108,4 @@ def test_jacobi_residual_memory_is_cubic(so12):
         tracemalloc.stop()
     assert residual <= so12._jacobi_bound <= DEFAULT_TOL
     assert residual < 1e-12
-    assert peak < 32 * 2**20
+    assert peak < JACOBI_PEAK_MIB * 2**20

@@ -638,6 +638,20 @@ def test_jacobi_rejects_out_of_range_direction(capsys, quotient_file):
     assert code == 2
 
 
+def test_jacobi_on_the_point_says_there_is_no_direction(capsys, tmp_path):
+    """A zero-dimensional space has no tangent direction to name, so the
+    refusal says so instead of printing the empty range 0..-1."""
+    path = tmp_path / "point.json"
+    path.write_text(json.dumps({
+        "algebra": {"dim": 0, "labels": [], "structure": []},
+        "isotropy": [], "complement": [], "metric": []}))
+    code, out, err = run(capsys, "jacobi", "--space", str(path),
+                         "--direction", "0")
+    assert (code, out) == (2, "")
+    assert "this space has no tangent directions" in err
+    assert "0..-1" not in err
+
+
 def test_jacobi_non_geodesic_direction_fails_cleanly(capsys, tmp_path):
     path = tmp_path / "sq3.json"
     doc = space_to_dict(spin3_berger(3.0)[0])

@@ -297,7 +297,9 @@ def _cmd_sweep(args, tol, parser) -> int:
 def _cmd_jacobi(args, tol, parser) -> int:
     sp = load_space(args.space, tol)
     if not 0 <= args.direction < sp.dim:
-        parser.error(f"--direction must be in 0..{sp.dim - 1} for this space")
+        parser.error(f"--direction must be in 0..{sp.dim - 1} for this space"
+                     if sp.dim else
+                     "--direction: this space has no tangent directions")
     spectrum = jacobi_operator(sp, sp.m_basis[:, args.direction])
     payload = spectrum_to_dict(spectrum)
     payload["label"] = sp.label

@@ -24,11 +24,11 @@ for rho in (0.5, 1.0, 2.0):
           f"normalized metric diag {np.round(np.diag(gram), 6)}, "
           f"index {rep.index}")
 
-sp, report = cp2_centriole()
+sp, info = cp2_centriole()
 print("\nmidpoint orbit in CP^2:")
-print(f"  sphere dimension {report.dim_sphere}, "
-      f"leaf dimension {report.dim_fiber}, base {report.dim_base}")
-print(f"  coindex {report.coindex_sphere}")
+print(f"  sphere dimension {info['dim_sphere']}, "
+      f"leaf dimension {info['dim_fiber']}, base {info['dim_base']}")
+print(f"  coindex {info['coindex_sphere']}")
 print(f"  induced metric eigenvalue multiplicities "
-      f"{report.shape_multiplicities}, squashing parameter "
-      f"{report.berger_t:g}")
+      f"{info['shape_multiplicities']}, squashing parameter "
+      f"{info['berger_t']:g}")

@@ -12,7 +12,6 @@ exponential coordinate chart.
 """
 
 from .catalog import (
-    CentrioleReport,
     cp2_centriole,
     from_name,
     orbit_space,
@@ -68,7 +67,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BilinearForm",
     "BoundReport",
-    "CentrioleReport",
     "DEFAULT_TOL",
     "ExponentialChart",
     "HomogeneousSpace",

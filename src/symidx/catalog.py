@@ -1,11 +1,13 @@
 """Named example spaces with known symmetry behaviour.
 
-Each constructor returns ``(space, info)`` where ``info`` records the
-parameters and, where available, a matrix representation of the Killing
-algebra (for orbit period computations) and closed-form metric data that
-the test suite checks against independent computation.  Parameter ranges
-are validated and out-of-range values raise ``ValueError``, which the
-sweep command relies on to skip degenerate grid points.
+Each named builder returns ``(space, info)``, where ``info`` holds the
+family name under ``"family"``, the parameters and, where available, a
+matrix representation of the Killing algebra (for orbit period
+computations) and closed-form metric or shape data that the test suite
+checks against independent computation; :func:`orbit_space`, the
+generic constructor, returns the space alone.  Parameter ranges are
+validated and out-of-range values raise ``ValueError``, which the sweep
+command relies on to skip degenerate grid points.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -126,11 +127,6 @@ def spin4_quotient(complement, tol: float) -> Presentation:
     return Presentation(_spin4()[0], iso, complement, tol)
 
 
-def so4_so2_presentation(lam: float, tol: float = DEFAULT_TOL) -> Presentation:
-    """The quotient of :func:`so4_so2` without its metric."""
-    return spin4_quotient(so4_so2_complement(lam), tol)
-
-
 def so4_so2_gram(s: float, t: float) -> np.ndarray:
     """The Gram matrix diag(2, 2, s, t, t) of :func:`so4_so2`."""
     if not 0.0 < s < 2.0:
@@ -151,10 +147,9 @@ def so4_so2(lam: float, s: float, t: float | None = None,
     parallel at the base point.  ``tol`` is the space's tolerance (see
     :class:`~symidx.homspace.Presentation`).
     """
-    pres = so4_so2_presentation(lam, tol)
     if t is None:
         t = 2.0 - s
-    sp = pres.space(BilinearForm(so4_so2_gram(s, t)),
+    sp = spin4_quotient(so4_so2_complement(lam), tol).space(BilinearForm(so4_so2_gram(s, t)),
                     label=f"Spin(4)/S1 lam={lam:g} s={s:g} t={t:g}")
     info = {
         "family": "so4-so2",
@@ -170,7 +165,7 @@ def so4_so2(lam: float, s: float, t: float | None = None,
 # metrics on the three-sphere group
 # ---------------------------------------------------------------------------
 
-def spin3_presentation(tol: float = DEFAULT_TOL) -> Presentation:
+def spin3_presentation(tol: float) -> Presentation:
     """Spin(3) with tangent basis order (j, k, i), without a metric."""
     m = np.zeros((3, 3))
     m[1, 0] = m[2, 1] = m[0, 2] = 1.0  # j, k, i
@@ -334,28 +329,6 @@ def orbit_space(algebra, representation, point, inner, label: str = "",
                             tol=tol)
 
 
-@dataclass(eq=False)
-class CentrioleReport:
-    """Shape data for a distance sphere fibred over a projective line.
-
-    ``dim_base`` is the dimension of the orbit of the pole, ``dim_fiber``
-    that of the circle directions through the base point, and
-    ``dim_sphere`` their sum.  ``berger_t`` expresses the induced metric
-    as the squashed triple (t, t, 2) up to scale, with
-    ``shape_multiplicities`` the eigenvalue multiplicities that justify
-    it.  ``coindex_sphere`` is the tangent codimension of the parallel
-    directions, relative to the acting algebra.
-    """
-
-    dim_base: int
-    dim_fiber: int
-    dim_sphere: int
-    coindex_sphere: int
-    berger_t: float
-    shape_multiplicities: tuple
-    fiber_tangent: Subspace
-
-
 def cp2_centriole(tol: float = DEFAULT_TOL):
     """Distance sphere around a projective line in the projective plane.
 
@@ -364,9 +337,15 @@ def cp2_centriole(tol: float = DEFAULT_TOL):
     the line and its pole is a three-sphere, fibred in circles over the
     line.  The plane is normalized to holomorphic curvature 4 by the
     half-trace inner product, and the induced metric on the orbit is a
-    squashed three-sphere whose squashing ratio the report records.
-    ``tol`` is the space's tolerance, and that of every rank decision
-    behind the report.
+    squashed three-sphere.  ``info`` holds its shape: ``dim_base``, the
+    dimension of the orbit of the pole, ``dim_fiber``, that of the circle
+    directions through the base point (spanned by ``fiber_tangent``), and
+    ``dim_sphere``, their sum; ``berger_t``, the induced metric as the
+    squashed triple (t, t, 2) up to scale, with ``shape_multiplicities``
+    the eigenvalue multiplicities that justify it; and ``coindex_sphere``,
+    the tangent codimension of the parallel directions, relative to the
+    acting algebra.  ``tol`` is the space's tolerance, and that of every
+    rank decision behind ``info``.
     """
     t1 = np.diag([2j, -1j, -1j])
     t2 = np.diag([0.0, 1j, -1j])
@@ -393,13 +372,11 @@ def cp2_centriole(tol: float = DEFAULT_TOL):
     fiber = Subspace.from_spanning(sp.dim, sp.evaluate(pole_stabilizer.basis),
                                    tol)
 
-    report_t = transvection_space(sp)
-
     der = derived_subalgebra(alg, tol)
     gram_sub = _induced_gram(inner, _orbit_tangents(rep, p), der.basis)
     b_sub = der.basis.T @ killing_form_positive(alg).gram @ der.basis
     w, vecs = pencil_eigh(8.0 * gram_sub, b_sub, tol)
-    multiplicities = tuple(sorted((c.stop - c.start
+    multiplicities = tuple(sorted((int(c.stop - c.start)
                                    for c in eigenvalue_clusters(w, tol)),
                                   reverse=True))
 
@@ -411,16 +388,17 @@ def cp2_centriole(tol: float = DEFAULT_TOL):
     others = w[np.abs(w - distinguished) > tol]
     berger_t = 2.0 * others[0] / distinguished if others.size else 2.0
 
-    report = CentrioleReport(
-        dim_base=dim_base,
-        dim_fiber=fiber.dim,
-        dim_sphere=sp.dim,
-        coindex_sphere=report_t.coindex,
-        berger_t=float(berger_t),
-        shape_multiplicities=multiplicities,
-        fiber_tangent=fiber,
-    )
-    return sp, report
+    info = {
+        "family": "cp2-centriole",
+        "dim_base": dim_base,
+        "dim_fiber": fiber.dim,
+        "dim_sphere": sp.dim,
+        "coindex_sphere": transvection_space(sp).coindex,
+        "berger_t": float(berger_t),
+        "shape_multiplicities": multiplicities,
+        "fiber_tangent": fiber,
+    }
+    return sp, info
 
 
 # ---------------------------------------------------------------------------
@@ -479,8 +457,7 @@ def from_name(name: str, tol: float = DEFAULT_TOL):
     if head == "cp2-centriole":
         if tail:
             raise ValueError("cp2-centriole takes no parameters")
-        sp, report = cp2_centriole(tol)
-        return sp, {"family": "cp2-centriole", "report": report}
+        return cp2_centriole(tol)
     raise ValueError(f"unknown catalog name {name!r}; known forms: "
                      + ", ".join(CATALOG_TEMPLATES))
 

@@ -46,7 +46,6 @@ from .liealg import DEFAULT_TOL, checked_tol
 from .serialize import (
     SpaceFormatError,
     load_space,
-    outcome_to_dict,
     plain,
     space_to_dict,
     spectrum_to_dict,
@@ -138,7 +137,7 @@ def _cmd_verify(args) -> int:
         print(f"error: no check matches filter {args.filter!r}",
               file=sys.stderr)
         return 1
-    _emit_json([outcome_to_dict(o) for o in outcomes])
+    _emit_json(plain(outcomes))
     return 0 if all(o.status == "pass" for o in outcomes) else 1
 
 

@@ -2,8 +2,9 @@
 
 A space is an algebra (a preset name, or inline ``dim``, ``labels`` and
 structure constants), isotropy and complement bases as lists of
-coefficient vectors, and a Gram matrix in complement coordinates; a
-report is printed field by field by :func:`plain`.  Input documents are
+coefficient vectors, and a Gram matrix in complement coordinates.
+:func:`plain` prints a report or a verification outcome by its fields;
+only a Jacobi spectrum has a layout of its own.  Input documents are
 validated against the shipped JSON Schema before any numerics run; a
 violation raises :class:`SpaceFormatError` with a JSON pointer to the
 offending element.
@@ -284,6 +285,7 @@ def space_to_dict(sp: HomogeneousSpace) -> dict:
 
 
 def spectrum_to_dict(spectrum: JacobiSpectrum) -> dict:
+    """``spectrum`` with its eigenvectors as rows and without its operator."""
     return {
         "direction": spectrum.direction.tolist(),
         "eigenvalues": spectrum.eigenvalues.tolist(),
@@ -293,23 +295,13 @@ def spectrum_to_dict(spectrum: JacobiSpectrum) -> dict:
     }
 
 
-def outcome_to_dict(outcome: VerificationOutcome) -> dict:
-    return {
-        "check": outcome.check_name,
-        "status": outcome.status,
-        "provenance": outcome.provenance,
-        "expected": plain(outcome.expected),
-        "actual": plain(outcome.actual),
-        "detail": outcome.detail,
-        "duration_ms": outcome.duration_ms,
-    }
-
-
 def plain(value):
-    """``value`` as data for ``json.dumps``: a report by its fields, a
-    subspace by its :func:`canonical_basis`, which the subspace alone
-    determines, and numpy scalars and arrays as Python ones, at any depth."""
-    if isinstance(value, (TransvectionReport, BoundReport)):
+    """``value`` as data for ``json.dumps``: a report or an outcome by its
+    fields, a subspace by its :func:`canonical_basis`, which the subspace
+    alone determines, and numpy scalars and arrays as Python ones, at any
+    depth."""
+    if isinstance(value, (TransvectionReport, BoundReport,
+                          VerificationOutcome)):
         value = vars(value)  # a dataclass's instance dict: its fields
     if isinstance(value, Subspace):
         return {"ambient_dim": value.ambient_dim, "dim": value.dim,

@@ -30,6 +30,7 @@ from .homspace import (
     transvection_space,
 )
 from .liealg import (
+    DEFAULT_TOL,
     BilinearForm,
     LieAlgebra,
     Subspace,
@@ -42,7 +43,7 @@ from .numcheck import ExponentialChart, integrate_field_equation
 
 @dataclass
 class VerificationOutcome:
-    check_name: str
+    check: str
     status: str                      # "pass" or "fail"
     provenance: str                  # "published", "derived", or "trivial"
     expected: object = None
@@ -116,7 +117,8 @@ _UNCOUPLED_METRICS = ((0.5, 0.5), (1.0, 0.5), (1.5, 1.0))
 def _quotients(metrics):
     """``(lam, s, t, space)`` of :func:`catalog.so4_so2`, slope by slope."""
     for lam in _SLOPES:
-        space = catalog.so4_so2_presentation(lam).space  # one per slope
+        space = catalog.spin4_quotient(  # one per slope
+            catalog.so4_so2_complement(lam), DEFAULT_TOL).space
         for s, t in metrics:
             yield lam, s, t, space(BilinearForm(catalog.so4_so2_gram(s, t)))
 
@@ -312,19 +314,18 @@ def _check_jacobi_oracle():
 
 
 def _check_centriole():
-    sp, report = catalog.cp2_centriole()
-    _require((report.dim_base, report.dim_fiber, report.dim_sphere) == (2, 1, 3),
-             f"dimensions ({report.dim_base}, {report.dim_fiber}, "
-             f"{report.dim_sphere}) != (2, 1, 3)")
-    _require(report.coindex_sphere == 2,
-             f"coindex {report.coindex_sphere} != 2")
-    _require(report.shape_multiplicities == (2, 1),
-             f"eigenvalue multiplicities {report.shape_multiplicities}")
-    _require(abs(report.berger_t - 4.0) <= 1e-9,
-             f"squashing parameter {report.berger_t} != 4.0")
+    _, info = catalog.cp2_centriole()
+    dims = (info["dim_base"], info["dim_fiber"], info["dim_sphere"])
+    _require(dims == (2, 1, 3), f"dimensions {dims} != (2, 1, 3)")
+    _require(info["coindex_sphere"] == 2,
+             f"coindex {info['coindex_sphere']} != 2")
+    _require(info["shape_multiplicities"] == (2, 1),
+             f"eigenvalue multiplicities {info['shape_multiplicities']}")
+    _require(abs(info["berger_t"] - 4.0) <= 1e-9,
+             f"squashing parameter {info['berger_t']} != 4.0")
     return ({"dims": (2, 1, 3), "coindex": 2, "berger_t": 4.0},
-            {"dims": (report.dim_base, report.dim_fiber, report.dim_sphere),
-             "coindex": report.coindex_sphere, "berger_t": report.berger_t})
+            {"dims": dims, "coindex": info["coindex_sphere"],
+             "berger_t": info["berger_t"]})
 
 
 def _residual_spaces():
@@ -427,15 +428,15 @@ def run_checks(name_filter: str | None = None) -> list[VerificationOutcome]:
         try:
             expected, actual = fn()
             outcome = VerificationOutcome(
-                check_name=name, status="pass", provenance=provenance,
+                check=name, status="pass", provenance=provenance,
                 expected=expected, actual=actual)
         except _CheckFailure as exc:
             outcome = VerificationOutcome(
-                check_name=name, status="fail", provenance=provenance,
+                check=name, status="fail", provenance=provenance,
                 detail=str(exc))
         except Exception as exc:  # noqa: BLE001 - report, do not crash the run
             outcome = VerificationOutcome(
-                check_name=name, status="fail", provenance=provenance,
+                check=name, status="fail", provenance=provenance,
                 detail=f"{type(exc).__name__}: {exc}")
         outcome.duration_ms = 1e3 * (time.perf_counter() - start)
         outcomes.append(outcome)

@@ -14,7 +14,7 @@ import pytest
 from symidx import catalog, verify
 from symidx.cli import main
 from symidx.homspace import HomogeneousSpace
-from symidx.serialize import outcome_to_dict
+from symidx.serialize import plain
 from symidx.verify import CHECK_NAMES, run_checks
 
 CRITERIA = [
@@ -53,20 +53,20 @@ def announce(capsys, number, ok, description):
 def test_acceptance_criterion(capsys, number, description, names):
     outcomes = []
     for name in names:
-        found = [o for o in run_checks(name) if o.check_name == name]
+        found = [o for o in run_checks(name) if o.check == name]
         assert found, f"no check named {name}"
         outcomes.extend(found)
     ok = all(o.status == "pass" for o in outcomes)
     announce(capsys, number, ok, description)
-    details = "; ".join(f"{o.check_name}: {o.detail}" for o in outcomes
+    details = "; ".join(f"{o.check}: {o.detail}" for o in outcomes
                         if o.status != "pass")
     assert ok, details
 
 
 def test_full_registry_is_green():
     outcomes = run_checks()
-    assert [o.check_name for o in outcomes] == list(CHECK_NAMES)
-    failing = [o.check_name for o in outcomes if o.status != "pass"]
+    assert [o.check for o in outcomes] == list(CHECK_NAMES)
+    failing = [o.check for o in outcomes if o.status != "pass"]
     assert not failing, f"failing checks: {failing}"
 
 
@@ -147,13 +147,13 @@ def test_quotient_checks_build_one_presentation_per_slope(monkeypatch):
     """Both so4-so2 checks validate the quotient once per slope (three
     each), not once per grid point."""
     calls = []
-    presentation = catalog.so4_so2_presentation
+    presentation = catalog.spin4_quotient
 
     def counted(*args, **kwargs):
         calls.append(args)
         return presentation(*args, **kwargs)
 
-    monkeypatch.setattr(catalog, "so4_so2_presentation", counted)
+    monkeypatch.setattr(catalog, "spin4_quotient", counted)
     outcomes = run_checks("so4-so2")
     assert [o.status for o in outcomes] == ["pass", "pass"]
     assert len(calls) == 6
@@ -165,9 +165,33 @@ def test_every_outcome_carries_its_duration(monkeypatch):
     outcomes += run_checks("structure")
     assert [o.status for o in outcomes] == ["pass", "pass", "fail"]
     for outcome in outcomes:
-        printed = outcome_to_dict(outcome)["duration_ms"]
+        printed = plain(outcome)["duration_ms"]
         assert isinstance(printed, float)
         assert printed == outcome.duration_ms >= 0.0
+
+
+def test_outcomes_print_by_their_fields(monkeypatch):
+    """A passing check, a failed requirement and an unexpected exception
+    all print the same keys, the outcome's fields."""
+    def failing():
+        verify._require(False, "requirement not met")
+
+    def crashing():
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(verify, "CHECKS", (
+        ("passing", "trivial", lambda: ({"n": np.int64(2)}, {"n": 2})),
+        ("failing", "derived", failing),
+        ("crashing", "published", crashing)))
+    printed = [plain(outcome) for outcome in run_checks()]
+    for entry in printed:
+        assert set(entry) == {"check", "status", "provenance", "expected",
+                              "actual", "detail", "duration_ms"}
+    json.dumps(printed)
+    assert [(e["check"], e["status"], e["detail"]) for e in printed] == [
+        ("passing", "pass", ""), ("failing", "fail", "requirement not met"),
+        ("crashing", "fail", "RuntimeError: boom")]
+    assert printed[0]["expected"] == {"n": 2}
 
 
 def test_every_criterion_names_real_checks():

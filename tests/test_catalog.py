@@ -1,4 +1,5 @@
 import inspect
+import json
 import math
 import tracemalloc
 
@@ -16,13 +17,15 @@ from symidx.catalog import (
     product_of_spheres,
     round_sphere,
     so4_so2,
-    so4_so2_presentation,
+    so4_so2_complement,
     spin3_berger,
     spin3_metric,
     spin3_one_parameter,
+    spin4_quotient,
 )
 from symidx.homspace import HomogeneousSpace, transvection_space
-from symidx.liealg import Subspace, so_elementary
+from symidx.liealg import DEFAULT_TOL, Subspace, so_elementary
+from symidx.serialize import plain
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
@@ -137,7 +140,8 @@ def test_product_of_spheres_moves_only_its_complement():
         assert sp.isotropy.equals(circle)
         np.testing.assert_allclose(np.abs(sp.h_basis[:, 0]),
                                    circle.onb()[:, 0], rtol=0, atol=1e-15)
-        want = so4_so2_presentation(1.0 / (1.0 + 2.0 * rho * rho))
+        want = spin4_quotient(
+            so4_so2_complement(1.0 / (1.0 + 2.0 * rho * rho)), DEFAULT_TOL)
         np.testing.assert_array_equal(sp.complement.basis,
                                       want.complement.basis)
 
@@ -205,15 +209,15 @@ def test_builders_build_the_space_with_their_tolerance():
 
 
 def test_centriole_report():
-    sp, report = cp2_centriole()
-    assert report.dim_sphere == 3
-    assert report.dim_base == 2
-    assert report.dim_fiber == 1
-    assert report.coindex_sphere == 2
-    assert report.berger_t == pytest.approx(4.0, abs=1e-12)
-    assert report.shape_multiplicities == (2, 1)
+    sp, info = cp2_centriole()
+    assert info["dim_sphere"] == 3
+    assert info["dim_base"] == 2
+    assert info["dim_fiber"] == 1
+    assert info["coindex_sphere"] == 2
+    assert info["berger_t"] == pytest.approx(4.0, abs=1e-12)
+    assert info["shape_multiplicities"] == (2, 1)
     assert isinstance(sp, HomogeneousSpace)
-    assert report.fiber_tangent.dim == 1
+    assert info["fiber_tangent"].dim == 1
 
 
 def test_centriole_builds_its_algebra_with_its_tolerance(monkeypatch):
@@ -240,7 +244,7 @@ def test_from_name_round_trips_every_template():
     assert not from_name("so4-so2:0.5,0.5,1.0")[1]["coupled"]
     assert from_name("spin3:1,1,2")[0].dim == 3
     assert from_name("product-spheres:1.0")[1]["rho"] == 1.0
-    assert from_name("cp2-centriole")[1]["report"].berger_t == pytest.approx(4.0)
+    assert from_name("cp2-centriole")[1]["berger_t"] == pytest.approx(4.0)
 
 
 def test_from_name_rejects_malformed_names():
@@ -264,6 +268,41 @@ def test_default_spaces_cover_all_families():
                         "spin3-berger", "product-spheres", "cp2-centriole"}
     for sp, _ in spaces:
         assert isinstance(sp, HomogeneousSpace)
+
+
+#: One name per form of CATALOG_TEMPLATES.
+_TEMPLATE_NAMES = {
+    "round-sphere:<n>": "round-sphere:3",
+    "so4-so2:<lambda>,<s>[,<t>]": "so4-so2:0.5,0.8,1.1",
+    "spin3:<a1>,<a2>,<a3>": "spin3:1,2,3",
+    "product-spheres:<rho>": "product-spheres:0.7",
+    "cp2-centriole": "cp2-centriole",
+}
+
+
+def _assert_space_and_info(pair):
+    sp, info = pair
+    assert isinstance(sp, HomogeneousSpace)
+    assert type(info) is dict
+    json.dumps(plain(info))
+    return info
+
+
+def test_every_builder_returns_a_space_and_its_info():
+    """The catalog convention: a named builder returns ``(space, info)``,
+    with ``info["family"]`` the head of its name and info printable."""
+    assert set(_TEMPLATE_NAMES) == set(CATALOG_TEMPLATES)
+    for name in _TEMPLATE_NAMES.values():
+        info = _assert_space_and_info(from_name(name))
+        assert info["family"] == name.partition(":")[0]
+    for pair in default_spaces():
+        _assert_space_and_info(pair)
+
+
+def test_centriole_info_holds_python_ints():
+    multiplicities = from_name("cp2-centriole")[1]["shape_multiplicities"]
+    assert multiplicities == (2, 1)
+    assert [type(m) for m in multiplicities] == [int, int]
 
 
 def test_templates_are_documented():

@@ -5,6 +5,7 @@ import pytest
 
 from symidx import homspace
 from symidx.liealg import (
+    DEFAULT_TOL,
     BilinearForm,
     LieAlgebra,
     Subspace,
@@ -36,7 +37,6 @@ from symidx.catalog import (
     so4_so2,
     so4_so2_complement,
     so4_so2_gram,
-    so4_so2_presentation,
     spin3_berger,
     spin3_line,
     spin3_metric,
@@ -66,9 +66,8 @@ def _round_s2():
     lambda: transvection_space(_round_s2()),
     lambda: symmetry_ideal(_round_s2()),
     lambda: jacobi_operator(_round_s2(), _round_s2().m_basis[:, 0]),
-    lambda: cp2_centriole()[1],
 ], ids=["Subspace", "BilinearForm", "LieAlgebra", "TransvectionReport",
-        "BoundReport", "JacobiSpectrum", "CentrioleReport"])
+        "BoundReport", "JacobiSpectrum"])
 def test_array_holding_values_compare_and_hash_by_identity(build):
     """Field-wise == would compare arrays and raise; equal-looking values
     are distinct objects, and Subspace.equals is the mathematical test."""
@@ -681,10 +680,11 @@ def test_stacked_symmetry_ideals_equal_the_one_report_path():
     rng = np.random.default_rng(2043)
     cp2 = cp2_centriole()[0]
     stacks = [
-        (so4_so2_presentation(rng.uniform(0.2, 0.9)),
+        (spin4_quotient(so4_so2_complement(rng.uniform(0.2, 0.9)),
+                        DEFAULT_TOL),
          [so4_so2_gram(s, t) for s in rng.uniform(0.2, 1.8, 3)
           for t in (2.0 - s, 2.0 + s, rng.uniform(0.3, 3.0))]),
-        (spin3_presentation(),
+        (spin3_presentation(DEFAULT_TOL),
          [np.diag(w) for w in rng.uniform(0.5, 3.0, (3, 3))]
          + [np.diag(spin3_line(s)) for s in rng.uniform(0.1, 0.9, 2)]),
         (cp2, [c * cp2.metric.gram for c in rng.uniform(0.5, 2.0, 2)]

@@ -149,8 +149,9 @@ def so4_so2(lam: float, s: float, t: float | None = None,
     """
     if t is None:
         t = 2.0 - s
-    sp = spin4_quotient(so4_so2_complement(lam), tol).space(BilinearForm(so4_so2_gram(s, t)),
-                    label=f"Spin(4)/S1 lam={lam:g} s={s:g} t={t:g}")
+    sp = spin4_quotient(so4_so2_complement(lam), tol).space(
+        BilinearForm(so4_so2_gram(s, t)),
+        label=f"Spin(4)/S1 lam={lam:g} s={s:g} t={t:g}")
     info = {
         "family": "so4-so2",
         "lam": lam,
@@ -368,7 +369,6 @@ def cp2_centriole(tol: float = DEFAULT_TOL):
 
     pole_stabilizer = Subspace.kernel_of(
         _flatten_real(_orbit_tangents(rep, pole)).T, tol)
-    dim_base = alg.dim - pole_stabilizer.dim
     fiber = Subspace.from_spanning(sp.dim, sp.evaluate(pole_stabilizer.basis),
                                    tol)
 
@@ -390,7 +390,7 @@ def cp2_centriole(tol: float = DEFAULT_TOL):
 
     info = {
         "family": "cp2-centriole",
-        "dim_base": dim_base,
+        "dim_base": alg.dim - pole_stabilizer.dim,
         "dim_fiber": fiber.dim,
         "dim_sphere": sp.dim,
         "coindex_sphere": transvection_space(sp).coindex,

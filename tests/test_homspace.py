@@ -284,6 +284,17 @@ def test_a_stack_with_no_passing_member_refuses_each_metric_alone():
     assert transvection_stack(stack, grams)[0] == [None, None]
 
 
+@pytest.mark.parametrize("build", [
+    lambda: Presentation(so_elementary(3)[0], Subspace.zero(3), []),
+    lambda: spin4_quotient([], DEFAULT_TOL),
+], ids=["presentation", "spin4-quotient"])
+def test_an_empty_stack_of_complements_is_refused(build):
+    """A stack holds one complement per metric; with none there is no
+    member to check, and the refusal says so."""
+    with pytest.raises(ValueError, match="empty stack of complements"):
+        build()
+
+
 def test_rejects_mismatched_metric_dimension():
     with pytest.raises(ValueError, match="does not match"):
         HomogeneousSpace(abelian(3)[0], Subspace.zero(3),

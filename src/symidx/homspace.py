@@ -51,6 +51,7 @@ from .liealg import (
     pencil_eigh,
     reference_form,
     stacked_contains,
+    stacked_frames,
     stacked_kernels,
     stacked_leaks,
     stacked_spans,
@@ -93,13 +94,13 @@ class Presentation:
     ------
     ValueError
         If ``tol`` is not a finite number in (0, 1), the isotropy is not a
-        subalgebra, the complement does not complete the isotropy to the
-        whole algebra or is not reductive, or the pair is not effective: a
-        nonzero ideal of the algebra lies in the isotropy.  As ``[h, m]``
-        lies in ``m``, the x in ``h`` with ``[x, m]`` in ``h`` have
-        ``[x, m] = 0`` and, by the Jacobi identity, form the largest such
-        ideal, of dimension the nullity at ``tol`` of x -> tangent part of
-        ``[x, m]`` on the first member that passes the complement checks.
+        subalgebra, a stack is empty, the complement does not complete the
+        isotropy to the whole algebra or is not reductive, or the pair is
+        not effective: a nonzero ideal of the algebra lies in the isotropy.
+        As ``[h, m]`` lies in ``m``, the x in ``h`` with ``[x, m]`` in ``h``
+        have ``[x, m] = 0`` and, by the Jacobi identity, form the largest
+        such ideal, of dimension the nullity at ``tol`` of x -> tangent part
+        of ``[x, m]`` on the first member that passes the complement checks.
         A stack with no such member is built and refuses each metric.
     """
 
@@ -126,6 +127,8 @@ class Presentation:
             complement = orthogonal_complement(algebra, isotropy, tol)
         stacked = not isinstance(complement, Subspace)
         comps = list(complement) if stacked else [complement]
+        if not comps:
+            raise ValueError("an empty stack of complements has no member")
         if comps[0].ambient_dim != n:  # a stack's members share its shape
             raise ValueError("complement lives in the wrong ambient dimension")
         if r + comps[0].dim != n:
@@ -307,11 +310,15 @@ def _nablas(pres: Presentation, grams: np.ndarray) -> np.ndarray:
 class TransvectionReport:
     """Killing fields parallel at the base point and what they generate.
 
-    ``p_space`` collects the fields with vanishing covariant derivative at
-    the base point, ``k_space`` the span of their pairwise brackets, and
-    ``s_space`` the tangent subspace of their values.  ``index`` is the
-    dimension of ``s_space`` and ``coindex`` its tangent codimension.  All
-    of it is relative to the supplied algebra of Killing fields.
+    ``p_space`` collects the fields with vanishing covariant derivative at the
+    base point, ``k_space`` the span of their pairwise brackets, and
+    ``s_space`` the tangent subspace of their values.  A Killing field is fixed
+    by its value and derivative there, and :class:`Presentation` validates that
+    the pair is effective, so evaluation is injective on ``p_space``: ``index``
+    is the dimension of both, ``coindex`` the tangent codimension.  ``[X, Y]``
+    of X, Y in ``p_space`` has value ``nabla_X Y - nabla_Y X = 0``, so
+    ``k_space`` lies in the isotropy and ``dim_transvection = dim k + dim p``.
+    All of it is relative to the supplied algebra of Killing fields.
     """
 
     p_space: Subspace
@@ -328,9 +335,9 @@ class BoundReport:
     """Dimension bound for the complementary factor of the symmetry ideal.
 
     ``gD`` is the largest ideal of the algebra containing only fields
-    tangent to the distinguished foliation (isotropy plus lifted
-    ``s_space``), ``g_prime`` its orthogonal ideal complement for the
-    ad-invariant reference form.  The report compares
+    tangent to the distinguished foliation (isotropy plus ``p_space``, or
+    plus the lifted ``s_space``), ``g_prime`` its orthogonal ideal
+    complement for the ad-invariant reference form.  The report compares
     ``lhs = 2 dim(g_prime)`` against ``rhs = k (k + 1)`` for the coindex
     ``k``; ``equality`` flags the extremal case.
     """
@@ -370,9 +377,9 @@ class JacobiSpectrum:
 def transvection_space(sp: HomogeneousSpace) -> TransvectionReport:
     """Compute the parallel-at-base Killing fields and the symmetry index.
 
-    The kernel of the stacked derivative operator gives ``p_space``; its
-    values at the base point give ``s_space`` whose dimension is the index
-    of symmetry (relative to the supplied algebra).  The pair
+    The kernel of the stacked derivative operator gives ``p_space``, whose
+    dimension is the index of symmetry (relative to the supplied algebra),
+    and its values at the base point ``s_space``.  The pair
     ``k_space + p_space`` is checked for the expected bracket relations
     ``[k, k] in k`` and ``[k, p] in p``.  This is the one-metric case of
     :func:`transvection_stack`.
@@ -424,11 +431,13 @@ def transvection_stack(pres: Presentation, grams: np.ndarray) -> tuple:
 def _transvections(pres: Presentation, nablas: np.ndarray) -> tuple:
     """The reports of :func:`transvection_stack` for metrics that pass the
     metric checks, given their :func:`_nablas`, in stacked calls per group
-    of equal ``p_space``, then ``k_space``, dimension.
+    of equal ``p_space``, then ``k_space``, dimension.  These two rank
+    decisions make a report; the rest follows by the theorems of
+    :class:`TransvectionReport`.  ``involutive_ok`` tests both containments:
+    ``[k, k] in k`` follows from ``[k, p] in p`` only in exact arithmetic.
 
-    Returns ``(reports, groups)``: ``groups`` holds, per group of equal
-    ``p_space`` dimension, the positions of its metrics and their stacked
-    ``p_space`` bases."""
+    Returns ``(reports, groups)``: per ``p_space`` dimension, ``groups``
+    holds the positions of its metrics and their stacked ``p_space`` bases."""
     alg, tol, n = pres.algebra, pres.tol, pres.algebra.dim
     v, nullity = stacked_kernels(
         nablas.reshape(len(nablas), n, pres.dim ** 2).swapaxes(-1, -2), tol)
@@ -436,7 +445,7 @@ def _transvections(pres: Presentation, nablas: np.ndarray) -> tuple:
     for k, group in equal_groups(nullity):
         p = v[group, :, n - k:]
         groups.append((group, p))
-        s, s_rank = stacked_spans(pres._members(group).eval_matrix @ p, tol)
+        s = stacked_frames(pres._members(group).eval_matrix @ p)
         first, second = pair_indices(k)
         kb, k_rank = stacked_spans(brackets(alg, p, p)[..., first, second], tol)
         for r, sub in equal_groups(k_rank):
@@ -444,15 +453,12 @@ def _transvections(pres: Presentation, nablas: np.ndarray) -> tuple:
             involutive = (
                 stacked_contains(kk, brackets(alg, kk, kk)).all(axis=-1)
                 & stacked_contains(pp, brackets(alg, kk, pp)).all(axis=-1))
-            dim_transvection = numerical_rank(np.concatenate([kk, pp], -1),
-                                              tol)
             for j, g in enumerate(sub.tolist()):
-                s_sp = Subspace._orthonormal(pres.dim, s[g, :, :s_rank[g]])
                 reports[group[g]] = TransvectionReport(
                     p_space=Subspace._orthonormal(n, p[g]),
                     k_space=Subspace._orthonormal(n, kk[j]),
-                    s_space=s_sp, index=s_sp.dim, coindex=pres.dim - s_sp.dim,
-                    dim_transvection=int(dim_transvection[j]),
+                    s_space=Subspace._orthonormal(pres.dim, s[g]),
+                    index=k, coindex=pres.dim - k, dim_transvection=k + r,
                     involutive_ok=bool(involutive[j]))
     return reports, groups
 
@@ -471,28 +477,25 @@ def symmetry_ideal(sp: Presentation,
 def symmetry_ideals(pres: Presentation, reports: list) -> list:
     """The :class:`BoundReport` of each transvection report of ``reports``
     on ``pres`` (of member i of a stack), in stacked calls per group of
-    equal dimension; a None report, a refused metric, gives None.
+    equal index; a None report, a refused metric, gives None.
 
     Seeds the largest-ideal iteration of :func:`invariant_subspaces` with
-    isotropy plus the lifted ``s_space``; the orthogonal complement for the
-    ad-invariant reference form is again an ideal (internal error if the
-    numerics disagree) and its dimension enters the bound
-    ``2 dim(g_prime) <= k (k + 1)``.
+    the isotropy plus ``p_space``, of full rank (:class:`TransvectionReport`)
+    and the span of the isotropy plus the lifted ``s_space``, as each field
+    is its isotropy part plus the lift of its value.  The orthogonal
+    complement for the ad-invariant reference form is again an ideal
+    (internal error if the numerics disagree); its dimension enters the
+    bound ``2 dim(g_prime) <= k (k + 1)``.
     """
     alg, tol, n = pres.algebra, pres.tol, pres.algebra.dim
-    h = pres.h_basis
     ideals = []  # (rows of reports, stacked bases of their gD)
     kept = [i for i, report in enumerate(reports) if report is not None]
-    for k, group in equal_groups([reports[i].index for i in kept]):
+    for _, group in equal_groups([reports[i].index for i in kept]):
         group = np.array(kept)[group]
-        seeds = np.empty((len(group), n, h.shape[1] + k))
-        seeds[..., :h.shape[1]] = h
-        seeds[..., h.shape[1]:] = pres._members(group).m_basis @ np.array(
-            [reports[i].s_space.basis for i in group.tolist()])
-        u, rank = stacked_spans(seeds, tol)
-        for d, part in equal_groups(rank):
-            ideals += [(group[part][rows], g_d) for rows, g_d in
-                       invariant_subspaces(alg.ad_stack, u[part, :, :d], tol)]
+        p = np.array([reports[i].p_space.basis for i in group.tolist()])
+        seeds = np.concatenate([pres.h_basis[None].repeat(len(p), 0), p], -1)
+        ideals += [(group[rows], g_d) for rows, g_d in invariant_subspaces(
+            alg.ad_stack, stacked_frames(seeds), tol)]
 
     q = reference_form(alg, tol).gram
     out = [None] * len(reports)

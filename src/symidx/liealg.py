@@ -57,8 +57,8 @@ def _sv_cutoff(s: np.ndarray, tol: float) -> np.ndarray:
     # entries when they are nonzero at all, so the floor only engages for
     # matrices that are zero up to roundoff (where a purely relative cutoff
     # would misread noise singular values as full rank).  ``s`` holds the
-    # nonempty descending singular values of a matrix, or of a stack of
-    # them along the last axis, which the cutoffs keep with length one.
+    # descending singular values of a matrix, or of a stack of them along
+    # the last axis, which the cutoffs keep with length one (none if empty).
     return tol * np.maximum(s[..., :1], 1.0)
 
 
@@ -67,11 +67,8 @@ def numerical_rank(a: np.ndarray, tol: float = DEFAULT_TOL):
     stack (..., m, n), the array of the ranks of its matrices, by one SVD
     call."""
     a = np.atleast_2d(np.asarray(a, dtype=float))
-    if min(a.shape[-2:]) == 0:
-        rank = np.zeros(a.shape[:-2], dtype=np.intp)
-    else:
-        s = np.linalg.svd(a, compute_uv=False)
-        rank = (s > _sv_cutoff(s, tol)).sum(axis=-1)
+    s = np.linalg.svd(a, compute_uv=False)
+    rank = (s > _sv_cutoff(s, tol)).sum(axis=-1)
     return int(rank) if a.ndim == 2 else rank
 
 
@@ -82,7 +79,7 @@ def stacked_kernels(a: np.ndarray, tol: float = DEFAULT_TOL) -> tuple:
     the kernel of ``a[i]``."""
     a = np.asarray(a, dtype=float)
     *lead, m, n = a.shape
-    if m == 0 or n == 0:
+    if m == 0 or n == 0:  # numpy's SVD gives the same, at ten times the cost
         return np.zeros((*lead, n, n)) + np.eye(n), np.full(lead, n)
     # The thin SVD already holds all n rows of V when m >= n; a wide matrix
     # needs the full one, whose rows past m span the rest of the kernel.
@@ -95,11 +92,16 @@ def stacked_spans(a: np.ndarray, tol: float = DEFAULT_TOL) -> tuple:
     and the cutoff of :func:`orthonormal_columns`: ``(u, rank)``, where the
     first ``rank[i]`` columns of ``u[i]`` are an orthonormal basis."""
     a = np.asarray(a, dtype=float)
-    *lead, m, k = a.shape
-    if m == 0 or k == 0:
-        return np.zeros((*lead, m, 0)), np.zeros(lead, dtype=np.intp)
+    if 0 in a.shape[-2:]:  # as in stacked_kernels
+        return np.zeros((*a.shape[:-1], 0)), np.zeros(a.shape[:-2], np.intp)
     u, s, _ = np.linalg.svd(a, full_matrices=False)
     return u, (s > _sv_cutoff(s, tol)).sum(axis=-1)
+
+
+def stacked_frames(a: np.ndarray) -> np.ndarray:
+    """The U factors of one thin SVD of the matrices ``a`` (..., m, k): an
+    orthonormal basis of each column space where the caller proves rank k."""
+    return np.linalg.svd(a, full_matrices=False)[0] if a.shape[-1] else a
 
 
 def stacked_contains(q: np.ndarray, vecs: np.ndarray) -> np.ndarray:
@@ -109,9 +111,10 @@ def stacked_contains(q: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     ``q`` holds the coordinates; the result has one entry per vector,
     flattened to shape (..., m)."""
     flat = vecs.reshape(*q.shape[:-1], math.prod(vecs.shape[q.ndim - 1:]))
-    resid = flat - q @ (q.swapaxes(-1, -2) @ flat)
-    # squared norms on both sides
-    return ((resid * resid).sum(axis=-2) <= CHECK_TOL * CHECK_TOL
+    resid = q @ (q.swapaxes(-1, -2) @ flat)
+    np.subtract(flat, resid, out=resid)
+    resid *= resid  # squared norms on both sides
+    return (resid.sum(axis=-2) <= CHECK_TOL * CHECK_TOL
             * np.maximum(1.0, (flat * flat).sum(axis=-2)))
 
 
@@ -125,16 +128,9 @@ def equal_groups(keys) -> list:
 
 
 def numerical_kernel(a: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Orthonormal basis (columns) of the null space of ``a``.
-
-    Parameters
-    ----------
-    a : ndarray, shape (m, n)
-        Matrix whose kernel is wanted.  An empty or all-zero matrix has
-        the full space as kernel.
-    tol : float
-        Relative singular value cutoff.
-    """
+    """Orthonormal basis (columns) of the null space of the matrix ``a``
+    (m, n) at the relative singular value cutoff ``tol``; an empty or
+    all-zero matrix has the full space as kernel."""
     a = np.atleast_2d(a)
     v, nullity = stacked_kernels(a, tol)
     return v[:, a.shape[1] - nullity:]
@@ -509,11 +505,10 @@ def _reference_form(alg: LieAlgebra, tol: float) -> BilinearForm:
     z = Subspace.kernel_of(b.gram, tol)
     if z.dim == 0:
         return b
-    d = derived_subalgebra(alg, tol)
-    if z.dim + d.dim != alg.dim or numerical_rank(np.hstack([z.basis, d.basis]), tol) != alg.dim:
+    t = np.hstack([z.basis, derived_subalgebra(alg, tol).basis])
+    if t.shape[1] != alg.dim or numerical_rank(t, tol) != alg.dim:
         raise ValueError("kernel of B and derived subalgebra do not split the algebra")
-    t_inv = np.linalg.inv(np.hstack([z.basis, d.basis]))
-    proj_z = t_inv[: z.dim, :]
+    proj_z = np.linalg.inv(t)[: z.dim, :]
     return BilinearForm(b.gram + proj_z.T @ proj_z)
 
 
@@ -701,11 +696,12 @@ def invariant_subspaces(ads: np.ndarray, seeds: np.ndarray,
 
 
 def stacked_leaks(ads: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """``(1 - W W^T) ad W`` for each matrix ad of ``ads`` (K, n, n) and each
-    orthonormal basis W of ``w`` (N, n, r): what ad maps out of the span
-    of W, shape (N, K, n, r)."""
-    p_out = np.eye(w.shape[-2]) - w @ w.swapaxes(-1, -2)
-    return (p_out[:, None] @ ads) @ w[:, None]
+    """``ad W - W (W^T ad W)`` for each matrix ad of ``ads`` (K, n, n) and
+    each orthonormal basis W of ``w`` (N, n, r): what ad maps out of the
+    span of W, shape (N, K, n, r)."""
+    ad_w = ads @ w[:, None]
+    ad_w -= w[:, None] @ (w[:, None].swapaxes(-1, -2) @ ad_w)
+    return ad_w
 
 
 def bi_invariant_directions(alg: LieAlgebra, form, tol: float = DEFAULT_TOL) -> Subspace:

@@ -14,6 +14,7 @@ from symidx.liealg import (
     direct_sum,
     largest_invariant_subspace,
     matrix_algebra,
+    numerical_rank,
     orthogonal_complement,
     so_elementary,
     spin3_quaternion,
@@ -32,6 +33,7 @@ from symidx.homspace import (
 )
 from symidx.catalog import (
     cp2_centriole,
+    default_spaces,
     product_of_spheres,
     round_sphere,
     so4_so2,
@@ -678,6 +680,65 @@ def test_a_stack_of_metrics_is_decided_as_each_metric_alone():
     assert seen["index"] == {0, 2}, seen
     # the last stack: every metric kept, all parallel fields of one dimension
     assert [report.p_space.dim for report in reports] == [2] * 5
+
+
+def _structure_theorem_spaces():
+    """Seeded so4-so2 draws on the coupled stratum t = 2 - s, within 1e-6
+    of it and off it; seeded spin3 draws, generic and on the line; every
+    default_spaces() entry; the augmented Berger and round spin3 spaces;
+    and the round spheres S^2 to S^6."""
+    rng = np.random.default_rng(2053)
+    spaces = []
+    for lam, s in rng.uniform([0.2, 0.2], [0.9, 1.8], (3, 2)):
+        pres = spin4_quotient(so4_so2_complement(lam), DEFAULT_TOL)
+        spaces += [pres.space(BilinearForm(so4_so2_gram(s, t))) for t in (
+            2.0 - s, 2.0 - s + rng.uniform(-1e-6, 1e-6),
+            rng.uniform(0.3, 3.0))]
+    spin3 = spin3_presentation(DEFAULT_TOL)
+    spaces += [spin3.space(BilinearForm(np.diag(w)))
+               for w in [*rng.uniform(0.5, 3.0, (3, 3)),
+                         *(spin3_line(s) for s in rng.uniform(0.1, 0.9, 2))]]
+    spaces += [sp for sp, _ in default_spaces()]
+    spaces += [augment_left_invariant(spin3_berger(1.5)[0]),
+               augment_left_invariant(spin3_metric(2.0, 2.0, 2.0)[0])]
+    return spaces + [round_sphere(n)[0] for n in range(2, 7)]
+
+
+def test_the_structure_theory_decides_the_reports():
+    """The reports take from two rank decisions, p and k = [p, p], what
+    the structure theory proves: evaluation is injective on p (index =
+    dim p), k lies in the isotropy (dim(k + p) = dim k + dim p), and the
+    isotropy plus p spans the isotropy plus the lifted s.  The rank
+    decisions these replace are kept here as the reference: s as the span
+    of the values of p, index its rank, dim_transvection the rank of
+    [k | p], and gD grown by the per-seed loop from isotropy plus lifted s.
+    """
+    seen = set()
+    for sp in _structure_theorem_spaces():
+        rep, tol, n = transvection_space(sp), sp.tol, sp.algebra.dim
+        p, k = rep.p_space.basis, rep.k_space.basis
+        values = sp.eval_matrix @ p
+        transvection_rank = numerical_rank(np.hstack([k, p]), tol)
+        assert numerical_rank(values, tol) == rep.p_space.dim
+        assert transvection_rank == rep.k_space.dim + rep.p_space.dim
+        assert sp.isotropy.contains_columns(k).all()
+        s_old = Subspace.from_spanning(sp.dim, values, tol)
+        lifted = Subspace.from_spanning(
+            n, np.hstack([sp.h_basis, sp.m_basis @ s_old.basis]), tol)
+        assert lifted.equals(Subspace(n, np.hstack([sp.h_basis, p])))
+        assert rep.s_space.equals(s_old)
+        c = sp.dim - s_old.dim
+        assert (rep.index, rep.coindex, rep.dim_transvection) == (
+            s_old.dim, c, transvection_rank)
+        bound = symmetry_ideal(sp, rep)
+        g_d = Subspace(n, invariant_by_loop(sp.algebra.ad_stack,
+                                            lifted.onb(), tol))
+        assert bound.gD.equals(g_d)
+        lhs, rhs = 2 * (n - g_d.dim), c * (c + 1)
+        assert (bound.k, bound.lhs, bound.rhs, bound.equality) == (
+            c, lhs, rhs, lhs == rhs)
+        seen.add((rep.index, rep.k_space.dim))
+    assert seen >= {(0, 0), (1, 0), (2, 1), (3, 3)}, seen
 
 
 def test_stacked_symmetry_ideals_equal_the_one_report_path():

@@ -40,6 +40,7 @@ from symidx.liealg import (
     so_elementary,
     spin3_quaternion,
     stacked_kernels,
+    stacked_leaks,
     stacked_spans,
     su3,
 )
@@ -316,6 +317,22 @@ def test_stacked_invariant_iteration_equals_the_per_seed_loop():
                     ads, seed, DEFAULT_TOL)))
                 seen.add((r, got.dim))
     assert {d for r, d in seen if r == 4} >= {0, 1, 3, 4}, seen
+
+
+def test_leaks_equal_the_projector_formula():
+    """stacked_leaks forms ad W - W (W^T ad W), with no (N, K, n, n)
+    product of the projector 1 - W W^T and each ad; both are what ad maps
+    out of the span of W, for W of every width from none to all."""
+    rng = np.random.default_rng(2047)
+    for alg in (so_elementary(5)[0], su3()[0], spin3_quaternion()[0]):
+        n = alg.dim
+        frames = np.linalg.qr(rng.standard_normal((3, n, n)))[0]
+        for r in (0, 1, n // 2, n):
+            w = frames[..., :r]
+            p_out = np.eye(n) - w @ w.swapaxes(-1, -2)
+            want = (p_out[:, None] @ alg.ad_stack) @ w[:, None]
+            np.testing.assert_allclose(stacked_leaks(alg.ad_stack, w), want,
+                                       rtol=0, atol=1e-13)
 
 
 def test_spin3_preset_is_built_once_and_read_only():

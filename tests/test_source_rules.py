@@ -1,7 +1,8 @@
 """Every rank decision of the package goes through ``liealg._sv_cutoff`` on
 singular values it holds.  ``np.linalg.lstsq`` and ``np.linalg.matrix_rank``
 each take a decomposition of their own under a rank rule of their own
-(``rcond``, ``tol``), so no module of the package may name them."""
+(``rcond``, ``tol``), so no module of the package may name them, and only
+``liealg`` may name ``svd``, beside that cutoff."""
 
 import ast
 import pathlib
@@ -33,3 +34,7 @@ def test_no_module_takes_a_second_rank_rule():
 def test_the_scan_sees_a_use():
     """The scan is not vacuous: it finds the package's own SVD calls."""
     assert any(use.startswith("liealg.py:") for use in named_uses(("svd",)))
+
+
+def test_only_liealg_takes_a_singular_value_decomposition():
+    assert {use.split(":")[0] for use in named_uses(("svd",))} == {"liealg.py"}

@@ -254,6 +254,18 @@ def test_index_augment_flag(capsys, squashed_file):
     assert payload["augmented"] is True
 
 
+def test_index_augment_prints_a_unit_ideal_basis_exactly(capsys, tmp_path):
+    """The one basis vector of the augmented Berger sphere's symmetry ideal
+    prints as 1.0: the canonical basis drops the noise of the basis it
+    came from, whose 1e-17 entries once moved the unit entry's last bit."""
+    code, doc, _ = run(capsys, "catalog", "emit", "spin3:1.5,1.5,2")
+    path = tmp_path / "berger.json"
+    path.write_text(doc)
+    code, out, _ = run(capsys, "index", "--space", str(path), "--augment")
+    assert code == 0
+    assert json.loads(out)["bound"]["gD"]["basis"] == [[0.0, 0.0, 0.0, 1.0]]
+
+
 def test_index_exit_codes(capsys, tmp_path):
     missing = str(tmp_path / "missing.json")
     assert run(capsys, "index", "--space", missing)[0] == 2

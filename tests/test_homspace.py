@@ -839,10 +839,27 @@ def test_a_stacked_presentation_refuses_exactly_its_failing_members():
         indices.add(got.index)
     assert indices == {0, 2}
     # one metric per member: a stack does not broadcast to other counts
-    with pytest.raises(ValueError, match="broadcast"):
+    with pytest.raises(ValueError, match="stack of size 7 "):
         transvection_stack(stack, grams[:6])
-    with pytest.raises(ValueError, match="broadcast"):
+    with pytest.raises(ValueError, match="stack of size 7 "):
         stack.space(BilinearForm(np.eye(5)))
+
+
+def test_a_stack_takes_one_metric_per_member_and_makes_no_space():
+    """A metric count other than the stack's size is refused by one message
+    naming both counts, also where numpy would broadcast a stack of one;
+    a stack, even of one member, makes no single space."""
+    gram = so4_so2_gram(0.8, 1.2)
+    for size, count in ((1, 3), (2, 3), (3, 1), (2, 0)):
+        stack = spin4_quotient([so4_so2_complement(0.5)] * size, 1e-9)
+        with pytest.raises(ValueError, match=(
+                f"a stack of size {size} takes one metric per member, "
+                f"got {count}")):
+            transvection_stack(stack, [gram] * count)
+    one = spin4_quotient([so4_so2_complement(0.5)], 1e-9)
+    with pytest.raises(ValueError, match="stack of size 1 has no single"):
+        one.space(BilinearForm(gram))
+    assert transvection_stack(one, [gram])[0][0].index == 2
 
 
 def test_a_space_built_from_a_space_takes_the_new_metric():

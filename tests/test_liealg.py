@@ -619,6 +619,9 @@ def test_canonical_basis_prints_exact_zeros_and_short_paths():
     noisy = canonical_basis(np.linalg.qr(
         np.eye(5)[:, :3] @ _random_orthogonal(rng, 3) + 1e-17)[0])
     assert np.count_nonzero(noisy) == 3
+    # noise beside a unit entry just below 1 leaves the last bit alone
+    unit = canonical_basis(np.array([[9e-17], [0.0], [0.0], [1 - 2 ** -53]]))
+    np.testing.assert_array_equal(unit, np.eye(4)[:, 3:])
     assert canonical_basis(np.zeros((4, 0))).shape == (4, 0)
     np.testing.assert_array_equal(
         canonical_basis(_random_orthogonal(rng, 3)), np.eye(3))

@@ -222,6 +222,8 @@ class HomogeneousSpace(Presentation):
         self._set_metric(metric, label)
 
     def _set_metric(self, metric: BilinearForm, label: str) -> None:
+        if self.m_basis.ndim == 3:
+            raise ValueError(f"a stack of size {len(self.m_basis)} is no space")
         if metric.dim != self.dim:
             raise ValueError(
                 f"metric dimension {metric.dim} does not match the "
@@ -269,7 +271,10 @@ def _metric_refusals(pres: Presentation, grams: np.ndarray) -> list:
     smallest eigenvalue over the largest or 1 exceeding ``pres.tol``, and
     each isotropy vector must act skew-symmetrically, the largest entry of
     ``G A + (G A)^T`` for its action A at most
-    :data:`~symidx.liealg.CHECK_TOL`; on a stack, after member i's own."""
+    :data:`~symidx.liealg.CHECK_TOL`; per member of a stack, after its own."""
+    if pres.m_basis.ndim == 3 and len(grams) != len(pres.m_basis):
+        raise ValueError(f"a stack of size {len(pres.m_basis)} takes one "
+                         f"metric per member, got {len(grams)}")
     w = np.linalg.eigvalsh(grams) if pres.dim else np.ones((len(grams), 1))
     ops = grams[:, None] @ pres._e_ad_h_m
     skew = np.abs(ops + ops.swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0)
@@ -482,9 +487,9 @@ def symmetry_ideals(pres: Presentation, reports: list) -> list:
     Seeds the largest-ideal iteration of :func:`invariant_subspaces` with
     the isotropy plus ``p_space``, of full rank (:class:`TransvectionReport`)
     and the span of the isotropy plus the lifted ``s_space``, as each field
-    is its isotropy part plus the lift of its value.  The orthogonal
-    complement for the ad-invariant reference form is again an ideal
-    (internal error if the numerics disagree); its dimension enters the
+    is its isotropy part plus the lift of its value.  Its complement for
+    the nondegenerate ad-invariant form, of dimension n - dim gD, is again
+    an ideal (internal error if the numerics disagree) and enters the
     bound ``2 dim(g_prime) <= k (k + 1)``.
     """
     alg, tol, n = pres.algebra, pres.tol, pres.algebra.dim
@@ -501,11 +506,7 @@ def symmetry_ideals(pres: Presentation, reports: list) -> list:
     out = [None] * len(reports)
     for rows, g_d in ideals:
         d = g_d.shape[-1]
-        v, nullity = stacked_kernels(g_d.swapaxes(-1, -2) @ q, tol)
-        if (nullity != n - d).any():
-            raise RuntimeError("internal: orthogonal split of the symmetry "
-                               "ideal has the wrong dimension")
-        g_prime = v[:, :, d:]
+        g_prime = stacked_kernels(g_d.swapaxes(-1, -2) @ q)[0][:, :, d:]
         # the complement of 0 or of the whole algebra is an ideal exactly
         worst = (np.abs(stacked_leaks(alg.ad_stack, g_prime)).max(
             axis=(-2, -1)) if 0 < d < n else np.zeros(1))
@@ -528,14 +529,15 @@ def perpendicular_killing_space(sp: HomogeneousSpace,
                                 ) -> Subspace:
     """Largest bracket-stable space of fields orthogonal to ``s_space``.
 
-    Starts from all Killing fields whose base point value is orthogonal to
-    the parallel directions and shrinks to the largest subspace invariant
-    under ``k_space`` and ``p_space``.
+    Starts from the fields whose value at the base point is orthogonal to
+    ``s_space``, n - index of them as evaluation is onto, and shrinks to
+    the largest subspace invariant under ``k_space`` and ``p_space``.
     """
     if report is None:
         report = transvection_space(sp)
     rows = report.s_space.basis.T @ sp.metric.gram @ sp.eval_matrix
-    seed = Subspace.kernel_of(rows, sp.tol)
+    seed = Subspace._orthonormal(
+        sp.algebra.dim, stacked_kernels(rows)[0][:, report.index:])
     gens = np.hstack([report.k_space.basis, report.p_space.basis])
     return largest_invariant_subspace(sp.algebra, gens, seed, sp.tol)
 

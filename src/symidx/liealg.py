@@ -149,7 +149,7 @@ def canonical_basis(q: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     Pivot rows go greedily by largest residual row norm (the lowest row
     wins norms within ``tol`` of the largest), which depends only on the
     projector; the basis is the Q factor, with positive R diagonal, of the
-    projector's columns at the sorted pivots.
+    projector's columns at the sorted pivots, less their noise.
     """
     n, k = q.shape
     if k == 0:
@@ -165,7 +165,9 @@ def canonical_basis(q: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
         r = resid[j] / math.sqrt(norms[j])
         resid -= np.outer(resid @ r, r)
     pivots.sort()
-    basis, tri = np.linalg.qr(q @ q[pivots].T)
+    cols = q @ q[pivots].T
+    cols[np.abs(cols) < tol] = 0.0  # else noise moves the Q factor's last bits
+    basis, tri = np.linalg.qr(cols)
     basis *= np.sign(np.diag(tri))
     basis[np.abs(basis) < tol] = 0.0
     return basis
@@ -514,10 +516,10 @@ def _reference_form(alg: LieAlgebra, tol: float) -> BilinearForm:
 
 def orthogonal_complement(alg: LieAlgebra, sub: Subspace,
                           tol: float = DEFAULT_TOL) -> Subspace:
-    """Complement of ``sub`` orthogonal for the ad-invariant
-    :func:`reference_form`; the zero subspace gives the whole algebra."""
-    q = reference_form(alg, tol).gram
-    return Subspace.kernel_of(sub.basis.T @ q, tol)
+    """Complement, of dimension n - dim ``sub``, of ``sub`` orthogonal for
+    the nondegenerate ad-invariant :func:`reference_form`."""
+    v = stacked_kernels(sub.basis.T @ reference_form(alg, tol).gram)[0]
+    return Subspace._orthonormal(alg.dim, v[:, sub.dim:])
 
 
 def direct_sum(a: LieAlgebra, b: LieAlgebra) -> LieAlgebra:

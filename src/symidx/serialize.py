@@ -3,8 +3,8 @@
 A space is an algebra (a preset name, or inline ``dim``, ``labels`` and
 structure constants), isotropy and complement bases as lists of
 coefficient vectors, and a Gram matrix in complement coordinates.
-:func:`plain` prints a report or a verification outcome by its fields;
-only a Jacobi spectrum has a layout of its own.  Input documents are
+:func:`plain` prints a dataclass instance, such as a report, by its
+fields; only a Jacobi spectrum has a layout of its own.  Input documents are
 validated against the shipped JSON Schema before any numerics run; a
 violation raises :class:`SpaceFormatError` with a JSON pointer to the
 offending element.
@@ -19,6 +19,7 @@ array that test does not accept is walked entry by entry.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import itertools
 import json
@@ -27,12 +28,7 @@ from importlib import resources
 
 import numpy as np
 
-from .homspace import (
-    BoundReport,
-    HomogeneousSpace,
-    JacobiSpectrum,
-    TransvectionReport,
-)
+from .homspace import HomogeneousSpace, JacobiSpectrum
 from .liealg import (
     DEFAULT_TOL,
     BilinearForm,
@@ -41,7 +37,6 @@ from .liealg import (
     canonical_basis,
     preset,
 )
-from .verify import VerificationOutcome
 
 
 class SpaceFormatError(ValueError):
@@ -296,16 +291,15 @@ def spectrum_to_dict(spectrum: JacobiSpectrum) -> dict:
 
 
 def plain(value):
-    """``value`` as data for ``json.dumps``: a report or an outcome by its
-    fields, a subspace by its :func:`canonical_basis`, which the subspace
-    alone determines, and numpy scalars and arrays as Python ones, at any
-    depth."""
-    if isinstance(value, (TransvectionReport, BoundReport,
-                          VerificationOutcome)):
-        value = vars(value)  # a dataclass's instance dict: its fields
+    """``value`` as data for ``json.dumps``: a subspace by its
+    :func:`canonical_basis`, which the subspace alone determines, any other
+    dataclass instance, such as a report or an outcome, by its fields, and
+    numpy scalars and arrays as Python ones, at any depth."""
     if isinstance(value, Subspace):
         return {"ambient_dim": value.ambient_dim, "dim": value.dim,
                 "basis": canonical_basis(value.onb()).T.tolist()}
+    if dataclasses.is_dataclass(value):
+        value = vars(value)  # a dataclass's instance dict: its fields
     if isinstance(value, dict):
         return {str(k): plain(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):

@@ -256,8 +256,8 @@ def test_index_augment_flag(capsys, squashed_file):
 
 def test_index_augment_prints_a_unit_ideal_basis_exactly(capsys, tmp_path):
     """The one basis vector of the augmented Berger sphere's symmetry ideal
-    prints as 1.0: the canonical basis drops the noise of the basis it
-    came from, whose 1e-17 entries once moved the unit entry's last bit."""
+    prints as 1.0: the canonical basis drops the 1e-17 noise of the basis
+    it came from, which would move the unit entry's last bit."""
     code, doc, _ = run(capsys, "catalog", "emit", "spin3:1.5,1.5,2")
     path = tmp_path / "berger.json"
     path.write_text(doc)

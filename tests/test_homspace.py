@@ -14,8 +14,10 @@ from symidx.liealg import (
     direct_sum,
     largest_invariant_subspace,
     matrix_algebra,
+    numerical_kernel,
     numerical_rank,
     orthogonal_complement,
+    reference_form,
     so_elementary,
     spin3_quaternion,
 )
@@ -46,6 +48,7 @@ from symidx.catalog import (
     spin3_presentation,
     spin4_quotient,
 )
+from symidx.serialize import space_from_dict, space_to_dict
 from meaning import invariant_by_loop
 
 I_VEC = np.array([1.0, 0.0, 0.0])
@@ -686,7 +689,8 @@ def _structure_theorem_spaces():
     """Seeded so4-so2 draws on the coupled stratum t = 2 - s, within 1e-6
     of it and off it; seeded spin3 draws, generic and on the line; every
     default_spaces() entry; the augmented Berger and round spin3 spaces;
-    and the round spheres S^2 to S^6."""
+    the round spheres S^2 to S^6; and inline so(n+1)/so(n) documents with
+    no complement, n = 2 to 7, which take the default complement."""
     rng = np.random.default_rng(2053)
     spaces = []
     for lam, s in rng.uniform([0.2, 0.2], [0.9, 1.8], (3, 2)):
@@ -701,17 +705,26 @@ def _structure_theorem_spaces():
     spaces += [sp for sp, _ in default_spaces()]
     spaces += [augment_left_invariant(spin3_berger(1.5)[0]),
                augment_left_invariant(spin3_metric(2.0, 2.0, 2.0)[0])]
-    return spaces + [round_sphere(n)[0] for n in range(2, 7)]
+    spaces += [round_sphere(n)[0] for n in range(2, 7)]
+    for n in range(2, 8):
+        document = space_to_dict(round_sphere(n)[0])
+        del document["complement"]
+        spaces.append(space_from_dict(document))
+    return spaces
 
 
 def test_the_structure_theory_decides_the_reports():
     """The reports take from two rank decisions, p and k = [p, p], what
     the structure theory proves: evaluation is injective on p (index =
     dim p), k lies in the isotropy (dim(k + p) = dim k + dim p), and the
-    isotropy plus p spans the isotropy plus the lifted s.  The rank
-    decisions these replace are kept here as the reference: s as the span
-    of the values of p, index its rank, dim_transvection the rank of
-    [k | p], and gD grown by the per-seed loop from isotropy plus lifted s.
+    isotropy plus p spans the isotropy plus the lifted s.  The complements
+    take their dimensions from it too: the reference form Q and the metric
+    are nondegenerate and evaluation is onto.  The rank decisions these
+    replace are kept here as the reference: s as the span of the values of
+    p, index its rank, dim_transvection the rank of [k | p], gD grown by
+    the per-seed loop from isotropy plus lifted s, and the kernels of
+    gD^T Q, h^T Q and s^T G E as g_prime, the default complement and the
+    seed of the perpendicular space.
     """
     seen = set()
     for sp in _structure_theorem_spaces():
@@ -737,6 +750,18 @@ def test_the_structure_theory_decides_the_reports():
         lhs, rhs = 2 * (n - g_d.dim), c * (c + 1)
         assert (bound.k, bound.lhs, bound.rhs, bound.equality) == (
             c, lhs, rhs, lhs == rhs)
+        q = reference_form(sp.algebra, tol).gram
+        g_prime = numerical_kernel(bound.gD.basis.T @ q, tol)
+        assert g_prime.shape == (n, n - g_d.dim)
+        assert bound.g_prime.equals(Subspace(n, g_prime))
+        assert Subspace.kernel_of(sp.h_basis.T @ q, tol).equals(
+            orthogonal_complement(sp.algebra, sp.isotropy, tol))
+        seed = Subspace.kernel_of(
+            rep.s_space.basis.T @ sp.metric.gram @ sp.eval_matrix, tol)
+        assert seed.dim == n - rep.index
+        assert perpendicular_killing_space(sp, rep).equals(
+            largest_invariant_subspace(sp.algebra, np.hstack([k, p]), seed,
+                                       tol))
         seen.add((rep.index, rep.k_space.dim))
     assert seen >= {(0, 0), (1, 0), (2, 1), (3, 3)}, seen
 
@@ -857,7 +882,7 @@ def test_a_stack_takes_one_metric_per_member_and_makes_no_space():
                 f"got {count}")):
             transvection_stack(stack, [gram] * count)
     one = spin4_quotient([so4_so2_complement(0.5)], 1e-9)
-    with pytest.raises(ValueError, match="stack of size 1 has no single"):
+    with pytest.raises(ValueError, match="stack of size 1 is no space"):
         one.space(BilinearForm(gram))
     assert transvection_stack(one, [gram])[0][0].index == 2
 

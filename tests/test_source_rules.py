@@ -38,3 +38,25 @@ def test_the_scan_sees_a_use():
 
 def test_only_liealg_takes_a_singular_value_decomposition():
     assert {use.split(":")[0] for use in named_uses(("svd",))} == {"liealg.py"}
+
+
+def imported_names(module: str) -> set:
+    """Every dotted part of what the package module ``module`` imports."""
+    path = pathlib.Path(symidx.__file__).parent / f"{module}.py"
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.ImportFrom):
+            found.update((node.module or "").split("."))
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            found.update(part for alias in node.names
+                         for part in alias.name.split("."))
+    return found
+
+
+def test_serialize_sits_below_the_checks_and_the_commands():
+    """The JSON layouts print reports by their fields, so ``serialize``
+    needs no module above it: it imports none of the checks, the catalog
+    or the command line."""
+    names = imported_names("serialize")
+    assert {"homspace", "liealg", "json"} <= names  # the scan sees imports
+    assert not names & {"verify", "catalog", "numcheck", "cli"}

@@ -13,7 +13,6 @@ command relies on to skip degenerate grid points.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 
 import numpy as np
@@ -65,18 +64,12 @@ def round_sphere(n: int, tol: float = DEFAULT_TOL):
         raise ValueError(f"sphere dimension must be at most MAX_SPHERE_DIM "
                          f"= {MAX_SPHERE_DIM}")
     alg, rep = so_elementary(n + 1)
-    pairs = list(itertools.combinations(range(n + 1), 2))
-    h_idx = [k for k, (a, _) in enumerate(pairs) if a > 0]
-    m_idx = [k for k, (a, _) in enumerate(pairs) if a == 0]
+    moves = rep[:, 0].any(axis=1)  # the generators E_1b, which move e_1
     eye = np.eye(alg.dim)
-    sp = HomogeneousSpace(
-        alg,
-        Subspace(alg.dim, eye[:, h_idx]),
-        BilinearForm(np.eye(n)),
-        complement=Subspace(alg.dim, eye[:, m_idx]),
-        label=f"round sphere S^{n}",
-        tol=tol,
-    )
+    sp = HomogeneousSpace(alg, Subspace(alg.dim, eye[:, ~moves]),
+                          BilinearForm(np.eye(n)),
+                          complement=Subspace(alg.dim, eye[:, moves]),
+                          label=f"round sphere S^{n}", tol=tol)
     info = {
         "family": "round-sphere",
         "n": n,

@@ -94,7 +94,8 @@ class Presentation:
     ------
     ValueError
         If ``tol`` is not a finite number in (0, 1), the isotropy is not a
-        subalgebra, a stack is empty, the complement does not complete the
+        subalgebra (named by its first leaking pair of basis vectors in
+        colex order), a stack is empty, the complement does not complete the
         isotropy to the whole algebra or is not reductive, or the pair is
         not effective: a nonzero ideal of the algebra lies in the isotropy.
         As ``[h, m]`` lies in ``m``, the x in ``h`` with ``[x, m]`` in ``h``

@@ -17,7 +17,6 @@ applies the flip itself.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -193,19 +192,21 @@ def pencil_eigh(a: np.ndarray, b: np.ndarray,
     return w, white.T @ u + 0.0  # + 0.0 turns -0.0 into 0.0
 
 
-def pair_indices(k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Index arrays ``(first, second)`` of all pairs ``first < second < k``,
-    in ``itertools.combinations`` order."""
-    pairs = np.array(list(itertools.combinations(range(k), 2)), dtype=np.intp)
-    return pairs.reshape(-1, 2).T
-
-
 @functools.cache
-def _colex_pairs(n: int) -> tuple:
-    """Colex pairs p < q < n, p n + q, k (k - 1) / 2 and the mask i < p[t]."""
-    q, p = np.nonzero(np.tri(n, k=-1, dtype=bool))
-    k = np.arange(n)
-    return p, q, p * n + q, k * (k - 1) // 2, k < p[:, None]
+def pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index arrays ``(first, second)`` of the pairs ``first < second < n``
+    in colex order (by ``second``, then ``first``), cached and read-only."""
+    second, first = np.nonzero(np.tri(n, k=-1, dtype=bool))
+    first.flags.writeable = second.flags.writeable = False
+    return first, second
+
+
+def _refuse_non_finite(what: str, a: np.ndarray):
+    """ValueError naming the first entry of ``a`` that is not finite, if any."""
+    bad = np.argwhere(~np.isfinite(a))[:1].tolist()
+    if bad:
+        raise ValueError(f"{what} entry {bad[0]} is {a[tuple(bad[0])]}, "
+                         f"not a finite number")
 
 
 # ---------------------------------------------------------------------------
@@ -313,6 +314,7 @@ class BilinearForm:
         g = np.atleast_2d(np.asarray(self.gram, dtype=float))
         if g.shape[0] != g.shape[1]:
             raise ValueError(f"gram matrix must be square, got {g.shape}")
+        _refuse_non_finite("gram matrix", g)
         asym = float(np.max(np.abs(g - g.T))) if g.size else 0.0
         if asym > DEFAULT_TOL * max(1.0, float(np.max(np.abs(g))) if g.size else 1.0):
             raise ValueError(f"gram matrix is not symmetric (residual {asym:.3e})")
@@ -376,14 +378,17 @@ class LieAlgebra:
         object.__setattr__(self, "basis_labels", labels)
         asym = c + c.transpose(1, 0, 2)
         asym = float(np.max(np.abs(asym, out=asym))) if n else 0.0
-        if asym > DEFAULT_TOL:
+        if not asym <= DEFAULT_TOL:  # nan where an entry is not finite
+            _refuse_non_finite("structure tensor", c)
             raise ValueError(f"structure tensor is not antisymmetric "
                              f"(residual {asym:.3e})")
-        if self._jacobi_bound is None or self._jacobi_bound > DEFAULT_TOL:
+        if self._jacobi_bound is None or not self._jacobi_bound <= DEFAULT_TOL:
             jac = self.jacobi_residual()
-            if jac > DEFAULT_TOL:
-                raise ValueError(f"structure tensor violates the Jacobi "
-                                 f"identity (residual {jac:.3e})")
+            if not jac <= DEFAULT_TOL:
+                raise ValueError(
+                    f"structure tensor violates the Jacobi identity (residual "
+                    f"{jac:.3e})" if math.isfinite(jac) else "the Jacobi sum "
+                    "of the structure tensor overflows; rescale the tensor")
 
     def jacobi_residual(self) -> float:
         """Max-norm of ``[[e_i, e_j], e_k] + cyclic`` over i < j < k for the
@@ -393,11 +398,13 @@ class LieAlgebra:
         algebra.  The sum is T[ij, k] + T[jk, i] - T[ik, j], where T[pq, z]
         = [e_z, [e_p, e_q]] comes from BLAS products of the rows a[p, q],
         p < q, by blocks of k of at most ``_JACOBI_CHUNK`` entries: about
-        dim^5 / 2 multiply-adds in O(dim^3) memory, not 3 dim^5."""
+        dim^5 / 2 multiply-adds in O(dim^3) memory; overflow gives inf or nan."""
         n = self.dim
         a = self.structure - self.structure.transpose(1, 0, 2)  # 2a
-        p, q, pq, tri, below = _colex_pairs(n)
-        rows = a.reshape(n * n, n).take(pq, 0)  # row tri[q] + p: 2 [e_p, e_q]
+        p, q = pair_indices(n)
+        z = np.arange(n)
+        tri, below = z * (z - 1) // 2, z < p[:, None]  # below[t, i]: i < p[t]
+        rows = a[p, q]  # row tri[q] + p is 2 [e_p, e_q]
         cols = a.reshape(n, n * n)  # rows @ cols[:, zn:zn + n] is -4 T[:, z]
         worst, k0 = 0.0, 0
         while k0 < n:  # the block k0 <= k < k1
@@ -413,9 +420,9 @@ class LieAlgebra:
             if k0:  # the first block's product holds the pairs below k1
                 y = (rows[:r1] @ cols[:, k0 * n:k1 * n]).reshape(-1, n)
             jac += y.take((tri[j] + i) * (k1 - k0) + k - k0, 0)  # -4 T[ij, k]
-            worst = max(worst, float(np.abs(jac, out=jac).max(initial=0.0)))
+            worst = np.maximum(worst, np.abs(jac, out=jac).max(initial=0.0))
             k0 = k1
-        return worst / 4  # the sum is quadratic in 2a
+        return float(worst) / 4  # the sum is quadratic in 2a
 
     @functools.cached_property
     def ad_stack(self) -> np.ndarray:
@@ -568,7 +575,7 @@ def matrix_algebra(matrices, labels=None, tol: float = DEFAULT_TOL):
     ------
     ValueError
         If the matrices are dependent, or if some commutator leaves the
-        span; the error names the offending pair and the residual.
+        span; the error names the first such pair (colex order) and residual.
     """
     mats = np.asarray(matrices)
     if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
@@ -739,14 +746,11 @@ def so_elementary(n: int):
     """
     if n < 2:
         raise ValueError("so(n) needs n >= 2")
-    mats, labels = [], []
-    for a, b in itertools.combinations(range(n), 2):
-        m = np.zeros((n, n))
-        m[a, b] = 1.0
-        m[b, a] = -1.0
-        mats.append(m)
-        labels.append(f"E{a + 1}{b + 1}")
-    return matrix_algebra(np.array(mats), tuple(labels))
+    first, second = np.triu_indices(n, 1)
+    mats = np.zeros((len(first), n, n))
+    mats[np.arange(len(first)), first, second] = 1.0
+    labels = tuple(f"E{a}{b}" for a, b in zip(first + 1, second + 1))
+    return matrix_algebra(mats - mats.swapaxes(1, 2), labels)
 
 
 # product table of unit quaternions: _QUAT_MUL[a][b] = (sign, index of a*b)

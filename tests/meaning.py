@@ -5,13 +5,23 @@ spectrum by its eigenvalues; a basis is not an invariant of the input.
 :func:`adjoint` is the one-vector reference for ``liealg.adjoints``,
 :func:`invariant_by_loop` the one-seed reference for
 ``liealg.invariant_subspaces``, :func:`lstsq_structure` the least-squares
-reference for ``liealg.matrix_algebra``, and :func:`projector` the
-orthogonal projector onto a ``Subspace``.
+reference for ``liealg.matrix_algebra``, :func:`projector` the
+orthogonal projector onto a ``Subspace``, and :func:`leaf` the leaf of
+symmetry that a ``TransvectionReport`` describes, built as a space of its
+own.
 """
 
 import numpy as np
 
-from symidx.liealg import numerical_kernel, orthonormal_columns
+from symidx.homspace import HomogeneousSpace
+from symidx.liealg import (
+    BilinearForm,
+    LieAlgebra,
+    Subspace,
+    brackets,
+    numerical_kernel,
+    orthonormal_columns,
+)
 
 
 def adjoint(alg, x) -> np.ndarray:
@@ -98,3 +108,30 @@ def lstsq_structure(mats) -> np.ndarray:
     fit = np.linalg.lstsq(flat(mats).T, flat(comms.reshape(n * n, -1)).T,
                           rcond=None)[0]
     return fit.T.reshape(n, n, n)
+
+
+def leaf(space, report) -> tuple:
+    """The leaf of symmetry through the base point of ``space`` that
+    ``report`` (its transvection report) describes, as a space L of its
+    own, and the largest entry of a bracket of k + p outside k + p.
+
+    L's algebra is k + p, with the brackets of g projected on the
+    orthonormal basis B = [k_space.onb() | p_space.onb()]; its isotropy is
+    the k coordinates, its complement the p coordinates, and its metric
+    (E p)^T G (E p) for the evaluation E and metric G of ``space``.
+    """
+    k, p = report.k_space.onb(), report.p_space.onb()
+    b = np.hstack([k, p])
+    d, r = b.shape[1], k.shape[1]
+    w = brackets(space.algebra, b, b)  # w[:, a, c] = [B_a, B_c]
+    coeffs = np.tensordot(b.T, w, axes=1)  # coeffs[z, a, c] on B_z
+    leak = float(np.max(np.abs(w - np.tensordot(b, coeffs, axes=1)),
+                        initial=0.0))
+    algebra = LieAlgebra(d, [f"b{a}" for a in range(d)],
+                         coeffs.transpose(1, 2, 0))
+    values = space.eval_matrix @ p
+    eye = np.eye(d)
+    return HomogeneousSpace(
+        algebra, Subspace(d, eye[:, :r]),
+        BilinearForm(values.T @ space.metric.gram @ values),
+        complement=Subspace(d, eye[:, r:]), tol=space.tol), leak

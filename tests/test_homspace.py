@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 
 import numpy as np
@@ -49,7 +50,7 @@ from symidx.catalog import (
     spin4_quotient,
 )
 from symidx.serialize import space_from_dict, space_to_dict
-from meaning import invariant_by_loop
+from meaning import invariant_by_loop, leaf
 
 I_VEC = np.array([1.0, 0.0, 0.0])
 J_VEC = np.array([0.0, 1.0, 0.0])
@@ -764,6 +765,59 @@ def test_the_structure_theory_decides_the_reports():
                                        tol))
         seen.add((rep.index, rep.k_space.dim))
     assert seen >= {(0, 0), (1, 0), (2, 1), (3, 3)}, seen
+
+
+def _assert_leaf_round_trip(sp, report):
+    """The leaf of symmetry of ``report``, built by meaning.leaf, is a
+    symmetric space of the report's dimensions, closed under the bracket
+    and totally geodesic: along each field x of p the Jacobi operators of
+    the space and the leaf agree on the values E p of p."""
+    lf, leak = leaf(sp, report)
+    inner = transvection_space(lf)
+    assert lf.algebra.dim == report.dim_transvection
+    assert (inner.index, lf.dim, inner.coindex) == (report.index,
+                                                    report.index, 0)
+    assert inner.k_space.dim == report.k_space.dim
+    assert leak <= 1e-12
+    p = report.p_space.onb()
+    b, values = np.hstack([report.k_space.onb(), p]), sp.eval_matrix @ p
+    for x in report.p_space.basis.T:
+        np.testing.assert_allclose(
+            jacobi_operator(sp, x).operator @ values,
+            values @ jacobi_operator(lf, b.T @ x).operator, rtol=0,
+            atol=1e-12)
+
+
+def test_the_leaf_of_symmetry_is_symmetric_of_the_reported_dimensions():
+    """The round trip of the paper's leaf of symmetry (Olmos-Reggiani-
+    Tamaru): whatever route computed a report, its k + p is the
+    transvection algebra of a totally geodesic symmetric space."""
+    indices = []
+    for sp in _structure_theorem_spaces():
+        report = transvection_space(sp)
+        _assert_leaf_round_trip(sp, report)
+        indices.append(report.index)
+    assert len(indices) == 35 and np.count_nonzero(indices) == 24
+
+
+@pytest.mark.parametrize("mutation", ["dim_transvection", "rolled p"])
+def test_a_mutated_report_fails_the_leaf_round_trip(mutation):
+    """The round trip tells reports apart: a wrong dim_transvection fails
+    an assertion, and a p_space column rolled out of the derivative kernel
+    gives a leaf that Presentation refuses (it is not effective)."""
+    sp = so4_so2(0.5, 0.8)[0]  # coupled: index 2, dim k 1
+    report = transvection_space(sp)
+    _assert_leaf_round_trip(sp, report)
+    if mutation == "dim_transvection":
+        bad = dataclasses.replace(
+            report, dim_transvection=report.index + 2 * report.k_space.dim)
+    else:
+        p = report.p_space.basis.copy()
+        p[:, 0] = np.roll(p[:, 0], 1)
+        assert np.abs(sp.nabla_operator() @ p[:, 0]).max() > 1e-3
+        bad = dataclasses.replace(report, p_space=Subspace(sp.algebra.dim, p))
+    with pytest.raises((AssertionError, ValueError)):
+        _assert_leaf_round_trip(sp, bad)
 
 
 def test_stacked_symmetry_ideals_equal_the_one_report_path():

@@ -103,6 +103,89 @@ def test_structure_tensor_validation_rejects_bad_tensors():
         LieAlgebra(3, alg.basis_labels, broken)
 
 
+def test_a_non_finite_structure_tensor_is_refused_by_name():
+    """A nan entry makes the antisymmetry residual nan, which is not above
+    the tolerance; the check fails closed and names the entry."""
+    alg, _ = so_elementary(3)
+    c = alg.structure.copy()
+    c[0, 1, 2] = c[1, 0, 2] = np.nan
+    with pytest.raises(ValueError, match=r"structure tensor entry \[0, 1, 2\] "
+                                         r"is nan, not a finite number"):
+        LieAlgebra(3, alg.basis_labels, c)
+    c[0, 1, 2], c[1, 0, 2] = np.inf, -np.inf
+    with np.errstate(invalid="ignore"), pytest.raises(
+            ValueError, match=r"entry \[0, 1, 2\] is inf"):
+        LieAlgebra(3, alg.basis_labels, c)
+
+
+def test_a_jacobi_sum_that_overflows_is_refused_as_an_overflow():
+    """At scale 1e160 the Jacobiator overflows to inf - inf = nan, which a
+    running max must keep: the tensor is refused, not accepted."""
+    c = np.random.default_rng(0).standard_normal((4, 4, 4))
+    c -= c.transpose(1, 0, 2)
+    with pytest.raises(ValueError, match=r"Jacobi identity \(residual "
+                                         r"1\.553e\+01\)"):
+        LieAlgebra(4, "abcd", c)
+    with pytest.raises(ValueError, match=r"residual 1\.553e\+201"):
+        LieAlgebra(4, "abcd", 1e100 * c)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            ValueError, match="Jacobi sum of the structure tensor overflows"):
+        LieAlgebra(4, "abcd", 1e160 * c)
+
+
+def test_matrix_algebra_refuses_brackets_that_overflow():
+    """Commutators of so(3) at scale 1e160 overflow, and the fit is nan;
+    the certified tensor is refused by the constructor's checks."""
+    _, rep = so_elementary(3)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            ValueError, match="not a finite number"):
+        matrix_algebra(1e160 * rep)
+
+
+@pytest.mark.parametrize("gram, entry", [
+    ([[np.nan, 0.0], [0.0, 1.0]], r"\[0, 0\] is nan"),
+    ([[1.0, np.inf], [0.0, 1.0]], r"\[0, 1\] is inf"),
+    ([[1.0, 0.0], [-np.inf, -np.inf]], r"\[1, 0\] is -inf"),
+], ids=["nan", "inf", "-inf"])
+def test_a_non_finite_gram_matrix_is_refused_by_name(gram, entry):
+    with pytest.raises(ValueError, match=f"gram matrix entry {entry}, not a "
+                                         f"finite number"):
+        BilinearForm(gram)
+
+
+def test_pair_indices_enumerate_the_pairs_in_colex_order():
+    """By the larger index, then the smaller; one cached, read-only pair of
+    arrays per size."""
+    for n in range(8):
+        first, second = liealg.pair_indices(n)
+        assert list(zip(first.tolist(), second.tolist())) == sorted(
+            itertools.combinations(range(n), 2), key=lambda t: (t[1], t[0]))
+        again = liealg.pair_indices(n)
+        assert again[0] is first and again[1] is second
+        assert not (first.flags.writeable or second.flags.writeable)
+
+
+def test_so_elementary_lists_its_basis_lexicographically():
+    alg, rep = so_elementary(4)
+    assert alg.basis_labels == ("E12", "E13", "E14", "E23", "E24", "E34")
+    for label, m in zip(alg.basis_labels, rep):
+        a, b = int(label[1]) - 1, int(label[2]) - 1
+        want = np.zeros((4, 4))
+        want[a, b], want[b, a] = 1.0, -1.0
+        np.testing.assert_array_equal(m, want)
+
+
+def test_refusals_name_the_first_failing_pair_in_colex_order():
+    """Of so(5)'s E13, E24, E25 and E34, the pairs (E13, E34), (E24, E25)
+    and (E24, E34) leave the span; colex order meets (E24, E25) first."""
+    alg, rep = so_elementary(5)  # E12 E13 E14 E15 E23 E24 E25 E34 E35 E45
+    gens = [1, 5, 6, 7]
+    with pytest.raises(ValueError, match="bracket of E24 and E25 leaves"):
+        matrix_algebra(rep[gens], [alg.basis_labels[g] for g in gens])
+    with pytest.raises(ValueError, match="basis vectors 1 and 2 leaves it"):
+        Presentation(alg, Subspace(alg.dim, np.eye(alg.dim)[:, gens]))
+
+
 def test_matrix_algebra_rejects_non_closed_span():
     e12 = np.zeros((3, 3))
     e12[0, 1], e12[1, 0] = 1.0, -1.0

@@ -31,6 +31,12 @@ def test_no_module_takes_a_second_rank_rule():
     assert named_uses(FORBIDDEN) == []
 
 
+def test_pairs_come_from_one_enumeration():
+    """Basis pairs come from ``liealg.pair_indices`` and the so(n) basis
+    order from numpy's triangle indices, not from ``itertools``."""
+    assert named_uses(("combinations",)) == []
+
+
 def test_the_scan_sees_a_use():
     """The scan is not vacuous: it finds the package's own SVD calls."""
     assert any(use.startswith("liealg.py:") for use in named_uses(("svd",)))

@@ -973,6 +973,17 @@ def test_each_curvature_refusal_names_the_first_failing_precondition():
             closed_geodesic_length(sp, rep, x)
 
 
+@pytest.mark.parametrize("x, shown", [
+    ([np.nan, 1.0, 0.0], r"\[0\] is nan"),
+    ([0.0, 1.0, -np.inf], r"\[2\] is -inf"),
+], ids=["nan", "-inf"])
+def test_jacobi_operator_refuses_a_non_finite_field_by_name(x, shown):
+    """A non-finite coefficient is named, not read as a zero speed."""
+    with pytest.raises(ValueError, match=f"field entry {shown}, not a finite "
+                                         f"number"):
+        jacobi_operator(round_sphere(2)[0], x)
+
+
 def test_batched_psd_check_takes_no_candidates():
     sp, _ = so4_so2(0.5, 0.5)
     psd_ok, refused = curvature_psd(sp, np.zeros((6, 0)))

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -133,13 +134,19 @@ def test_a_jacobi_sum_that_overflows_is_refused_as_an_overflow():
         LieAlgebra(4, "abcd", 1e160 * c)
 
 
-def test_matrix_algebra_refuses_brackets_that_overflow():
-    """Commutators of so(3) at scale 1e160 overflow, and the fit is nan;
-    the certified tensor is refused by the constructor's checks."""
+@pytest.mark.parametrize("scales, pair", [
+    ([1e160, 1e160, 1e160], "E12 and E13"),
+    ([1e150, 1e155, 1e155], "E13 and E23"),
+], ids=["all", "last-pair"])
+def test_matrix_algebra_refuses_brackets_that_overflow(scales, pair):
+    """Commutators of so(3) generators overflow where two scales multiply
+    past 1.8e308, and their fit is nan; the fit refuses the first pair that
+    overflows by name, before any tensor is built."""
     _, rep = so_elementary(3)
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
-            ValueError, match="not a finite number"):
-        matrix_algebra(1e160 * rep)
+            ValueError, match=rf"bracket of {pair} has residual nan, not a "
+                              rf"finite number; rescale the generators"):
+        matrix_algebra(np.array(scales)[:, None, None] * rep)
 
 
 @pytest.mark.parametrize("gram, entry", [
@@ -151,6 +158,17 @@ def test_a_non_finite_gram_matrix_is_refused_by_name(gram, entry):
     with pytest.raises(ValueError, match=f"gram matrix entry {entry}, not a "
                                          f"finite number"):
         BilinearForm(gram)
+
+
+@pytest.mark.parametrize("entry, shown", [
+    (np.nan, "nan"), (np.inf, "inf"), (-np.inf, "-inf"),
+], ids=["nan", "inf", "-inf"])
+def test_a_non_finite_subspace_basis_is_refused_by_name(entry, shown):
+    """Before its SVD, which raises LinAlgError on nan and reads rank 0
+    for inf."""
+    with pytest.raises(ValueError, match=rf"basis entry \[0, 0\] is {shown}, "
+                                         rf"not a finite number"):
+        Subspace(3, [[entry], [0.0], [1.0]])
 
 
 def test_pair_indices_enumerate_the_pairs_in_colex_order():
@@ -342,14 +360,50 @@ def _fresh(alg):
     lambda: abelian(0)[0],
 ], ids=["so5", "su3", "spin3+R2", "zero"])
 def test_cached_ad_stack_is_the_adjoint_stack_of_the_basis(build):
+    """A read-only view of the structure tensor, whether it is certified
+    (read-only) or not."""
     alg = build()
     stack = alg.ad_stack
     assert stack is alg.ad_stack
     np.testing.assert_array_equal(stack, adjoints(alg, np.eye(alg.dim)))
     assert stack.dtype == float and not stack.flags.writeable
-    if alg.dim:
+    if alg.dim:  # zero-size arrays share no memory
+        assert np.shares_memory(stack, alg.structure)
         with pytest.raises(ValueError, match="read-only"):
             stack[0, 0, 0] = 1.0
+
+
+@pytest.mark.parametrize("build", [
+    lambda: so_elementary(4),
+    su3,
+    lambda: preset("so3"),
+    lambda: preset("so4"),
+    lambda: preset("su3"),
+], ids=["so4", "su3", "preset-so3", "preset-so4", "preset-su3"])
+def test_algebra_presets_are_built_once_and_read_only(build):
+    (alg, rep), (again, rep_again) = build(), build()
+    assert alg is again and rep is rep_again
+    assert not (alg.structure.flags.writeable or rep.flags.writeable)
+    with pytest.raises(ValueError, match="read-only"):
+        rep[0, 0, 1] = 0.0
+    assert preset("so4")[0] is so_elementary(4)[0]
+    assert preset("su3")[1] is su3()[1]
+
+
+def test_a_cached_preset_and_its_ad_stack_allocate_nothing_new():
+    """A repeated so(12) and the ad stack of a fresh copy take a few
+    hundred bytes, not the 2.3 MB of a tensor of dimension 66."""
+    alg = _fresh(so_elementary(12)[0])
+    tracemalloc.start()
+    try:
+        so_elementary(12)
+        preset_bytes = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        alg.ad_stack
+        stack_bytes = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert preset_bytes < 4096 and stack_bytes < 4096
 
 
 def test_reference_form_is_cached_per_tolerance():

@@ -37,6 +37,7 @@ from .liealg import (
     BilinearForm,
     LieAlgebra,
     Subspace,
+    _refuse_non_finite,
     adjoints,
     bi_invariant_directions,
     brackets,
@@ -601,6 +602,14 @@ def _curvature_refusal(speed, drift, lift=0.0, asym=0.0) -> np.ndarray:
     return np.where(failed.any(axis=0), failed.argmax(axis=0), -1)
 
 
+def _field(x) -> np.ndarray:
+    """The coefficients ``x`` of a field as floats; a non-finite one is
+    refused by name, before it reads as a zero or nan speed."""
+    x = np.asarray(x, dtype=float)
+    _refuse_non_finite("field", x)
+    return x
+
+
 def _refuse_curvature(*residuals) -> None:
     """Raise the :func:`_curvature_refusal` of one field, if it has one."""
     first = int(_curvature_refusal(*residuals))
@@ -624,16 +633,17 @@ def jacobi_operator(sp: HomogeneousSpace, x: np.ndarray) -> JacobiSpectrum:
     Raises
     ------
     ValueError
-        If the field vanishes at the base point, or its orbit is not a
-        geodesic there (nonzero covariant derivative in its own
-        direction), or the double bracket depends on the isotropy part of
-        lifts, which would make the operator ill-defined.  Each of these
+        If a coefficient of the field is not finite, the field vanishes
+        at the base point, or its orbit is not a geodesic there (nonzero
+        covariant derivative in its own direction), or the double bracket
+        depends on the isotropy part of lifts, which would make the
+        operator ill-defined.  Each of these
         residuals is held to :data:`~symidx.liealg.CHECK_TOL`, and
         ``psd_ok`` allows a smallest eigenvalue down to ``-CHECK_TOL``.
     """
     xn, speed, drift, lift, asym, op, go = (v[0, 0] for v in _curvature(
         sp, sp.metric.gram[None], sp._nabla_basis[None],
-        np.asarray(x, dtype=float)[None, :, None]))
+        _field(x)[None, :, None]))
     _refuse_curvature(speed, drift, lift, asym)
     w, vecs = pencil_eigh(0.5 * (go + go.T), sp.metric.gram, CHECK_TOL)
     return JacobiSpectrum(
@@ -768,15 +778,16 @@ def closed_geodesic_length(sp: HomogeneousSpace, representation: np.ndarray,
     Raises
     ------
     ValueError
-        If the orbit is not a geodesic at the base point, the generator
-        has eigenvalues off the imaginary axis (no periodic flow), the
-        ratio of some frequency to the smallest one is not within relative
+        If a coefficient of the field is not finite, the orbit is not a
+        geodesic at the base point, the generator has eigenvalues off the
+        imaginary axis (no periodic flow), the ratio of some frequency to
+        the smallest one is not within relative
         :data:`~symidx.liealg.CHECK_TOL` of a fraction with denominator at
         most :data:`MAX_WINDING_DENOMINATOR` (incommensurable, or winding too
         finely to resolve), or the field is in the kernel of the
         representation.
     """
-    x = np.asarray(x, dtype=float)
+    x = _field(x)
     speed, drift = (v[0, 0] for v in _curvature(
         sp, sp.metric.gram[None], sp._nabla_basis[None], x[None, :, None])[1:3])
     _refuse_curvature(speed, drift)

@@ -203,9 +203,10 @@ def pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _refuse_non_finite(what: str, a: np.ndarray):
     """ValueError naming the first entry of ``a`` that is not finite, if any."""
-    bad = np.argwhere(~np.isfinite(a))[:1].tolist()
-    if bad:
-        raise ValueError(f"{what} entry {bad[0]} is {a[tuple(bad[0])]}, "
+    finite = np.isfinite(a)
+    if not finite.all():
+        bad = np.argwhere(~finite)[0].tolist()
+        raise ValueError(f"{what} entry {bad} is {a[tuple(bad)]}, "
                          f"not a finite number")
 
 
@@ -237,6 +238,7 @@ class Subspace:
                 f"({self.ambient_dim})"
             )
         object.__setattr__(self, "basis", b)
+        _refuse_non_finite("basis", b)  # before an SVD that nan or inf breaks
         u, rank = stacked_spans(b)
         if rank < b.shape[1]:
             raise ValueError(
@@ -427,8 +429,9 @@ class LieAlgebra:
     @functools.cached_property
     def ad_stack(self) -> np.ndarray:
         """``adjoints(self, eye(dim))``: slice ``[i]`` is the ad matrix of
-        basis vector ``i`` (computed once, read-only)."""
-        ads = adjoints(self, np.eye(self.dim))
+        basis vector ``i``.  It is ``structure.swapaxes(1, 2)``, a read-only
+        view that shares the tensor's memory and copies nothing."""
+        ads = self.structure.swapaxes(1, 2)
         ads.flags.writeable = False
         return ads
 
@@ -603,13 +606,15 @@ def matrix_algebra(matrices, labels=None, tol: float = DEFAULT_TOL):
     resids = np.sqrt(fit.sum(axis=0))
     ceiling = tol * np.maximum(scale, np.sqrt(rhs.sum(axis=0)))
     del comms, rhs, fit  # the largest arrays, freed before the tensor's
-    bad = np.flatnonzero(resids > ceiling)
+    bad = np.flatnonzero(~(resids <= ceiling))  # nan where a bracket overflows
     if bad.size:
         p = bad[0]
-        raise ValueError(
-            f"bracket of {labels[first[p]]} and {labels[second[p]]} leaves "
-            f"the span (residual {resids[p]:.3e}); not a Lie algebra basis"
-        )
+        pair = f"bracket of {labels[first[p]]} and {labels[second[p]]}"
+        if not math.isfinite(resids[p]):
+            raise ValueError(f"{pair} has residual {resids[p]}, not a finite "
+                             f"number; rescale the generators")
+        raise ValueError(f"{pair} leaves the span (residual {resids[p]:.3e}); "
+                         f"not a Lie algebra basis")
     structure = np.zeros((n, n, n))
     structure[first, second] = coeffs.T
     structure[second, first] = 0.0 - coeffs.T  # no -0.0
@@ -738,11 +743,15 @@ def bi_invariant_directions(alg: LieAlgebra, form, tol: float = DEFAULT_TOL) -> 
 # presets
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def so_elementary(n: int):
     """so(n) on the elementary skew basis E_ab = e_a e_b^T - e_b e_a^T, a < b.
 
     Returns (LieAlgebra, representation).  Labels are ``E{a}{b}`` with
-    1-based indices in lexicographic order.
+    1-based indices in lexicographic order.  Built once per n and process;
+    the structure tensor and the representation are read-only.  The cache
+    keeps the tensor, 8 dim^3 bytes for dim = n(n-1)/2, of every n built:
+    0.73 MB for so(10), 20 MB for so(17).
     """
     if n < 2:
         raise ValueError("so(n) needs n >= 2")
@@ -750,7 +759,14 @@ def so_elementary(n: int):
     mats = np.zeros((len(first), n, n))
     mats[np.arange(len(first)), first, second] = 1.0
     labels = tuple(f"E{a}{b}" for a, b in zip(first + 1, second + 1))
-    return matrix_algebra(mats - mats.swapaxes(1, 2), labels)
+    return _read_only(matrix_algebra(mats - mats.swapaxes(1, 2), labels))
+
+
+def _read_only(built: tuple) -> tuple:
+    """``(alg, rep)`` of :func:`matrix_algebra`, shared by a cached preset:
+    the tensor is read-only already, the representation is made so."""
+    built[1].flags.writeable = False
+    return built
 
 
 # product table of unit quaternions: _QUAT_MUL[a][b] = (sign, index of a*b)
@@ -790,13 +806,15 @@ def spin3_quaternion():
     the structure tensor and the representation are read-only.
     """
     mats = np.array([quaternion_left_multiplication(q) for q in (1, 2, 3)])
-    alg, rep = matrix_algebra(mats, ("i", "j", "k"))
-    rep.flags.writeable = False
-    return alg, rep
+    return _read_only(matrix_algebra(mats, ("i", "j", "k")))
 
 
+@functools.cache
 def su3():
-    """su(3) on the anti-Hermitian Gell-Mann basis i*lambda_1 .. i*lambda_8."""
+    """su(3) on the anti-Hermitian Gell-Mann basis i*lambda_1 .. i*lambda_8.
+
+    Built once per process (4 KiB retained); the structure tensor and the
+    complex representation are read-only."""
     s3 = 1.0 / np.sqrt(3.0)
     lam = [
         [[0, 1, 0], [1, 0, 0], [0, 0, 0]],
@@ -809,7 +827,8 @@ def su3():
         [[s3, 0, 0], [0, s3, 0], [0, 0, -2 * s3]],
     ]
     mats = 1j * np.array(lam, dtype=complex)
-    return matrix_algebra(mats, tuple(f"u{k}" for k in range(1, 9)))
+    labels = tuple(f"u{k}" for k in range(1, 9))
+    return _read_only(matrix_algebra(mats, labels))
 
 
 def abelian(n: int):
@@ -825,7 +844,8 @@ def preset(name: str):
 
     ``so3``, ``so4`` (elementary skew bases), ``spin3_quat`` (quaternion
     model), ``su3``, and ``abelian:<n>``.  Returns (LieAlgebra,
-    representation or None).
+    representation or None).  All but ``abelian:<n>``, which is built on
+    each call, are built once per process and shared read-only.
     """
     if name == "so3":
         return so_elementary(3)

@@ -65,10 +65,16 @@ def _round_s2():
     return round_sphere(2)[0]
 
 
+def _fresh_so3():
+    """A new so(3) on each call; the so_elementary preset is shared."""
+    alg = so_elementary(3)[0]
+    return LieAlgebra(3, alg.basis_labels, alg.structure.copy())
+
+
 @pytest.mark.parametrize("build", [
     lambda: Subspace(3, np.eye(3)[:, :2]),
     lambda: BilinearForm(np.eye(2)),
-    lambda: so_elementary(3)[0],
+    lambda: _fresh_so3(),
     lambda: transvection_space(_round_s2()),
     lambda: symmetry_ideal(_round_s2()),
     lambda: jacobi_operator(_round_s2(), _round_s2().m_basis[:, 0]),
@@ -977,11 +983,15 @@ def test_each_curvature_refusal_names_the_first_failing_precondition():
     ([np.nan, 1.0, 0.0], r"\[0\] is nan"),
     ([0.0, 1.0, -np.inf], r"\[2\] is -inf"),
 ], ids=["nan", "-inf"])
-def test_jacobi_operator_refuses_a_non_finite_field_by_name(x, shown):
-    """A non-finite coefficient is named, not read as a zero speed."""
-    with pytest.raises(ValueError, match=f"field entry {shown}, not a finite "
-                                         f"number"):
-        jacobi_operator(round_sphere(2)[0], x)
+def test_a_non_finite_field_is_refused_by_name(x, shown):
+    """A non-finite coefficient is named, not read as a zero speed, by
+    jacobi_operator and closed_geodesic_length alike."""
+    sp, info = round_sphere(2)
+    message = f"field entry {shown}, not a finite number"
+    with pytest.raises(ValueError, match=message):
+        jacobi_operator(sp, x)
+    with pytest.raises(ValueError, match=message):
+        closed_geodesic_length(sp, info["representation"], x)
 
 
 def test_batched_psd_check_takes_no_candidates():

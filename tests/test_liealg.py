@@ -142,11 +142,12 @@ def test_matrix_algebra_refuses_brackets_that_overflow(scales, pair):
     """Commutators of so(3) generators overflow where two scales multiply
     past 1.8e308, and their fit is nan; the fit refuses the first pair that
     overflows by name, before any tensor is built."""
-    _, rep = so_elementary(3)
+    alg, rep = so_elementary(3)
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
             ValueError, match=rf"bracket of {pair} has residual nan, not a "
                               rf"finite number; rescale the generators"):
-        matrix_algebra(np.array(scales)[:, None, None] * rep)
+        matrix_algebra(np.array(scales)[:, None, None] * rep,
+                       alg.basis_labels)
 
 
 @pytest.mark.parametrize("gram, entry", [
@@ -373,21 +374,20 @@ def test_cached_ad_stack_is_the_adjoint_stack_of_the_basis(build):
             stack[0, 0, 0] = 1.0
 
 
-@pytest.mark.parametrize("build", [
-    lambda: so_elementary(4),
-    su3,
-    lambda: preset("so3"),
-    lambda: preset("so4"),
-    lambda: preset("su3"),
-], ids=["so4", "su3", "preset-so3", "preset-so4", "preset-su3"])
-def test_algebra_presets_are_built_once_and_read_only(build):
-    (alg, rep), (again, rep_again) = build(), build()
+@pytest.mark.parametrize("first, second", [
+    (lambda: so_elementary(4), lambda: so_elementary(4)),
+    (su3, su3),
+    (spin3_quaternion, lambda: preset("spin3_quat")),
+    (lambda: so_elementary(3), lambda: preset("so3")),
+    (lambda: so_elementary(4), lambda: preset("so4")),
+    (su3, lambda: preset("su3")),
+], ids=["so4", "su3", "spin3", "preset-so3", "preset-so4", "preset-su3"])
+def test_algebra_presets_are_built_once_and_read_only(first, second):
+    (alg, rep), (again, rep_again) = first(), second()
     assert alg is again and rep is rep_again
-    assert not (alg.structure.flags.writeable or rep.flags.writeable)
-    with pytest.raises(ValueError, match="read-only"):
-        rep[0, 0, 1] = 0.0
-    assert preset("so4")[0] is so_elementary(4)[0]
-    assert preset("su3")[1] is su3()[1]
+    for array in (alg.structure, rep):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, 0, 1] = 0.0
 
 
 def test_a_cached_preset_and_its_ad_stack_allocate_nothing_new():
@@ -470,15 +470,6 @@ def test_leaks_equal_the_projector_formula():
             want = (p_out[:, None] @ alg.ad_stack) @ w[:, None]
             np.testing.assert_allclose(stacked_leaks(alg.ad_stack, w), want,
                                        rtol=0, atol=1e-13)
-
-
-def test_spin3_preset_is_built_once_and_read_only():
-    (alg, rep), (again, rep_again) = spin3_quaternion(), preset("spin3_quat")
-    assert alg is again and rep is rep_again
-    with pytest.raises(ValueError, match="read-only"):
-        alg.structure[0, 1, 2] = 0.0
-    with pytest.raises(ValueError, match="read-only"):
-        rep[0, 0, 1] = 0.0
 
 
 def test_derived_subalgebra_of_u2_like_sum():

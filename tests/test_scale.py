@@ -46,7 +46,9 @@ def so12(sphere):
 
 @pytest.fixture(scope="module")
 def so15_sphere():
-    """round_sphere(14) and the traced peak of building it, in bytes."""
+    """round_sphere(14) and the traced peak of building it, in bytes, from
+    an empty preset cache: a cached so(15) would trace no build at all."""
+    so_elementary.cache_clear()
     tracemalloc.start()
     try:
         sp = round_sphere(14)[0]
@@ -85,7 +87,9 @@ def test_so15_sphere_is_certified_and_built_within_its_memory(so15_sphere):
 
 def test_so15_algebra_forms_its_commutators_within_its_memory():
     """matrix_algebra forms the commutators in place, chunk by chunk, and
-    frees them before the tensor is built."""
+    frees them before the tensor is built; the preset cache is emptied
+    first, so that so(15) is built while traced."""
+    so_elementary.cache_clear()
     tracemalloc.start()
     try:
         so_elementary(15)

@@ -706,6 +706,13 @@ def test_matrix_algebra_names_the_first_pair_that_leaves_the_span():
                        match=r"bracket of e12 and e13 leaves the span "
                              r"\(residual 1\.414e\+00\)"):
         matrix_algebra(gens, ("e12", "e34", "e13"))
+    # at scale 1e100 the squares of the residuals overflow unless the norms
+    # are taken in units of the scale squared; inf <= inf would accept the
+    # generators as an abelian algebra
+    with pytest.raises(ValueError,
+                       match=r"bracket of e12 and e13 leaves the span "
+                             r"\(residual 1\.414e\+200\)"):
+        matrix_algebra(1e100 * gens, ("e12", "e34", "e13"))
 
 
 def test_subspace_batched_containment():

@@ -595,18 +595,24 @@ def matrix_algebra(matrices, labels=None, tol: float = DEFAULT_TOL):
     if np.sum(sv > _sv_cutoff(sv, tol)) < n:
         raise ValueError("generating matrices are linearly dependent")
     scale = max(1.0, float(np.max(np.abs(flat))))
+    # The fit runs in units of 4^e >= scale^2, a power of two, so that no
+    # square of a commutator's norm overflows; the unit changes no bit.
+    unit = 0.25 ** math.frexp(scale)[1]
     first, second = pair_indices(n)
     comms = _killing_commutators(mats, first, second)
     rhs = _flatten_real(comms).T
+    rhs *= unit
     coeffs = (u / sv) @ (vt @ rhs)
     fit = flat.T @ coeffs  # residuals of the coefficients as stored
     fit -= rhs
     fit *= fit  # squared in place: np.linalg.norm's column sums, no copy
     rhs *= rhs
     resids = np.sqrt(fit.sum(axis=0))
-    ceiling = tol * np.maximum(scale, np.sqrt(rhs.sum(axis=0)))
+    ceiling = tol * np.maximum(scale * unit, np.sqrt(rhs.sum(axis=0)))
     del comms, rhs, fit  # the largest arrays, freed before the tensor's
     bad = np.flatnonzero(~(resids <= ceiling))  # nan where a bracket overflows
+    coeffs /= unit
+    resids /= unit
     if bad.size:
         p = bad[0]
         pair = f"bracket of {labels[first[p]]} and {labels[second[p]]}"

@@ -637,9 +637,9 @@ def jacobi_operator(sp: HomogeneousSpace, x: np.ndarray) -> JacobiSpectrum:
         at the base point, or its orbit is not a geodesic there (nonzero
         covariant derivative in its own direction), or the double bracket
         depends on the isotropy part of lifts, which would make the
-        operator ill-defined.  Each of these
-        residuals is held to :data:`~symidx.liealg.CHECK_TOL`, and
-        ``psd_ok`` allows a smallest eigenvalue down to ``-CHECK_TOL``.
+        operator ill-defined.  Each of these residuals is held to
+        :data:`~symidx.liealg.CHECK_TOL`, and ``psd_ok`` allows a smallest
+        eigenvalue down to ``-CHECK_TOL``.
     """
     xn, speed, drift, lift, asym, op, go = (v[0, 0] for v in _curvature(
         sp, sp.metric.gram[None], sp._nabla_basis[None],

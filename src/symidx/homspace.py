@@ -602,14 +602,6 @@ def _curvature_refusal(speed, drift, lift=0.0, asym=0.0) -> np.ndarray:
     return np.where(failed.any(axis=0), failed.argmax(axis=0), -1)
 
 
-def _field(x) -> np.ndarray:
-    """The coefficients ``x`` of a field as floats; a non-finite one is
-    refused by name, before it reads as a zero or nan speed."""
-    x = np.asarray(x, dtype=float)
-    _refuse_non_finite("field", x)
-    return x
-
-
 def _refuse_curvature(*residuals) -> None:
     """Raise the :func:`_curvature_refusal` of one field, if it has one."""
     first = int(_curvature_refusal(*residuals))
@@ -641,9 +633,10 @@ def jacobi_operator(sp: HomogeneousSpace, x: np.ndarray) -> JacobiSpectrum:
         :data:`~symidx.liealg.CHECK_TOL`, and ``psd_ok`` allows a smallest
         eigenvalue down to ``-CHECK_TOL``.
     """
+    x = np.asarray(x, dtype=float)
+    _refuse_non_finite("field", x)  # else it reads as a zero or nan speed
     xn, speed, drift, lift, asym, op, go = (v[0, 0] for v in _curvature(
-        sp, sp.metric.gram[None], sp._nabla_basis[None],
-        _field(x)[None, :, None]))
+        sp, sp.metric.gram[None], sp._nabla_basis[None], x[None, :, None]))
     _refuse_curvature(speed, drift, lift, asym)
     w, vecs = pencil_eigh(0.5 * (go + go.T), sp.metric.gram, CHECK_TOL)
     return JacobiSpectrum(
@@ -787,7 +780,8 @@ def closed_geodesic_length(sp: HomogeneousSpace, representation: np.ndarray,
         finely to resolve), or the field is in the kernel of the
         representation.
     """
-    x = _field(x)
+    x = np.asarray(x, dtype=float)
+    _refuse_non_finite("field", x)
     speed, drift = (v[0, 0] for v in _curvature(
         sp, sp.metric.gram[None], sp._nabla_basis[None], x[None, :, None])[1:3])
     _refuse_curvature(speed, drift)

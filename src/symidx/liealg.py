@@ -765,14 +765,9 @@ def so_elementary(n: int):
     mats = np.zeros((len(first), n, n))
     mats[np.arange(len(first)), first, second] = 1.0
     labels = tuple(f"E{a}{b}" for a, b in zip(first + 1, second + 1))
-    return _read_only(matrix_algebra(mats - mats.swapaxes(1, 2), labels))
-
-
-def _read_only(built: tuple) -> tuple:
-    """``(alg, rep)`` of :func:`matrix_algebra`, shared by a cached preset:
-    the tensor is read-only already, the representation is made so."""
-    built[1].flags.writeable = False
-    return built
+    alg, rep = matrix_algebra(mats - mats.swapaxes(1, 2), labels)
+    rep.flags.writeable = False
+    return alg, rep
 
 
 # product table of unit quaternions: _QUAT_MUL[a][b] = (sign, index of a*b)
@@ -812,7 +807,9 @@ def spin3_quaternion():
     the structure tensor and the representation are read-only.
     """
     mats = np.array([quaternion_left_multiplication(q) for q in (1, 2, 3)])
-    return _read_only(matrix_algebra(mats, ("i", "j", "k")))
+    alg, rep = matrix_algebra(mats, ("i", "j", "k"))
+    rep.flags.writeable = False
+    return alg, rep
 
 
 @functools.cache
@@ -833,8 +830,9 @@ def su3():
         [[s3, 0, 0], [0, s3, 0], [0, 0, -2 * s3]],
     ]
     mats = 1j * np.array(lam, dtype=complex)
-    labels = tuple(f"u{k}" for k in range(1, 9))
-    return _read_only(matrix_algebra(mats, labels))
+    alg, rep = matrix_algebra(mats, tuple(f"u{k}" for k in range(1, 9)))
+    rep.flags.writeable = False
+    return alg, rep
 
 
 def abelian(n: int):

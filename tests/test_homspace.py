@@ -74,7 +74,7 @@ def _fresh_so3():
 @pytest.mark.parametrize("build", [
     lambda: Subspace(3, np.eye(3)[:, :2]),
     lambda: BilinearForm(np.eye(2)),
-    lambda: _fresh_so3(),
+    _fresh_so3,
     lambda: transvection_space(_round_s2()),
     lambda: symmetry_ideal(_round_s2()),
     lambda: jacobi_operator(_round_s2(), _round_s2().m_basis[:, 0]),

@@ -390,8 +390,8 @@ def test_algebra_presets_are_built_once_and_read_only(first, second):
 
 
 def test_a_cached_preset_and_its_ad_stack_allocate_nothing_new():
-    """A repeated so(12) and the ad stack of a fresh copy take a few
-    hundred bytes, not the 2.3 MB of a tensor of dimension 66."""
+    """A repeated so(12) and the ad stack of a fresh copy each take under
+    4 KiB, not the 2.3 MB of a tensor of dimension 66."""
     alg = _fresh(so_elementary(12)[0])
     tracemalloc.start()
     try:

@@ -47,7 +47,7 @@ def so12(sphere):
 @pytest.fixture(scope="module")
 def so15_sphere():
     """round_sphere(14) and the traced peak of building it, in bytes, from
-    an empty preset cache: a cached so(15) would trace no build at all."""
+    an empty preset cache: with so(15) cached, no algebra build is traced."""
     so_elementary.cache_clear()
     tracemalloc.start()
     try:

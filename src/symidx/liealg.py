@@ -599,7 +599,7 @@ def matrix_algebra(matrices, labels=None, tol: float = DEFAULT_TOL):
     # square of a commutator's norm overflows; the unit changes no bit.
     unit = 0.25 ** math.frexp(scale)[1]
     first, second = pair_indices(n)
-    comms = _killing_commutators(mats, first, second)
+    comms = _killing_commutators(mats)
     rhs = _flatten_real(comms).T
     rhs *= unit
     coeffs = (u / sv) @ (vt @ rhs)
@@ -629,15 +629,17 @@ def matrix_algebra(matrices, labels=None, tol: float = DEFAULT_TOL):
     return LieAlgebra._certified(tuple(labels), structure, bound), mats
 
 
-def _killing_commutators(mats, first, second) -> np.ndarray:
-    """Minus the commutators [M_i, M_j] of the pairs (first, second), in
-    place by chunks of at most _JACOBI_CHUNK entries, not all pairs at once."""
-    comms = np.empty((len(first), *mats.shape[1:]), dtype=mats.dtype)
-    step = max(1, _JACOBI_CHUNK // mats[0].size)
-    for lo in range(0, len(first), step):
-        a, b = mats[first[lo:lo + step]], mats[second[lo:lo + step]]
-        out = np.matmul(a, b, out=comms[lo:lo + step])
-        out -= b @ a
+def _killing_commutators(mats) -> np.ndarray:
+    """Minus the commutators [M_i, M_j] of the colex pairs i < j, in place.
+    The pairs that end in j are contiguous, so one broadcast product per j
+    forms them from views of ``mats``: no generator is gathered, and past
+    the result only a stack of j products is allocated at a time."""
+    n = len(mats)
+    comms = np.empty((n * (n - 1) // 2, *mats.shape[1:]), dtype=mats.dtype)
+    for j in range(1, n):
+        out = np.matmul(mats[:j], mats[j],
+                        out=comms[j * (j - 1) // 2:j * (j + 1) // 2])
+        out -= mats[j] @ mats[:j]
         np.negative(out, out=out)
     return comms
 

@@ -27,6 +27,13 @@ SO15_BUILD_PEAK_MIB = 32
 #: 40.9 MiB while the 5 460 pair commutators were formed all at once.
 SO15_ALGEBRA_PEAK_MIB = 28
 
+#: Traced peak of matrix_algebra on so(10): 2.05 MiB measured (numpy 2.4,
+#: CPython 3.11), the 990 commutators and their fit residuals, 0.8 MiB each,
+#: and the fit coefficients; it was 3.2 MiB while each chunk of pairs
+#: gathered copies of its generators.  A process that caches so(4) to so(9)
+#: builds so(10) on top of them, so this peak sets the sphere ladder's.
+SO10_ALGEBRA_PEAK_MIB = 2.5
+
 #: Traced peak of the exact Jacobi sum on so(12), the first call in the
 #: process: 7.8 MiB measured (numpy 2.4, CPython 3.11; 3.3 on so(8) and 5.6
 #: on so(10)), of which the antisymmetric part and its pair rows take 3.3,
@@ -86,9 +93,9 @@ def test_so15_sphere_is_certified_and_built_within_its_memory(so15_sphere):
 
 
 def test_so15_algebra_forms_its_commutators_within_its_memory():
-    """matrix_algebra forms the commutators in place, chunk by chunk, and
-    frees them before the tensor is built; the preset cache is emptied
-    first, so that so(15) is built while traced."""
+    """matrix_algebra forms the commutators in place, one generator at a
+    time, and frees them before the tensor is built; the preset cache is
+    emptied first, so that so(15) is built while traced."""
     so_elementary.cache_clear()
     tracemalloc.start()
     try:
@@ -97,6 +104,19 @@ def test_so15_algebra_forms_its_commutators_within_its_memory():
     finally:
         tracemalloc.stop()
     assert peak < SO15_ALGEBRA_PEAK_MIB * 2**20
+
+
+def test_so10_algebra_gathers_no_copies_of_its_generators():
+    """The commutators of the pairs that end in one generator come from one
+    broadcast product of views, so the build holds little beyond them."""
+    so_elementary.cache_clear()
+    tracemalloc.start()
+    try:
+        so_elementary(10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < SO10_ALGEBRA_PEAK_MIB * 2**20
 
 
 def test_jacobi_residual_memory_is_cubic(so12):

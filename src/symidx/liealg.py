@@ -578,7 +578,8 @@ def matrix_algebra(matrices, labels=None, tol: float = DEFAULT_TOL):
     ------
     ValueError
         If the matrices are dependent, or if some commutator leaves the
-        span; the error names the first such pair (colex order) and residual.
+        span or overflows; the error names the first such pair (colex
+        order) and residual.
     """
     mats = np.asarray(matrices)
     if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:

@@ -194,6 +194,17 @@ def test_orbit_space_refuses_a_degenerate_metric_as_any_space_does():
         orbit_space(alg, rep, np.diag([1.0, 0.0, 0.0]), lambda a, b: 0.0)
 
 
+def test_orbit_space_refuses_a_non_finite_point():
+    """Its orbit velocities are not finite, and their kernel is refused by
+    name before an SVD."""
+    alg, rep = so_elementary(3)
+    with np.errstate(invalid="ignore"), pytest.raises(
+            ValueError, match=r"kernel matrix entry \[\d+, \d+\] is nan, "
+                              r"not a finite number"):
+        orbit_space(alg, rep, np.diag([np.nan, 0.0, 0.0]),
+                    lambda a, b: 0.5 * float(np.trace(a @ b.T)))
+
+
 def test_builders_build_the_space_with_their_tolerance():
     """1e-8 off the coupled stratum, two singular values of the parallel
     field equation are about 1e-8: a space built at 1e-5 decides index 2."""

@@ -171,6 +171,42 @@ def test_a_non_finite_subspace_basis_is_refused_by_name(entry, shown):
         Subspace(3, [[entry], [0.0], [1.0]])
 
 
+@pytest.mark.parametrize("entry, shown", [
+    (np.nan, "nan"), (np.inf, "inf"), (-np.inf, "-inf"),
+], ids=["nan", "inf", "-inf"])
+def test_spanning_vectors_and_kernel_matrices_are_refused_by_name(entry,
+                                                                  shown):
+    """Before their SVDs, which raise LinAlgError on nan, and on inf read
+    the span as zero and the kernel as the whole space."""
+    with pytest.raises(ValueError, match=rf"spanning set entry \[0, 0\] is "
+                                         rf"{shown}, not a finite number"):
+        Subspace.from_spanning(3, [[entry], [0.0], [1.0]])
+    with pytest.raises(ValueError, match=rf"kernel matrix entry \[0, 0\] is "
+                                         rf"{shown}, not a finite number"):
+        Subspace.kernel_of([[entry, 0.0, 1.0]])
+
+
+def test_bi_invariant_directions_refuse_a_non_finite_form():
+    with np.errstate(invalid="ignore"), pytest.raises(
+            ValueError, match=r"kernel matrix entry \[\d+, \d+\] is nan, "
+                              r"not a finite number"):
+        bi_invariant_directions(so_elementary(3)[0],
+                                np.diag([np.nan, 1.0, 1.0]))
+
+
+@pytest.mark.parametrize("entry, shown", [
+    (np.nan, "nan"), (np.inf, "inf"), (-np.inf, "-inf"),
+], ids=["nan", "inf", "-inf"])
+def test_matrix_algebra_refuses_non_finite_generators_by_name(entry, shown):
+    """Before the SVD, which raises LinAlgError on nan and reads an inf
+    entry as a linear dependence."""
+    rep = np.array(so_elementary(3)[1])
+    rep[0, 0, 1] = entry
+    with pytest.raises(ValueError, match=rf"generator entry \[0, 0, 1\] is "
+                                         rf"{shown}, not a finite number"):
+        matrix_algebra(rep)
+
+
 def test_pair_indices_enumerate_the_pairs_in_colex_order():
     """By the larger index, then the smaller; one cached, read-only pair of
     arrays per size."""

@@ -298,13 +298,6 @@ def _orbit_tangents(rep: np.ndarray, point: np.ndarray) -> np.ndarray:
     return rep @ point - point @ rep
 
 
-def _induced_gram(inner, tangents: np.ndarray, fields: np.ndarray) -> np.ndarray:
-    """Gram matrix under ``inner`` of the orbit velocities of the fields
-    whose algebra coefficients are the columns of ``fields``."""
-    lifted = np.einsum("na,nij->aij", fields, tangents)
-    return np.array([[inner(a, b) for b in lifted] for a in lifted])
-
-
 def orbit_space(algebra, representation, point, inner, label: str = "",
                 tol: float = DEFAULT_TOL) -> HomogeneousSpace:
     """Orbit of a conjugation action through ``point`` as a homogeneous space.
@@ -318,7 +311,8 @@ def orbit_space(algebra, representation, point, inner, label: str = "",
     tangents = _orbit_tangents(np.asarray(representation), point)
     iso = Subspace.kernel_of(_flatten_real(tangents).T, tol)
     comp = orthogonal_complement(algebra, iso, tol)
-    metric = BilinearForm(_induced_gram(inner, tangents, comp.basis))
+    lifted = np.einsum("na,nij->aij", comp.basis, tangents)
+    metric = BilinearForm([[inner(a, b) for b in lifted] for a in lifted])
     return HomogeneousSpace(algebra, iso, metric, complement=comp, label=label,
                             tol=tol)
 
@@ -366,14 +360,14 @@ def cp2_centriole(tol: float = DEFAULT_TOL):
                                    tol)
 
     der = derived_subalgebra(alg, tol)
-    gram_sub = _induced_gram(inner, _orbit_tangents(rep, p), der.basis)
+    values = sp.evaluate(der.basis)  # isotropy parts have no velocity at p
     b_sub = der.basis.T @ killing_form_positive(alg).gram @ der.basis
-    w, vecs = pencil_eigh(8.0 * gram_sub, b_sub, tol)
+    w, vecs = pencil_eigh(8.0 * values.T @ sp.metric.gram @ values, b_sub, tol)
     multiplicities = tuple(sorted((int(c.stop - c.start)
                                    for c in eigenvalue_clusters(w, tol)),
                                   reverse=True))
 
-    in_fiber = fiber.contains_columns(sp.evaluate(der.basis @ vecs))
+    in_fiber = fiber.contains_columns(values @ vecs)
     if not in_fiber.any():
         raise RuntimeError("internal: no pencil eigenvector is tangent "
                            "to the fiber")

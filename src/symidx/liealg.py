@@ -87,9 +87,9 @@ def stacked_kernels(a: np.ndarray, tol: float = DEFAULT_TOL) -> tuple:
 
 
 def stacked_spans(a: np.ndarray, tol: float = DEFAULT_TOL) -> tuple:
-    """The column spaces of the matrices ``a`` (..., m, k) by one SVD call
-    and the cutoff of :func:`orthonormal_columns`: ``(u, rank)``, where the
-    first ``rank[i]`` columns of ``u[i]`` are an orthonormal basis."""
+    """The column spaces of the matrices ``a`` (..., m, k) by one SVD call:
+    ``(u, rank)``, where the first ``rank[i]`` columns of ``u[i]`` are an
+    orthonormal basis."""
     a = np.asarray(a, dtype=float)
     if 0 in a.shape[-2:]:  # as in stacked_kernels
         return np.zeros((*a.shape[:-1], 0)), np.zeros(a.shape[:-2], np.intp)
@@ -133,12 +133,6 @@ def numerical_kernel(a: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     a = np.atleast_2d(a)
     v, nullity = stacked_kernels(a, tol)
     return v[:, a.shape[1] - nullity:]
-
-
-def orthonormal_columns(a: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Orthonormal basis (columns) of the column space of ``a``."""
-    u, rank = stacked_spans(np.atleast_2d(a), tol)
-    return u[:, :rank]
 
 
 def canonical_basis(q: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -261,15 +255,18 @@ class Subspace:
     def from_spanning(cls, ambient_dim: int, vectors: np.ndarray,
                       tol: float = DEFAULT_TOL) -> "Subspace":
         """Subspace spanned by the columns of ``vectors`` (may be dependent)."""
-        vectors = np.asarray(vectors, dtype=float)
+        vectors = np.atleast_2d(np.asarray(vectors, dtype=float))
         if vectors.size == 0:
             return cls.zero(ambient_dim)
-        return cls._orthonormal(ambient_dim, orthonormal_columns(vectors, tol))
+        _refuse_non_finite("spanning set", vectors)
+        u, rank = stacked_spans(vectors, tol)
+        return cls._orthonormal(ambient_dim, u[:, :rank])
 
     @classmethod
     def kernel_of(cls, a: np.ndarray, tol: float = DEFAULT_TOL) -> "Subspace":
         """Null space of the matrix ``a``, a subspace of R^(columns of a)."""
         a = np.atleast_2d(np.asarray(a, dtype=float))
+        _refuse_non_finite("kernel matrix", a)
         return cls._orthonormal(a.shape[1], numerical_kernel(a, tol))
 
     @classmethod
@@ -589,6 +586,7 @@ def matrix_algebra(matrices, labels=None, tol: float = DEFAULT_TOL):
         return abelian(0)[0], mats
     if labels is None:
         labels = tuple(f"m{k}" for k in range(n))
+    _refuse_non_finite("generator", mats)  # else the SVD fails or hangs
     flat = _flatten_real(mats)
     # one thin SVD gives the rank decision of numerical_rank, the sigma_min
     # of the certificate and the least-squares fit by (flat^T)^+ = u s^-1 vt

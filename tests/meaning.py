@@ -20,7 +20,7 @@ from symidx.liealg import (
     Subspace,
     brackets,
     numerical_kernel,
-    orthonormal_columns,
+    stacked_spans,
 )
 
 
@@ -47,7 +47,8 @@ def invariant_by_loop(ads, w, tol) -> np.ndarray:
         keep = numerical_kernel(leaks.reshape(-1, w.shape[1]), tol)
         if keep.shape[1] == w.shape[1]:
             break
-        w = orthonormal_columns(w @ keep, tol)
+        u, rank = stacked_spans(w @ keep, tol)
+        w = u[:, :rank]
     return w
 
 

@@ -33,7 +33,6 @@ from symidx.liealg import (
     numerical_kernel,
     numerical_rank,
     orthogonal_complement,
-    orthonormal_columns,
     pencil_eigh,
     preset,
     quaternion_left_multiplication,
@@ -282,8 +281,7 @@ def test_kernel_of_roundoff_matrix_is_everything():
 def test_rank_and_column_space_basics():
     a = np.array([[1.0, 2.0], [2.0, 4.0], [0.0, 0.0]])
     assert numerical_rank(a) == 1
-    cols = orthonormal_columns(a)
-    assert cols.shape == (3, 1)
+    assert Subspace.from_spanning(3, a).onb().shape == (3, 1)
     ker = numerical_kernel(a)
     assert ker.shape == (2, 1)
     np.testing.assert_allclose(a @ ker, np.zeros((3, 1)), atol=1e-12)
@@ -472,7 +470,7 @@ def test_stacked_invariant_iteration_equals_the_per_seed_loop():
         cols = [np.hstack([j, rng.standard_normal((7, r - j.shape[1]))])
                 for j in ideals if j.shape[1] <= r]
         cols += [rng.standard_normal((7, r)) for _ in range(2)]
-        seeds = np.stack([orthonormal_columns(c) for c in cols])
+        seeds = np.stack([Subspace.from_spanning(7, c).onb() for c in cols])
         gens = rng.standard_normal((7, 2))
         for ads, generators in ((alg.ad_stack, eye),
                                 (adjoints(alg, gens), gens)):
@@ -825,7 +823,7 @@ def test_pencil_eigh_is_b_orthonormal_and_canonical_in_clusters():
 @pytest.mark.parametrize("shape", [(7, 4), (3, 6), (5, 5), (0, 4), (4, 0)])
 def test_stacked_rank_primitives_match_the_per_matrix_ones(shape):
     """One SVD call over a stack decides each matrix as numerical_kernel
-    and orthonormal_columns decide it alone: random matrices of every rank,
+    and Subspace.from_spanning decide it alone: random matrices of every rank,
     an all-zero one and one of roundoff noise, tall, wide, square and
     empty, under one and under two leading axes."""
     m, n = shape
@@ -838,7 +836,7 @@ def test_stacked_rank_primitives_match_the_per_matrix_ones(shape):
     u, rank = stacked_spans(stack)
     assert v.shape == (len(stack), n, n) and u.shape[:2] == (len(stack), m)
     for a, vi, k, ui, r in zip(stack, v, nullity, u, rank):
-        ker, cols = numerical_kernel(a), orthonormal_columns(a)
+        ker, cols = numerical_kernel(a), Subspace.from_spanning(m, a).onb()
         assert (k, r) == (ker.shape[1], cols.shape[1])
         np.testing.assert_allclose(vi[:, n - k:] @ vi[:, n - k:].T,
                                    ker @ ker.T, atol=1e-12)

@@ -2,7 +2,8 @@
 singular values it holds.  ``np.linalg.lstsq`` and ``np.linalg.matrix_rank``
 each take a decomposition of their own under a rank rule of their own
 (``rcond``, ``tol``), so no module of the package may name them, and only
-``liealg`` may name ``svd``, beside that cutoff."""
+the rank primitives of ``liealg`` and ``matrix_algebra`` may name ``svd``,
+beside that cutoff."""
 
 import ast
 import pathlib
@@ -44,6 +45,38 @@ def test_the_scan_sees_a_use():
 
 def test_only_liealg_takes_a_singular_value_decomposition():
     assert {use.split(":")[0] for use in named_uses(("svd",))} == {"liealg.py"}
+
+
+SVD_CALLERS = {"numerical_rank", "stacked_kernels", "stacked_spans",
+               "stacked_frames", "matrix_algebra"}
+
+
+def svd_uses_by_function() -> dict:
+    """``file:line`` of each use of the name ``svd`` in the package, imports
+    included, keyed by the function that encloses it (None outside any)."""
+    found = {}
+
+    def visit(node, path, enclosing):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            enclosing = node.name
+        if "svd" in (getattr(node, "attr", None), getattr(node, "id", None),
+                     node.name if isinstance(node, ast.alias) else None):
+            found.setdefault(enclosing, []).append(
+                f"{path.name}:{getattr(node, 'lineno', '?')}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, path, enclosing)
+
+    for path in sorted(pathlib.Path(symidx.__file__).parent.rglob("*.py")):
+        visit(ast.parse(path.read_text(), str(path)), path, None)
+    return found
+
+
+def test_only_the_rank_primitives_take_a_singular_value_decomposition():
+    """A column space, kernel or rank comes from one of the stacked
+    primitives, and a new span helper beside them fails here; the scan
+    sees every one of them."""
+    found = svd_uses_by_function()
+    assert set(found) == SVD_CALLERS, found
 
 
 def imported_names(module: str) -> set:

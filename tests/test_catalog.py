@@ -194,9 +194,15 @@ def test_orbit_space_refuses_a_degenerate_metric_as_any_space_does():
         orbit_space(alg, rep, np.diag([1.0, 0.0, 0.0]), lambda a, b: 0.0)
 
 
-def recorded_orbit_space(monkeypatch, build):
-    """The space ``build()`` makes through ``catalog.orbit_space``, with the
-    representation, point and inner product it passed there."""
+@pytest.mark.parametrize("name", ["so3-axis", "cp2-centriole"])
+def test_the_metric_of_an_orbit_space_is_the_gram_of_any_fields_velocities(
+        monkeypatch, name):
+    """Isotropy fields have no orbit velocity at the base point, so for any
+    fields X, isotropy parts included, (E X)^T G (E X) is the Gram matrix
+    of their velocities under ``inner``; cp2_centriole reads its shape off
+    the metric by this identity.  Each space is built through a recording
+    ``catalog.orbit_space``, which keeps the representation, point and
+    inner product it was given."""
     calls = []
 
     def recorded(algebra, representation, point, inner, **kw):
@@ -204,17 +210,6 @@ def recorded_orbit_space(monkeypatch, build):
         return orbit_space(algebra, representation, point, inner, **kw)
 
     monkeypatch.setattr(catalog, "orbit_space", recorded)
-    sp = build()
-    return sp, *calls[-1]
-
-
-@pytest.mark.parametrize("name", ["so3-axis", "cp2-centriole"])
-def test_the_metric_of_an_orbit_space_is_the_gram_of_any_fields_velocities(
-        monkeypatch, name):
-    """Isotropy fields have no orbit velocity at the base point, so for any
-    fields X, isotropy parts included, (E X)^T G (E X) is the Gram matrix
-    of their velocities under ``inner``; cp2_centriole reads its shape off
-    the metric by this identity."""
     so3, so3_rep = so_elementary(3)
     builds = {
         "so3-axis": lambda: catalog.orbit_space(
@@ -222,7 +217,8 @@ def test_the_metric_of_an_orbit_space_is_the_gram_of_any_fields_velocities(
             lambda a, b: 0.5 * float(np.trace(a @ b.T))),
         "cp2-centriole": lambda: catalog.cp2_centriole()[0],
     }
-    sp, rep, point, inner = recorded_orbit_space(monkeypatch, builds[name])
+    sp = builds[name]()
+    rep, point, inner = calls[-1]
     assert sp.isotropy.dim > 0
     rng = np.random.default_rng(29)
     for _ in range(5):

@@ -738,22 +738,36 @@ def test_tolerance_sources(capsys, quotient_file, monkeypatch):
     assert run(capsys, "index", "--space", quotient_file)[0] == 2
 
 
-@pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf", "1"])
+@pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf", "1", "1e-15",
+                                 "1e-17"])
 def test_a_tolerance_outside_zero_one_is_a_usage_error(capsys, quotient_file,
                                                         tol):
     """A cutoff of 0 or less keeps noise singular values and one of 1 or
     more drops genuine ones: on the index-2 quotient, --tol 0 and -1 used
-    to print index 0 and --tol nan a false overlap error."""
+    to print index 0 and --tol nan a false overlap error.  Below MIN_TOL
+    roundoff decides: --tol 1e-17 printed index 0 on the same quotient."""
     for argv in (["index", "--space", quotient_file],
                  ["sweep", "--family", "so4-so2", "--lambda", "0.5",
                   "--s", "0.8", "--coupled"]):
         code, out, err = run(capsys, *argv, f"--tol={tol}")
         assert (code, out) == (2, "")
         assert f"--tol={float(tol)}: tolerance" in err
-        assert "not a number in (0, 1)" in err
+        assert "not a number in [MIN_TOL, 1)" in err
 
 
-@pytest.mark.parametrize("tol", ["nan", "0", "-1e-9"])
+def test_the_coupled_grid_is_right_at_the_tolerance_floor(capsys):
+    """At MIN_TOL every point of the 190-point coupled grid reads the
+    published index 2; at 1e-15, now refused, five of them read 0."""
+    from symidx.liealg import MIN_TOL
+    code, out, _ = run(capsys, "sweep", "--family", "so4-so2",
+                       "--lambda", "0.1:1:0.1", "--s", "0.1:1.9:0.1",
+                       "--coupled", f"--tol={MIN_TOL!r}")
+    rows = [row.split(",") for row in out.splitlines()[1:]]
+    assert code == 0 and len(rows) == 190
+    assert {row[4] for row in rows} == {"2"}
+
+
+@pytest.mark.parametrize("tol", ["nan", "0", "-1e-9", "1e-15"])
 def test_a_nonsense_tolerance_in_the_environment_is_a_usage_error(
         capsys, quotient_file, monkeypatch, tol):
     monkeypatch.setenv("SYMIDX_TOL", tol)

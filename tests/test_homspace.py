@@ -162,13 +162,16 @@ def test_reductive_and_skew_errors_name_the_first_offending_vector(
                          complement=Subspace(6, comp))
 
 
-@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf"), 1.0])
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf"), 1.0,
+                                 1e-15, 1e-17])
 def test_rejects_a_tolerance_outside_zero_one(tol):
+    """Nor below the floor MIN_TOL, where roundoff decides ranks: at 1e-15
+    five points of the coupled so4-so2 grid read index 0, not 2."""
     alg, _ = so_elementary(3)
     h = Subspace(3, np.eye(3)[:, :1])
-    with pytest.raises(ValueError, match=r"not a number in \(0, 1\)"):
+    with pytest.raises(ValueError, match=r"not a number in \[MIN_TOL, 1\)"):
         Presentation(alg, h, tol=tol)
-    with pytest.raises(ValueError, match=r"not a number in \(0, 1\)"):
+    with pytest.raises(ValueError, match=r"not a number in \[MIN_TOL, 1\)"):
         HomogeneousSpace(alg, h, BilinearForm(np.eye(2)), tol=tol)
 
 

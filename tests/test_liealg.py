@@ -185,6 +185,25 @@ def test_spanning_vectors_and_kernel_matrices_are_refused_by_name(entry,
         Subspace.kernel_of([[entry, 0.0, 1.0]])
 
 
+@pytest.mark.parametrize("entry, shown", [
+    (np.nan, "nan"), (np.inf, "inf"), (-np.inf, "-inf"),
+], ids=["nan", "inf", "-inf"])
+def test_numerical_rank_and_kernel_refuse_non_finite_entries_by_name(entry,
+                                                                     shown):
+    """Both public doors to the rank decision refuse before their SVD,
+    which raises LinAlgError on nan, and on inf reads rank 0 and the
+    kernel as the whole space."""
+    with pytest.raises(ValueError, match=rf"rank matrix entry \[0, 0\] is "
+                                         rf"{shown}, not a finite number"):
+        numerical_rank([[entry, 0.0, 1.0], [0.0, 1.0, 0.0]])
+    with pytest.raises(ValueError, match=rf"rank matrix entry \[1, 0, 2\] is "
+                                         rf"{shown}, not a finite number"):
+        numerical_rank(np.array([np.eye(3), np.diag([1.0, 1.0, entry])]))
+    with pytest.raises(ValueError, match=rf"kernel matrix entry \[0, 0\] is "
+                                         rf"{shown}, not a finite number"):
+        numerical_kernel([[entry, 0.0, 1.0]])
+
+
 def test_bi_invariant_directions_refuse_a_non_finite_form():
     with np.errstate(invalid="ignore"), pytest.raises(
             ValueError, match=r"kernel matrix entry \[\d+, \d+\] is nan, "

@@ -87,13 +87,13 @@ def round_sphere(n: int, tol: float = DEFAULT_TOL):
 
 @functools.cache
 def _spin4():
-    """spin(3) + spin(3) and the representation of one summand, built once
-    per process; both are read-only, as every space of the quotient and
-    product families shares them."""
-    a3, rep3 = spin3_quaternion()
-    alg = direct_sum(a3, a3)
-    alg.structure.flags.writeable = False
-    return alg, rep3
+    """spin(3) + spin(3) and its circle R(e0 + e3), built once per process;
+    both are read-only, as every space of the quotient and product families
+    shares them."""
+    alg = direct_sum(spin3_quaternion()[0], spin3_quaternion()[0])
+    circle = Subspace(6, np.array([[1.0, 0.0, 0.0, 1.0, 0.0, 0.0]]).T)
+    alg.structure.flags.writeable = circle.basis.flags.writeable = False
+    return alg, circle
 
 
 def so4_so2_complement(lam: float) -> Subspace:
@@ -116,8 +116,7 @@ def so4_so2_complement(lam: float) -> Subspace:
 def spin4_quotient(complement, tol: float) -> Presentation:
     """Spin(4) over the circle R(e0 + e3) with a complement of
     :func:`so4_so2_complement` or a stack of them, one per metric."""
-    iso = Subspace(6, np.array([[1.0, 0.0, 0.0, 1.0, 0.0, 0.0]]).T)
-    return Presentation(_spin4()[0], iso, complement, tol)
+    return Presentation(*_spin4(), complement, tol)
 
 
 def so4_so2_gram(s: float, t: float) -> np.ndarray:
@@ -219,43 +218,37 @@ def spin3_berger(t: float, tol: float = DEFAULT_TOL):
 # product of a small and a unit sphere
 # ---------------------------------------------------------------------------
 
-def _product_embedding(rho: float) -> tuple:
-    """The values at the base point (rho i, i) of the fields of
-    :func:`product_of_spheres` (7 x 6) and their representation."""
-    if rho <= 0.0:
-        raise ValueError(f"radius rho={rho} must be positive")
-    unit_i = np.array([0.0, 1.0, 0.0, 0.0])
-    embed = np.zeros((7, 6))
-    rep_blocks = np.zeros((6, 7, 7))
+@functools.cache
+def _product_representation() -> np.ndarray:
+    """The fields of :func:`product_of_spheres` as matrices on R^3 x R^4
+    (6 x 7 x 7), built once per process and read-only."""
+    rep = np.zeros((6, 7, 7))
     for a in range(3):
         left = quaternion_left_multiplication(a + 1)
         right = quaternion_right_multiplication(a + 1)
-        conj = (left - right)[1:, 1:]  # commutator action on Im(H)
-        embed[:3, a] = rho * conj @ unit_i[1:]
-        embed[3:, a] = left @ unit_i
-        embed[3:, a + 3] = -right @ unit_i
-        rep_blocks[a, :3, :3] = conj
-        rep_blocks[a, 3:, 3:] = left
-        rep_blocks[a + 3, 3:, 3:] = -right
-    return embed, rep_blocks
+        rep[a, :3, :3] = (left - right)[1:, 1:]  # commutator action on Im(H)
+        rep[a, 3:, 3:] = left
+        rep[a + 3, 3:, 3:] = -right
+    rep.flags.writeable = False
+    return rep
+
+
+def _product_embedding(rho: float) -> np.ndarray:
+    """The values of the fields of :func:`product_of_spheres` (7 x 6): their
+    orbit velocities at the base point (rho i, i)."""
+    if rho <= 0.0:
+        raise ValueError(f"radius rho={rho} must be positive")
+    return (_product_representation() @ (rho, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0)).T
 
 
 def product_of_spheres_metric(rho: float) -> tuple:
-    """The complement of :func:`product_of_spheres` at radius ``rho`` and
-    the Gram matrix that the ambient metric induces on it."""
-    embed, _ = _product_embedding(rho)
+    """The complement of :func:`product_of_spheres` at radius ``rho``, the
+    Gram matrix that the ambient metric induces on it, and the embedding
+    that induces it."""
+    embed = _product_embedding(rho)
     complement = so4_so2_complement(1.0 / (1.0 + 2.0 * rho * rho))
     values = embed @ complement.basis
-    return complement, values.T @ values
-
-
-def product_of_spheres_presentation(complement, tol: float) -> Presentation:
-    """:func:`product_of_spheres` without its metric, with a complement of
-    :func:`product_of_spheres_metric` or a stack of them.  The isotropy,
-    the kernel of the embedding, is one line at every radius: taken at 1."""
-    return Presentation(_spin4()[0],
-                        Subspace.kernel_of(_product_embedding(1.0)[0], tol),
-                        complement, tol)
+    return complement, values.T @ values, embed
 
 
 def product_of_spheres(rho: float, tol: float = DEFAULT_TOL):
@@ -265,17 +258,15 @@ def product_of_spheres(rho: float, tol: float = DEFAULT_TOL):
     second pair by left and right translation on unit quaternions; the
     base point is (rho i, i).  The metric is induced from the flat
     ambient R^3 x R^4.  Only the complement moves with rho: the isotropy,
-    the kernel of the embedding, is the line of (e0 + e3)/sqrt(2), the
-    circle of :func:`so4_so2`, and the complement, chosen to diagonalize
-    the metric, is that of :func:`so4_so2` at slope 1/(1+2 rho^2); the Gram
-    matrix is the coupled two-parameter metric scaled by the homothety in
-    the info dictionary.  ``tol`` is the space's tolerance, the isotropy
-    kernel's included.
+    the kernel of the embedding, is the circle R(e0 + e3) of
+    :func:`so4_so2`, and the complement, chosen to diagonalize the metric,
+    is that of :func:`so4_so2` at slope 1/(1+2 rho^2); the Gram matrix is
+    the coupled two-parameter metric scaled by the homothety in the info
+    dictionary.  ``tol`` is the space's tolerance.
     """
-    embed, rep_blocks = _product_embedding(rho)
-    complement, gram = product_of_spheres_metric(rho)
-    sp = product_of_spheres_presentation(complement, tol).space(
-        BilinearForm(gram), label=f"S^2({rho:g}) x S^3")
+    complement, gram, embed = product_of_spheres_metric(rho)
+    sp = spin4_quotient(complement, tol).space(BilinearForm(gram),
+                                               label=f"S^2({rho:g}) x S^3")
     info = {
         "family": "product-spheres",
         "rho": rho,
@@ -284,7 +275,7 @@ def product_of_spheres(rho: float, tol: float = DEFAULT_TOL):
         "t": 2.0 * rho * rho / (1.0 + 2.0 * rho * rho),
         "homothety": (1.0 + 2.0 * rho * rho) / 8.0,
         "embedding": embed,
-        "representation": rep_blocks,
+        "representation": _product_representation(),
     }
     return sp, info
 

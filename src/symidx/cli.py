@@ -237,9 +237,9 @@ def _sweep_points(args, parser):
     if args.rho is None:
         parser.error("product-spheres needs --rho")
     # only the complement moves with rho: one stack at the slopes 1/(1+2 rho^2)
-    return catalog.product_of_spheres_presentation, [
+    return catalog.spin4_quotient, [
         ((None, None, None, rho),
-         functools.partial(catalog.product_of_spheres_metric, rho))
+         lambda rho=rho: catalog.product_of_spheres_metric(rho)[:2])
         for rho in _parse_grid(args.rho, parser, "rho")]
 
 

@@ -189,8 +189,8 @@ def _check_product_spheres():
     actual = {}
     for rho in (0.5, 1.0, 2.0):
         sp, info = catalog.product_of_spheres(rho)
-        lam, s, t = info["lam"], info["s"], info["t"]
-        want = info["homothety"] * np.diag([2.0, 2.0, s, t, t])
+        lam = info["lam"]
+        want = info["homothety"] * catalog.so4_so2_gram(info["s"], info["t"])
         err = float(np.max(np.abs(sp.metric.gram - want)))
         _require(err <= 1e-9,
                  f"rho={rho}: metric deviates from the closed form by {err:.3e}")

@@ -24,7 +24,13 @@ from symidx.catalog import (
     spin4_quotient,
 )
 from symidx.homspace import HomogeneousSpace, transvection_space
-from symidx.liealg import DEFAULT_TOL, Subspace, so_elementary
+from symidx.liealg import (
+    DEFAULT_TOL,
+    Subspace,
+    quaternion_left_multiplication,
+    quaternion_right_multiplication,
+    so_elementary,
+)
 from symidx.serialize import plain
 
 
@@ -129,38 +135,72 @@ def test_product_of_spheres_matches_the_quotient_family(rho):
 
 
 def test_product_of_spheres_moves_only_its_complement():
-    """At every radius the isotropy is the line through (e0 + e3)/sqrt(2),
-    the circle of so4_so2, and the complement is so4_so2's at the slope
-    1/(1 + 2 rho^2): a product sweep is one presentation with a stack of
-    complements."""
+    """At every radius the isotropy is the circle R(e0 + e3) of so4_so2,
+    bit for bit, which spans the kernel of the embedding, and the
+    complement is so4_so2's at the slope 1/(1 + 2 rho^2): a product sweep
+    is one presentation with a stack of complements."""
     rng = np.random.default_rng(1517)
-    circle = Subspace(6, np.array([[1.0, 0.0, 0.0, 1.0, 0.0, 0.0]]).T)
     for rho in [0.05, 10.0, *rng.uniform(0.05, 10.0, 8)]:
         sp, _ = product_of_spheres(rho)
-        assert sp.isotropy.equals(circle)
-        np.testing.assert_allclose(np.abs(sp.h_basis[:, 0]),
-                                   circle.onb()[:, 0], rtol=0, atol=1e-15)
         want = spin4_quotient(
             so4_so2_complement(1.0 / (1.0 + 2.0 * rho * rho)), DEFAULT_TOL)
+        assert sp.h_basis.tobytes() == want.h_basis.tobytes()
+        assert sp.isotropy.equals(
+            Subspace.kernel_of(catalog._product_embedding(rho)))
         np.testing.assert_array_equal(sp.complement.basis,
                                       want.complement.basis)
 
 
 def test_product_of_spheres_keeps_the_bases_of_its_own_radius():
-    """product_of_spheres builds through the sweep's presentation, whose
-    isotropy is the kernel of the embedding at radius 1.  At every radius
-    its isotropy and complement bases are, bit for bit, the kernel of that
-    radius's own embedding and the complement of product_of_spheres_metric,
-    so the document that catalog emit writes cannot move."""
+    """product_of_spheres builds on spin4_quotient.  At every radius its
+    isotropy basis is, bit for bit, the quotient's circle, which spans the
+    kernel of that radius's own embedding, and its complement basis that
+    of product_of_spheres_metric, so the document that catalog emit
+    writes cannot move."""
     rng = np.random.default_rng(1519)
+    circle = spin4_quotient(so4_so2_complement(1.0), DEFAULT_TOL).isotropy
     for rho in rng.uniform(0.05, 5.0, 200):
         sp, _ = product_of_spheres(rho)
+        assert sp.isotropy.equals(
+            Subspace.kernel_of(catalog._product_embedding(rho)))
         for got, want in (
-                (sp.isotropy.basis,
-                 Subspace.kernel_of(catalog._product_embedding(rho)[0]).basis),
+                (sp.isotropy.basis, circle.basis),
                 (sp.complement.basis,
                  catalog.product_of_spheres_metric(rho)[0].basis)):
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def _product_embedding_by_loop(rho):
+    """The orbit velocities at the base point (rho i, i), field by field."""
+    unit_i = np.array([0.0, 1.0, 0.0, 0.0])
+    embed = np.zeros((7, 6))
+    for a in range(3):
+        left = quaternion_left_multiplication(a + 1)
+        right = quaternion_right_multiplication(a + 1)
+        conj = (left - right)[1:, 1:]  # commutator action on Im(H)
+        embed[:3, a] = rho * conj @ unit_i[1:]
+        embed[3:, a] = left @ unit_i
+        embed[3:, a + 3] = -right @ unit_i
+    return embed
+
+
+def test_product_embedding_is_the_orbit_velocities_of_the_representation():
+    """Read off the cached representation, the embedding is, bit for bit,
+    the one built field by field."""
+    rng = np.random.default_rng(1523)
+    for rho in rng.uniform(0.01, 10.0, 200):
+        got = catalog._product_embedding(rho)
+        want = _product_embedding_by_loop(rho)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_a_product_takes_no_kernel_for_its_isotropy(monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("a kernel was taken")
+
+    monkeypatch.setattr(Subspace, "kernel_of", refused)
+    sp, _ = product_of_spheres(0.7)
+    assert sp.isotropy is catalog._spin4()[1]
 
 
 def test_product_radius_must_be_positive():
@@ -356,12 +396,23 @@ def test_templates_are_documented():
 
 
 def test_quotient_and_product_families_share_one_read_only_algebra():
+    """And one read-only circle; the products share one read-only
+    representation."""
     a, _ = so4_so2(0.5, 0.5)
     b, _ = so4_so2(0.3, 1.2, 0.7)
-    c, _ = product_of_spheres(1.0)
-    assert a.algebra is b.algebra is c.algebra
+    c, info = product_of_spheres(1.0)
+    d, other = product_of_spheres(2.5)
+    assert a.algebra is b.algebra is c.algebra is d.algebra
+    assert a.isotropy is b.isotropy is c.isotropy is d.isotropy
+    assert info["representation"] is other["representation"]
     with pytest.raises(ValueError, match="read-only"):
         a.algebra.structure[0, 1, 2] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        a.isotropy.basis[0, 0] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        a.isotropy.onb()[0, 0] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        info["representation"][0, 1, 2] = 0.0
     rep = spin3_metric(1.0, 2.0, 3.0)[1]["representation"]
     with pytest.raises(ValueError, match="read-only"):
         rep[0, 0, 1] = 0.0

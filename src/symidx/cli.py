@@ -117,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _resolve_tol(args, parser) -> float:
     """``--tol``, else ``SYMIDX_TOL``, else the default; a tolerance that is
-    not a finite number in (0, 1) is a usage error."""
+    not a number in [MIN_TOL, 1) is a usage error."""
     source, tol = "--tol", args.tol
     if tol is None:
         source, tol = "SYMIDX_TOL", os.environ.get("SYMIDX_TOL") or DEFAULT_TOL

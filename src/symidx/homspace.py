@@ -94,7 +94,7 @@ class Presentation:
     Raises
     ------
     ValueError
-        If ``tol`` is not a finite number in (0, 1), the isotropy is not a
+        If ``tol`` is not a number in [MIN_TOL, 1), the isotropy is not a
         subalgebra (named by its first leaking pair of basis vectors in
         colex order), a stack is empty, the complement does not complete the
         isotropy to the whole algebra or is not reductive, or the pair is

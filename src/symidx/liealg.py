@@ -34,6 +34,9 @@ DEFAULT_TOL = 1e-9
 #: these residuals accumulate a few matrix products.
 CHECK_TOL = 1e-8
 
+#: Smallest tolerance accepted, 64 units of roundoff: below, roundoff decides.
+MIN_TOL = 64 * math.ulp(1.0)
+
 #: Entries per chunk of the Jacobi residual (see LieAlgebra.jacobi_residual).
 _JACOBI_CHUNK = 2 ** 18
 
@@ -43,11 +46,13 @@ _JACOBI_CHUNK = 2 ** 18
 # ---------------------------------------------------------------------------
 
 def checked_tol(tol) -> float:
-    """``tol`` as a float, if it is finite and in (0, 1), else ValueError:
-    a cutoff of 0 or less keeps noise, one of 1 or more every signal."""
+    """``tol`` as a float, if it is in [MIN_TOL, 1), else ValueError: a
+    cutoff of 1 or more drops every signal, one below MIN_TOL keeps noise."""
     tol = float(tol)
-    if not 0.0 < tol < 1.0:  # also false for nan
-        raise ValueError(f"tolerance {tol!r} is not a number in (0, 1)")
+    if not MIN_TOL <= tol < 1.0:  # also false for nan
+        raise ValueError(f"tolerance {tol!r} is not a number in [MIN_TOL, 1), "
+                         f"MIN_TOL = {MIN_TOL:.3g}, below which roundoff "
+                         f"decides ranks")
     return tol
 
 
@@ -66,6 +71,7 @@ def numerical_rank(a: np.ndarray, tol: float = DEFAULT_TOL):
     stack (..., m, n), the array of the ranks of its matrices, by one SVD
     call."""
     a = np.atleast_2d(np.asarray(a, dtype=float))
+    _refuse_non_finite("rank matrix", a)  # before an SVD that nan or inf breaks
     s = np.linalg.svd(a, compute_uv=False)
     rank = (s > _sv_cutoff(s, tol)).sum(axis=-1)
     return int(rank) if a.ndim == 2 else rank
@@ -131,6 +137,7 @@ def numerical_kernel(a: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     (m, n) at the relative singular value cutoff ``tol``; an empty or
     all-zero matrix has the full space as kernel."""
     a = np.atleast_2d(a)
+    _refuse_non_finite("kernel matrix", a)
     v, nullity = stacked_kernels(a, tol)
     return v[:, a.shape[1] - nullity:]
 
@@ -266,7 +273,6 @@ class Subspace:
     def kernel_of(cls, a: np.ndarray, tol: float = DEFAULT_TOL) -> "Subspace":
         """Null space of the matrix ``a``, a subspace of R^(columns of a)."""
         a = np.atleast_2d(np.asarray(a, dtype=float))
-        _refuse_non_finite("kernel matrix", a)
         return cls._orthonormal(a.shape[1], numerical_kernel(a, tol))
 
     @classmethod

@@ -196,7 +196,7 @@ def test_numerical_rank_and_kernel_refuse_non_finite_entries_by_name(entry,
     with pytest.raises(ValueError, match=rf"rank matrix entry \[0, 0\] is "
                                          rf"{shown}, not a finite number"):
         numerical_rank([[entry, 0.0, 1.0], [0.0, 1.0, 0.0]])
-    with pytest.raises(ValueError, match=rf"rank matrix entry \[1, 0, 2\] is "
+    with pytest.raises(ValueError, match=rf"rank matrix entry \[1, 2, 2\] is "
                                          rf"{shown}, not a finite number"):
         numerical_rank(np.array([np.eye(3), np.diag([1.0, 1.0, entry])]))
     with pytest.raises(ValueError, match=rf"kernel matrix entry \[0, 0\] is "

@@ -1,0 +1,105 @@
+"""Digests of the command line outputs, for checking that a change keeps
+them byte for byte.
+
+    PYTHONPATH=src python tests/output_digests.py [NAME ...] > digests.txt
+
+Runs ``symidx`` in process through :func:`symidx.cli.main` and prints one
+``sha256 label`` line per output; each digest covers the exit code, the
+standard output and the standard error.  For each catalog name it runs
+``catalog emit``, then ``index`` on the emitted document at three
+tolerances, ``jacobi --direction 0`` and, on spin3 names, ``index
+--augment``.  Without names it does so for the names of ``NAMES`` and adds
+the sweep grids of ``SWEEPS`` at two tolerances each, and ``verify`` with
+each check's ``duration_ms`` removed.  Run it on two checkouts, by
+``PYTHONPATH``, and ``diff`` the two listings.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+
+from symidx.cli import main
+
+NAMES = (
+    "round-sphere:2", "round-sphere:3", "round-sphere:5", "round-sphere:9",
+    "round-sphere:12",
+    "so4-so2:0.5,0.8", "so4-so2:0.5,0.8,1.2", "so4-so2:0.3,1.2,0.8",
+    "so4-so2:1,0.5",
+    "spin3:1,1,1", "spin3:1.5,1.5,2", "spin3:0.5,1.5,2", "spin3:0.7,0.7,1",
+    "spin3:0.4,1.6,2",
+    "product-spheres:1", "product-spheres:0.5", "product-spheres:2.5",
+    "product-spheres:0.13",
+    "cp2-centriole",
+)
+INDEX_TOLS = ("1e-9", "1e-6", "1e-11")
+SWEEPS = (
+    ("so4-so2", "--lambda", "0.1:1:0.1", "--s", "0.1:1.9:0.1", "--coupled"),
+    ("so4-so2", "--lambda", "0.5", "--s", "0.8", "--t", "0.1:1.9:0.07"),
+    ("spin3", "--t", "0.1:3:0.1"),
+    ("spin3", "--s", "0.05:0.95:0.05"),
+    ("product-spheres", "--rho", "0.1:3:0.1"),
+)
+SWEEP_TOLS = ("1e-9", "1e-6")
+
+
+def run(*argv) -> tuple[int, str, str]:
+    """Exit code, standard output and standard error of ``symidx argv``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def digest(code: int, out: str, err: str) -> str:
+    return hashlib.sha256(f"{code}\n{out}\n{err}".encode()).hexdigest()
+
+
+def name_outputs(name: str, workdir: str):
+    """``(label, (code, out, err))`` of each output run on ``name``."""
+    emitted = run("catalog", "emit", name)
+    yield f"catalog emit {name}", emitted
+    path = os.path.join(workdir, name.replace(":", "_") + ".json")
+    with open(path, "w") as fh:
+        fh.write(emitted[1])
+    for tol in INDEX_TOLS:
+        yield f"index {name} --tol {tol}", run("index", "--space", path,
+                                               "--tol", tol)
+    yield f"jacobi {name} --direction 0", run("jacobi", "--space", path,
+                                              "--direction", "0")
+    if name.startswith("spin3:"):
+        yield f"index {name} --augment", run("index", "--space", path,
+                                             "--augment")
+
+
+def verify_output() -> tuple[int, str, str]:
+    code, out, err = run("verify")
+    checks = json.loads(out)
+    for check in checks:
+        check.pop("duration_ms")
+    return code, json.dumps(checks, indent=2, sort_keys=True), err
+
+
+def outputs(names=()):
+    """``(label, (code, out, err))`` of every output, as the module
+    docstring lists them."""
+    with tempfile.TemporaryDirectory() as workdir:
+        for name in names or NAMES:
+            yield from name_outputs(name, workdir)
+    if names:
+        return
+    for grid in SWEEPS:
+        for tol in SWEEP_TOLS:
+            yield (f"sweep {' '.join(grid)} --tol {tol}",
+                   run("sweep", "--family", *grid, "--tol", tol))
+    yield "verify", verify_output()
+
+
+if __name__ == "__main__":
+    for label, result in outputs(sys.argv[1:]):
+        print(digest(*result), label)

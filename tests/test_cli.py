@@ -1,7 +1,9 @@
 import functools
 import json
 import os
+import pathlib
 import re
+import runpy
 import subprocess
 import sys
 import tracemalloc
@@ -574,6 +576,38 @@ def test_sweep_argument_validation(capsys):
                "--s", "0.5", "--coupled")[0] == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["sweep", "--family", "spin3", "--s", "0.1:0.9:0"],
+     "--s: step must be positive"),
+    (["sweep", "--family", "spin3", "--s", "0.1:0.9:-0.1"],
+     "--s: step must be positive"),
+    (["sweep", "--family", "so4-so2", "--lambda", "0.5", "--s", "0.5",
+      "--coupled", "--rho", "1"], "--rho does not apply to so4-so2"),
+    (["sweep", "--family", "so4-so2", "--lambda", "0.5", "--coupled"],
+     "so4-so2 needs --lambda and --s"),
+    (["sweep", "--family", "so4-so2", "--s", "0.5", "--coupled"],
+     "so4-so2 needs --lambda and --s"),
+    (["sweep", "--family", "spin3", "--lambda", "0.5", "--s", "0.5"],
+     "spin3 sweeps take only --s or --t"),
+    (["sweep", "--family", "spin3", "--rho", "1", "--s", "0.5"],
+     "spin3 sweeps take only --s or --t"),
+    (["sweep", "--family", "spin3", "--s", "0.5", "--coupled"],
+     "--coupled does not apply to spin3"),
+    (["sweep", "--family", "product-spheres", "--rho", "1", "--s", "0.5"],
+     "product-spheres sweeps take only --rho"),
+    (["sweep", "--family", "product-spheres", "--rho", "1", "--coupled"],
+     "product-spheres sweeps take only --rho"),
+    (["sweep", "--family", "product-spheres"],
+     "product-spheres needs --rho"),
+    (["catalog", "emit"], "catalog emit needs a name"),
+])
+def test_a_flag_combination_that_does_not_apply_is_a_usage_error(
+        capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert f"error: {message}" in err
+
+
 @pytest.mark.parametrize("grid", ["nan:1:0.1", "0.1:1:nan", "0.1:inf:0.1",
                                   "-inf:1:0.1", "0.1:1:inf", "nan"])
 def test_a_sweep_grid_must_be_finite(capsys, grid):
@@ -838,3 +872,26 @@ def test_usage_errors_exit_with_two(capsys):
     assert main(["index"]) == 2  # --space is required
     assert main(["no-such-command"]) == 2
     capsys.readouterr()
+
+
+def test_the_output_digests_script_lists_each_output_once(capsys,
+                                                          monkeypatch):
+    """``tests/output_digests.py``, the byte-identity check between two
+    checkouts, on two names: one digest line per output, in a fixed order,
+    each of a run that succeeded, and the same digests on a second run."""
+    script = str(pathlib.Path(__file__).with_name("output_digests.py"))
+    names = ("spin3:1,1,1", "product-spheres:1")
+    monkeypatch.setattr(sys, "argv", [script, *names])
+    namespace = runpy.run_path(script, run_name="__main__")
+    lines = capsys.readouterr().out.splitlines()
+    tols = namespace["INDEX_TOLS"]
+    assert [line.split(" ", 1)[1] for line in lines] == [
+        label for name in names for label in (
+            f"catalog emit {name}", *(f"index {name} --tol {tol}"
+                                      for tol in tols),
+            f"jacobi {name} --direction 0",
+            *([f"index {name} --augment"] if name.startswith("spin3") else []))]
+    again = list(namespace["outputs"](names))
+    assert all(code == 0 and out for _, (code, out, _) in again)
+    assert lines == [f"{namespace['digest'](*result)} {label}"
+                     for label, result in again]

@@ -49,6 +49,7 @@ from symidx.catalog import (
     spin3_presentation,
     spin4_quotient,
 )
+from symidx.numcheck import integrate_field_equation
 from symidx.serialize import space_from_dict, space_to_dict
 from meaning import invariant_by_loop, leaf
 
@@ -173,6 +174,20 @@ def test_rejects_a_tolerance_outside_zero_one(tol):
         Presentation(alg, h, tol=tol)
     with pytest.raises(ValueError, match=r"not a number in \[MIN_TOL, 1\)"):
         HomogeneousSpace(alg, h, BilinearForm(np.eye(2)), tol=tol)
+
+
+@pytest.mark.parametrize("isotropy, complement, message", [
+    (Subspace(4, np.eye(4)[:, :1]), None, "isotropy lives in the wrong"),
+    (Subspace(3, np.eye(3)[:, :1]), Subspace(4, np.eye(4)[:, 1:]),
+     "complement lives in the wrong"),
+    (Subspace(3, np.eye(3)[:, :1]), [Subspace(4, np.eye(4)[:, 1:])],
+     "complement lives in the wrong"),
+])
+def test_a_presentation_refuses_a_subspace_of_another_algebra(
+        isotropy, complement, message):
+    alg, _ = so_elementary(3)
+    with pytest.raises(ValueError, match=message + " ambient dimension"):
+        Presentation(alg, isotropy, complement)
 
 
 def test_rejects_indefinite_metric():
@@ -1008,6 +1023,28 @@ def test_operator_scales_inversely_with_the_metric():
     b = jacobi_operator(spin3_metric(4.0, 4.0, 8.0)[0], I_VEC)
     np.testing.assert_allclose(np.sort(b.eigenvalues),
                                np.sort(a.eigenvalues) / 4.0, atol=1e-10)
+
+
+def test_field_solutions_on_a_spectrum_with_a_negative_eigenvalue():
+    """Through the cosh branch and for scalar t, against the integrated
+    field equation of the operator with that spectrum, on a metric-
+    orthonormal eigenbasis that is not the coordinate basis."""
+    sp, _ = spin3_metric(0.5, 1.5, 2.0)
+    rng = np.random.default_rng(677)
+    q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    vecs = np.linalg.inv(np.linalg.cholesky(sp.metric.gram)).T @ q
+    kappa = np.array([-0.8, 0.0, 0.6])
+    spec = homspace.JacobiSpectrum(
+        direction=np.eye(3)[:, 0], operator=vecs * kappa @ vecs.T
+        @ sp.metric.gram, eigenvalues=kappa, eigenvectors=vecs,
+        psd_ok=False, selfadjoint_residual=0.0)
+    v0, w0 = rng.standard_normal(3), rng.standard_normal(3)
+    times, integrated = integrate_field_equation(spec.operator, v0, w0, 2.0)
+    np.testing.assert_allclose(jacobi_field(sp, spec, v0, w0, times),
+                               integrated, rtol=0, atol=1e-9)
+    at_end = jacobi_field(sp, spec, v0, w0, 2.0)
+    assert at_end.shape == (3,)
+    np.testing.assert_allclose(at_end, integrated[-1], rtol=0, atol=1e-9)
 
 
 def test_field_solutions_on_sphere_and_torus():

@@ -225,6 +225,28 @@ def test_matrix_algebra_refuses_non_finite_generators_by_name(entry, shown):
         matrix_algebra(rep)
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: BilinearForm(np.ones((2, 3))),
+     r"gram matrix must be square, got \(2, 3\)"),
+    (lambda: LieAlgebra(3, ("a", "b", "c"), np.zeros((3, 3, 2))),
+     r"structure tensor shape \(3, 3, 2\) != \(3, 3, 3\)"),
+    (lambda: LieAlgebra(3, ("a", "b"), np.zeros((3, 3, 3))),
+     "2 labels for dimension 3"),
+    (lambda: matrix_algebra(np.zeros((2, 3, 4))),
+     r"expected a stack of square matrices, got shape \(2, 3, 4\)"),
+    (lambda: matrix_algebra(np.eye(3)),
+     r"expected a stack of square matrices, got shape \(3, 3\)"),
+    (lambda: largest_invariant_subspace(so_elementary(3)[0], np.eye(4),
+                                        Subspace.zero(3)),
+     "generators must be given as columns in algebra coordinates"),
+    (lambda: so_elementary(1), r"so\(n\) needs n >= 2"),
+    (lambda: abelian(-1), "dimension must be nonnegative"),
+])
+def test_malformed_inputs_are_refused_by_shape(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 def test_pair_indices_enumerate_the_pairs_in_colex_order():
     """By the larger index, then the smaller; one cached, read-only pair of
     arrays per size."""

@@ -71,7 +71,7 @@ def numerical_rank(a: np.ndarray, tol: float = DEFAULT_TOL):
     stack (..., m, n), the array of the ranks of its matrices, by one SVD
     call."""
     a = np.atleast_2d(np.asarray(a, dtype=float))
-    _refuse_non_finite("rank matrix", a)  # before an SVD that nan or inf breaks
+    _refuse_non_finite("rank matrix", a)  # nan or inf would break the SVD
     s = np.linalg.svd(a, compute_uv=False)
     rank = (s > _sv_cutoff(s, tol)).sum(axis=-1)
     return int(rank) if a.ndim == 2 else rank

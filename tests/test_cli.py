@@ -884,13 +884,13 @@ def test_the_output_digests_script_lists_each_output_once(capsys,
     monkeypatch.setattr(sys, "argv", [script, *names])
     namespace = runpy.run_path(script, run_name="__main__")
     lines = capsys.readouterr().out.splitlines()
-    tols = namespace["INDEX_TOLS"]
     assert [line.split(" ", 1)[1] for line in lines] == [
         label for name in names for label in (
-            f"catalog emit {name}", *(f"index {name} --tol {tol}"
-                                      for tol in tols),
+            f"catalog emit {name}",
+            *(f"index {name} --tol {tol}" for tol in namespace["INDEX_TOLS"]),
             f"jacobi {name} --direction 0",
-            *([f"index {name} --augment"] if name.startswith("spin3") else []))]
+            *([f"index {name} --augment"] if name.startswith("spin3:")
+              else []))]
     again = list(namespace["outputs"](names))
     assert all(code == 0 and out for _, (code, out, _) in again)
     assert lines == [f"{namespace['digest'](*result)} {label}"

@@ -158,12 +158,13 @@ def canonical_basis(q: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
         return np.eye(n)
     resid = np.array(q, dtype=float)
     pivots = []
-    for _ in range(k):
+    for step in range(k):
         norms = (resid * resid).sum(axis=1)
         j = int(np.argmax(norms >= norms.max() - tol))
         pivots.append(j)
-        r = resid[j] / math.sqrt(norms[j])
-        resid -= np.outer(resid @ r, r)
+        if step < k - 1:  # no deflation after the last pivot
+            r = resid[j] / math.sqrt(norms[j])
+            resid -= np.outer(resid @ r, r)
     pivots.sort()
     cols = q @ q[pivots].T
     cols[np.abs(cols) < tol] = 0.0  # else noise moves the Q factor's last bits

@@ -24,7 +24,6 @@ import functools
 import itertools
 import json
 import numbers
-import threading
 from importlib import resources
 
 import numpy as np
@@ -202,15 +201,8 @@ def _span(rows, ambient: int, what: str) -> Subspace:
         f"each {what} vector must have {ambient} entries").T)
 
 
-#: Validated inline algebras by (labels, tensor bytes), least recently used
-#: first; each tensor views its key's bytes, each entry costs them + 4 KiB.
-_ALGEBRAS: dict = {}
-_ALGEBRAS_LOCK = threading.Lock()
-_ALGEBRA_BYTES = 16 * 2 ** 20
-
-
 def _algebra(field) -> LieAlgebra:
-    """The algebra of a document: a preset, or an interned inline algebra."""
+    """The algebra of a document: a preset name or an inline algebra."""
     if isinstance(field, str):
         return preset(field)[0]
     n = int(field["dim"])  # an integral float such as 3.0 is an integer
@@ -222,14 +214,7 @@ def _algebra(field) -> LieAlgebra:
         field["structure"], (n, n, n), "/algebra/structure",
         f"the structure tensor of a {n}-dimensional algebra must have shape "
         f"({n}, {n}, {n})")
-    key = (tuple(field["labels"]), structure.tobytes())
-    with _ALGEBRAS_LOCK:  # a refused tensor raises before it is stored
-        alg = _ALGEBRAS.pop(key, None) or LieAlgebra(
-            n, key[0], np.frombuffer(key[1]).reshape(structure.shape))
-        _ALGEBRAS[key] = alg
-        while sum(len(held) + 4096 for _, held in _ALGEBRAS) > _ALGEBRA_BYTES:
-            del _ALGEBRAS[next(iter(_ALGEBRAS))]
-    return alg
+    return LieAlgebra(n, field["labels"], structure)
 
 
 def space_from_dict(document: dict, tol: float = DEFAULT_TOL) -> HomogeneousSpace:
@@ -238,9 +223,7 @@ def space_from_dict(document: dict, tol: float = DEFAULT_TOL) -> HomogeneousSpac
     Math-level failures (bad structure tensor, non-reductive complement,
     indefinite metric) propagate as plain ``ValueError`` from the
     constructors; only format problems, array shapes and non-finite
-    numbers among them, raise :class:`SpaceFormatError`.  An inline algebra
-    is validated once per process for its labels and tensor bits and then
-    interned, read-only, in a 16 MiB table that evicts the least recent.
+    numbers among them, raise :class:`SpaceFormatError`.
     """
     _validate(document)
     algebra = _algebra(document["algebra"])
@@ -266,7 +249,7 @@ def load_space(path: str, tol: float = DEFAULT_TOL) -> HomogeneousSpace:
 
     ``NaN``, ``Infinity`` and ``-Infinity``, which Python's ``json`` reads
     by default but JSON does not define, raise :class:`SpaceFormatError`,
-    and so does a file that is not UTF-8.  Interns as :func:`space_from_dict`.
+    and so does a file that is not UTF-8.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:

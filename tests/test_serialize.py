@@ -1,9 +1,6 @@
 import copy
 import dataclasses
 import json
-import pathlib
-import runpy
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -468,113 +465,3 @@ def test_number_arrays_under_further_keywords_are_walked_entry_by_entry():
             jsonschema.Draft202012Validator(schema).iter_errors(instance)]
     assert list(serialize._errors(instance, schema)) == want
     assert [path for path, _ in want] == [(0, 1), (1, 0), (1, 1)]
-
-
-# -- inline algebras, validated once per process ---------------------------
-
-def inline_document(sp) -> dict:
-    """``sp`` as a document parsed from its JSON text."""
-    return json.loads(json.dumps(space_to_dict(sp)))
-
-
-def test_one_algebra_under_two_metrics_is_one_read_only_instance():
-    a = space_from_dict(inline_document(so4_so2(0.5, 0.8)[0]))
-    b = space_from_dict(inline_document(so4_so2(0.3, 1.2, 0.8)[0]))
-    assert a.algebra is b.algebra
-    assert not np.array_equal(a.metric.gram, b.metric.gram)
-    with pytest.raises(ValueError, match="read-only"):
-        a.algebra.structure[0, 1, 2] = 0.0
-    assert not a.algebra.ad_stack.flags.writeable
-
-
-def flip_last_bit(value: float) -> float:
-    bits = np.array(value).view(np.int64) ^ 1
-    return float(bits.view(np.float64))
-
-
-@pytest.mark.parametrize("change", [
-    pytest.param(lambda alg: alg["labels"].reverse(), id="labels"),
-    pytest.param(lambda alg: alg["structure"][0][1].__setitem__(
-        2, flip_last_bit(alg["structure"][0][1][2])), id="one-bit"),
-])
-def test_other_labels_or_one_other_bit_give_another_instance(change):
-    doc = inline_document(round_sphere(3)[0])
-    first = space_from_dict(doc).algebra
-    assert space_from_dict(copy.deepcopy(doc)).algebra is first
-    change(doc["algebra"])
-    other = space_from_dict(doc).algebra
-    assert other is not first
-    assert (list(other.basis_labels), other.structure.tolist()) == (
-        doc["algebra"]["labels"], doc["algebra"]["structure"])
-
-
-@pytest.mark.parametrize("entries, message", [
-    ([((0, 1, 2), 0.1)], "not antisymmetric"),
-    ([((0, 1, 0), 0.1), ((1, 0, 0), -0.1)], "violates the Jacobi identity"),
-])
-def test_a_refused_tensor_is_refused_again(entries, message):
-    """A tensor that fails validation is never stored, so loading it again
-    validates it again and fails with the same message."""
-    doc = inline_document(round_sphere(2)[0])
-    for (i, j, k), delta in entries:
-        doc["algebra"]["structure"][i][j][k] += delta
-    errors = []
-    for _ in range(2):
-        with pytest.raises(ValueError, match=message) as err:
-            space_from_dict(doc)
-        errors.append(str(err.value))
-    assert errors[0] == errors[1]
-    assert serialize._ALGEBRAS == {}
-
-
-def test_index_output_is_the_same_from_a_cold_and_a_warm_table(tmp_path):
-    """``index`` prints the same bytes for each catalog name of
-    ``tests/output_digests.py`` at two tolerances, whether each load finds
-    the table empty or finds every algebra loaded before at either
-    tolerance."""
-    namespace = runpy.run_path(
-        str(pathlib.Path(__file__).with_name("output_digests.py")))
-    run, paths = namespace["run"], []
-    for name in namespace["NAMES"]:
-        paths.append(tmp_path / (name.replace(":", "_") + ".json"))
-        paths[-1].write_text(run("catalog", "emit", name)[1])
-    calls = [("index", "--space", str(path), "--tol", tol)
-             for tol in ("1e-9", "1e-6") for path in paths]
-    cold = []
-    for argv in calls:
-        serialize._ALGEBRAS.clear()
-        cold.append(run(*argv))
-    warm = [run(*argv) for argv in calls]
-    assert all(code == 0 for code, _, _ in cold)
-    assert warm == cold
-    assert len(serialize._ALGEBRAS) < len(namespace["NAMES"])
-
-
-def test_the_table_stays_within_its_byte_budget():
-    """Loading distinct algebras past the budget evicts the least recently
-    used: the table's entries, and the memory that stays allocated, stay
-    within ``_ALGEBRA_BYTES``, and the algebra loaded last and one loaded
-    again and again are kept."""
-    n, budget = 24, serialize._ALGEBRA_BYTES
-    count = budget // (8 * n ** 3) + 20
-
-    def load(i):  # abelian algebras told apart by their labels
-        labels = [f"x{i}_{k}" for k in range(n)]
-        return serialize._algebra({"dim": n, "labels": labels,
-                                   "structure": np.zeros((n, n, n))})
-
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        kept = load(0)
-        for i in range(1, count):
-            assert load(0) is kept
-            latest = load(i)
-        held = tracemalloc.get_traced_memory()[0] - before
-    finally:
-        tracemalloc.stop()
-    assert sum(len(tensor) + 4096 for _, tensor in serialize._ALGEBRAS) <= budget
-    assert len(serialize._ALGEBRAS) < count
-    assert held <= budget
-    held_ids = set(map(id, serialize._ALGEBRAS.values()))
-    assert {id(kept), id(latest)} <= held_ids

@@ -325,6 +325,8 @@ class TransvectionReport:
     is the dimension of both, ``coindex`` the tangent codimension.  ``[X, Y]``
     of X, Y in ``p_space`` has value ``nabla_X Y - nabla_Y X = 0``, so
     ``k_space`` lies in the isotropy and ``dim_transvection = dim k + dim p``.
+    ``involutive_ok`` is ``[k, p] in p`` and ``[k, k] in k``, certified or
+    checked with the same decision (:func:`_transvections`).
     All of it is relative to the supplied algebra of Killing fields.
     """
 
@@ -387,9 +389,9 @@ def transvection_space(sp: HomogeneousSpace) -> TransvectionReport:
     The kernel of the stacked derivative operator gives ``p_space``, whose
     dimension is the index of symmetry (relative to the supplied algebra),
     and its values at the base point ``s_space``.  The pair
-    ``k_space + p_space`` is checked for the expected bracket relations
-    ``[k, k] in k`` and ``[k, p] in p``.  This is the one-metric case of
-    :func:`transvection_stack`.
+    ``k_space + p_space`` is tested for the expected bracket relations
+    ``[k, k] in k`` and ``[k, p] in p``, certified or checked with the same
+    decision.  This is the one-metric case of :func:`transvection_stack`.
     """
     return _transvections(sp, sp._nabla_basis[None])[0][0]
 
@@ -440,8 +442,32 @@ def _transvections(pres: Presentation, nablas: np.ndarray) -> tuple:
     metric checks, given their :func:`_nablas`, in stacked calls per group
     of equal ``p_space``, then ``k_space``, dimension.  These two rank
     decisions make a report; the rest follows by the theorems of
-    :class:`TransvectionReport`.  ``involutive_ok`` tests both containments:
-    ``[k, k] in k`` follows from ``[k, p] in p`` only in exact arithmetic.
+    :class:`TransvectionReport`.  ``involutive_ok`` is ``[k, p] in p``,
+    checked, and ``[k, k] in k``, which follows from it in exact arithmetic:
+    checked only where :func:`_kk_certificate` exceeds CHECK_TOL / 2, as a
+    smaller certificate means the check would pass.
+
+    The certificate bounds |[v, w] - K K^T [v, w]| for columns v, w = K e_j
+    of K, the first r columns of U in B = U S V^T, B (n, m) the brackets
+    [p_a, p_b], a < b, of the parallel fields P (n, k).  u is the unit
+    roundoff, A = |structure|_F, so |[x, y]| <= A |x| |y|, and eta =
+    (n + m) u s_1 + 2 n sqrt(m) u A bounds the rounding of B and its SVD
+    (orthonormality taken to first order in u).  So w = B c + d with
+    c = V_r S_r^-1 e_j, |c| <= 1 / s_r and |d| <= eta / s_r.  Let C be upper
+    triangular with entries c, C' = C - C^T, X(M) = sum_ij M_ij [e_i, e_j],
+    and ad_v P = P beta + L with beta = P^T ad_v P, |beta| <= A, and L the
+    [k, p] leak of v.  The Leibniz rule with the defect D(v, x, y) =
+    [v, [x, y]] - [[v, x], y] - [x, [v, y]] gives
+        [v, B c] = B g + X(L C P^T) + X(P C L^T) + D(v, P C P^T),
+    g the upper entries of beta C' + C' beta^T, |g| <= 2 A |c|.  Out of K,
+    B g leaks at most (s_{r+1} + eta) |g|; the X terms are at most
+    2 A |L|_F |c|; D is at most n^{3/2} J |c|, as |D(e_i, e_j, e_k)| <= J
+    (inf unless the tensor is antisymmetric, as B g needs [p_a, p_a] = 0);
+    and [v, d] at most A |d|.  So
+        leak <= (A (2 s_{r+1} + 2 |L|_F + 3 eta) + n^{3/2} J) / s_r,
+    over a group with its largest s_1, s_{r+1} and |L|_F, the last the
+    [k, p] check's plus 2 sqrt(k) (n + k) u A of rounding, and its least
+    s_r; (n + r)^2 u A more covers the rounding of the check itself.
 
     Returns ``(reports, groups)``: per ``p_space`` dimension, ``groups``
     holds the positions of its metrics and their stacked ``p_space`` bases."""
@@ -454,12 +480,17 @@ def _transvections(pres: Presentation, nablas: np.ndarray) -> tuple:
         groups.append((group, p))
         s = stacked_frames(pres._members(group).eval_matrix @ p)
         first, second = pair_indices(k)
-        kb, k_rank = stacked_spans(brackets(alg, p, p)[..., first, second], tol)
+        kb, k_rank, sv = stacked_spans(
+            brackets(alg, p, p)[..., first, second], tol)
         for r, sub in equal_groups(k_rank):
             kk, pp = kb[sub, :, :r], p[sub]
-            involutive = (
-                stacked_contains(kk, brackets(alg, kk, kk)).all(axis=-1)
-                & stacked_contains(pp, brackets(alg, kk, pp)).all(axis=-1))
+            inside, leaks = stacked_contains(pp, brackets(alg, kk, pp))
+            involutive = inside.all(axis=-1)
+            if r and involutive.any() and not _kk_certificate(
+                    alg, sv[sub], r, k, leaks) <= CHECK_TOL / 2:  # or nan
+                kc = kk[involutive]  # [k, k] in k, checked
+                involutive[involutive] = stacked_contains(
+                    kc, brackets(alg, kc, kc))[0].all(axis=-1)
             for j, g in enumerate(sub.tolist()):
                 reports[group[g]] = TransvectionReport(
                     p_space=Subspace._orthonormal(n, p[g]),
@@ -468,6 +499,19 @@ def _transvections(pres: Presentation, nablas: np.ndarray) -> tuple:
                     index=k, coindex=pres.dim - k, dim_transvection=k + r,
                     involutive_ok=bool(involutive[j]))
     return reports, groups
+
+
+def _kk_certificate(alg: LieAlgebra, sv: np.ndarray, r: int, k: int,
+                    leaks: np.ndarray) -> float:
+    """:func:`_transvections`' bound on the [k, k] leak of a group of
+    metrics, from its [p, p] singular values (N, .), r >= 1, and squared
+    [k, p] leaks; the k of one column of K sum to at most k times the most."""
+    n, m, u, a = alg.dim, k * (k - 1) // 2, 0.5 * math.ulp(1.0), alg._norm
+    eta = ((n + m) * float(sv[:, 0].max()) + 2 * n * math.sqrt(m) * a) * u
+    tail = float(sv[:, r].max()) if r < sv.shape[1] else 0.0
+    ell = math.sqrt(k * float(leaks.max())) + 2 * math.sqrt(k) * (n + k) * u * a
+    return ((a * (2 * (tail + ell) + 3 * eta) + n ** 1.5 * alg._jacobi_bound)
+            / float(sv[:, r - 1].min()) + (n + r) ** 2 * u * a)
 
 
 def symmetry_ideal(sp: Presentation,

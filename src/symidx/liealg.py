@@ -94,13 +94,14 @@ def stacked_kernels(a: np.ndarray, tol: float = DEFAULT_TOL) -> tuple:
 
 def stacked_spans(a: np.ndarray, tol: float = DEFAULT_TOL) -> tuple:
     """The column spaces of the matrices ``a`` (..., m, k) by one SVD call:
-    ``(u, rank)``, where the first ``rank[i]`` columns of ``u[i]`` are an
-    orthonormal basis."""
+    ``(u, rank, s)``, where the first ``rank[i]`` columns of ``u[i]`` are an
+    orthonormal basis and ``s[i]`` holds the descending singular values."""
     a = np.asarray(a, dtype=float)
     if 0 in a.shape[-2:]:  # as in stacked_kernels
-        return np.zeros((*a.shape[:-1], 0)), np.zeros(a.shape[:-2], np.intp)
+        return (np.zeros((*a.shape[:-1], 0)), np.zeros(a.shape[:-2], np.intp),
+                np.zeros((*a.shape[:-2], 0)))
     u, s, _ = np.linalg.svd(a, full_matrices=False)
-    return u, (s > _sv_cutoff(s, tol)).sum(axis=-1)
+    return u, (s > _sv_cutoff(s, tol)).sum(axis=-1), s
 
 
 def stacked_frames(a: np.ndarray) -> np.ndarray:
@@ -109,18 +110,20 @@ def stacked_frames(a: np.ndarray) -> np.ndarray:
     return np.linalg.svd(a, full_matrices=False)[0] if a.shape[-1] else a
 
 
-def stacked_contains(q: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+def stacked_contains(q: np.ndarray, vecs: np.ndarray) -> tuple:
     """Whether each vector of ``vecs`` lies in the span of the orthonormal
     columns of ``q`` (..., n, r) up to relative residual :data:`CHECK_TOL`,
     all in one projection.  The axis of ``vecs`` after the stack axes of
-    ``q`` holds the coordinates; the result has one entry per vector,
-    flattened to shape (..., m)."""
+    ``q`` holds the coordinates; the result ``(inside, leaks)`` has one
+    entry per vector, flattened to shape (..., m), and ``leaks`` holds the
+    squared norms of the residuals."""
     flat = vecs.reshape(*q.shape[:-1], math.prod(vecs.shape[q.ndim - 1:]))
     resid = q @ (q.swapaxes(-1, -2) @ flat)
     np.subtract(flat, resid, out=resid)
     resid *= resid  # squared norms on both sides
-    return (resid.sum(axis=-2) <= CHECK_TOL * CHECK_TOL
-            * np.maximum(1.0, (flat * flat).sum(axis=-2)))
+    leaks = resid.sum(axis=-2)
+    return (leaks <= CHECK_TOL * CHECK_TOL
+            * np.maximum(1.0, (flat * flat).sum(axis=-2))), leaks
 
 
 def equal_groups(keys) -> list:
@@ -241,7 +244,7 @@ class Subspace:
             )
         object.__setattr__(self, "basis", b)
         _refuse_non_finite("basis", b)  # before an SVD that nan or inf breaks
-        u, rank = stacked_spans(b)
+        u, rank, _ = stacked_spans(b)
         if rank < b.shape[1]:
             raise ValueError(
                 f"basis of shape {b.shape} is rank deficient (rank {rank})")
@@ -267,7 +270,7 @@ class Subspace:
         if vectors.size == 0:
             return cls.zero(ambient_dim)
         _refuse_non_finite("spanning set", vectors)
-        u, rank = stacked_spans(vectors, tol)
+        u, rank, _ = stacked_spans(vectors, tol)
         return cls._orthonormal(ambient_dim, u[:, :rank])
 
     @classmethod
@@ -296,7 +299,7 @@ class Subspace:
         the shape of the remaining axes (one entry per vector).
         """
         vecs = np.asarray(vecs, dtype=float)
-        return stacked_contains(self.onb(), vecs).reshape(vecs.shape[1:])
+        return stacked_contains(self.onb(), vecs)[0].reshape(vecs.shape[1:])
 
     def contains(self, vec: np.ndarray) -> bool:
         """Whether ``vec`` lies in the subspace (see :meth:`contains_columns`)."""
@@ -350,16 +353,19 @@ class LieAlgebra:
     exact sum of :meth:`jacobi_residual` over the triples i < j < k, about
     dim^5 / 2 multiply-adds, unless a certified bound on it is that small.
     Only :func:`matrix_algebra` certifies, and a certified tensor is
-    read-only; this constructor and copies run the sum.  Facts that depend
-    on the algebra alone, its ad stack and its reference forms, are
-    computed once per instance and shared by every space built on it.
+    read-only; this constructor and copies run the sum, and keep it as the
+    bound.  Facts that depend on the algebra alone, its ad stack, its
+    reference forms and its norm, are computed once per instance and shared
+    by every space built on it.
     """
 
     dim: int
     basis_labels: tuple
     structure: np.ndarray
 
-    _jacobi_bound = None  # set by _certified; not a dataclass field
+    #: Bound on the norm of [e_i, [e_j, e_k]] + cyclic for all i, j, k, set
+    #: by _certified or the constructor; inf unless exactly antisymmetric
+    _jacobi_bound = None
 
     @classmethod
     def _certified(cls, labels: tuple, structure: np.ndarray,
@@ -382,6 +388,8 @@ class LieAlgebra:
             raise ValueError(f"{len(labels)} labels for dimension {n}")
         object.__setattr__(self, "structure", c)
         object.__setattr__(self, "basis_labels", labels)
+        with np.errstate(over="ignore", invalid="ignore"):  # inf, nan kept
+            self.__dict__["_norm"] = float(np.linalg.norm(c))  # >= |ad_x| / |x|
         asym = c + c.transpose(1, 0, 2)
         asym = float(np.max(np.abs(asym, out=asym))) if n else 0.0
         if not asym <= DEFAULT_TOL:  # nan where an entry is not finite
@@ -395,6 +403,12 @@ class LieAlgebra:
                     f"structure tensor violates the Jacobi identity (residual "
                     f"{jac:.3e})" if math.isfinite(jac) else "the Jacobi sum "
                     "of the structure tensor overflows; rescale the tensor")
+            # an entry of the sum rounds by at most 3 (n + 2) u n max|c|^2
+            big = float(c.max(initial=0.0))  # max |c| where c is antisymmetric
+            self.__dict__["_jacobi_bound"] = math.sqrt(n) * (
+                jac + 1.5 * (n + 2) * n * math.ulp(1.0) * big * big)
+        if asym:  # the sum was of the antisymmetric part
+            self.__dict__["_jacobi_bound"] = math.inf
 
     def jacobi_residual(self) -> float:
         """Max-norm of ``[[e_i, e_j], e_k] + cyclic`` over i < j < k for the

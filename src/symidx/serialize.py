@@ -30,11 +30,13 @@ import numpy as np
 
 from .homspace import HomogeneousSpace, JacobiSpectrum
 from .liealg import (
+    CHECK_TOL,
     DEFAULT_TOL,
     BilinearForm,
     LieAlgebra,
     Subspace,
     canonical_basis,
+    eigenvalue_clusters,
     preset,
 )
 
@@ -280,10 +282,15 @@ def space_to_dict(sp: HomogeneousSpace) -> dict:
 
 
 def spectrum_to_dict(spectrum: JacobiSpectrum) -> dict:
-    """``spectrum`` with its eigenvectors as rows and without its operator."""
+    """``spectrum`` with its eigenvectors as rows, without its operator, and
+    each run of :func:`eigenvalue_clusters` at CHECK_TOL as its median and
+    its multiplicity (the count of its consecutive rows)."""
+    w, runs = spectrum.eigenvalues, eigenvalue_clusters(spectrum.eigenvalues,
+                                                        CHECK_TOL)
     return {
         "direction": spectrum.direction.tolist(),
-        "eigenvalues": spectrum.eigenvalues.tolist(),
+        "eigenvalues": [float(np.median(w[run])) + 0.0 for run in runs],
+        "multiplicities": [int(run.stop - run.start) for run in runs],
         "eigenvectors": spectrum.eigenvectors.T.tolist(),
         "psd_ok": spectrum.psd_ok,
         "selfadjoint_residual": spectrum.selfadjoint_residual,

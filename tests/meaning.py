@@ -47,7 +47,7 @@ def invariant_by_loop(ads, w, tol) -> np.ndarray:
         keep = numerical_kernel(leaks.reshape(-1, w.shape[1]), tol)
         if keep.shape[1] == w.shape[1]:
             break
-        u, rank = stacked_spans(w @ keep, tol)
+        u, rank, _ = stacked_spans(w @ keep, tol)
         w = u[:, :rank]
     return w
 

@@ -164,7 +164,8 @@ def test_jacobi_prints_the_unit_cluster_by_its_canonical_basis(
                            "--direction", str(direction))
         assert code == 0
         payload = json.loads(out)
-        assert_same_spectrum(payload["eigenvalues"], [0.0] + [1.0] * (n - 1))
+        assert_same_spectrum(payload["eigenvalues"], [0.0, 1.0])
+        assert payload["multiplicities"] == [1, n - 1]
         cluster = np.array(payload["eigenvectors"][1:]).T
         others = np.delete(np.eye(n), direction, axis=1)
         np.testing.assert_allclose(cluster, others, rtol=0, atol=1e-15)
@@ -675,7 +676,8 @@ def test_jacobi_direction(capsys, quotient_file):
     payload = json.loads(out)
     assert payload["direction_index"] == 0
     assert payload["psd_ok"] is True
-    assert len(payload["eigenvalues"]) == 5
+    assert len(payload["eigenvectors"]) == sum(payload["multiplicities"]) == 5
+    assert len(payload["eigenvalues"]) == len(payload["multiplicities"])
 
 
 def test_jacobi_rejects_out_of_range_direction(capsys, quotient_file):

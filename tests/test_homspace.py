@@ -6,6 +6,7 @@ import pytest
 
 from symidx import homspace
 from symidx.liealg import (
+    CHECK_TOL,
     DEFAULT_TOL,
     BilinearForm,
     LieAlgebra,
@@ -21,6 +22,7 @@ from symidx.liealg import (
     reference_form,
     so_elementary,
     spin3_quaternion,
+    stacked_contains,
 )
 from symidx.homspace import (
     HomogeneousSpace,
@@ -842,6 +844,134 @@ def test_a_mutated_report_fails_the_leaf_round_trip(mutation):
         bad = dataclasses.replace(report, p_space=Subspace(sp.algebra.dim, p))
     with pytest.raises((AssertionError, ValueError)):
         _assert_leaf_round_trip(sp, bad)
+
+
+def record_certificates(monkeypatch) -> list:
+    """Wrap homspace._kk_certificate: each call appends its bound."""
+    certs = []
+    certificate = homspace._kk_certificate
+
+    def recorded(*args):
+        certs.append(certificate(*args))
+        return certs[-1]
+
+    monkeypatch.setattr(homspace, "_kk_certificate", recorded)
+    return certs
+
+
+def full_containment(sp, report) -> tuple:
+    """The containments behind ``involutive_ok``, each computed in full as
+    the reference: ``(leak, inside)``, the largest norm of a bracket of
+    k_space columns outside k_space, and whether [k, k] in k and [k, p] in
+    p both hold up to CHECK_TOL."""
+    alg, k, p = sp.algebra, report.k_space.basis, report.p_space.basis
+    kk = brackets(alg, k, k)
+    flat = kk.reshape(alg.dim, k.shape[1] ** 2)
+    leak = np.linalg.norm(flat - k @ (k.T @ flat), axis=0).max(initial=0.0)
+    inside = (stacked_contains(k, kk)[0].all()
+              and stacked_contains(p, brackets(alg, k, p))[0].all())
+    return leak, bool(inside)
+
+
+def test_the_kk_certificate_bounds_the_computed_leak(monkeypatch):
+    """Wherever k is not zero, the certificate is at least the leak the
+    full containment computes, and involutive_ok is the full
+    containment's, on the structure-theorem spaces, their leaves of
+    symmetry, so(n+1)/so(n) for n = 3 to 15 and so4_so2(0.5, 0.8, 1.2 + d)
+    for d = 1e-2 to 1e-10, the last also as one stack.  Both paths run:
+    so(15)/so(14) is certified and so(16)/so(15) checked; at d = 1e-9 the
+    [k, p] leak of the nearly parallel fields sends [k, k] to the check,
+    at d = 1e-10 it does not."""
+    certs = record_certificates(monkeypatch)
+    spaces = _structure_theorem_spaces()
+    spaces += [leaf(sp, transvection_space(sp))[0] for sp in spaces]
+    spheres = [round_sphere(n)[0] for n in range(3, 16)]
+    near = 1.2 + 10.0 ** -np.arange(2, 11)
+    strata = [so4_so2(0.5, 0.8, t)[0] for t in near]
+    bounds = []  # the certificate of each space, or 0 where k = 0
+    for sp in spaces + spheres + strata:
+        certs.clear()
+        report = transvection_space(sp)
+        leak, inside = full_containment(sp, report)
+        assert report.involutive_ok == inside
+        assert len(certs) == (report.k_space.dim > 0)
+        bounds.append(certs[0] if certs else 0.0)
+        assert leak <= bounds[-1]
+    half = CHECK_TOL / 2
+    assert np.count_nonzero(np.array(bounds) <= half) >= 40
+    *_, so15, so16 = bounds[len(spaces):len(spaces) + len(spheres)]
+    *_, at_1e9, at_1e10 = bounds[-len(strata):]
+    assert so15 <= half < so16 and at_1e10 <= half < at_1e9
+    pres = spin4_quotient(so4_so2_complement(0.5), DEFAULT_TOL)
+    reports = transvection_stack(
+        pres, [so4_so2_gram(0.8, t) for t in near])[0]
+    for report, sp in zip(reports, strata):
+        assert report.involutive_ok == full_containment(sp, report)[1]
+
+
+def record_self_brackets(monkeypatch) -> list:
+    """Wrap homspace.brackets: each bracket of a basis with itself appends
+    the number of its columns: the complement's of the Koszul terms, the
+    index for the [p, p] spans and dim k for the full [k, k] containments."""
+    calls = []
+    exact = homspace.brackets
+
+    def counted(alg, a, b):
+        if a is b:
+            calls.append(a.shape[-1])
+        return exact(alg, a, b)
+
+    monkeypatch.setattr(homspace, "brackets", counted)
+    return calls
+
+
+def test_a_perturbed_algebra_falls_back_to_the_full_containment(monkeypatch):
+    """so(5) with an antisymmetric perturbation of 1e-11 per entry is an
+    algebra within DEFAULT_TOL, but its Jacobi bound makes n^{3/2} J exceed
+    CHECK_TOL: the certificate leaves [k, k] in k open, and the full
+    containment decides it as the reference does."""
+    sphere = round_sphere(4)[0]
+    rng = np.random.default_rng(31)
+    noise = rng.standard_normal((10, 10, 10))
+    structure = sphere.algebra.structure + 1e-11 * (
+        noise - noise.transpose(1, 0, 2))
+    alg = LieAlgebra(10, sphere.algebra.basis_labels, structure)
+    assert 10 ** 1.5 * alg._jacobi_bound > CHECK_TOL
+    sp = HomogeneousSpace(alg, sphere.isotropy, sphere.metric,
+                          complement=sphere.complement)
+    certs = record_certificates(monkeypatch)
+    calls = record_self_brackets(monkeypatch)
+    report = transvection_space(sp)
+    assert (report.index, report.k_space.dim) == (4, 6)
+    assert certs[0] > CHECK_TOL / 2
+    assert calls.count(6) == 1  # beside the [m, m] of nabla and the [p, p]
+    assert report.involutive_ok and full_containment(sp, report) == (
+        pytest.approx(0.0, abs=1e-9), True)
+    exact = homspace.brackets
+
+    def leaking(alg, a, b):  # [k, k] gains 1e-6 of E01, which is in p
+        out = exact(alg, a, b)
+        return out + 1e-6 * np.eye(10)[:, :1, None] if (
+            a is b and a.shape[-1] == 6) else out
+
+    monkeypatch.setattr(homspace, "brackets", leaking)
+    assert not transvection_space(sp).involutive_ok
+
+
+def test_the_kk_certificate_grows_with_the_rank_gap():
+    """A dropped singular value at the cutoff, or a small kept one, leaves
+    [k, k] in k to the check: the bound carries 2 A s_{r+1} / s_r, and its
+    other terms over s_r."""
+    alg = so_elementary(5)[0]
+    leaks = np.zeros((1, 6))  # squared [k, p] leaks for r = 2, k = 3
+
+    def bound(*sv):
+        return homspace._kk_certificate(alg, np.array([sv]), 2, 3, leaks)
+
+    assert bound(1.0, 1.0, 0.0) <= CHECK_TOL / 2
+    assert bound(1.0, 1.0, 1e-9) - bound(1.0, 1.0, 0.0) == pytest.approx(
+        2e-9 * np.linalg.norm(alg.structure))
+    assert bound(1.0, 1e-4, 0.0) > CHECK_TOL / 2
 
 
 def test_stacked_symmetry_ideals_equal_the_one_report_path():

@@ -874,8 +874,12 @@ def test_stacked_rank_primitives_match_the_per_matrix_ones(shape):
          for r in range(min(m, n) + 1)]
         + [np.zeros((m, n)), 1e-13 * rng.standard_normal((m, n))])
     v, nullity = stacked_kernels(stack)
-    u, rank = stacked_spans(stack)
+    u, rank, s = stacked_spans(stack)
     assert v.shape == (len(stack), n, n) and u.shape[:2] == (len(stack), m)
+    assert s.shape == (len(stack), min(m, n))
+    for a, si in zip(stack, s):  # the singular values, descending
+        np.testing.assert_allclose(si, np.linalg.svd(a, compute_uv=False)
+                                   if a.size else [], atol=1e-12)
     for a, vi, k, ui, r in zip(stack, v, nullity, u, rank):
         ker, cols = numerical_kernel(a), Subspace.from_spanning(m, a).onb()
         assert (k, r) == (ker.shape[1], cols.shape[1])
@@ -1060,9 +1064,26 @@ def uncertified_copy():
     pytest.param(lambda: verify.run_checks("structure"), id="verify"),
 ])
 def test_uncertified_constructions_run_the_exact_sum(build, monkeypatch):
+    """Each construction runs the sum with no certificate; a later sum on
+    a tensor built so (verify's structure check reruns it) sees the first
+    sum kept as the algebra's Jacobi bound."""
     calls = record_jacobi_sums(monkeypatch)
     build()
-    assert calls and all(bound is None for bound, _, _ in calls)
+    built = [structure for bound, structure, _ in calls if bound is None]
+    assert built and all(bound is None or any(structure is t for t in built)
+                         for bound, structure, _ in calls)
+
+
+def test_an_uncertified_algebra_keeps_its_jacobi_sum_as_its_bound():
+    """The constructor keeps the exact sum it ran, as a bound on each
+    triple's norm (sqrt(dim) times the largest entry, plus rounding), and
+    no bound where the tensor is not exactly antisymmetric, since the sum
+    is of the antisymmetric part."""
+    alg = uncertified_copy()
+    assert alg.jacobi_residual() * 6 ** 0.5 <= alg._jacobi_bound <= 1e-12
+    skewed = alg.structure.copy()
+    skewed[0, 1, 2] += 1e-12
+    assert LieAlgebra(6, alg.basis_labels, skewed)._jacobi_bound == np.inf
 
 
 def test_certified_tensors_are_read_only(monkeypatch):

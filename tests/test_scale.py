@@ -11,6 +11,7 @@ import tracemalloc
 
 import pytest
 
+from symidx import homspace
 from symidx.catalog import round_sphere
 from symidx.homspace import symmetry_ideal, transvection_space
 from symidx.liealg import DEFAULT_TOL, so_elementary
@@ -90,6 +91,26 @@ def test_so15_sphere_is_certified_and_built_within_its_memory(so15_sphere):
     assert sp.algebra._jacobi_bound <= DEFAULT_TOL
     assert peak < SO15_BUILD_PEAK_MIB * 2**20
     assert_symmetric_sphere(sp, 14)
+
+
+def test_so15_sphere_certifies_kk_in_k_without_the_full_containment(
+        so15_sphere, monkeypatch):
+    """[k, k] in k on so(15)/so(14) is certified: no bracket of the
+    91-dimensional k_space with itself is formed (the one self-bracket
+    with 91 columns would be the full containment)."""
+    sp = so15_sphere[0]
+    widths = []
+    exact = homspace.brackets
+
+    def counted(alg, a, b):
+        if a is b:
+            widths.append(a.shape[-1])
+        return exact(alg, a, b)
+
+    monkeypatch.setattr(homspace, "brackets", counted)
+    report = assert_symmetric_sphere(sp, 14)
+    assert report.k_space.dim == 91 and 14 in widths
+    assert 91 not in widths
 
 
 def test_so15_algebra_forms_its_commutators_within_its_memory():

@@ -8,7 +8,12 @@ import pytest
 from symidx import serialize
 from symidx.catalog import from_name, round_sphere, so4_so2
 from symidx.cli import main
-from symidx.homspace import jacobi_operator, symmetry_ideal, transvection_space
+from symidx.homspace import (
+    JacobiSpectrum,
+    jacobi_operator,
+    symmetry_ideal,
+    transvection_space,
+)
 from symidx.liealg import Subspace, canonical_basis
 from symidx.serialize import (
     SpaceFormatError,
@@ -465,3 +470,24 @@ def test_number_arrays_under_further_keywords_are_walked_entry_by_entry():
             jsonschema.Draft202012Validator(schema).iter_errors(instance)]
     assert list(serialize._errors(instance, schema)) == want
     assert [path for path, _ in want] == [(0, 1), (1, 0), (1, 1)]
+
+
+def test_a_spectrum_prints_each_cluster_by_one_value():
+    """Eigenvalues within CHECK_TOL of the one before print as one value,
+    the median of their run, with its multiplicity, never as -0.0; the
+    eigenvector rows stay one per eigenvalue, and the spectrum keeps every
+    value.  The round S^4 prints its eigenvalue 1 once."""
+    w = np.array([-0.0, -0.0, 1 / 6 - 1e-15, 1 / 6, 1 / 6 + 2e-15, 2.0])
+    spectrum = JacobiSpectrum(
+        direction=np.eye(6)[0], operator=np.diag(w), eigenvalues=w.copy(),
+        eigenvectors=np.eye(6), psd_ok=True, selfadjoint_residual=0.0)
+    printed = spectrum_to_dict(spectrum)
+    assert printed["eigenvalues"] == [0.0, 1 / 6, 2.0]
+    assert printed["multiplicities"] == [2, 3, 1]
+    assert len(printed["eigenvectors"]) == 6
+    assert "-0.0" not in json.dumps(printed)
+    np.testing.assert_array_equal(spectrum.eigenvalues, w)
+    sphere = round_sphere(4)[0]
+    printed = spectrum_to_dict(jacobi_operator(sphere, sphere.m_basis[:, 0]))
+    assert printed["multiplicities"] == [1, 3]
+    np.testing.assert_allclose(printed["eigenvalues"], [0.0, 1.0], atol=1e-12)

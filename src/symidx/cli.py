@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import os
 import sys
@@ -49,6 +48,7 @@ from .serialize import (
     plain,
     space_to_dict,
     spectrum_to_dict,
+    to_json,
 )
 from .verify import run_checks
 
@@ -128,7 +128,7 @@ def _resolve_tol(args, parser) -> float:
 
 
 def _emit_json(payload) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    print(to_json(payload))
 
 
 def _cmd_verify(args) -> int:
@@ -181,16 +181,6 @@ def _parse_grid(text: str, parser, name: str) -> list[float]:
     if not values:
         parser.error(f"--{name}: empty grid")
     return values
-
-
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return "%.12g" % value
 
 
 def _sweep_points(args, parser):
@@ -264,10 +254,10 @@ def _sweep_rows(presentation, points, tol) -> tuple:
     except ValueError:
         return [], 0
     reports, psd_ok, refused = transvection_stack(pres, grams)
-    rows = [",".join([
-        *map(_fmt, params), _fmt(report.index), _fmt(report.coindex),
-        _fmt(report.dim_transvection), _fmt(bool(psd)),
-        _fmt(bound.lhs), _fmt(bound.rhs), _fmt(bound.equality)])
+    rows = [",".join(["" if v is None else "%.12g" % v for v in params])
+            + f",{report.index},{report.coindex},{report.dim_transvection},"
+            f"{'true' if psd else 'false'},{bound.lhs},{bound.rhs},"
+            f"{'true' if bound.equality else 'false'}"
         for params, report, psd, bound in zip(
             fields, reports, psd_ok, symmetry_ideals(pres, reports))
         if report is not None]
@@ -284,9 +274,7 @@ def _cmd_sweep(args, tol, parser) -> int:
     that the builders or the checks refuse is skipped."""
     presentation, points = _sweep_points(args, parser)
     rows, refused = _sweep_rows(presentation, points, tol)
-    print(SWEEP_HEADER)
-    for row in rows:
-        print(row)
+    print("\n".join([SWEEP_HEADER, *rows]))
     print(f"sweep: {_counted(len(points) - len(rows), 'grid point')} "
           f"skipped, {_counted(refused, 'curvature candidate')} refused",
           file=sys.stderr)

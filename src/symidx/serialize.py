@@ -7,7 +7,8 @@ coefficient vectors, and a Gram matrix in complement coordinates.
 fields; only a Jacobi spectrum has a layout of its own.  Input documents are
 validated against the shipped JSON Schema before any numerics run; a
 violation raises :class:`SpaceFormatError` with a JSON pointer to the
-offending element.
+offending element.  :func:`to_json` prints any of these layouts, for every
+command, as ``json.dumps(value, indent=2, sort_keys=True)`` would.
 
 One walker, :func:`_errors`, reads the shipped schema and gives each
 error with jsonschema's Draft 2020-12 message and path (but see there
@@ -23,8 +24,10 @@ import dataclasses
 import functools
 import itertools
 import json
+import math
 import numbers
 from importlib import resources
+from json.encoder import encode_basestring_ascii as _quoted
 
 import numpy as np
 
@@ -298,7 +301,7 @@ def spectrum_to_dict(spectrum: JacobiSpectrum) -> dict:
 
 
 def plain(value):
-    """``value`` as data for ``json.dumps``: a subspace by its
+    """``value`` as data for :func:`to_json`: a subspace by its
     :func:`canonical_basis`, which the subspace alone determines, any other
     dataclass instance, such as a report or an outcome, by its fields, and
     numpy scalars and arrays as Python ones, at any depth."""
@@ -316,3 +319,44 @@ def plain(value):
     if isinstance(value, (np.floating, np.integer, np.bool_)):
         return value.item()
     return value
+
+
+def to_json(value) -> str:
+    """Exactly ``json.dumps(value, indent=2, sort_keys=True)``, or its
+    TypeError, for a value that does not contain itself; written without
+    the standard library's pure-Python encoder, which any ``indent``
+    selects: each row of floats is one join of their reprs."""
+    return _json(value, "\n")
+
+
+def _json(value, pad: str) -> str:
+    """:func:`to_json`'s text of ``value`` on a line indented by ``pad``, a
+    newline and spaces.  Non-finite floats, empty dicts, dicts with a key
+    that is not a str and any other type are left to ``json.dumps``, whose
+    lines are re-indented: a JSON string holds no raw newline."""
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = pad + "  "
+        try:
+            text = ("," + inner).join(map(float.__repr__, value))
+        except TypeError:  # not all floats
+            text = "n"
+        if "n" in text:  # not all floats, or a nan or inf among them
+            text = ("," + inner).join([_json(item, inner) for item in value])
+        return "[" + inner + text + pad + "]"
+    if isinstance(value, dict) and value \
+            and all(isinstance(key, str) for key in value):
+        inner = pad + "  "
+        return "{" + inner + ("," + inner).join([
+            _quoted(key) + ": " + _json(item, inner)
+            for key, item in sorted(value.items())]) + pad + "}"
+    if isinstance(value, str):
+        return _quoted(value)
+    if value is None or value is True or value is False:
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float) and math.isfinite(value):
+        return float.__repr__(value)
+    return json.dumps(value, indent=2, sort_keys=True).replace("\n", pad)

@@ -9,9 +9,11 @@ standard output and the standard error.  For each catalog name it runs
 ``catalog emit``, then ``index`` on the emitted document at three
 tolerances, ``jacobi --direction 0`` and, on spin3 names, ``index
 --augment``.  Without names it does so for the names of ``NAMES`` and adds
-the sweep grids of ``SWEEPS`` at two tolerances each, and ``verify`` with
-each check's ``duration_ms`` removed.  Run it on two checkouts, by
-``PYTHONPATH``, and ``diff`` the two listings.
+``index`` at the three tolerances on the inline so(n+1)/so(n) document
+without a complement of each n in ``SPHERES``, the sweep grids of
+``SWEEPS`` at two tolerances each, and ``verify`` with each check's
+``duration_ms`` removed.  Run it on two checkouts, by ``PYTHONPATH``, and
+``diff`` the two listings.
 """
 
 from __future__ import annotations
@@ -19,10 +21,13 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import os
 import sys
 import tempfile
+
+import numpy as np
 
 from symidx.cli import main
 
@@ -38,6 +43,7 @@ NAMES = (
     "cp2-centriole",
 )
 INDEX_TOLS = ("1e-9", "1e-6", "1e-11")
+SPHERES = (4, 5, 6, 7)  # the largest documents `index` reads, up to so(8)
 SWEEPS = (
     ("so4-so2", "--lambda", "0.1:1:0.1", "--s", "0.1:1.9:0.1", "--coupled"),
     ("so4-so2", "--lambda", "0.5", "--s", "0.8", "--t", "0.1:1.9:0.07"),
@@ -77,6 +83,38 @@ def name_outputs(name: str, workdir: str):
                                              "--augment")
 
 
+def sphere_document(n: int) -> dict:
+    """so(n+1)/so(n) with an inline algebra, on the elementary basis E_ab
+    (a < b) in the Killing field convention (minus the matrix commutator),
+    and no complement, so that ``symidx`` derives it; built without
+    symidx."""
+    pairs = list(itertools.combinations(range(n + 1), 2))
+    mats = np.zeros((len(pairs), n + 1, n + 1))
+    for k, (a, b) in enumerate(pairs):
+        mats[k, a, b], mats[k, b, a] = 1.0, -1.0
+    comm = -(np.einsum("iab,jbc->ijac", mats, mats)
+             - np.einsum("jab,ibc->ijac", mats, mats))
+    rows, cols = zip(*pairs)
+    algebra = {"dim": len(pairs),
+               "labels": [f"E{a + 1}{b + 1}" for a, b in pairs],
+               "structure": comm[:, :, list(rows), list(cols)].tolist()}
+    iso = [[1.0 if k == j else 0.0 for k in range(len(pairs))]
+           for j, (a, _) in enumerate(pairs) if a > 0]
+    return {"algebra": algebra, "isotropy": iso,
+            "metric": np.eye(n).tolist(), "label": f"so({n + 1})/so({n})"}
+
+
+def sphere_outputs(n: int, workdir: str):
+    """``(label, (code, out, err))`` of ``index`` at each tolerance on
+    :func:`sphere_document` ``(n)``."""
+    path = os.path.join(workdir, f"sphere{n}.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(sphere_document(n), fh)
+    for tol in INDEX_TOLS:
+        yield (f"index so({n + 1})/so({n}) --tol {tol}",
+               run("index", "--space", path, "--tol", tol))
+
+
 def verify_output() -> tuple[int, str, str]:
     code, out, err = run("verify")
     checks = json.loads(out)
@@ -91,8 +129,10 @@ def outputs(names=()):
     with tempfile.TemporaryDirectory() as workdir:
         for name in names or NAMES:
             yield from name_outputs(name, workdir)
-    if names:
-        return
+        if names:
+            return
+        for n in SPHERES:
+            yield from sphere_outputs(n, workdir)
     for grid in SWEEPS:
         for tol in SWEEP_TOLS:
             yield (f"sweep {' '.join(grid)} --tol {tol}",

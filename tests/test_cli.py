@@ -13,6 +13,7 @@ import pytest
 
 import symidx
 from meaning import assert_same_report, assert_same_spectrum
+from output_digests import sphere_document
 from symidx.catalog import (
     product_of_spheres,
     round_sphere,
@@ -874,6 +875,32 @@ def test_usage_errors_exit_with_two(capsys):
     assert main(["index"]) == 2  # --space is required
     assert main(["no-such-command"]) == 2
     capsys.readouterr()
+
+
+def test_every_json_command_prints_what_json_dumps_prints(capsys, tmp_path):
+    """Each JSON command's standard output is the text of ``json.dumps(...,
+    indent=2, sort_keys=True)`` of what it prints, byte for byte, with no
+    frozen digest to compare against: on one catalog name per family, their
+    documents and an inline document without a complement."""
+    def printed(*argv):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out == json.dumps(json.loads(out), indent=2,
+                                 sort_keys=True) + "\n"
+        return out
+
+    paths = []
+    for name in ("round-sphere:3", "so4-so2:0.5,0.8,1.2", "spin3:0.5,1.5,2",
+                 "product-spheres:0.5", "cp2-centriole"):
+        paths.append(tmp_path / (name.replace(":", "_") + ".json"))
+        paths[-1].write_text(printed("catalog", "emit", name))
+    paths.append(tmp_path / "so6_so5.json")
+    paths[-1].write_text(json.dumps(sphere_document(5)))
+    for path in paths:
+        printed("index", "--space", str(path))
+        printed("jacobi", "--space", str(path), "--direction", "0")
+    printed("index", "--space", str(paths[2]), "--augment")
+    printed("verify", "--filter", "structure-tensor-validation")
 
 
 def test_the_output_digests_script_lists_each_output_once(capsys,

@@ -22,6 +22,7 @@ from symidx.serialize import (
     space_from_dict,
     space_to_dict,
     spectrum_to_dict,
+    to_json,
 )
 
 
@@ -491,3 +492,77 @@ def test_a_spectrum_prints_each_cluster_by_one_value():
     printed = spectrum_to_dict(jacobi_operator(sphere, sphere.m_basis[:, 0]))
     assert printed["multiplicities"] == [1, 3]
     np.testing.assert_allclose(printed["eigenvalues"], [0.0, 1.0], atol=1e-12)
+
+
+_FLOATS = (-0.0, 0.0, 5e-324, 1e16, 1e22, 0.1, 1.5, -2.75e-7,
+           float("nan"), float("inf"), float("-inf"))
+_SCALARS = (True, False, None, 0, -3, 2 ** 70, "", "plain", "é\u2603",
+            "\x00\n\t\"\\\x1f")
+_KEYS = ("a", "b", "Z", "", "é", "ключ", "\x00\n\t", "\x7f\"\\")
+_EMPTIES = ([], {}, (), [[]], [{}], {"a": []}, [(), [[]]])
+
+
+def _random_payload(rng, depth: int = 0):
+    """A nested value of depth at most 4 from the types ``json.dumps``
+    prints: float rows (with numpy scalars mixed in), lists, tuples, dicts
+    with str or int keys, scalars and empty containers."""
+    kind = int(rng.integers(8 if depth < 4 else 3))
+    if kind == 0:
+        return _FLOATS[rng.integers(len(_FLOATS))]
+    if kind == 1:
+        return _SCALARS[rng.integers(len(_SCALARS))]
+    if kind == 2:  # a row of floats, numpy ones among them
+        row = [float(x) for x in rng.normal(size=rng.integers(1, 6))
+               * 10.0 ** rng.integers(-30, 30)]
+        for _ in range(rng.integers(3)):
+            i = rng.integers(len(row))
+            row[i] = (_FLOATS[rng.integers(len(_FLOATS))] if rng.random() < 0.6
+                      else np.float64(row[i]) if rng.random() < 0.8
+                      else np.int64(7))
+        return row
+    if kind == 3:
+        return _EMPTIES[rng.integers(len(_EMPTIES))]
+    items = [_random_payload(rng, depth + 1)
+             for _ in range(rng.integers(1, 4))]
+    if kind == 4:
+        return items
+    if kind == 5:
+        return tuple(items)
+    if kind == 6:
+        return {_KEYS[k]: item for k, item in zip(
+            rng.permutation(len(_KEYS)), items)}
+    return {int(k): item for k, item in zip(rng.integers(-9, 9, 3), items)}
+
+
+def _printed(value):
+    """``to_json`` and ``json.dumps``'s result, or the TypeError raised."""
+    outcomes = []
+    for write in (to_json, lambda v: json.dumps(v, indent=2, sort_keys=True)):
+        try:
+            outcomes.append(write(value))
+        except TypeError as exc:
+            outcomes.append((TypeError, str(exc)))
+    return outcomes
+
+
+def test_to_json_prints_what_json_dumps_prints():
+    """On 600 seeded random payloads, ``to_json`` gives the text of
+    ``json.dumps(value, indent=2, sort_keys=True)``, or the same TypeError;
+    most of them print."""
+    rng = np.random.default_rng(20261019)
+    printed = 0
+    for _ in range(600):
+        ours, stdlib = _printed(_random_payload(rng))
+        assert ours == stdlib
+        printed += isinstance(ours, str)
+    assert printed > 450
+
+
+@pytest.mark.parametrize("value", [
+    np.bool_(True), {1, 2}, {"a": 1.0, 2: 3.0}, [0.5, np.float32(1.0)],
+    [1.0, {"b": [np.int64(3)]}], {"x": (1, frozenset())}],
+    ids=["np.bool_", "set", "mixed-keys", "float32-in-row", "nested-int64",
+         "nested-frozenset"])
+def test_to_json_refuses_what_json_dumps_refuses(value):
+    ours, stdlib = _printed(value)
+    assert ours == stdlib and ours[0] is TypeError

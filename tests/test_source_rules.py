@@ -79,6 +79,27 @@ def test_only_the_rank_primitives_take_a_singular_value_decomposition():
     assert set(found) == SVD_CALLERS, found
 
 
+def printing_uses() -> list:
+    """``file:line`` of each use of the name ``dumps`` and each call with an
+    ``indent=`` keyword in the package."""
+    found = [use.split(" ")[0] for use in named_uses(("dumps",))]
+    for path in sorted(pathlib.Path(symidx.__file__).parent.rglob("*.py")):
+        found += [f"{path.name}:{node.lineno}"
+                  for node in ast.walk(ast.parse(path.read_text(), str(path)))
+                  if isinstance(node, ast.Call)
+                  and any(kw.arg == "indent" for kw in node.keywords)]
+    return found
+
+
+def test_only_serialize_prints_json():
+    """Every command prints its JSON through ``serialize.to_json``, so no
+    other module calls ``json.dumps`` or indents by itself; the scan sees
+    the writer's fallback."""
+    found = printing_uses()
+    assert any(use.startswith("serialize.py:") for use in found)
+    assert {use.split(":")[0] for use in found} == {"serialize.py"}, found
+
+
 def imported_names(module: str) -> set:
     """Every dotted part of what the package module ``module`` imports."""
     path = pathlib.Path(symidx.__file__).parent / f"{module}.py"

@@ -5,16 +5,17 @@ orbit of Spin(3) x Spin(3), induces exactly the coupled quotient metric
 up to a homothety; the radius rho dials the slope parameter.  A quite
 different source, the midpoint orbit between a point and its cut locus
 in the complex projective plane, produces a squashed three-sphere whose
-squashing parameter the package recomputes from the embedding.
+shape the ``cp2-centriole-shape`` check of ``symidx verify`` derives from
+the space that ``cp2_centriole`` builds.
 """
 
 import numpy as np
 
 from symidx import (
-    cp2_centriole,
     product_of_spheres,
     transvection_space,
 )
+from symidx.verify import run_checks
 
 for rho in (0.5, 1.0, 2.0):
     sp, info = product_of_spheres(rho)
@@ -24,11 +25,9 @@ for rho in (0.5, 1.0, 2.0):
           f"normalized metric diag {np.round(np.diag(gram), 6)}, "
           f"index {rep.index}")
 
-sp, info = cp2_centriole()
-print("\nmidpoint orbit in CP^2:")
-print(f"  sphere dimension {info['dim_sphere']}, "
-      f"leaf dimension {info['dim_fiber']}, base {info['dim_base']}")
-print(f"  coindex {info['coindex_sphere']}")
-print(f"  induced metric eigenvalue multiplicities "
-      f"{info['shape_multiplicities']}, squashing parameter "
-      f"{info['berger_t']:g}")
+shape = run_checks("cp2-centriole-shape")[0]
+base, fiber, sphere = shape.actual["dims"]
+print(f"\nmidpoint orbit in CP^2 ({shape.check}: {shape.status}):")
+print(f"  sphere dimension {sphere}, leaf dimension {fiber}, base {base}")
+print(f"  coindex {shape.actual['coindex']}")
+print(f"  squashing parameter {shape.actual['berger_t']:g}")

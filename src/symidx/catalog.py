@@ -1,11 +1,13 @@
 """Named example spaces with known symmetry behaviour.
 
 Each named builder returns ``(space, info)``, where ``info`` holds the
-family name under ``"family"``, the parameters and, where available, a
-matrix representation of the Killing algebra (for orbit period
-computations) and closed-form metric or shape data that the test suite
-checks against independent computation; :func:`orbit_space`, the
-generic constructor, returns the space alone.  Parameter ranges are
+family name under ``"family"``, the parameters and construction data:
+where available, a matrix representation of the Killing algebra (for
+orbit period computations), the embedding or stabilizer the space is
+built from, and closed-form metric parameters.  Shapes and expected
+values are not part of ``info``: ``symidx verify`` derives them from
+the space and checks them.  :func:`orbit_space`, the generic
+constructor, returns the space alone.  Parameter ranges are
 validated and out-of-range values raise ``ValueError``, which the sweep
 command relies on to skip degenerate grid points.
 """
@@ -17,19 +19,15 @@ import math
 
 import numpy as np
 
-from .homspace import HomogeneousSpace, Presentation, transvection_space
+from .homspace import HomogeneousSpace, Presentation
 from .liealg import (
     DEFAULT_TOL,
     BilinearForm,
     Subspace,
     _flatten_real,
-    derived_subalgebra,
     direct_sum,
-    eigenvalue_clusters,
-    killing_form_positive,
     matrix_algebra,
     orthogonal_complement,
-    pencil_eigh,
     quaternion_left_multiplication,
     quaternion_right_multiplication,
     so_elementary,
@@ -70,15 +68,7 @@ def round_sphere(n: int, tol: float = DEFAULT_TOL):
                           BilinearForm(np.eye(n)),
                           complement=Subspace(alg.dim, eye[:, moves]),
                           label=f"round sphere S^{n}", tol=tol)
-    info = {
-        "family": "round-sphere",
-        "n": n,
-        "representation": rep,
-        "index": n,
-        "jacobi_eigenvalues": [0.0] + [1.0] * (n - 1),
-        "great_circle_length": 2.0 * math.pi,
-    }
-    return sp, info
+    return sp, {"family": "round-sphere", "n": n, "representation": rep}
 
 
 # ---------------------------------------------------------------------------
@@ -144,14 +134,7 @@ def so4_so2(lam: float, s: float, t: float | None = None,
     sp = spin4_quotient(so4_so2_complement(lam), tol).space(
         BilinearForm(so4_so2_gram(s, t)),
         label=f"Spin(4)/S1 lam={lam:g} s={s:g} t={t:g}")
-    info = {
-        "family": "so4-so2",
-        "lam": lam,
-        "s": s,
-        "t": t,
-        "coupled": abs(t - (2.0 - s)) <= 1e-12,
-    }
-    return sp, info
+    return sp, {"family": "so4-so2", "lam": lam, "s": s, "t": t}
 
 
 # ---------------------------------------------------------------------------
@@ -316,15 +299,11 @@ def cp2_centriole(tol: float = DEFAULT_TOL):
     the line and its pole is a three-sphere, fibred in circles over the
     line.  The plane is normalized to holomorphic curvature 4 by the
     half-trace inner product, and the induced metric on the orbit is a
-    squashed three-sphere.  ``info`` holds its shape: ``dim_base``, the
-    dimension of the orbit of the pole, ``dim_fiber``, that of the circle
-    directions through the base point (spanned by ``fiber_tangent``), and
-    ``dim_sphere``, their sum; ``berger_t``, the induced metric as the
-    squashed triple (t, t, 2) up to scale, with ``shape_multiplicities``
-    the eigenvalue multiplicities that justify it; and ``coindex_sphere``,
-    the tangent codimension of the parallel directions, relative to the
-    acting algebra.  ``tol`` is the space's tolerance, and that of every
-    rank decision behind ``info``.
+    squashed three-sphere.  ``info`` holds its construction data:
+    ``pole_stabilizer``, the fields fixing the foot point, where the
+    geodesic from the pole through the base point meets the line; the
+    ``cp2-centriole-shape`` check of ``symidx verify`` derives the shape
+    from it.  ``tol`` is the space's tolerance and that of its stabilizer.
     """
     t1 = np.diag([2j, -1j, -1j])
     t2 = np.diag([0.0, 1j, -1j])
@@ -337,46 +316,16 @@ def cp2_centriole(tol: float = DEFAULT_TOL):
 
     p = 0.5 * np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 0.0]],
                        dtype=complex)
-    pole = np.diag([0.0, 1.0, 0.0]).astype(complex)
+    foot = np.diag([0.0, 1.0, 0.0]).astype(complex)
 
     def inner(a, b):
         return 0.5 * float(np.real(np.trace(a @ b)))
 
     sp = orbit_space(alg, rep, p, inner,
                      label="distance sphere around a line in CP^2", tol=tol)
-
-    pole_stabilizer = Subspace.kernel_of(
-        _flatten_real(_orbit_tangents(rep, pole)).T, tol)
-    fiber = Subspace.from_spanning(sp.dim, sp.evaluate(pole_stabilizer.basis),
-                                   tol)
-
-    der = derived_subalgebra(alg, tol)
-    values = sp.evaluate(der.basis)  # isotropy parts have no velocity at p
-    b_sub = der.basis.T @ killing_form_positive(alg).gram @ der.basis
-    w, vecs = pencil_eigh(8.0 * values.T @ sp.metric.gram @ values, b_sub, tol)
-    multiplicities = tuple(sorted((int(c.stop - c.start)
-                                   for c in eigenvalue_clusters(w, tol)),
-                                  reverse=True))
-
-    in_fiber = fiber.contains_columns(values @ vecs)
-    if not in_fiber.any():
-        raise RuntimeError("internal: no pencil eigenvector is tangent "
-                           "to the fiber")
-    distinguished = w[np.argmax(in_fiber)]
-    others = w[np.abs(w - distinguished) > tol]
-    berger_t = 2.0 * others[0] / distinguished if others.size else 2.0
-
-    info = {
-        "family": "cp2-centriole",
-        "dim_base": alg.dim - pole_stabilizer.dim,
-        "dim_fiber": fiber.dim,
-        "dim_sphere": sp.dim,
-        "coindex_sphere": transvection_space(sp).coindex,
-        "berger_t": float(berger_t),
-        "shape_multiplicities": multiplicities,
-        "fiber_tangent": fiber,
-    }
-    return sp, info
+    stabilizer = Subspace.kernel_of(
+        _flatten_real(_orbit_tangents(rep, foot)).T, tol)
+    return sp, {"family": "cp2-centriole", "pole_stabilizer": stabilizer}
 
 
 # ---------------------------------------------------------------------------
@@ -450,5 +399,5 @@ def default_spaces():
         spin3_one_parameter(0.5),
         spin3_berger(1.5),
         product_of_spheres(1.0),
-        from_name("cp2-centriole"),
+        cp2_centriole(),
     ]

@@ -653,6 +653,17 @@ def _refuse_curvature(*residuals) -> None:
         raise ValueError(_CURVATURE_REFUSALS[first].format(residuals[first]))
 
 
+def _field(sp: HomogeneousSpace, x) -> np.ndarray:
+    """Field coefficients ``x`` as floats, refused by name unless they are
+    ``algebra.dim`` finite numbers (not a matmul error or a nan speed)."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (sp.algebra.dim,):
+        raise ValueError(f"field has shape {x.shape}, the algebra dimension "
+                         f"is {sp.algebra.dim}")
+    _refuse_non_finite("field", x)
+    return x
+
+
 def jacobi_operator(sp: HomogeneousSpace, x: np.ndarray) -> JacobiSpectrum:
     """Curvature operator R(., c')c' along the orbit geodesic of a field.
 
@@ -669,7 +680,7 @@ def jacobi_operator(sp: HomogeneousSpace, x: np.ndarray) -> JacobiSpectrum:
     Raises
     ------
     ValueError
-        If a coefficient of the field is not finite, the field vanishes
+        If the field is not ``algebra.dim`` finite coefficients, vanishes
         at the base point, or its orbit is not a geodesic there (nonzero
         covariant derivative in its own direction), or the double bracket
         depends on the isotropy part of lifts, which would make the
@@ -677,8 +688,7 @@ def jacobi_operator(sp: HomogeneousSpace, x: np.ndarray) -> JacobiSpectrum:
         :data:`~symidx.liealg.CHECK_TOL`, and ``psd_ok`` allows a smallest
         eigenvalue down to ``-CHECK_TOL``.
     """
-    x = np.asarray(x, dtype=float)
-    _refuse_non_finite("field", x)  # else it reads as a zero or nan speed
+    x = _field(sp, x)
     xn, speed, drift, lift, asym, op, go = (v[0, 0] for v in _curvature(
         sp, sp.metric.gram[None], sp._nabla_basis[None], x[None, :, None]))
     _refuse_curvature(speed, drift, lift, asym)
@@ -815,21 +825,26 @@ def closed_geodesic_length(sp: HomogeneousSpace, representation: np.ndarray,
     Raises
     ------
     ValueError
-        If a coefficient of the field is not finite, the orbit is not a
-        geodesic at the base point, the generator has eigenvalues off the
-        imaginary axis (no periodic flow), the ratio of some frequency to
+        If the field is not ``algebra.dim`` finite coefficients, the
+        representation not one finite square matrix per field, the orbit
+        not a geodesic at the base point, the generator has eigenvalues off
+        the imaginary axis (no periodic flow), the ratio of some frequency to
         the smallest one is not within relative
         :data:`~symidx.liealg.CHECK_TOL` of a fraction with denominator at
         most :data:`MAX_WINDING_DENOMINATOR` (incommensurable, or winding too
         finely to resolve), or the field is in the kernel of the
         representation.
     """
-    x = np.asarray(x, dtype=float)
-    _refuse_non_finite("field", x)
+    x = _field(sp, x)
+    rep = np.asarray(representation)
+    if rep.ndim != 3 or rep.shape[::2] != (sp.algebra.dim, rep.shape[1]):
+        raise ValueError(f"representation has shape {rep.shape}, not one "
+                         f"square matrix for each of {sp.algebra.dim} fields")
+    _refuse_non_finite("representation", rep)
     speed, drift = (v[0, 0] for v in _curvature(
         sp, sp.metric.gram[None], sp._nabla_basis[None], x[None, :, None])[1:3])
     _refuse_curvature(speed, drift)
-    gen = np.einsum("i,ijk->jk", x, np.asarray(representation))
+    gen = np.einsum("i,ijk->jk", x, rep)
     cutoff = CHECK_TOL * max(1.0, float(np.max(np.abs(gen))))
     eig = np.linalg.eigvals(gen)
     if float(np.max(np.abs(eig.real))) > cutoff:

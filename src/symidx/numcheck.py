@@ -188,8 +188,12 @@ def integrate_field_equation(k_matrix: np.ndarray, v0: np.ndarray,
     ``times[i]``; initial value ``v0``, initial derivative ``w0``.  For
     ``y' = A y``, ``A = [[0, I], [-K, 0]]``, the four stages of a step
     compose to ``P = I + hA + (hA)^2/2 + (hA)^3/6 + (hA)^4/24``; a block
-    of b states is ``P^1 ... P^b`` times the state before it.
+    of b states is ``P^1 ... P^b`` times the state before it.  ``steps``
+    must be an integer of at least 1, else ``ValueError``.
     """
+    if not isinstance(steps, (int, np.integer)) or steps < 1:
+        raise ValueError(f"steps must be an integer of at least 1, "
+                         f"got {steps!r}")
     n = len(k_matrix)
     ha = (t_end / steps) * np.block([[np.zeros((n, n)), np.eye(n)],
                                      [-np.asarray(k_matrix, float),

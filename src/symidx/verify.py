@@ -34,8 +34,11 @@ from .liealg import (
     BilinearForm,
     LieAlgebra,
     Subspace,
+    derived_subalgebra,
+    eigenvalue_clusters,
     killing_form_positive,
     numerical_rank,
+    pencil_eigh,
     so_elementary,
 )
 from .numcheck import ExponentialChart, integrate_field_equation
@@ -88,11 +91,11 @@ def _check_round_spheres():
     actual = {}
     for n in range(2, 6):
         sp, info = catalog.round_sphere(n)
+        want = np.array([0.0] + [1.0] * (n - 1))
         rep = transvection_space(sp)
         _require(rep.index == n, f"S^{n}: index {rep.index} != {n}")
         _require(rep.coindex == 0, f"S^{n}: coindex {rep.coindex} != 0")
         spec = jacobi_operator(sp, sp.lift(np.eye(n)[:, 0]))
-        want = np.array(info["jacobi_eigenvalues"])
         _require(bool(np.allclose(np.sort(spec.eigenvalues), want, atol=1e-9)),
                  f"S^{n}: curvature eigenvalues {spec.eigenvalues} "
                  f"!= {want}")
@@ -313,18 +316,30 @@ def _check_jacobi_oracle():
 
 
 def _check_centriole():
-    _, info = catalog.cp2_centriole()
-    dims = (info["dim_base"], info["dim_fiber"], info["dim_sphere"])
+    sp, info = catalog.cp2_centriole()
+    alg, tol = sp.algebra, sp.tol
+    stabilizer = info["pole_stabilizer"]
+    fiber = Subspace.from_spanning(sp.dim, sp.evaluate(stabilizer.basis), tol)
+    dims = (alg.dim - stabilizer.dim, fiber.dim, sp.dim)  # base, fiber, sphere
     _require(dims == (2, 1, 3), f"dimensions {dims} != (2, 1, 3)")
-    _require(info["coindex_sphere"] == 2,
-             f"coindex {info['coindex_sphere']} != 2")
-    _require(info["shape_multiplicities"] == (2, 1),
-             f"eigenvalue multiplicities {info['shape_multiplicities']}")
-    _require(abs(info["berger_t"] - 4.0) <= 1e-9,
-             f"squashing parameter {info['berger_t']} != 4.0")
+    coindex = transvection_space(sp).coindex
+    _require(coindex == 2, f"coindex {coindex} != 2")
+    # the metric on the derived algebra's velocities against the trace form
+    der = derived_subalgebra(alg, tol)
+    values = sp.evaluate(der.basis)  # isotropy parts have no velocity
+    b_sub = der.basis.T @ killing_form_positive(alg).gram @ der.basis
+    w, vecs = pencil_eigh(8.0 * values.T @ sp.metric.gram @ values, b_sub, tol)
+    sizes = sorted(int(c.stop - c.start) for c in eigenvalue_clusters(w, tol))
+    _require(sizes == [1, 2], f"eigenvalue multiplicities {sizes} != [1, 2]")
+    in_fiber = fiber.contains_columns(values @ vecs)
+    _require(in_fiber.any(), "no pencil eigenvector is tangent to the fiber")
+    distinguished = w[np.argmax(in_fiber)]
+    others = w[np.abs(w - distinguished) > tol]
+    berger_t = float(2.0 * others[0] / distinguished) if others.size else 2.0
+    _require(abs(berger_t - 4.0) <= 1e-9,
+             f"squashing parameter {berger_t} != 4.0")
     return ({"dims": (2, 1, 3), "coindex": 2, "berger_t": 4.0},
-            {"dims": dims, "coindex": info["coindex_sphere"],
-             "berger_t": info["berger_t"]})
+            {"dims": dims, "coindex": coindex, "berger_t": berger_t})
 
 
 def _residual_spaces():

@@ -144,6 +144,28 @@ def test_integrated_oracle_catches_a_wrong_integrator(monkeypatch):
     assert "closed form and integrated field differ" in outcomes[0].detail
 
 
+@pytest.mark.parametrize("spectrum, message", [
+    (lambda w: np.arange(1.0, len(w) + 1.0), "eigenvalue multiplicities"),
+    (lambda w: w + 0.5 * w[0], "squashing parameter"),
+], ids=["distinct", "shifted"])
+def test_centriole_check_catches_a_wrong_pencil_spectrum(monkeypatch,
+                                                         spectrum, message):
+    """The shape check derives its multiplicities and its squashing
+    parameter from the pencil eigenvalues: three distinct ones fail it on
+    the multiplicities, and a shifted spectrum on the parameter."""
+    pencil_eigh = verify.pencil_eigh
+
+    def perturbed(*args, **kwargs):
+        w, vecs = pencil_eigh(*args, **kwargs)
+        return spectrum(w), vecs
+
+    monkeypatch.setattr(verify, "pencil_eigh", perturbed)
+    outcomes = run_checks("cp2-centriole-shape")
+    assert len(outcomes) == 1
+    assert outcomes[0].status == "fail"
+    assert message in outcomes[0].detail
+
+
 def test_quotient_checks_build_one_presentation_per_slope(monkeypatch):
     """Both so4-so2 checks validate the quotient once per slope (three
     each), not once per grid point."""

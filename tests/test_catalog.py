@@ -32,6 +32,7 @@ from symidx.liealg import (
     so_elementary,
 )
 from symidx.serialize import plain
+from symidx.verify import run_checks
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
@@ -39,9 +40,8 @@ def test_round_sphere_shapes(n):
     sp, info = round_sphere(n)
     assert sp.dim == n
     assert sp.algebra.dim == (n + 1) * n // 2
-    assert info["index"] == n
+    assert set(info) == {"family", "n", "representation"}
     assert transvection_space(sp).index == n
-    assert info["great_circle_length"] == pytest.approx(2.0 * math.pi)
 
 
 @pytest.mark.parametrize("n", [0, -1])
@@ -79,14 +79,15 @@ def test_quotient_parameter_validation():
 
 
 def test_quotient_gram_matrix_and_coupling_flag():
+    """t defaults to 2 - s, the coupled stratum, where the index is 2; off
+    it the index is 0.  ``info`` keeps the parameters only."""
     sp, info = so4_so2(0.7, 0.3)
     np.testing.assert_allclose(sp.metric.gram,
                                np.diag([2.0, 2.0, 0.3, 1.7, 1.7]))
-    assert info["coupled"]
-    _, info = so4_so2(0.7, 0.3, t=1.7)
-    assert info["coupled"]
-    _, info = so4_so2(0.7, 0.3, t=1.0)
-    assert not info["coupled"]
+    assert info == {"family": "so4-so2", "lam": 0.7, "s": 0.3, "t": 1.7}
+    assert transvection_space(sp).index == 2
+    assert transvection_space(so4_so2(0.7, 0.3, t=1.7)[0]).index == 2
+    assert transvection_space(so4_so2(0.7, 0.3, t=1.0)[0]).index == 0
 
 
 def test_quotient_isotropy_is_the_diagonal_circle():
@@ -239,8 +240,8 @@ def test_the_metric_of_an_orbit_space_is_the_gram_of_any_fields_velocities(
         monkeypatch, name):
     """Isotropy fields have no orbit velocity at the base point, so for any
     fields X, isotropy parts included, (E X)^T G (E X) is the Gram matrix
-    of their velocities under ``inner``; cp2_centriole reads its shape off
-    the metric by this identity.  Each space is built through a recording
+    of their velocities under ``inner``; the cp2-centriole-shape check
+    reads the shape off the metric by this identity.  Each space is built through a recording
     ``catalog.orbit_space``, which keeps the representation, point and
     inner product it was given."""
     calls = []
@@ -299,21 +300,23 @@ def test_builders_build_the_space_with_their_tolerance():
 
 
 def test_centriole_report():
+    """The builder returns the space and its construction data; the shape
+    is derived by the cp2-centriole-shape check."""
     sp, info = cp2_centriole()
-    assert info["dim_sphere"] == 3
-    assert info["dim_base"] == 2
-    assert info["dim_fiber"] == 1
-    assert info["coindex_sphere"] == 2
-    assert info["berger_t"] == pytest.approx(4.0, abs=1e-12)
-    assert info["shape_multiplicities"] == (2, 1)
-    assert [type(m) for m in info["shape_multiplicities"]] == [int, int]
     assert isinstance(sp, HomogeneousSpace)
-    assert info["fiber_tangent"].dim == 1
+    assert set(info) == {"family", "pole_stabilizer"}
+    assert info["pole_stabilizer"].dim == 2
+    outcome = run_checks("cp2-centriole-shape")[0]
+    assert outcome.status == "pass", outcome.detail
+    assert outcome.actual["dims"] == (2, 1, 3)
+    assert [type(d) for d in outcome.actual["dims"]] == [int, int, int]
+    assert outcome.actual["coindex"] == 2
+    assert outcome.actual["berger_t"] == pytest.approx(4.0, abs=1e-12)
 
 
 def test_centriole_builds_its_algebra_with_its_tolerance(monkeypatch):
-    """``tol`` reaches every rank decision behind the report, the algebra's
-    too."""
+    """``tol`` reaches every rank decision behind the space and its
+    stabilizer, the algebra's too."""
     seen = []
     matrix_algebra = catalog.matrix_algebra
 
@@ -331,11 +334,13 @@ def test_centriole_builds_its_algebra_with_its_tolerance(monkeypatch):
 
 def test_from_name_round_trips_every_template():
     assert from_name("round-sphere:3")[0].dim == 3
-    assert from_name("so4-so2:0.5,0.5")[1]["coupled"]
-    assert not from_name("so4-so2:0.5,0.5,1.0")[1]["coupled"]
+    assert from_name("so4-so2:0.5,0.5")[1]["t"] == 1.5
+    assert from_name("so4-so2:0.5,0.5,1.0")[1]["t"] == 1.0
     assert from_name("spin3:1,1,2")[0].dim == 3
     assert from_name("product-spheres:1.0")[1]["rho"] == 1.0
-    assert from_name("cp2-centriole")[1]["berger_t"] == pytest.approx(4.0)
+    assert from_name("cp2-centriole")[1]["family"] == "cp2-centriole"
+    shape = run_checks("cp2-centriole-shape")[0].actual
+    assert shape["berger_t"] == pytest.approx(4.0, abs=1e-12)
 
 
 def test_from_name_rejects_malformed_names():

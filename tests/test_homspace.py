@@ -1142,6 +1142,36 @@ def test_a_non_finite_field_is_refused_by_name(x, shown):
         closed_geodesic_length(sp, info["representation"], x)
 
 
+@pytest.mark.parametrize("x", [np.ones(5), np.ones(7), np.ones((6, 1))],
+                         ids=["short", "long", "column"])
+def test_a_field_of_the_wrong_length_is_refused_by_name(x):
+    """so(4) has 6 fields; the field's shape and the algebra dimension are
+    named, by jacobi_operator and closed_geodesic_length alike, before a
+    matmul meets them."""
+    sp, info = round_sphere(3)
+    message = (rf"field has shape \({x.shape[0]},{' 1' if x.ndim == 2 else ''}"
+               rf"\), the algebra dimension is 6")
+    with pytest.raises(ValueError, match=message):
+        jacobi_operator(sp, x)
+    with pytest.raises(ValueError, match=message):
+        closed_geodesic_length(sp, info["representation"], x)
+
+
+@pytest.mark.parametrize("rep, message", [
+    (np.zeros((5, 4, 4)), r"shape \(5, 4, 4\)"),
+    (np.zeros((6, 4, 3)), r"shape \(6, 4, 3\)"),
+    (np.zeros((6, 16)), r"shape \(6, 16\)"),
+    (np.where(np.eye(4, dtype=bool), np.nan, 0.0)[None].repeat(6, axis=0),
+     r"representation entry \[0, 0, 0\] is nan, not a finite number"),
+], ids=["five-matrices", "not-square", "flat", "nan"])
+def test_closed_geodesic_length_refuses_a_representation_by_name(rep, message):
+    """The representation must be one finite d x d matrix per field of the
+    algebra, checked before eigvals or einsum meet it."""
+    sp, _ = round_sphere(3)
+    with pytest.raises(ValueError, match=message):
+        closed_geodesic_length(sp, rep, sp.lift(np.eye(3)[:, 0]))
+
+
 def test_batched_psd_check_takes_no_candidates():
     sp, _ = so4_so2(0.5, 0.5)
     psd_ok, refused = curvature_psd(sp, np.zeros((6, 0)))

@@ -126,6 +126,21 @@ def test_integrator_converges(steps, expect):
     assert abs(values[-1, 0] - np.cos(np.pi)) < expect
 
 
+@pytest.mark.parametrize("steps", [0, -1, 2.5, "10", None])
+def test_integrator_refuses_a_step_count_that_is_not_a_positive_integer(
+        steps):
+    with pytest.raises(ValueError, match=rf"steps must be an integer of at "
+                                         rf"least 1, got {steps!r}"):
+        integrate_field_equation(np.array([[1.0]]), np.array([1.0]),
+                                 np.array([0.0]), np.pi, steps)
+
+
+def test_integrator_takes_a_numpy_integer_step_count():
+    times, _ = integrate_field_equation(np.array([[1.0]]), np.array([1.0]),
+                                        np.array([0.0]), 1.0, np.int64(3))
+    np.testing.assert_allclose(times, [0.0, 1 / 3, 2 / 3, 1.0])
+
+
 def test_power_series_gives_exp_and_its_differential():
     theta = 0.3
     a = np.array([[0.0, -theta], [theta, 0.0]])

@@ -120,3 +120,17 @@ def test_serialize_sits_below_the_checks_and_the_commands():
     names = imported_names("serialize")
     assert {"homspace", "liealg", "json"} <= names  # the scan sees imports
     assert not names & {"verify", "catalog", "numcheck", "cli"}
+
+
+ANALYSES = {"transvection_space", "symmetry_ideal", "symmetry_ideals",
+            "jacobi_operator", "pencil_eigh", "derived_subalgebra",
+            "eigenvalue_clusters", "killing_form_positive"}
+
+
+def test_catalog_builders_only_build():
+    """A builder returns its space and construction data, and the checks of
+    ``verify`` derive shapes from them, so ``catalog`` imports no analysis;
+    the scan sees its ``Subspace`` import."""
+    names = imported_names("catalog")
+    assert {"homspace", "liealg", "Subspace"} <= names
+    assert not names & ANALYSES, names & ANALYSES

@@ -655,7 +655,12 @@ def _refuse_curvature(*residuals) -> None:
 
 def _field(sp: HomogeneousSpace, x) -> np.ndarray:
     """Field coefficients ``x`` as floats, refused by name unless they are
-    ``algebra.dim`` finite numbers (not a matmul error or a nan speed)."""
+    ``algebra.dim`` finite real numbers (not a matmul error, a nan speed or
+    a real part taken with a ComplexWarning)."""
+    x = np.asarray(x)
+    if np.iscomplexobj(x):
+        raise ValueError(f"field has complex entries ({x.dtype}), not real "
+                         f"numbers")
     x = np.asarray(x, dtype=float)
     if x.shape != (sp.algebra.dim,):
         raise ValueError(f"field has shape {x.shape}, the algebra dimension "
@@ -680,7 +685,7 @@ def jacobi_operator(sp: HomogeneousSpace, x: np.ndarray) -> JacobiSpectrum:
     Raises
     ------
     ValueError
-        If the field is not ``algebra.dim`` finite coefficients, vanishes
+        If the field is not ``algebra.dim`` finite real coefficients, vanishes
         at the base point, or its orbit is not a geodesic there (nonzero
         covariant derivative in its own direction), or the double bracket
         depends on the isotropy part of lifts, which would make the
@@ -825,7 +830,7 @@ def closed_geodesic_length(sp: HomogeneousSpace, representation: np.ndarray,
     Raises
     ------
     ValueError
-        If the field is not ``algebra.dim`` finite coefficients, the
+        If the field is not ``algebra.dim`` finite real coefficients, the
         representation not one finite square matrix per field, the orbit
         not a geodesic at the base point, the generator has eigenvalues off
         the imaginary axis (no periodic flow), the ratio of some frequency to

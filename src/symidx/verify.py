@@ -21,15 +21,20 @@ import numpy as np
 
 from . import catalog
 from .homspace import (
+    _curvature,
+    _refuse_curvature,
+    _transvections,
     augment_left_invariant,
     closed_geodesic_length,
     jacobi_field,
     jacobi_operator,
     perpendicular_killing_space,
     symmetry_ideal,
+    symmetry_ideals,
     transvection_space,
 )
 from .liealg import (
+    CHECK_TOL,
     DEFAULT_TOL,
     BilinearForm,
     LieAlgebra,
@@ -88,7 +93,7 @@ def _check_structure_tensor():
 
 
 def _check_round_spheres():
-    actual = {}
+    expected, actual = {}, {}
     for n in range(2, 6):
         sp, info = catalog.round_sphere(n)
         want = np.array([0.0] + [1.0] * (n - 1))
@@ -96,9 +101,9 @@ def _check_round_spheres():
         _require(rep.index == n, f"S^{n}: index {rep.index} != {n}")
         _require(rep.coindex == 0, f"S^{n}: coindex {rep.coindex} != 0")
         spec = jacobi_operator(sp, sp.lift(np.eye(n)[:, 0]))
-        _require(bool(np.allclose(np.sort(spec.eigenvalues), want, atol=1e-9)),
-                 f"S^{n}: curvature eigenvalues {spec.eigenvalues} "
-                 f"!= {want}")
+        if not np.allclose(np.sort(spec.eigenvalues), want, atol=1e-9):
+            raise _CheckFailure(f"S^{n}: curvature eigenvalues "
+                                f"{spec.eigenvalues} != {want}")
         _require(spec.psd_ok, f"S^{n}: curvature operator not psd")
         length = closed_geodesic_length(sp, info["representation"],
                                         sp.lift(np.eye(n)[:, 0]))
@@ -106,9 +111,7 @@ def _check_round_spheres():
                  f"S^{n}: great circle length {length} != 2*pi")
         actual[f"S^{n}"] = {"index": rep.index,
                             "eigenvalues": np.sort(spec.eigenvalues).tolist()}
-    expected = {f"S^{n}": {"index": n,
-                           "eigenvalues": [0.0] + [1.0] * (n - 1)}
-                for n in range(2, 6)}
+        expected[f"S^{n}"] = {"index": n, "eigenvalues": want.tolist()}
     return expected, actual
 
 
@@ -117,19 +120,28 @@ _COUPLED_METRICS = [(s, 2.0 - s) for s in (0.4, 0.8, 1.2, 1.6)]
 _UNCOUPLED_METRICS = ((0.5, 0.5), (1.0, 0.5), (1.5, 1.0))
 
 
+def _reports(pres, spaces) -> list:
+    """:func:`transvection_space` of each of ``spaces``, built by
+    ``pres.space`` and so metric-checked, by one stacked call."""
+    return _transvections(pres, np.array([sp._nabla_basis
+                                          for sp in spaces]))[0]
+
+
 def _quotients(metrics):
-    """``(lam, s, t, space)`` of :func:`catalog.so4_so2`, slope by slope."""
+    """``(lam, s, t, space, report)`` of :func:`catalog.so4_so2`, slope by
+    slope, with one presentation and one stacked report call a slope."""
     for lam in _SLOPES:
-        space = catalog.spin4_quotient(  # one per slope
-            catalog.so4_so2_complement(lam), DEFAULT_TOL).space
-        for s, t in metrics:
-            yield lam, s, t, space(BilinearForm(catalog.so4_so2_gram(s, t)))
+        pres = catalog.spin4_quotient(catalog.so4_so2_complement(lam),
+                                      DEFAULT_TOL)
+        spaces = [pres.space(BilinearForm(catalog.so4_so2_gram(s, t)))
+                  for s, t in metrics]
+        for (s, t), sp, rep in zip(metrics, spaces, _reports(pres, spaces)):
+            yield lam, s, t, sp, rep
 
 
 def _check_quotient_coupled():
     actual = {}
-    for lam, s, _, sp in _quotients(_COUPLED_METRICS):
-        rep = transvection_space(sp)
+    for lam, s, _, _, rep in _quotients(_COUPLED_METRICS):
         _require(rep.index == 2,
                  f"lam={lam}, s={s}: index {rep.index} != 2")
         _require(rep.coindex == 3,
@@ -143,8 +155,7 @@ def _check_quotient_coupled():
 
 def _check_quotient_uncoupled():
     worst = 0.0
-    for lam, s, t, sp in _quotients(_UNCOUPLED_METRICS):
-        rep = transvection_space(sp)
+    for lam, s, t, sp, rep in _quotients(_UNCOUPLED_METRICS):
         _require(rep.index == 0,
                  f"lam={lam}, s={s}, t={t}: index {rep.index} != 0")
         gens = np.eye(sp.algebra.dim)
@@ -201,10 +212,7 @@ def _check_product_spheres():
         _require((rep.index, rep.coindex) == (2, 3),
                  f"rho={rho}: index {rep.index}, coindex {rep.coindex}")
         perp = perpendicular_killing_space(sp, rep)
-        cols = np.zeros((6, 3))
-        for a in range(3):
-            cols[a, a] = 1.0
-            cols[a + 3, a] = -1.0 / lam
+        cols = np.vstack([np.eye(3), -np.eye(3) / lam])
         _require(perp.equals(Subspace.from_spanning(6, cols)),
                  f"rho={rho}: perpendicular fields are not the weighted "
                  f"antidiagonal")
@@ -265,11 +273,10 @@ def _check_spin3_augmented():
     _require(rep.index == 3,
              f"bi-invariant metric: augmented index {rep.index} != 3")
     a = _opposite_directions(aug)
-    for col in range(rep.p_space.dim):
-        v = rep.p_space.basis[:, col]
-        _require(float(np.linalg.norm(a @ v[3:] - v[:3])) <= 1e-8,
-                 "bi-invariant metric: parallel fields are not the "
-                 "two-sided diagonal")
+    p = rep.p_space.basis
+    _require(bool(np.all(np.linalg.norm(a @ p[3:] - p[:3], axis=0) <= 1e-8)),
+             "bi-invariant metric: parallel fields are not the two-sided "
+             "diagonal")
     actual["bi-invariant"] = rep.index
 
     sp, _ = catalog.spin3_metric(0.5, 0.9, 2.0)
@@ -351,35 +358,49 @@ def _residual_spaces():
     yield augment_left_invariant(sp)
 
 
+def _parallel_curvature(sp, p: np.ndarray) -> tuple:
+    """Per column field of ``p``, by one batched :func:`_curvature`: the
+    residuals :func:`jacobi_operator` refuses by, its ``psd_ok`` (the
+    whitened rule of :func:`_curvature_psd`) and its operator's norm along
+    the field's own direction."""
+    gram = sp.metric.gram
+    xn, *residuals, ops, go = (v[0] for v in _curvature(
+        sp, gram[None], sp._nabla_basis[None], p[None]))
+    white = np.linalg.inv(np.linalg.cholesky(gram))
+    w = np.linalg.eigvalsh(white @ (0.5 * (go + go.swapaxes(-1, -2)))
+                           @ white.T)
+    along = [float(np.linalg.norm(op @ sp.evaluate(x)))
+             for op, x in zip(ops, xn)]
+    return residuals, w[:, 0] >= -CHECK_TOL, along
+
+
 def _check_invariant_residuals():
     rng = np.random.default_rng(167)
     worst = 0.0
-    count = 0
-    for sp in _residual_spaces():
-        count += 1
+    for count, sp in enumerate(_residual_spaces(), 1):
         gram = sp.metric.gram
-        rep = transvection_space(sp)
+        scaled = sp.space(BilinearForm(2.5 * gram), sp.label + " scaled")
+        rep, scaled_rep = _reports(sp, [sp, scaled])
         _require(rep.involutive_ok,
                  f"{sp.label}: bracket relations of the parallel fields fail")
         _require(rep.index + rep.coindex == sp.dim,
                  f"{sp.label}: index and coindex do not add to the dimension")
-        for col in range(rep.p_space.dim):
-            resid = float(np.max(np.abs(
-                sp.nabla_at_base(rep.p_space.basis[:, col]))))
+        p = rep.p_space.basis
+        residuals, psd, along = _parallel_curvature(sp, p)
+        for col, x in enumerate(p.T):
+            resid = float(np.max(np.abs(sp.nabla_at_base(x))))
             worst = max(worst, resid)
             _require(resid <= 1e-8,
                      f"{sp.label}: reported parallel field has derivative "
                      f"{resid:.3e}")
-            spec = jacobi_operator(sp, rep.p_space.basis[:, col])
-            _require(spec.psd_ok,
+            _refuse_curvature(*(r[col] for r in residuals))
+            _require(psd[col],
                      f"{sp.label}: curvature operator not psd along a "
                      f"parallel direction")
-            along = float(np.linalg.norm(
-                spec.operator @ sp.evaluate(spec.direction)))
-            worst = max(worst, along, spec.selfadjoint_residual)
-            _require(along <= 1e-8,
+            worst = max(worst, along[col], float(residuals[-1][col]))
+            _require(along[col] <= 1e-8,
                      f"{sp.label}: curvature operator does not vanish "
-                     f"along its own direction ({along:.3e})")
+                     f"along its own direction ({along[col]:.3e})")
         # the derivative operator of any field is skew for the metric
         for _ in range(3):
             n = sp.nabla_at_base(rng.standard_normal(sp.algebra.dim))
@@ -395,16 +416,13 @@ def _check_invariant_residuals():
         worst = max(worst, inv)
         _require(inv <= 1e-8,
                  f"{sp.label}: trace form is not ad-invariant ({inv:.3e})")
-        scaled = sp.space(BilinearForm(2.5 * gram), sp.label + " scaled")
-        scaled_rep = transvection_space(scaled)
         _require(scaled_rep.index == rep.index
                  and scaled_rep.p_space.equals(rep.p_space),
                  f"{sp.label}: subspace reports change under metric scaling")
-        bound = symmetry_ideal(sp, rep)
+        bound, scaled_bound = symmetry_ideals(sp, [rep, scaled_rep])
         _require(bound.lhs <= bound.rhs,
                  f"{sp.label}: dimension bound violated "
                  f"({bound.lhs} > {bound.rhs})")
-        scaled_bound = symmetry_ideal(scaled, scaled_rep)
         _require(scaled_bound.gD.equals(bound.gD),
                  f"{sp.label}: symmetry ideal changes under metric scaling")
     return ({"max_residual": 1e-8},
@@ -439,19 +457,15 @@ def run_checks(name_filter: str | None = None) -> list[VerificationOutcome]:
         if name_filter and name_filter not in name:
             continue
         start = time.perf_counter()
+        outcome = VerificationOutcome(check=name, status="fail",
+                                      provenance=provenance)
         try:
-            expected, actual = fn()
-            outcome = VerificationOutcome(
-                check=name, status="pass", provenance=provenance,
-                expected=expected, actual=actual)
+            outcome.expected, outcome.actual = fn()
+            outcome.status = "pass"
         except _CheckFailure as exc:
-            outcome = VerificationOutcome(
-                check=name, status="fail", provenance=provenance,
-                detail=str(exc))
+            outcome.detail = str(exc)
         except Exception as exc:  # noqa: BLE001 - report, do not crash the run
-            outcome = VerificationOutcome(
-                check=name, status="fail", provenance=provenance,
-                detail=f"{type(exc).__name__}: {exc}")
+            outcome.detail = f"{type(exc).__name__}: {exc}"
         outcome.duration_ms = 1e3 * (time.perf_counter() - start)
         outcomes.append(outcome)
     return outcomes

@@ -11,9 +11,10 @@ tolerances, ``jacobi --direction 0`` and, on spin3 names, ``index
 --augment``.  Without names it does so for the names of ``NAMES`` and adds
 ``index`` at the three tolerances on the inline so(n+1)/so(n) document
 without a complement of each n in ``SPHERES``, the sweep grids of
-``SWEEPS`` at two tolerances each, and ``verify`` with each check's
-``duration_ms`` removed.  Run it on two checkouts, by ``PYTHONPATH``, and
-``diff`` the two listings.
+``SWEEPS`` at two tolerances each, and ``verify --filter NAME`` for each
+check of ``CHECK_NAMES``, one line a check, with its ``duration_ms``
+removed.  Run it on two checkouts, by ``PYTHONPATH``, and ``diff`` the two
+listings.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ import tempfile
 import numpy as np
 
 from symidx.cli import main
+from symidx.verify import CHECK_NAMES
 
 NAMES = (
     "round-sphere:2", "round-sphere:3", "round-sphere:5", "round-sphere:9",
@@ -115,8 +117,10 @@ def sphere_outputs(n: int, workdir: str):
                run("index", "--space", path, "--tol", tol))
 
 
-def verify_output() -> tuple[int, str, str]:
-    code, out, err = run("verify")
+def verify_output(name: str) -> tuple[int, str, str]:
+    """``verify --filter name`` with each outcome's ``duration_ms``
+    removed."""
+    code, out, err = run("verify", "--filter", name)
     checks = json.loads(out)
     for check in checks:
         check.pop("duration_ms")
@@ -137,7 +141,8 @@ def outputs(names=()):
         for tol in SWEEP_TOLS:
             yield (f"sweep {' '.join(grid)} --tol {tol}",
                    run("sweep", "--family", *grid, "--tol", tol))
-    yield "verify", verify_output()
+    for name in CHECK_NAMES:
+        yield f"verify --filter {name}", verify_output(name)
 
 
 if __name__ == "__main__":

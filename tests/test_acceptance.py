@@ -6,6 +6,7 @@ summary line per criterion is written straight to the terminal so the
 output reads as a checklist even under capture.
 """
 
+import dataclasses
 import json
 from types import SimpleNamespace
 
@@ -14,7 +15,14 @@ import pytest
 
 from symidx import catalog, verify
 from symidx.cli import main
-from symidx.homspace import HomogeneousSpace
+from symidx.homspace import (
+    HomogeneousSpace,
+    jacobi_operator,
+    symmetry_ideal,
+    symmetry_ideals,
+    transvection_space,
+)
+from symidx.liealg import BilinearForm, Subspace
 from symidx.serialize import plain
 from symidx.verify import CHECK_NAMES, run_checks
 
@@ -244,3 +252,131 @@ def test_checks_are_deterministic():
     assert a.status == b.status == "pass"
     np.testing.assert_allclose(a.actual["worst_residual"],
                                b.actual["worst_residual"], rtol=0, atol=0)
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return (a.shape, a.dtype, a.tobytes()) == (b.shape, b.dtype, b.tobytes())
+
+
+def assert_same_report(got, want):
+    for name in ("p_space", "k_space", "s_space"):
+        assert same_bits(getattr(got, name).basis,
+                         getattr(want, name).basis), name
+    assert (got.index, got.involutive_ok) == (want.index, want.involutive_ok)
+
+
+def scaled_pairs():
+    """Each space of the invariant-residuals check with its 2.5x scaled
+    copy and the two reports the check decides by one stacked call."""
+    for sp in verify._residual_spaces():
+        scaled = sp.space(BilinearForm(2.5 * sp.metric.gram),
+                          sp.label + " scaled")
+        yield sp, scaled, verify._reports(sp, [sp, scaled])
+
+
+@pytest.mark.parametrize("metrics", [verify._COUPLED_METRICS,
+                                     verify._UNCOUPLED_METRICS],
+                         ids=["coupled", "uncoupled"])
+def test_stacked_quotient_reports_match_one_space_at_a_time(metrics):
+    """The so4-so2 checks decide each slope's metrics by one stacked call;
+    each report is transvection_space's of its own space, bit for bit."""
+    points = list(verify._quotients(metrics))
+    assert len(points) == len(verify._SLOPES) * len(metrics)
+    for _, _, _, sp, rep in points:
+        assert_same_report(rep, transvection_space(sp))
+
+
+def test_stacked_residual_reports_and_bounds_match_one_space_at_a_time():
+    """invariant-residuals decides a space and its scaled copy by one
+    stacked report call and one symmetry_ideals call: each report is
+    transvection_space's bit for bit, each bound symmetry_ideal's."""
+    count = 0
+    for sp, scaled, reports in scaled_pairs():
+        count += 1
+        assert_same_report(reports[0], transvection_space(sp))
+        assert_same_report(reports[1], transvection_space(scaled))
+        bounds = symmetry_ideals(sp, reports)
+        for got, want in zip(bounds, [symmetry_ideal(sp, reports[0]),
+                                      symmetry_ideal(scaled, reports[1])]):
+            assert same_bits(got.gD.basis, want.gD.basis)
+            assert same_bits(got.g_prime.basis, want.g_prime.basis)
+            assert ((got.k, got.lhs, got.rhs, got.equality)
+                    == (want.k, want.lhs, want.rhs, want.equality))
+    assert count == 10
+
+
+def test_batched_parallel_curvature_matches_jacobi_operator():
+    """The one batched curvature evaluation of invariant-residuals gives,
+    per parallel field, jacobi_operator's self-adjointness residual, psd_ok
+    and norm of the operator along the field's direction, bit for bit; on
+    the tangent basis fields, which are not all geodesic, it refuses
+    exactly where jacobi_operator raises, with its message."""
+    seen = {"parallel": 0, "refused": 0}
+    for sp, _, (rep, _) in scaled_pairs():
+        p = rep.p_space.basis
+        residuals, psd, along = verify._parallel_curvature(sp, p)
+        for col, x in enumerate(p.T):
+            spec = jacobi_operator(sp, x)
+            assert same_bits(residuals[-1][col], spec.selfadjoint_residual)
+            assert psd[col] == spec.psd_ok
+            assert along[col] == float(np.linalg.norm(
+                spec.operator @ sp.evaluate(spec.direction)))
+            seen["parallel"] += 1
+        residuals = verify._parallel_curvature(sp, sp.m_basis)[0]
+        for col, x in enumerate(sp.m_basis.T):
+            try:
+                jacobi_operator(sp, x)
+            except ValueError as exc:
+                seen["refused"] += 1
+                with pytest.raises(ValueError) as caught:
+                    verify._refuse_curvature(*(r[col] for r in residuals))
+                assert str(caught.value) == str(exc)
+            else:
+                verify._refuse_curvature(*(r[col] for r in residuals))
+    assert seen["parallel"] == 15 and seen["refused"] > 0, seen
+
+
+def residual_failure(monkeypatch, name, wrap) -> str:
+    """The detail of a failing invariant-residuals run with verify's
+    ``name`` wrapped by ``wrap``."""
+    monkeypatch.setattr(verify, name, wrap(getattr(verify, name)))
+    outcomes = run_checks("invariant-residuals")
+    assert [o.status for o in outcomes] == ["fail"]
+    return outcomes[0].detail
+
+
+def test_invariant_residuals_catch_an_operator_that_moves_its_direction(
+        monkeypatch):
+    def wrap(curvature):
+        def shifted(*args):
+            *values, op, go = curvature(*args)
+            return (*values, op + 1e-6 * np.eye(op.shape[-1]), go)
+        return shifted
+
+    detail = residual_failure(monkeypatch, "_curvature", wrap)
+    assert "does not vanish along its own direction" in detail
+
+
+def test_invariant_residuals_catch_a_scaled_report_that_moves(monkeypatch):
+    """A scaled copy whose parallel fields swap one for an isotropy field
+    has the same index and another p_space."""
+    def wrap(reports):
+        def moved(pres, spaces):
+            found = reports(pres, spaces)
+            p = found[-1].p_space.basis
+            found[-1] = dataclasses.replace(found[-1], p_space=Subspace(
+                pres.algebra.dim, np.hstack([p[:, 1:], pres.h_basis[:, :1]])))
+            return found
+        return moved
+
+    detail = residual_failure(monkeypatch, "_reports", wrap)
+    assert detail.endswith("subspace reports change under metric scaling")
+
+
+def test_invariant_residuals_report_a_refused_scaled_metric(monkeypatch):
+    """A scaled copy whose metric is refused fails the check with the
+    refusal, not with an error on a missing report."""
+    detail = residual_failure(monkeypatch, "BilinearForm",
+                              lambda form: lambda gram: form(-gram))
+    assert detail == "ValueError: metric is not positive definite"

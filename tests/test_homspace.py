@@ -1157,6 +1157,23 @@ def test_a_field_of_the_wrong_length_is_refused_by_name(x):
         closed_geodesic_length(sp, info["representation"], x)
 
 
+@pytest.mark.parametrize("x", [
+    np.array([1 + 1j, 0, 0, 0, 0, 0]), [1 + 1j, 0, 0, 0, 0, 0],
+    np.eye(6, dtype=complex)[0], np.array([1 + 1j, 0, 0]),
+], ids=["array", "list", "zero-imaginary", "short"])
+def test_a_complex_field_is_refused_by_name(x):
+    """Killing field coefficients are real: a complex field, as an array
+    or a list and even with no imaginary part, is refused by name before
+    it is converted, not cut to its real part with a ComplexWarning nor
+    met by float()'s TypeError."""
+    sp, info = round_sphere(3)
+    message = r"field has complex entries \(complex128\), not real numbers"
+    with pytest.raises(ValueError, match=message):
+        jacobi_operator(sp, x)
+    with pytest.raises(ValueError, match=message):
+        closed_geodesic_length(sp, info["representation"], x)
+
+
 @pytest.mark.parametrize("rep, message", [
     (np.zeros((5, 4, 4)), r"shape \(5, 4, 4\)"),
     (np.zeros((6, 4, 3)), r"shape \(6, 4, 3\)"),

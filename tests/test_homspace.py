@@ -1127,6 +1127,26 @@ def test_each_curvature_refusal_names_the_first_failing_precondition():
             closed_geodesic_length(sp, rep, x)
 
 
+def test_an_orbit_length_needs_only_a_geodesic():
+    """At the base point (rho i, i) of the product of spheres with rho = 1,
+    e0 fixes rho i under conjugation and moves i at speed 1 with period
+    2 pi; e1 turns rho i at frequency 2 (speed 2) and i at frequency 1
+    (speed 1), period 2 pi and speed sqrt(5).  Both orbits are geodesics
+    whose curvature operators jacobi_operator refuses, for the lift and
+    self-adjointness checks that an orbit length does not need."""
+    sp, info = product_of_spheres(1.0)
+    e0, e1 = np.eye(6)[:2]
+    with pytest.raises(ValueError, match="not self-adjoint"):
+        jacobi_operator(sp, e0)
+    with pytest.raises(ValueError, match="depends on the lift"):
+        jacobi_operator(sp, e1)
+    rep = info["representation"]
+    assert closed_geodesic_length(sp, rep, e0) == pytest.approx(
+        2.0 * np.pi, rel=1e-12)
+    assert closed_geodesic_length(sp, rep, e1) == pytest.approx(
+        2.0 * np.pi * np.sqrt(5.0), rel=1e-12)
+
+
 @pytest.mark.parametrize("x, shown", [
     ([np.nan, 1.0, 0.0], r"\[0\] is nan"),
     ([0.0, 1.0, -np.inf], r"\[2\] is -inf"),
@@ -1222,6 +1242,23 @@ def test_field_solutions_on_a_spectrum_with_a_negative_eigenvalue():
     at_end = jacobi_field(sp, spec, v0, w0, 2.0)
     assert at_end.shape == (3,)
     np.testing.assert_allclose(at_end, integrated[-1], rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("v, message", [
+    ([1 + 1j, 0], r"has complex entries \(complex128\), not real numbers"),
+    ([1.0, 0.0, 0.0], r"has shape \(3,\), the space dimension is 2"),
+    ([np.nan, 0.0], r"entry \[0\] is nan, not a finite number"),
+], ids=["complex", "long", "nan"])
+def test_jacobi_field_refuses_an_initial_vector_by_name(v, message):
+    """The initial value and derivative are dim finite real tangent
+    coordinates, refused by name before any product: not met by float()'s
+    TypeError or a matmul message, nor carried into rows of nan."""
+    sp, _ = round_sphere(2)
+    spec = jacobi_operator(sp, sp.lift([1.0, 0.0]))
+    with pytest.raises(ValueError, match="v0 " + message):
+        jacobi_field(sp, spec, v, np.zeros(2), 1.0)
+    with pytest.raises(ValueError, match="w0 " + message):
+        jacobi_field(sp, spec, np.zeros(2), v, [0.0, 1.0])
 
 
 def test_field_solutions_on_sphere_and_torus():

@@ -1,5 +1,6 @@
 import itertools
 import tracemalloc
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -245,6 +246,39 @@ def test_matrix_algebra_refuses_non_finite_generators_by_name(entry, shown):
 def test_malformed_inputs_are_refused_by_shape(build, message):
     with pytest.raises(ValueError, match=message):
         build()
+
+
+@pytest.mark.parametrize("build, what", [
+    (lambda: BilinearForm(np.eye(2) * (1 + 1j)), "gram matrix"),
+    (lambda: BilinearForm([[1 + 1j, 0], [0, 1]]), "gram matrix"),
+    (lambda: BilinearForm(np.eye(2, dtype=complex)), "gram matrix"),
+    (lambda: Subspace(3, np.eye(3)[:, :2] * (1 + 1j)), "basis"),
+    (lambda: Subspace.from_spanning(3, np.eye(3) * 1j), "spanning set"),
+    (lambda: Subspace.kernel_of(np.eye(3)[:1] * 1j), "kernel matrix"),
+    (lambda: LieAlgebra(1, ("a",), np.zeros((1, 1, 1), complex)),
+     "structure tensor"),
+], ids=["form", "form-list", "form-zero-imaginary", "basis", "spanning",
+        "kernel", "structure"])
+def test_complex_input_is_refused_by_name(build, what):
+    """Forms, subspaces and structure tensors are real: complex input, even
+    with no imaginary part, is refused by name, not cut to its real part
+    with a ComplexWarning nor met by float()'s TypeError."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=rf"{what} has complex entries "
+                                             rf"\(complex128\), not real "
+                                             rf"numbers"):
+            build()
+
+
+def test_matrix_algebra_still_takes_complex_generators():
+    """Complex generators span a real algebra, built without a
+    ComplexWarning on the way, and stay the representation unchanged."""
+    mats = np.array(su3()[1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        alg, rep = matrix_algebra(mats)
+    assert alg.dim == 8 and rep.dtype == complex and np.array_equal(rep, mats)
 
 
 def test_pair_indices_enumerate_the_pairs_in_colex_order():

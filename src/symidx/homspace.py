@@ -37,6 +37,7 @@ from .liealg import (
     BilinearForm,
     LieAlgebra,
     Subspace,
+    _real,
     _refuse_non_finite,
     adjoints,
     bi_invariant_directions,
@@ -413,8 +414,8 @@ def transvection_stack(pres: Presentation, grams: np.ndarray) -> tuple:
     :class:`HomogeneousSpace` refuses the metric.  Of the curvature
     candidates, the tangent basis directions and the parallel fields,
     ``refused[i]`` counts those :func:`jacobi_operator` raises on, and
-    ``psd_ok[i]`` holds when the others' operators are all psd (see
-    :func:`_curvature_psd`).
+    ``psd_ok[i]`` holds when the others' operators are all psd by
+    :func:`_stacked_psd`.
     """
     grams = np.asarray(grams, dtype=float).reshape(-1, pres.dim, pres.dim)
     kept = np.flatnonzero([r is None for r in _metric_refusals(pres, grams)])
@@ -426,11 +427,12 @@ def transvection_stack(pres: Presentation, grams: np.ndarray) -> tuple:
         nablas = _nablas(part, grams[rows])
         found, groups = _transvections(part, nablas)
         for group, p in groups:
-            sub = part._members(group)
+            sub, gs = part._members(group), grams[rows[group]]
             ms = sub.m_basis * np.ones((len(group), 1, 1))
-            fine, out = _curvature_psd(sub, grams[rows[group]], nablas[group],
-                                       np.concatenate([ms, p], axis=-1))
-            psd_ok[rows[group]] = np.all(fine | out, axis=1)
+            *_, first, _, go = _curvature(sub, gs, nablas[group],
+                                          np.concatenate([ms, p], axis=-1))
+            out = first >= 0
+            psd_ok[rows[group]] = np.all(_stacked_psd(gs, go) | out, axis=1)
             refused[rows[group]] = out.sum(axis=1)
         for i, report in zip(rows.tolist(), found):
             reports[i] = report
@@ -592,19 +594,33 @@ def perpendicular_killing_space(sp: HomogeneousSpace,
 # curvature along homogeneous geodesics
 # ---------------------------------------------------------------------------
 
+#: Why a field has no curvature operator, by the precondition it fails
+#: first; each message takes the failing residual of :func:`_curvature`.
+_CURVATURE_REFUSALS = (
+    "field evaluates to zero at the base point; it generates no geodesic "
+    "direction",
+    "orbit of the field is not a geodesic at the base point (covariant "
+    "derivative along itself has norm {:.3e})",
+    "curvature operator depends on the lift (isotropy residual {:.3e})",
+    "curvature operator is not self-adjoint for the metric (residual {:.3e})",
+)
+
+
 def _curvature(pres: Presentation, grams: np.ndarray, nablas: np.ndarray,
                xs: np.ndarray) -> tuple:
     """The curvature operators along the orbit geodesics of the columns of
-    ``xs``, and the residuals of their preconditions, all at once, for
-    metrics ``grams`` (N, dim, dim) with their :func:`_nablas` and fields
-    ``xs`` (N, algebra dim, K).
+    ``xs``, and whether each is defined, all at once, for metrics ``grams``
+    (N, dim, dim) with their :func:`_nablas` and fields ``xs`` (N, algebra
+    dim, K).
 
-    Returns ``(fields, speed, drift, lift, asym, ops, lowered)``, indexed
-    by metric and column: the field at unit speed (where its speed, the
-    length of its value at the base point, exceeds ``CHECK_TOL``), that
-    speed, the covariant derivative of the unit field along itself, the
-    lift and self-adjointness residuals of R(., c')c', that operator in
-    tangent coordinates, and the metric times it.
+    Returns ``(fields, residuals, first, ops, lowered)``, indexed by metric
+    and column: the field at unit speed (where its speed, the length of its
+    value at the base point, exceeds ``CHECK_TOL``); on a last axis of 4,
+    that speed, the covariant derivative of the unit field along itself and
+    the lift and self-adjointness residuals of R(., c')c'; the index into
+    :data:`_CURVATURE_REFUSALS` of the first of them to fail, or -1, where
+    the speed must exceed :data:`~symidx.liealg.CHECK_TOL` and the others
+    must not; that operator in tangent coordinates; and the metric times it.
     """
     e = pres.eval_matrix
     vals = e @ xs
@@ -619,53 +635,40 @@ def _curvature(pres: Presentation, grams: np.ndarray, nablas: np.ndarray,
     op = -(double @ pres.m_basis[..., None, :, :])
     go = grams[:, None] @ op
     asym = np.abs(go - go.swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0)
-    return xn.swapaxes(-1, -2), speed, drift, lift, asym, op, go
+    residuals = np.stack([speed, drift, lift, asym], axis=-1)
+    failed = (residuals > CHECK_TOL) != [True, False, False, False]
+    first = np.where(failed.any(axis=-1), failed.argmax(axis=-1), -1)
+    return xn.swapaxes(-1, -2), residuals, first, op, go
 
 
-#: Why a field has no curvature operator, by the precondition it fails
-#: first; each message takes the failing residual of :func:`_curvature`.
-_CURVATURE_REFUSALS = (
-    "field evaluates to zero at the base point; it generates no geodesic "
-    "direction",
-    "orbit of the field is not a geodesic at the base point (covariant "
-    "derivative along itself has norm {:.3e})",
-    "curvature operator depends on the lift (isotropy residual {:.3e})",
-    "curvature operator is not self-adjoint for the metric (residual {:.3e})",
-)
-
-
-def _curvature_refusal(speed, drift, lift=0.0, asym=0.0) -> np.ndarray:
-    """Per field, the index into :data:`_CURVATURE_REFUSALS` of the first
-    precondition its residuals from :func:`_curvature` fail, or -1: the
-    speed must exceed :data:`~symidx.liealg.CHECK_TOL`, and the drift, lift
-    and self-adjointness residuals must not.  Given speed and drift alone,
-    it decides whether the orbit is a geodesic."""
-    failed = np.stack(np.broadcast_arrays(
-        ~(speed > CHECK_TOL), drift > CHECK_TOL, lift > CHECK_TOL,
-        asym > CHECK_TOL))
-    return np.where(failed.any(axis=0), failed.argmax(axis=0), -1)
-
-
-def _refuse_curvature(*residuals) -> None:
-    """Raise the :func:`_curvature_refusal` of one field, if it has one."""
-    first = int(_curvature_refusal(*residuals))
+def _refuse_curvature(first: int, residuals: np.ndarray) -> None:
+    """Raise the refusal ``first`` of one field of :func:`_curvature`, with
+    its failing residual, unless it is -1."""
     if first >= 0:
         raise ValueError(_CURVATURE_REFUSALS[first].format(residuals[first]))
 
 
-def _field(sp: HomogeneousSpace, x) -> np.ndarray:
-    """Field coefficients ``x`` as floats, refused by name unless they are
-    ``algebra.dim`` finite real numbers (not a matmul error, a nan speed or
-    a real part taken with a ComplexWarning)."""
-    x = np.asarray(x)
-    if np.iscomplexobj(x):
-        raise ValueError(f"field has complex entries ({x.dtype}), not real "
-                         f"numbers")
-    x = np.asarray(x, dtype=float)
-    if x.shape != (sp.algebra.dim,):
-        raise ValueError(f"field has shape {x.shape}, the algebra dimension "
-                         f"is {sp.algebra.dim}")
-    _refuse_non_finite("field", x)
+def _stacked_psd(grams: np.ndarray, lowered: np.ndarray) -> np.ndarray:
+    """Whether each curvature operator of :func:`_curvature`, given by
+    ``lowered`` (N, K, dim, dim) for the metrics ``grams`` (N, dim, dim),
+    is positive semidefinite: :func:`jacobi_operator`'s rule, smallest
+    eigenvalue at least ``-CHECK_TOL``, by one ``eigvalsh`` of the
+    operators whitened by the Cholesky factors of the metrics."""
+    white = np.linalg.inv(np.linalg.cholesky(grams))[:, None]
+    w = np.linalg.eigvalsh(white @ (0.5 * (lowered + lowered.swapaxes(-1, -2)))
+                           @ white.swapaxes(-1, -2))
+    return np.all(w >= -CHECK_TOL, axis=-1)
+
+
+def _vector(what: str, x, n: int, of: str) -> np.ndarray:
+    """``x`` as floats, refused by name unless it is ``n`` finite real
+    numbers, ``n`` the dimension of the ``of`` (not a matmul error, a nan
+    result or a real part taken with a ComplexWarning)."""
+    x = _real(what, x)
+    if x.shape != (n,):
+        raise ValueError(f"{what} has shape {x.shape}, the {of} dimension is "
+                         f"{n}")
+    _refuse_non_finite(what, x)
     return x
 
 
@@ -693,37 +696,16 @@ def jacobi_operator(sp: HomogeneousSpace, x: np.ndarray) -> JacobiSpectrum:
         :data:`~symidx.liealg.CHECK_TOL`, and ``psd_ok`` allows a smallest
         eigenvalue down to ``-CHECK_TOL``.
     """
-    x = _field(sp, x)
-    xn, speed, drift, lift, asym, op, go = (v[0, 0] for v in _curvature(
+    x = _vector("field", x, sp.algebra.dim, "algebra")
+    xn, residuals, first, op, go = (v[0, 0] for v in _curvature(
         sp, sp.metric.gram[None], sp._nabla_basis[None], x[None, :, None]))
-    _refuse_curvature(speed, drift, lift, asym)
+    _refuse_curvature(first, residuals)
     w, vecs = pencil_eigh(0.5 * (go + go.T), sp.metric.gram, CHECK_TOL)
     return JacobiSpectrum(
         direction=xn, operator=op, eigenvalues=w, eigenvectors=vecs,
-        psd_ok=bool(w[0] >= -CHECK_TOL), selfadjoint_residual=float(asym),
+        psd_ok=bool(w[0] >= -CHECK_TOL),
+        selfadjoint_residual=float(residuals[3]),
     )
-
-
-def _curvature_psd(pres: Presentation, grams: np.ndarray, nablas: np.ndarray,
-                   xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Whether the curvature operator along the orbit geodesic of each
-    field is positive semidefinite, for the metrics and fields of
-    :func:`_curvature`, all at once.
-
-    Returns ``(psd_ok, refused)``, two boolean arrays indexed by metric and
-    field.  A field is refused exactly where :func:`jacobi_operator`
-    raises, by the one :func:`_curvature_refusal`.  Elsewhere ``psd_ok`` is
-    :func:`jacobi_operator`'s rule, smallest eigenvalue at least
-    ``-CHECK_TOL``; it is False where the field is refused.  The operators
-    are whitened by the Cholesky factors of the metrics and their
-    eigenvalues taken by one ``eigvalsh``.
-    """
-    _, *residuals, _, go = _curvature(pres, grams, nablas, xs)
-    refused = _curvature_refusal(*residuals) >= 0
-    white = np.linalg.inv(np.linalg.cholesky(grams))[:, None]
-    w = np.linalg.eigvalsh(white @ (0.5 * (go + go.swapaxes(-1, -2)))
-                           @ white.swapaxes(-1, -2))
-    return ~refused & np.all(w >= -CHECK_TOL, axis=-1), refused
 
 
 def _cos_sin_like(kappa: float, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -748,12 +730,15 @@ def jacobi_field(sp: HomogeneousSpace, spectrum: JacobiSpectrum,
     along the orbit, with ``t`` the arc length.
 
     Returns an array of tangent coordinates, one row per entry of ``t``
-    (or a single vector for scalar ``t``).
+    (or a single vector for scalar ``t``).  Raises ``ValueError`` unless
+    ``v0`` and ``w0`` are each ``dim`` finite real numbers.
     """
+    v0 = _vector("v0", v0, sp.dim, "space")
+    w0 = _vector("w0", w0, sp.dim, "space")
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
     g = sp.metric.gram
-    cv = spectrum.eigenvectors.T @ g @ np.asarray(v0, dtype=float)
-    cw = spectrum.eigenvectors.T @ g @ np.asarray(w0, dtype=float)
+    cv = spectrum.eigenvectors.T @ g @ v0
+    cw = spectrum.eigenvectors.T @ g @ w0
     out = np.zeros((t_arr.size, sp.dim))
     for i, kappa in enumerate(spectrum.eigenvalues):
         cos_like, sin_like = _cos_sin_like(kappa, t_arr)
@@ -840,15 +825,16 @@ def closed_geodesic_length(sp: HomogeneousSpace, representation: np.ndarray,
         finely to resolve), or the field is in the kernel of the
         representation.
     """
-    x = _field(sp, x)
+    x = _vector("field", x, sp.algebra.dim, "algebra")
     rep = np.asarray(representation)
     if rep.ndim != 3 or rep.shape[::2] != (sp.algebra.dim, rep.shape[1]):
         raise ValueError(f"representation has shape {rep.shape}, not one "
                          f"square matrix for each of {sp.algebra.dim} fields")
     _refuse_non_finite("representation", rep)
-    speed, drift = (v[0, 0] for v in _curvature(
+    residuals, first = (v[0, 0] for v in _curvature(
         sp, sp.metric.gram[None], sp._nabla_basis[None], x[None, :, None])[1:3])
-    _refuse_curvature(speed, drift)
+    if first < 2:  # a length needs the speed and the geodesic alone
+        _refuse_curvature(first, residuals)
     gen = np.einsum("i,ijk->jk", x, rep)
     cutoff = CHECK_TOL * max(1.0, float(np.max(np.abs(gen))))
     eig = np.linalg.eigvals(gen)
@@ -875,4 +861,4 @@ def closed_geodesic_length(sp: HomogeneousSpace, representation: np.ndarray,
         multiples.append(frac)
     steps = math.lcm(*[fr.denominator for fr in multiples])
     period = 2.0 * math.pi * steps / base
-    return float(period * speed)
+    return float(period * residuals[0])

@@ -206,6 +206,16 @@ def pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
     return first, second
 
 
+def _real(what: str, a) -> np.ndarray:
+    """``a`` as a float array, refused by name if it is complex, even with no
+    imaginary part (not cut to its real part with a ComplexWarning)."""
+    a = np.asarray(a)
+    if np.iscomplexobj(a):
+        raise ValueError(f"{what} has complex entries ({a.dtype}), not real "
+                         f"numbers")
+    return np.asarray(a, dtype=float)
+
+
 def _refuse_non_finite(what: str, a: np.ndarray):
     """ValueError naming the first entry of ``a`` that is not finite, if any."""
     finite = np.isfinite(a)
@@ -236,7 +246,7 @@ class Subspace:
     basis: np.ndarray
 
     def __post_init__(self):
-        b = np.atleast_2d(np.asarray(self.basis, dtype=float))
+        b = np.atleast_2d(_real("basis", self.basis))
         if b.shape[0] != self.ambient_dim:
             raise ValueError(
                 f"basis rows ({b.shape[0]}) do not match ambient_dim "
@@ -266,7 +276,7 @@ class Subspace:
     def from_spanning(cls, ambient_dim: int, vectors: np.ndarray,
                       tol: float = DEFAULT_TOL) -> "Subspace":
         """Subspace spanned by the columns of ``vectors`` (may be dependent)."""
-        vectors = np.atleast_2d(np.asarray(vectors, dtype=float))
+        vectors = np.atleast_2d(_real("spanning set", vectors))
         if vectors.size == 0:
             return cls.zero(ambient_dim)
         _refuse_non_finite("spanning set", vectors)
@@ -276,7 +286,7 @@ class Subspace:
     @classmethod
     def kernel_of(cls, a: np.ndarray, tol: float = DEFAULT_TOL) -> "Subspace":
         """Null space of the matrix ``a``, a subspace of R^(columns of a)."""
-        a = np.atleast_2d(np.asarray(a, dtype=float))
+        a = np.atleast_2d(_real("kernel matrix", a))
         return cls._orthonormal(a.shape[1], numerical_kernel(a, tol))
 
     @classmethod
@@ -320,7 +330,7 @@ class BilinearForm:
     gram: np.ndarray
 
     def __post_init__(self):
-        g = np.atleast_2d(np.asarray(self.gram, dtype=float))
+        g = np.atleast_2d(_real("gram matrix", self.gram))
         if g.shape[0] != g.shape[1]:
             raise ValueError(f"gram matrix must be square, got {g.shape}")
         _refuse_non_finite("gram matrix", g)
@@ -379,7 +389,7 @@ class LieAlgebra:
         return alg
 
     def __post_init__(self):
-        c = np.asarray(self.structure, dtype=float)
+        c = _real("structure tensor", self.structure)
         n = self.dim
         if c.shape != (n, n, n):
             raise ValueError(f"structure tensor shape {c.shape} != {(n, n, n)}")

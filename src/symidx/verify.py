@@ -23,6 +23,7 @@ from . import catalog
 from .homspace import (
     _curvature,
     _refuse_curvature,
+    _stacked_psd,
     _transvections,
     augment_left_invariant,
     closed_geodesic_length,
@@ -34,7 +35,6 @@ from .homspace import (
     transvection_space,
 )
 from .liealg import (
-    CHECK_TOL,
     DEFAULT_TOL,
     BilinearForm,
     LieAlgebra,
@@ -358,22 +358,6 @@ def _residual_spaces():
     yield augment_left_invariant(sp)
 
 
-def _parallel_curvature(sp, p: np.ndarray) -> tuple:
-    """Per column field of ``p``, by one batched :func:`_curvature`: the
-    residuals :func:`jacobi_operator` refuses by, its ``psd_ok`` (the
-    whitened rule of :func:`_curvature_psd`) and its operator's norm along
-    the field's own direction."""
-    gram = sp.metric.gram
-    xn, *residuals, ops, go = (v[0] for v in _curvature(
-        sp, gram[None], sp._nabla_basis[None], p[None]))
-    white = np.linalg.inv(np.linalg.cholesky(gram))
-    w = np.linalg.eigvalsh(white @ (0.5 * (go + go.swapaxes(-1, -2)))
-                           @ white.T)
-    along = [float(np.linalg.norm(op @ sp.evaluate(x)))
-             for op, x in zip(ops, xn)]
-    return residuals, w[:, 0] >= -CHECK_TOL, along
-
-
 def _check_invariant_residuals():
     rng = np.random.default_rng(167)
     worst = 0.0
@@ -386,21 +370,25 @@ def _check_invariant_residuals():
         _require(rep.index + rep.coindex == sp.dim,
                  f"{sp.label}: index and coindex do not add to the dimension")
         p = rep.p_space.basis
-        residuals, psd, along = _parallel_curvature(sp, p)
+        # jacobi_operator's decisions on every parallel field at once
+        curvature = _curvature(sp, gram[None], sp._nabla_basis[None], p[None])
+        psd = _stacked_psd(gram[None], curvature[-1])[0]
+        xn, residuals, first, ops, _ = (v[0] for v in curvature)
         for col, x in enumerate(p.T):
             resid = float(np.max(np.abs(sp.nabla_at_base(x))))
             worst = max(worst, resid)
             _require(resid <= 1e-8,
                      f"{sp.label}: reported parallel field has derivative "
                      f"{resid:.3e}")
-            _refuse_curvature(*(r[col] for r in residuals))
+            _refuse_curvature(first[col], residuals[col])
             _require(psd[col],
                      f"{sp.label}: curvature operator not psd along a "
                      f"parallel direction")
-            worst = max(worst, along[col], float(residuals[-1][col]))
-            _require(along[col] <= 1e-8,
+            along = float(np.linalg.norm(ops[col] @ sp.evaluate(xn[col])))
+            worst = max(worst, along, float(residuals[col, 3]))
+            _require(along <= 1e-8,
                      f"{sp.label}: curvature operator does not vanish "
-                     f"along its own direction ({along[col]:.3e})")
+                     f"along its own direction ({along:.3e})")
         # the derivative operator of any field is skew for the metric
         for _ in range(3):
             n = sp.nabla_at_base(rng.standard_normal(sp.algebra.dim))

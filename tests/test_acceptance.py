@@ -307,34 +307,39 @@ def test_stacked_residual_reports_and_bounds_match_one_space_at_a_time():
 
 
 def test_batched_parallel_curvature_matches_jacobi_operator():
-    """The one batched curvature evaluation of invariant-residuals gives,
-    per parallel field, jacobi_operator's self-adjointness residual, psd_ok
-    and norm of the operator along the field's direction, bit for bit; on
-    the tangent basis fields, which are not all geodesic, it refuses
-    exactly where jacobi_operator raises, with its message."""
-    seen = {"parallel": 0, "refused": 0}
+    """The one batched curvature evaluation of invariant-residuals, by
+    _curvature and _stacked_psd, gives per parallel field jacobi_operator's
+    unit direction, operator, self-adjointness residual and psd_ok, bit for
+    bit, and so the norm of the operator along the direction; on the
+    tangent basis fields, which are not all geodesic, it refuses exactly
+    where jacobi_operator raises, with its message, and elsewhere agrees
+    bit for bit as well."""
+    seen = {"parallel": 0, "basis": 0, "refused": 0}
     for sp, _, (rep, _) in scaled_pairs():
-        p = rep.p_space.basis
-        residuals, psd, along = verify._parallel_curvature(sp, p)
-        for col, x in enumerate(p.T):
-            spec = jacobi_operator(sp, x)
-            assert same_bits(residuals[-1][col], spec.selfadjoint_residual)
-            assert psd[col] == spec.psd_ok
-            assert along[col] == float(np.linalg.norm(
-                spec.operator @ sp.evaluate(spec.direction)))
-            seen["parallel"] += 1
-        residuals = verify._parallel_curvature(sp, sp.m_basis)[0]
-        for col, x in enumerate(sp.m_basis.T):
-            try:
-                jacobi_operator(sp, x)
-            except ValueError as exc:
-                seen["refused"] += 1
-                with pytest.raises(ValueError) as caught:
-                    verify._refuse_curvature(*(r[col] for r in residuals))
-                assert str(caught.value) == str(exc)
-            else:
-                verify._refuse_curvature(*(r[col] for r in residuals))
-    assert seen["parallel"] == 15 and seen["refused"] > 0, seen
+        gram = sp.metric.gram[None]
+        for kind, fields in (("parallel", rep.p_space.basis),
+                             ("basis", sp.m_basis)):
+            curvature = verify._curvature(sp, gram, sp._nabla_basis[None],
+                                          fields[None])
+            psd = verify._stacked_psd(gram, curvature[-1])[0]
+            xn, residuals, first, ops, _ = (v[0] for v in curvature)
+            for col, x in enumerate(fields.T):
+                try:
+                    spec = jacobi_operator(sp, x)
+                except ValueError as exc:
+                    assert kind == "basis", exc
+                    seen["refused"] += 1
+                    with pytest.raises(ValueError) as caught:
+                        verify._refuse_curvature(first[col], residuals[col])
+                    assert str(caught.value) == str(exc)
+                    continue
+                verify._refuse_curvature(first[col], residuals[col])
+                assert same_bits(xn[col], spec.direction)
+                assert same_bits(ops[col], spec.operator)
+                assert same_bits(residuals[col, 3], spec.selfadjoint_residual)
+                assert psd[col] == spec.psd_ok
+                seen[kind] += 1
+    assert seen["parallel"] == 15 and min(seen.values()) > 0, seen
 
 
 def residual_failure(monkeypatch, name, wrap) -> str:

@@ -561,10 +561,15 @@ def _heisenberg_group(gram):
 
 
 def curvature_psd(sp, xs):
-    """The stacked psd check of transvection_stack on one metric and the
-    columns of ``xs``: ``(psd_ok, refused)``, one entry per column."""
-    return tuple(r[0] for r in homspace._curvature_psd(
-        sp, sp.metric.gram[None], sp._nabla_basis[None], xs[None]))
+    """The stacked curvature decision of transvection_stack on one metric
+    and the columns of ``xs``: ``(psd_ok, refused)``, one entry per column,
+    refused where _curvature names a failing precondition and psd_ok where
+    it does not and _stacked_psd holds."""
+    gram = sp.metric.gram[None]
+    *_, first, _, go = homspace._curvature(sp, gram, sp._nabla_basis[None],
+                                          xs[None])
+    refused = first[0] >= 0
+    return ~refused & homspace._stacked_psd(gram, go)[0], refused
 
 
 def _psd_by_loop(sp, candidates):

@@ -271,15 +271,6 @@ def test_complex_input_is_refused_by_name(build, what):
             build()
 
 
-def test_matrix_algebra_still_takes_complex_generators():
-    """Complex generators span a real algebra, built without a
-    ComplexWarning on the way, and stay the representation unchanged."""
-    mats = np.array(su3()[1])
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        alg, rep = matrix_algebra(mats)
-    assert alg.dim == 8 and rep.dtype == complex and np.array_equal(rep, mats)
-
 
 def test_pair_indices_enumerate_the_pairs_in_colex_order():
     """By the larger index, then the smaller; one cached, read-only pair of

@@ -3,7 +3,7 @@ singular values it holds.  ``np.linalg.lstsq`` and ``np.linalg.matrix_rank``
 each take a decomposition of their own under a rank rule of their own
 (``rcond``, ``tol``), so no module of the package may name them, and only
 the rank primitives of ``liealg`` and ``matrix_algebra`` may name ``svd``,
-beside that cutoff."""
+beside that cutoff.  Likewise one helper holds the curvature psd rule."""
 
 import ast
 import pathlib
@@ -51,16 +51,16 @@ SVD_CALLERS = {"numerical_rank", "stacked_kernels", "stacked_spans",
                "stacked_frames", "matrix_algebra"}
 
 
-def svd_uses_by_function() -> dict:
-    """``file:line`` of each use of the name ``svd`` in the package, imports
+def uses_by_function(name: str) -> dict:
+    """``file:line`` of each use of ``name`` in the package, imports
     included, keyed by the function that encloses it (None outside any)."""
     found = {}
 
     def visit(node, path, enclosing):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             enclosing = node.name
-        if "svd" in (getattr(node, "attr", None), getattr(node, "id", None),
-                     node.name if isinstance(node, ast.alias) else None):
+        if name in (getattr(node, "attr", None), getattr(node, "id", None),
+                    node.name if isinstance(node, ast.alias) else None):
             found.setdefault(enclosing, []).append(
                 f"{path.name}:{getattr(node, 'lineno', '?')}")
         for child in ast.iter_child_nodes(node):
@@ -75,8 +75,21 @@ def test_only_the_rank_primitives_take_a_singular_value_decomposition():
     """A column space, kernel or rank comes from one of the stacked
     primitives, and a new span helper beside them fails here; the scan
     sees every one of them."""
-    found = svd_uses_by_function()
+    found = uses_by_function("svd")
     assert set(found) == SVD_CALLERS, found
+
+
+def test_one_whitened_curvature_psd_rule():
+    """A metric is whitened by its Cholesky factor in ``pencil_eigh`` and in
+    the one stacked curvature psd rule, and only ``homspace`` takes a
+    symmetric spectrum by ``eigvalsh``: the checks of ``verify`` call that
+    rule instead of repeating it."""
+    found = uses_by_function("cholesky")
+    assert {fn: {use.split(":")[0] for use in uses}
+            for fn, uses in found.items()} == {
+        "pencil_eigh": {"liealg.py"}, "_stacked_psd": {"homspace.py"}}, found
+    found = named_uses(("eigvalsh",))
+    assert found and {use.split(":")[0] for use in found} == {"homspace.py"}
 
 
 def printing_uses() -> list:

@@ -429,11 +429,13 @@ def transvection_stack(pres: Presentation, grams: np.ndarray) -> tuple:
         for group, p in groups:
             sub, gs = part._members(group), grams[rows[group]]
             ms = sub.m_basis * np.ones((len(group), 1, 1))
-            *_, first, _, go = _curvature(sub, gs, nablas[group],
-                                          np.concatenate([ms, p], axis=-1))
+            # each candidate's first failing precondition and lowered operator
+            first, go = _curvature(sub, gs, nablas[group],
+                                   np.concatenate([ms, p], axis=-1))[2::2]
             out = first >= 0
             psd_ok[rows[group]] = np.all(_stacked_psd(gs, go) | out, axis=1)
             refused[rows[group]] = out.sum(axis=1)
+            del go  # else alive at the next chunk's peak memory
         for i, report in zip(rows.tolist(), found):
             reports[i] = report
     return reports, psd_ok, refused
@@ -608,10 +610,9 @@ _CURVATURE_REFUSALS = (
 
 def _curvature(pres: Presentation, grams: np.ndarray, nablas: np.ndarray,
                xs: np.ndarray) -> tuple:
-    """The curvature operators along the orbit geodesics of the columns of
-    ``xs``, and whether each is defined, all at once, for metrics ``grams``
-    (N, dim, dim) with their :func:`_nablas` and fields ``xs`` (N, algebra
-    dim, K).
+    """The curvature operators along the orbit geodesics of the fields
+    ``xs`` (N, algebra dim, K), and whether each is defined, for metrics
+    ``grams`` (N, dim, dim) with their :func:`_nablas`, all at once.
 
     Returns ``(fields, residuals, first, ops, lowered)``, indexed by metric
     and column: the field at unit speed (where its speed, the length of its
@@ -642,8 +643,7 @@ def _curvature(pres: Presentation, grams: np.ndarray, nablas: np.ndarray,
 
 
 def _refuse_curvature(first: int, residuals: np.ndarray) -> None:
-    """Raise the refusal ``first`` of one field of :func:`_curvature`, with
-    its failing residual, unless it is -1."""
+    """Raise refusal ``first`` of a field of :func:`_curvature`, unless -1."""
     if first >= 0:
         raise ValueError(_CURVATURE_REFUSALS[first].format(residuals[first]))
 

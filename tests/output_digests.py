@@ -7,8 +7,8 @@ Runs ``symidx`` in process through :func:`symidx.cli.main` and prints one
 ``sha256 label`` line per output; each digest covers the exit code, the
 standard output and the standard error.  For each catalog name it runs
 ``catalog emit``, then ``index`` on the emitted document at three
-tolerances, ``jacobi --direction 0`` and, on spin3 names, ``index
---augment``.  Without names it does so for the names of ``NAMES`` and adds
+tolerances, ``jacobi --direction I`` for each tangent direction I and,
+on spin3 names, ``index --augment``.  Without names it does so for the names of ``NAMES`` and adds
 ``index`` at the three tolerances on the inline so(n+1)/so(n) document
 without a complement of each n in ``SPHERES``, the sweep grids of
 ``SWEEPS`` at two tolerances each, and ``verify --filter NAME`` for each
@@ -78,8 +78,9 @@ def name_outputs(name: str, workdir: str):
     for tol in INDEX_TOLS:
         yield f"index {name} --tol {tol}", run("index", "--space", path,
                                                "--tol", tol)
-    yield f"jacobi {name} --direction 0", run("jacobi", "--space", path,
-                                              "--direction", "0")
+    for i in range(len(json.loads(emitted[1])["metric"])):
+        yield f"jacobi {name} --direction {i}", run(
+            "jacobi", "--space", path, "--direction", str(i))
     if name.startswith("spin3:"):
         yield f"index {name} --augment", run("index", "--space", path,
                                              "--augment")

@@ -907,20 +907,23 @@ def test_the_output_digests_script_lists_each_output_once(capsys,
                                                           monkeypatch):
     """``tests/output_digests.py``, the byte-identity check between two
     checkouts, on two names: one digest line per output, in a fixed order,
-    each of a run that succeeded, and the same digests on a second run."""
+    each of a run that succeeded or refused by name, and the same digests
+    on a second run."""
     script = str(pathlib.Path(__file__).with_name("output_digests.py"))
     names = ("spin3:1,1,1", "product-spheres:1")
     monkeypatch.setattr(sys, "argv", [script, *names])
     namespace = runpy.run_path(script, run_name="__main__")
     lines = capsys.readouterr().out.splitlines()
     assert [line.split(" ", 1)[1] for line in lines] == [
-        label for name in names for label in (
+        label for name in names
+        for dim in [catalog.from_name(name)[0].dim] for label in (
             f"catalog emit {name}",
             *(f"index {name} --tol {tol}" for tol in namespace["INDEX_TOLS"]),
-            f"jacobi {name} --direction 0",
+            *(f"jacobi {name} --direction {i}" for i in range(dim)),
             *([f"index {name} --augment"] if name.startswith("spin3:")
               else []))]
     again = list(namespace["outputs"](names))
-    assert all(code == 0 and out for _, (code, out, _) in again)
+    assert all(code == 0 and out or code == 1 and err.startswith("error: ")
+               for _, (code, out, err) in again)
     assert lines == [f"{namespace['digest'](*result)} {label}"
                      for label, result in again]

@@ -153,8 +153,8 @@ def spin3_metric(a1: float, a2: float, a3: float, tol: float = DEFAULT_TOL):
     """The group of unit quaternions with a diagonal left metric.
 
     Tangent basis order is (j, k, i) and the Gram matrix diag(a1, a2, a3)
-    is expressed in units of one eighth of the Killing form, so
-    (1, 1, 1) is the round sphere of radius one half and (t, t, 2) the
+    is expressed in units of one eighth of the Killing form, so (1, 1, 1)
+    is the round sphere of radius one, of curvature 1, and (t, t, 2) the
     classical squashed family with distinguished i-direction.  ``tol`` is
     the space's tolerance.
     """

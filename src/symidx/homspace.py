@@ -37,6 +37,7 @@ from .liealg import (
     BilinearForm,
     LieAlgebra,
     Subspace,
+    _coordinates,
     _real,
     _refuse_non_finite,
     adjoints,
@@ -195,12 +196,14 @@ class Presentation:
         return self.m_basis.shape[-1]
 
     def evaluate(self, x: np.ndarray) -> np.ndarray:
-        """Value at the base point of the Killing field with coefficients x."""
-        return self.eval_matrix @ np.asarray(x, dtype=float)
+        """Value at the base point of the field x, or of each column of x."""
+        return self.eval_matrix @ _coordinates("field", x, self.algebra.dim,
+                                               "algebra", 2)
 
     def lift(self, v: np.ndarray) -> np.ndarray:
-        """The complement lift of a tangent vector (a canonical Killing field)."""
-        return self.m_basis @ np.asarray(v, dtype=float)
+        """The complement lift of a tangent vector, or of each column."""
+        return self.m_basis @ _coordinates("tangent vector", v, self.dim,
+                                           "space", 2)
 
     def space(self, metric: BilinearForm, label: str = "") -> "HomogeneousSpace":
         """This presentation with ``metric``, by the metric checks alone."""
@@ -242,12 +245,13 @@ class HomogeneousSpace(Presentation):
         """Covariant derivative at the base point of the Killing field x.
 
         Returns the matrix N with ``N @ u = nabla_u X`` in tangent
-        coordinates.  Comes from the Koszul identity in the module
+        coordinates (one per column of a matrix x, stacked first).  Comes
+        from the Koszul identity in the module
         docstring; metric invariance under the isotropy (validated at
         construction) makes the three lift-dependent terms cancel.
         """
-        return np.tensordot(np.asarray(x, dtype=float), self._nabla_basis,
-                            axes=1)
+        x = _coordinates("field", x, self.algebra.dim, "algebra", 2)
+        return np.tensordot(x, self._nabla_basis, axes=(0, 0))
 
     def nabla_operator(self) -> np.ndarray:
         """All base point derivatives at once: shape (dim^2, algebra dim).
@@ -367,9 +371,10 @@ class JacobiSpectrum:
     ``eigenvalues`` are ascending, ``eigenvectors`` hold matching columns
     orthonormal for the metric (canonical within each cluster of equal
     eigenvalues, see :func:`~symidx.liealg.pencil_eigh`), ``operator`` is
-    the full matrix in tangent coordinates, and ``psd_ok`` records positive
-    semidefiniteness up to roundoff.  The generating field is normalized to
-    unit speed at the base point and returned in ``direction``.
+    the full matrix in tangent coordinates, and ``psd_ok`` and
+    ``selfadjoint_residual`` record positive semidefiniteness and, from the
+    tensor R, symmetry of G R up to roundoff.  The generating field is
+    normalized to unit speed at the base point and returned in ``direction``.
     """
 
     direction: np.ndarray
@@ -603,43 +608,49 @@ _CURVATURE_REFUSALS = (
     "direction",
     "orbit of the field is not a geodesic at the base point (covariant "
     "derivative along itself has norm {:.3e})",
-    "curvature operator depends on the lift (isotropy residual {:.3e})",
-    "curvature operator is not self-adjoint for the metric (residual {:.3e})",
 )
 
 
 def _curvature(pres: Presentation, grams: np.ndarray, nablas: np.ndarray,
                xs: np.ndarray) -> tuple:
-    """The curvature operators along the orbit geodesics of the fields
-    ``xs`` (N, algebra dim, K), and whether each is defined, for metrics
-    ``grams`` (N, dim, dim) with their :func:`_nablas`, all at once.
+    """The curvature operators R(., c')c' along the orbit geodesics of the
+    fields ``xs`` (N, algebra dim, K), and whether each is defined, for
+    metrics ``grams`` (N, dim, dim) with their :func:`_nablas`, all at once,
+    by Kostant's identity for Killing fields: R(u, v) = [N_U, N_V] + N_[U,V]
+    at the base point, N_X = ``nabla_at_base(X)``.  So column a is
+    N_U (N_C c') - N_C (N_U c') + N_[U,C] c', U the lift of tangent basis
+    vector a and C the field at unit speed, of value c'.
 
     Returns ``(fields, residuals, first, ops, lowered)``, indexed by metric
     and column: the field at unit speed (where its speed, the length of its
-    value at the base point, exceeds ``CHECK_TOL``); on a last axis of 4,
-    that speed, the covariant derivative of the unit field along itself and
-    the lift and self-adjointness residuals of R(., c')c'; the index into
-    :data:`_CURVATURE_REFUSALS` of the first of them to fail, or -1, where
-    the speed must exceed :data:`~symidx.liealg.CHECK_TOL` and the others
-    must not; that operator in tangent coordinates; and the metric times it.
+    value at the base point, exceeds ``CHECK_TOL``); that speed and the
+    length of N_C c' on a last axis; the index into
+    :data:`_CURVATURE_REFUSALS` of the first to fail, or -1 (the speed must
+    exceed ``CHECK_TOL``, N_C c' not); R(., c')c'; and the metric times it.
     """
-    e = pres.eval_matrix
-    vals = e @ xs
-    speed = np.sqrt(((grams @ vals) * vals).sum(axis=-2))
-    xn = xs / np.where(speed > CHECK_TOL, speed, 1.0)[:, None, :]
-    vn = e @ xn
-    nabla = np.einsum("nic,niab->ncab", xn, nablas)
-    drift = np.linalg.norm(np.einsum("ncab,nbc->nca", nabla, vn), axis=-1)
-    ads = adjoints(pres.algebra, xn)
-    double = e[..., None, :, :] @ ads @ ads
-    lift = np.abs(double @ pres.h_basis).max(axis=(-2, -1), initial=0.0)
-    op = -(double @ pres.m_basis[..., None, :, :])
-    go = grams[:, None] @ op
-    asym = np.abs(go - go.swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0)
-    residuals = np.stack([speed, drift, lift, asym], axis=-1)
-    failed = (residuals > CHECK_TOL) != [True, False, False, False]
+    e, m = pres.eval_matrix[..., None, :, :], pres.m_basis[..., None, :, :]
+    (rows, n, dim, _), k = nablas.shape, xs.shape[-1]
+    # candidates as contiguous columns on a stack axis: bits independent of K
+    x = np.ascontiguousarray(xs.swapaxes(-1, -2))[..., None]
+    vals = e @ x
+    speed = np.sqrt(((grams[:, None] @ vals) * vals).sum(axis=(-2, -1)))
+    scale = np.where(speed > CHECK_TOL, speed, 1.0)[..., None, None]
+    x, c = x / scale, vals / scale
+    n_c = (x.swapaxes(-1, -2) @ nablas.reshape(rows, 1, n, dim * dim)
+           ).reshape(rows, k, dim, dim)
+    along = n_c @ c
+    # rows (w, b), columns i: (N_{e_i} w)_b for w = N_C c' and c'; then N_U w
+    q = (np.concatenate([along, c], axis=-1).swapaxes(-1, -2)
+         @ np.ascontiguousarray(nablas.transpose(0, 3, 2, 1)).reshape(
+             rows, 1, dim, dim * n)).reshape(rows, k, 2 * dim, n)
+    n_u = q @ m
+    bracket = adjoints(pres.algebra, x)[..., 0, :, :] @ m  # [C, U]
+    op = (n_u[..., :dim, :] - n_c @ n_u[..., dim:, :]
+          - q[..., dim:, :] @ bracket)
+    residuals = np.stack([speed, np.linalg.norm(along[..., 0], axis=-1)], -1)
+    failed = (residuals > CHECK_TOL) != [True, False]
     first = np.where(failed.any(axis=-1), failed.argmax(axis=-1), -1)
-    return xn.swapaxes(-1, -2), residuals, first, op, go
+    return x[..., 0], residuals, first, op, grams[:, None] @ op
 
 
 def _refuse_curvature(first: int, residuals: np.ndarray) -> None:
@@ -649,54 +660,32 @@ def _refuse_curvature(first: int, residuals: np.ndarray) -> None:
 
 
 def _stacked_psd(grams: np.ndarray, lowered: np.ndarray) -> np.ndarray:
-    """Whether each curvature operator of :func:`_curvature`, given by
-    ``lowered`` (N, K, dim, dim) for the metrics ``grams`` (N, dim, dim),
-    is positive semidefinite: :func:`jacobi_operator`'s rule, smallest
-    eigenvalue at least ``-CHECK_TOL``, by one ``eigvalsh`` of the
-    operators whitened by the Cholesky factors of the metrics."""
+    """Whether each operator ``lowered`` (N, K, dim, dim) of :func:`_curvature`
+    for the metrics ``grams`` (N, dim, dim) is psd by :func:`jacobi_operator`'s
+    rule, smallest eigenvalue at least ``-CHECK_TOL``: one ``eigvalsh`` of
+    the operators whitened by the Cholesky factors of the metrics."""
     white = np.linalg.inv(np.linalg.cholesky(grams))[:, None]
     w = np.linalg.eigvalsh(white @ (0.5 * (lowered + lowered.swapaxes(-1, -2)))
                            @ white.swapaxes(-1, -2))
     return np.all(w >= -CHECK_TOL, axis=-1)
 
 
-def _vector(what: str, x, n: int, of: str) -> np.ndarray:
-    """``x`` as floats, refused by name unless it is ``n`` finite real
-    numbers, ``n`` the dimension of the ``of`` (not a matmul error, a nan
-    result or a real part taken with a ComplexWarning)."""
-    x = _real(what, x)
-    if x.shape != (n,):
-        raise ValueError(f"{what} has shape {x.shape}, the {of} dimension is "
-                         f"{n}")
-    _refuse_non_finite(what, x)
-    return x
-
-
 def jacobi_operator(sp: HomogeneousSpace, x: np.ndarray) -> JacobiSpectrum:
-    """Curvature operator R(., c')c' along the orbit geodesic of a field.
-
-    Parameters
-    ----------
-    sp : HomogeneousSpace
-    x : ndarray
-        Algebra coefficients of a Killing field whose one-parameter orbit
-        through the base point is a geodesic.  The field is rescaled to
-        unit speed at the base point, so the eigenvalues are sectional
-        curvatures of the planes spanned by the direction and the
-        eigenvectors.
+    """Curvature operator R(., c')c' along the orbit geodesic of the field
+    with algebra coefficients ``x``, by :func:`_curvature`.  The field is
+    rescaled to unit speed at the base point, so the eigenvalues are
+    sectional curvatures of the planes of the direction and eigenvectors;
+    ``psd_ok`` allows a smallest eigenvalue down to ``-CHECK_TOL``.
 
     Raises
     ------
     ValueError
-        If the field is not ``algebra.dim`` finite real coefficients, vanishes
-        at the base point, or its orbit is not a geodesic there (nonzero
-        covariant derivative in its own direction), or the double bracket
-        depends on the isotropy part of lifts, which would make the
-        operator ill-defined.  Each of these residuals is held to
-        :data:`~symidx.liealg.CHECK_TOL`, and ``psd_ok`` allows a smallest
-        eigenvalue down to ``-CHECK_TOL``.
+        If the field is not ``algebra.dim`` finite real coefficients, its
+        speed at the base point is at most :data:`~symidx.liealg.CHECK_TOL`,
+        or its covariant derivative along itself has norm above
+        ``CHECK_TOL``: its orbit is not a geodesic.
     """
-    x = _vector("field", x, sp.algebra.dim, "algebra")
+    x = _coordinates("field", x, sp.algebra.dim, "algebra")
     xn, residuals, first, op, go = (v[0, 0] for v in _curvature(
         sp, sp.metric.gram[None], sp._nabla_basis[None], x[None, :, None]))
     _refuse_curvature(first, residuals)
@@ -704,7 +693,7 @@ def jacobi_operator(sp: HomogeneousSpace, x: np.ndarray) -> JacobiSpectrum:
     return JacobiSpectrum(
         direction=xn, operator=op, eigenvalues=w, eigenvectors=vecs,
         psd_ok=bool(w[0] >= -CHECK_TOL),
-        selfadjoint_residual=float(residuals[3]),
+        selfadjoint_residual=float(np.abs(go - go.T).max(initial=0.0)),
     )
 
 
@@ -727,15 +716,22 @@ def jacobi_field(sp: HomogeneousSpace, spectrum: JacobiSpectrum,
     expanded in the metric-orthonormal eigenbasis; each coefficient
     evolves by the circular, linear, or hyperbolic solution of
     ``f'' + kappa f = 0`` for its eigenvalue.  Valid in the parallel frame
-    along the orbit, with ``t`` the arc length.
+    along the orbit, with ``t`` the arc length, where the operator is
+    constant: the field of ``direction`` must be parallel at the base point.
 
     Returns an array of tangent coordinates, one row per entry of ``t``
     (or a single vector for scalar ``t``).  Raises ``ValueError`` unless
-    ``v0`` and ``w0`` are each ``dim`` finite real numbers.
+    ``v0`` and ``w0`` are each ``dim`` finite real numbers, ``t`` is finite
+    and real, and no entry of that field's derivative exceeds ``CHECK_TOL``.
     """
-    v0 = _vector("v0", v0, sp.dim, "space")
-    w0 = _vector("w0", w0, sp.dim, "space")
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
+    v0 = _coordinates("v0", v0, sp.dim, "space")
+    w0 = _coordinates("w0", w0, sp.dim, "space")
+    t_arr = np.atleast_1d(_real("t", t))
+    _refuse_non_finite("t", t_arr)
+    drift = np.abs(sp.nabla_at_base(spectrum.direction)).max(initial=0.0)
+    if drift > CHECK_TOL:
+        raise ValueError(f"direction of the spectrum is not parallel at the "
+                         f"base point (derivative {drift:.3e})")
     g = sp.metric.gram
     cv = spectrum.eigenvectors.T @ g @ v0
     cw = spectrum.eigenvectors.T @ g @ w0
@@ -825,7 +821,7 @@ def closed_geodesic_length(sp: HomogeneousSpace, representation: np.ndarray,
         finely to resolve), or the field is in the kernel of the
         representation.
     """
-    x = _vector("field", x, sp.algebra.dim, "algebra")
+    x = _coordinates("field", x, sp.algebra.dim, "algebra")
     rep = np.asarray(representation)
     if rep.ndim != 3 or rep.shape[::2] != (sp.algebra.dim, rep.shape[1]):
         raise ValueError(f"representation has shape {rep.shape}, not one "
@@ -833,8 +829,7 @@ def closed_geodesic_length(sp: HomogeneousSpace, representation: np.ndarray,
     _refuse_non_finite("representation", rep)
     residuals, first = (v[0, 0] for v in _curvature(
         sp, sp.metric.gram[None], sp._nabla_basis[None], x[None, :, None])[1:3])
-    if first < 2:  # a length needs the speed and the geodesic alone
-        _refuse_curvature(first, residuals)
+    _refuse_curvature(first, residuals)
     gen = np.einsum("i,ijk->jk", x, rep)
     cutoff = CHECK_TOL * max(1.0, float(np.max(np.abs(gen))))
     eig = np.linalg.eigvals(gen)

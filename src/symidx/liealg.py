@@ -30,7 +30,7 @@ import numpy as np
 DEFAULT_TOL = 1e-9
 
 #: Residual ceiling for derived statements (containment, involutivity,
-#: self-adjointness, geodesic preconditions); looser than DEFAULT_TOL because
+#: speed and geodesic preconditions); looser than DEFAULT_TOL because
 #: these residuals accumulate a few matrix products.
 CHECK_TOL = 1e-8
 
@@ -225,6 +225,17 @@ def _refuse_non_finite(what: str, a: np.ndarray):
                          f"not a finite number")
 
 
+def _coordinates(what: str, x, n: int, of: str, ndim: int = 1) -> np.ndarray:
+    """``x`` as floats, refused by name unless it is finite real numbers in
+    1 to ``ndim`` axes, the first of ``n``, the dimension of the ``of``."""
+    x = _real(what, x)
+    if not 0 < x.ndim <= ndim or len(x) != n:
+        raise ValueError(f"{what} has shape {x.shape}, the {of} dimension is "
+                         f"{n}")
+    _refuse_non_finite(what, x)
+    return x
+
+
 # ---------------------------------------------------------------------------
 # core types
 # ---------------------------------------------------------------------------
@@ -305,10 +316,11 @@ class Subspace:
         """Whether each vector of ``vecs`` lies in the subspace up to
         relative residual :data:`CHECK_TOL`, all in one projection.
 
-        The first axis of ``vecs`` holds the coordinates; the result has
-        the shape of the remaining axes (one entry per vector).
+        The first axis of ``vecs``, finite real numbers, holds the
+        coordinates; the result has the shape of the remaining axes.
         """
-        vecs = np.asarray(vecs, dtype=float)
+        vecs = _coordinates("vecs", vecs, self.ambient_dim, "ambient",
+                            np.ndim(vecs))
         return stacked_contains(self.onb(), vecs)[0].reshape(vecs.shape[1:])
 
     def contains(self, vec: np.ndarray) -> bool:

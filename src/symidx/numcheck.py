@@ -1,7 +1,7 @@
 """Independent numerical checks through an exponential coordinate chart.
 
 Everything in :mod:`symidx.homspace` is algebraic: covariant derivatives
-come from one Koszul evaluation and curvature from a double bracket.  This
+come from one Koszul evaluation and curvature from Kostant's identity.  This
 module rebuilds the same quantities the pedestrian way, as an oracle:
 
 * a coordinate chart ``x -> Exp(sum x_a xi_a) . base`` whose metric
@@ -166,13 +166,9 @@ class ExponentialChart:
         return np.swapaxes(dz, 0, 1) + np.einsum("cbe,e...->cb...", gamma, z0)
 
     def jacobi_matrix_fd(self, u: np.ndarray) -> np.ndarray:
-        """Matrix of J -> R(J, u)u at the origin, u normalized to unit length.
-
-        Valid along the whole orbit geodesic of the lift of ``u`` whenever
-        that lift is parallel at the base point: the orbit flow then
-        realizes parallel transport, so the operator is constant in the
-        parallel frame and its value at the origin determines the field
-        equation everywhere.
+        """Matrix of J -> R(J, u)u at the origin, u normalized to unit length:
+        the field equation's along the orbit of a lift of ``u`` that is
+        parallel at the base point, as its flow realizes parallel transport.
         """
         u = np.asarray(u, dtype=float)
         u = u / np.sqrt(u @ self.sp.metric.gram @ u)

@@ -311,23 +311,26 @@ def test_batched_parallel_curvature_matches_jacobi_operator():
     _curvature and _stacked_psd, gives per parallel field jacobi_operator's
     unit direction, operator, self-adjointness residual and psd_ok, bit for
     bit, and so the norm of the operator along the direction; on the
-    tangent basis fields, which are not all geodesic, it refuses exactly
-    where jacobi_operator raises, with its message, and elsewhere agrees
-    bit for bit as well."""
-    seen = {"parallel": 0, "basis": 0, "refused": 0}
+    tangent basis fields and on seeded random fields, which are mostly not
+    geodesic, it refuses exactly where jacobi_operator raises, with its
+    message, and elsewhere agrees bit for bit as well."""
+    rng = np.random.default_rng(36)
+    seen = {"parallel": 0, "basis": 0, "random": 0, "refused": 0}
     for sp, _, (rep, _) in scaled_pairs():
         gram = sp.metric.gram[None]
         for kind, fields in (("parallel", rep.p_space.basis),
-                             ("basis", sp.m_basis)):
+                             ("basis", sp.m_basis),
+                             ("random", rng.standard_normal(
+                                 (sp.algebra.dim, 3)))):
             curvature = verify._curvature(sp, gram, sp._nabla_basis[None],
                                           fields[None])
             psd = verify._stacked_psd(gram, curvature[-1])[0]
-            xn, residuals, first, ops, _ = (v[0] for v in curvature)
+            xn, residuals, first, ops, lowered = (v[0] for v in curvature)
             for col, x in enumerate(fields.T):
                 try:
                     spec = jacobi_operator(sp, x)
                 except ValueError as exc:
-                    assert kind == "basis", exc
+                    assert kind != "parallel", exc
                     seen["refused"] += 1
                     with pytest.raises(ValueError) as caught:
                         verify._refuse_curvature(first[col], residuals[col])
@@ -336,10 +339,12 @@ def test_batched_parallel_curvature_matches_jacobi_operator():
                 verify._refuse_curvature(first[col], residuals[col])
                 assert same_bits(xn[col], spec.direction)
                 assert same_bits(ops[col], spec.operator)
-                assert same_bits(residuals[col, 3], spec.selfadjoint_residual)
+                go = lowered[col]
+                assert same_bits(np.abs(go - go.T).max(initial=0.0),
+                                 spec.selfadjoint_residual)
                 assert psd[col] == spec.psd_ok
                 seen[kind] += 1
-    assert seen["parallel"] == 15 and min(seen.values()) > 0, seen
+    assert seen["parallel"] == 15 and seen["basis"] and seen["refused"], seen
 
 
 def residual_failure(monkeypatch, name, wrap) -> str:

@@ -19,11 +19,17 @@ from symidx.catalog import (
     round_sphere,
     so4_so2,
     spin3_berger,
+    spin3_metric,
 )
 from symidx import catalog, cli, homspace, verify
 from symidx.cli import SWEEP_HEADER, main
-from symidx.homspace import jacobi_operator, transvection_space
-from symidx.liealg import canonical_basis
+from symidx.homspace import (
+    Presentation,
+    jacobi_operator,
+    transvection_space,
+    transvection_stack,
+)
+from symidx.liealg import BilinearForm, Subspace, canonical_basis
 from symidx.serialize import load_space, space_to_dict
 
 
@@ -397,7 +403,10 @@ def test_sweep_skips_invalid_points_and_counts_them(capsys):
 
 def test_sweep_counts_the_refused_curvature_candidates(capsys):
     """The stderr summary counts the candidates jacobi_operator raises on;
-    stdout holds the CSV alone."""
+    stdout holds the CSV alone.  The orbits of the catalog's candidates are
+    geodesics, so a catalog sweep counts none; transvection_stack counts
+    the same refusals as jacobi_operator where a skewed tangent basis of
+    Spin(3) has directions whose orbits are not geodesics."""
     code, out, err = run(capsys, "sweep", "--family", "so4-so2",
                          "--lambda", "0.5", "--s", "0.5:1.5:0.5", "--coupled")
     assert code == 0 and out.startswith(SWEEP_HEADER + "\n")
@@ -411,9 +420,25 @@ def test_sweep_counts_the_refused_curvature_candidates(capsys):
                 jacobi_operator(sp, x)
             except ValueError:
                 swallowed += 1
-    assert swallowed > 0
     assert err == (f"sweep: 0 grid points skipped, {swallowed} curvature "
                    f"candidates refused\n")
+
+    sp, _ = spin3_metric(1.0, 1.0, 1.0)
+    skew = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0], [0.0, 0.0, 1.0]])
+    pres = Presentation(sp.algebra, sp.isotropy, Subspace(3, skew))
+    grams = [skew.T * a @ skew for a in ([1, 2, 3], [1, 1, 1], [2, 2, 1])]
+    want = []
+    for gram in grams:
+        point = pres.space(BilinearForm(gram))
+        want.append(0)
+        for x in np.hstack([point.m_basis,
+                            transvection_space(point).p_space.basis]).T:
+            try:
+                jacobi_operator(point, x)
+            except ValueError:
+                want[-1] += 1
+    assert transvection_stack(pres, grams)[2].tolist() == want
+    assert want[0] > 0 and want[1] == 0
 
 
 def _sweep_values(spec: str) -> list:
@@ -528,8 +553,7 @@ def test_stacked_sweep_equals_the_per_point_path(capsys, tmp_path):
          [(catalog.product_of_spheres, (r,), f"product-spheres:{r!r}",
            (None, None, None, r)) for r in _sweep_values("-0.1:1.5:0.4")]),
     ]
-    seen = {"rows": 0, "skipped": 0, "refused": 0, "index 0": 0,
-            "index 2": 0}
+    seen = {"rows": 0, "skipped": 0, "index 0": 0, "index 2": 0}
     for argv, points in sweeps:
         code, out, err = run(capsys, "sweep", *argv)
         assert code == 0
@@ -549,7 +573,6 @@ def test_stacked_sweep_equals_the_per_point_path(capsys, tmp_path):
         assert counts and counts.groups() == (str(skipped), str(refused))
         seen["rows"] += len(want)
         seen["skipped"] += skipped
-        seen["refused"] += refused
         for row in want:
             index = row.split(",")[4]
             seen[f"index {index}"] = seen.get(f"index {index}", 0) + 1
@@ -679,6 +702,59 @@ def test_jacobi_direction(capsys, quotient_file):
     assert payload["psd_ok"] is True
     assert len(payload["eigenvectors"]) == sum(payload["multiplicities"]) == 5
     assert len(payload["eigenvalues"]) == len(payload["multiplicities"])
+
+
+def jacobi_on(capsys, tmp_path, name, direction):
+    """The JSON that ``jacobi --direction`` prints on catalog ``name``."""
+    path = tmp_path / "space.json"
+    path.write_text(run(capsys, "catalog", "emit", name)[1])
+    code, out, err = run(capsys, "jacobi", "--space", str(path),
+                         "--direction", str(direction))
+    assert code == 0, err
+    return json.loads(out)
+
+
+def test_jacobi_on_the_unit_sphere_reads_curvature_one(capsys, tmp_path):
+    """spin3:1,1,1 is the round sphere of radius one (its basis orbits close
+    at length 2 pi), so R(., c')c' is 0 along c' and 1 on its complement."""
+    payload = jacobi_on(capsys, tmp_path, "spin3:1,1,1", 0)
+    np.testing.assert_allclose(payload["eigenvalues"], [0.0, 1.0],
+                               atol=1e-12)
+    assert payload["multiplicities"] == [1, 2] and payload["psd_ok"]
+
+
+def test_jacobi_reads_the_negative_curvature_of_a_generic_metric(
+        capsys, tmp_path):
+    """On spin3:1,2,3 along its first basis direction a plane has sectional
+    curvature -4/3: the spectrum is -4/3, 0, 4/3, not positive
+    semidefinite."""
+    payload = jacobi_on(capsys, tmp_path, "spin3:1,2,3", 0)
+    np.testing.assert_allclose(payload["eigenvalues"], [-4 / 3, 0.0, 4 / 3],
+                               atol=1e-12)
+    assert payload["multiplicities"] == [1, 1, 1]
+    assert payload["psd_ok"] is False
+
+
+def test_jacobi_answers_a_geodesic_whose_double_bracket_was_not_self_adjoint(
+        capsys, tmp_path):
+    """Direction 2 of so4-so2:0.5,0.8 is a geodesic; its curvature operator
+    has a negative eigenvalue."""
+    payload = jacobi_on(capsys, tmp_path, "so4-so2:0.5,0.8", 2)
+    assert payload["eigenvalues"][0] == pytest.approx(-0.1612, abs=5e-5)
+    assert payload["psd_ok"] is False
+    assert payload["selfadjoint_residual"] < 1e-12
+
+
+def test_a_squashed_sweep_reads_negative_curvature(capsys):
+    """The Berger spheres (t, t, 2) at t = 0.5 and 1 have a curvature
+    candidate with a negative eigenvalue (-16 and -2), so psd_ok is false
+    on both rows."""
+    code, out, err = run(capsys, "sweep", "--family", "spin3",
+                         "--t", "0.5:1:0.5")
+    assert code == 0, err
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert [row[2] for row in rows] == ["0.5", "1"]
+    assert [row[7] for row in rows] == ["false", "false"]
 
 
 def test_jacobi_rejects_out_of_range_direction(capsys, quotient_file):
@@ -867,7 +943,7 @@ def test_tol_decides_the_index_near_the_coupled_stratum(capsys, tmp_path,
                        "--tol", "1e-5")
     assert code == 0
     assert out.splitlines() == [SWEEP_HEADER,
-                                "0.5,0.8,1.20000001,,2,3,3,true,12,12,true"]
+                                "0.5,0.8,1.20000001,,2,3,3,false,12,12,true"]
     assert seen == [1e-9, 1e-5, 1e-5]
 
 

@@ -51,7 +51,7 @@ from symidx.catalog import (
     spin3_presentation,
     spin4_quotient,
 )
-from symidx.numcheck import integrate_field_equation
+from symidx.numcheck import ExponentialChart, integrate_field_equation
 from symidx.serialize import space_from_dict, space_to_dict
 from meaning import invariant_by_loop, leaf
 
@@ -1114,37 +1114,42 @@ def test_a_space_built_from_a_space_takes_the_new_metric():
 
 
 def test_each_curvature_refusal_names_the_first_failing_precondition():
-    """jacobi_operator raises by the precondition that fails first (speed,
-    drift, lift, self-adjointness), the stacked check refuses the same
-    fields, and closed_geodesic_length applies the first two."""
+    """jacobi_operator and closed_geodesic_length raise by the precondition
+    that fails first (speed, then geodesic), and the stacked check refuses
+    the same fields.  The geodesics that the double bracket refused, as
+    depending on the lift or not self-adjoint, have the finite-difference
+    curvature R(., c')c'."""
     sp, _ = so4_so2(0.8, 1.6, 0.4)
     fields = np.array([[0, 0, 0, 0, 0, 0], [0, 0, 1, 1, 1, 0],
                        [0, 1, -1, 0, 0, 0], [-1, 0, 0, 0, 0, 0]], float).T
-    messages = ["evaluates to zero", "not a geodesic", "depends on the lift",
-                "not self-adjoint"]
-    for x, message in zip(fields.T, messages):
+    rep = np.zeros((6, 2, 2))
+    for x, message in zip(fields.T, ["evaluates to zero", "not a geodesic"]):
         with pytest.raises(ValueError, match=message):
             jacobi_operator(sp, x)
-    assert curvature_psd(sp, fields)[1].all()
-    rep = np.zeros((6, 2, 2))
-    for x, message in zip(fields.T[:2], messages):
         with pytest.raises(ValueError, match=message):
             closed_geodesic_length(sp, rep, x)
+    assert curvature_psd(sp, fields)[1].tolist() == [True, True, False, False]
+    chart = ExponentialChart(sp)
+    for x in fields.T[2:]:
+        np.testing.assert_allclose(jacobi_operator(sp, x).operator,
+                                   chart.jacobi_matrix_fd(sp.evaluate(x)),
+                                   atol=1e-6)
 
 
 def test_an_orbit_length_needs_only_a_geodesic():
     """At the base point (rho i, i) of the product of spheres with rho = 1,
     e0 fixes rho i under conjugation and moves i at speed 1 with period
     2 pi; e1 turns rho i at frequency 2 (speed 2) and i at frequency 1
-    (speed 1), period 2 pi and speed sqrt(5).  Both orbits are geodesics
-    whose curvature operators jacobi_operator refuses, for the lift and
-    self-adjointness checks that an orbit length does not need."""
+    (speed 1), period 2 pi and speed sqrt(5).  Both orbits are geodesics,
+    the one precondition an orbit length shares with jacobi_operator, which
+    gives their curvature as the finite differences do."""
     sp, info = product_of_spheres(1.0)
     e0, e1 = np.eye(6)[:2]
-    with pytest.raises(ValueError, match="not self-adjoint"):
-        jacobi_operator(sp, e0)
-    with pytest.raises(ValueError, match="depends on the lift"):
-        jacobi_operator(sp, e1)
+    chart = ExponentialChart(sp)
+    for x in (e0, e1):
+        np.testing.assert_allclose(jacobi_operator(sp, x).operator,
+                                   chart.jacobi_matrix_fd(sp.evaluate(x)),
+                                   atol=1e-6)
     rep = info["representation"]
     assert closed_geodesic_length(sp, rep, e0) == pytest.approx(
         2.0 * np.pi, rel=1e-12)
@@ -1230,14 +1235,16 @@ def test_operator_scales_inversely_with_the_metric():
 def test_field_solutions_on_a_spectrum_with_a_negative_eigenvalue():
     """Through the cosh branch and for scalar t, against the integrated
     field equation of the operator with that spectrum, on a metric-
-    orthonormal eigenbasis that is not the coordinate basis."""
+    orthonormal eigenbasis that is not the coordinate basis, along the
+    field of the space that is parallel at the base point."""
     sp, _ = spin3_metric(0.5, 1.5, 2.0)
     rng = np.random.default_rng(677)
     q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
     vecs = np.linalg.inv(np.linalg.cholesky(sp.metric.gram)).T @ q
     kappa = np.array([-0.8, 0.0, 0.6])
     spec = homspace.JacobiSpectrum(
-        direction=np.eye(3)[:, 0], operator=vecs * kappa @ vecs.T
+        direction=transvection_space(sp).p_space.basis[:, 0],
+        operator=vecs * kappa @ vecs.T
         @ sp.metric.gram, eigenvalues=kappa, eigenvectors=vecs,
         psd_ok=False, selfadjoint_residual=0.0)
     v0, w0 = rng.standard_normal(3), rng.standard_normal(3)
@@ -1264,6 +1271,58 @@ def test_jacobi_field_refuses_an_initial_vector_by_name(v, message):
         jacobi_field(sp, spec, v, np.zeros(2), 1.0)
     with pytest.raises(ValueError, match="w0 " + message):
         jacobi_field(sp, spec, np.zeros(2), v, [0.0, 1.0])
+
+
+@pytest.mark.parametrize("t, shown", [
+    ([0.0, np.nan], r"\[1\] is nan"), (np.inf, r"\[0\] is inf"),
+], ids=["nan", "inf"])
+def test_jacobi_field_refuses_a_non_finite_arc_length_by_name(t, shown):
+    """A non-finite arc length is named, not carried into a row of nan."""
+    sp, _ = round_sphere(2)
+    spec = jacobi_operator(sp, sp.lift([1.0, 0.0]))
+    with pytest.raises(ValueError, match=rf"t entry {shown}, not a finite"):
+        jacobi_field(sp, spec, [1.0, 0.0], [0.0, 1.0], t)
+
+
+def test_jacobi_field_refuses_a_direction_that_is_not_parallel():
+    """The closed form needs an operator constant along the orbit, which
+    a field parallel at the base point gives; the basis directions of
+    spin3:1,2,3 are geodesics, but none is parallel."""
+    sp, _ = spin3_metric(1.0, 2.0, 3.0)
+    spec = jacobi_operator(sp, sp.m_basis[:, 0])
+    with pytest.raises(ValueError, match="direction of the spectrum is not "
+                                         "parallel at the base point"):
+        jacobi_field(sp, spec, np.zeros(3), np.zeros(3), 1.0)
+
+
+@pytest.mark.parametrize("call, what, of, n", [
+    (HomogeneousSpace.evaluate, "field", "algebra", 3),
+    (HomogeneousSpace.lift, "tangent vector", "space", 2),
+    (HomogeneousSpace.nabla_at_base, "field", "algebra", 3),
+    (lambda sp, v: sp.isotropy.contains_columns(v), "vecs", "ambient", 3),
+], ids=["evaluate", "lift", "nabla_at_base", "contains_columns"])
+def test_coordinates_are_refused_by_name(call, what, of, n):
+    """On so(3)/so(2) each public method that takes coordinates refuses
+    complex, misshapen or non-finite input by name (not by float()'s
+    TypeError, a matmul message or a real part kept with a ComplexWarning),
+    and takes a matrix of coordinate columns as each column."""
+    sp, _ = round_sphere(2)
+    for v, message in [
+            (np.eye(n)[0] * (1 + 1j), r"has complex entries \(complex128\)"),
+            (np.zeros(n + 1), rf"has shape \({n + 1},\), the {of} dimension "
+                              rf"is {n}"),
+            (np.zeros(()), rf"has shape \(\), the {of} dimension is {n}"),
+            (np.r_[np.zeros(n - 1), np.nan], rf"entry \[{n - 1}\] is nan"),
+            (np.c_[np.zeros(n), [np.inf] * n], r"entry \[0, 1\] is inf")]:
+        with pytest.raises(ValueError, match=f"{what} {message}"):
+            call(sp, v)
+    columns = np.random.default_rng(5).standard_normal((n, 2))
+    together = call(sp, columns)
+    for j, column in enumerate(columns.T):
+        alone = call(sp, column)
+        np.testing.assert_allclose(
+            alone, together[j] if call is HomogeneousSpace.nabla_at_base
+            else together[..., j], rtol=1e-14, atol=1e-14)
 
 
 def test_field_solutions_on_sphere_and_torus():

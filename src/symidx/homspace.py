@@ -639,14 +639,15 @@ def _curvature(pres: Presentation, grams: np.ndarray, nablas: np.ndarray,
     n_c = (x.swapaxes(-1, -2) @ nablas.reshape(rows, 1, n, dim * dim)
            ).reshape(rows, k, dim, dim)
     along = n_c @ c
-    # rows (w, b), columns i: (N_{e_i} w)_b for w = N_C c' and c'; then N_U w
+    # rows (w, b), columns i: (N_{e_i} w)_b for w = N_C c' and c'; then
+    # N_[C,U] c' and N_U w
     q = (np.concatenate([along, c], axis=-1).swapaxes(-1, -2)
          @ np.ascontiguousarray(nablas.transpose(0, 3, 2, 1)).reshape(
              rows, 1, dim, dim * n)).reshape(rows, k, 2 * dim, n)
+    n_bracket = q[..., dim:, :] @ (adjoints(pres.algebra, x)[..., 0, :, :] @ m)
     n_u = q @ m
-    bracket = adjoints(pres.algebra, x)[..., 0, :, :] @ m  # [C, U]
-    op = (n_u[..., :dim, :] - n_c @ n_u[..., dim:, :]
-          - q[..., dim:, :] @ bracket)
+    del q  # before the last products, for the peak memory of a stack
+    op = n_u[..., :dim, :] - n_c @ n_u[..., dim:, :] - n_bracket
     residuals = np.stack([speed, np.linalg.norm(along[..., 0], axis=-1)], -1)
     failed = (residuals > CHECK_TOL) != [True, False]
     first = np.where(failed.any(axis=-1), failed.argmax(axis=-1), -1)
@@ -721,8 +722,8 @@ def jacobi_field(sp: HomogeneousSpace, spectrum: JacobiSpectrum,
 
     Returns an array of tangent coordinates, one row per entry of ``t``
     (or a single vector for scalar ``t``).  Raises ``ValueError`` unless
-    ``v0`` and ``w0`` are each ``dim`` finite real numbers, ``t`` is finite
-    and real, and no entry of that field's derivative exceeds ``CHECK_TOL``.
+    ``v0``, ``w0`` (``dim`` each) and ``t`` are finite real numbers and no
+    entry of the derivative of that field exceeds ``CHECK_TOL``.
     """
     v0 = _coordinates("v0", v0, sp.dim, "space")
     w0 = _coordinates("w0", w0, sp.dim, "space")

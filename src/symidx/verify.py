@@ -306,8 +306,7 @@ def _check_jacobi_oracle():
         _require(spec.psd_ok, f"{name}: curvature operator not psd")
         chart = ExponentialChart(sp)
         k_fd = chart.jacobi_matrix_fd(sp.evaluate(spec.direction))
-        v0 = rng.standard_normal(sp.dim)
-        w0 = rng.standard_normal(sp.dim)
+        v0, w0 = rng.standard_normal((2, sp.dim))
         times, integrated = integrate_field_equation(k_fd, v0, w0, math.pi)
         closed = jacobi_field(sp, spec, v0, w0, times)
         err = float(np.max(np.abs(closed - integrated)))

@@ -98,9 +98,13 @@ class Presentation:
     ValueError
         If ``tol`` is not a number in [MIN_TOL, 1), the isotropy is not a
         subalgebra (named by its first leaking pair of basis vectors in
-        colex order), a stack is empty, the complement does not complete the
-        isotropy to the whole algebra or is not reductive, or the pair is
-        not effective: a nonzero ideal of the algebra lies in the isotropy.
+        colex order; a bracket whose part off the isotropy, through the
+        orthogonal complement of one complete QR, exceeds CHECK_TOL is then
+        decided by :meth:`~symidx.liealg.Subspace.contains_columns`,
+        relative to its length), a stack is empty, the complement does not
+        complete the isotropy to the whole algebra or is not reductive, or
+        the pair is not effective: a nonzero ideal of the algebra lies in
+        the isotropy.
         As ``[h, m]`` lies in ``m``, the x in ``h`` with ``[x, m]`` in ``h``
         have ``[x, m] = 0`` and, by the Jacobi identity, form the largest
         such ideal, of dimension the nullity at ``tol`` of x -> tangent part
@@ -120,8 +124,14 @@ class Presentation:
         h = isotropy.basis
         ad_h = adjoints(algebra, h)
         first, second = pair_indices(r)
-        hh = (ad_h @ h).swapaxes(0, 1)[:, first, second]
-        leaks = np.flatnonzero(~isotropy.contains_columns(hh))
+        leaks = first[:0]  # no pairs below r = 2
+        if r > 1:  # the part of each bracket out of h, through h-perp
+            perp = np.linalg.qr(h, mode="complete")[0][:, r:]
+            out = ((perp.T @ ad_h) @ h)[first, :, second]
+            leaks = np.flatnonzero(np.linalg.norm(out, axis=-1) > CHECK_TOL)
+            if leaks.size:  # the relative floor decides these
+                hh = (ad_h[first[leaks]] @ h.T[second[leaks], :, None])[..., 0]
+                leaks = leaks[~isotropy.contains_columns(hh.T)]
         if leaks.size:
             raise ValueError(
                 f"isotropy is not a subalgebra: bracket of basis vectors "
@@ -493,7 +503,8 @@ def _transvections(pres: Presentation, nablas: np.ndarray) -> tuple:
             brackets(alg, p, p)[..., first, second], tol)
         for r, sub in equal_groups(k_rank):
             kk, pp = kb[sub, :, :r], p[sub]
-            inside, leaks = stacked_contains(pp, brackets(alg, kk, pp))
+            # [p, k] = -[k, p], from the adjoints of the thin p, not of kk
+            inside, leaks = stacked_contains(pp, brackets(alg, pp, kk))
             involutive = inside.all(axis=-1)
             if r and involutive.any() and not _kk_certificate(
                     alg, sv[sub], r, k, leaks) <= CHECK_TOL / 2:  # or nan
@@ -545,7 +556,9 @@ def symmetry_ideals(pres: Presentation, reports: list) -> list:
     is its isotropy part plus the lift of its value.  Its complement for
     the nondegenerate ad-invariant form, of dimension n - dim gD, is again
     an ideal (internal error if the numerics disagree) and enters the
-    bound ``2 dim(g_prime) <= k (k + 1)``.
+    bound ``2 dim(g_prime) <= k (k + 1)``.  A seed of n columns, coindex 0,
+    is the whole algebra by that full rank: gD is the identity and
+    ``g_prime`` empty, with no factorization.
     """
     alg, tol, n = pres.algebra, pres.tol, pres.algebra.dim
     ideals = []  # (rows of reports, stacked bases of their gD)
@@ -554,6 +567,9 @@ def symmetry_ideals(pres: Presentation, reports: list) -> list:
         group = np.array(kept)[group]
         p = np.array([reports[i].p_space.basis for i in group.tolist()])
         seeds = np.concatenate([pres.h_basis[None].repeat(len(p), 0), p], -1)
+        if seeds.shape[-1] == n:  # of full rank: gD = g, by theorem
+            ideals.append((group, np.eye(n)[None].repeat(len(p), 0)))
+            continue
         ideals += [(group[rows], g_d) for rows, g_d in invariant_subspaces(
             alg.ad_stack, stacked_frames(seeds), tol)]
 
@@ -561,7 +577,8 @@ def symmetry_ideals(pres: Presentation, reports: list) -> list:
     out = [None] * len(reports)
     for rows, g_d in ideals:
         d = g_d.shape[-1]
-        g_prime = stacked_kernels(g_d.swapaxes(-1, -2) @ q)[0][:, :, d:]
+        g_prime = (stacked_kernels(g_d.swapaxes(-1, -2) @ q)[0][:, :, d:]
+                   if d < n else g_d[..., :0])
         # the complement of 0 or of the whole algebra is an ideal exactly
         worst = (np.abs(stacked_leaks(alg.ad_stack, g_prime)).max(
             axis=(-2, -1)) if 0 < d < n else np.zeros(1))
@@ -602,13 +619,37 @@ def perpendicular_killing_space(sp: HomogeneousSpace,
 # ---------------------------------------------------------------------------
 
 #: Why a field has no curvature operator, by the precondition it fails
-#: first; each message takes the failing residual of :func:`_curvature`.
+#: first; each message takes the failing residual of :func:`_unit_fields`.
 _CURVATURE_REFUSALS = (
     "field evaluates to zero at the base point; it generates no geodesic "
     "direction",
     "orbit of the field is not a geodesic at the base point (covariant "
     "derivative along itself has norm {:.3e})",
 )
+
+
+def _unit_fields(pres: Presentation, grams: np.ndarray, nablas: np.ndarray,
+                 xs: np.ndarray) -> tuple:
+    """The preconditions of :func:`_curvature` on its arguments, and the
+    products they read: ``(x, c, n_c, along, residuals, first)`` by metric
+    and column, the field at unit speed (where its speed, the length of its
+    value at the base point, exceeds ``CHECK_TOL``), its value c', N_C,
+    N_C c', that speed and the length of N_C c' on a last axis, and the
+    index into :data:`_CURVATURE_REFUSALS` of the first to fail, or -1."""
+    (rows, n, dim, _), k = nablas.shape, xs.shape[-1]
+    # candidates as contiguous columns on a stack axis: bits independent of K
+    x = np.ascontiguousarray(xs.swapaxes(-1, -2))[..., None]
+    vals = pres.eval_matrix[..., None, :, :] @ x
+    speed = np.sqrt(((grams[:, None] @ vals) * vals).sum(axis=(-2, -1)))
+    scale = np.where(speed > CHECK_TOL, speed, 1.0)[..., None, None]
+    x, c = x / scale, vals / scale
+    n_c = (x.swapaxes(-1, -2) @ nablas.reshape(rows, 1, n, dim * dim)
+           ).reshape(rows, k, dim, dim)
+    along = n_c @ c
+    residuals = np.stack([speed, np.linalg.norm(along[..., 0], axis=-1)], -1)
+    failed = (residuals > CHECK_TOL) != [True, False]
+    first = np.where(failed.any(axis=-1), failed.argmax(axis=-1), -1)
+    return x, c, n_c, along, residuals, first
 
 
 def _curvature(pres: Presentation, grams: np.ndarray, nablas: np.ndarray,
@@ -622,35 +663,21 @@ def _curvature(pres: Presentation, grams: np.ndarray, nablas: np.ndarray,
     vector a and C the field at unit speed, of value c'.
 
     Returns ``(fields, residuals, first, ops, lowered)``, indexed by metric
-    and column: the field at unit speed (where its speed, the length of its
-    value at the base point, exceeds ``CHECK_TOL``); that speed and the
-    length of N_C c' on a last axis; the index into
-    :data:`_CURVATURE_REFUSALS` of the first to fail, or -1 (the speed must
-    exceed ``CHECK_TOL``, N_C c' not); R(., c')c'; and the metric times it.
+    and column: the field at unit speed, ``residuals`` and ``first`` of
+    :func:`_unit_fields`, R(., c')c', and the metric times it.
     """
-    e, m = pres.eval_matrix[..., None, :, :], pres.m_basis[..., None, :, :]
+    x, c, n_c, along, residuals, first = _unit_fields(pres, grams, nablas, xs)
     (rows, n, dim, _), k = nablas.shape, xs.shape[-1]
-    # candidates as contiguous columns on a stack axis: bits independent of K
-    x = np.ascontiguousarray(xs.swapaxes(-1, -2))[..., None]
-    vals = e @ x
-    speed = np.sqrt(((grams[:, None] @ vals) * vals).sum(axis=(-2, -1)))
-    scale = np.where(speed > CHECK_TOL, speed, 1.0)[..., None, None]
-    x, c = x / scale, vals / scale
-    n_c = (x.swapaxes(-1, -2) @ nablas.reshape(rows, 1, n, dim * dim)
-           ).reshape(rows, k, dim, dim)
-    along = n_c @ c
     # rows (w, b), columns i: (N_{e_i} w)_b for w = N_C c' and c'; then
     # N_[C,U] c' and N_U w
     q = (np.concatenate([along, c], axis=-1).swapaxes(-1, -2)
          @ np.ascontiguousarray(nablas.transpose(0, 3, 2, 1)).reshape(
              rows, 1, dim, dim * n)).reshape(rows, k, 2 * dim, n)
+    m = pres.m_basis[..., None, :, :]
     n_bracket = q[..., dim:, :] @ (adjoints(pres.algebra, x)[..., 0, :, :] @ m)
     n_u = q @ m
     del q  # before the last products, for the peak memory of a stack
     op = n_u[..., :dim, :] - n_c @ n_u[..., dim:, :] - n_bracket
-    residuals = np.stack([speed, np.linalg.norm(along[..., 0], axis=-1)], -1)
-    failed = (residuals > CHECK_TOL) != [True, False]
-    first = np.where(failed.any(axis=-1), failed.argmax(axis=-1), -1)
     return x[..., 0], residuals, first, op, grams[:, None] @ op
 
 
@@ -828,8 +855,8 @@ def closed_geodesic_length(sp: HomogeneousSpace, representation: np.ndarray,
         raise ValueError(f"representation has shape {rep.shape}, not one "
                          f"square matrix for each of {sp.algebra.dim} fields")
     _refuse_non_finite("representation", rep)
-    residuals, first = (v[0, 0] for v in _curvature(
-        sp, sp.metric.gram[None], sp._nabla_basis[None], x[None, :, None])[1:3])
+    residuals, first = (v[0, 0] for v in _unit_fields(
+        sp, sp.metric.gram[None], sp._nabla_basis[None], x[None, :, None])[4:])
     _refuse_curvature(first, residuals)
     gen = np.einsum("i,ijk->jk", x, rep)
     cutoff = CHECK_TOL * max(1.0, float(np.max(np.abs(gen))))

@@ -6,9 +6,11 @@ spectrum by its eigenvalues; a basis is not an invariant of the input.
 :func:`invariant_by_loop` the one-seed reference for
 ``liealg.invariant_subspaces``, :func:`lstsq_structure` the least-squares
 reference for ``liealg.matrix_algebra``, :func:`projector` the
-orthogonal projector onto a ``Subspace``, and :func:`leaf` the leaf of
+orthogonal projector onto a ``Subspace``, :func:`leaf` the leaf of
 symmetry that a ``TransvectionReport`` describes, built as a space of its
-own.
+own, :func:`subalgebra_leaks` the all-pairs reference for the subalgebra
+check of ``homspace.Presentation``, and :func:`ideal_by_svd` the seed
+factorization reference for ``homspace.symmetry_ideals``.
 """
 
 import numpy as np
@@ -19,7 +21,12 @@ from symidx.liealg import (
     LieAlgebra,
     Subspace,
     brackets,
+    invariant_subspaces,
     numerical_kernel,
+    pair_indices,
+    reference_form,
+    stacked_frames,
+    stacked_kernels,
     stacked_spans,
 )
 
@@ -136,3 +143,30 @@ def leaf(space, report) -> tuple:
         algebra, Subspace(d, eye[:, :r]),
         BilinearForm(values.T @ space.metric.gram @ values),
         complement=Subspace(d, eye[:, r:]), tol=space.tol), leak
+
+
+def subalgebra_leaks(alg, isotropy) -> tuple:
+    """``(refused, leaks, sizes)`` of the all-pairs subalgebra rule: every
+    bracket of two basis vectors a < b of ``isotropy``, in colex order, is
+    formed and projected by ``Subspace.contains_columns``.  ``refused``
+    holds the positions of the pairs it refuses, ``leaks`` the norm of each
+    bracket's part outside the isotropy and ``sizes`` the bracket's norm."""
+    first, second = pair_indices(isotropy.dim)
+    hh = brackets(alg, isotropy.basis, isotropy.basis)[:, first, second]
+    q = isotropy.onb()
+    leaks = np.linalg.norm(hh - q @ (q.T @ hh), axis=0)
+    return (np.flatnonzero(~isotropy.contains_columns(hh)), leaks,
+            np.linalg.norm(hh, axis=0))
+
+
+def ideal_by_svd(pres, report) -> tuple:
+    """``(gD, g_prime)`` bases of the symmetry ideal of ``report`` on
+    ``pres`` by factorizing its seed whatever its rank: the thin SVD of
+    ``[h | p]``, the largest ideal inside it, and the kernel of its
+    transpose times the reference form."""
+    seed = np.hstack([pres.h_basis, report.p_space.basis])[None]
+    (_, g_d), = invariant_subspaces(pres.algebra.ad_stack,
+                                    stacked_frames(seed), pres.tol)
+    q = reference_form(pres.algebra, pres.tol).gram
+    kernel = stacked_kernels(g_d.swapaxes(-1, -2) @ q)[0]
+    return g_d[0], kernel[0][:, g_d.shape[-1]:]

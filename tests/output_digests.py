@@ -13,8 +13,12 @@ on spin3 names, ``index --augment``.  Without names it does so for the names of 
 without a complement of each n in ``SPHERES``, the sweep grids of
 ``SWEEPS`` at two tolerances each, and ``verify --filter NAME`` for each
 check of ``CHECK_NAMES``, one line a check, with its ``duration_ms``
-removed.  Run it on two checkouts, by ``PYTHONPATH``, and ``diff`` the two
-listings.
+removed and every other float rounded to 12 significant digits: a change
+that only reorders a sum moves an eigenvalue such as 1/6 in its last bits,
+which the rounding hides, while a changed answer still moves the digest.
+An error or residual that is itself roundoff (``metric_error``,
+``worst_residual``) is not hidden by rounding and can still move.  Run it on
+two checkouts, by ``PYTHONPATH``, and ``diff`` the two listings.
 """
 
 from __future__ import annotations
@@ -118,14 +122,26 @@ def sphere_outputs(n: int, workdir: str):
                run("index", "--space", path, "--tol", tol))
 
 
+def rounded(value):
+    """``value`` with each float in it, at any depth of lists and dicts,
+    rounded to 12 significant digits."""
+    if isinstance(value, float):
+        return float(f"{value:.12g}")
+    if isinstance(value, dict):
+        return {key: rounded(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [rounded(item) for item in value]
+    return value
+
+
 def verify_output(name: str) -> tuple[int, str, str]:
     """``verify --filter name`` with each outcome's ``duration_ms``
-    removed."""
+    removed and its other floats :func:`rounded`."""
     code, out, err = run("verify", "--filter", name)
     checks = json.loads(out)
     for check in checks:
         check.pop("duration_ms")
-    return code, json.dumps(checks, indent=2, sort_keys=True), err
+    return code, json.dumps(rounded(checks), indent=2, sort_keys=True), err
 
 
 def outputs(names=()):

@@ -13,6 +13,7 @@ from symidx.liealg import (
     Subspace,
     abelian,
     brackets,
+    canonical_basis,
     direct_sum,
     largest_invariant_subspace,
     matrix_algebra,
@@ -53,7 +54,7 @@ from symidx.catalog import (
 )
 from symidx.numcheck import ExponentialChart, integrate_field_equation
 from symidx.serialize import space_from_dict, space_to_dict
-from meaning import invariant_by_loop, leaf
+from meaning import ideal_by_svd, invariant_by_loop, leaf, subalgebra_leaks
 
 I_VEC = np.array([1.0, 0.0, 0.0])
 J_VEC = np.array([0.0, 1.0, 0.0])
@@ -106,6 +107,67 @@ def test_subalgebra_error_names_the_first_leaking_pair():
     span = Subspace(6, np.eye(6)[:, [0, 5, 1]])
     with pytest.raises(ValueError, match="basis vectors 0 and 2 leaves it"):
         HomogeneousSpace(alg, span, BilinearForm(np.eye(3)))
+
+
+def tilted_isotropy(alg, cols, rng, scale, factor) -> Subspace:
+    """The subalgebra of the basis vectors ``cols`` of ``alg``, by a basis
+    rotated within it and with columns scaled from 1 to ``scale``, one
+    column tilted out of it so that its worst pair, by the all-pairs rule,
+    leaks ``factor`` times CHECK_TOL relative to its bracket (floor 1)."""
+    n, r = alg.dim, len(cols)
+    base = np.eye(n)[:, cols] @ np.linalg.qr(rng.standard_normal((r, r)))[0]
+    base *= rng.permutation(np.logspace(0.0, np.log10(scale), r))
+    w = rng.standard_normal(n)
+    w[cols] = 0.0
+    j = rng.integers(r)
+    w *= np.linalg.norm(base[:, j]) / np.linalg.norm(w)
+
+    def tilted(eps):
+        basis = base.copy()
+        basis[:, j] += eps * w
+        return Subspace(n, basis)
+
+    _, leaks, sizes = subalgebra_leaks(alg, tilted(1e-6))
+    worst = float(np.max(leaks / np.maximum(1.0, sizes)))
+    return tilted(1e-6 * factor * CHECK_TOL / worst)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_the_subalgebra_check_decides_as_the_all_pairs_rule(seed):
+    """Presentation reads the part of each bracket of its isotropy basis
+    outside the isotropy through an orthonormal basis of its complement,
+    and hands the pairs whose part exceeds CHECK_TOL to the all-pairs rule
+    of meaning.subalgebra_leaks, whose relative floor decides them.  On
+    so(5) over so(4) and so(6) over so(3) + so(3), tilted so that the worst
+    pair leaks 0.1, 0.5, 2 or 10 times CHECK_TOL relative to its bracket,
+    with bases scaled up to 1e4, it refuses exactly where that rule does and
+    names the same first pair; at the larger scales an accepted pair leaks
+    more than CHECK_TOL in absolute terms, which only the rule accepts."""
+    rng = np.random.default_rng(seed)
+    so5, rep5 = so_elementary(5)
+    so6, rep6 = so_elementary(6)
+    cases = [(so5, np.flatnonzero(~rep5[:, 0].any(axis=1))),
+             (so6, np.flatnonzero(~rep6[:, :3, 3:].any(axis=(1, 2))))]
+    decided = set()
+    for alg, cols in cases:
+        for factor in (0.1, 0.5, 2.0, 10.0):
+            for scale in (1.0, 1e2, 1e4):
+                iso = tilted_isotropy(alg, cols, rng, scale, factor)
+                refused, leaks, _ = subalgebra_leaks(alg, iso)
+                try:
+                    Presentation(alg, iso)
+                    message = ""
+                except ValueError as exc:
+                    message = str(exc)
+                if refused.size:
+                    first, second = (int(i[refused[0]]) for i in
+                                     homspace.pair_indices(iso.dim))
+                    assert message.endswith(f"bracket of basis vectors "
+                                            f"{first} and {second} leaves it")
+                else:
+                    assert "not a subalgebra" not in message
+                decided.add((bool(refused.size), leaks.max() > CHECK_TOL))
+    assert decided == {(True, True), (False, False), (False, True)}
 
 
 def test_rejects_non_reductive_complement():
@@ -1023,6 +1085,57 @@ def test_stacked_symmetry_ideals_equal_the_one_report_path():
     assert {i for i, _, _ in seen} >= {0, 1, 2, 3}, seen
     assert {(c, d) for _, c, d in seen} >= {(3, 0), (5, 0), (2, 1), (0, 6)}, \
         seen
+
+
+def test_a_full_seed_gives_the_whole_algebra_without_a_factorization(
+        monkeypatch):
+    """Where the seed [h | p] has n columns it has full rank by theorem, so
+    symmetry_ideals takes gD = g and g_prime = 0 without factorizing it.
+    Both equal the SVD route of meaning.ideal_by_svd, print the same
+    canonical bases, and no stacked_frames call sees a full seed: on the
+    round spheres S^2 to S^9, on a stack of S^3 metrics that mixes round
+    ones with a refused one, and on a stack of Spin(3) metrics that mixes
+    partial seeds (metrics of the one-parameter line, index 1) with empty
+    ones (generic metrics and round ones, index 0 relative to the
+    one-sided algebra).  No presentation here carries a symmetric metric
+    and a non-symmetric one relative to its algebra, so a full seed and a
+    partial one meet in one call only where a refused member is skipped."""
+    rng = np.random.default_rng(37)
+    stacks = [(sp, [sp.metric.gram])
+              for sp in (round_sphere(n)[0] for n in range(2, 10))]
+    stacks.append((round_sphere(3)[0],
+                   [c * np.eye(3) for c in rng.uniform(0.5, 2.0, 2)]
+                   + [-np.eye(3)]))
+    stacks.append((spin3_presentation(DEFAULT_TOL),
+                   [c * np.eye(3) for c in rng.uniform(0.5, 2.0, 2)]
+                   + [np.diag(spin3_line(s)) for s in rng.uniform(0.1, 0.9, 2)]
+                   + [np.diag(w) for w in rng.uniform(0.5, 3.0, (2, 3))]))
+    widths, frames = [], homspace.stacked_frames
+    monkeypatch.setattr(homspace, "stacked_frames",
+                        lambda a: widths.append(a.shape[-1]) or frames(a))
+    seen = []
+    for pres, grams in stacks:
+        n = pres.algebra.dim
+        reports = transvection_stack(pres, np.array(grams))[0]
+        widths.clear()
+        bounds = homspace.symmetry_ideals(pres, reports)
+        assert all(width < n for width in widths), widths
+        for report, bound in zip(reports, bounds):
+            if report is None:
+                assert bound is None
+                seen.append(None)
+                continue
+            full = pres.h_basis.shape[1] + report.index == n
+            g_d, g_prime = ideal_by_svd(pres, report)
+            for got, want in ((bound.gD, g_d), (bound.g_prime, g_prime)):
+                assert got.equals(Subspace(n, want))
+                assert np.array_equal(canonical_basis(got.onb()),
+                                      canonical_basis(want))
+            assert bound.gD.dim == n if full else bound.gD.dim < n
+            seen.append((report.index, full))
+    assert seen[:11] == [(n, True) for n in range(2, 10)] + [(3, True)] * 2 + [
+        None]
+    assert sorted(seen[11:]) == [(0, False)] * 4 + [(1, False)] * 2
 
 
 def test_a_stacked_presentation_refuses_exactly_its_failing_members():

@@ -3,8 +3,9 @@ dimension 66 and 105.
 
 The checks are deterministic (results and tracemalloc bounds), not
 timings.  The exact Jacobi sum and the whole pipeline run on so(12);
-so(15) is only built and decomposed, since its symmetry-ideal bound
-alone would cost a third of a second for what so(12) already shows.
+so(15) skips the exact sum on its certificate.  Its symmetry-ideal bound
+costs no factorization: the seed of a symmetric space is the whole
+algebra.
 """
 
 import tracemalloc
@@ -18,10 +19,22 @@ from symidx.liealg import DEFAULT_TOL, so_elementary
 
 N = 11
 
-#: Traced peak of building so(15)/so(14): 27.0 MiB measured (numpy 2.4,
-#: CPython 3.11), reached in the subalgebra check of the presentation,
-#: which holds the isotropy's ad stack and its brackets with the algebra.
+#: Traced peak of building so(15)/so(14): 24.0 MiB measured (numpy 2.4,
+#: CPython 3.11), the algebra's own (SO15_ALGEBRA_PEAK_MIB); it was 27.0 MiB
+#: while the subalgebra check formed every bracket of the isotropy.
 SO15_BUILD_PEAK_MIB = 32
+
+#: Traced peak of round_sphere(14) on the cached algebra: 11.4 MiB measured
+#: (numpy 2.4, CPython 3.11), the isotropy's ad stack and the complement
+#: checks; it was 17.8 MiB while the subalgebra check formed all r^2
+#: brackets of the isotropy and projected them onto it.
+SO15_SPACE_PEAK_MIB = 14
+
+#: Traced peak of transvection_space on so(15)/so(14), derivatives
+#: included: 4.9 MiB measured (numpy 2.4, CPython 3.11); it was 9.5 MiB
+#: while [k, p] in p was checked through the ad stack of the 91 k fields
+#: rather than of the 14 fields of p.
+SO15_TRANSVECTION_PEAK_MIB = 7
 
 #: Traced peak of matrix_algebra on so(15): 24.1 MiB measured (numpy 2.4,
 #: CPython 3.11), with the thin SVD factors that give the fit; it was
@@ -91,6 +104,31 @@ def test_so15_sphere_is_certified_and_built_within_its_memory(so15_sphere):
     assert sp.algebra._jacobi_bound <= DEFAULT_TOL
     assert peak < SO15_BUILD_PEAK_MIB * 2**20
     assert_symmetric_sphere(sp, 14)
+
+
+def test_so15_sphere_and_its_transvections_fit_their_memory(so15_sphere):
+    """On the algebra that the fixture cached, the presentation reads its
+    subalgebra check through the complement of the isotropy, and
+    transvection_space its [k, p] check through the ad stack of p: the
+    round 14-sphere, within bounds that the all-pairs check and the ad
+    stack of k exceed."""
+    tracemalloc.start()
+    try:
+        sp = round_sphere(14)[0]
+        space_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        fresh = sp.space(sp.metric)  # derivatives not yet computed
+        report = transvection_space(fresh)
+        transvection_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (report.index, report.coindex, report.k_space.dim) == (14, 0, 91)
+    assert report.involutive_ok
+    bound = symmetry_ideal(fresh, report)
+    assert (bound.gD.dim, bound.g_prime.dim, bound.lhs, bound.rhs) == (
+        105, 0, 0, 0)
+    assert space_peak < SO15_SPACE_PEAK_MIB * 2**20
+    assert transvection_peak < SO15_TRANSVECTION_PEAK_MIB * 2**20
 
 
 def test_so15_sphere_certifies_kk_in_k_without_the_full_containment(

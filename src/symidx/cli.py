@@ -236,8 +236,9 @@ def _sweep_points(args, parser):
 def _sweep_rows(presentation, points, tol) -> tuple:
     """The CSV rows of the points kept, in the numeric order of their
     parameters (whose empty fields are the same at every point of a grid),
-    decided on one presentation, a stack unless they share one complement,
-    and the count of refused curvature candidates."""
+    decided on one presentation, a stack of one member per distinct
+    complement object gathered per point unless they share one, and the
+    count of refused curvature candidates, read from the stacked arrays."""
     kept = []
     for params, point in points:
         try:
@@ -248,20 +249,21 @@ def _sweep_rows(presentation, points, tol) -> tuple:
         return [], 0
     kept.sort(key=lambda point: point[0])
     fields, complements, grams = zip(*kept)
-    shared = all(c is complements[0] for c in complements)
+    distinct = list({id(c): c for c in complements}.values())  # in order
+    place = {id(c): i for i, c in enumerate(distinct)}
     try:
-        pres = presentation(complements[0] if shared else complements, tol)
+        pres = presentation(distinct if len(distinct) > 1 else distinct[0], tol)
     except ValueError:
         return [], 0
-    reports, psd_ok, refused = transvection_stack(pres, grams)
-    rows = [",".join(["" if v is None else "%.12g" % v for v in params])
-            + f",{report.index},{report.coindex},{report.dim_transvection},"
-            f"{'true' if psd else 'false'},{bound.lhs},{bound.rhs},"
-            f"{'true' if bound.equality else 'false'}"
-        for params, report, psd, bound in zip(
-            fields, reports, psd_ok, symmetry_ideals(pres, reports))
-        if report is not None]
-    return rows, int(refused.sum())
+    pres = pres._members([place[id(c)] for c in complements])
+    stack = symmetry_ideals(pres, transvection_stack(pres, grams))
+    values = zip(*(stack[key].tolist() for key in (
+        "index", "coindex", "dim_transvection", "psd_ok", "lhs", "rhs",
+        "equality")))
+    rows = [",".join(["" if v is None else "%.12g" % v for v in params]
+                     + [str(v).lower() for v in point])  # 2, true or false
+            for params, point in zip(fields, values) if point[0] >= 0]
+    return rows, int(stack["refused"].sum())
 
 
 def _counted(count: int, noun: str) -> str:

@@ -409,62 +409,99 @@ def transvection_space(sp: HomogeneousSpace) -> TransvectionReport:
     ``[k, k] in k`` and ``[k, p] in p``, certified or checked with the same
     decision.  This is the one-metric case of :func:`transvection_stack`.
     """
-    return _transvections(sp, sp._nabla_basis[None])[0][0]
+    return _unstack(TransvectionReport,
+                    _transvections(sp, sp._nabla_basis[None]))[0]
 
 
-#: Most metrics of one stacked call: all 190 of a sweep's grid at once add
-#: 3 MiB to its peak memory, chunks of 32 under one.
+def _unstack(cls, stack: dict) -> list:
+    """The ``cls`` report, :class:`TransvectionReport` or :class:`BoundReport`
+    (whose ``k`` is the coindex), of each metric of ``stack``, or None where
+    its index is -1: the one place where the arrays become objects."""
+    columns = []  # one per field, in order
+    for name in cls.__dataclass_fields__:
+        value = stack["coindex" if name == "k" else name]
+        if isinstance(value, list):  # per group
+            columns.append([None] * len(stack["index"]))
+            for rows, bases in value:
+                for i, q in zip(rows.tolist(), bases):
+                    columns[-1][i] = Subspace._orthonormal(len(q), q)
+        else:
+            columns.append(value.tolist())
+    return [cls(*fields) if index >= 0 else None
+            for index, *fields in zip(stack["index"].tolist(), *columns)]
+
+
+#: Most metrics of one stacked call: the traced peak of a sweep of the
+#: 190-point grid is 3.0 MiB with all of them at once, 0.8 MiB in chunks of 32.
 _STACK_ROWS = 32
 
 
-def transvection_stack(pres: Presentation, grams: np.ndarray) -> tuple:
+def transvection_stack(pres: Presentation, grams: np.ndarray) -> dict:
     """:func:`transvection_space` and the sign of the curvature for each
-    metric of ``grams`` (N, dim, dim) on ``pres``, in stacked calls: one
-    for the metric checks, then per chunk of at most ``_STACK_ROWS`` metrics
-    one each for the derivatives and the parallel fields, and one per group
-    with parallel fields of one dimension for the spans and the curvature
-    operators, with the one-metric cutoffs.
+    metric of ``grams``, (N, dim, dim) or one (dim, dim), on ``pres``, in
+    stacked calls: one for the metric checks, then per chunk of at most
+    ``_STACK_ROWS`` metrics one each for the derivatives and the parallel
+    fields, and one per group with parallel fields of one dimension for the
+    spans and the curvature operators, with the one-metric cutoffs.
 
-    Returns ``(reports, psd_ok, refused)``.  ``reports[i]`` is None where
-    :class:`HomogeneousSpace` refuses the metric.  Of the curvature
-    candidates, the tangent basis directions and the parallel fields,
-    ``refused[i]`` counts those :func:`jacobi_operator` raises on, and
-    ``psd_ok[i]`` holds when the others' operators are all psd by
-    :func:`_stacked_psd`.
+    Returns one stacked result, a dict and no report object.  Per metric,
+    it holds the arrays ``index`` (-1 where :class:`HomogeneousSpace`
+    refuses the metric), ``coindex``, ``dim_transvection`` and
+    ``involutive_ok`` of :class:`TransvectionReport`, ``psd_ok`` and
+    ``refused``; per group, lists of ``(rows, bases)``, the stacked
+    ``p_space``, ``k_space`` and ``s_space`` bases of the metrics ``rows``.
+    Of the curvature candidates, the tangent basis directions and the
+    parallel fields, ``refused`` counts those :func:`jacobi_operator` raises
+    on, and ``psd_ok`` holds when the others' operators are all psd by
+    :func:`_stacked_psd`.  Other shapes of ``grams`` raise ``ValueError``.
     """
-    grams = np.asarray(grams, dtype=float).reshape(-1, pres.dim, pres.dim)
+    d, grams = pres.dim, np.asarray(grams, dtype=float)
+    if grams.shape != (0,) and grams.shape[-2:] != (d, d) or grams.ndim > 3:
+        raise ValueError(f"metrics of shape {grams.shape}, not (N, {d}, {d}) "
+                         f"or ({d}, {d})")
+    # (0,) is an empty sequence, no metric; no -1, which dim 0 leaves open
+    grams = grams[None] if grams.ndim == 2 else grams.reshape(len(grams), d, d)
     kept = np.flatnonzero([r is None for r in _metric_refusals(pres, grams)])
-    reports = [None] * len(grams)
-    psd_ok, refused = np.zeros(len(grams), bool), np.zeros(len(grams), int)
+    count = len(grams)
+    stack = {"index": np.full(count, -1), "coindex": np.zeros(count, int),
+             "dim_transvection": np.zeros(count, int),
+             "involutive_ok": np.zeros(count, bool),
+             "psd_ok": np.zeros(count, bool), "refused": np.zeros(count, int),
+             "p_space": [], "k_space": [], "s_space": []}
     for lo in range(0, len(kept), _STACK_ROWS):
         rows = kept[lo:lo + _STACK_ROWS]
         part = pres._members(rows)
         nablas = _nablas(part, grams[rows])
-        found, groups = _transvections(part, nablas)
-        for group, p in groups:
+        found = _transvections(part, nablas)
+        for key, value in found.items():
+            if isinstance(value, list):
+                stack[key] += [(rows[group], bases) for group, bases in value]
+            else:
+                stack[key][rows] = value
+        for group, p in found["p_space"]:
             sub, gs = part._members(group), grams[rows[group]]
             ms = sub.m_basis * np.ones((len(group), 1, 1))
             # each candidate's first failing precondition and lowered operator
             first, go = _curvature(sub, gs, nablas[group],
                                    np.concatenate([ms, p], axis=-1))[2::2]
             out = first >= 0
-            psd_ok[rows[group]] = np.all(_stacked_psd(gs, go) | out, axis=1)
-            refused[rows[group]] = out.sum(axis=1)
+            stack["psd_ok"][rows[group]] = np.all(_stacked_psd(gs, go) | out,
+                                                  axis=1)
+            stack["refused"][rows[group]] = out.sum(axis=1)
             del go  # else alive at the next chunk's peak memory
-        for i, report in zip(rows.tolist(), found):
-            reports[i] = report
-    return reports, psd_ok, refused
+    return stack
 
 
-def _transvections(pres: Presentation, nablas: np.ndarray) -> tuple:
-    """The reports of :func:`transvection_stack` for metrics that pass the
-    metric checks, given their :func:`_nablas`, in stacked calls per group
-    of equal ``p_space``, then ``k_space``, dimension.  These two rank
-    decisions make a report; the rest follows by the theorems of
-    :class:`TransvectionReport`.  ``involutive_ok`` is ``[k, p] in p``,
-    checked, and ``[k, k] in k``, which follows from it in exact arithmetic:
-    checked only where :func:`_kk_certificate` exceeds CHECK_TOL / 2, as a
-    smaller certificate means the check would pass.
+def _transvections(pres: Presentation, nablas: np.ndarray) -> dict:
+    """The stacked result of :func:`transvection_stack`, but for ``psd_ok``
+    and ``refused``, for metrics that pass the metric checks, given their
+    :func:`_nablas`, in stacked calls per group of equal ``p_space``, then
+    ``k_space``, dimension.  These two rank decisions decide a metric; the
+    rest follows by the theorems of :class:`TransvectionReport`.
+    ``involutive_ok`` is ``[k, p] in p``, checked, and ``[k, k] in k``,
+    which follows from it in exact arithmetic: checked only where
+    :func:`_kk_certificate` exceeds CHECK_TOL / 2, as a smaller certificate
+    means the check would pass.
 
     The certificate bounds |[v, w] - K K^T [v, w]| for columns v, w = K e_j
     of K, the first r columns of U in B = U S V^T, B (n, m) the brackets
@@ -486,18 +523,17 @@ def _transvections(pres: Presentation, nablas: np.ndarray) -> tuple:
         leak <= (A (2 s_{r+1} + 2 |L|_F + 3 eta) + n^{3/2} J) / s_r,
     over a group with its largest s_1, s_{r+1} and |L|_F, the last the
     [k, p] check's plus 2 sqrt(k) (n + k) u A of rounding, and its least
-    s_r; (n + r)^2 u A more covers the rounding of the check itself.
-
-    Returns ``(reports, groups)``: per ``p_space`` dimension, ``groups``
-    holds the positions of its metrics and their stacked ``p_space`` bases."""
+    s_r; (n + r)^2 u A more covers the rounding of the check itself."""
     alg, tol, n = pres.algebra, pres.tol, pres.algebra.dim
-    v, nullity = stacked_kernels(
+    v, index = stacked_kernels(
         nablas.reshape(len(nablas), n, pres.dim ** 2).swapaxes(-1, -2), tol)
-    reports, groups = [None] * len(nablas), []
-    for k, group in equal_groups(nullity):
+    rank, involutive_ok = np.zeros_like(index), np.zeros(len(index), bool)
+    out = {"p_space": [], "k_space": [], "s_space": []}
+    for k, group in equal_groups(index):
         p = v[group, :, n - k:]
-        groups.append((group, p))
-        s = stacked_frames(pres._members(group).eval_matrix @ p)
+        out["p_space"].append((group, p))
+        out["s_space"].append(
+            (group, stacked_frames(pres._members(group).eval_matrix @ p)))
         first, second = pair_indices(k)
         kb, k_rank, sv = stacked_spans(
             brackets(alg, p, p)[..., first, second], tol)
@@ -511,14 +547,11 @@ def _transvections(pres: Presentation, nablas: np.ndarray) -> tuple:
                 kc = kk[involutive]  # [k, k] in k, checked
                 involutive[involutive] = stacked_contains(
                     kc, brackets(alg, kc, kc))[0].all(axis=-1)
-            for j, g in enumerate(sub.tolist()):
-                reports[group[g]] = TransvectionReport(
-                    p_space=Subspace._orthonormal(n, p[g]),
-                    k_space=Subspace._orthonormal(n, kk[j]),
-                    s_space=Subspace._orthonormal(pres.dim, s[g]),
-                    index=k, coindex=pres.dim - k, dim_transvection=k + r,
-                    involutive_ok=bool(involutive[j]))
-    return reports, groups
+            at = group[sub]
+            out["k_space"].append((at, kk))
+            rank[at], involutive_ok[at] = r, involutive
+    return dict(out, index=index, coindex=pres.dim - index,
+                dim_transvection=index + rank, involutive_ok=involutive_ok)
 
 
 def _kk_certificate(alg: LieAlgebra, sv: np.ndarray, r: int, k: int,
@@ -542,13 +575,18 @@ def symmetry_ideal(sp: Presentation,
     """
     if report is None:
         report = transvection_space(sp)
-    return symmetry_ideals(sp, [report])[0]
+    stack = {"index": np.array([report.index]),
+             "coindex": np.array([report.coindex]),
+             "p_space": [(np.arange(1), report.p_space.basis[None])]}
+    return _unstack(BoundReport, symmetry_ideals(sp, stack))[0]
 
 
-def symmetry_ideals(pres: Presentation, reports: list) -> list:
-    """The :class:`BoundReport` of each transvection report of ``reports``
-    on ``pres`` (of member i of a stack), in stacked calls per group of
-    equal index; a None report, a refused metric, gives None.
+def symmetry_ideals(pres: Presentation, stack: dict) -> dict:
+    """``stack``, a result of :func:`transvection_stack` on ``pres`` (of
+    member i of a stack), with the :class:`BoundReport` of each metric but
+    those of index -1: the arrays ``lhs``, ``rhs`` and ``equality`` and the
+    groups ``gD`` and ``g_prime``, by stacked calls per group of its
+    ``p_space``.
 
     Seeds the largest-ideal iteration of :func:`invariant_subspaces` with
     the isotropy plus ``p_space``, of full rank (:class:`TransvectionReport`)
@@ -561,11 +599,8 @@ def symmetry_ideals(pres: Presentation, reports: list) -> list:
     ``g_prime`` empty, with no factorization.
     """
     alg, tol, n = pres.algebra, pres.tol, pres.algebra.dim
-    ideals = []  # (rows of reports, stacked bases of their gD)
-    kept = [i for i, report in enumerate(reports) if report is not None]
-    for _, group in equal_groups([reports[i].index for i in kept]):
-        group = np.array(kept)[group]
-        p = np.array([reports[i].p_space.basis for i in group.tolist()])
+    ideals = []  # (rows, stacked bases of gD)
+    for group, p in stack["p_space"]:
         seeds = np.concatenate([pres.h_basis[None].repeat(len(p), 0), p], -1)
         if seeds.shape[-1] == n:  # of full rank: gD = g, by theorem
             ideals.append((group, np.eye(n)[None].repeat(len(p), 0)))
@@ -574,7 +609,7 @@ def symmetry_ideals(pres: Presentation, reports: list) -> list:
             alg.ad_stack, stacked_frames(seeds), tol)]
 
     q = reference_form(alg, tol).gram
-    out = [None] * len(reports)
+    dims, g_ds, g_primes = np.zeros(len(stack["index"]), int), [], []
     for rows, g_d in ideals:
         d = g_d.shape[-1]
         g_prime = (stacked_kernels(g_d.swapaxes(-1, -2) @ q)[0][:, :, d:]
@@ -586,14 +621,12 @@ def symmetry_ideals(pres: Presentation, reports: list) -> list:
             raise RuntimeError(
                 f"internal: complement of the symmetry ideal is not an ideal "
                 f"(residual {worst[worst > CHECK_TOL][0]:.3e})")
-        for j, i in enumerate(rows.tolist()):
-            k = reports[i].coindex
-            lhs, rhs = 2 * (n - d), k * (k + 1)
-            out[i] = BoundReport(
-                gD=Subspace._orthonormal(n, g_d[j]),
-                g_prime=Subspace._orthonormal(n, g_prime[j]),
-                k=k, lhs=lhs, rhs=rhs, equality=lhs == rhs)
-    return out
+        dims[rows] = d
+        g_ds.append((rows, g_d))
+        g_primes.append((rows, g_prime))
+    lhs, rhs = 2 * (n - dims), stack["coindex"] * (stack["coindex"] + 1)
+    return dict(stack, lhs=lhs, rhs=rhs, equality=lhs == rhs, gD=g_ds,
+                g_prime=g_primes)
 
 
 def perpendicular_killing_space(sp: HomogeneousSpace,

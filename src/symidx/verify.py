@@ -21,10 +21,13 @@ import numpy as np
 
 from . import catalog
 from .homspace import (
+    BoundReport,
+    TransvectionReport,
     _curvature,
     _refuse_curvature,
     _stacked_psd,
     _transvections,
+    _unstack,
     augment_left_invariant,
     closed_geodesic_length,
     jacobi_field,
@@ -120,11 +123,11 @@ _COUPLED_METRICS = [(s, 2.0 - s) for s in (0.4, 0.8, 1.2, 1.6)]
 _UNCOUPLED_METRICS = ((0.5, 0.5), (1.0, 0.5), (1.5, 1.0))
 
 
-def _reports(pres, spaces) -> list:
+def _reports(pres, spaces) -> tuple:
     """:func:`transvection_space` of each of ``spaces``, built by
-    ``pres.space`` and so metric-checked, by one stacked call."""
-    return _transvections(pres, np.array([sp._nabla_basis
-                                          for sp in spaces]))[0]
+    ``pres.space`` and so metric-checked, and their one stacked result."""
+    stack = _transvections(pres, np.array([sp._nabla_basis for sp in spaces]))
+    return _unstack(TransvectionReport, stack), stack
 
 
 def _quotients(metrics):
@@ -135,7 +138,8 @@ def _quotients(metrics):
                                       DEFAULT_TOL)
         spaces = [pres.space(BilinearForm(catalog.so4_so2_gram(s, t)))
                   for s, t in metrics]
-        for (s, t), sp, rep in zip(metrics, spaces, _reports(pres, spaces)):
+        for (s, t), sp, rep in zip(metrics, spaces,
+                                   _reports(pres, spaces)[0]):
             yield lam, s, t, sp, rep
 
 
@@ -359,7 +363,7 @@ def _check_invariant_residuals():
     for count, sp in enumerate(_residual_spaces(), 1):
         gram = sp.metric.gram
         scaled = sp.space(BilinearForm(2.5 * gram), sp.label + " scaled")
-        rep, scaled_rep = _reports(sp, [sp, scaled])
+        (rep, scaled_rep), stack = _reports(sp, [sp, scaled])
         _require(rep.involutive_ok,
                  f"{sp.label}: bracket relations of the parallel fields fail")
         _require(rep.index + rep.coindex == sp.dim,
@@ -402,7 +406,8 @@ def _check_invariant_residuals():
         _require(scaled_rep.index == rep.index
                  and scaled_rep.p_space.equals(rep.p_space),
                  f"{sp.label}: subspace reports change under metric scaling")
-        bound, scaled_bound = symmetry_ideals(sp, [rep, scaled_rep])
+        bound, scaled_bound = _unstack(BoundReport,
+                                       symmetry_ideals(sp, stack))
         _require(bound.lhs <= bound.rhs,
                  f"{sp.label}: dimension bound violated "
                  f"({bound.lhs} > {bound.rhs})")

@@ -16,7 +16,9 @@ import pytest
 from symidx import catalog, verify
 from symidx.cli import main
 from symidx.homspace import (
+    BoundReport,
     HomogeneousSpace,
+    _unstack,
     jacobi_operator,
     symmetry_ideal,
     symmetry_ideals,
@@ -268,7 +270,8 @@ def assert_same_report(got, want):
 
 def scaled_pairs():
     """Each space of the invariant-residuals check with its 2.5x scaled
-    copy and the two reports the check decides by one stacked call."""
+    copy, and the two reports the check decides by one stacked call with
+    the stacked result they come from."""
     for sp in verify._residual_spaces():
         scaled = sp.space(BilinearForm(2.5 * sp.metric.gram),
                           sp.label + " scaled")
@@ -292,11 +295,11 @@ def test_stacked_residual_reports_and_bounds_match_one_space_at_a_time():
     stacked report call and one symmetry_ideals call: each report is
     transvection_space's bit for bit, each bound symmetry_ideal's."""
     count = 0
-    for sp, scaled, reports in scaled_pairs():
+    for sp, scaled, (reports, stack) in scaled_pairs():
         count += 1
         assert_same_report(reports[0], transvection_space(sp))
         assert_same_report(reports[1], transvection_space(scaled))
-        bounds = symmetry_ideals(sp, reports)
+        bounds = _unstack(BoundReport, symmetry_ideals(sp, stack))
         for got, want in zip(bounds, [symmetry_ideal(sp, reports[0]),
                                       symmetry_ideal(scaled, reports[1])]):
             assert same_bits(got.gD.basis, want.gD.basis)
@@ -316,7 +319,7 @@ def test_batched_parallel_curvature_matches_jacobi_operator():
     message, and elsewhere agrees bit for bit as well."""
     rng = np.random.default_rng(36)
     seen = {"parallel": 0, "basis": 0, "random": 0, "refused": 0}
-    for sp, _, (rep, _) in scaled_pairs():
+    for sp, _, ((rep, _), _) in scaled_pairs():
         gram = sp.metric.gram[None]
         for kind, fields in (("parallel", rep.p_space.basis),
                              ("basis", sp.m_basis),
@@ -373,11 +376,11 @@ def test_invariant_residuals_catch_a_scaled_report_that_moves(monkeypatch):
     has the same index and another p_space."""
     def wrap(reports):
         def moved(pres, spaces):
-            found = reports(pres, spaces)
+            found, stack = reports(pres, spaces)
             p = found[-1].p_space.basis
             found[-1] = dataclasses.replace(found[-1], p_space=Subspace(
                 pres.algebra.dim, np.hstack([p[:, 1:], pres.h_basis[:, :1]])))
-            return found
+            return found, stack
         return moved
 
     detail = residual_failure(monkeypatch, "_reports", wrap)

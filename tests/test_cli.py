@@ -18,6 +18,8 @@ from symidx.catalog import (
     product_of_spheres,
     round_sphere,
     so4_so2,
+    so4_so2_complement,
+    so4_so2_gram,
     spin3_berger,
     spin3_metric,
 )
@@ -437,7 +439,7 @@ def test_sweep_counts_the_refused_curvature_candidates(capsys):
                 jacobi_operator(point, x)
             except ValueError:
                 want[-1] += 1
-    assert transvection_stack(pres, grams)[2].tolist() == want
+    assert transvection_stack(pres, grams)["refused"].tolist() == want
     assert want[0] > 0 and want[1] == 0
 
 
@@ -489,8 +491,9 @@ def test_a_sweep_decides_its_points_in_one_stacked_call(capsys, monkeypatch,
                                                         argv):
     """A sweep builds one presentation, a stack where its points'
     complements differ (several slopes, several radii), and makes one
-    transvection_stack and one symmetry_ideals call with the reports of
-    all its kept points; the one-report symmetry_ideal is never called."""
+    transvection_stack and one symmetry_ideals call with the stacked result
+    of all its kept points; the one-report symmetry_ideal is never
+    called."""
     calls = {"stack": 0, "ideals": 0, "points": 0}
 
     def counted(key, inner):
@@ -498,7 +501,7 @@ def test_a_sweep_decides_its_points_in_one_stacked_call(capsys, monkeypatch,
             calls[key] += 1
             out = inner(pres, items)
             if key == "ideals":
-                calls["points"] += sum(item is not None for item in items)
+                calls["points"] += np.count_nonzero(items["index"] >= 0)
             return out
         return call
 
@@ -515,6 +518,80 @@ def test_a_sweep_decides_its_points_in_one_stacked_call(capsys, monkeypatch,
     assert code == 0
     assert calls["stack"] == calls["ideals"] == 1
     assert calls["points"] == len(out.splitlines()) - 1 > 0
+
+
+def test_a_sweep_validates_one_member_per_distinct_complement(capsys,
+                                                              monkeypatch):
+    """The points of one slope share one complement object, so a grid of
+    three slopes builds a stack of three members, not one per point, and
+    gathers it per point: its rows and counts are those of a stack with a
+    copy of the complement for each point."""
+    sizes, build = [], catalog.spin4_quotient
+
+    def recording(complement, tol):
+        sizes.append(1 if isinstance(complement, Subspace) else len(complement))
+        return build(complement, tol)
+
+    monkeypatch.setattr(catalog, "spin4_quotient", recording)
+    code, out, err = run(capsys, "sweep", "--family", "so4-so2", "--lambda",
+                         "0.25:0.75:0.25", "--s", "0.35:2.15:0.45",
+                         "--coupled")
+    assert code == 0 and sizes == [3]
+    assert len(out.splitlines()) == 1 + 12  # s = 2.15 leaves the family
+    assert err == ("sweep: 3 grid points skipped, 0 curvature candidates "
+                   "refused\n")
+
+    slopes = {lam: so4_so2_complement(lam) for lam in (0.25, 0.5, 0.75)}
+    points = [((lam, s, 2.0 - s, None), c, so4_so2_gram(s, 2.0 - s))
+              for lam, c in slopes.items() for s in (0.35, 0.8, 1.25, 1.7)]
+    sizes.clear()
+    shared = cli._sweep_rows(recording, [
+        (params, lambda c=c, g=g: (c, g)) for params, c, g in points], 1e-9)
+    copies = cli._sweep_rows(recording, [
+        (params, lambda c=c, g=g: (Subspace(6, c.basis.copy()), g))
+        for params, c, g in points], 1e-9)
+    assert sizes == [3, 12] and shared == copies
+    assert shared == (out.splitlines()[1:], 0)
+
+
+def test_a_sweep_builds_no_report_objects(capsys, monkeypatch):
+    """A sweep reads its rows from the stacked arrays: the 190-point grid
+    constructs no TransvectionReport and no BoundReport, which the counting
+    subclasses see where the one-space path builds them.  Points that share
+    one complement object the presentation refuses are all skipped, and the
+    other points keep the rows they have alone."""
+    built = {"TransvectionReport": 0, "BoundReport": 0}
+    for name in built:
+        def init(self, *args, name=name, cls=getattr(homspace, name),
+                 **kwargs):
+            built[name] += 1
+            cls.__init__(self, *args, **kwargs)
+
+        monkeypatch.setattr(homspace, name, type(
+            name, (getattr(homspace, name),), {"__init__": init}))
+    code, out, _ = run(capsys, "sweep", "--family", "so4-so2", "--lambda",
+                       "0.1:1:0.1", "--s", "0.1:1.9:0.1", "--coupled")
+    assert code == 0 and len(out.splitlines()) == 1 + 190
+    assert built == {"TransvectionReport": 0, "BoundReport": 0}
+    homspace.symmetry_ideal(so4_so2(0.5, 0.8)[0])
+    assert built == {"TransvectionReport": 1, "BoundReport": 1}
+
+    good = so4_so2_complement(0.5)
+    overlap = good.basis.copy()
+    overlap[:, 0] = [1.0, 0.0, 0.0, 1.0, 0.0, 0.0]  # the isotropy direction
+    overlap = Subspace(6, overlap)
+    with pytest.raises(ValueError, match="overlap"):
+        catalog.spin4_quotient(overlap, 1e-9)
+    s = [0.3, 0.5, 0.7, 0.9, 1.1, 1.3]
+    on = [overlap, good, overlap, good, good, overlap]
+    points = [((None, v, 2.0 - v, None),
+               lambda c=c, v=v: (c, so4_so2_gram(v, 2.0 - v)))
+              for c, v in zip(on, s)]
+    rows, refused = cli._sweep_rows(catalog.spin4_quotient, points, 1e-9)
+    alone = cli._sweep_rows(catalog.spin4_quotient, [
+        point for point, c in zip(points, on) if c is good], 1e-9)
+    assert len(rows) == 3 and (rows, refused) == alone
+    assert [row.split(",")[1] for row in rows] == ["0.5", "0.9", "1.1"]
 
 
 def test_stacked_sweep_equals_the_per_point_path(capsys, tmp_path):

@@ -1,5 +1,6 @@
 import dataclasses
 import inspect
+import re
 
 import numpy as np
 import pytest
@@ -26,8 +27,10 @@ from symidx.liealg import (
     stacked_contains,
 )
 from symidx.homspace import (
+    BoundReport,
     HomogeneousSpace,
     Presentation,
+    TransvectionReport,
     augment_left_invariant,
     closed_geodesic_length,
     jacobi_field,
@@ -375,7 +378,8 @@ def test_a_stack_with_no_passing_member_refuses_each_metric_alone():
     stack = Presentation(alg, iso, [overlap, unreductive])
     grams = np.array([np.eye(4)] * 2)
     assert homspace._metric_refusals(stack, grams) == messages
-    assert transvection_stack(stack, grams)[0] == [None, None]
+    assert homspace._unstack(TransvectionReport,
+                             transvection_stack(stack, grams)) == [None, None]
 
 
 @pytest.mark.parametrize("build", [
@@ -750,8 +754,10 @@ def test_a_stack_of_metrics_is_decided_as_each_metric_alone():
     ]
     seen = {"refused metric": 0, "psd": 0, "not psd": 0, "index": set()}
     for pres, grams in stacks:
-        reports, psd_ok, refused = transvection_stack(pres, np.array(grams))
-        for gram, report, ok, count in zip(grams, reports, psd_ok, refused):
+        found = transvection_stack(pres, np.array(grams))
+        reports = homspace._unstack(TransvectionReport, found)
+        for gram, report, ok, count in zip(grams, reports, found["psd_ok"],
+                                           found["refused"]):
             try:
                 sp = pres.space(BilinearForm(gram))
             except ValueError:
@@ -970,8 +976,8 @@ def test_the_kk_certificate_bounds_the_computed_leak(monkeypatch):
     *_, at_1e9, at_1e10 = bounds[-len(strata):]
     assert so15 <= half < so16 and at_1e10 <= half < at_1e9
     pres = spin4_quotient(so4_so2_complement(0.5), DEFAULT_TOL)
-    reports = transvection_stack(
-        pres, [so4_so2_gram(0.8, t) for t in near])[0]
+    reports = homspace._unstack(TransvectionReport, transvection_stack(
+        pres, [so4_so2_gram(0.8, t) for t in near]))
     for report, sp in zip(reports, strata):
         assert report.involutive_ok == full_containment(sp, report)[1]
 
@@ -1067,9 +1073,11 @@ def test_stacked_symmetry_ideals_equal_the_one_report_path():
     seen = set()
     for pres, grams in stacks:
         rng.shuffle(grams)
-        reports = transvection_stack(pres, np.array(grams))[0]
+        found = transvection_stack(pres, np.array(grams))
+        reports = homspace._unstack(TransvectionReport, found)
         assert None not in reports
-        bounds = homspace.symmetry_ideals(pres, reports)
+        bounds = homspace._unstack(BoundReport,
+                                   homspace.symmetry_ideals(pres, found))
         for report, bound in zip(reports, bounds):
             want = symmetry_ideal(pres, report)
             assert (bound.k, bound.lhs, bound.rhs, bound.equality) == (
@@ -1116,9 +1124,11 @@ def test_a_full_seed_gives_the_whole_algebra_without_a_factorization(
     seen = []
     for pres, grams in stacks:
         n = pres.algebra.dim
-        reports = transvection_stack(pres, np.array(grams))[0]
+        found = transvection_stack(pres, np.array(grams))
+        reports = homspace._unstack(TransvectionReport, found)
         widths.clear()
-        bounds = homspace.symmetry_ideals(pres, reports)
+        bounds = homspace._unstack(BoundReport,
+                                   homspace.symmetry_ideals(pres, found))
         assert all(width < n for width in widths), widths
         for report, bound in zip(reports, bounds):
             if report is None:
@@ -1168,8 +1178,11 @@ def test_a_stacked_presentation_refuses_exactly_its_failing_members():
     stack = spin4_quotient(complements, 1e-9)
     assert homspace._metric_refusals(stack, np.array(grams)) == [
         messages.get(i) for i in range(7)]
-    reports, psd_ok, refused = transvection_stack(stack, grams)
-    bounds = homspace.symmetry_ideals(stack, reports)
+    found = transvection_stack(stack, grams)
+    reports = homspace._unstack(TransvectionReport, found)
+    psd_ok, refused = found["psd_ok"], found["refused"]
+    bounds = homspace._unstack(BoundReport,
+                               homspace.symmetry_ideals(stack, found))
     indices = set()
     for i, (comp, gram) in enumerate(zip(complements, grams)):
         if i in messages:
@@ -1183,7 +1196,8 @@ def test_a_stacked_presentation_refuses_exactly_its_failing_members():
         for name in ("p_space", "k_space", "s_space"):
             assert getattr(got, name).equals(getattr(want, name))
         one = transvection_stack(sp, [gram])
-        assert (psd_ok[i], refused[i]) == (one[1][0], one[2][0])
+        assert (psd_ok[i], refused[i]) == (one["psd_ok"][0],
+                                           one["refused"][0])
         bound = symmetry_ideal(sp, want)
         assert (bounds[i].lhs, bounds[i].rhs) == (bound.lhs, bound.rhs)
         assert bounds[i].gD.equals(bound.gD)
@@ -1210,7 +1224,31 @@ def test_a_stack_takes_one_metric_per_member_and_makes_no_space():
     one = spin4_quotient([so4_so2_complement(0.5)], 1e-9)
     with pytest.raises(ValueError, match="stack of size 1 is no space"):
         one.space(BilinearForm(gram))
-    assert transvection_stack(one, [gram])[0][0].index == 2
+    assert transvection_stack(one, [gram])["index"][0] == 2
+
+
+def test_a_misshapen_gram_stack_is_refused_by_its_shape():
+    """transvection_stack takes metrics (N, dim, dim) or one (dim, dim) and
+    refuses any other shape by name: one 9 x 9 Gram matrix on Spin(3), of
+    dimension 3, is not nine 3 x 3 metrics.  An empty sequence holds no
+    metric, and the point, of dimension 0, takes (0, 0) and (N, 0, 0) as
+    transvection_space takes its metric."""
+    pres = spin3_presentation(1e-9)
+    for shape in [(9, 9), (1, 9, 9), (9,), (3,), (), (2, 3), (3, 3, 1),
+                  (1, 1, 3, 3)]:
+        with pytest.raises(ValueError, match=re.escape(
+                f"metrics of shape {shape}, not (N, 3, 3) or (3, 3)")):
+            transvection_stack(pres, np.ones(shape))
+    one, stacked = (transvection_stack(pres, g) for g in (np.eye(3),
+                                                          [np.eye(3)]))
+    assert one["index"].tolist() == stacked["index"].tolist() == [0]
+    assert transvection_stack(pres, [])["index"].shape == (0,)
+    point = HomogeneousSpace(abelian(0)[0], Subspace.zero(0),
+                             BilinearForm(np.zeros((0, 0))))
+    assert transvection_space(point).index == 0
+    for grams, count in ((np.zeros((0, 0)), 1), (np.zeros((2, 0, 0)), 2)):
+        found = transvection_stack(point, grams)
+        assert found["index"].tolist() == [0] * count
 
 
 def test_a_space_built_from_a_space_takes_the_new_metric():

@@ -37,7 +37,7 @@ os.unlink(path)
 rep = transvection_space(sp)
 print(f"{sp.label}: index {rep.index}, coindex {rep.coindex}")
 
-chart = ExponentialChart(sp)
+chart = ExponentialChart(sp, sp.metric.gram)
 rng = np.random.default_rng(8)
 worst = 0.0
 for _ in range(4):

@@ -4,8 +4,8 @@ Everything in :mod:`symidx.homspace` is algebraic: covariant derivatives
 come from one Koszul evaluation and curvature from Kostant's identity.  This
 module rebuilds the same quantities the pedestrian way, as an oracle:
 
-* a coordinate chart ``x -> Exp(sum x_a xi_a) . base`` whose metric
-  components follow from the structure tensor alone,
+* a coordinate chart ``x -> Exp(sum x_a xi_a) . base``, a presentation's
+  alone, with metric components of one Gram matrix or of a whole stack,
 * Christoffel symbols and curvature by high-order central differences of
   those components, the chart evaluated once per call on a whole stencil,
 * covariant derivatives of Killing fields from their coordinate
@@ -21,7 +21,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .homspace import HomogeneousSpace
+from .homspace import Presentation
+from .liealg import _coordinates, _real, _refuse_non_finite
 
 #: Inner step for first derivatives of analytic chart quantities.  With the
 #: fourth order stencil the truncation error is ~1e-16 and roundoff ~1e-12.
@@ -95,20 +96,28 @@ class ExponentialChart:
     * a Killing field pulled to the chart is ``exp(ad_X)`` applied to its
       generator, evaluated and re-expressed in the frame.
 
-    Points may carry leading batch axes, ``(..., n)``.  Only used in a
-    small neighbourhood of the origin (finite difference stencils), where
-    the series are numerically exact.
+    The series read the presentation ``pres`` alone (a space is one).  Of
+    ``grams``, one Gram matrix (d, d) or a stack (N, d, d), a stack gives
+    each metric-dependent result an axis of length N after the batch axes
+    of the points, ``(..., d)``.  Only used in a small neighbourhood of
+    the origin (finite difference stencils), where the series are exact.
     """
 
-    def __init__(self, sp: HomogeneousSpace):
-        self.sp = sp
+    def __init__(self, pres: Presentation, grams: np.ndarray):
+        grams, d = _real("metric", grams), pres.dim
+        if pres.m_basis.ndim != 2:
+            raise ValueError(f"a complement stack {pres.m_basis.shape} has no chart")
+        if grams.shape[-2:] != (d, d) or not 2 <= grams.ndim <= 3:
+            raise ValueError(f"metrics of shape {grams.shape}, not "
+                             f"(N, {d}, {d}) or ({d}, {d})")
+        self.pres, self.grams = pres, grams
 
     def _series(self, x: np.ndarray):
         """``exp(ad_X)`` and the coordinate frame at the points x."""
-        sp = self.sp
+        pres = self.pres
         exp, differential = _exp_and_differential(np.tensordot(
-            np.asarray(x, float) @ sp.m_basis.T, sp.algebra.ad_stack, 1))
-        return exp, sp.eval_matrix @ differential @ sp.m_basis
+            np.asarray(x, float) @ pres.m_basis.T, pres.algebra.ad_stack, 1))
+        return exp, pres.eval_matrix @ differential @ pres.m_basis
 
     def frame(self, x: np.ndarray) -> np.ndarray:
         """Coordinate frame at x: column a is the a-th coordinate vector
@@ -116,12 +125,13 @@ class ExponentialChart:
         return self._series(x)[1]
 
     def _metric_in(self, frame: np.ndarray) -> np.ndarray:
-        return np.swapaxes(frame, -1, -2) @ self.sp.metric.gram @ frame
+        frame = np.expand_dims(frame, tuple(range(-self.grams.ndim, -2)))
+        return np.swapaxes(frame, -1, -2) @ self.grams @ frame
 
     def _components_in(self, z: np.ndarray, exp: np.ndarray,
                        frame: np.ndarray) -> np.ndarray:
-        z = np.asarray(z, dtype=float)
-        value = self.sp.eval_matrix @ exp @ z.reshape(len(z), -1)
+        z = _coordinates("generator", z, self.pres.algebra.dim, "algebra", 2)
+        value = self.pres.eval_matrix @ exp @ z.reshape(len(z), -1)
         return np.linalg.solve(frame, value).reshape(
             frame.shape[:-1] + z.shape[1:])
 
@@ -136,19 +146,19 @@ class ExponentialChart:
     def christoffel(self, x: np.ndarray) -> np.ndarray:
         """Symbols G[..., c, a, b] = Gamma^c_ab at x, from metric derivatives
         at :data:`INNER_STEP`."""
-        x = np.asarray(x, dtype=float)
-        return _christoffel(self.metric(_stencil(x, INNER_STEP)))
+        return _christoffel(self.metric(_stencil(np.asarray(x, float),
+                                                 INNER_STEP)))
 
     def curvature_at_origin(self) -> np.ndarray:
-        """Curvature tensor R[d, c, a, b] = R^d_cab at the origin, from
+        """Curvature tensor R[..., d, c, a, b] = R^d_cab at the origin, from
         derivatives of :meth:`christoffel` at :data:`OUTER_STEP`."""
-        points = _stencil(np.zeros(self.sp.dim), OUTER_STEP)
+        points = _stencil(np.zeros(self.pres.dim), OUTER_STEP)
         gamma, dgamma = _derivatives(self.christoffel(points), OUTER_STEP)
         # R^d_cab = d_a Gamma^d_bc - d_b Gamma^d_ac
         #           + Gamma^d_ae Gamma^e_bc - Gamma^d_be Gamma^e_ac
-        half = (np.einsum("adbc->dcab", dgamma)
-                + np.einsum("dae,ebc->dcab", gamma, gamma))
-        return half - np.swapaxes(half, 2, 3)
+        half = (np.einsum("a...dbc->...dcab", dgamma)
+                + np.einsum("...dae,...ebc->...dcab", gamma, gamma))
+        return half - np.swapaxes(half, -2, -1)
 
     def nabla_killing_fd(self, z: np.ndarray) -> np.ndarray:
         """Covariant derivative matrix of a Killing field at the origin.
@@ -160,19 +170,24 @@ class ExponentialChart:
         at :data:`INNER_STEP`.
         """
         # one walk of the series gives the field components and the metric
-        exp, frame = self._series(_stencil(np.zeros(self.sp.dim), INNER_STEP))
+        exp, frame = self._series(_stencil(np.zeros(self.pres.dim), INNER_STEP))
         z0, dz = _derivatives(self._components_in(z, exp, frame), INNER_STEP)
         gamma = _christoffel(self._metric_in(frame))
-        return np.swapaxes(dz, 0, 1) + np.einsum("cbe,e...->cb...", gamma, z0)
+        gz = np.einsum("...cbe,ek->...cbk", gamma, z0.reshape(len(z0), -1))
+        return np.swapaxes(dz, 0, 1) + gz.reshape(gamma.shape[:-3] + dz.shape)
 
     def jacobi_matrix_fd(self, u: np.ndarray) -> np.ndarray:
         """Matrix of J -> R(J, u)u at the origin, u normalized to unit length:
         the field equation's along the orbit of a lift of ``u`` that is
         parallel at the base point, as its flow realizes parallel transport.
+        A zero direction raises ``ValueError``.
         """
-        u = np.asarray(u, dtype=float)
-        u = u / np.sqrt(u @ self.sp.metric.gram @ u)
-        return np.einsum("dcab,b,c->da", self.curvature_at_origin(), u, u)
+        u = _coordinates("direction", u, self.pres.dim, "space")
+        if not u.any():
+            raise ValueError("direction is zero, which has no unit length")
+        u = u / np.sqrt((u @ self.grams)[..., None, :] @ u)  # a dot per metric
+        return np.einsum("...dcab,...b,...c->...da", self.curvature_at_origin(),
+                         u, u)
 
 
 def integrate_field_equation(k_matrix: np.ndarray, v0: np.ndarray,
@@ -185,15 +200,23 @@ def integrate_field_equation(k_matrix: np.ndarray, v0: np.ndarray,
     ``y' = A y``, ``A = [[0, I], [-K, 0]]``, the four stages of a step
     compose to ``P = I + hA + (hA)^2/2 + (hA)^3/6 + (hA)^4/24``; a block
     of b states is ``P^1 ... P^b`` times the state before it.  ``steps``
-    must be an integer of at least 1, else ``ValueError``.
+    must be an integer of at least 1, ``K`` a square matrix, ``v0`` and
+    ``w0`` vectors of its size and ``t_end`` a number, all real and finite.
     """
     if not isinstance(steps, (int, np.integer)) or steps < 1:
         raise ValueError(f"steps must be an integer of at least 1, "
                          f"got {steps!r}")
-    n = len(k_matrix)
+    k_matrix = _real("K", k_matrix)
+    n = len(k_matrix) if k_matrix.ndim == 2 else -1
+    if k_matrix.shape != (n, n):
+        raise ValueError(f"K has shape {k_matrix.shape}, not a square one")
+    _refuse_non_finite("K", k_matrix)
+    _refuse_non_finite("t_end", _real("t_end", [t_end]))
+    states = np.empty((steps + 1, 2 * n))
+    states[0] = np.concatenate([_coordinates("v0", v0, n, "K"),
+                                _coordinates("w0", w0, n, "K")])
     ha = (t_end / steps) * np.block([[np.zeros((n, n)), np.eye(n)],
-                                     [-np.asarray(k_matrix, float),
-                                      np.zeros((n, n))]])
+                                     [-k_matrix, np.zeros((n, n))]])
     eye = np.eye(2 * n)
     block = max(1, min(steps, _RK4_BLOCK, _RK4_ENTRIES // (4 * n * n)))
     powers = np.empty((block, 2 * n, 2 * n))
@@ -202,8 +225,6 @@ def integrate_field_equation(k_matrix: np.ndarray, v0: np.ndarray,
     while done < block:  # P^(done+1) ... P^(2 done) from P^done
         powers[done:2 * done] = powers[:block - done][:done] @ powers[done - 1]
         done *= 2
-    states = np.empty((steps + 1, 2 * n))
-    states[0] = np.concatenate([np.asarray(v0, float), np.asarray(w0, float)])
     for lo in range(0, steps, block):
         states[lo + 1:lo + 1 + block] = powers[:steps - lo] @ states[lo]
     return np.linspace(0.0, t_end, steps + 1), states[:, :n]

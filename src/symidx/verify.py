@@ -24,6 +24,8 @@ from .homspace import (
     BoundReport,
     TransvectionReport,
     _curvature,
+    _metric_refusals,
+    _nablas,
     _refuse_curvature,
     _stacked_psd,
     _transvections,
@@ -131,45 +133,47 @@ def _reports(pres, spaces) -> tuple:
 
 
 def _quotients(metrics):
-    """``(lam, s, t, space, report)`` of :func:`catalog.so4_so2`, slope by
-    slope, with one presentation and one stacked report call a slope."""
+    """``(lam, pres, grams, nablas, stack)`` a slope of :func:`catalog.so4_so2`:
+    one presentation, one call each of the metric rule, the Koszul derivatives
+    and the parallel fields; a refused metric raises as ``pres.space``."""
+    grams = np.array([catalog.so4_so2_gram(s, t) for s, t in metrics])
     for lam in _SLOPES:
         pres = catalog.spin4_quotient(catalog.so4_so2_complement(lam),
                                       DEFAULT_TOL)
-        spaces = [pres.space(BilinearForm(catalog.so4_so2_gram(s, t)))
-                  for s, t in metrics]
-        for (s, t), sp, rep in zip(metrics, spaces,
-                                   _reports(pres, spaces)[0]):
-            yield lam, s, t, sp, rep
+        for refusal in filter(None, _metric_refusals(pres, grams)):
+            raise ValueError(refusal)
+        nablas = _nablas(pres, grams)
+        yield lam, pres, grams, nablas, _transvections(pres, nablas)
 
 
 def _check_quotient_coupled():
     actual = {}
-    for lam, s, _, _, rep in _quotients(_COUPLED_METRICS):
-        _require(rep.index == 2,
-                 f"lam={lam}, s={s}: index {rep.index} != 2")
-        _require(rep.coindex == 3,
-                 f"lam={lam}, s={s}: coindex {rep.coindex} != 3")
-        _require(rep.involutive_ok,
-                 f"lam={lam}, s={s}: bracket relations of the parallel "
-                 f"fields fail")
-        actual[f"lam={lam},s={s}"] = rep.index
+    for lam, _, _, _, stack in _quotients(_COUPLED_METRICS):
+        rows = zip(*(stack[key].tolist() for key in
+                     ("index", "coindex", "involutive_ok")))
+        for (s, _), (index, coindex, involutive) in zip(_COUPLED_METRICS, rows):
+            _require(index == 2, f"lam={lam}, s={s}: index {index} != 2")
+            _require(coindex == 3, f"lam={lam}, s={s}: coindex {coindex} != 3")
+            _require(involutive, f"lam={lam}, s={s}: bracket relations of "
+                                 f"the parallel fields fail")
+            actual[f"lam={lam},s={s}"] = index
     return {"index": 2, "coindex": 3, "points": len(actual)}, actual
 
 
 def _check_quotient_uncoupled():
     worst = 0.0
-    for lam, s, t, sp, rep in _quotients(_UNCOUPLED_METRICS):
-        _require(rep.index == 0,
-                 f"lam={lam}, s={s}, t={t}: index {rep.index} != 0")
-        gens = np.eye(sp.algebra.dim)
-        numeric = np.moveaxis(ExponentialChart(sp).nabla_killing_fd(gens), -1, 0)
-        errs = np.abs(sp.nabla_at_base(gens) - numeric).max(axis=(1, 2))
-        col = int(np.argmax(~(errs <= 1e-6)))  # first failing field, NaN too
-        err, worst = errs[col], max(worst, *errs.tolist())
-        _require(err <= 1e-6,
-                 f"lam={lam}, s={s}, t={t}: derivative of field {col} "
-                 f"disagrees with the finite difference oracle ({err:.3e})")
+    for lam, pres, grams, nablas, stack in _quotients(_UNCOUPLED_METRICS):
+        numeric = ExponentialChart(pres, grams).nabla_killing_fd(
+            np.eye(pres.algebra.dim))
+        errs = np.abs(nablas - np.moveaxis(numeric, -1, 1)).max(axis=(-2, -1))
+        for (s, t), index, row in zip(_UNCOUPLED_METRICS,
+                                      stack["index"].tolist(), errs):
+            _require(index == 0, f"lam={lam}, s={s}, t={t}: index {index} != 0")
+            col = int(np.argmax(~(row <= 1e-6)))  # first failing field, NaN too
+            _require(row[col] <= 1e-6, f"lam={lam}, s={s}, t={t}: derivative of "
+                     f"field {col} disagrees with the finite difference "
+                     f"oracle ({row[col]:.3e})")
+        worst = max(worst, float(errs.max()))
     return ({"index": 0, "fd_tolerance": 1e-6},
             {"worst_fd_error": worst,
              "points": len(_SLOPES) * len(_UNCOUPLED_METRICS)})
@@ -308,7 +312,7 @@ def _check_jacobi_oracle():
     for sp, direction, name in _jacobi_oracle_cases():
         spec = jacobi_operator(sp, direction)
         _require(spec.psd_ok, f"{name}: curvature operator not psd")
-        chart = ExponentialChart(sp)
+        chart = ExponentialChart(sp, sp.metric.gram)
         k_fd = chart.jacobi_matrix_fd(sp.evaluate(spec.direction))
         v0, w0 = rng.standard_normal((2, sp.dim))
         times, integrated = integrate_field_equation(k_fd, v0, w0, math.pi)

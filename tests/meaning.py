@@ -9,14 +9,19 @@ reference for ``liealg.matrix_algebra``, :func:`projector` the
 orthogonal projector onto a ``Subspace``, :func:`leaf` the leaf of
 symmetry that a ``TransvectionReport`` describes, built as a space of its
 own, :func:`subalgebra_leaks` the all-pairs reference for the subalgebra
-check of ``homspace.Presentation``, and :func:`ideal_by_svd` the seed
-factorization reference for ``homspace.symmetry_ideals``.
+check of ``homspace.Presentation``, :func:`ideal_by_svd` the seed
+factorization reference for ``homspace.symmetry_ideals``, and
+:func:`coupled_by_space` and :func:`uncoupled_by_space` the per-metric
+references for verify's two so4-so2 checks; :func:`same_bits` compares
+arrays bit for bit.
 """
 
 import numpy as np
 
-from symidx.homspace import HomogeneousSpace
+from symidx import catalog, verify
+from symidx.homspace import HomogeneousSpace, transvection_space
 from symidx.liealg import (
+    DEFAULT_TOL,
     BilinearForm,
     LieAlgebra,
     Subspace,
@@ -29,6 +34,13 @@ from symidx.liealg import (
     stacked_kernels,
     stacked_spans,
 )
+from symidx.numcheck import ExponentialChart
+
+
+def same_bits(a, b) -> bool:
+    """Equal shape, dtype and bytes."""
+    a, b = np.asarray(a), np.asarray(b)
+    return (a.shape, a.dtype, a.tobytes()) == (b.shape, b.dtype, b.tobytes())
 
 
 def adjoint(alg, x) -> np.ndarray:
@@ -170,3 +182,54 @@ def ideal_by_svd(pres, report) -> tuple:
     q = reference_form(pres.algebra, pres.tol).gram
     kernel = stacked_kernels(g_d.swapaxes(-1, -2) @ q)[0]
     return g_d[0], kernel[0][:, g_d.shape[-1]:]
+
+
+def quotients_by_space(metrics):
+    """``(lam, s, t, space, report)`` of the points of verify's so4-so2
+    checks, one space at a time: per slope one presentation, every metric
+    made a space by ``pres.space`` before the first report, so a refused
+    metric raises first, and per space ``transvection_space``."""
+    for lam in verify._SLOPES:
+        pres = catalog.spin4_quotient(catalog.so4_so2_complement(lam),
+                                      DEFAULT_TOL)
+        spaces = [pres.space(BilinearForm(catalog.so4_so2_gram(s, t)))
+                  for s, t in metrics]
+        for (s, t), sp in zip(metrics, spaces):
+            yield lam, s, t, sp, transvection_space(sp)
+
+
+def coupled_by_space():
+    """The body of verify's so4-so2-coupled check on one report per space."""
+    actual = {}
+    for lam, s, _, _, rep in quotients_by_space(verify._COUPLED_METRICS):
+        verify._require(rep.index == 2,
+                        f"lam={lam}, s={s}: index {rep.index} != 2")
+        verify._require(rep.coindex == 3,
+                        f"lam={lam}, s={s}: coindex {rep.coindex} != 3")
+        verify._require(rep.involutive_ok,
+                        f"lam={lam}, s={s}: bracket relations of the "
+                        f"parallel fields fail")
+        actual[f"lam={lam},s={s}"] = rep.index
+    return {"index": 2, "coindex": 3, "points": len(actual)}, actual
+
+
+def uncoupled_by_space():
+    """The body of verify's so4-so2-uncoupled-derivative-oracle check on
+    one report, one Koszul derivative and one exponential chart per space."""
+    worst = 0.0
+    for lam, s, t, sp, rep in quotients_by_space(verify._UNCOUPLED_METRICS):
+        verify._require(rep.index == 0,
+                        f"lam={lam}, s={s}, t={t}: index {rep.index} != 0")
+        gens = np.eye(sp.algebra.dim)
+        chart = ExponentialChart(sp, sp.metric.gram)
+        numeric = np.moveaxis(chart.nabla_killing_fd(gens), -1, 0)
+        errs = np.abs(sp.nabla_at_base(gens) - numeric).max(axis=(1, 2))
+        col = int(np.argmax(~(errs <= 1e-6)))  # first failing field, NaN too
+        err, worst = errs[col], max(worst, *errs.tolist())
+        verify._require(err <= 1e-6,
+                        f"lam={lam}, s={s}, t={t}: derivative of field "
+                        f"{col} disagrees with the finite difference oracle "
+                        f"({err:.3e})")
+    return ({"index": 0, "fd_tolerance": 1e-6},
+            {"worst_fd_error": worst,
+             "points": len(verify._SLOPES) * len(verify._UNCOUPLED_METRICS)})

@@ -13,11 +13,13 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from symidx import catalog, verify
+from meaning import coupled_by_space, same_bits, uncoupled_by_space
+from symidx import catalog, homspace, numcheck, verify
 from symidx.cli import main
 from symidx.homspace import (
     BoundReport,
-    HomogeneousSpace,
+    Presentation,
+    TransvectionReport,
     _unstack,
     jacobi_operator,
     symmetry_ideal,
@@ -107,14 +109,14 @@ def test_derivative_oracle_catches_a_wrong_base_formula(monkeypatch, capsys):
     """The finite-difference oracle must disagree with a Koszul derivative
     that is off by 1e-5 in one entry, so it does not compare a route with
     itself."""
-    nabla_at_base = HomogeneousSpace.nabla_at_base
+    nablas = verify._nablas
 
-    def off_by_one_entry(self, x):
-        wrong = nabla_at_base(self, x).copy()
-        wrong[0, 1] += 1e-5
+    def off_by_one_entry(pres, grams):
+        wrong = nablas(pres, grams).copy()
+        wrong[:, 0, 0, 1] += 1e-5  # field 0 of every metric
         return wrong
 
-    monkeypatch.setattr(HomogeneousSpace, "nabla_at_base", off_by_one_entry)
+    monkeypatch.setattr(verify, "_nablas", off_by_one_entry)
     assert main(["verify", "--filter", "uncoupled"]) == 1
     payload = json.loads(capsys.readouterr().out)
     assert [o["check"] for o in payload] == [
@@ -256,11 +258,6 @@ def test_checks_are_deterministic():
                                b.actual["worst_residual"], rtol=0, atol=0)
 
 
-def same_bits(a, b) -> bool:
-    a, b = np.asarray(a), np.asarray(b)
-    return (a.shape, a.dtype, a.tobytes()) == (b.shape, b.dtype, b.tobytes())
-
-
 def assert_same_report(got, want):
     for name in ("p_space", "k_space", "s_space"):
         assert same_bits(getattr(got, name).basis,
@@ -283,11 +280,102 @@ def scaled_pairs():
                          ids=["coupled", "uncoupled"])
 def test_stacked_quotient_reports_match_one_space_at_a_time(metrics):
     """The so4-so2 checks decide each slope's metrics by one stacked call;
-    each report is transvection_space's of its own space, bit for bit."""
-    points = list(verify._quotients(metrics))
-    assert len(points) == len(verify._SLOPES) * len(metrics)
-    for _, _, _, sp, rep in points:
-        assert_same_report(rep, transvection_space(sp))
+    each metric's Koszul derivatives and report, read from the stacked
+    arrays, are those of its own space, bit for bit."""
+    slopes = list(verify._quotients(metrics))
+    assert len(slopes) == len(verify._SLOPES)
+    for _, pres, grams, nablas, stack in slopes:
+        reports = _unstack(TransvectionReport, stack)
+        assert len(grams) == len(nablas) == len(reports) == len(metrics)
+        for gram, nabla, rep in zip(grams, nablas, reports):
+            sp = pres.space(BilinearForm(gram))
+            assert same_bits(nabla, sp._nabla_basis)
+            assert_same_report(rep, transvection_space(sp))
+
+
+QUOTIENT_CHECKS = {"so4-so2-coupled": coupled_by_space,
+                   "so4-so2-uncoupled-derivative-oracle": uncoupled_by_space}
+
+
+def run_as(monkeypatch, name, body):
+    """The outcome of the check ``name`` with ``body`` in place of its own."""
+    monkeypatch.setattr(verify, "CHECKS", tuple(
+        (check, provenance, body if check == name else fn)
+        for check, provenance, fn in verify.CHECKS))
+    (outcome,) = run_checks(name)
+    return outcome
+
+
+def same_outcome(a, b) -> bool:
+    """Equal status and detail, and expected and actual values of equal
+    types and bits (the repr of a float round-trips)."""
+    return ((a.status, a.detail, repr(a.expected), repr(a.actual))
+            == (b.status, b.detail, repr(b.expected), repr(b.actual)))
+
+
+@pytest.mark.parametrize("name", QUOTIENT_CHECKS)
+def test_stacked_quotient_checks_equal_the_per_metric_route(monkeypatch,
+                                                             name):
+    """Each so4-so2 check, one stack a slope, gives the outcome of its body
+    run one space, one report and one chart per metric, bit for bit."""
+    (got,) = run_checks(name)
+    assert got.status == "pass"
+    assert same_outcome(got, run_as(monkeypatch, name, QUOTIENT_CHECKS[name]))
+
+
+def test_the_quotient_checks_decide_each_slope_as_one_stack(monkeypatch):
+    """The uncoupled check walks the chart's power series once a slope, 3
+    times, and the two so4-so2 checks make no space and no
+    TransvectionReport; the per-metric route, counted alike, walks it 9
+    times and makes 21 of each."""
+    counts = dict.fromkeys(("series", "space", "report"), 0)
+    series, space = numcheck._exp_and_differential, Presentation.space
+
+    def counted_series(a):
+        counts["series"] += 1
+        return series(a)
+
+    def counted_space(self, *args, **kwargs):
+        counts["space"] += 1
+        return space(self, *args, **kwargs)
+
+    class CountedReport(TransvectionReport):
+        def __init__(self, *args, **kwargs):
+            counts["report"] += 1
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(numcheck, "_exp_and_differential", counted_series)
+    monkeypatch.setattr(Presentation, "space", counted_space)
+    for module in (homspace, verify):
+        monkeypatch.setattr(module, "TransvectionReport", CountedReport)
+    outcomes = run_checks("so4-so2")
+    assert [o.status for o in outcomes] == ["pass", "pass"]
+    assert counts == {"series": 3, "space": 0, "report": 0}
+    for name, body in QUOTIENT_CHECKS.items():
+        assert run_as(monkeypatch, name, body).status == "pass"
+    assert counts == {"series": 3 + 9, "space": 21, "report": 21}
+
+
+@pytest.mark.parametrize("name", QUOTIENT_CHECKS)
+def test_a_refused_quotient_metric_fails_as_its_space_refuses_it(
+        monkeypatch, name):
+    """A metric of each check whose weighted j and k entries differ is not
+    invariant: the stacked metric rule fails the check with the message
+    that making it a space raises, the per-metric route's detail."""
+    gram = catalog.so4_so2_gram
+
+    def uneven(s, t):
+        g = gram(s, t)
+        if s in (0.8, 1.0):  # the second metric of either check
+            g[3, 3] *= 1.5
+        return g
+
+    monkeypatch.setattr(catalog, "so4_so2_gram", uneven)
+    (got,) = run_checks(name)
+    assert got.status == "fail"
+    assert got.detail.startswith("ValueError: isotropy vector 0 does not act "
+                                 "skew-symmetrically for the metric")
+    assert same_outcome(got, run_as(monkeypatch, name, QUOTIENT_CHECKS[name]))
 
 
 def test_stacked_residual_reports_and_bounds_match_one_space_at_a_time():

@@ -1280,7 +1280,7 @@ def test_each_curvature_refusal_names_the_first_failing_precondition():
         with pytest.raises(ValueError, match=message):
             closed_geodesic_length(sp, rep, x)
     assert curvature_psd(sp, fields)[1].tolist() == [True, True, False, False]
-    chart = ExponentialChart(sp)
+    chart = ExponentialChart(sp, sp.metric.gram)
     for x in fields.T[2:]:
         np.testing.assert_allclose(jacobi_operator(sp, x).operator,
                                    chart.jacobi_matrix_fd(sp.evaluate(x)),
@@ -1296,7 +1296,7 @@ def test_an_orbit_length_needs_only_a_geodesic():
     gives their curvature as the finite differences do."""
     sp, info = product_of_spheres(1.0)
     e0, e1 = np.eye(6)[:2]
-    chart = ExponentialChart(sp)
+    chart = ExponentialChart(sp, sp.metric.gram)
     for x in (e0, e1):
         np.testing.assert_allclose(jacobi_operator(sp, x).operator,
                                    chart.jacobi_matrix_fd(sp.evaluate(x)),

@@ -7,16 +7,30 @@ differences with the default steps.
 
 The batched chart is also compared with the per-point route it replaced,
 kept below as the reference: one point, one field and one power series at
-a time, and Runge-Kutta by its four explicit stages.
+a time, and Runge-Kutta by its four explicit stages.  A chart of a stack of
+metrics is compared, bit for bit, with one chart per metric and with the
+one-metric formulas that have no metrics axis.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
 
-from meaning import adjoint
-from symidx.catalog import default_spaces, round_sphere, so4_so2, spin3_berger
+from meaning import adjoint, same_bits
+from symidx import verify
+from symidx.catalog import (
+    default_spaces,
+    round_sphere,
+    so4_so2,
+    so4_so2_complement,
+    so4_so2_gram,
+    spin3_berger,
+    spin3_line,
+    spin3_presentation,
+    spin4_quotient,
+)
 from symidx.homspace import jacobi_field, jacobi_operator
 from symidx.numcheck import (
     INNER_STEP,
@@ -24,6 +38,7 @@ from symidx.numcheck import (
     _RK4_BLOCK,
     _RK4_ENTRIES,
     ExponentialChart,
+    _christoffel,
     _derivatives,
     _exp_and_differential,
     _stencil,
@@ -45,15 +60,15 @@ def test_central_difference_order():
 
 def test_frame_is_the_identity_at_the_origin():
     sp, _ = round_sphere(2)
-    np.testing.assert_allclose(ExponentialChart(sp).frame(np.zeros(2)),
-                               np.eye(2), atol=1e-14)
+    chart = ExponentialChart(sp, sp.metric.gram)
+    np.testing.assert_allclose(chart.frame(np.zeros(2)), np.eye(2), atol=1e-14)
 
 
 def test_round_sphere_chart_metric_closed_form():
     """In exponential coordinates the unit sphere metric is 1 radially
     and sin(r)^2 / r^2 transversally."""
     sp, _ = round_sphere(2)
-    chart = ExponentialChart(sp)
+    chart = ExponentialChart(sp, sp.metric.gram)
     for x in (np.array([0.3, -0.2]), np.array([0.0, 0.9])):
         r = np.linalg.norm(x)
         g = chart.metric(x)
@@ -64,23 +79,25 @@ def test_round_sphere_chart_metric_closed_form():
 
 def test_chart_is_normal_exactly_for_the_symmetric_case():
     sp, _ = round_sphere(2)
-    gamma = ExponentialChart(sp).christoffel(np.zeros(2))
+    gamma = ExponentialChart(sp, sp.metric.gram).christoffel(np.zeros(2))
     assert np.max(np.abs(gamma)) < 1e-10
 
     squashed, _ = spin3_berger(3.0)
-    gamma = ExponentialChart(squashed).christoffel(np.zeros(3))
+    chart = ExponentialChart(squashed, squashed.metric.gram)
+    gamma = chart.christoffel(np.zeros(3))
     assert np.max(np.abs(gamma)) > 0.1
 
 
 def test_christoffel_is_symmetric_in_the_lower_indices():
     sp, _ = round_sphere(2)
-    gamma = ExponentialChart(sp).christoffel(np.array([0.3, -0.2]))
+    chart = ExponentialChart(sp, sp.metric.gram)
+    gamma = chart.christoffel(np.array([0.3, -0.2]))
     np.testing.assert_allclose(gamma, np.swapaxes(gamma, 1, 2), atol=1e-8)
 
 
 def test_killing_components_at_the_origin():
     sp, _ = round_sphere(3)
-    chart = ExponentialChart(sp)
+    chart = ExponentialChart(sp, sp.metric.gram)
     rng = np.random.default_rng(17)
     for _ in range(3):
         z = rng.standard_normal(sp.algebra.dim)
@@ -90,7 +107,7 @@ def test_killing_components_at_the_origin():
 
 def test_derivative_of_killing_fields_matches_the_base_formula():
     for sp in (so4_so2(0.5, 0.6)[0], spin3_berger(1.5)[0]):
-        chart = ExponentialChart(sp)
+        chart = ExponentialChart(sp, sp.metric.gram)
         rng = np.random.default_rng(23)
         for _ in range(3):
             z = rng.standard_normal(sp.algebra.dim)
@@ -100,7 +117,7 @@ def test_derivative_of_killing_fields_matches_the_base_formula():
 
 def test_curvature_operator_matches_the_finite_difference_route():
     sp, _ = round_sphere(3)
-    chart = ExponentialChart(sp)
+    chart = ExponentialChart(sp, sp.metric.gram)
     u = np.eye(3)[:, 0]
     fd = chart.jacobi_matrix_fd(u)
     spec = jacobi_operator(sp, sp.lift(u))
@@ -112,7 +129,7 @@ def test_kostant_curvature_matches_the_finite_differences_everywhere():
     curvature of the exponential chart to 1e-6 relative, along every
     tangent basis direction of every default space, parallel or not."""
     for sp, _ in default_spaces():
-        chart = ExponentialChart(sp)
+        chart = ExponentialChart(sp, sp.metric.gram)
         for u in np.eye(sp.dim):
             fd = chart.jacobi_matrix_fd(u)
             op = jacobi_operator(sp, sp.lift(u)).operator
@@ -293,7 +310,7 @@ def _seeded_points(sp, shape, seed=5):
 @pytest.mark.parametrize("name", REFERENCE_SPACES)
 def test_stacked_chart_agrees_with_the_per_point_route(name):
     sp = REFERENCE_SPACES[name]()
-    chart, ref = ExponentialChart(sp), ReferenceChart(sp)
+    chart, ref = ExponentialChart(sp, sp.metric.gram), ReferenceChart(sp)
     points = _seeded_points(sp, (2, 3))
     gens = np.random.default_rng(6).standard_normal((sp.algebra.dim, 2))
     frames, metrics = chart.frame(points), chart.metric(points)
@@ -318,7 +335,7 @@ def test_stacked_chart_agrees_with_the_per_point_route(name):
 @pytest.mark.parametrize("name", REFERENCE_SPACES)
 def test_batched_derivatives_agree_with_the_per_point_route(name):
     sp = REFERENCE_SPACES[name]()
-    chart, ref = ExponentialChart(sp), ReferenceChart(sp)
+    chart, ref = ExponentialChart(sp, sp.metric.gram), ReferenceChart(sp)
     points = _seeded_points(sp, (3,))
     gammas = chart.christoffel(points)
     for x, gamma in zip(points, gammas):
@@ -385,3 +402,135 @@ def test_entry_budget_shortens_the_block_of_a_large_operator():
     want = reference_rk4(k, v0, w0, 1.0, 30)
     scale = float(np.max(np.abs(want)))
     assert float(np.max(np.abs(values - want))) <= 1e-12 * scale
+
+
+# ---------------------------------------------------------------------------
+# malformed input is refused by name
+# ---------------------------------------------------------------------------
+
+def _sphere_chart():
+    sp, _ = round_sphere(3)
+    return ExponentialChart(sp, sp.metric.gram)
+
+
+@pytest.mark.parametrize("u, message", [
+    (np.zeros(3), "direction is zero, which has no unit length"),
+    ([np.nan, 1.0, 0.0], r"direction entry \[0\] is nan, not a finite number"),
+    ([1.0j, 1.0, 0.0], r"direction has complex entries \(complex128\)"),
+    ([1.0, 0.0], r"direction has shape \(2,\), the space dimension is 3"),
+], ids=["zero", "nan", "complex", "length"])
+def test_jacobi_matrix_fd_refuses_a_malformed_direction(u, message):
+    with pytest.raises(ValueError, match=message):
+        _sphere_chart().jacobi_matrix_fd(u)
+
+
+@pytest.mark.parametrize("z, message", [
+    (np.full(6, np.nan), r"generator entry \[0\] is nan, not a finite number"),
+    (np.ones(5), r"generator has shape \(5,\), the algebra dimension is 6"),
+], ids=["nan", "length"])
+def test_nabla_killing_fd_refuses_malformed_generators(z, message):
+    with pytest.raises(ValueError, match=message):
+        _sphere_chart().nabla_killing_fd(z)
+
+
+@pytest.mark.parametrize("k, v0, t_end, message", [
+    (np.eye(2), np.ones(2), np.nan, r"t_end entry \[0\] is nan"),
+    (np.eye(2), np.ones(2), np.inf, r"t_end entry \[0\] is inf"),
+    (1j * np.eye(2), np.ones(2), 1.0, r"K has complex entries"),
+    (np.ones((2, 3)), np.ones(2), 1.0,
+     r"K has shape \(2, 3\), not a square one"),
+    (np.eye(2), np.ones(3), 1.0,
+     r"v0 has shape \(3,\), the K dimension is 2"),
+], ids=["nan-t_end", "inf-t_end", "complex-K", "non-square-K", "v0-length"])
+def test_integrator_refuses_malformed_input(k, v0, t_end, message):
+    with pytest.raises(ValueError, match=message):
+        integrate_field_equation(k, v0, np.zeros(2), t_end, 10)
+
+
+@pytest.mark.parametrize("shape", [(3,), (2, 3, 4), (2, 2, 3, 3)])
+def test_a_chart_refuses_metrics_of_another_shape(shape):
+    sp, _ = round_sphere(3)
+    message = (rf"metrics of shape {re.escape(str(shape))}, not "
+               rf"\(N, 3, 3\) or \(3, 3\)")
+    with pytest.raises(ValueError, match=message):
+        ExponentialChart(sp, np.ones(shape))
+
+
+def test_a_chart_refuses_a_stack_of_complements():
+    comps = [so4_so2_complement(lam) for lam in (0.5, 1.0)]
+    pres = spin4_quotient(comps, 1e-9)
+    with pytest.raises(ValueError, match=r"a complement stack \(2, 6, 5\) "
+                                         r"has no chart"):
+        ExponentialChart(pres, so4_so2_gram(1.0, 0.5))
+
+
+# ---------------------------------------------------------------------------
+# a stack of metrics, bit for bit
+# ---------------------------------------------------------------------------
+
+class OneMetricChart(ExponentialChart):
+    """The metric-dependent methods for one (d, d) metric written without
+    a metrics axis, as the chart computed them before it took stacks: the
+    reference for bit-for-bit equality of the one-metric results."""
+
+    def _metric_in(self, frame):
+        return np.swapaxes(frame, -1, -2) @ self.grams @ frame
+
+    def curvature_at_origin(self):
+        points = _stencil(np.zeros(self.pres.dim), OUTER_STEP)
+        gamma, dgamma = _derivatives(self.christoffel(points), OUTER_STEP)
+        half = (np.einsum("adbc->dcab", dgamma)
+                + np.einsum("dae,ebc->dcab", gamma, gamma))
+        return half - np.swapaxes(half, 2, 3)
+
+    def nabla_killing_fd(self, z):
+        exp, frame = self._series(_stencil(np.zeros(self.pres.dim),
+                                           INNER_STEP))
+        z0, dz = _derivatives(self._components_in(z, exp, frame), INNER_STEP)
+        gamma = _christoffel(self._metric_in(frame))
+        return np.swapaxes(dz, 0, 1) + np.einsum("cbe,e...->cb...", gamma, z0)
+
+    def jacobi_matrix_fd(self, u):
+        u = np.asarray(u, dtype=float)
+        u = u / np.sqrt(u @ self.grams @ u)
+        return np.einsum("dcab,b,c->da", self.curvature_at_origin(), u, u)
+
+
+STACKS = {
+    "so4-so2 uncoupled slope": lambda: (
+        spin4_quotient(so4_so2_complement(0.25), 1e-9),
+        [so4_so2_gram(s, t) for s, t in verify._UNCOUPLED_METRICS]),
+    "so4-so2 coupled slope": lambda: (
+        spin4_quotient(so4_so2_complement(0.25), 1e-9),
+        [so4_so2_gram(s, t) for s, t in verify._COUPLED_METRICS]),
+    "spin3 line": lambda: (
+        spin3_presentation(1e-9),
+        [np.diag(spin3_line(s)) for s in (0.25, 0.5, 0.75)]),
+}
+
+
+@pytest.mark.parametrize("name", STACKS)
+def test_a_stacked_chart_matches_one_chart_per_metric_bit_for_bit(name):
+    """Each metric-dependent result of a stacked chart, at its metric's
+    index of the axis after the point axes, equals that of the chart of
+    the metric alone, which equals the one-metric formulas, bit for bit."""
+    pres, grams = STACKS[name]()
+    points = 0.1 * np.random.default_rng(5).standard_normal((2, 3, pres.dim))
+    gens = np.eye(pres.algebra.dim)
+    u = np.arange(1.0, pres.dim + 1.0)
+    methods = {  # each with the axis of the metrics in its stacked result
+        "metric": (lambda c: c.metric(points), 2),
+        "christoffel": (lambda c: c.christoffel(points), 2),
+        "curvature_at_origin": (lambda c: c.curvature_at_origin(), 0),
+        "nabla_killing_fd": (lambda c: c.nabla_killing_fd(gens), 0),
+        "nabla_killing_fd of one": (lambda c: c.nabla_killing_fd(gens[0]), 0),
+        "jacobi_matrix_fd": (lambda c: c.jacobi_matrix_fd(u), 0),
+    }
+    stacked = ExponentialChart(pres, np.array(grams))
+    for method, (call, axis) in methods.items():
+        results = call(stacked)
+        assert results.shape[axis] == len(grams), method
+        for i, gram in enumerate(grams):
+            want = call(OneMetricChart(pres, gram))
+            assert same_bits(call(ExponentialChart(pres, gram)), want), method
+            assert same_bits(np.take(results, i, axis=axis), want), method

@@ -112,11 +112,20 @@ class ExponentialChart:
                              f"(N, {d}, {d}) or ({d}, {d})")
         self.pres, self.grams = pres, grams
 
+    def _points(self, x) -> np.ndarray:
+        """``x`` as real finite points (..., d), else refused by name."""
+        x, d = _real("point", x), self.pres.dim
+        if x.ndim == 0 or x.shape[-1] != d:
+            raise ValueError(f"point has shape {x.shape}, the space dimension "
+                             f"is {d}")
+        _refuse_non_finite("point", x)
+        return x
+
     def _series(self, x: np.ndarray):
         """``exp(ad_X)`` and the coordinate frame at the points x."""
         pres = self.pres
         exp, differential = _exp_and_differential(np.tensordot(
-            np.asarray(x, float) @ pres.m_basis.T, pres.algebra.ad_stack, 1))
+            self._points(x) @ pres.m_basis.T, pres.algebra.ad_stack, 1))
         return exp, pres.eval_matrix @ differential @ pres.m_basis
 
     def frame(self, x: np.ndarray) -> np.ndarray:
@@ -146,8 +155,7 @@ class ExponentialChart:
     def christoffel(self, x: np.ndarray) -> np.ndarray:
         """Symbols G[..., c, a, b] = Gamma^c_ab at x, from metric derivatives
         at :data:`INNER_STEP`."""
-        return _christoffel(self.metric(_stencil(np.asarray(x, float),
-                                                 INNER_STEP)))
+        return _christoffel(self.metric(_stencil(self._points(x), INNER_STEP)))
 
     def curvature_at_origin(self) -> np.ndarray:
         """Curvature tensor R[..., d, c, a, b] = R^d_cab at the origin, from

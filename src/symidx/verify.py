@@ -41,7 +41,6 @@ from .homspace import (
 )
 from .liealg import (
     DEFAULT_TOL,
-    BilinearForm,
     LieAlgebra,
     Subspace,
     derived_subalgebra,
@@ -59,10 +58,10 @@ class VerificationOutcome:
     check: str
     status: str                      # "pass" or "fail"
     provenance: str                  # "published", "derived", or "trivial"
-    expected: object = None
-    actual: object = None
-    detail: str = ""
-    duration_ms: float = 0.0         # wall time of the check body
+    expected: object
+    actual: object
+    detail: str
+    duration_ms: float               # wall time of the check body
 
 
 class _CheckFailure(Exception):
@@ -125,25 +124,24 @@ _COUPLED_METRICS = [(s, 2.0 - s) for s in (0.4, 0.8, 1.2, 1.6)]
 _UNCOUPLED_METRICS = ((0.5, 0.5), (1.0, 0.5), (1.5, 1.0))
 
 
-def _reports(pres, spaces) -> tuple:
-    """:func:`transvection_space` of each of ``spaces``, built by
-    ``pres.space`` and so metric-checked, and their one stacked result."""
-    stack = _transvections(pres, np.array([sp._nabla_basis for sp in spaces]))
-    return _unstack(TransvectionReport, stack), stack
+def _decided(pres, grams) -> tuple:
+    """``(nablas, stack)`` of the metrics ``grams`` on ``pres``: one call each
+    of the metric rule, the Koszul derivatives and the parallel fields; a
+    refused metric raises as ``pres.space``."""
+    for refusal in filter(None, _metric_refusals(pres, grams)):
+        raise ValueError(refusal)
+    nablas = _nablas(pres, grams)
+    return nablas, _transvections(pres, nablas)
 
 
 def _quotients(metrics):
     """``(lam, pres, grams, nablas, stack)`` a slope of :func:`catalog.so4_so2`:
-    one presentation, one call each of the metric rule, the Koszul derivatives
-    and the parallel fields; a refused metric raises as ``pres.space``."""
+    one presentation whose metrics are :func:`_decided` at once."""
     grams = np.array([catalog.so4_so2_gram(s, t) for s, t in metrics])
     for lam in _SLOPES:
         pres = catalog.spin4_quotient(catalog.so4_so2_complement(lam),
                                       DEFAULT_TOL)
-        for refusal in filter(None, _metric_refusals(pres, grams)):
-            raise ValueError(refusal)
-        nablas = _nablas(pres, grams)
-        yield lam, pres, grams, nablas, _transvections(pres, nablas)
+        yield lam, pres, grams, *_decided(pres, grams)
 
 
 def _check_quotient_coupled():
@@ -366,8 +364,8 @@ def _check_invariant_residuals():
     worst = 0.0
     for count, sp in enumerate(_residual_spaces(), 1):
         gram = sp.metric.gram
-        scaled = sp.space(BilinearForm(2.5 * gram), sp.label + " scaled")
-        (rep, scaled_rep), stack = _reports(sp, [sp, scaled])
+        _, stack = _decided(sp, np.array([gram, 2.5 * gram]))
+        rep, scaled_rep = _unstack(TransvectionReport, stack)
         _require(rep.involutive_ok,
                  f"{sp.label}: bracket relations of the parallel fields fail")
         _require(rep.index + rep.coindex == sp.dim,
@@ -449,15 +447,15 @@ def run_checks(name_filter: str | None = None) -> list[VerificationOutcome]:
         if name_filter and name_filter not in name:
             continue
         start = time.perf_counter()
-        outcome = VerificationOutcome(check=name, status="fail",
-                                      provenance=provenance)
+        status, expected, actual, detail = "fail", None, None, ""
         try:
-            outcome.expected, outcome.actual = fn()
-            outcome.status = "pass"
+            expected, actual = fn()
+            status = "pass"
         except _CheckFailure as exc:
-            outcome.detail = str(exc)
+            detail = str(exc)
         except Exception as exc:  # noqa: BLE001 - report, do not crash the run
-            outcome.detail = f"{type(exc).__name__}: {exc}"
-        outcome.duration_ms = 1e3 * (time.perf_counter() - start)
-        outcomes.append(outcome)
+            detail = f"{type(exc).__name__}: {exc}"
+        outcomes.append(VerificationOutcome(
+            name, status, provenance, expected, actual, detail,
+            1e3 * (time.perf_counter() - start)))
     return outcomes

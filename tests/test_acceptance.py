@@ -156,6 +156,22 @@ def test_integrated_oracle_catches_a_wrong_integrator(monkeypatch):
     assert "closed form and integrated field differ" in outcomes[0].detail
 
 
+def test_round_sphere_check_catches_shifted_curvature_eigenvalues(
+        monkeypatch):
+    """The sphere check compares the curvature eigenvalues with 0 and 1:
+    a spectrum shifted by 1e-6 fails it on the first sphere."""
+    jacobi_operator = verify.jacobi_operator
+
+    def shifted(*args, **kwargs):
+        spec = jacobi_operator(*args, **kwargs)
+        return dataclasses.replace(spec, eigenvalues=spec.eigenvalues + 1e-6)
+
+    monkeypatch.setattr(verify, "jacobi_operator", shifted)
+    outcomes = run_checks("round-sphere-index")
+    assert [o.status for o in outcomes] == ["fail"]
+    assert outcomes[0].detail.startswith("S^2: curvature eigenvalues")
+
+
 @pytest.mark.parametrize("spectrum, message", [
     (lambda w: np.arange(1.0, len(w) + 1.0), "eigenvalue multiplicities"),
     (lambda w: w + 0.5 * w[0], "squashing parameter"),
@@ -270,9 +286,10 @@ def scaled_pairs():
     copy, and the two reports the check decides by one stacked call with
     the stacked result they come from."""
     for sp in verify._residual_spaces():
-        scaled = sp.space(BilinearForm(2.5 * sp.metric.gram),
-                          sp.label + " scaled")
-        yield sp, scaled, verify._reports(sp, [sp, scaled])
+        gram = sp.metric.gram
+        scaled = sp.space(BilinearForm(2.5 * gram), sp.label + " scaled")
+        _, stack = verify._decided(sp, np.array([gram, 2.5 * gram]))
+        yield sp, scaled, (_unstack(TransvectionReport, stack), stack)
 
 
 @pytest.mark.parametrize("metrics", [verify._COUPLED_METRICS,
@@ -462,22 +479,34 @@ def test_invariant_residuals_catch_an_operator_that_moves_its_direction(
 def test_invariant_residuals_catch_a_scaled_report_that_moves(monkeypatch):
     """A scaled copy whose parallel fields swap one for an isotropy field
     has the same index and another p_space."""
-    def wrap(reports):
-        def moved(pres, spaces):
-            found, stack = reports(pres, spaces)
-            p = found[-1].p_space.basis
-            found[-1] = dataclasses.replace(found[-1], p_space=Subspace(
-                pres.algebra.dim, np.hstack([p[:, 1:], pres.h_basis[:, :1]])))
-            return found, stack
+    decided = verify._decided
+    seen = []
+
+    def recording(pres, grams):
+        seen.append(pres)
+        return decided(pres, grams)
+
+    def wrap(unstack):
+        def moved(cls, stack):
+            found = unstack(cls, stack)
+            if cls is TransvectionReport:
+                pres, p = seen[-1], found[-1].p_space.basis
+                found[-1] = dataclasses.replace(found[-1], p_space=Subspace(
+                    pres.algebra.dim,
+                    np.hstack([p[:, 1:], pres.h_basis[:, :1]])))
+            return found
         return moved
 
-    detail = residual_failure(monkeypatch, "_reports", wrap)
+    monkeypatch.setattr(verify, "_decided", recording)
+    detail = residual_failure(monkeypatch, "_unstack", wrap)
     assert detail.endswith("subspace reports change under metric scaling")
 
 
 def test_invariant_residuals_report_a_refused_scaled_metric(monkeypatch):
     """A scaled copy whose metric is refused fails the check with the
     refusal, not with an error on a missing report."""
-    detail = residual_failure(monkeypatch, "BilinearForm",
-                              lambda form: lambda gram: form(-gram))
+    def wrap(decided):
+        return lambda pres, grams: decided(pres, grams * [[[1.0]], [[-1.0]]])
+
+    detail = residual_failure(monkeypatch, "_decided", wrap)
     assert detail == "ValueError: metric is not positive definite"

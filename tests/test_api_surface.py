@@ -8,7 +8,7 @@ import inspect
 
 MODULES = ("catalog", "cli", "homspace", "liealg", "numcheck", "serialize",
            "verify")
-MAX_DEFAULTED = 43
+MAX_DEFAULTED = 39
 
 
 def _public_callables(module):

@@ -403,6 +403,19 @@ def test_sweep_skips_invalid_points_and_counts_them(capsys):
     assert err == "sweep: 1 grid point skipped, 0 curvature candidates refused\n"
 
 
+def test_sweep_with_a_refused_presentation_prints_the_header_alone(capsys):
+    """At tolerance 0.5 the Spin(4)/S1 isotropy and complement overlap: the
+    presentation is refused, so every point is skipped and no row printed."""
+    with pytest.raises(ValueError, match="isotropy and complement overlap"):
+        catalog.spin4_quotient(so4_so2_complement(0.5), 0.5)
+    code, out, err = run(capsys, "sweep", "--family", "so4-so2", "--lambda",
+                         "0.5", "--s", "0.8", "--t", "0.5:1.5:0.5",
+                         "--tol", "0.5")
+    assert code == 0 and out == SWEEP_HEADER + "\n"
+    assert err == ("sweep: 3 grid points skipped, 0 curvature candidates "
+                   "refused\n")
+
+
 def test_sweep_counts_the_refused_curvature_candidates(capsys):
     """The stderr summary counts the candidates jacobi_operator raises on;
     stdout holds the CSV alone.  The orbits of the catalog's candidates are

@@ -433,6 +433,24 @@ def test_nabla_killing_fd_refuses_malformed_generators(z, message):
         _sphere_chart().nabla_killing_fd(z)
 
 
+@pytest.mark.parametrize("call, x, message", [
+    (lambda c, x: c.metric(x), [1j, 0.0, 0.0],
+     r"point has complex entries \(complex128\)"),
+    (lambda c, x: c.christoffel(x), [np.nan, 0.0, 0.0],
+     r"point entry \[0\] is nan, not a finite number"),
+    (lambda c, x: c.killing_components(np.eye(6), x), [np.nan, 0.0, 0.0],
+     r"point entry \[0\] is nan, not a finite number"),
+    (lambda c, x: c.metric(x), [np.inf, 0.0, 0.0],
+     r"point entry \[0\] is inf, not a finite number"),
+    (lambda c, x: c.frame(x), np.zeros(4),
+     r"point has shape \(4,\), the space dimension is 3"),
+], ids=["complex-metric", "nan-christoffel", "nan-killing", "inf-metric",
+        "length-frame"])
+def test_a_chart_refuses_malformed_points_by_name(call, x, message):
+    with pytest.raises(ValueError, match=message):
+        call(_sphere_chart(), np.array(x))
+
+
 @pytest.mark.parametrize("k, v0, t_end, message", [
     (np.eye(2), np.ones(2), np.nan, r"t_end entry \[0\] is nan"),
     (np.eye(2), np.ones(2), np.inf, r"t_end entry \[0\] is inf"),

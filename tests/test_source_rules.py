@@ -92,6 +92,16 @@ def test_one_whitened_curvature_psd_rule():
     assert found and {use.split(":")[0] for use in found} == {"homspace.py"}
 
 
+def test_verify_reaches_the_stacked_core_by_one_route():
+    """Every check of ``verify`` decides its metrics through ``_decided``:
+    no other function there names the metric rule, the Koszul derivatives
+    or the parallel fields of ``homspace``; the scan sees their import."""
+    for name in ("_metric_refusals", "_nablas", "_transvections"):
+        found = {fn for fn, uses in uses_by_function(name).items()
+                 if any(use.startswith("verify.py:") for use in uses)}
+        assert found == {None, "_decided"}, (name, found)
+
+
 def printing_uses() -> list:
     """``file:line`` of each use of the name ``dumps`` and each call with an
     ``indent=`` keyword in the package."""

@@ -413,43 +413,69 @@ def transvection_space(sp: HomogeneousSpace) -> TransvectionReport:
                     _transvections(sp, sp._nabla_basis[None]))[0]
 
 
+def _bases(groups: list, count: int) -> list:
+    """Per metric of ``count``, its subspace in ``groups`` of ``(rows,
+    bases)``, or None where no group holds it."""
+    subs = [None] * count
+    for rows, bases in groups:
+        for i, q in zip(rows.tolist(), bases):
+            subs[i] = Subspace._orthonormal(len(q), q)
+    return subs
+
+
 def _unstack(cls, stack: dict) -> list:
     """The ``cls`` report, :class:`TransvectionReport` or :class:`BoundReport`
     (whose ``k`` is the coindex), of each metric of ``stack``, or None where
-    its index is -1: the one place where the arrays become objects."""
-    columns = []  # one per field, in order
-    for name in cls.__dataclass_fields__:
-        value = stack["coindex" if name == "k" else name]
-        if isinstance(value, list):  # per group
-            columns.append([None] * len(stack["index"]))
-            for rows, bases in value:
-                for i, q in zip(rows.tolist(), bases):
-                    columns[-1][i] = Subspace._orthonormal(len(q), q)
-        else:
-            columns.append(value.tolist())
-    return [cls(*fields) if index >= 0 else None
-            for index, *fields in zip(stack["index"].tolist(), *columns)]
+    its index is -1: the one place where the arrays become objects, field
+    by field."""
+    index, count = stack["index"].tolist(), len(stack["index"])
+    if cls is TransvectionReport:
+        fields = zip(_bases(stack["p_space"], count),
+                     _bases(stack["k_space"], count),
+                     _bases(stack["s_space"], count), index,
+                     stack["coindex"].tolist(),
+                     stack["dim_transvection"].tolist(),
+                     stack["involutive_ok"].tolist())
+    else:
+        fields = zip(_bases(stack["gD"], count),
+                     _bases(stack["g_prime"], count),
+                     stack["coindex"].tolist(), stack["lhs"].tolist(),
+                     stack["rhs"].tolist(), stack["equality"].tolist())
+    return [cls(*f) if i >= 0 else None for i, f in zip(index, fields)]
 
 
-#: Most metrics of one stacked call: the traced peak of a sweep of the
-#: 190-point grid is 3.0 MiB with all of them at once, 0.8 MiB in chunks of 32.
-_STACK_ROWS = 32
+#: Most bytes of the work arrays of one stacked call, which each chunked
+#: stage cuts by its own bytes per metric in :func:`_chunks`.  The 190-point
+#: coupled sweep takes its derivatives in 5 chunks and its one index group
+#: in one, at a traced peak of 811 KiB.
+_STACK_BYTES = 3 * 2 ** 18
+
+
+def _chunks(count: int, floats: int) -> list:
+    """Slices that cut ``range(count)`` into the fewest parts, equal within
+    one, of metrics taking ``floats`` 8-byte entries each and at most
+    ``_STACK_BYTES`` together (one metric at least)."""
+    parts = -(-count // max(1, _STACK_BYTES // (8 * max(floats, 1))))
+    return [slice(count * i // parts, count * (i + 1) // parts)
+            for i in range(parts)]
 
 
 def transvection_stack(pres: Presentation, grams: np.ndarray) -> dict:
     """:func:`transvection_space` and the sign of the curvature for each
     metric of ``grams``, (N, dim, dim) or one (dim, dim), on ``pres``, in
-    stacked calls: one for the metric checks, then per chunk of at most
-    ``_STACK_ROWS`` metrics one each for the derivatives and the parallel
-    fields, and one per group with parallel fields of one dimension for the
-    spans and the curvature operators, with the one-metric cutoffs.
+    stacked calls with the one-metric cutoffs: one for the metric checks;
+    per chunk of :func:`_chunks`, by the bytes of the derivatives or the
+    curvature, one each for :func:`_nablas` and :func:`_parallel_fields`,
+    and one per index for the curvature operators, keeping only the
+    parallel fields; then :func:`_decide_groups` of all kept metrics.
 
     Returns one stacked result, a dict and no report object.  Per metric,
     it holds the arrays ``index`` (-1 where :class:`HomogeneousSpace`
     refuses the metric), ``coindex``, ``dim_transvection`` and
     ``involutive_ok`` of :class:`TransvectionReport`, ``psd_ok`` and
     ``refused``; per group, lists of ``(rows, bases)``, the stacked
-    ``p_space``, ``k_space`` and ``s_space`` bases of the metrics ``rows``.
+    ``p_space`` (one group per index), ``k_space`` and ``s_space`` bases of
+    the metrics ``rows``.
     Of the curvature candidates, the tangent basis directions and the
     parallel fields, ``refused`` counts those :func:`jacobi_operator` raises
     on, and ``psd_ok`` holds when the others' operators are all psd by
@@ -462,42 +488,63 @@ def transvection_stack(pres: Presentation, grams: np.ndarray) -> dict:
     # (0,) is an empty sequence, no metric; no -1, which dim 0 leaves open
     grams = grams[None] if grams.ndim == 2 else grams.reshape(len(grams), d, d)
     kept = np.flatnonzero([r is None for r in _metric_refusals(pres, grams)])
-    count = len(grams)
-    stack = {"index": np.full(count, -1), "coindex": np.zeros(count, int),
-             "dim_transvection": np.zeros(count, int),
-             "involutive_ok": np.zeros(count, bool),
-             "psd_ok": np.zeros(count, bool), "refused": np.zeros(count, int),
-             "p_space": [], "k_space": [], "s_space": []}
-    for lo in range(0, len(kept), _STACK_ROWS):
-        rows = kept[lo:lo + _STACK_ROWS]
-        part = pres._members(rows)
-        nablas = _nablas(part, grams[rows])
-        found = _transvections(part, nablas)
-        for key, value in found.items():
-            if isinstance(value, list):
-                stack[key] += [(rows[group], bases) for group, bases in value]
-            else:
-                stack[key][rows] = value
-        for group, p in found["p_space"]:
-            sub, gs = part._members(group), grams[rows[group]]
-            ms = sub.m_basis * np.ones((len(group), 1, 1))
+    count, n = len(grams), pres.algebra.dim
+    index, fields = np.full(count, -1), {}  # fields: per index, chunk groups
+    psd_ok, refused = np.zeros(count, bool), np.zeros(count, int)
+    # the derivatives, and the curvature of at most 2 d candidates, which
+    # takes more than the Koszul products before it
+    floats = n * d * d + 2 * d * (n * n + 3 * d * n + 3 * d * d)
+    for chunk in _chunks(len(kept), floats):
+        rows = kept[chunk]
+        part, chunk_grams = pres._members(rows), grams[rows]
+        nablas = _nablas(part, chunk_grams)
+        index[rows], found = _parallel_fields(part, nablas)
+        for group, p in found:
+            if len(p) == len(rows):  # the whole chunk: views, not copies
+                group = slice(None)
+            fields.setdefault(p.shape[-1], []).append((rows[group], p))
+            sub, gs = part._members(group), chunk_grams[group]
+            ms = sub.m_basis * np.ones((len(p), 1, 1))
             # each candidate's first failing precondition and lowered operator
             first, go = _curvature(sub, gs, nablas[group],
                                    np.concatenate([ms, p], axis=-1))[2::2]
             out = first >= 0
-            stack["psd_ok"][rows[group]] = np.all(_stacked_psd(gs, go) | out,
-                                                  axis=1)
-            stack["refused"][rows[group]] = out.sum(axis=1)
+            psd_ok[rows[group]] = np.all(_stacked_psd(gs, go) | out, axis=1)
+            refused[rows[group]] = out.sum(axis=1)
             del go  # else alive at the next chunk's peak memory
-    return stack
+    groups = [tuple(map(np.concatenate, zip(*fields[k])))
+              for k in sorted(fields)]
+    return dict(_decide_groups(pres, index, groups), psd_ok=psd_ok,
+                refused=refused)
+
+
+def _parallel_fields(pres: Presentation, nablas: np.ndarray) -> tuple:
+    """``(index, groups)``: the index of each metric, the nullity of its
+    :func:`_nablas` as a map, and per index the ``(rows, bases)`` of its
+    kernel: the first rank decision, the one that reads the derivatives."""
+    n = pres.algebra.dim
+    v, index = stacked_kernels(
+        nablas.reshape(len(nablas), n, pres.dim ** 2).swapaxes(-1, -2),
+        pres.tol)
+    return index, [(group, v[group, :, n - k:])
+                   for k, group in equal_groups(index)]
 
 
 def _transvections(pres: Presentation, nablas: np.ndarray) -> dict:
     """The stacked result of :func:`transvection_stack`, but for ``psd_ok``
-    and ``refused``, for metrics that pass the metric checks, given their
-    :func:`_nablas`, in stacked calls per group of equal ``p_space``, then
-    ``k_space``, dimension.  These two rank decisions decide a metric; the
-    rest follows by the theorems of :class:`TransvectionReport`.
+    and ``refused``, of metrics that pass the metric checks, from their
+    :func:`_nablas`: the two halves that the stack splits, unchunked."""
+    return _decide_groups(pres, *_parallel_fields(pres, nablas))
+
+
+def _decide_groups(pres: Presentation, index: np.ndarray,
+                   groups: list) -> dict:
+    """The stacked result of :func:`_transvections` for ``index`` (-1 where
+    refused) and ``groups`` of :func:`_parallel_fields`: one pass per group
+    of equal ``p_space``, then ``k_space``, dimension, in chunks of
+    :func:`_chunks` by the bytes of the adjoints of p.  These two
+    rank decisions decide a metric; the rest follows by the theorems of
+    :class:`TransvectionReport`.
     ``involutive_ok`` is ``[k, p] in p``, checked, and ``[k, k] in k``,
     which follows from it in exact arithmetic: checked only where
     :func:`_kk_certificate` exceeds CHECK_TOL / 2, as a smaller certificate
@@ -524,39 +571,41 @@ def _transvections(pres: Presentation, nablas: np.ndarray) -> dict:
     over a group with its largest s_1, s_{r+1} and |L|_F, the last the
     [k, p] check's plus 2 sqrt(k) (n + k) u A of rounding, and its least
     s_r; (n + r)^2 u A more covers the rounding of the check itself."""
-    alg, tol, n = pres.algebra, pres.tol, pres.algebra.dim
-    v, index = stacked_kernels(
-        nablas.reshape(len(nablas), n, pres.dim ** 2).swapaxes(-1, -2), tol)
-    rank, involutive_ok = np.zeros_like(index), np.zeros(len(index), bool)
-    out = {"p_space": [], "k_space": [], "s_space": []}
-    for k, group in equal_groups(index):
-        p = v[group, :, n - k:]
-        out["p_space"].append((group, p))
-        out["s_space"].append(
-            (group, stacked_frames(pres._members(group).eval_matrix @ p)))
+    alg, tol, n, count = pres.algebra, pres.tol, pres.algebra.dim, len(index)
+    out = {"index": index, "coindex": np.zeros(count, int),
+           "dim_transvection": np.zeros(count, int),
+           "involutive_ok": np.zeros(count, bool),
+           "p_space": groups, "k_space": [], "s_space": []}
+    for group, p in groups:
+        k = p.shape[-1]
         first, second = pair_indices(k)
-        kb, k_rank, sv = stacked_spans(
-            brackets(alg, p, p)[..., first, second], tol)
-        for r, sub in equal_groups(k_rank):
-            kk, pp = kb[sub, :, :r], p[sub]
-            # [p, k] = -[k, p], from the adjoints of the thin p, not of kk
-            inside, leaks = stacked_contains(pp, brackets(alg, pp, kk))
-            involutive = inside.all(axis=-1)
-            if r and involutive.any() and not _kk_certificate(
-                    alg, sv[sub], r, k, leaks) <= CHECK_TOL / 2:  # or nan
-                kc = kk[involutive]  # [k, k] in k, checked
-                involutive[involutive] = stacked_contains(
-                    kc, brackets(alg, kc, kc))[0].all(axis=-1)
-            at = group[sub]
-            out["k_space"].append((at, kk))
-            rank[at], involutive_ok[at] = r, involutive
-    return dict(out, index=index, coindex=pres.dim - index,
-                dim_transvection=index + rank, involutive_ok=involutive_ok)
+        out["coindex"][group] = pres.dim - k
+        for chunk in _chunks(len(group), 3 * n * n * (k + 1)):
+            rows, p_rows = group[chunk], p[chunk]
+            out["s_space"].append((rows, stacked_frames(
+                pres._members(rows).eval_matrix @ p_rows)))
+            kb, k_rank, sv = stacked_spans(
+                brackets(alg, p_rows, p_rows)[..., first, second], tol)
+            for r, sub in equal_groups(k_rank):
+                kk, pp = kb[sub, :, :r], p_rows[sub]
+                # [p, k] = -[k, p], from the adjoints of the thin p, not of kk
+                inside, leaks = stacked_contains(pp, brackets(alg, pp, kk))
+                involutive = inside.all(axis=-1)
+                if r and involutive.any() and not _kk_certificate(
+                        alg, sv[sub], r, k, leaks) <= CHECK_TOL / 2:  # or nan
+                    kc = kk[involutive]  # [k, k] in k, checked
+                    involutive[involutive] = stacked_contains(
+                        kc, brackets(alg, kc, kc))[0].all(axis=-1)
+                at = rows[sub]
+                out["k_space"].append((at, kk))
+                out["dim_transvection"][at] = k + r
+                out["involutive_ok"][at] = involutive
+    return out
 
 
 def _kk_certificate(alg: LieAlgebra, sv: np.ndarray, r: int, k: int,
                     leaks: np.ndarray) -> float:
-    """:func:`_transvections`' bound on the [k, k] leak of a group of
+    """:func:`_decide_groups`' bound on the [k, k] leak of a group of
     metrics, from its [p, p] singular values (N, .), r >= 1, and squared
     [k, p] leaks; the k of one column of K sum to at most k times the most."""
     n, m, u, a = alg.dim, k * (k - 1) // 2, 0.5 * math.ulp(1.0), alg._norm
@@ -585,8 +634,8 @@ def symmetry_ideals(pres: Presentation, stack: dict) -> dict:
     """``stack``, a result of :func:`transvection_stack` on ``pres`` (of
     member i of a stack), with the :class:`BoundReport` of each metric but
     those of index -1: the arrays ``lhs``, ``rhs`` and ``equality`` and the
-    groups ``gD`` and ``g_prime``, by stacked calls per group of its
-    ``p_space``.
+    groups ``gD`` and ``g_prime``: one pass per ``p_space`` group (one per
+    index), in chunks of :func:`_chunks` by the bytes of its leak stacks.
 
     Seeds the largest-ideal iteration of :func:`invariant_subspaces` with
     the isotropy plus ``p_space``, of full rank (:class:`TransvectionReport`)
@@ -601,12 +650,17 @@ def symmetry_ideals(pres: Presentation, stack: dict) -> dict:
     alg, tol, n = pres.algebra, pres.tol, pres.algebra.dim
     ideals = []  # (rows, stacked bases of gD)
     for group, p in stack["p_space"]:
-        seeds = np.concatenate([pres.h_basis[None].repeat(len(p), 0), p], -1)
-        if seeds.shape[-1] == n:  # of full rank: gD = g, by theorem
+        r = pres.h_basis.shape[-1] + p.shape[-1]
+        if r == n:  # a seed of full rank: gD = g, by theorem
             ideals.append((group, np.eye(n)[None].repeat(len(p), 0)))
             continue
-        ideals += [(group[rows], g_d) for rows, g_d in invariant_subspaces(
-            alg.ad_stack, stacked_frames(seeds), tol)]
+        # three copies of the seeds' leak stack (., n, n, r), or g_prime's
+        for chunk in _chunks(len(group), n * n * max(3 * r, n)):
+            rows = group[chunk]
+            seeds = np.concatenate(
+                [pres.h_basis[None].repeat(len(rows), 0), p[chunk]], -1)
+            ideals += [(rows[sub], g_d) for sub, g_d in invariant_subspaces(
+                alg.ad_stack, stacked_frames(seeds), tol)]
 
     q = reference_form(alg, tol).gram
     dims, g_ds, g_primes = np.zeros(len(stack["index"]), int), [], []

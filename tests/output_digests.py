@@ -54,6 +54,10 @@ SWEEPS = (
     ("so4-so2", "--lambda", "0.1:1:0.1", "--s", "0.1:1.9:0.1", "--coupled"),
     ("so4-so2", "--lambda", "0.5", "--s", "0.8", "--t", "0.1:1.9:0.07"),
     ("so4-so2", "--lambda", "0.2:1:0.2", "--s", "0.6", "--t", "0.1:1.9:0.3"),
+    # 720 points of index 0, whose symmetry ideals take two chunks, and 90
+    # of index 2
+    ("so4-so2", "--lambda", "0.1:1:0.1", "--s", "0.2:1.8:0.2", "--t",
+     "0.2:1.8:0.2"),
     ("spin3", "--t", "0.1:3:0.1"),
     ("spin3", "--s", "0.05:0.95:0.05"),
     ("product-spheres", "--rho", "0.1:3:0.1"),

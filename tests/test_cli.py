@@ -32,7 +32,7 @@ from symidx.homspace import (
     transvection_stack,
 )
 from symidx.liealg import BilinearForm, Subspace, canonical_basis
-from symidx.serialize import load_space, space_to_dict
+from symidx.serialize import load_space, plain, space_to_dict
 
 
 @pytest.fixture
@@ -565,6 +565,145 @@ def test_a_sweep_validates_one_member_per_distinct_complement(capsys,
         for params, c, g in points], 1e-9)
     assert sizes == [3, 12] and shared == copies
     assert shared == (out.splitlines()[1:], 0)
+
+
+COUPLED_GRID = ["--family", "so4-so2", "--lambda", "0.1:1:0.1", "--s",
+                "0.1:1.9:0.1", "--coupled"]
+CHUNKED_GRIDS = {
+    "coupled": COUPLED_GRID,
+    # 720 points of index 0 and 90 of index 2
+    "mixed": ["--family", "so4-so2", "--lambda", "0.1:1:0.1", "--s",
+              "0.2:1.8:0.2", "--t", "0.2:1.8:0.2"],
+    "spin3": ["--family", "spin3", "--t", "0.1:3:0.1"],
+    "product-spheres": ["--family", "product-spheres", "--rho", "0.1:3:0.1"],
+}
+
+
+def decided_sweep(capsys, monkeypatch, argv) -> tuple:
+    """``(pres, grams, result, out, chunks)`` of a sweep: its stacked
+    presentation and metrics, the result of its one symmetry_ideals call,
+    its standard output and its count of derivative chunks."""
+    seen = {"chunks": 0}
+
+    def stack(pres, grams):
+        seen.update(pres=pres, grams=np.asarray(grams))
+        return transvection_stack(pres, grams)
+
+    def ideals(pres, found):
+        seen["result"] = homspace.symmetry_ideals(pres, found)
+        return seen["result"]
+
+    def nablas(pres, grams, inner=homspace._nablas):
+        seen["chunks"] += 1
+        return inner(pres, grams)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "transvection_stack", stack)
+        patch.setattr(cli, "symmetry_ideals", ideals)
+        patch.setattr(homspace, "_nablas", nablas)
+        code, out, _ = run(capsys, "sweep", *argv)
+    assert code == 0
+    return seen["pres"], seen["grams"], seen["result"], out, seen["chunks"]
+
+
+def per_metric_bytes(result: dict) -> dict:
+    """Per key of a stacked result, the dtype and bytes of its array, or of
+    a group list the shape and bytes of each metric's basis."""
+    found = {}
+    for key, value in result.items():
+        if isinstance(value, list):
+            found[key] = {i: (q.shape, q.tobytes()) for rows, bases in value
+                          for i, q in zip(rows.tolist(), bases)}
+        else:
+            found[key] = (value.dtype, value.tobytes())
+    return found
+
+
+@pytest.mark.parametrize("grid", CHUNKED_GRIDS)
+def test_chunking_a_sweep_changes_no_bit(capsys, monkeypatch, grid):
+    """A byte budget that takes one metric per chunk in every stage, and
+    one with no limit, give the stacked arrays and every group's bases of
+    the default budget bit for bit, and the same rows; each metric of a
+    sample is transvection_space's report on its own space."""
+    argv = CHUNKED_GRIDS[grid]
+    pres, grams, want, out, chunks = decided_sweep(capsys, monkeypatch, argv)
+    kept = np.count_nonzero(want["index"] >= 0)
+    for budget, count in ((1, kept), (2 ** 62, 1)):
+        monkeypatch.setattr(homspace, "_STACK_BYTES", budget)
+        *_, got, got_out, got_chunks = decided_sweep(capsys, monkeypatch,
+                                                      argv)
+        assert got_out == out and got_chunks == count
+        assert per_metric_bytes(got) == per_metric_bytes(want)
+    assert 1 <= chunks < kept
+    reports = homspace._unstack(homspace.TransvectionReport, want)
+    for i in np.linspace(0, len(grams) - 1, 7).astype(int).tolist():
+        m = pres.m_basis[i] if pres.m_basis.ndim == 3 else pres.m_basis
+        sp = homspace.HomogeneousSpace(
+            pres.algebra, pres.isotropy, BilinearForm(grams[i]),
+            Subspace(pres.algebra.dim, m), tol=pres.tol)
+        assert_same_report(plain(reports[i]), plain(transvection_space(sp)))
+
+
+def test_a_sweep_makes_one_grouped_pass_per_index(capsys, monkeypatch):
+    """The 190-point coupled grid, in several derivative chunks, decides
+    its one group of one index in one pass: one [p, p] span, one [k, p]
+    check, one [k, k] certificate and no [k, k] containment, and one
+    symmetry ideal seed pass."""
+    calls = {name: 0 for name in ("stacked_spans", "stacked_contains",
+                                  "_kk_certificate", "invariant_subspaces",
+                                  "_nablas")}
+    for name in calls:
+        def counted(*args, name=name, inner=getattr(homspace, name)):
+            calls[name] += 1
+            return inner(*args)
+
+        monkeypatch.setattr(homspace, name, counted)
+    code, out, _ = run(capsys, "sweep", *COUPLED_GRID)
+    assert code == 0 and len(out.splitlines()) == 1 + 190
+    groups = {line.split(",")[4] for line in out.splitlines()[1:]}
+    assert groups == {"2"} and calls.pop("_nablas") > 1
+    assert calls == {"stacked_spans": 1, "stacked_contains": 1,
+                     "_kk_certificate": 1, "invariant_subspaces": 1}
+
+
+#: Traced peak of a sweep of the 190-point coupled grid when every stage
+#: took chunks of 32 metrics, in bytes.
+CHUNKS_OF_32_PEAK = 819 * 1024
+
+
+def traced_sweep(capsys, monkeypatch, argv) -> tuple:
+    """``(peak, held)``: the traced peak of a sweep, after one untraced run,
+    and the memory traced when its one symmetry_ideals call returns, which
+    holds the grid's points, presentation, metrics and results."""
+    assert run(capsys, "sweep", *argv)[0] == 0
+    held = []
+
+    def ideals(pres, found, inner=cli.symmetry_ideals):
+        out = inner(pres, found)
+        held.append(tracemalloc.get_traced_memory()[0])
+        return out
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "symmetry_ideals", ideals)
+        tracemalloc.start()
+        try:
+            assert run(capsys, "sweep", *argv)[0] == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    return peak, held[0]
+
+
+def test_a_sweep_stays_within_its_byte_budget(capsys, monkeypatch):
+    """The 190-point grid peaks no more than 2 % above its chunks of 32,
+    and a 1 980-point grid no higher than the byte budget above what it
+    holds for its O(N) points and results."""
+    assert traced_sweep(capsys, monkeypatch, COUPLED_GRID)[0] <= (
+        1.02 * CHUNKS_OF_32_PEAK)
+    peak, held = traced_sweep(capsys, monkeypatch, [
+        "--family", "so4-so2", "--lambda", "0.05:1:0.05", "--s",
+        "0.02:1.98:0.02", "--coupled"])
+    assert peak <= held + homspace._STACK_BYTES
 
 
 def test_a_sweep_builds_no_report_objects(capsys, monkeypatch):

@@ -102,6 +102,33 @@ def test_verify_reaches_the_stacked_core_by_one_route():
         assert found == {None, "_decided"}, (name, found)
 
 
+def test_homspace_chunks_by_one_byte_budget():
+    """Every chunked loop of ``homspace`` cuts its metrics with ``_chunks``,
+    the one helper that reads the byte budget ``_STACK_BYTES``, and each
+    stacked stage calls it: no ``range`` steps through rows and no module
+    constant counts them."""
+    path = pathlib.Path(symidx.__file__).parent / "homspace.py"
+    tree = ast.parse(path.read_text(), str(path))
+    stepped = [node.lineno for node in ast.walk(tree)
+               if isinstance(node, ast.Call)
+               and getattr(node.func, "id", None) == "range"
+               and len(node.args) == 3]
+    assert stepped == []
+    constants = {target.id for node in tree.body
+                 if isinstance(node, ast.Assign) for target in node.targets
+                 if isinstance(target, ast.Name)}
+    assert "_STACK_BYTES" in constants
+    assert not [name for name in constants if name.endswith("_ROWS")]
+
+    def in_homspace(name: str) -> set:
+        return {fn for fn, uses in uses_by_function(name).items()
+                if any(use.startswith("homspace.py:") for use in uses)}
+
+    assert in_homspace("_STACK_BYTES") == {None, "_chunks"}
+    assert in_homspace("_chunks") == {"transvection_stack", "_decide_groups",
+                                      "symmetry_ideals"}
+
+
 def printing_uses() -> list:
     """``file:line`` of each use of the name ``dumps`` and each call with an
     ``indent=`` keyword in the package."""

@@ -101,10 +101,10 @@ class Presentation:
         colex order; a bracket whose part off the isotropy, through the
         orthogonal complement of one complete QR, exceeds CHECK_TOL is then
         decided by :meth:`~symidx.liealg.Subspace.contains_columns`,
-        relative to its length), a stack is empty, the complement does not
-        complete the isotropy to the whole algebra or is not reductive, or
-        the pair is not effective: a nonzero ideal of the algebra lies in
-        the isotropy.
+        relative to its length), a stack is empty or has a member of another
+        shape, the complement does not complete the isotropy to the whole
+        algebra or is not reductive, or the pair is not effective: a nonzero
+        ideal of the algebra lies in the isotropy.
         As ``[h, m]`` lies in ``m``, the x in ``h`` with ``[x, m]`` in ``h``
         have ``[x, m] = 0`` and, by the Jacobi identity, form the largest
         such ideal, of dimension the nullity at ``tol`` of x -> tangent part
@@ -143,12 +143,16 @@ class Presentation:
         comps = list(complement) if stacked else [complement]
         if not comps:
             raise ValueError("an empty stack of complements has no member")
-        if comps[0].ambient_dim != n:  # a stack's members share its shape
+        if comps[0].ambient_dim != n:
             raise ValueError("complement lives in the wrong ambient dimension")
         if r + comps[0].dim != n:
             raise ValueError(
                 f"isotropy ({r}) and complement ({comps[0].dim}) do not add "
                 f"up to the algebra dimension ({n})")
+        for i, comp in enumerate(comps):  # a stack's members share its shape
+            if comp.basis.shape != (n, n - r):
+                raise ValueError(f"complement {i} of the stack has shape "
+                                 f"{comp.basis.shape}, not ({n}, {n - r})")
 
         # the complement checks, stacked: a single complement is a stack of 1
         m = np.array([comp.basis for comp in comps])
@@ -289,9 +293,6 @@ def _metric_refusals(pres: Presentation, grams: np.ndarray) -> list:
     each isotropy vector must act skew-symmetrically, the largest entry of
     ``G A + (G A)^T`` for its action A at most
     :data:`~symidx.liealg.CHECK_TOL`; per member of a stack, after its own."""
-    if pres.m_basis.ndim == 3 and len(grams) != len(pres.m_basis):
-        raise ValueError(f"a stack of size {len(pres.m_basis)} takes one "
-                         f"metric per member, got {len(grams)}")
     w = np.linalg.eigvalsh(grams) if pres.dim else np.ones((len(grams), 1))
     ops = grams[:, None] @ pres._e_ad_h_m
     skew = np.abs(ops + ops.swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0)
@@ -410,7 +411,7 @@ def transvection_space(sp: HomogeneousSpace) -> TransvectionReport:
     decision.  This is the one-metric case of :func:`transvection_stack`.
     """
     return _unstack(TransvectionReport,
-                    _transvections(sp, sp._nabla_basis[None]))[0]
+                    _transvections(sp, sp._nabla_basis[None]), sp)[0]
 
 
 def _bases(groups: list, count: int) -> list:
@@ -423,16 +424,18 @@ def _bases(groups: list, count: int) -> list:
     return subs
 
 
-def _unstack(cls, stack: dict) -> list:
+def _unstack(cls, stack: dict, pres: Presentation) -> list:
     """The ``cls`` report, :class:`TransvectionReport` or :class:`BoundReport`
-    (whose ``k`` is the coindex), of each metric of ``stack``, or None where
-    its index is -1: the one place where the arrays become objects, field
-    by field."""
+    (whose ``k`` is the coindex), of each metric of ``stack`` on ``pres``, or
+    None where its index is -1: the one place where the arrays become
+    objects, field by field, and ``s_space`` is formed."""
     index, count = stack["index"].tolist(), len(stack["index"])
     if cls is TransvectionReport:
+        s_space = [(rows, stacked_frames(pres._members(rows).eval_matrix @ p))
+                   for rows, p in stack["p_space"]]
         fields = zip(_bases(stack["p_space"], count),
                      _bases(stack["k_space"], count),
-                     _bases(stack["s_space"], count), index,
+                     _bases(s_space, count), index,
                      stack["coindex"].tolist(),
                      stack["dim_transvection"].tolist(),
                      stack["involutive_ok"].tolist())
@@ -461,41 +464,40 @@ def _chunks(count: int, floats: int) -> list:
 
 
 def transvection_stack(pres: Presentation, grams: np.ndarray) -> dict:
-    """:func:`transvection_space` and the sign of the curvature for each
-    metric of ``grams``, (N, dim, dim) or one (dim, dim), on ``pres``, in
-    stacked calls with the one-metric cutoffs: one for the metric checks;
-    per chunk of :func:`_chunks`, by the bytes of the derivatives or the
-    curvature, one each for :func:`_nablas` and :func:`_parallel_fields`,
-    and one per index for the curvature operators, keeping only the
-    parallel fields; then :func:`_decide_groups` of all kept metrics.
+    """:func:`transvection_space` and the sign of the curvature of each
+    metric of ``grams`` (N, dim, dim) on ``pres`` (on member i of a stack),
+    by stacked calls with the one-metric cutoffs per chunk of :func:`_chunks`
+    (by the bytes of the derivatives or the curvature): the metric checks,
+    then :func:`_nablas`, :func:`_parallel_fields` and per index the
+    curvature of the metrics kept; then :func:`_decide_groups` of them all.
 
     Returns one stacked result, a dict and no report object.  Per metric,
     it holds the arrays ``index`` (-1 where :class:`HomogeneousSpace`
     refuses the metric), ``coindex``, ``dim_transvection`` and
     ``involutive_ok`` of :class:`TransvectionReport`, ``psd_ok`` and
-    ``refused``; per group, lists of ``(rows, bases)``, the stacked
-    ``p_space`` (one group per index), ``k_space`` and ``s_space`` bases of
-    the metrics ``rows``.
+    ``refused``; per group, the ``(rows, bases)`` lists ``p_space`` (one
+    group per index) and ``k_space`` of the metrics ``rows``.
     Of the curvature candidates, the tangent basis directions and the
     parallel fields, ``refused`` counts those :func:`jacobi_operator` raises
     on, and ``psd_ok`` holds when the others' operators are all psd by
     :func:`_stacked_psd`.  Other shapes of ``grams`` raise ``ValueError``.
     """
     d, grams = pres.dim, np.asarray(grams, dtype=float)
-    if grams.shape != (0,) and grams.shape[-2:] != (d, d) or grams.ndim > 3:
-        raise ValueError(f"metrics of shape {grams.shape}, not (N, {d}, {d}) "
-                         f"or ({d}, {d})")
-    # (0,) is an empty sequence, no metric; no -1, which dim 0 leaves open
-    grams = grams[None] if grams.ndim == 2 else grams.reshape(len(grams), d, d)
-    kept = np.flatnonzero([r is None for r in _metric_refusals(pres, grams)])
+    size = len(pres.m_basis) if pres.m_basis.ndim == 3 else None
+    if grams.ndim and size not in (None, len(grams)):
+        raise ValueError(f"a stack of size {size} takes one metric per "
+                         f"member, got {len(grams)}")
+    if grams.ndim != 3 or grams.shape[1:] != (d, d):
+        raise ValueError(f"metrics of shape {grams.shape}, not (N, {d}, {d})")
     count, n = len(grams), pres.algebra.dim
     index, fields = np.full(count, -1), {}  # fields: per index, chunk groups
     psd_ok, refused = np.zeros(count, bool), np.zeros(count, int)
     # the derivatives, and the curvature of at most 2 d candidates, which
     # takes more than the Koszul products before it
     floats = n * d * d + 2 * d * (n * n + 3 * d * n + 3 * d * d)
-    for chunk in _chunks(len(kept), floats):
-        rows = kept[chunk]
+    for chunk in _chunks(count, floats):
+        refusals = _metric_refusals(pres._members(chunk), grams[chunk])
+        rows = np.arange(count)[chunk][[r is None for r in refusals]]
         part, chunk_grams = pres._members(rows), grams[rows]
         nablas = _nablas(part, chunk_grams)
         index[rows], found = _parallel_fields(part, nablas)
@@ -575,15 +577,13 @@ def _decide_groups(pres: Presentation, index: np.ndarray,
     out = {"index": index, "coindex": np.zeros(count, int),
            "dim_transvection": np.zeros(count, int),
            "involutive_ok": np.zeros(count, bool),
-           "p_space": groups, "k_space": [], "s_space": []}
+           "p_space": groups, "k_space": []}
     for group, p in groups:
         k = p.shape[-1]
         first, second = pair_indices(k)
         out["coindex"][group] = pres.dim - k
         for chunk in _chunks(len(group), 3 * n * n * (k + 1)):
             rows, p_rows = group[chunk], p[chunk]
-            out["s_space"].append((rows, stacked_frames(
-                pres._members(rows).eval_matrix @ p_rows)))
             kb, k_rank, sv = stacked_spans(
                 brackets(alg, p_rows, p_rows)[..., first, second], tol)
             for r, sub in equal_groups(k_rank):
@@ -627,7 +627,7 @@ def symmetry_ideal(sp: Presentation,
     stack = {"index": np.array([report.index]),
              "coindex": np.array([report.coindex]),
              "p_space": [(np.arange(1), report.p_space.basis[None])]}
-    return _unstack(BoundReport, symmetry_ideals(sp, stack))[0]
+    return _unstack(BoundReport, symmetry_ideals(sp, stack), sp)[0]
 
 
 def symmetry_ideals(pres: Presentation, stack: dict) -> dict:

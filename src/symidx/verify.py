@@ -365,7 +365,7 @@ def _check_invariant_residuals():
     for count, sp in enumerate(_residual_spaces(), 1):
         gram = sp.metric.gram
         _, stack = _decided(sp, np.array([gram, 2.5 * gram]))
-        rep, scaled_rep = _unstack(TransvectionReport, stack)
+        rep, scaled_rep = _unstack(TransvectionReport, stack, sp)
         _require(rep.involutive_ok,
                  f"{sp.label}: bracket relations of the parallel fields fail")
         _require(rep.index + rep.coindex == sp.dim,
@@ -409,7 +409,7 @@ def _check_invariant_residuals():
                  and scaled_rep.p_space.equals(rep.p_space),
                  f"{sp.label}: subspace reports change under metric scaling")
         bound, scaled_bound = _unstack(BoundReport,
-                                       symmetry_ideals(sp, stack))
+                                       symmetry_ideals(sp, stack), sp)
         _require(bound.lhs <= bound.rhs,
                  f"{sp.label}: dimension bound violated "
                  f"({bound.lhs} > {bound.rhs})")

@@ -52,6 +52,8 @@ INDEX_TOLS = ("1e-9", "1e-6", "1e-11")
 SPHERES = (4, 5, 6, 7)  # the largest documents `index` reads, up to so(8)
 SWEEPS = (
     ("so4-so2", "--lambda", "0.1:1:0.1", "--s", "0.1:1.9:0.1", "--coupled"),
+    # the metric rule refuses s = 1e-12 on each slope
+    ("so4-so2", "--lambda", "0.1:1:0.1", "--s", "1e-12:1.9:0.1", "--coupled"),
     ("so4-so2", "--lambda", "0.5", "--s", "0.8", "--t", "0.1:1.9:0.07"),
     ("so4-so2", "--lambda", "0.2:1:0.2", "--s", "0.6", "--t", "0.1:1.9:0.3"),
     # 720 points of index 0, whose symmetry ideals take two chunks, and 90

@@ -289,7 +289,7 @@ def scaled_pairs():
         gram = sp.metric.gram
         scaled = sp.space(BilinearForm(2.5 * gram), sp.label + " scaled")
         _, stack = verify._decided(sp, np.array([gram, 2.5 * gram]))
-        yield sp, scaled, (_unstack(TransvectionReport, stack), stack)
+        yield sp, scaled, (_unstack(TransvectionReport, stack, sp), stack)
 
 
 @pytest.mark.parametrize("metrics", [verify._COUPLED_METRICS,
@@ -302,7 +302,7 @@ def test_stacked_quotient_reports_match_one_space_at_a_time(metrics):
     slopes = list(verify._quotients(metrics))
     assert len(slopes) == len(verify._SLOPES)
     for _, pres, grams, nablas, stack in slopes:
-        reports = _unstack(TransvectionReport, stack)
+        reports = _unstack(TransvectionReport, stack, pres)
         assert len(grams) == len(nablas) == len(reports) == len(metrics)
         for gram, nabla, rep in zip(grams, nablas, reports):
             sp = pres.space(BilinearForm(gram))
@@ -404,7 +404,7 @@ def test_stacked_residual_reports_and_bounds_match_one_space_at_a_time():
         count += 1
         assert_same_report(reports[0], transvection_space(sp))
         assert_same_report(reports[1], transvection_space(scaled))
-        bounds = _unstack(BoundReport, symmetry_ideals(sp, stack))
+        bounds = _unstack(BoundReport, symmetry_ideals(sp, stack), sp)
         for got, want in zip(bounds, [symmetry_ideal(sp, reports[0]),
                                       symmetry_ideal(scaled, reports[1])]):
             assert same_bits(got.gD.basis, want.gD.basis)
@@ -479,25 +479,17 @@ def test_invariant_residuals_catch_an_operator_that_moves_its_direction(
 def test_invariant_residuals_catch_a_scaled_report_that_moves(monkeypatch):
     """A scaled copy whose parallel fields swap one for an isotropy field
     has the same index and another p_space."""
-    decided = verify._decided
-    seen = []
-
-    def recording(pres, grams):
-        seen.append(pres)
-        return decided(pres, grams)
-
     def wrap(unstack):
-        def moved(cls, stack):
-            found = unstack(cls, stack)
+        def moved(cls, stack, pres):
+            found = unstack(cls, stack, pres)
             if cls is TransvectionReport:
-                pres, p = seen[-1], found[-1].p_space.basis
+                p = found[-1].p_space.basis
                 found[-1] = dataclasses.replace(found[-1], p_space=Subspace(
                     pres.algebra.dim,
                     np.hstack([p[:, 1:], pres.h_basis[:, :1]])))
             return found
         return moved
 
-    monkeypatch.setattr(verify, "_decided", recording)
     detail = residual_failure(monkeypatch, "_unstack", wrap)
     assert detail.endswith("subspace reports change under metric scaling")
 

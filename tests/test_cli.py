@@ -576,13 +576,17 @@ CHUNKED_GRIDS = {
               "0.2:1.8:0.2", "--t", "0.2:1.8:0.2"],
     "spin3": ["--family", "spin3", "--t", "0.1:3:0.1"],
     "product-spheres": ["--family", "product-spheres", "--rho", "0.1:3:0.1"],
+    # the metric rule refuses s = 1e-12 on each slope, inside the chunks
+    "refused": ["--family", "so4-so2", "--lambda", "0.1:1:0.1", "--s",
+                "1e-12:1.9:0.1", "--coupled"],
 }
 
 
 def decided_sweep(capsys, monkeypatch, argv) -> tuple:
     """``(pres, grams, result, out, chunks)`` of a sweep: its stacked
     presentation and metrics, the result of its one symmetry_ideals call,
-    its standard output and its count of derivative chunks."""
+    its standard output and its count of derivative chunks that hold a
+    metric."""
     seen = {"chunks": 0}
 
     def stack(pres, grams):
@@ -594,7 +598,7 @@ def decided_sweep(capsys, monkeypatch, argv) -> tuple:
         return seen["result"]
 
     def nablas(pres, grams, inner=homspace._nablas):
-        seen["chunks"] += 1
+        seen["chunks"] += len(grams) > 0
         return inner(pres, grams)
 
     with monkeypatch.context() as patch:
@@ -635,13 +639,19 @@ def test_chunking_a_sweep_changes_no_bit(capsys, monkeypatch, grid):
         assert got_out == out and got_chunks == count
         assert per_metric_bytes(got) == per_metric_bytes(want)
     assert 1 <= chunks < kept
-    reports = homspace._unstack(homspace.TransvectionReport, want)
+    reports = homspace._unstack(homspace.TransvectionReport, want, pres)
     for i in np.linspace(0, len(grams) - 1, 7).astype(int).tolist():
         m = pres.m_basis[i] if pres.m_basis.ndim == 3 else pres.m_basis
-        sp = homspace.HomogeneousSpace(
-            pres.algebra, pres.isotropy, BilinearForm(grams[i]),
-            Subspace(pres.algebra.dim, m), tol=pres.tol)
-        assert_same_report(plain(reports[i]), plain(transvection_space(sp)))
+        space = functools.partial(
+            homspace.HomogeneousSpace, pres.algebra, pres.isotropy,
+            BilinearForm(grams[i]), Subspace(pres.algebra.dim, m),
+            tol=pres.tol)
+        if reports[i] is None:  # refused in its chunk as its space is
+            with pytest.raises(ValueError, match="not positive definite"):
+                space()
+            continue
+        assert_same_report(plain(reports[i]), plain(transvection_space(
+            space())))
 
 
 def test_a_sweep_makes_one_grouped_pass_per_index(capsys, monkeypatch):

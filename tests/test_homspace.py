@@ -1,6 +1,7 @@
 import dataclasses
 import inspect
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -378,8 +379,8 @@ def test_a_stack_with_no_passing_member_refuses_each_metric_alone():
     stack = Presentation(alg, iso, [overlap, unreductive])
     grams = np.array([np.eye(4)] * 2)
     assert homspace._metric_refusals(stack, grams) == messages
-    assert homspace._unstack(TransvectionReport,
-                             transvection_stack(stack, grams)) == [None, None]
+    assert homspace._unstack(TransvectionReport, transvection_stack(
+        stack, grams), stack) == [None, None]
 
 
 @pytest.mark.parametrize("build", [
@@ -391,6 +392,26 @@ def test_an_empty_stack_of_complements_is_refused(build):
     member to check, and the refusal says so."""
     with pytest.raises(ValueError, match="empty stack of complements"):
         build()
+
+
+def test_a_stack_member_of_another_shape_is_refused_by_name():
+    """Every member of a stack shares the shape of a complement that
+    completes the isotropy: one of another shape is refused by its place
+    in the stack, not by numpy's stacking, and a single complement keeps
+    its messages."""
+    good = so4_so2_complement(0.5)
+    for bad, shape in ((Subspace(6, np.eye(6)[:, :4]), (6, 4)),
+                       (Subspace(7, np.eye(7)[:, :5]), (7, 5))):
+        with pytest.raises(ValueError, match=re.escape(
+                f"complement 2 of the stack has shape {shape}, not (6, 5)")):
+            spin4_quotient([good, good, bad], DEFAULT_TOL)
+    with pytest.raises(ValueError, match=re.escape(
+            "isotropy (1) and complement (4) do not add up to the algebra "
+            "dimension (6)")):
+        spin4_quotient(Subspace(6, np.eye(6)[:, :4]), DEFAULT_TOL)
+    with pytest.raises(ValueError, match="complement lives in the wrong "
+                       "ambient dimension"):
+        spin4_quotient([Subspace(7, np.eye(7)[:, :5]), good], DEFAULT_TOL)
 
 
 def test_rejects_mismatched_metric_dimension():
@@ -755,7 +776,7 @@ def test_a_stack_of_metrics_is_decided_as_each_metric_alone():
     seen = {"refused metric": 0, "psd": 0, "not psd": 0, "index": set()}
     for pres, grams in stacks:
         found = transvection_stack(pres, np.array(grams))
-        reports = homspace._unstack(TransvectionReport, found)
+        reports = homspace._unstack(TransvectionReport, found, pres)
         for gram, report, ok, count in zip(grams, reports, found["psd_ok"],
                                            found["refused"]):
             try:
@@ -977,7 +998,7 @@ def test_the_kk_certificate_bounds_the_computed_leak(monkeypatch):
     assert so15 <= half < so16 and at_1e10 <= half < at_1e9
     pres = spin4_quotient(so4_so2_complement(0.5), DEFAULT_TOL)
     reports = homspace._unstack(TransvectionReport, transvection_stack(
-        pres, [so4_so2_gram(0.8, t) for t in near]))
+        pres, [so4_so2_gram(0.8, t) for t in near]), pres)
     for report, sp in zip(reports, strata):
         assert report.involutive_ok == full_containment(sp, report)[1]
 
@@ -1074,10 +1095,10 @@ def test_stacked_symmetry_ideals_equal_the_one_report_path():
     for pres, grams in stacks:
         rng.shuffle(grams)
         found = transvection_stack(pres, np.array(grams))
-        reports = homspace._unstack(TransvectionReport, found)
+        reports = homspace._unstack(TransvectionReport, found, pres)
         assert None not in reports
         bounds = homspace._unstack(BoundReport,
-                                   homspace.symmetry_ideals(pres, found))
+                                   homspace.symmetry_ideals(pres, found), pres)
         for report, bound in zip(reports, bounds):
             want = symmetry_ideal(pres, report)
             assert (bound.k, bound.lhs, bound.rhs, bound.equality) == (
@@ -1125,10 +1146,10 @@ def test_a_full_seed_gives_the_whole_algebra_without_a_factorization(
     for pres, grams in stacks:
         n = pres.algebra.dim
         found = transvection_stack(pres, np.array(grams))
-        reports = homspace._unstack(TransvectionReport, found)
+        reports = homspace._unstack(TransvectionReport, found, pres)
         widths.clear()
         bounds = homspace._unstack(BoundReport,
-                                   homspace.symmetry_ideals(pres, found))
+                                   homspace.symmetry_ideals(pres, found), pres)
         assert all(width < n for width in widths), widths
         for report, bound in zip(reports, bounds):
             if report is None:
@@ -1179,10 +1200,10 @@ def test_a_stacked_presentation_refuses_exactly_its_failing_members():
     assert homspace._metric_refusals(stack, np.array(grams)) == [
         messages.get(i) for i in range(7)]
     found = transvection_stack(stack, grams)
-    reports = homspace._unstack(TransvectionReport, found)
+    reports = homspace._unstack(TransvectionReport, found, stack)
     psd_ok, refused = found["psd_ok"], found["refused"]
     bounds = homspace._unstack(BoundReport,
-                               homspace.symmetry_ideals(stack, found))
+                               homspace.symmetry_ideals(stack, found), stack)
     indices = set()
     for i, (comp, gram) in enumerate(zip(complements, grams)):
         if i in messages:
@@ -1227,28 +1248,44 @@ def test_a_stack_takes_one_metric_per_member_and_makes_no_space():
     assert transvection_stack(one, [gram])["index"][0] == 2
 
 
+def test_a_stack_of_metrics_peaks_within_its_byte_budget():
+    """transvection_stack checks, derives and decides its metrics chunk by
+    chunk: on 4 000 coupled metrics of one so4-so2 presentation it peaks
+    no higher than the byte budget, and 64 KiB of slack, above what it
+    holds on return, its results."""
+    pres = spin4_quotient(so4_so2_complement(0.5), DEFAULT_TOL)
+    grams = np.array([so4_so2_gram(s, 2.0 - s)
+                      for s in np.linspace(0.1, 1.9, 4000)])
+    transvection_stack(pres, grams[:50])  # imports and caches, untraced
+    tracemalloc.start()
+    try:
+        found = transvection_stack(pres, grams)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert found["index"].tolist() == [2] * 4000
+    assert peak <= held + homspace._STACK_BYTES + 64 * 1024
+
+
 def test_a_misshapen_gram_stack_is_refused_by_its_shape():
-    """transvection_stack takes metrics (N, dim, dim) or one (dim, dim) and
-    refuses any other shape by name: one 9 x 9 Gram matrix on Spin(3), of
-    dimension 3, is not nine 3 x 3 metrics.  An empty sequence holds no
-    metric, and the point, of dimension 0, takes (0, 0) and (N, 0, 0) as
+    """transvection_stack takes metrics (N, dim, dim) and refuses any other
+    shape by name: one 9 x 9 Gram matrix on Spin(3), of dimension 3, is not
+    nine 3 x 3 metrics, and neither one 3 x 3 matrix nor an empty sequence
+    is a stack of them.  The point, of dimension 0, takes (N, 0, 0) as
     transvection_space takes its metric."""
     pres = spin3_presentation(1e-9)
     for shape in [(9, 9), (1, 9, 9), (9,), (3,), (), (2, 3), (3, 3, 1),
-                  (1, 1, 3, 3)]:
+                  (1, 1, 3, 3), (3, 3), (0,)]:
         with pytest.raises(ValueError, match=re.escape(
-                f"metrics of shape {shape}, not (N, 3, 3) or (3, 3)")):
+                f"metrics of shape {shape}, not (N, 3, 3)")):
             transvection_stack(pres, np.ones(shape))
-    one, stacked = (transvection_stack(pres, g) for g in (np.eye(3),
-                                                          [np.eye(3)]))
-    assert one["index"].tolist() == stacked["index"].tolist() == [0]
-    assert transvection_stack(pres, [])["index"].shape == (0,)
+    assert transvection_stack(pres, [np.eye(3)])["index"].tolist() == [0]
+    assert transvection_stack(pres, np.ones((0, 3, 3)))["index"].shape == (0,)
     point = HomogeneousSpace(abelian(0)[0], Subspace.zero(0),
                              BilinearForm(np.zeros((0, 0))))
     assert transvection_space(point).index == 0
-    for grams, count in ((np.zeros((0, 0)), 1), (np.zeros((2, 0, 0)), 2)):
-        found = transvection_stack(point, grams)
-        assert found["index"].tolist() == [0] * count
+    found = transvection_stack(point, np.zeros((2, 0, 0)))
+    assert found["index"].tolist() == [0, 0]
 
 
 def test_a_space_built_from_a_space_takes_the_new_metric():

@@ -119,14 +119,30 @@ def test_homspace_chunks_by_one_byte_budget():
                  if isinstance(target, ast.Name)}
     assert "_STACK_BYTES" in constants
     assert not [name for name in constants if name.endswith("_ROWS")]
-
-    def in_homspace(name: str) -> set:
-        return {fn for fn, uses in uses_by_function(name).items()
-                if any(use.startswith("homspace.py:") for use in uses)}
-
     assert in_homspace("_STACK_BYTES") == {None, "_chunks"}
     assert in_homspace("_chunks") == {"transvection_stack", "_decide_groups",
                                       "symmetry_ideals"}
+
+
+def in_homspace(name: str) -> set:
+    """The functions of ``homspace`` that use ``name`` (None outside any)."""
+    return {fn for fn, uses in uses_by_function(name).items()
+            if any(use.startswith("homspace.py:") for use in uses)}
+
+
+def test_homspace_reads_a_stacks_members_in_one_loop():
+    """Only ``transvection_stack``, per chunk, and ``_unstack``, for the
+    reports it builds, gather the members of a stacked presentation, and
+    only ``transvection_stack`` states the rule of one metric per member:
+    the metric rule, the grouped decisions and the ideals read no member.
+    The scan sees the message of that rule."""
+    assert in_homspace("_members") == {"transvection_stack", "_unstack"}
+    path = pathlib.Path(symidx.__file__).parent / "homspace.py"
+    stating = {fn.name for fn in ast.walk(ast.parse(path.read_text()))
+               if isinstance(fn, ast.FunctionDef)
+               for node in ast.walk(fn) if isinstance(node, ast.Constant)
+               and "metric per member" in str(node.value)}
+    assert stating == {"transvection_stack"}
 
 
 def printing_uses() -> list:

@@ -236,9 +236,8 @@ def _sweep_points(args, parser):
 def _sweep_rows(presentation, points, tol) -> tuple:
     """The CSV rows of the points kept, in the numeric order of their
     parameters (whose empty fields are the same at every point of a grid),
-    decided on one presentation, a stack of one member per distinct
-    complement object gathered per point unless they share one, and the
-    count of refused curvature candidates, read from the stacked arrays."""
+    decided on the presentation of their complements, one per point, and
+    the count of refused curvature candidates, read from the stacked arrays."""
     kept = []
     for params, point in points:
         try:
@@ -249,13 +248,10 @@ def _sweep_rows(presentation, points, tol) -> tuple:
         return [], 0
     kept.sort(key=lambda point: point[0])
     fields, complements, grams = zip(*kept)
-    distinct = list({id(c): c for c in complements}.values())  # in order
-    place = {id(c): i for i, c in enumerate(distinct)}
     try:
-        pres = presentation(distinct if len(distinct) > 1 else distinct[0], tol)
+        pres = presentation(complements, tol)
     except ValueError:
         return [], 0
-    pres = pres._members([place[id(c)] for c in complements])
     stack = symmetry_ideals(pres, transvection_stack(pres, grams))
     values = zip(*(stack[key].tolist() for key in (
         "index", "coindex", "dim_transvection", "psd_ok", "lhs", "rhs",

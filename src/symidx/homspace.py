@@ -82,10 +82,9 @@ class Presentation:
     complement : Subspace, sequence of Subspace, or None
         Reductive complement identified with the tangent space.  When
         omitted it is the orthogonal complement of the isotropy for the
-        ad-invariant reference form.  A sequence of one shape is a stack,
-        one per metric of :func:`transvection_stack`: its arrays get a
-        leading axis, ``complement`` keeps the sequence, and a failing
-        member is refused alone, as it raises.
+        ad-invariant reference form.  A sequence is a stack, kept as a
+        tuple, one per metric of :func:`transvection_stack`: each distinct
+        object in it is one member, validated once and refused alone.
     tol : float
         Cutoff of every rank decision about the space, fixed here: the
         validation below and, read as ``sp.tol``, the parallel fields of
@@ -139,8 +138,11 @@ class Presentation:
 
         if complement is None:
             complement = orthogonal_complement(algebra, isotropy, tol)
-        stacked = not isinstance(complement, Subspace)
-        comps = list(complement) if stacked else [complement]
+        comps, self._place = [complement], None  # _place: position -> member
+        if not isinstance(complement, Subspace):  # == and hash: identity
+            complement = tuple(complement)
+            ix = {c: i for i, c in enumerate(dict.fromkeys(complement))}
+            comps, self._place = list(ix), np.array([ix[c] for c in complement])
         if not comps:
             raise ValueError("an empty stack of complements has no member")
         if comps[0].ambient_dim != n:
@@ -149,10 +151,11 @@ class Presentation:
             raise ValueError(
                 f"isotropy ({r}) and complement ({comps[0].dim}) do not add "
                 f"up to the algebra dimension ({n})")
-        for i, comp in enumerate(comps):  # a stack's members share its shape
+        for comp in comps:  # a stack's members share its shape
             if comp.basis.shape != (n, n - r):
-                raise ValueError(f"complement {i} of the stack has shape "
-                                 f"{comp.basis.shape}, not ({n}, {n - r})")
+                raise ValueError(f"complement {complement.index(comp)} of the "
+                                 f"stack has shape {comp.basis.shape}, not "
+                                 f"({n}, {n - r})")
 
         # the complement checks, stacked: a single complement is a stack of 1
         m = np.array([comp.basis for comp in comps])
@@ -177,13 +180,12 @@ class Presentation:
                 raise ValueError(
                     f"the pair is not effective: an ideal of dimension "
                     f"{ideal} lies inside the isotropy")
-        if not stacked:
-            if refusals[0]:
-                raise ValueError(refusals[0])
-            m, t_inv, e_ad_h_m = complement.basis, t_inv[0], e_ad_h_m[0]
+        if self._place is None and refusals[0]:
+            raise ValueError(refusals[0])
+        if len(comps) == 1:  # held as the one complement: arrays broadcast
+            m, t_inv, e_ad_h_m = comps[0].basis, t_inv[0], e_ad_h_m[0]
         self.complement = complement
-        #: Per member, its refusal or None; one None broadcasts to any stack.
-        self._refusals = np.array(refusals, dtype=object)
+        self._refusals = np.array(refusals, dtype=object)  # per member
 
         self.h_basis = h
         self.m_basis = m
@@ -195,13 +197,14 @@ class Presentation:
         self._e_ad_h_m = e_ad_h_m
 
     def _members(self, rows) -> "Presentation":
-        """The stack of members ``rows``; one complement serves every row."""
+        """The stack of positions ``rows``, each its own member, or self."""
         if self.m_basis.ndim == 2:
             return self
+        at = rows if self._place is None else self._place[rows]
         part = Presentation.__new__(Presentation)
-        vars(part).update(vars(self))
+        vars(part).update(vars(self), _place=None)
         for name in ("_refusals", "m_basis", "eval_matrix", "_e_ad_h_m"):
-            setattr(part, name, getattr(self, name)[rows])
+            setattr(part, name, getattr(self, name)[at])
         return part
 
     @property
@@ -242,8 +245,8 @@ class HomogeneousSpace(Presentation):
         self._set_metric(metric, label)
 
     def _set_metric(self, metric: BilinearForm, label: str) -> None:
-        if self.m_basis.ndim == 3:
-            raise ValueError(f"a stack of size {len(self.m_basis)} is no space")
+        if self._place is not None:
+            raise ValueError(f"a stack of size {len(self._place)} is no space")
         if metric.dim != self.dim:
             raise ValueError(
                 f"metric dimension {metric.dim} does not match the "
@@ -292,7 +295,7 @@ def _metric_refusals(pres: Presentation, grams: np.ndarray) -> list:
     smallest eigenvalue over the largest or 1 exceeding ``pres.tol``, and
     each isotropy vector must act skew-symmetrically, the largest entry of
     ``G A + (G A)^T`` for its action A at most
-    :data:`~symidx.liealg.CHECK_TOL`; per member of a stack, after its own."""
+    :data:`~symidx.liealg.CHECK_TOL`; per position, after its member's."""
     w = np.linalg.eigvalsh(grams) if pres.dim else np.ones((len(grams), 1))
     ops = grams[:, None] @ pres._e_ad_h_m
     skew = np.abs(ops + ops.swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0)
@@ -450,7 +453,7 @@ def _unstack(cls, stack: dict, pres: Presentation) -> list:
 #: Most bytes of the work arrays of one stacked call, which each chunked
 #: stage cuts by its own bytes per metric in :func:`_chunks`.  The 190-point
 #: coupled sweep takes its derivatives in 5 chunks and its one index group
-#: in one, at a traced peak of 811 KiB.
+#: in one, at a traced peak of 692 KiB.
 _STACK_BYTES = 3 * 2 ** 18
 
 
@@ -465,7 +468,7 @@ def _chunks(count: int, floats: int) -> list:
 
 def transvection_stack(pres: Presentation, grams: np.ndarray) -> dict:
     """:func:`transvection_space` and the sign of the curvature of each
-    metric of ``grams`` (N, dim, dim) on ``pres`` (on member i of a stack),
+    metric of ``grams`` (N, dim, dim) on ``pres`` (at position i of a stack),
     by stacked calls with the one-metric cutoffs per chunk of :func:`_chunks`
     (by the bytes of the derivatives or the curvature): the metric checks,
     then :func:`_nablas`, :func:`_parallel_fields` and per index the
@@ -483,7 +486,7 @@ def transvection_stack(pres: Presentation, grams: np.ndarray) -> dict:
     :func:`_stacked_psd`.  Other shapes of ``grams`` raise ``ValueError``.
     """
     d, grams = pres.dim, np.asarray(grams, dtype=float)
-    size = len(pres.m_basis) if pres.m_basis.ndim == 3 else None
+    size = None if pres._place is None else len(pres._place)
     if grams.ndim and size not in (None, len(grams)):
         raise ValueError(f"a stack of size {size} takes one metric per "
                          f"member, got {len(grams)}")
@@ -631,8 +634,8 @@ def symmetry_ideal(sp: Presentation,
 
 
 def symmetry_ideals(pres: Presentation, stack: dict) -> dict:
-    """``stack``, a result of :func:`transvection_stack` on ``pres`` (of
-    member i of a stack), with the :class:`BoundReport` of each metric but
+    """``stack``, a result of :func:`transvection_stack` on ``pres`` (at
+    position i of a stack), with the :class:`BoundReport` of each metric but
     those of index -1: the arrays ``lhs``, ``rhs`` and ``equality`` and the
     groups ``gD`` and ``g_prime``: one pass per ``p_space`` group (one per
     index), in chunks of :func:`_chunks` by the bytes of its leak stacks.

@@ -105,8 +105,9 @@ class ExponentialChart:
 
     def __init__(self, pres: Presentation, grams: np.ndarray):
         grams, d = _real("metric", grams), pres.dim
-        if pres.m_basis.ndim != 2:
-            raise ValueError(f"a complement stack {pres.m_basis.shape} has no chart")
+        if pres._place is not None:
+            shape = (len(pres._place), *pres.m_basis.shape[-2:])
+            raise ValueError(f"a complement stack {shape} has no chart")
         if grams.shape[-2:] != (d, d) or not 2 <= grams.ndim <= 3:
             raise ValueError(f"metrics of shape {grams.shape}, not "
                              f"(N, {d}, {d}) or ({d}, {d})")

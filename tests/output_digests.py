@@ -8,14 +8,15 @@ Runs ``symidx`` in process through :func:`symidx.cli.main` and prints one
 standard output and the standard error.  For each catalog name it runs
 ``catalog emit``, then ``index`` on the emitted document at three
 tolerances, ``jacobi --direction I`` for each tangent direction I and,
-on spin3 names, ``index --augment``.  Without names it does so for the names of ``NAMES`` and adds
-``index`` at the three tolerances on the inline so(n+1)/so(n) document
-without a complement of each n in ``SPHERES``, the sweep grids of
-``SWEEPS`` at two tolerances each, and ``verify --filter NAME`` for each
-check of ``CHECK_NAMES``, one line a check, with its ``duration_ms``
-removed and every other float rounded to 12 significant digits: a change
-that only reorders a sum moves an eigenvalue such as 1/6 in its last bits,
-which the rounding hides, while a changed answer still moves the digest.
+on spin3 names, ``index --augment``.  Without names it does so for the
+names of ``NAMES`` and adds ``index`` at the three tolerances on the
+inline so(n+1)/so(n) document without a complement of each n in
+``SPHERES``, the sweep grids of ``SWEEPS`` at each tolerance of
+``SWEEP_TOLS``, and ``verify --filter NAME`` for each check of
+``CHECK_NAMES``, one line a check, with its ``duration_ms`` removed and
+every other float rounded to 12 significant digits: a change that only
+reorders a sum moves an eigenvalue such as 1/6 in its last bits, which
+the rounding hides, while a changed answer still moves the digest.
 An error or residual that is itself roundoff (``metric_error``,
 ``worst_residual``) is not hidden by rounding and can still move.  Run it on
 two checkouts, by ``PYTHONPATH``, and ``diff`` the two listings.
@@ -63,8 +64,11 @@ SWEEPS = (
     ("spin3", "--t", "0.1:3:0.1"),
     ("spin3", "--s", "0.05:0.95:0.05"),
     ("product-spheres", "--rho", "0.1:3:0.1"),
+    # at --tol 0.1 the member of slope 0.01 overlaps the isotropy and is
+    # refused alone
+    ("so4-so2", "--lambda", "0.01:1:0.11", "--s", "0.5", "--coupled"),
 )
-SWEEP_TOLS = ("1e-9", "1e-6")
+SWEEP_TOLS = ("1e-9", "1e-6", "0.1")
 
 
 def run(*argv) -> tuple[int, str, str]:

@@ -405,7 +405,9 @@ def test_sweep_skips_invalid_points_and_counts_them(capsys):
 
 def test_sweep_with_a_refused_presentation_prints_the_header_alone(capsys):
     """At tolerance 0.5 the Spin(4)/S1 isotropy and complement overlap: the
-    presentation is refused, so every point is skipped and no row printed."""
+    one member of the sweep's stack is refused, and with it each metric,
+    so every point is skipped and no row printed.  A builder that raises
+    skips every point too."""
     with pytest.raises(ValueError, match="isotropy and complement overlap"):
         catalog.spin4_quotient(so4_so2_complement(0.5), 0.5)
     code, out, err = run(capsys, "sweep", "--family", "so4-so2", "--lambda",
@@ -413,6 +415,30 @@ def test_sweep_with_a_refused_presentation_prints_the_header_alone(capsys):
                          "--tol", "0.5")
     assert code == 0 and out == SWEEP_HEADER + "\n"
     assert err == ("sweep: 3 grid points skipped, 0 curvature candidates "
+                   "refused\n")
+
+    def refused(complements, tol):
+        raise ValueError("the pair is not effective")
+
+    point = ((0.5, 0.8, 1.2, None),
+             lambda: (so4_so2_complement(0.5), so4_so2_gram(0.8, 1.2)))
+    assert cli._sweep_rows(refused, [point], 1e-9) == ([], 0)
+
+
+def test_a_sweep_skips_a_slope_whose_member_is_refused(capsys):
+    """At tolerance 0.1 the complement of slope 0.01 overlaps the isotropy:
+    its member is refused alone and the other nine slopes keep their
+    rows."""
+    with pytest.raises(ValueError, match="isotropy and complement overlap"):
+        catalog.spin4_quotient(so4_so2_complement(0.01), 0.1)
+    code, out, err = run(capsys, "sweep", "--tol", "0.1", "--family",
+                         "so4-so2", "--lambda", "0.01:1:0.11", "--s", "0.5",
+                         "--coupled")
+    rows = out.splitlines()[1:]
+    assert code == 0 and len(rows) == 9
+    assert [row.split(",")[0] for row in rows] == [
+        "0.12", "0.23", "0.34", "0.45", "0.56", "0.67", "0.78", "0.89", "1"]
+    assert err == ("sweep: 1 grid point skipped, 0 curvature candidates "
                    "refused\n")
 
 
@@ -536,20 +562,23 @@ def test_a_sweep_decides_its_points_in_one_stacked_call(capsys, monkeypatch,
 def test_a_sweep_validates_one_member_per_distinct_complement(capsys,
                                                               monkeypatch):
     """The points of one slope share one complement object, so a grid of
-    three slopes builds a stack of three members, not one per point, and
-    gathers it per point: its rows and counts are those of a stack with a
-    copy of the complement for each point."""
-    sizes, build = [], catalog.spin4_quotient
+    three slopes hands its builder one complement per point and gets a
+    stack of three members for its twelve positions: its rows and counts
+    are those of a stack with a copy of the complement for each point."""
+    built, build = [], catalog.spin4_quotient
 
     def recording(complement, tol):
-        sizes.append(1 if isinstance(complement, Subspace) else len(complement))
-        return build(complement, tol)
+        built.append(build(complement, tol))
+        return built[-1]
+
+    def members() -> list:
+        return [(len(pres.m_basis), len(pres._place)) for pres in built]
 
     monkeypatch.setattr(catalog, "spin4_quotient", recording)
     code, out, err = run(capsys, "sweep", "--family", "so4-so2", "--lambda",
                          "0.25:0.75:0.25", "--s", "0.35:2.15:0.45",
                          "--coupled")
-    assert code == 0 and sizes == [3]
+    assert code == 0 and members() == [(3, 12)]
     assert len(out.splitlines()) == 1 + 12  # s = 2.15 leaves the family
     assert err == ("sweep: 3 grid points skipped, 0 curvature candidates "
                    "refused\n")
@@ -557,13 +586,13 @@ def test_a_sweep_validates_one_member_per_distinct_complement(capsys,
     slopes = {lam: so4_so2_complement(lam) for lam in (0.25, 0.5, 0.75)}
     points = [((lam, s, 2.0 - s, None), c, so4_so2_gram(s, 2.0 - s))
               for lam, c in slopes.items() for s in (0.35, 0.8, 1.25, 1.7)]
-    sizes.clear()
+    built.clear()
     shared = cli._sweep_rows(recording, [
         (params, lambda c=c, g=g: (c, g)) for params, c, g in points], 1e-9)
     copies = cli._sweep_rows(recording, [
         (params, lambda c=c, g=g: (Subspace(6, c.basis.copy()), g))
         for params, c, g in points], 1e-9)
-    assert sizes == [3, 12] and shared == copies
+    assert members() == [(3, 12), (12, 12)] and shared == copies
     assert shared == (out.splitlines()[1:], 0)
 
 
@@ -641,7 +670,8 @@ def test_chunking_a_sweep_changes_no_bit(capsys, monkeypatch, grid):
     assert 1 <= chunks < kept
     reports = homspace._unstack(homspace.TransvectionReport, want, pres)
     for i in np.linspace(0, len(grams) - 1, 7).astype(int).tolist():
-        m = pres.m_basis[i] if pres.m_basis.ndim == 3 else pres.m_basis
+        m = (pres.m_basis[pres._place[i]] if pres.m_basis.ndim == 3
+             else pres.m_basis)
         space = functools.partial(
             homspace.HomogeneousSpace, pres.algebra, pres.isotropy,
             BilinearForm(grams[i]), Subspace(pres.algebra.dim, m),
@@ -714,6 +744,17 @@ def test_a_sweep_stays_within_its_byte_budget(capsys, monkeypatch):
         "--family", "so4-so2", "--lambda", "0.05:1:0.05", "--s",
         "0.02:1.98:0.02", "--coupled"])
     assert peak <= held + homspace._STACK_BYTES
+
+
+def test_a_sweep_holds_each_distinct_complement_once(capsys, monkeypatch):
+    """The 1 990-point coupled grid hands transvection_stack a stack of 10
+    members, one per slope, for its 1 990 positions, and peaks at most
+    3 000 KiB traced: no point holds a copy of its member."""
+    argv = ["--family", "so4-so2", "--lambda", "0.1:1:0.1", "--s",
+            "0.01:1.99:0.01", "--coupled"]
+    pres = decided_sweep(capsys, monkeypatch, argv)[0]
+    assert (len(pres.m_basis), len(pres._place)) == (10, 1990)
+    assert traced_sweep(capsys, monkeypatch, argv)[0] <= 3000 * 1024
 
 
 def test_a_sweep_builds_no_report_objects(capsys, monkeypatch):

@@ -1248,6 +1248,18 @@ def test_a_stack_takes_one_metric_per_member_and_makes_no_space():
     assert transvection_stack(one, [gram])["index"][0] == 2
 
 
+def test_a_stack_from_an_iterator_keeps_its_complements():
+    """A stack keeps its complements, one per position, as a tuple, also
+    when they come from an iterator that its construction exhausts; it
+    holds each distinct complement object once, placed at its positions."""
+    comps = [so4_so2_complement(lam) for lam in (0.5, 1.0)]
+    positions = [comps[0], comps[1], comps[0], comps[0]]
+    stack = spin4_quotient((c for c in positions), 1e-9)
+    assert stack.complement == tuple(positions)
+    assert stack.m_basis.shape == (2, 6, 5)
+    assert stack._place.tolist() == [0, 1, 0, 0]
+
+
 def test_a_stack_of_metrics_peaks_within_its_byte_budget():
     """transvection_stack checks, derives and decides its metrics chunk by
     chunk: on 4 000 coupled metrics of one so4-so2 presentation it peaks

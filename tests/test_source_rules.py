@@ -145,6 +145,14 @@ def test_homspace_reads_a_stacks_members_in_one_loop():
     assert stating == {"transvection_stack"}
 
 
+def test_the_sweep_gathers_no_members():
+    """``Presentation`` alone decides which positions of a stack share a
+    member: the sweep hands it one complement per point and reads no
+    member."""
+    assert not [use for use in named_uses(("_members", "_place"))
+                if use.startswith("cli.py:")]
+
+
 def printing_uses() -> list:
     """``file:line`` of each use of the name ``dumps`` and each call with an
     ``indent=`` keyword in the package."""

@@ -1260,6 +1260,22 @@ def test_a_stack_from_an_iterator_keeps_its_complements():
     assert stack._place.tolist() == [0, 1, 0, 0]
 
 
+def test_the_stacked_rules_refuse_a_stack_that_repeats_a_complement():
+    """``_metric_refusals`` and ``_nablas`` read one entry per position,
+    which a stack that repeats a complement holds per member instead: both
+    refuse it by name, where numpy raised its broadcast error, and
+    ``transvection_stack``, which gathers the members by position first,
+    decides it."""
+    a, b = (so4_so2_complement(lam) for lam in (0.5, 1.0))
+    stack = spin4_quotient([a, b, a], 1e-9)
+    grams = np.array([so4_so2_gram(s, 2.0 - s) for s in (0.5, 0.8, 1.2)])
+    for rule in (homspace._metric_refusals, homspace._nablas):
+        with pytest.raises(ValueError, match=(
+                "a stack of 3 positions repeats a complement: 2 members")):
+            rule(stack, grams)
+    assert transvection_stack(stack, grams)["index"].tolist() == [2, 2, 2]
+
+
 def test_a_stack_of_metrics_peaks_within_its_byte_budget():
     """transvection_stack checks, derives and decides its metrics chunk by
     chunk: on 4 000 coupled metrics of one so4-so2 presentation it peaks

@@ -248,6 +248,7 @@ def _sweep_rows(presentation, points, tol) -> tuple:
         return [], 0
     kept.sort(key=lambda point: point[0])
     fields, complements, grams = zip(*kept)
+    grams, kept = np.array(grams), None  # one stack, not one array a point
     try:
         pres = presentation(complements, tol)
     except ValueError:

@@ -37,6 +37,7 @@ from .liealg import (
     BilinearForm,
     LieAlgebra,
     Subspace,
+    _chunks,
     _coordinates,
     _real,
     _refuse_non_finite,
@@ -288,6 +289,16 @@ class HomogeneousSpace(Presentation):
         return nablas
 
 
+def _refuse_repeated_complements(pres: Presentation):
+    """ValueError for a stack that repeats a complement, whose arrays hold
+    one entry per member: :func:`transvection_stack` reads it by position."""
+    place, members = pres._place, len(pres._refusals)
+    if place is not None and 1 < members < len(place):
+        raise ValueError(f"a stack of {len(place)} positions repeats a "
+                         f"complement: {members} members, read by position "
+                         f"through transvection_stack")
+
+
 def _metric_refusals(pres: Presentation, grams: np.ndarray) -> list:
     """Why :class:`HomogeneousSpace` refuses each metric of ``grams``
     (N, dim, dim) on ``pres``, or None where it takes it: the one metric
@@ -296,6 +307,7 @@ def _metric_refusals(pres: Presentation, grams: np.ndarray) -> list:
     each isotropy vector must act skew-symmetrically, the largest entry of
     ``G A + (G A)^T`` for its action A at most
     :data:`~symidx.liealg.CHECK_TOL`; per position, after its member's."""
+    _refuse_repeated_complements(pres)
     w = np.linalg.eigvalsh(grams) if pres.dim else np.ones((len(grams), 1))
     ops = grams[:, None] @ pres._e_ad_h_m
     skew = np.abs(ops + ops.swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0)
@@ -318,6 +330,7 @@ def _metric_refusals(pres: Presentation, grams: np.ndarray) -> list:
 def _nablas(pres: Presentation, grams: np.ndarray) -> np.ndarray:
     """Shape (N, algebra dim, dim, dim): :attr:`HomogeneousSpace._nabla_basis`
     for each metric of ``grams``, by the Koszul identity."""
+    _refuse_repeated_complements(pres)
     alg, e, m = pres.algebra, pres.eval_matrix, pres.m_basis
     ge = (grams @ e)[:, None]
     gv = ge @ alg.ad_stack @ m[..., None, :, :]
@@ -448,22 +461,6 @@ def _unstack(cls, stack: dict, pres: Presentation) -> list:
                      stack["coindex"].tolist(), stack["lhs"].tolist(),
                      stack["rhs"].tolist(), stack["equality"].tolist())
     return [cls(*f) if i >= 0 else None for i, f in zip(index, fields)]
-
-
-#: Most bytes of the work arrays of one stacked call, which each chunked
-#: stage cuts by its own bytes per metric in :func:`_chunks`.  The 190-point
-#: coupled sweep takes its derivatives in 5 chunks and its one index group
-#: in one, at a traced peak of 692 KiB.
-_STACK_BYTES = 3 * 2 ** 18
-
-
-def _chunks(count: int, floats: int) -> list:
-    """Slices that cut ``range(count)`` into the fewest parts, equal within
-    one, of metrics taking ``floats`` 8-byte entries each and at most
-    ``_STACK_BYTES`` together (one metric at least)."""
-    parts = -(-count // max(1, _STACK_BYTES // (8 * max(floats, 1))))
-    return [slice(count * i // parts, count * (i + 1) // parts)
-            for i in range(parts)]
 
 
 def transvection_stack(pres: Presentation, grams: np.ndarray) -> dict:

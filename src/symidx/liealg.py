@@ -37,8 +37,22 @@ CHECK_TOL = 1e-8
 #: Smallest tolerance accepted, 64 units of roundoff: below, roundoff decides.
 MIN_TOL = 64 * math.ulp(1.0)
 
-#: Entries per chunk of the Jacobi residual (see LieAlgebra.jacobi_residual).
-_JACOBI_CHUNK = 2 ** 18
+#: Most bytes of the work arrays of one block of a chunked loop, the
+#: package's one budget, which each loop cuts by its own bytes per item in
+#: :func:`_chunks`: the exact Jacobi sum, the commutator fit of
+#: :func:`matrix_algebra` and the stacked metric stages of ``homspace``.
+#: The 190-point coupled sweep takes its derivatives in 5 chunks and its one
+#: index group in one, at a traced peak of 629 KiB.
+_STACK_BYTES = 3 * 2 ** 18
+
+
+def _chunks(count: int, floats: int) -> list:
+    """Slices that cut ``range(count)`` into the fewest parts, equal within
+    one, of items taking ``floats`` 8-byte entries each and at most
+    ``_STACK_BYTES`` together (one item at least)."""
+    parts = -(-count // max(1, _STACK_BYTES // (8 * max(floats, 1))))
+    return [slice(count * i // parts, count * (i + 1) // parts)
+            for i in range(parts)]
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +387,8 @@ class LieAlgebra:
     Antisymmetry and the Jacobi identity are validated at construction
     with absolute residual tolerance :data:`DEFAULT_TOL`, the latter by the
     exact sum of :meth:`jacobi_residual` over the triples i < j < k, about
-    dim^5 / 2 multiply-adds, unless a certified bound on it is that small.
+    dim^5 / 2 multiply-adds in the tensor and the byte budget
+    ``_STACK_BYTES``, unless a certified bound on it is that small.
     Only :func:`matrix_algebra` certifies, and a certified tensor is
     read-only; this constructor and copies run the sum, and keep it as the
     bound.  Facts that depend on the algebra alone, its ad stack, its
@@ -437,33 +452,32 @@ class LieAlgebra:
         antisymmetric part a = (c - c.transpose(1, 0, 2)) / 2 of the tensor
         c.  The constructor's antisymmetry check runs first and bounds c - a
         by DEFAULT_TOL; a is c on every catalog, matrix-built and emitted
-        algebra.  The sum is T[ij, k] + T[jk, i] - T[ik, j], where T[pq, z]
-        = [e_z, [e_p, e_q]] comes from BLAS products of the rows a[p, q],
-        p < q, by blocks of k of at most ``_JACOBI_CHUNK`` entries: about
-        dim^5 / 2 multiply-adds in O(dim^3) memory; overflow gives inf or nan."""
+        algebra.  The sum is Q[ij, k] + Q[jk, i] + Q[ki, j], where Q[pq, z]
+        = [[e_p, e_q], e_z] comes from BLAS products of views of 2a: about
+        dim^5 / 2 multiply-adds, and past 2a at most ``_STACK_BYTES`` for a
+        block of middle indices j and of k cut by :func:`_chunks` (one j and
+        one k at least); overflow gives inf or nan.  A block of several j,
+        on small algebras, takes the box i < j1 - 1, j0 < k of them, which
+        also holds other orders of some triples: the sum alternates, so its
+        max is the same up to rounding."""
         n = self.dim
         a = self.structure - self.structure.transpose(1, 0, 2)  # 2a
-        p, q = pair_indices(n)
-        z = np.arange(n)
-        tri, below = z * (z - 1) // 2, z < p[:, None]  # below[t, i]: i < p[t]
-        rows = a[p, q]  # row tri[q] + p is 2 [e_p, e_q]
-        cols = a.reshape(n, n * n)  # rows @ cols[:, zn:zn + n] is -4 T[:, z]
-        worst, k0 = 0.0, 0
-        while k0 < n:  # the block k0 <= k < k1
-            r0 = k0 * (k0 - 1) // 2  # pair rows r0 <= t < r1 end in the block
-            k1, r1 = k0 + 1, r0 + k0
-            while k1 < n and (r1 + k1 - r0) * (k1 + 1) * n <= _JACOBI_CHUNK:
-                k1, r1 = k1 + 1, r1 + k1
-            y = (rows[r0:r1] @ cols[:, :k1 * n]).reshape(-1, n)
-            t, i = below[r0:r1, :k1].nonzero()  # (i, j, k) by t = (j, k), i
-            j, k = p[r0:r1][t], q[r0:r1][t]
-            jac = y.take(t * k1 + i, 0)             # -4 T[jk, i]
-            jac -= y.take((t - j + i) * k1 + j, 0)  # +4 T[ik, j]
-            if k0:  # the first block's product holds the pairs below k1
-                y = (rows[:r1] @ cols[:, k0 * n:k1 * n]).reshape(-1, n)
-            jac += y.take((tri[j] + i) * (k1 - k0) + k - k0, 0)  # -4 T[ij, k]
-            worst = np.maximum(worst, np.abs(jac, out=jac).max(initial=0.0))
-            k0 = k1
+        flat = a.reshape(n, n * n)  # a[p, q] @ flat[:, zn:zn + n] is 4 Q[pq, z]
+        worst = 0.0
+        # a j is charged 3 n^3 floats, more than any box of all its k takes,
+        # which keeps the boxes of small algebras small
+        for js in _chunks(max(n - 2, 0), 3 * n ** 3):  # j0 <= j < j1
+            j0, j1 = js.start + 1, js.stop + 1
+            i1, nj = j1 - 1, j1 - j0
+            for ks in _chunks(n - j0 - 1, 2 * nj * i1 * n):  # k0 <= k < k1
+                k0, k1 = ks.start + j0 + 1, ks.stop + j0 + 1
+                jac = (a[k0:k1, :i1] @ flat[:, j0 * n:j1 * n]).reshape(
+                    k1 - k0, i1, nj, n)  # 4 Q[ki, j] at [k, i, j]
+                jac += (a[j0:j1, k0:k1] @ flat[:, :i1 * n]).reshape(
+                    nj, k1 - k0, i1, n).transpose(1, 2, 0, 3)  # 4 Q[jk, i]
+                jac -= (a[j0:j1, :i1] @ flat[:, k0 * n:k1 * n]).reshape(
+                    nj, i1, k1 - k0, n).transpose(2, 1, 0, 3)  # 4 Q[ji, k]
+                worst = np.maximum(worst, np.abs(jac, out=jac).max())
         return float(worst) / 4  # the sum is quadratic in 2a
 
     @functools.cached_property
@@ -641,17 +655,19 @@ def matrix_algebra(matrices, labels=None, tol: float = DEFAULT_TOL):
     # square of a commutator's norm overflows; the unit changes no bit.
     unit = 0.25 ** math.frexp(scale)[1]
     first, second = pair_indices(n)
-    comms = _killing_commutators(mats)
-    rhs = _flatten_real(comms).T
-    rhs *= unit
-    coeffs = (u / sv) @ (vt @ rhs)
-    fit = flat.T @ coeffs  # residuals of the coefficients as stored
-    fit -= rhs
-    fit *= fit  # squared in place: np.linalg.norm's column sums, no copy
-    rhs *= rhs
-    resids = np.sqrt(fit.sum(axis=0))
-    ceiling = tol * np.maximum(scale * unit, np.sqrt(rhs.sum(axis=0)))
-    del comms, rhs, fit  # the largest arrays, freed before the tensor's
+    coeffs, u = np.empty((n, len(first))), u / sv
+    resids, ceiling = np.empty((2, len(first)))
+    # by blocks of pairs: the commutators, a copy if complex, their fit
+    for part in _chunks(len(first), 3 * flat.shape[1] + n):
+        rhs = _flatten_real(_killing_commutators(mats, part)).T
+        rhs *= unit
+        fit = flat.T @ np.matmul(u, vt @ rhs, out=coeffs[:, part])
+        fit -= rhs  # residuals of the coefficients as stored
+        fit *= fit  # squared in place: np.linalg.norm's column sums, no copy
+        rhs *= rhs
+        resids[part] = np.sqrt(fit.sum(axis=0))
+        ceiling[part] = tol * np.maximum(scale * unit, np.sqrt(rhs.sum(axis=0)))
+        del rhs, fit  # the largest arrays, freed before the next block's
     bad = np.flatnonzero(~(resids <= ceiling))  # nan where a bracket overflows
     coeffs /= unit
     resids /= unit
@@ -663,26 +679,31 @@ def matrix_algebra(matrices, labels=None, tol: float = DEFAULT_TOL):
                              f"number; rescale the generators")
         raise ValueError(f"{pair} leaves the span (residual {resids[p]:.3e}); "
                          f"not a Lie algebra basis")
+    bound = _fit_jacobi_bound(flat, sv, coeffs, resids, first, second,
+                              mats.shape[1])
     structure = np.zeros((n, n, n))
     structure[first, second] = coeffs.T
     structure[second, first] = 0.0 - coeffs.T  # no -0.0
-    bound = _fit_jacobi_bound(flat, sv, coeffs, resids, first, second,
-                              mats.shape[1])
+    del coeffs  # freed before the constructor's antisymmetry check
     return LieAlgebra._certified(tuple(labels), structure, bound), mats
 
 
-def _killing_commutators(mats) -> np.ndarray:
-    """Minus the commutators [M_i, M_j] of the colex pairs i < j, in place.
-    The pairs that end in j are contiguous, so one broadcast product per j
-    forms them from views of ``mats``: no generator is gathered, and past
-    the result only a stack of j products is allocated at a time."""
-    n = len(mats)
-    comms = np.empty((n * (n - 1) // 2, *mats.shape[1:]), dtype=mats.dtype)
-    for j in range(1, n):
-        out = np.matmul(mats[:j], mats[j],
-                        out=comms[j * (j - 1) // 2:j * (j + 1) // 2])
-        out -= mats[j] @ mats[:j]
-        np.negative(out, out=out)
+def _killing_commutators(mats, pairs: slice) -> np.ndarray:
+    """Minus the commutators [M_i, M_j] of the colex pairs i < j of the
+    slice ``pairs``, in place.  The pairs that end in j are contiguous, so
+    one broadcast product per j forms them from views of ``mats``: no
+    generator is gathered, and past the result only a stack of j products
+    is allocated at a time."""
+    lo, hi = pairs.start, pairs.stop
+    comms = np.empty((hi - lo, *mats.shape[1:]), dtype=mats.dtype)
+    for j in range(1, len(mats)):
+        t = j * (j - 1) // 2  # the pairs t <= p < t + j end in j
+        p0, p1 = max(t, lo), min(t + j, hi)
+        if p0 < p1:
+            out = np.matmul(mats[p0 - t:p1 - t], mats[j],
+                            out=comms[p0 - lo:p1 - lo])
+            out -= mats[j] @ mats[p0 - t:p1 - t]
+            np.negative(out, out=out)
     return comms
 
 

@@ -13,8 +13,10 @@ check of ``homspace.Presentation``, :func:`ideal_by_svd` the seed
 factorization reference for ``homspace.symmetry_ideals``, and
 :func:`coupled_by_space` and :func:`uncoupled_by_space` the per-metric
 references for verify's two so4-so2 checks; :func:`same_bits` compares
-arrays bit for bit.
+arrays bit for bit, and :func:`traced_peak` measures a call's memory.
 """
+
+import tracemalloc
 
 import numpy as np
 
@@ -41,6 +43,17 @@ def same_bits(a, b) -> bool:
     """Equal shape, dtype and bytes."""
     a, b = np.asarray(a), np.asarray(b)
     return (a.shape, a.dtype, a.tobytes()) == (b.shape, b.dtype, b.tobytes())
+
+
+def traced_peak(fn) -> tuple:
+    """``(fn(), peak)``: what ``fn`` returns and the peak of the memory
+    that tracemalloc traced during the call, in bytes; ``fn`` may read
+    ``tracemalloc.get_traced_memory()`` itself."""
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def adjoint(alg, x) -> np.ndarray:

@@ -1,11 +1,11 @@
 import inspect
 import json
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
 
+from meaning import traced_peak
 from symidx import catalog
 from symidx.catalog import (
     CATALOG_TEMPLATES,
@@ -56,15 +56,13 @@ def test_round_sphere_refuses_a_dimension_above_the_limit(n):
     """The limit is named and keeps so(15), which test_scale builds; the
     refusal comes before so(n+1) allocates anything."""
     assert MAX_SPHERE_DIM >= 14
-    tracemalloc.start()
-    try:
+
+    def refused():
         with pytest.raises(ValueError, match=f"at most MAX_SPHERE_DIM = "
                                              f"{MAX_SPHERE_DIM}"):
             round_sphere(n)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2 ** 16
+
+    assert traced_peak(refused)[1] < 2 ** 16
 
 
 def test_quotient_parameter_validation():

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from symidx import homspace
+from symidx import homspace, liealg
 from symidx.liealg import (
     CHECK_TOL,
     DEFAULT_TOL,
@@ -58,7 +58,13 @@ from symidx.catalog import (
 )
 from symidx.numcheck import ExponentialChart, integrate_field_equation
 from symidx.serialize import space_from_dict, space_to_dict
-from meaning import ideal_by_svd, invariant_by_loop, leaf, subalgebra_leaks
+from meaning import (
+    ideal_by_svd,
+    invariant_by_loop,
+    leaf,
+    subalgebra_leaks,
+    traced_peak,
+)
 
 I_VEC = np.array([1.0, 0.0, 0.0])
 J_VEC = np.array([0.0, 1.0, 0.0])
@@ -1285,14 +1291,10 @@ def test_a_stack_of_metrics_peaks_within_its_byte_budget():
     grams = np.array([so4_so2_gram(s, 2.0 - s)
                       for s in np.linspace(0.1, 1.9, 4000)])
     transvection_stack(pres, grams[:50])  # imports and caches, untraced
-    tracemalloc.start()
-    try:
-        found = transvection_stack(pres, grams)
-        held, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    (found, held), peak = traced_peak(lambda: (
+        transvection_stack(pres, grams), tracemalloc.get_traced_memory()[0]))
     assert found["index"].tolist() == [2] * 4000
-    assert peak <= held + homspace._STACK_BYTES + 64 * 1024
+    assert peak <= held + liealg._STACK_BYTES + 64 * 1024
 
 
 def test_a_misshapen_gram_stack_is_refused_by_its_shape():

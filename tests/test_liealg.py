@@ -1,12 +1,17 @@
 import itertools
-import tracemalloc
 import warnings
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from meaning import adjoint, invariant_by_loop, lstsq_structure
+from meaning import (
+    adjoint,
+    invariant_by_loop,
+    lstsq_structure,
+    same_bits,
+    traced_peak,
+)
 from symidx import catalog, liealg, verify
 from symidx.catalog import cp2_centriole, round_sphere, spin3_berger
 from symidx.homspace import (
@@ -493,16 +498,8 @@ def test_a_cached_preset_and_its_ad_stack_allocate_nothing_new():
     """A repeated so(12) and the ad stack of a fresh copy each take under
     4 KiB, not the 2.3 MB of a tensor of dimension 66."""
     alg = _fresh(so_elementary(12)[0])
-    tracemalloc.start()
-    try:
-        so_elementary(12)
-        preset_bytes = tracemalloc.get_traced_memory()[1]
-        tracemalloc.reset_peak()
-        alg.ad_stack
-        stack_bytes = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert preset_bytes < 4096 and stack_bytes < 4096
+    assert traced_peak(lambda: so_elementary(12))[1] < 4096
+    assert traced_peak(lambda: alg.ad_stack)[1] < 4096
 
 
 def test_reference_form_is_cached_per_tolerance():
@@ -693,12 +690,15 @@ def jacobi_sum(c) -> float:
     return LieAlgebra.jacobi_residual(SimpleNamespace(dim=len(c), structure=c))
 
 
-@pytest.mark.parametrize("chunk", [None, 1, 1100])
+@pytest.mark.parametrize("budget", [None, 40000, 1100, 1])
 def test_chunked_jacobi_residual_matches_the_full_tensor_formula(
-        chunk, monkeypatch):
-    if chunk is not None:
-        # one k per block, or on su(3) a block of six k and one of two
-        monkeypatch.setattr(liealg, "_JACOBI_CHUNK", chunk)
+        budget, monkeypatch):
+    """On su(3) the default byte budget takes one box of the six middle
+    indices j, 40 000 bytes two boxes of three, 1 100 one j per block and
+    one to six k, and 1 one j and one k, which hold more than the budget:
+    each block takes one item at least."""
+    if budget is not None:
+        monkeypatch.setattr(liealg, "_STACK_BYTES", budget)
     rng = np.random.default_rng(31)
     alg, _ = su3()
     # a dense presentation of su(3): random change of basis
@@ -718,18 +718,19 @@ def test_chunked_jacobi_residual_matches_the_full_tensor_formula(
     assert [jacobi_sum(c) == 0.0 for c in small] == [True, True, True, False]
 
 
-@pytest.mark.parametrize("chunk", [None, 1])
+@pytest.mark.parametrize("budget", [None, 40000, 1])
 @pytest.mark.parametrize("build", [
     pytest.param(lambda: so_elementary(4)[0], id="so4"),
     pytest.param(lambda: rebased(su3()[1], 0), id="su3-dense"),
 ])
 def test_every_violation_of_the_jacobi_identity_is_seen(
-        build, chunk, monkeypatch):
+        build, budget, monkeypatch):
     """c[i, j, a] += 0.5 and c[j, i, a] -= 0.5 at every position (i, j, a),
     i != j: the sum over i < j < k equals the cyclic sum over every
-    ordered triple, in one block and in blocks of one k."""
-    if chunk is not None:
-        monkeypatch.setattr(liealg, "_JACOBI_CHUNK", chunk)
+    ordered triple, in one block, in two blocks of three j on su(3), and
+    in blocks of one j and one k."""
+    if budget is not None:
+        monkeypatch.setattr(liealg, "_STACK_BYTES", budget)
     c = build().structure
     n = len(c)
     for i, j, a in itertools.product(range(n), repeat=3):
@@ -741,6 +742,17 @@ def test_every_violation_of_the_jacobi_identity_is_seen(
         want = reference_jacobi_residual(bad)
         assert want > 1e-3
         assert jacobi_sum(bad) == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("m", [7, 8, 10])
+def test_the_exact_jacobi_sum_peaks_within_the_byte_budget(m):
+    """On so(7), so(8) and so(10), dimension 21 to 45, the sum holds past
+    its antisymmetric part 2a one block within the byte budget, and 64 KiB
+    of slack."""
+    c = np.array(so_elementary(m)[0].structure)
+    residual, peak = traced_peak(lambda: jacobi_sum(c))
+    assert residual < 1e-12
+    assert peak <= c.nbytes + liealg._STACK_BYTES + 64 * 1024
 
 
 @pytest.mark.parametrize("seed, drift, refused", [
@@ -1001,21 +1013,53 @@ def compact_sum_with_centre(seed) -> np.ndarray:
     return np.einsum("ab,bij->aij", mix, rot @ gens @ rot.T)
 
 
-@pytest.mark.parametrize("gens", [
+PRESET_GENERATORS = [
     *(pytest.param(lambda n=n: so_elementary(n)[1], id=f"so{n}")
       for n in range(3, 16)),
     pytest.param(lambda: su3()[1], id="su3"),
     pytest.param(lambda: spin3_quaternion()[1], id="spin3"),
+]
+FITTED_GENERATORS = [
+    *PRESET_GENERATORS,
     pytest.param(cp2_centriole_generators, id="cp2-centriole"),
     *(pytest.param(lambda seed=seed: compact_sum_with_centre(seed),
                    id=f"compact-sum-with-centre-{seed}") for seed in range(4)),
-])
+]
+
+
+@pytest.mark.parametrize("gens", FITTED_GENERATORS)
 def test_the_one_svd_fit_equals_the_lstsq_fit(gens):
     """matrix_algebra reads the least-squares fit off the factors of its one
     SVD; it is the fit np.linalg.lstsq gives, to the last bits."""
     gens = gens()
     np.testing.assert_allclose(matrix_algebra(gens)[0].structure,
                                lstsq_structure(gens), rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("gens", [  # one pair a block is slow past so(10)
+    g for g in FITTED_GENERATORS if g.id not in {"so11", "so12", "so13",
+                                                 "so14", "so15"}])
+def test_a_fit_by_blocks_of_pairs_is_the_one_shot_fit(gens, monkeypatch):
+    """The fit of one pair a block, the budget's least, agrees with the fit
+    of all pairs in one block, its most, as the lstsq fit does."""
+    gens, fits = gens(), []
+    for budget in (1, 2 ** 62):
+        monkeypatch.setattr(liealg, "_STACK_BYTES", budget)
+        fits.append(matrix_algebra(gens)[0].structure)
+    np.testing.assert_allclose(*fits, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("gens", PRESET_GENERATORS)
+def test_a_preset_fit_by_blocks_of_pairs_keeps_every_bit(gens, monkeypatch):
+    """At the default budget so(9) to so(15) take several blocks of pairs,
+    and every preset's tensor and certificate keep the bits of the fit in
+    one block."""
+    gens = gens()
+    alg = matrix_algebra(gens)[0]
+    monkeypatch.setattr(liealg, "_STACK_BYTES", 2 ** 62)
+    whole = matrix_algebra(gens)[0]
+    assert same_bits(alg.structure, whole.structure)
+    assert same_bits(alg._jacobi_bound, whole._jacobi_bound)
 
 
 @pytest.mark.parametrize("gens", [

@@ -8,10 +8,9 @@ costs no factorization: the seed of a symmetric space is the whole
 algebra.
 """
 
-import tracemalloc
-
 import pytest
 
+from meaning import traced_peak
 from symidx import homspace
 from symidx.catalog import round_sphere
 from symidx.homspace import symmetry_ideal, transvection_space
@@ -19,10 +18,11 @@ from symidx.liealg import DEFAULT_TOL, so_elementary
 
 N = 11
 
-#: Traced peak of building so(15)/so(14): 24.0 MiB measured (numpy 2.4,
-#: CPython 3.11), the algebra's own (SO15_ALGEBRA_PEAK_MIB); it was 27.0 MiB
-#: while the subalgebra check formed every bracket of the isotropy.
-SO15_BUILD_PEAK_MIB = 32
+#: Traced peak of building so(15)/so(14): 20.5 MiB measured (numpy 2.4,
+#: CPython 3.11); it was 24.0 MiB, the algebra's own, while matrix_algebra
+#: held its fit coefficients through the constructor, and 27.0 MiB while the
+#: subalgebra check formed every bracket of the isotropy.
+SO15_BUILD_PEAK_MIB = 24
 
 #: Traced peak of round_sphere(14) on the cached algebra: 11.4 MiB measured
 #: (numpy 2.4, CPython 3.11), the isotropy's ad stack and the complement
@@ -31,28 +31,33 @@ SO15_BUILD_PEAK_MIB = 32
 SO15_SPACE_PEAK_MIB = 14
 
 #: Traced peak of transvection_space on so(15)/so(14), derivatives
-#: included: 4.9 MiB measured (numpy 2.4, CPython 3.11); it was 9.5 MiB
+#: included: 4.4 MiB measured (numpy 2.4, CPython 3.11) past the space, 4.9
+#: with the space built in the same trace; it was 9.5 MiB
 #: while [k, p] in p was checked through the ad stack of the 91 k fields
 #: rather than of the 14 fields of p.
 SO15_TRANSVECTION_PEAK_MIB = 7
 
-#: Traced peak of matrix_algebra on so(15): 24.1 MiB measured (numpy 2.4,
-#: CPython 3.11), with the thin SVD factors that give the fit; it was
-#: 40.9 MiB while the 5 460 pair commutators were formed all at once.
-SO15_ALGEBRA_PEAK_MIB = 28
+#: Traced peak of matrix_algebra on so(15): 18.5 MiB measured (numpy 2.4,
+#: CPython 3.11), the structure tensor and the constructor's antisymmetry
+#: check, 8.8 MiB each; it was 24.1 MiB while the fit coefficients lived
+#: through that check, and 40.9 MiB while the 5 460 pair commutators were
+#: formed all at once.
+SO15_ALGEBRA_PEAK_MIB = 22
 
-#: Traced peak of matrix_algebra on so(10): 2.05 MiB measured (numpy 2.4,
-#: CPython 3.11), the 990 commutators and their fit residuals, 0.8 MiB each,
-#: and the fit coefficients; it was 3.2 MiB while each chunk of pairs
-#: gathered copies of its generators.  A process that caches so(4) to so(9)
-#: builds so(10) on top of them, so this peak sets the sphere ladder's.
-SO10_ALGEBRA_PEAK_MIB = 2.5
+#: Traced peak of matrix_algebra on so(10): 1.61 MiB measured (numpy 2.4,
+#: CPython 3.11), the structure tensor and the constructor's antisymmetry
+#: check, 0.7 MiB each; the commutators and their fit take blocks of pairs
+#: within the byte budget.  It was 2.05 MiB while all 990 commutators and
+#: their fit residuals, 0.8 MiB each, were formed at once, and 3.2 MiB
+#: while each chunk of pairs gathered copies of its generators.  A process
+#: that caches so(4) to so(9) builds so(10) on top of them.
+SO10_ALGEBRA_PEAK_MIB = 2
 
 #: Traced peak of the exact Jacobi sum on so(12), the first call in the
-#: process: 7.8 MiB measured (numpy 2.4, CPython 3.11; 3.3 on so(8) and 5.6
-#: on so(10)), of which the antisymmetric part and its pair rows take 3.3,
-#: and the products and gathers of one block of k the rest.
-JACOBI_PEAK_MIB = 10
+#: process: 2.97 MiB measured (numpy 2.4, CPython 3.11), the antisymmetric
+#: part 2a, 2.19 MiB, and one block within the byte budget; it was 7.8 MiB
+#: while each block of k took products of 2^18 entries and their gathers.
+JACOBI_PEAK_MIB = 4
 
 
 @pytest.fixture(scope="module")
@@ -70,13 +75,7 @@ def so15_sphere():
     """round_sphere(14) and the traced peak of building it, in bytes, from
     an empty preset cache: with so(15) cached, no algebra build is traced."""
     so_elementary.cache_clear()
-    tracemalloc.start()
-    try:
-        sp = round_sphere(14)[0]
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    return sp, peak
+    return traced_peak(lambda: round_sphere(14)[0])
 
 
 def assert_symmetric_sphere(sp, n):
@@ -112,16 +111,9 @@ def test_so15_sphere_and_its_transvections_fit_their_memory(so15_sphere):
     transvection_space its [k, p] check through the ad stack of p: the
     round 14-sphere, within bounds that the all-pairs check and the ad
     stack of k exceed."""
-    tracemalloc.start()
-    try:
-        sp = round_sphere(14)[0]
-        space_peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.reset_peak()
-        fresh = sp.space(sp.metric)  # derivatives not yet computed
-        report = transvection_space(fresh)
-        transvection_peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    sp, space_peak = traced_peak(lambda: round_sphere(14)[0])
+    fresh = sp.space(sp.metric)  # derivatives not yet computed
+    report, transvection_peak = traced_peak(lambda: transvection_space(fresh))
     assert (report.index, report.coindex, report.k_space.dim) == (14, 0, 91)
     assert report.involutive_ok
     bound = symmetry_ideal(fresh, report)
@@ -152,43 +144,29 @@ def test_so15_sphere_certifies_kk_in_k_without_the_full_containment(
 
 
 def test_so15_algebra_forms_its_commutators_within_its_memory():
-    """matrix_algebra forms the commutators in place, one generator at a
-    time, and frees them before the tensor is built; the preset cache is
-    emptied first, so that so(15) is built while traced."""
+    """matrix_algebra forms the commutators and their fit by blocks of
+    pairs, and frees the fit before the tensor is checked; the preset
+    cache is emptied first, so that so(15) is built while traced."""
     so_elementary.cache_clear()
-    tracemalloc.start()
-    try:
-        so_elementary(15)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < SO15_ALGEBRA_PEAK_MIB * 2**20
+    assert traced_peak(lambda: so_elementary(15))[1] < (
+        SO15_ALGEBRA_PEAK_MIB * 2**20)
 
 
 def test_so10_algebra_gathers_no_copies_of_its_generators():
     """The commutators of the pairs that end in one generator come from one
-    broadcast product of views, so the build holds little beyond them."""
+    broadcast product of views, and the fit takes them by blocks of pairs
+    within the byte budget, so the build holds little beyond its tensor."""
     so_elementary.cache_clear()
-    tracemalloc.start()
-    try:
-        so_elementary(10)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < SO10_ALGEBRA_PEAK_MIB * 2**20
+    assert traced_peak(lambda: so_elementary(10))[1] < (
+        SO10_ALGEBRA_PEAK_MIB * 2**20)
 
 
 def test_jacobi_residual_memory_is_cubic(so12):
     """The three dim^4 tensors of the whole cyclic sum take 150 MB each here;
-    the residual works on a block of its largest index k at a time
-    instead.  The sum is at most the certificate, as for the smaller so(n)
-    in test_liealg."""
-    tracemalloc.start()
-    try:
-        residual = so12.jacobi_residual()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    the residual works on a block of its middle and last indices j and k
+    at a time instead.  The sum is at most the certificate, as for the
+    smaller so(n) in test_liealg."""
+    residual, peak = traced_peak(so12.jacobi_residual)
     assert residual <= so12._jacobi_bound <= DEFAULT_TOL
     assert residual < 1e-12
     assert peak < JACOBI_PEAK_MIB * 2**20

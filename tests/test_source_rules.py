@@ -102,26 +102,40 @@ def test_verify_reaches_the_stacked_core_by_one_route():
         assert found == {None, "_decided"}, (name, found)
 
 
-def test_homspace_chunks_by_one_byte_budget():
-    """Every chunked loop of ``homspace`` cuts its metrics with ``_chunks``,
-    the one helper that reads the byte budget ``_STACK_BYTES``, and each
-    stacked stage calls it: no ``range`` steps through rows and no module
-    constant counts them."""
-    path = pathlib.Path(symidx.__file__).parent / "homspace.py"
-    tree = ast.parse(path.read_text(), str(path))
-    stepped = [node.lineno for node in ast.walk(tree)
-               if isinstance(node, ast.Call)
-               and getattr(node.func, "id", None) == "range"
-               and len(node.args) == 3]
-    assert stepped == []
-    constants = {target.id for node in tree.body
-                 if isinstance(node, ast.Assign) for target in node.targets
-                 if isinstance(target, ast.Name)}
-    assert "_STACK_BYTES" in constants
-    assert not [name for name in constants if name.endswith("_ROWS")]
-    assert in_homspace("_STACK_BYTES") == {None, "_chunks"}
-    assert in_homspace("_chunks") == {"transvection_stack", "_decide_groups",
-                                      "symmetry_ideals"}
+def users(name: str) -> set:
+    """``file:function`` of each use of ``name`` in the package, imports
+    included (function None outside any)."""
+    return {f"{use.split(':')[0]}:{fn}"
+            for fn, uses in uses_by_function(name).items() for use in uses}
+
+
+def test_the_package_chunks_by_one_byte_budget():
+    """Every chunked loop of ``liealg`` and ``homspace`` cuts its items with
+    ``liealg._chunks``, the one helper that reads the package's one byte
+    budget ``_STACK_BYTES``, and each chunked stage calls it: no ``range``
+    steps through rows, and no other module constant counts bytes, entries
+    or rows."""
+    constants = set()
+    for path in sorted(pathlib.Path(symidx.__file__).parent.rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        constants |= {f"{path.name}:{target.id}" for node in tree.body
+                      if isinstance(node, ast.Assign)
+                      for target in node.targets
+                      if isinstance(target, ast.Name)}
+        if path.name in ("liealg.py", "homspace.py"):
+            assert not [node.lineno for node in ast.walk(tree)
+                        if isinstance(node, ast.Call)
+                        and getattr(node.func, "id", None) == "range"
+                        and len(node.args) == 3], path.name
+    assert [name for name in constants if name.endswith("_BYTES")] == [
+        "liealg.py:_STACK_BYTES"]
+    assert not [name for name in constants
+                if name.endswith(("_CHUNK", "_ROWS"))]
+    assert users("_STACK_BYTES") == {"liealg.py:None", "liealg.py:_chunks"}
+    assert users("_chunks") == {
+        "liealg.py:jacobi_residual", "liealg.py:matrix_algebra",
+        "homspace.py:None", "homspace.py:transvection_stack",
+        "homspace.py:_decide_groups", "homspace.py:symmetry_ideals"}
 
 
 def in_homspace(name: str) -> set:

@@ -197,13 +197,25 @@ class Presentation:
         #: Tangent part of ad(h) m, the metric-free factor of the skew check.
         self._e_ad_h_m = e_ad_h_m
 
+    _stack, _member = None, slice(None)  # of a part: see _members
+
+    @cached_property
+    def _lift_brackets(self) -> np.ndarray:
+        """Per member, the metric-free Koszul term: ``[a, b, c]`` is the
+        c-th coordinate of [m_a, m_b] at the base point (on first use)."""
+        alg, m = self.algebra, self.m_basis
+        return np.einsum("...kab,...ck->...abc", brackets(alg, m, m),
+                         self.eval_matrix)
+
     def _members(self, rows) -> "Presentation":
-        """The stack of positions ``rows``, each its own member, or self."""
+        """The stack of positions ``rows``, each its own member, or self; a
+        part reads its ``_stack``'s :attr:`_lift_brackets` at ``_member``."""
         if self.m_basis.ndim == 2:
             return self
         at = rows if self._place is None else self._place[rows]
         part = Presentation.__new__(Presentation)
-        vars(part).update(vars(self), _place=None)
+        vars(part).update(vars(self), _place=None, _stack=self._stack or self,
+                          _member=self._member[rows] if self._stack else at)
         for name in ("_refusals", "m_basis", "eval_matrix", "_e_ad_h_m"):
             setattr(part, name, getattr(self, name)[at])
         return part
@@ -329,13 +341,13 @@ def _metric_refusals(pres: Presentation, grams: np.ndarray) -> list:
 
 def _nablas(pres: Presentation, grams: np.ndarray) -> np.ndarray:
     """Shape (N, algebra dim, dim, dim): :attr:`HomogeneousSpace._nabla_basis`
-    for each metric of ``grams``, by the Koszul identity."""
+    per metric of ``grams`` by the Koszul identity, on the brackets of the
+    stack's members, :attr:`~Presentation._lift_brackets`."""
     _refuse_repeated_complements(pres)
     alg, e, m = pres.algebra, pres.eval_matrix, pres.m_basis
     ge = (grams @ e)[:, None]
     gv = ge @ alg.ad_stack @ m[..., None, :, :]
-    # brackets of complement lifts, evaluated at the base point
-    mm = np.einsum("...kab,...ck->...abc", brackets(alg, m, m), e)
+    mm = (pres._stack or pres)._lift_brackets[pres._member]
     term2 = np.moveaxis(mm @ ge, -1, 1)
     rhs = 0.5 * (gv - gv.swapaxes(-1, -2) + term2)
     return np.linalg.inv(grams)[:, None] @ rhs.swapaxes(-1, -2)
@@ -468,8 +480,8 @@ def transvection_stack(pres: Presentation, grams: np.ndarray) -> dict:
     metric of ``grams`` (N, dim, dim) on ``pres`` (at position i of a stack),
     by stacked calls with the one-metric cutoffs per chunk of :func:`_chunks`
     (by the bytes of the derivatives or the curvature): the metric checks,
-    then :func:`_nablas`, :func:`_parallel_fields` and per index the
-    curvature of the metrics kept; then :func:`_decide_groups` of them all.
+    then :func:`_nablas` (brackets per member), :func:`_parallel_fields` and
+    per index the curvature of those kept; then :func:`_decide_groups`.
 
     Returns one stacked result, a dict and no report object.  Per metric,
     it holds the arrays ``index`` (-1 where :class:`HomogeneousSpace`
@@ -479,8 +491,8 @@ def transvection_stack(pres: Presentation, grams: np.ndarray) -> dict:
     group per index) and ``k_space`` of the metrics ``rows``.
     Of the curvature candidates, the tangent basis directions and the
     parallel fields, ``refused`` counts those :func:`jacobi_operator` raises
-    on, and ``psd_ok`` holds when the others' operators are all psd by
-    :func:`_stacked_psd`.  Other shapes of ``grams`` raise ``ValueError``.
+    on, and ``psd_ok`` holds when the pivots of :func:`_stacked_psd` find
+    the others' operators psd.  Other shapes of ``grams`` raise ``ValueError``.
     """
     d, grams = pres.dim, np.asarray(grams, dtype=float)
     size = None if pres._place is None else len(pres._place)
@@ -777,12 +789,19 @@ def _refuse_curvature(first: int, residuals: np.ndarray) -> None:
 def _stacked_psd(grams: np.ndarray, lowered: np.ndarray) -> np.ndarray:
     """Whether each operator ``lowered`` (N, K, dim, dim) of :func:`_curvature`
     for the metrics ``grams`` (N, dim, dim) is psd by :func:`jacobi_operator`'s
-    rule, smallest eigenvalue at least ``-CHECK_TOL``: one ``eigvalsh`` of
-    the operators whitened by the Cholesky factors of the metrics."""
-    white = np.linalg.inv(np.linalg.cholesky(grams))[:, None]
-    w = np.linalg.eigvalsh(white @ (0.5 * (lowered + lowered.swapaxes(-1, -2)))
-                           @ white.swapaxes(-1, -2))
-    return np.all(w >= -CHECK_TOL, axis=-1)
+    rule, smallest eigenvalue at least ``-CHECK_TOL``: every pivot of an LDL^T
+    without pivoting of A + CHECK_TOL G, A the symmetric part, is > 0.  With
+    W = L^-1, G = L L^T: W A W^T + CHECK_TOL I = W (A + CHECK_TOL G) W^T, so
+    by Sylvester's law of inertia the rules differ only at a smallest
+    eigenvalue of -CHECK_TOL to within rounding, here not psd.  A pivot <= 0
+    or nan ends its operator's elimination and raises nothing."""
+    a = 0.5 * (lowered + lowered.swapaxes(-1, -2)) + CHECK_TOL * grams[:, None]
+    psd = np.ones(a.shape[:-2], bool)
+    for j in range(a.shape[-1]):
+        psd &= a[..., j, j] > 0
+        col = a[..., j + 1:, j] / np.where(psd, a[..., j, j], np.inf)[..., None]
+        a[..., j + 1:, j + 1:] -= col[..., None] * a[..., j, None, j + 1:]
+    return psd
 
 
 def jacobi_operator(sp: HomogeneousSpace, x: np.ndarray) -> JacobiSpectrum:

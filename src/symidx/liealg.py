@@ -693,17 +693,17 @@ def _killing_commutators(mats, pairs: slice) -> np.ndarray:
     slice ``pairs``, in place.  The pairs that end in j are contiguous, so
     one broadcast product per j forms them from views of ``mats``: no
     generator is gathered, and past the result only a stack of j products
-    is allocated at a time."""
+    is allocated at a time, for the j of pairs ``lo`` to ``hi - 1`` only."""
     lo, hi = pairs.start, pairs.stop
     comms = np.empty((hi - lo, *mats.shape[1:]), dtype=mats.dtype)
-    for j in range(1, len(mats)):
+    ends = [(1 + math.isqrt(8 * p + 1)) // 2 for p in (lo, hi - 1)]
+    for j in range(ends[0], ends[1] + 1):
         t = j * (j - 1) // 2  # the pairs t <= p < t + j end in j
         p0, p1 = max(t, lo), min(t + j, hi)
-        if p0 < p1:
-            out = np.matmul(mats[p0 - t:p1 - t], mats[j],
-                            out=comms[p0 - lo:p1 - lo])
-            out -= mats[j] @ mats[p0 - t:p1 - t]
-            np.negative(out, out=out)
+        out = np.matmul(mats[p0 - t:p1 - t], mats[j],
+                        out=comms[p0 - lo:p1 - lo])
+        out -= mats[j] @ mats[p0 - t:p1 - t]
+        np.negative(out, out=out)
     return comms
 
 

@@ -728,9 +728,10 @@ def test_a_sweep_makes_one_grouped_pass_per_index(capsys, monkeypatch):
 #: took chunks of 32 metrics, in bytes.
 CHUNKS_OF_32_PEAK = 819 * 1024
 
-#: Bound on the traced peak of that sweep, in bytes: 629 KiB measured
-#: (numpy 2.4, CPython 3.11); it was 692 KiB while each point's Gram matrix
-#: was held beside the stack of them.
+#: Bound on the traced peak of that sweep, in bytes: 639 KiB measured
+#: (numpy 2.4, CPython 3.11), 10 KiB of them the Koszul bracket terms of its
+#: 10 members; it was 692 KiB while each point's Gram matrix was held beside
+#: the stack of them.
 GRAMS_HELD_ONCE_PEAK = 660 * 1024
 
 
@@ -751,6 +752,29 @@ def traced_sweep(capsys, monkeypatch, argv) -> tuple:
         code, peak = traced_peak(lambda: run(capsys, "sweep", *argv)[0])
     assert code == 0
     return peak, held[0]
+
+
+def test_the_koszul_term_of_a_member_is_each_of_its_points(capsys,
+                                                           monkeypatch):
+    """The 190-point grid's 10-member stack forms its Koszul term once per
+    member, and the derivatives of each chunk are, bit for bit, those of
+    each point on the presentation of its own complement."""
+    chunks, inner = [], homspace._nablas
+
+    def nablas(pres, grams):
+        chunks.append((pres, grams, inner(pres, grams)))
+        return chunks[-1][-1]
+
+    monkeypatch.setattr(homspace, "_nablas", nablas)
+    pres = decided_sweep(capsys, monkeypatch, COUPLED_GRID)[0]
+    members = list(dict.fromkeys(pres.complement))
+    assert len(members) == len(vars(pres)["_lift_brackets"]) == 10
+    assert sum(len(grams) for _, grams, _ in chunks) == 190
+    for part, grams, got in chunks:
+        for m, gram, nabla in zip(part.m_basis, grams, got):
+            one, = (c for c in members if np.array_equal(c.basis, m))
+            want = inner(catalog.spin4_quotient(one, pres.tol), gram[None])[0]
+            assert np.array_equal(nabla, want)
 
 
 def test_a_sweep_stays_within_its_byte_budget(capsys, monkeypatch):

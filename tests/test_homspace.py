@@ -748,6 +748,60 @@ def test_batched_psd_check_matches_the_jacobi_operator_loop():
     assert min(seen.values()) >= 8, seen
 
 
+def _whitened_psd(grams, lowered):
+    """The curvature psd rule by its definition: the smallest eigenvalue of
+    each symmetric part whitened by the Cholesky factor of its metric is at
+    least -CHECK_TOL."""
+    white = np.linalg.inv(np.linalg.cholesky(grams))[:, None]
+    w = np.linalg.eigvalsh(white @ (0.5 * (lowered + lowered.swapaxes(-1, -2)))
+                           @ white.swapaxes(-1, -2))
+    return np.all(w >= -CHECK_TOL, axis=-1)
+
+
+@pytest.mark.parametrize("d", range(1, 10))
+def test_the_pivot_psd_rule_is_the_eigenvalue_rule_at_its_boundary(d):
+    """_stacked_psd decides as _whitened_psd on operators whose whitened
+    smallest eigenvalue is -CHECK_TOL (1 + delta) or -CHECK_TOL (1 - delta),
+    for delta down to 1e-6, and random metrics: 200 metrics of 4 operators
+    each, with a skew part that the rules drop; those just above the
+    boundary are psd and those just below are not."""
+    rng = np.random.default_rng(100 + d)
+    n, k = 200, 4
+    b = rng.normal(size=(n, d, d))
+    grams = b @ b.swapaxes(-1, -2) / d + np.eye(d)
+    low = np.linalg.cholesky(grams)[:, None]
+    for delta in (0.5, 1e-2, 1e-4, 1e-6):
+        above = rng.random((n, k)) < 0.5
+        w = rng.uniform(0.01, 2.0, size=(n, k, d))
+        w[..., 0] = -CHECK_TOL * np.where(above, 1 - delta, 1 + delta)
+        q = np.linalg.qr(rng.normal(size=(n, k, d, d)))[0]
+        skew = rng.normal(size=(n, k, d, d))
+        lowered = (low @ (q * w[..., None, :]) @ q.swapaxes(-1, -2)
+                   @ low.swapaxes(-1, -2) + skew - skew.swapaxes(-1, -2))
+        got = homspace._stacked_psd(grams, lowered)
+        np.testing.assert_array_equal(got, _whitened_psd(grams, lowered))
+        np.testing.assert_array_equal(got, above)
+
+
+def test_the_pivot_psd_rule_on_empty_and_non_finite_operators():
+    """No tangent direction reads psd, as does no candidate; an operator
+    with a nan entry reads not psd and raises nothing, and leaves the others
+    of its stack their answers."""
+    for d, k in ((0, 4), (3, 0)):
+        grams, lowered = np.eye(d)[None].repeat(5, 0), np.zeros((5, k, d, d))
+        got = homspace._stacked_psd(grams, lowered)
+        assert got.shape == (5, k) and got.all()
+        np.testing.assert_array_equal(got, _whitened_psd(grams, lowered))
+    grams = np.eye(3)[None].repeat(2, 0)
+    lowered = np.eye(3) * np.array([1.0, -1.0])[:, None, None, None]
+    lowered = lowered.repeat(3, axis=1)
+    lowered[:, 1, 2, 0] = np.nan
+    with np.errstate(all="raise"):
+        got = homspace._stacked_psd(grams, lowered)
+    np.testing.assert_array_equal(got, [[True, False, True],
+                                        [False, False, False]])
+
+
 def test_a_stack_of_metrics_is_decided_as_each_metric_alone():
     """transvection_stack decides the metrics of one presentation together;
     per metric it gives None where HomogeneousSpace refuses the metric, and
@@ -1173,6 +1227,27 @@ def test_a_full_seed_gives_the_whole_algebra_without_a_factorization(
     assert seen[:11] == [(n, True) for n in range(2, 10)] + [(3, True)] * 2 + [
         None]
     assert sorted(seen[11:]) == [(0, False)] * 4 + [(1, False)] * 2
+
+
+def test_a_nested_part_of_a_stack_reads_its_own_members_lift_brackets():
+    """Parts of the stack [a, b, a, c] of so4-so2 complements, and parts of
+    a part, hold one Koszul term, the stack's, and read at each position
+    its own member's: their derivatives are those of each position's own
+    presentation, bit for bit.  The part of positions 1 to 3 holds the
+    members b, a, c, and its positions 2 and 0 are the stack's c and b."""
+    a, b, c = (so4_so2_complement(lam) for lam in (0.3, 0.6, 0.9))
+    stack = spin4_quotient([a, b, a, c], 1e-9)
+    grams = np.array([so4_so2_gram(s, 2.0 - s) for s in (0.4, 0.8, 1.2, 1.6)])
+    part = stack._members(np.arange(1, 4))
+    nested = part._members(np.array([2, 0]))
+    for sub, positions in ((part, [1, 2, 3]), (nested, [3, 1])):
+        assert sub._stack is stack
+        got = homspace._nablas(sub, grams[positions])
+        for row, i in enumerate(positions):
+            one = spin4_quotient([a, b, a, c][i], 1e-9)
+            assert np.array_equal(got[row],
+                                  homspace._nablas(one, grams[i][None])[0])
+    assert "_lift_brackets" in vars(stack)  # formed once, on the stack
 
 
 def test_a_stacked_presentation_refuses_exactly_its_failing_members():

@@ -1062,6 +1062,54 @@ def test_a_preset_fit_by_blocks_of_pairs_keeps_every_bit(gens, monkeypatch):
     assert same_bits(alg._jacobi_bound, whole._jacobi_bound)
 
 
+def every_generator_commutators(mats, pairs: slice) -> np.ndarray:
+    """The reference for ``_killing_commutators``: the same products, by a
+    walk over every generator j for each block of pairs."""
+    lo, hi = pairs.start, pairs.stop
+    comms = np.empty((hi - lo, *mats.shape[1:]), dtype=mats.dtype)
+    for j in range(1, len(mats)):
+        t = j * (j - 1) // 2
+        p0, p1 = max(t, lo), min(t + j, hi)
+        if p0 < p1:
+            out = np.matmul(mats[p0 - t:p1 - t], mats[j],
+                            out=comms[p0 - lo:p1 - lo])
+            out -= mats[j] @ mats[p0 - t:p1 - t]
+            np.negative(out, out=out)
+    return comms
+
+
+@pytest.mark.parametrize("gens, budget, blocks", [
+    # so(8): 378 pairs of 1 760 bytes each
+    *(pytest.param(lambda: so_elementary(8)[1], budget, blocks, id=f"so8-{i}")
+      for budget, blocks, i in ((2 ** 62, 1, "one-block"),
+                                (10 ** 5, 7, "blocks"),
+                                (1, 378, "one-per-pair"))),
+    *(pytest.param(*g.values, None, None, id=g.id)
+      for g in PRESET_GENERATORS)])
+def test_the_walk_of_a_block_takes_only_its_generators(gens, budget, blocks,
+                                                       monkeypatch):
+    """``_killing_commutators`` walks only the generators that end a pair of
+    its block: each block's commutators, and every preset's tensor and
+    certificate at the default budget, keep the bits of the walk over all
+    generators; so(8) is cut into one block, several and one per pair."""
+    gens = gens()
+    if budget is not None:
+        monkeypatch.setattr(liealg, "_STACK_BYTES", budget)
+    pairs = len(gens) * (len(gens) - 1) // 2
+    width = liealg._flatten_real(gens).shape[1]
+    parts = liealg._chunks(pairs, 3 * width + len(gens))
+    assert blocks in (None, len(parts))
+    for part in parts:
+        assert same_bits(liealg._killing_commutators(gens, part),
+                         every_generator_commutators(gens, part))
+    alg = matrix_algebra(gens)[0]
+    monkeypatch.setattr(liealg, "_killing_commutators",
+                        every_generator_commutators)
+    walked = matrix_algebra(gens)[0]
+    assert same_bits(alg.structure, walked.structure)
+    assert same_bits(alg._jacobi_bound, walked._jacobi_bound)
+
+
 @pytest.mark.parametrize("gens", [
     pytest.param(lambda: so_elementary(6)[1], id="so6"),
     pytest.param(lambda: su3()[1], id="su3"),

@@ -3,7 +3,8 @@ singular values it holds.  ``np.linalg.lstsq`` and ``np.linalg.matrix_rank``
 each take a decomposition of their own under a rank rule of their own
 (``rcond``, ``tol``), so no module of the package may name them, and only
 the rank primitives of ``liealg`` and ``matrix_algebra`` may name ``svd``,
-beside that cutoff.  Likewise one helper holds the curvature psd rule."""
+beside that cutoff.  Likewise one helper holds the curvature psd rule, and
+the presentation the metric-free term of the Koszul identity."""
 
 import ast
 import pathlib
@@ -79,17 +80,45 @@ def test_only_the_rank_primitives_take_a_singular_value_decomposition():
     assert set(found) == SVD_CALLERS, found
 
 
-def test_one_whitened_curvature_psd_rule():
-    """A metric is whitened by its Cholesky factor in ``pencil_eigh`` and in
-    the one stacked curvature psd rule, and only ``homspace`` takes a
-    symmetric spectrum by ``eigvalsh``: the checks of ``verify`` call that
-    rule instead of repeating it."""
+def test_one_pivot_curvature_psd_rule():
+    """A metric is whitened by its Cholesky factor in ``pencil_eigh`` alone:
+    the one stacked curvature psd rule reads the pivots of an elimination
+    and takes no factor, inverse or spectrum, and only ``homspace`` takes a
+    symmetric spectrum by ``eigvalsh``, in the metric rule: the checks of
+    ``verify`` call that psd rule instead of repeating it."""
     found = uses_by_function("cholesky")
     assert {fn: {use.split(":")[0] for use in uses}
+            for fn, uses in found.items()} == {"pencil_eigh": {"liealg.py"}}
+    for name in ("cholesky", "inv", "eigvalsh", "svd"):
+        assert "_stacked_psd" not in uses_by_function(name), name
+    found = uses_by_function("eigvalsh")
+    assert {fn: {use.split(":")[0] for use in uses}
             for fn, uses in found.items()} == {
-        "pencil_eigh": {"liealg.py"}, "_stacked_psd": {"homspace.py"}}, found
-    found = named_uses(("eigvalsh",))
-    assert found and {use.split(":")[0] for use in found} == {"homspace.py"}
+        "_metric_refusals": {"homspace.py"}}, found
+
+
+def test_the_presentation_forms_the_brackets_of_complement_lifts():
+    """The metric-free Koszul term is a fact of the presentation: only
+    ``Presentation._lift_brackets`` brackets the complement with itself,
+    and ``_nablas`` reads it and names no ``brackets``."""
+    path = pathlib.Path(symidx.__file__).parent / "homspace.py"
+    forming = set()
+
+    def visit(node, enclosing):
+        if isinstance(node, ast.FunctionDef):
+            enclosing = node.name
+        if (isinstance(node, ast.Call)
+                and getattr(node.func, "id", None) == "brackets"
+                and [getattr(arg, "id", None) for arg in node.args[1:]]
+                == ["m", "m"]):
+            forming.add(enclosing)
+        for child in ast.iter_child_nodes(node):
+            visit(child, enclosing)
+
+    visit(ast.parse(path.read_text()), None)
+    assert forming == {"_lift_brackets"}
+    assert "_nablas" not in uses_by_function("brackets")
+    assert "_nablas" in uses_by_function("_lift_brackets")
 
 
 def test_verify_reaches_the_stacked_core_by_one_route():

@@ -389,8 +389,11 @@ class BoundReport:
 
     ``gD`` is the largest ideal of the algebra containing only fields
     tangent to the distinguished foliation (isotropy plus ``p_space``, or
-    plus the lifted ``s_space``), ``g_prime`` its orthogonal ideal
-    complement for the ad-invariant reference form.  The report compares
+    plus the lifted ``s_space``), ``g_prime`` its ideal complement: the
+    whole algebra where gD is 0, empty where gD is the whole algebra, and
+    else the orthogonal complement for the ad-invariant reference form,
+    the one case that reads the form and so the one where an algebra not
+    of the compact plus abelian kind is refused.  The report compares
     ``lhs = 2 dim(g_prime)`` against ``rhs = k (k + 1)`` for the coindex
     ``k``; ``equality`` flags the extremal case.
     """
@@ -652,12 +655,17 @@ def symmetry_ideals(pres: Presentation, stack: dict) -> dict:
     Seeds the largest-ideal iteration of :func:`invariant_subspaces` with
     the isotropy plus ``p_space``, of full rank (:class:`TransvectionReport`)
     and the span of the isotropy plus the lifted ``s_space``, as each field
-    is its isotropy part plus the lift of its value.  Its complement for
-    the nondegenerate ad-invariant form, of dimension n - dim gD, is again
-    an ideal (internal error if the numerics disagree) and enters the
-    bound ``2 dim(g_prime) <= k (k + 1)``.  A seed of n columns, coindex 0,
-    is the whole algebra by that full rank: gD is the identity and
-    ``g_prime`` empty, with no factorization.
+    is its isotropy part plus the lift of its value.  The complement
+    ``g_prime``, of dimension n - dim gD, enters the bound
+    ``2 dim(g_prime) <= k (k + 1)``.  Where gD is 0 it is the identity, and
+    where gD is the whole algebra it is empty, on any algebra.  Only where
+    0 < dim gD < n is it the complement for the nondegenerate ad-invariant
+    :func:`~symidx.liealg.reference_form`, again an ideal (internal error
+    if the numerics disagree), and only there is the form read: an algebra
+    that it refuses, not of the compact plus abelian kind (the Heisenberg
+    algebra), is refused there by its ``ValueError``.  A seed of n
+    columns, coindex 0, is the whole algebra by that full rank: gD is the
+    identity, with no factorization.
     """
     alg, tol, n = pres.algebra, pres.tol, pres.algebra.dim
     ideals = []  # (rows, stacked bases of gD)
@@ -674,19 +682,21 @@ def symmetry_ideals(pres: Presentation, stack: dict) -> dict:
             ideals += [(rows[sub], g_d) for sub, g_d in invariant_subspaces(
                 alg.ad_stack, stacked_frames(seeds), tol)]
 
-    q = reference_form(alg, tol).gram
     dims, g_ds, g_primes = np.zeros(len(stack["index"]), int), [], []
     for rows, g_d in ideals:
         d = g_d.shape[-1]
-        g_prime = (stacked_kernels(g_d.swapaxes(-1, -2) @ q)[0][:, :, d:]
-                   if d < n else g_d[..., :0])
-        # the complement of 0 or of the whole algebra is an ideal exactly
-        worst = (np.abs(stacked_leaks(alg.ad_stack, g_prime)).max(
-            axis=(-2, -1)) if 0 < d < n else np.zeros(1))
-        if worst.max() > CHECK_TOL:
-            raise RuntimeError(
-                f"internal: complement of the symmetry ideal is not an ideal "
-                f"(residual {worst[worst > CHECK_TOL][0]:.3e})")
+        if d in (0, n):  # the complement of 0 or of g, an ideal exactly
+            g_prime = (np.zeros((len(rows), n, n)) + np.eye(n) if d == 0
+                       else g_d[..., :0])
+        else:
+            g_prime = stacked_kernels(g_d.swapaxes(-1, -2) @ reference_form(
+                alg, tol).gram)[0][:, :, d:]
+            worst = np.abs(stacked_leaks(alg.ad_stack, g_prime)).max(
+                axis=(-2, -1))
+            if worst.max() > CHECK_TOL:
+                raise RuntimeError(
+                    f"internal: complement of the symmetry ideal is not an "
+                    f"ideal (residual {worst[worst > CHECK_TOL][0]:.3e})")
         dims[rows] = d
         g_ds.append((rows, g_d))
         g_primes.append((rows, g_prime))

@@ -554,7 +554,10 @@ def reference_form(alg: LieAlgebra, tol: float = DEFAULT_TOL) -> BilinearForm:
     ``g = ker(B) + [g, g]``; ad-images lie in the derived part and carry no
     kernel component, which keeps the extension ad-invariant.  Raises if
     the two pieces do not span (the algebra is then not of the compact plus
-    abelian kind this package handles).
+    abelian kind this package handles, such as the Heisenberg algebra).
+    ``homspace.symmetry_ideals`` reads it only to split a proper symmetry
+    ideal off the algebra, so such an algebra is refused there alone, and
+    :func:`orthogonal_complement` reads it for a space given no complement.
 
     Computed once per algebra and ``tol``; the Gram matrix is read-only.
     """

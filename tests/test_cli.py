@@ -158,6 +158,28 @@ def test_index_of_an_inline_document_stays_within_its_memory(capsys,
     assert code == 0 and peak < SO8_INDEX_PEAK_MIB * 2**20
 
 
+@pytest.mark.parametrize("name", [
+    "round-sphere:3", "round-sphere:5", "so4-so2:0.5,0.8",
+    "so4-so2:0.3,1.2,0.8", "spin3:1,1,1", "spin3:0.5,1.5,2",
+    "product-spheres:1", "cp2-centriole"])
+def test_index_builds_the_reference_form_only_to_split_a_proper_ideal(
+        capsys, monkeypatch, tmp_path, name):
+    """An emitted document carries its algebra inline, so each ``index``
+    builds a new algebra: one whose symmetry ideal is 0 or the whole
+    algebra builds no reference form, and cp2-centriole, whose ideal is
+    a line in u(2), builds one to split it off."""
+    path = tmp_path / "space.json"
+    path.write_text(run(capsys, "catalog", "emit", name)[1])
+    built, build = [], liealg._reference_form
+    monkeypatch.setattr(liealg, "_reference_form",
+                        lambda alg, tol: built.append(tol) or build(alg, tol))
+    code, out, _ = run(capsys, "index", "--space", str(path))
+    bound = json.loads(out)["bound"]
+    proper = 0 < bound["gD"]["dim"] < bound["gD"]["ambient_dim"]
+    assert code == 0 and proper == (name == "cp2-centriole")
+    assert built == ([1e-9] if proper else [])
+
+
 @pytest.mark.parametrize("build", [
     lambda: round_sphere(3), lambda: round_sphere(4),
     lambda: so4_so2(0.5, 0.8), lambda: so4_so2(0.3, 0.5, 1.1),

@@ -535,6 +535,37 @@ def test_augmented_squashed_sphere_bound():
     assert bound.gD.contains(np.array([0.0, 0.0, 0.0, 1.0]))
 
 
+def test_a_non_reductive_algebra_gets_its_bound_where_gd_is_zero():
+    """The Heisenberg algebra has no ad-invariant reference form, which the
+    bound reads only to split a proper ideal off: its symmetry ideal is 0,
+    whose ideal complement is the whole algebra on any algebra, so the
+    bound reads 6 <= 12 for coindex 3, as SL(2, R)'s does."""
+    sp = _heisenberg_group(np.diag([1.0, 2.0, 0.5]))
+    with pytest.raises(ValueError, match="do not split"):
+        reference_form(sp.algebra, sp.tol)
+    for group in (sp, _sl2_group(np.diag([1.0, 2.0, 0.5]))):
+        bound = symmetry_ideal(group)
+        assert (bound.gD.dim, bound.g_prime.dim, bound.k, bound.lhs,
+                bound.rhs, bound.equality) == (0, 3, 3, 6, 12, False)
+        np.testing.assert_array_equal(bound.g_prime.basis, np.eye(3))
+
+
+def test_a_non_reductive_algebra_is_refused_where_a_proper_ideal_splits_off():
+    """On the Heisenberg group times a line, the line's field is parallel
+    and an ideal, so gD is the line, of dimension 0 < 1 < 4, and its
+    complement needs the reference form: the algebra is refused by name."""
+    heisenberg = _heisenberg_group(np.eye(3)).algebra
+    alg = direct_sum(heisenberg, abelian(1)[0])
+    sp = HomogeneousSpace(alg, Subspace.zero(4), BilinearForm(np.eye(4)),
+                          complement=Subspace(4, np.eye(4)))
+    report = transvection_space(sp)
+    assert report.index == 1
+    assert report.p_space.contains(np.array([0.0, 0.0, 0.0, 1.0]))
+    with pytest.raises(ValueError, match="kernel of B and derived "
+                                         "subalgebra do not split"):
+        symmetry_ideal(sp, report)
+
+
 def test_perpendicular_space_of_the_coupled_quotient():
     lam = 0.4
     sp, _ = so4_so2(lam, 0.7)

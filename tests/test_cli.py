@@ -346,6 +346,53 @@ def test_index_exit_codes(capsys, tmp_path):
     assert "positive definite" in err
 
 
+def _index_of(capsys, tmp_path, text: str) -> tuple:
+    path = tmp_path / "space.json"
+    path.write_text(text)
+    return run(capsys, "index", "--space", str(path))
+
+
+@pytest.mark.parametrize("name, message", [
+    ("abelian:-3", "dimension must be nonnegative"),
+    ("abelian:x", "malformed abelian preset 'abelian:x'"),
+    ("so5", "unknown algebra preset 'so5'")])
+def test_a_preset_that_cannot_be_built_is_exit_two(capsys, tmp_path, name,
+                                                    message):
+    """An unknown or malformed preset is unusable input: its one error line
+    points at /algebra."""
+    document = {"algebra": name, "isotropy": [], "metric": []}
+    code, out, err = _index_of(capsys, tmp_path, json.dumps(document))
+    assert (code, out, err) == (2, "", f"error: /algebra: {message}\n")
+
+
+@pytest.mark.parametrize("algebra, pointer", [
+    ("abelian:1000000", "/algebra"),
+    ({"dim": 10 ** 6, "labels": [], "structure": []}, "/algebra/dim")],
+    ids=["preset", "inline"])
+def test_an_algebra_of_a_million_dimensions_is_exit_two(capsys, tmp_path,
+                                                        algebra, pointer):
+    """Refused by its dimension alone, before its structure tensor, of
+    8 n^3 bytes (6.94 EiB here), is asked for."""
+    document = {"algebra": algebra, "isotropy": [], "metric": []}
+    code, out, err = _index_of(capsys, tmp_path, json.dumps(document))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {pointer}: algebra dimension must be at "
+                          f"most MAX_ALGEBRA_DIM = ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("text", [
+    "[" * 100_000,
+    '{"algebra": "so3", "isotropy": ' + "[" * 100_000 + "]" * 100_000 + "}"],
+    ids=["unclosed", "closed"])
+def test_a_document_nested_too_deeply_is_exit_two(capsys, tmp_path, text):
+    """The parser's recursion ends in one error line, not a traceback."""
+    code, out, err = _index_of(capsys, tmp_path, text)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: not valid JSON: ") and err.count("\n") == 1
+    assert "nested too deeply" in err
+
+
 @pytest.mark.parametrize("command", ["sweep", "index"])
 def test_a_value_error_anywhere_in_a_command_is_exit_one(
         capsys, monkeypatch, quotient_file, command):

@@ -37,6 +37,12 @@ CHECK_TOL = 1e-8
 #: Smallest tolerance accepted, 64 units of roundoff: below, roundoff decides.
 MIN_TOL = 64 * math.ulp(1.0)
 
+#: Largest dimension of an algebra built from a dimension alone (an
+#: abelian preset, an inline document), refused before its structure tensor
+#: of 8 dim^3 bytes is asked for: 136 = dim so(17), the algebra of the
+#: largest catalog sphere, whose tensor takes 19.2 MiB.
+MAX_ALGEBRA_DIM = 136
+
 #: Most bytes of the work arrays of one block of a chunked loop, the
 #: package's one budget, which each loop cuts by its own bytes per item in
 #: :func:`_chunks`: the exact Jacobi sum, the commutator fit of
@@ -68,6 +74,15 @@ def checked_tol(tol) -> float:
                          f"MIN_TOL = {MIN_TOL:.3g}, below which roundoff "
                          f"decides ranks")
     return tol
+
+
+def checked_dim(n: int) -> int:
+    """``n``, if an algebra of that dimension may be built, else
+    ``ValueError``: it is above :data:`MAX_ALGEBRA_DIM`."""
+    if n > MAX_ALGEBRA_DIM:
+        raise ValueError(f"algebra dimension must be at most MAX_ALGEBRA_DIM "
+                         f"= {MAX_ALGEBRA_DIM}")
+    return n
 
 
 def _sv_cutoff(s: np.ndarray, tol: float) -> np.ndarray:
@@ -904,9 +919,11 @@ def su3():
 
 
 def abelian(n: int):
-    """The abelian algebra R^n (zero structure tensor, no representation)."""
+    """The abelian algebra R^n (zero structure tensor, no representation),
+    0 <= n <= MAX_ALGEBRA_DIM."""
     if n < 0:
         raise ValueError("dimension must be nonnegative")
+    checked_dim(n)
     labels = tuple(f"a{k + 1}" for k in range(n))
     return LieAlgebra(n, labels, np.zeros((n, n, n))), None
 
@@ -915,8 +932,9 @@ def preset(name: str):
     """Named algebra presets.
 
     ``so3``, ``so4`` (elementary skew bases), ``spin3_quat`` (quaternion
-    model), ``su3``, and ``abelian:<n>``.  Returns (LieAlgebra,
-    representation or None).  All but ``abelian:<n>``, which is built on
+    model), ``su3``, and ``abelian:<n>`` for 0 <= n <= MAX_ALGEBRA_DIM.
+    Returns (LieAlgebra, representation or None); an unknown or malformed
+    name raises ``ValueError``.  All but ``abelian:<n>``, which is built on
     each call, are built once per process and shared read-only.
     """
     if name == "so3":

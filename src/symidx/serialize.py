@@ -39,6 +39,7 @@ from .liealg import (
     LieAlgebra,
     Subspace,
     canonical_basis,
+    checked_dim,
     eigenvalue_clusters,
     preset,
 )
@@ -207,10 +208,18 @@ def _span(rows, ambient: int, what: str) -> Subspace:
 
 
 def _algebra(field) -> LieAlgebra:
-    """The algebra of a document: a preset name or an inline algebra."""
-    if isinstance(field, str):
-        return preset(field)[0]
-    n = int(field["dim"])  # an integral float such as 3.0 is an integer
+    """The algebra of a document: a preset name or an inline algebra.  A
+    preset that cannot be built (unknown, malformed, or of a dimension
+    above MAX_ALGEBRA_DIM) and an inline dimension above it are format
+    errors, raised before any array of the algebra is formed."""
+    pointer = "/algebra" if isinstance(field, str) else "/algebra/dim"
+    try:
+        if isinstance(field, str):
+            return preset(field)[0]
+        # an integral float such as 3.0 is an integer
+        n = checked_dim(int(field["dim"]))
+    except ValueError as exc:
+        raise SpaceFormatError(str(exc), pointer) from None
     if len(field["labels"]) != n:
         raise SpaceFormatError(
             f"an algebra of dimension {n} needs {n} labels; found "
@@ -227,8 +236,9 @@ def space_from_dict(document: dict, tol: float = DEFAULT_TOL) -> HomogeneousSpac
 
     Math-level failures (bad structure tensor, non-reductive complement,
     indefinite metric) propagate as plain ``ValueError`` from the
-    constructors; only format problems, array shapes and non-finite
-    numbers among them, raise :class:`SpaceFormatError`.
+    constructors; only format problems, array shapes, non-finite numbers
+    and an algebra that its name or dimension cannot give among them,
+    raise :class:`SpaceFormatError`.
     """
     _validate(document)
     algebra = _algebra(document["algebra"])
@@ -254,7 +264,8 @@ def load_space(path: str, tol: float = DEFAULT_TOL) -> HomogeneousSpace:
 
     ``NaN``, ``Infinity`` and ``-Infinity``, which Python's ``json`` reads
     by default but JSON does not define, raise :class:`SpaceFormatError`,
-    and so does a file that is not UTF-8.
+    and so do a file that is not UTF-8 and one nested deeper than the
+    parser's recursion limit.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -265,6 +276,9 @@ def load_space(path: str, tol: float = DEFAULT_TOL) -> HomogeneousSpace:
                 f"column {exc.colno})") from exc
         except UnicodeDecodeError as exc:
             raise SpaceFormatError(f"not valid UTF-8: {exc}") from exc
+        except RecursionError:  # the parser's depth is the stack's
+            raise SpaceFormatError("not valid JSON: arrays or objects "
+                                   "nested too deeply") from None
     if not isinstance(document, dict):
         raise SpaceFormatError("top level must be an object")
     return space_from_dict(document, tol)

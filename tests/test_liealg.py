@@ -588,6 +588,23 @@ def test_presets_cover_documented_names():
         preset("abelian:x")
 
 
+@pytest.mark.parametrize("n", [liealg.MAX_ALGEBRA_DIM + 1, 10 ** 6])
+def test_an_abelian_algebra_above_the_limit_is_refused_before_it_allocates(n):
+    """abelian and its preset refuse a dimension above MAX_ALGEBRA_DIM
+    before the n^3 tensor is asked for; the limit keeps so(17), the
+    algebra of the largest catalog sphere."""
+    largest = catalog.MAX_SPHERE_DIM + 1
+    assert largest * (largest - 1) // 2 <= liealg.MAX_ALGEBRA_DIM
+
+    def refused():
+        for build in (lambda: abelian(n), lambda: preset(f"abelian:{n}")):
+            with pytest.raises(ValueError, match=(
+                    f"at most MAX_ALGEBRA_DIM = {liealg.MAX_ALGEBRA_DIM}")):
+                build()
+
+    assert traced_peak(refused)[1] < 2 ** 16
+
+
 def test_quaternion_left_multiplication_table():
     li = quaternion_left_multiplication(1)
     # i * j = k, i * i = -1

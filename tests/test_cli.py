@@ -234,13 +234,15 @@ def _run_script(script: str):
     assert proc.returncode == 0, proc.stderr
 
 
-def test_scipy_is_not_imported(tmp_path):
+def _assert_not_imported(tmp_path, module: str):
+    """In a fresh interpreter, ``import symidx`` and then ``index``,
+    ``sweep``, ``jacobi`` and ``verify`` leave ``module`` unimported."""
     sphere = tmp_path / "sphere.json"
     sphere.write_text(json.dumps(space_to_dict(round_sphere(3)[0])))
     script = f"""
 import contextlib, io, sys
 import symidx
-assert "scipy" not in sys.modules, "import symidx"
+assert {module!r} not in sys.modules, "import symidx"
 from symidx.cli import main
 for argv in (["index", "--space", {str(sphere)!r}],
              ["sweep", "--family", "so4-so2", "--lambda", "0.5",
@@ -251,9 +253,19 @@ for argv in (["index", "--space", {str(sphere)!r}],
             contextlib.redirect_stderr(io.StringIO()):
         code = main(argv)
     assert code == 0, argv
-    assert "scipy" not in sys.modules, argv
+    assert {module!r} not in sys.modules, argv
 """
     _run_script(script)
+
+
+def test_scipy_is_not_imported(tmp_path):
+    _assert_not_imported(tmp_path, "scipy")
+
+
+def test_numpy_random_is_not_imported(tmp_path):
+    """verify draws its seeded normals from the standard library's random,
+    which spares each run numpy.random's import (about 6 MiB of RSS)."""
+    _assert_not_imported(tmp_path, "numpy.random")
 
 
 def test_symidx_runs_without_jsonschema(tmp_path):

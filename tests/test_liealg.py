@@ -502,6 +502,26 @@ def test_a_cached_preset_and_its_ad_stack_allocate_nothing_new():
     assert traced_peak(lambda: alg.ad_stack)[1] < 4096
 
 
+@pytest.mark.parametrize("k", [3, 4, 6, 8])
+def test_the_reference_form_of_a_rebased_compact_sum_with_a_centre(k):
+    """so(k) + R^2 under 20 seeded orthogonal changes of basis: the derived
+    subalgebra is so(k) and the reference form, the Killing form extended
+    by the unit form on the centre, is positive definite and ad-invariant.
+    The rank of [g, g] is the one decision here that roundoff can move: an
+    eigenvalue of S S^T, S the bracket table, that is roundoff near
+    1e-16 |S|^2 has a square root near 1e-8 |S|, above a cutoff of 1e-9."""
+    base = direct_sum(so_elementary(k)[0], abelian(2)[0])
+    n, rng = base.dim, np.random.default_rng(k)
+    for _ in range(20):
+        q = _random_orthogonal(rng, n)
+        alg = LieAlgebra(n, base.basis_labels, np.einsum(
+            "ai,bj,abc,ck->ijk", q, q, base.structure, q, optimize=True))
+        assert derived_subalgebra(alg).dim == k * (k - 1) // 2
+        gram, ads = reference_form(alg).gram, alg.ad_stack
+        assert np.linalg.eigvalsh(gram)[0] > 0.5
+        assert np.abs(gram @ ads + ads.swapaxes(1, 2) @ gram).max() < 1e-12
+
+
 def test_reference_form_is_cached_per_tolerance():
     alg = direct_sum(spin3_quaternion()[0], abelian(2)[0])
     loose, tight = reference_form(alg, 1e-6), reference_form(alg, 1e-9)

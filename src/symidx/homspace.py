@@ -686,7 +686,7 @@ def symmetry_ideals(pres: Presentation, stack: dict) -> dict:
     for rows, g_d in ideals:
         d = g_d.shape[-1]
         if d in (0, n):  # the complement of 0 or of g, an ideal exactly
-            g_prime = (np.zeros((len(rows), n, n)) + np.eye(n) if d == 0
+            g_prime = (np.eye(n)[None].repeat(len(rows), 0) if d == 0
                        else g_d[..., :0])
         else:
             g_prime = stacked_kernels(g_d.swapaxes(-1, -2) @ reference_form(

@@ -78,7 +78,9 @@ def checked_tol(tol) -> float:
 
 def checked_dim(n: int) -> int:
     """``n``, if an algebra of that dimension may be built, else
-    ``ValueError``: it is above :data:`MAX_ALGEBRA_DIM`."""
+    ``ValueError``: it is negative or above :data:`MAX_ALGEBRA_DIM`."""
+    if n < 0:
+        raise ValueError("dimension must be nonnegative")
     if n > MAX_ALGEBRA_DIM:
         raise ValueError(f"algebra dimension must be at most MAX_ALGEBRA_DIM "
                          f"= {MAX_ALGEBRA_DIM}")
@@ -921,10 +923,7 @@ def su3():
 def abelian(n: int):
     """The abelian algebra R^n (zero structure tensor, no representation),
     0 <= n <= MAX_ALGEBRA_DIM."""
-    if n < 0:
-        raise ValueError("dimension must be nonnegative")
-    checked_dim(n)
-    labels = tuple(f"a{k + 1}" for k in range(n))
+    labels = tuple(f"a{k + 1}" for k in range(checked_dim(n)))
     return LieAlgebra(n, labels, np.zeros((n, n, n))), None
 
 

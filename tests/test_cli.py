@@ -377,20 +377,21 @@ def test_a_preset_that_cannot_be_built_is_exit_two(capsys, tmp_path, name,
     assert (code, out, err) == (2, "", f"error: /algebra: {message}\n")
 
 
-@pytest.mark.parametrize("algebra, pointer", [
-    ("abelian:1000000", "/algebra"),
-    ({"dim": 10 ** 6, "labels": [], "structure": []}, "/algebra/dim")],
-    ids=["preset", "inline"])
-def test_an_algebra_of_a_million_dimensions_is_exit_two(capsys, tmp_path,
-                                                        algebra, pointer):
-    """Refused by its dimension alone, before its structure tensor, of
-    8 n^3 bytes (6.94 EiB here), is asked for."""
+@pytest.mark.parametrize("n", [liealg.MAX_ALGEBRA_DIM + 1, 10 ** 6])
+@pytest.mark.parametrize("inline", [False, True], ids=["preset", "inline"])
+def test_an_algebra_above_the_dimension_limit_is_exit_two(capsys, tmp_path,
+                                                          n, inline):
+    """Refused by its dimension alone, before the labels are counted and
+    before its structure tensor, of 8 n^3 bytes (6.94 EiB at 10^6), is
+    asked for."""
+    algebra = ({"dim": n, "labels": [], "structure": []} if inline
+               else f"abelian:{n}")
     document = {"algebra": algebra, "isotropy": [], "metric": []}
     code, out, err = _index_of(capsys, tmp_path, json.dumps(document))
-    assert (code, out) == (2, "")
-    assert err.startswith(f"error: {pointer}: algebra dimension must be at "
-                          f"most MAX_ALGEBRA_DIM = ")
-    assert err.count("\n") == 1
+    pointer = "/algebra/dim" if inline else "/algebra"
+    assert (code, out, err) == (2, "", (
+        f"error: {pointer}: algebra dimension must be at most "
+        f"MAX_ALGEBRA_DIM = {liealg.MAX_ALGEBRA_DIM}\n"))
 
 
 @pytest.mark.parametrize("text", [

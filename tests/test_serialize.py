@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from symidx import liealg, serialize
+from symidx import serialize
 from symidx.catalog import from_name, round_sphere, so4_so2
 from symidx.cli import main
 from symidx.homspace import (
@@ -142,21 +142,6 @@ def test_malformed_shapes_are_format_errors(tmp_path, capsys, build, path,
     file.write_text(json.dumps(document))
     assert main(["index", "--space", str(file)]) == 2
     assert capsys.readouterr().err.startswith(f"error: {pointer}: ")
-
-
-@pytest.mark.parametrize("algebra, pointer", [
-    ("abelian:-1", "/algebra"), ("so(3)", "/algebra"),
-    (f"abelian:{liealg.MAX_ALGEBRA_DIM + 1}", "/algebra"),
-    ({"dim": liealg.MAX_ALGEBRA_DIM + 1, "labels": [], "structure": []},
-     "/algebra/dim")],
-    ids=["negative", "unknown", "preset-above-limit", "inline-above-limit"])
-def test_an_algebra_that_cannot_be_built_is_a_format_error(algebra, pointer):
-    """A preset that its name cannot give, and an inline dimension above
-    MAX_ALGEBRA_DIM, checked before the labels and the tensor are read."""
-    document = _with(two_sphere_document(), ("algebra",), algebra)
-    with pytest.raises(SpaceFormatError) as err:
-        space_from_dict(document)
-    assert err.value.pointer == pointer
 
 
 def test_empty_arrays_keep_their_shape():

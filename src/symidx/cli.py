@@ -204,9 +204,10 @@ def _sweep_points(args, parser):
                          f"{MAX_GRID_POINTS} points")
         pairs = [(s, 2.0 - s if t is None else t) for s in svals for t in tvals]
         complement = functools.cache(catalog.so4_so2_complement)
+        gram = functools.cache(catalog.so4_so2_gram)  # once per (s, t)
         return catalog.spin4_quotient, [
             ((lam, s, t, None), lambda lam=lam, s=s, t=t: (
-                complement(lam), catalog.so4_so2_gram(s, t)))
+                complement(lam), gram(s, t)))
             for lam in lams for s, t in pairs]
     if family == "spin3":
         if args.lam is not None or args.rho is not None:

@@ -176,7 +176,7 @@ class Presentation:
         e_ad_h_m = t_inv[:, None, r:] @ imgs
         if None in refusals:  # effectiveness, from the first passing member
             action = e_ad_h_m[refusals.index(None)].reshape(r, (n - r) ** 2)
-            ideal = stacked_kernels(action.T, tol)[1]
+            ideal = r - numerical_rank(action.T, tol)
             if ideal:
                 raise ValueError(
                     f"the pair is not effective: an ideal of dimension "

@@ -37,10 +37,10 @@ CHECK_TOL = 1e-8
 #: Smallest tolerance accepted, 64 units of roundoff: below, roundoff decides.
 MIN_TOL = 64 * math.ulp(1.0)
 
-#: Largest dimension of an algebra built from a dimension alone (an
-#: abelian preset, an inline document), refused before its structure tensor
-#: of 8 dim^3 bytes is asked for: 136 = dim so(17), the algebra of the
-#: largest catalog sphere, whose tensor takes 19.2 MiB.
+#: Largest dimension of an algebra built from a dimension (an abelian
+#: preset, an inline document) or from generators (:func:`matrix_algebra`),
+#: refused before its structure tensor of 8 dim^3 bytes is asked for: 136 =
+#: dim so(17), the algebra of the largest catalog sphere (19.2 MiB tensor).
 MAX_ALGEBRA_DIM = 136
 
 #: Most bytes of the work arrays of one block of a chunked loop, the
@@ -136,9 +136,10 @@ def stacked_spans(a: np.ndarray, tol: float = DEFAULT_TOL) -> tuple:
 
 
 def stacked_frames(a: np.ndarray) -> np.ndarray:
-    """The U factors of one thin SVD of the matrices ``a`` (..., m, k): an
-    orthonormal basis of each column space where the caller proves rank k."""
-    return np.linalg.svd(a, full_matrices=False)[0] if a.shape[-1] else a
+    """The Q factors of one reduced QR of the matrices ``a`` (..., m, k): an
+    orthonormal basis of each column space where the caller proves rank k,
+    which decides nothing and so takes no SVD."""
+    return np.linalg.qr(a)[0] if a.shape[-1] else a
 
 
 def stacked_contains(q: np.ndarray, vecs: np.ndarray) -> tuple:
@@ -275,11 +276,12 @@ def _coordinates(what: str, x, n: int, of: str, ndim: int = 1) -> np.ndarray:
 class Subspace:
     """A linear subspace of R^ambient_dim spanned by the columns of ``basis``.
 
-    The basis is required to have full column rank, decided by the SVD
-    that also gives :meth:`onb`; use :meth:`Subspace.from_spanning` to
-    build a subspace from a possibly redundant spanning set, and
-    :meth:`Subspace.kernel_of` for a null space; these two have orthonormal
-    bases, which serve as :meth:`onb`.
+    The basis is required to have full column rank, decided by its
+    singular values alone (:func:`numerical_rank`); :meth:`onb` takes the
+    thin SVD's U factor when it is first read.  Use
+    :meth:`Subspace.from_spanning` to build a subspace from a possibly
+    redundant spanning set, and :meth:`Subspace.kernel_of` for a null
+    space; these two have orthonormal bases, which serve as :meth:`onb`.
     ``==`` and ``hash`` go by identity; compare subspaces with
     :meth:`equals`.
     """
@@ -296,12 +298,16 @@ class Subspace:
             )
         object.__setattr__(self, "basis", b)
         _refuse_non_finite("basis", b)  # before an SVD that nan or inf breaks
-        u, rank, _ = stacked_spans(b)
+        rank = numerical_rank(b)
         if rank < b.shape[1]:
             raise ValueError(
                 f"basis of shape {b.shape} is rank deficient (rank {rank})")
+
+    @functools.cached_property
+    def _onb(self) -> np.ndarray:
+        u = stacked_spans(self.basis)[0]
         u.flags.writeable = False
-        self.__dict__["_onb"] = u
+        return u
 
     @classmethod
     def _orthonormal(cls, ambient_dim: int, q: np.ndarray) -> "Subspace":
@@ -340,7 +346,7 @@ class Subspace:
         return self.basis.shape[1]
 
     def onb(self) -> np.ndarray:
-        """Orthonormal basis of the subspace (computed once, read-only)."""
+        """Orthonormal basis (formed when first read, read-only)."""
         return self._onb
 
     def contains_columns(self, vecs: np.ndarray) -> np.ndarray:
@@ -651,14 +657,14 @@ def matrix_algebra(matrices, labels=None, tol: float = DEFAULT_TOL):
     Raises
     ------
     ValueError
-        If the matrices are dependent, or if some commutator leaves the
-        span or overflows; the error names the first such pair (colex
-        order) and residual.
+        If there are more than :data:`MAX_ALGEBRA_DIM` matrices or they are
+        dependent, or if some commutator leaves the span or overflows; the
+        error names the first such pair (colex order) and residual.
     """
     mats = np.asarray(matrices)
     if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
         raise ValueError(f"expected a stack of square matrices, got shape {mats.shape}")
-    n = mats.shape[0]
+    n = checked_dim(mats.shape[0])  # before the SVD and the n^3 tensor
     if n == 0:  # no generators span the zero algebra
         return abelian(0)[0], mats
     if labels is None:

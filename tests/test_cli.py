@@ -711,6 +711,36 @@ CHUNKED_GRIDS = {
 }
 
 
+def test_a_sweep_forms_each_gram_matrix_once(capsys, monkeypatch):
+    """The 190-point coupled grid builds its Gram matrix once per distinct
+    (s, t), 19 times for 10 slopes, and prints the rows and the count of
+    the same points given a fresh Gram matrix each."""
+    built, seen = [], {}
+
+    def gram(s, t, inner=catalog.so4_so2_gram):
+        built.append((s, t))
+        return inner(s, t)
+
+    def rows(presentation, points, tol, inner=cli._sweep_rows):
+        seen.update(presentation=presentation, points=points, tol=tol)
+        return inner(presentation, points, tol)
+
+    monkeypatch.setattr(catalog, "so4_so2_gram", gram)
+    monkeypatch.setattr(cli, "_sweep_rows", rows)
+    code, out, err = run(capsys, "sweep", *COUPLED_GRID)
+    assert code == 0 and len(seen["points"]) == 190
+    assert len(built) == len(set(built)) == 19
+
+    slopes = {}
+    fresh = [(params, lambda lam=params[0], s=params[1], t=params[2]: (
+        slopes.setdefault(lam, so4_so2_complement(lam)), so4_so2_gram(s, t)))
+        for params, _ in seen["points"]]
+    kept, refused = cli._sweep_rows(seen["presentation"], fresh, seen["tol"])
+    assert out.splitlines() == [SWEEP_HEADER, *kept] and len(kept) == 190
+    assert err == (f"sweep: 0 grid points skipped, "
+                   f"{cli._counted(refused, 'curvature candidate')} refused\n")
+
+
 def decided_sweep(capsys, monkeypatch, argv) -> tuple:
     """``(pres, grams, result, out, chunks)`` of a sweep: its stacked
     presentation and metrics, the result of its one symmetry_ideals call,

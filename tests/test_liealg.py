@@ -45,6 +45,7 @@ from symidx.liealg import (
     reference_form,
     so_elementary,
     spin3_quaternion,
+    stacked_frames,
     stacked_kernels,
     stacked_leaks,
     stacked_spans,
@@ -625,6 +626,22 @@ def test_an_abelian_algebra_above_the_limit_is_refused_before_it_allocates(n):
     assert traced_peak(refused)[1] < 2 ** 16
 
 
+def test_matrix_algebra_refuses_too_many_generators_before_it_factors():
+    """More than MAX_ALGEBRA_DIM generators are refused by name before the
+    SVD of their flattened stack and before the n^3 tensor; so(17), with
+    136 generators, still builds."""
+    mats = np.random.default_rng(7).standard_normal(
+        (liealg.MAX_ALGEBRA_DIM + 1, 12, 12))
+
+    def refused():
+        with pytest.raises(ValueError, match=(
+                f"at most MAX_ALGEBRA_DIM = {liealg.MAX_ALGEBRA_DIM}")):
+            matrix_algebra(mats)
+
+    assert traced_peak(refused)[1] < 2 ** 20
+    assert so_elementary(17)[0].dim == liealg.MAX_ALGEBRA_DIM
+
+
 def test_quaternion_left_multiplication_table():
     li = quaternion_left_multiplication(1)
     # i * j = k, i * i = -1
@@ -969,6 +986,46 @@ def test_stacked_rank_primitives_match_the_per_matrix_ones(shape):
                                   nullity[: 2 * half].reshape(half, 2))
     np.testing.assert_array_equal(stacked_spans(pairs)[1],
                                   rank[: 2 * half].reshape(half, 2))
+
+
+@pytest.mark.parametrize("count", [1, 190])
+@pytest.mark.parametrize("m, k", [(6, 6), (6, 3), (9, 4)])
+def test_stacked_frames_span_the_columns_of_full_rank_stacks(count, m, k):
+    """The QR frames of a stack of full-rank matrices, columns scaled from
+    1e-6 to 1e6, are orthonormal and have the projectors of the thin SVD's
+    U factors; an empty last axis is returned as it came."""
+    a = (np.random.default_rng(100 * count + 10 * m + k).standard_normal(
+        (count, m, k)) * np.logspace(-6, 6, k))
+    q = stacked_frames(a)
+    assert q.shape == a.shape
+    assert np.linalg.norm(q.swapaxes(-1, -2) @ q - np.eye(k),
+                          axis=(-2, -1)).max() <= 1e-13
+    u = np.linalg.svd(a, full_matrices=False)[0]
+    want = u @ u.swapaxes(-1, -2)
+    assert (np.linalg.norm(q @ q.swapaxes(-1, -2) - want, axis=(-2, -1))
+            <= 1e-12 * np.linalg.norm(want, axis=(-2, -1))).all()
+    empty = a[..., :0]
+    assert stacked_frames(empty) is empty
+
+
+def test_a_subspace_forms_its_onb_when_first_read():
+    """A raw Subspace decides its rank by singular values alone and forms
+    the thin SVD's U factor, read-only, when onb() is first read; rank
+    deficient bases are refused by name, and k = 0 and ambient 0 hold."""
+    basis = np.random.default_rng(12).standard_normal((7, 3))
+    sub = Subspace(7, basis)
+    assert "_onb" not in sub.__dict__
+    onb = sub.onb()
+    assert same_bits(onb, stacked_spans(basis)[0])
+    assert not onb.flags.writeable and sub.onb() is onb
+    with pytest.raises(ValueError, match=r"rank deficient \(rank 2\)"):
+        Subspace(7, basis[:, [0, 1, 0]])
+    for ambient, k in [(5, 0), (0, 0)]:
+        empty = Subspace(ambient, np.zeros((ambient, k)))
+        assert empty.dim == 0 and empty.onb().shape == (ambient, 0)
+        assert not empty.onb().flags.writeable
+    with pytest.raises(ValueError, match=r"\(0, 2\) is rank deficient"):
+        Subspace(0, np.zeros((0, 2)))
 
 
 def record_jacobi_sums(monkeypatch) -> list:

@@ -7,9 +7,12 @@ beside that cutoff.  Likewise one helper holds the curvature psd rule, and
 the presentation the metric-free term of the Koszul identity."""
 
 import ast
+import inspect
 import pathlib
+import textwrap
 
 import symidx
+from symidx.liealg import Subspace
 
 FORBIDDEN = ("lstsq", "matrix_rank")
 
@@ -49,7 +52,7 @@ def test_only_liealg_takes_a_singular_value_decomposition():
 
 
 SVD_CALLERS = {"numerical_rank", "stacked_kernels", "stacked_spans",
-               "stacked_frames", "matrix_algebra"}
+               "matrix_algebra"}
 
 
 def uses_by_function(name: str) -> dict:
@@ -75,9 +78,16 @@ def uses_by_function(name: str) -> dict:
 def test_only_the_rank_primitives_take_a_singular_value_decomposition():
     """A column space, kernel or rank comes from one of the stacked
     primitives, and a new span helper beside them fails here; the scan
-    sees every one of them."""
+    sees every one of them.  A frame that decides nothing is a QR factor,
+    and a subspace decides its rank by singular values alone: its
+    ``__post_init__`` forms no span, which ``onb`` forms when read."""
     found = uses_by_function("svd")
     assert set(found) == SVD_CALLERS, found
+    assert "stacked_frames" in uses_by_function("qr")
+    post_init = ast.parse(textwrap.dedent(
+        inspect.getsource(Subspace.__post_init__)))
+    assert "stacked_spans" not in {getattr(node, "id", getattr(
+        node, "attr", None)) for node in ast.walk(post_init)}
 
 
 def test_one_pivot_curvature_psd_rule():

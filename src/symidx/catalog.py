@@ -25,6 +25,7 @@ from .liealg import (
     BilinearForm,
     Subspace,
     _flatten_real,
+    checked_dim,
     direct_sum,
     matrix_algebra,
     orthogonal_complement,
@@ -221,6 +222,8 @@ def _product_embedding(rho: float) -> np.ndarray:
     orbit velocities at the base point (rho i, i)."""
     if rho <= 0.0:
         raise ValueError(f"radius rho={rho} must be positive")
+    if 2.0 * rho * rho == math.inf:  # the slope 1 / (1 + 2 rho^2) is 0
+        raise ValueError(f"radius rho={rho} is too large: 2 rho^2 overflows")
     return (_product_representation() @ (rho, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0)).T
 
 
@@ -281,12 +284,26 @@ def orbit_space(algebra, representation, point, inner, label: str = "",
     ``inner`` restricted to tangent values.  A degenerate induced metric
     is refused as :class:`~symidx.homspace.HomogeneousSpace` refuses any
     metric that is not positive definite, after the checks of the pair.
+    ``ValueError`` names a representation that is not one square matrix per
+    algebra dimension and a point not of their shape; a point no generator
+    moves makes a pair that is not effective.
     """
-    tangents = _orbit_tangents(np.asarray(representation), point)
+    rep, point = np.asarray(representation), np.asarray(point)
+    if rep.ndim != 3 or rep.shape[1] != rep.shape[2]:
+        raise ValueError(f"expected a stack of square matrices, got shape "
+                         f"{rep.shape}")
+    if checked_dim(len(rep)) != algebra.dim:
+        raise ValueError(f"{len(rep)} generators for an algebra of "
+                         f"dimension {algebra.dim}")
+    if point.shape != rep.shape[1:]:
+        raise ValueError(f"point of shape {point.shape}, not that of the "
+                         f"generators {rep.shape[1:]}")
+    tangents = _orbit_tangents(rep, point)
     iso = Subspace.kernel_of(_flatten_real(tangents).T, tol)
     comp = orthogonal_complement(algebra, iso, tol)
     lifted = np.einsum("na,nij->aij", comp.basis, tangents)
-    metric = BilinearForm([[inner(a, b) for b in lifted] for a in lifted])
+    metric = BilinearForm(np.reshape(  # (k, k), k = 0 included
+        [[inner(a, b) for b in lifted] for a in lifted], (comp.dim,) * 2))
     return HomogeneousSpace(algebra, iso, metric, complement=comp, label=label,
                             tol=tol)
 

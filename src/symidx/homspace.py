@@ -122,12 +122,20 @@ class Presentation:
             raise ValueError("isotropy lives in the wrong ambient dimension")
 
         h = isotropy.basis
-        ad_h = adjoints(algebra, h)
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below
+            ad_h = adjoints(algebra, h)
+        if not np.isfinite(ad_h).all():
+            raise ValueError("the adjoint action of the isotropy overflows; "
+                             "rescale its basis")
         first, second = pair_indices(r)
         leaks = first[:0]  # no pairs below r = 2
         if r > 1:  # the part of each bracket out of h, through h-perp
             perp = np.linalg.qr(h, mode="complete")[0][:, r:]
-            out = ((perp.T @ ad_h) @ h)[first, :, second]
+            with np.errstate(over="ignore", invalid="ignore"):
+                out = ((perp.T @ ad_h) @ h)[first, :, second]
+            if not np.isfinite(out).all():
+                raise ValueError("the brackets of the isotropy overflow; "
+                                 "rescale its basis")
             leaks = np.flatnonzero(np.linalg.norm(out, axis=-1) > CHECK_TOL)
             if leaks.size:  # the relative floor decides these
                 hh = (ad_h[first[leaks]] @ h.T[second[leaks], :, None])[..., 0]
@@ -164,16 +172,22 @@ class Presentation:
         overlap = numerical_rank(t, tol) < n
         t[overlap] = np.eye(n)  # keeps the inverses of refused members finite
         t_inv = np.linalg.inv(t)
-        imgs = ad_h @ m[:, None]
-        reductive = np.abs(t_inv[:, None, :r] @ imgs).max(axis=(-2, -1),
-                                                           initial=0.0)
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below
+            imgs = ad_h @ m[:, None]
+            reductive = np.abs(t_inv[:, None, :r] @ imgs).max(
+                axis=(-2, -1), initial=0.0)
+            e_ad_h_m = t_inv[:, None, r:] @ imgs
+        finite = (np.isfinite(e_ad_h_m).all(axis=(1, 2, 3))
+                  & np.isfinite(reductive).all(axis=1))
         refusals = [
             "isotropy and complement overlap" if lap else
+            "the action of the isotropy on the complement overflows; "
+            "rescale the bases" if not fin else
             f"complement is not reductive: isotropy vector {bad.argmax()} "
             f"maps it outside itself (residual {res[bad.argmax()]:.3e})"
             if bad.any() else None
-            for lap, res, bad in zip(overlap, reductive, reductive > CHECK_TOL)]
-        e_ad_h_m = t_inv[:, None, r:] @ imgs
+            for lap, fin, res, bad in zip(overlap, finite, reductive,
+                                          reductive > CHECK_TOL)]
         if None in refusals:  # effectiveness, from the first passing member
             action = e_ad_h_m[refusals.index(None)].reshape(r, (n - r) ** 2)
             ideal = r - numerical_rank(action.T, tol)
@@ -209,7 +223,10 @@ class Presentation:
 
     def _members(self, rows) -> "Presentation":
         """The stack of positions ``rows``, each its own member, or self; a
-        part reads its ``_stack``'s :attr:`_lift_brackets` at ``_member``."""
+        part reads its ``_stack``'s :attr:`_lift_brackets` at ``_member``.
+        An int position gives a one-member part, with the 2-D arrays of a
+        single complement, which :class:`~symidx.numcheck.ExponentialChart`
+        accepts."""
         if self.m_basis.ndim == 2:
             return self
         at = rows if self._place is None else self._place[rows]
@@ -321,10 +338,12 @@ def _metric_refusals(pres: Presentation, grams: np.ndarray) -> list:
     :data:`~symidx.liealg.CHECK_TOL`; per position, after its member's."""
     _refuse_repeated_complements(pres)
     w = np.linalg.eigvalsh(grams) if pres.dim else np.ones((len(grams), 1))
-    ops = grams[:, None] @ pres._e_ad_h_m
-    skew = np.abs(ops + ops.swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        ops = grams[:, None] @ pres._e_ad_h_m
+        skew = np.abs(ops + ops.swapaxes(-1, -2)).max(axis=(-2, -1),
+                                                      initial=0.0)
     definite = w[:, 0] / np.maximum(1.0, w[:, -1]) > pres.tol
-    not_skew = skew > CHECK_TOL
+    not_skew = ~(skew <= CHECK_TOL)  # nan where a product overflows
     refusals = list(np.broadcast_to(pres._refusals, len(grams)))
     for i in np.flatnonzero(~definite | not_skew.any(axis=1)).tolist():
         if refusals[i]:  # the presentation's checks come first
@@ -335,7 +354,9 @@ def _metric_refusals(pres: Presentation, grams: np.ndarray) -> list:
         a = int(not_skew[i].argmax())
         refusals[i] = (
             f"isotropy vector {a} does not act skew-symmetrically for the "
-            f"metric (residual {skew[i, a]:.3e}); the metric is not invariant")
+            f"metric (residual {skew[i, a]:.3e}); the metric is not invariant"
+            if np.isfinite(skew[i]).all() else
+            "the skew check of the metric overflows; rescale the metric")
     return refusals
 
 

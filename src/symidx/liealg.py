@@ -383,10 +383,12 @@ class BilinearForm:
         if g.shape[0] != g.shape[1]:
             raise ValueError(f"gram matrix must be square, got {g.shape}")
         _refuse_non_finite("gram matrix", g)
-        asym = float(np.max(np.abs(g - g.T))) if g.size else 0.0
+        with np.errstate(over="ignore"):  # an infinite residual is refused
+            asym = float(np.max(np.abs(g - g.T))) if g.size else 0.0
         if asym > DEFAULT_TOL * max(1.0, float(np.max(np.abs(g))) if g.size else 1.0):
             raise ValueError(f"gram matrix is not symmetric (residual {asym:.3e})")
-        object.__setattr__(self, "gram", 0.5 * (g + g.T))
+        # g + g.T would overflow near the largest float
+        object.__setattr__(self, "gram", 0.5 * g + 0.5 * g.T)
 
     @property
     def dim(self) -> int:
@@ -450,7 +452,8 @@ class LieAlgebra:
         object.__setattr__(self, "basis_labels", labels)
         with np.errstate(over="ignore", invalid="ignore"):  # inf, nan kept
             self.__dict__["_norm"] = float(np.linalg.norm(c))  # >= |ad_x| / |x|
-        asym = c + c.transpose(1, 0, 2)
+        with np.errstate(over="ignore"):  # an infinite residual is refused
+            asym = c + c.transpose(1, 0, 2)
         asym = float(np.max(np.abs(asym, out=asym))) if n else 0.0
         if not asym <= DEFAULT_TOL:  # nan where an entry is not finite
             _refuse_non_finite("structure tensor", c)
@@ -470,6 +473,7 @@ class LieAlgebra:
         if asym:  # the sum was of the antisymmetric part
             self.__dict__["_jacobi_bound"] = math.inf
 
+    @np.errstate(over="ignore", invalid="ignore")  # inf or nan returned
     def jacobi_residual(self) -> float:
         """Max-norm of ``[[e_i, e_j], e_k] + cyclic`` over i < j < k for the
         antisymmetric part a = (c - c.transpose(1, 0, 2)) / 2 of the tensor

@@ -26,6 +26,7 @@ import itertools
 import json
 import math
 import numbers
+import sys
 from importlib import resources
 from json.encoder import encode_basestring_ascii as _quoted
 
@@ -170,16 +171,35 @@ def _first_wrong_length(value, shape: tuple, path: tuple = ()):
     return None
 
 
+def _first_huge_integer(value, path: tuple = ()):
+    """The path of the first integer, in document order, beyond the range
+    of a float in the nested lists ``value``, or None."""
+    if isinstance(value, list):
+        for i, entry in enumerate(value):
+            found = _first_huge_integer(entry, path + (i,))
+            if found is not None:
+                return found
+        return None
+    return path if abs(value) > sys.float_info.max else None
+
+
 def _float_array(value, shape: tuple, pointer: str, rule: str) -> np.ndarray:
     """``value``, nested lists of numbers as the schema guarantees, as a
     float array of ``shape``.
 
     Raises :class:`SpaceFormatError` pointing at the first list of the
-    wrong length (``rule`` says what the shape must be), or at the first
-    NaN or infinity; the schema can exclude neither.
+    wrong length (``rule`` says what the shape must be), at the first
+    integer beyond the range of a float, or at the first NaN or infinity;
+    the schema can exclude none of them.
     """
     try:
         arr = np.asarray(value, dtype=float)
+    except OverflowError:  # an integer no float holds
+        path = _first_huge_integer(value)
+        raise SpaceFormatError(
+            "integer beyond the range of a float; every entry must be a "
+            "finite number", pointer + "".join(f"/{i}" for i in path)
+        ) from None
     except ValueError:  # ragged: sibling lists of different lengths
         arr = None
     if arr is None or arr.shape != shape:
@@ -264,8 +284,9 @@ def load_space(path: str, tol: float = DEFAULT_TOL) -> HomogeneousSpace:
 
     ``NaN``, ``Infinity`` and ``-Infinity``, which Python's ``json`` reads
     by default but JSON does not define, raise :class:`SpaceFormatError`,
-    and so do a file that is not UTF-8 and one nested deeper than the
-    parser's recursion limit.
+    and so do a file that is not UTF-8, one nested deeper than the
+    parser's recursion limit and an integer of more digits than Python's
+    ``int`` reads from text.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -279,6 +300,10 @@ def load_space(path: str, tol: float = DEFAULT_TOL) -> HomogeneousSpace:
         except RecursionError:  # the parser's depth is the stack's
             raise SpaceFormatError("not valid JSON: arrays or objects "
                                    "nested too deeply") from None
+        except SpaceFormatError:  # a non-finite constant
+            raise
+        except ValueError as exc:  # int()'s limit on the digits of a string
+            raise SpaceFormatError(f"not valid JSON: {exc}") from None
     if not isinstance(document, dict):
         raise SpaceFormatError("top level must be an object")
     return space_from_dict(document, tol)

@@ -13,6 +13,7 @@ corrupts that tensor to confirm that a broken one makes the run fail.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 import time
@@ -126,7 +127,8 @@ _UNCOUPLED_METRICS = ((0.5, 0.5), (1.0, 0.5), (1.5, 1.0))
 
 
 def _decided(pres, grams) -> tuple:
-    """``(nablas, stack)`` of the metrics ``grams`` on ``pres``: one call each
+    """``(nablas, stack)`` of the metrics ``grams`` on ``pres``, a space or
+    a stack read by position (``_members`` of an index array): one call each
     of the metric rule, the Koszul derivatives and the parallel fields; a
     refused metric raises as ``pres.space``."""
     for refusal in filter(None, _metric_refusals(pres, grams)):
@@ -135,38 +137,49 @@ def _decided(pres, grams) -> tuple:
     return nablas, _transvections(pres, nablas)
 
 
-def _quotients(metrics):
-    """``(lam, pres, grams, nablas, stack)`` a slope of :func:`catalog.so4_so2`:
-    one presentation whose metrics are :func:`_decided` at once."""
+def _quotients(metrics) -> tuple:
+    """``(pres, grams, nablas, stack)`` of :func:`catalog.so4_so2` at every
+    slope of ``_SLOPES`` and every ``metrics`` pair, slope by slope: one
+    presentation of one member per slope, read by position, whose metrics
+    are :func:`_decided` at once.  Slope k starts at position
+    ``k * len(metrics)``; ``pres._members`` of an int position is that
+    slope's one-member part, which :class:`ExponentialChart` accepts."""
     grams = np.array([catalog.so4_so2_gram(s, t) for s, t in metrics])
-    for lam in _SLOPES:
-        pres = catalog.spin4_quotient(catalog.so4_so2_complement(lam),
-                                      DEFAULT_TOL)
-        yield lam, pres, grams, *_decided(pres, grams)
+    comps = [catalog.so4_so2_complement(lam) for lam in _SLOPES]
+    pres = catalog.spin4_quotient([c for c in comps for _ in metrics],
+                                  DEFAULT_TOL)
+    pres = pres._members(np.arange(len(comps) * len(grams)))
+    grams = np.tile(grams, (len(comps), 1, 1))
+    return pres, grams, *_decided(pres, grams)
 
 
 def _check_quotient_coupled():
     actual = {}
-    for lam, _, _, _, stack in _quotients(_COUPLED_METRICS):
-        rows = zip(*(stack[key].tolist() for key in
-                     ("index", "coindex", "involutive_ok")))
-        for (s, _), (index, coindex, involutive) in zip(_COUPLED_METRICS, rows):
-            _require(index == 2, f"lam={lam}, s={s}: index {index} != 2")
-            _require(coindex == 3, f"lam={lam}, s={s}: coindex {coindex} != 3")
-            _require(involutive, f"lam={lam}, s={s}: bracket relations of "
-                                 f"the parallel fields fail")
-            actual[f"lam={lam},s={s}"] = index
+    stack = _quotients(_COUPLED_METRICS)[-1]
+    rows = zip(*(stack[key].tolist() for key in
+                 ("index", "coindex", "involutive_ok")))
+    points = itertools.product(_SLOPES, _COUPLED_METRICS)
+    for (lam, (s, _)), (index, coindex, involutive) in zip(points, rows):
+        _require(index == 2, f"lam={lam}, s={s}: index {index} != 2")
+        _require(coindex == 3, f"lam={lam}, s={s}: coindex {coindex} != 3")
+        _require(involutive, f"lam={lam}, s={s}: bracket relations of "
+                             f"the parallel fields fail")
+        actual[f"lam={lam},s={s}"] = index
     return {"index": 2, "coindex": 3, "points": len(actual)}, actual
 
 
 def _check_quotient_uncoupled():
-    worst = 0.0
-    for lam, pres, grams, nablas, stack in _quotients(_UNCOUPLED_METRICS):
-        numeric = ExponentialChart(pres, grams).nabla_killing_fd(
-            np.eye(pres.algebra.dim))
-        errs = np.abs(nablas - np.moveaxis(numeric, -1, 1)).max(axis=(-2, -1))
-        for (s, t), index, row in zip(_UNCOUPLED_METRICS,
-                                      stack["index"].tolist(), errs):
+    pres, grams, nablas, stack = _quotients(_UNCOUPLED_METRICS)
+    count, worst = len(_UNCOUPLED_METRICS), 0.0
+    indices = stack["index"].tolist()
+    for k, lam in enumerate(_SLOPES):  # one chart per slope, on its part
+        rows = slice(k * count, (k + 1) * count)
+        numeric = ExponentialChart(pres._members(rows.start), grams[rows]
+                                   ).nabla_killing_fd(np.eye(pres.algebra.dim))
+        errs = np.abs(nablas[rows] - np.moveaxis(numeric, -1, 1)).max(
+            axis=(-2, -1))
+        for (s, t), index, row in zip(_UNCOUPLED_METRICS, indices[rows],
+                                      errs):
             _require(index == 0, f"lam={lam}, s={s}, t={t}: index {index} != 0")
             col = int(np.argmax(~(row <= 1e-6)))  # first failing field, NaN too
             _require(row[col] <= 1e-6, f"lam={lam}, s={s}, t={t}: derivative of "
@@ -174,8 +187,7 @@ def _check_quotient_uncoupled():
                      f"oracle ({row[col]:.3e})")
         worst = max(worst, float(errs.max()))
     return ({"index": 0, "fd_tolerance": 1e-6},
-            {"worst_fd_error": worst,
-             "points": len(_SLOPES) * len(_UNCOUPLED_METRICS)})
+            {"worst_fd_error": worst, "points": len(grams)})
 
 
 def _check_bound_equalities():

@@ -7,6 +7,7 @@ output reads as a checklist even under capture.
 """
 
 import dataclasses
+import itertools
 import json
 from types import SimpleNamespace
 
@@ -26,7 +27,8 @@ from symidx.homspace import (
     symmetry_ideals,
     transvection_space,
 )
-from symidx.liealg import BilinearForm, Subspace
+from symidx.liealg import DEFAULT_TOL, BilinearForm, Subspace
+from symidx.numcheck import ExponentialChart
 from symidx.serialize import plain
 from symidx.verify import CHECK_NAMES, run_checks
 
@@ -194,9 +196,9 @@ def test_centriole_check_catches_a_wrong_pencil_spectrum(monkeypatch,
     assert message in outcomes[0].detail
 
 
-def test_quotient_checks_build_one_presentation_per_slope(monkeypatch):
-    """Both so4-so2 checks validate the quotient once per slope (three
-    each), not once per grid point."""
+def test_quotient_checks_build_one_presentation_per_check(monkeypatch):
+    """Both so4-so2 checks validate the quotient once, one stack of a
+    member per slope, not once per slope or per grid point."""
     calls = []
     presentation = catalog.spin4_quotient
 
@@ -207,7 +209,7 @@ def test_quotient_checks_build_one_presentation_per_slope(monkeypatch):
     monkeypatch.setattr(catalog, "spin4_quotient", counted)
     outcomes = run_checks("so4-so2")
     assert [o.status for o in outcomes] == ["pass", "pass"]
-    assert len(calls) == 6
+    assert len(calls) == 2
 
 
 def test_every_outcome_carries_its_duration(monkeypatch):
@@ -296,18 +298,33 @@ def scaled_pairs():
                                      verify._UNCOUPLED_METRICS],
                          ids=["coupled", "uncoupled"])
 def test_stacked_quotient_reports_match_one_space_at_a_time(metrics):
-    """The so4-so2 checks decide each slope's metrics by one stacked call;
-    each metric's Koszul derivatives and report, read from the stacked
-    arrays, are those of its own space, bit for bit."""
-    slopes = list(verify._quotients(metrics))
-    assert len(slopes) == len(verify._SLOPES)
-    for _, pres, grams, nablas, stack in slopes:
-        reports = _unstack(TransvectionReport, stack, pres)
-        assert len(grams) == len(nablas) == len(reports) == len(metrics)
-        for gram, nabla, rep in zip(grams, nablas, reports):
-            sp = pres.space(BilinearForm(gram))
-            assert same_bits(nabla, sp._nabla_basis)
-            assert_same_report(rep, transvection_space(sp))
+    """The so4-so2 checks decide all their slopes' metrics by one stacked
+    call; each metric's Koszul derivatives and report, read from the
+    stacked arrays, are those of its own space, bit for bit."""
+    pres, grams, nablas, stack = verify._quotients(metrics)
+    reports = _unstack(TransvectionReport, stack, pres)
+    points = itertools.product(verify._SLOPES, metrics)
+    for (lam, (s, t)), gram, nabla, rep in zip(points, grams, nablas, reports,
+                                               strict=True):
+        sp = catalog.so4_so2(lam, s, t)[0]
+        assert same_bits(gram, sp.metric.gram)
+        assert same_bits(nabla, sp._nabla_basis)
+        assert_same_report(rep, transvection_space(sp))
+
+
+def test_each_slopes_part_of_the_stack_charts_as_its_own_presentation():
+    """The derivative oracle charts a slope on the one-member part of the
+    check's stack at the slope's first position: its finite-difference
+    derivatives are those of the slope's own presentation, bit for bit."""
+    pres, grams = verify._quotients(verify._UNCOUPLED_METRICS)[:2]
+    count = len(verify._UNCOUPLED_METRICS)
+    for k, lam in enumerate(verify._SLOPES):
+        rows = slice(k * count, (k + 1) * count)
+        own = catalog.spin4_quotient(catalog.so4_so2_complement(lam),
+                                     DEFAULT_TOL)
+        got, want = (ExponentialChart(p, grams[rows]).nabla_killing_fd(
+            np.eye(6)) for p in (pres._members(rows.start), own))
+        assert same_bits(got, want)
 
 
 QUOTIENT_CHECKS = {"so4-so2-coupled": coupled_by_space,

@@ -1,6 +1,8 @@
 import inspect
 import json
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -131,6 +133,17 @@ def test_product_of_spheres_matches_the_quotient_family(rho):
     assert sp.isotropy.contains(np.array([1.0, 0, 0, 1.0, 0, 0]))
     rep = transvection_space(sp)
     assert (rep.index, rep.coindex) == (2, 3)
+
+
+@pytest.mark.parametrize("rho", [1e154, 1e308])
+def test_a_radius_whose_slope_underflows_is_refused_by_name(rho):
+    """Past about 9.5e153, 2 rho^2 overflows and the slope 1/(1 + 2 rho^2)
+    is 0; the embedding's product overflowed with a numpy warning first."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=re.escape(
+                f"radius rho={rho} is too large: 2 rho^2 overflows")):
+            product_of_spheres(rho)
 
 
 def test_product_of_spheres_moves_only_its_complement():
@@ -280,6 +293,30 @@ def test_orbit_space_refuses_a_non_finite_point():
             ValueError, match=r"kernel matrix entry \[\d+, \d+\] is nan, "
                               r"not a finite number"):
         orbit_space(alg, rep, np.diag([np.nan, 0.0, 0.0]),
+                    lambda a, b: 0.5 * float(np.trace(a @ b.T)))
+
+
+@pytest.mark.parametrize("generators, point, message", [
+    (slice(0, 2), np.diag([1.0, 0.0, 0.0]),
+     r"2 generators for an algebra of dimension 3"),
+    ([0, 1, 2, 0], np.diag([1.0, 0.0, 0.0]),
+     r"4 generators for an algebra of dimension 3"),
+    (slice(None), np.eye(2),
+     r"point of shape \(2, 2\), not that of the generators \(3, 3\)"),
+    (0, np.eye(3), r"expected a stack of square matrices, got shape \(3, 3\)"),
+    (slice(None), np.eye(3), "the pair is not effective: an ideal of "
+                             "dimension 3 lies inside the isotropy"),
+], ids=["two-generators", "four-generators", "small-point", "one-matrix",
+        "fixed-point"])
+def test_orbit_space_refuses_misshapen_inputs_by_name(generators, point,
+                                                       message):
+    """The generators must be a stack of one square matrix per algebra
+    dimension, the point of their shape, before any orbit velocity is
+    formed; a point no generator moves has a zero-dimensional orbit, and
+    the pair is then not effective."""
+    alg, rep = so_elementary(3)
+    with pytest.raises(ValueError, match=message):
+        orbit_space(alg, rep[generators], point,
                     lambda a, b: 0.5 * float(np.trace(a @ b.T)))
 
 

@@ -7,6 +7,7 @@ import runpy
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -404,6 +405,35 @@ def test_a_document_nested_too_deeply_is_exit_two(capsys, tmp_path, text):
     assert (code, out) == (2, "")
     assert err.startswith("error: not valid JSON: ") and err.count("\n") == 1
     assert "nested too deeply" in err
+
+
+@pytest.mark.parametrize("name, field, message", [
+    ("round-sphere:3", "metric", "metric is not positive definite"),
+    ("product-spheres:1", "isotropy",
+     "the adjoint action of the isotropy overflows; rescale its basis")])
+def test_an_entry_near_the_largest_float_is_refused_without_a_warning(
+        capsys, tmp_path, name, field, message):
+    """1e308 in an emitted document overflowed numpy products (the metric's
+    symmetrization, the isotropy's adjoint action), whose warnings came
+    before the refusal: stderr holds the one error line alone."""
+    document = json.loads(run(capsys, "catalog", "emit", name)[1])
+    document[field][0][0] = 1e308
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = _index_of(capsys, tmp_path, json.dumps(document))
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+def test_an_integer_of_too_many_digits_is_not_valid_json(capsys, tmp_path):
+    """Python's json reads a JSON integer through ``int``, which refuses a
+    string of more than 4300 digits with a ValueError: unusable input,
+    exit 2, not the exit 1 of a computation that failed."""
+    text = ('{"algebra": "so3", "isotropy": [[' + "9" * 5000
+            + ', 0, 0]], "complement": [], "metric": []}')
+    code, out, err = _index_of(capsys, tmp_path, text)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: not valid JSON: ") and err.count("\n") == 1
+    assert "4300 digits" in err
 
 
 @pytest.mark.parametrize("command", ["sweep", "index"])

@@ -2,6 +2,7 @@ import dataclasses
 import inspect
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -418,6 +419,35 @@ def test_a_stack_member_of_another_shape_is_refused_by_name():
     with pytest.raises(ValueError, match="complement lives in the wrong "
                        "ambient dimension"):
         spin4_quotient([Subspace(7, np.eye(7)[:, :5]), good], DEFAULT_TOL)
+
+
+def _scaled_sphere(isotropy: float, complement: float, metric: float):
+    """S^3 of :func:`round_sphere` with each basis and its metric scaled."""
+    sp = round_sphere(3)[0]
+    return lambda: HomogeneousSpace(
+        sp.algebra, Subspace(6, isotropy * sp.isotropy.basis),
+        BilinearForm(metric * np.eye(3)),
+        complement=Subspace(6, complement * sp.complement.basis))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: Presentation(so_elementary(3)[0],
+                          Subspace(3, 1e200 * np.eye(3)[:, :2])),
+     "the brackets of the isotropy overflow; rescale its basis"),
+    (_scaled_sphere(1e200, 1e200, 1.0), "the action of the isotropy on the "
+     "complement overflows; rescale the bases"),
+    (_scaled_sphere(1e10, 1e10, 1e300),
+     "the skew check of the metric overflows; rescale the metric"),
+], ids=["isotropy-brackets", "complement-action", "metric-skew"])
+def test_a_product_of_the_checks_that_overflows_is_refused_by_name(build,
+                                                                    message):
+    """Bases and metrics of finite entries whose products overflow are
+    refused by name, with no numpy warning: an overflowed residual is no
+    decision."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            build()
 
 
 def test_rejects_mismatched_metric_dimension():

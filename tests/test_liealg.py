@@ -166,6 +166,42 @@ def test_a_non_finite_gram_matrix_is_refused_by_name(gram, entry):
         BilinearForm(gram)
 
 
+def test_a_gram_matrix_near_the_largest_float_is_symmetrized_finite():
+    """0.5 g + 0.5 g^T, where g + g^T overflowed with a warning; away from
+    the largest float the two are the same bits."""
+    rng = np.random.default_rng(3)
+    g = rng.standard_normal((5, 5))
+    g = g + g.T + rng.standard_normal((5, 5)) * 1e-12
+    assert same_bits(BilinearForm(g).gram, 0.5 * (g + g.T))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        big = BilinearForm(np.diag([1e308, 1.0])).gram
+        with pytest.raises(ValueError, match=r"not symmetric \(residual inf"):
+            BilinearForm([[1.0, 1e308], [-1e308, 1.0]])
+    assert same_bits(big, np.diag([1e308, 1.0]))
+
+
+@pytest.mark.parametrize("value, message", [
+    (1e308, "the Jacobi sum of the structure tensor overflows"),
+    (-1e308, "the Jacobi sum of the structure tensor overflows"),
+    (None, r"structure tensor is not antisymmetric \(residual inf\)")],
+    ids=["jacobi", "jacobi-negative", "antisymmetry"])
+def test_a_structure_tensor_near_the_largest_float_is_refused_without_a_warning(
+        value, message):
+    """An entry of 1e308 and its antisymmetric partner overflow the Jacobi
+    sum, the same entry twice the antisymmetry residual: both are refused
+    by name, and numpy does not warn first."""
+    alg, _ = so_elementary(4)
+    c = alg.structure.copy()
+    i, j, k = np.argwhere(c > 0.5)[0]
+    c[i, j, k], c[j, i, k] = (1e308, 1e308) if value is None \
+        else (value, -value)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
+            LieAlgebra(alg.dim, alg.basis_labels, c)
+
+
 @pytest.mark.parametrize("entry, shown", [
     (np.nan, "nan"), (np.inf, "inf"), (-np.inf, "-inf"),
 ], ids=["nan", "inf", "-inf"])

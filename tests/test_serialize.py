@@ -266,6 +266,26 @@ def test_space_from_dict_refuses_non_finite_numbers(field, value, pointer):
     assert err.value.pointer == pointer
 
 
+@pytest.mark.parametrize("field, pointer", [
+    ("structure", "/algebra/structure/0/0/2"), ("isotropy", "/isotropy/0/2"),
+    ("complement", "/complement/0/2"), ("metric", "/metric/0/1")])
+def test_an_integer_beyond_the_float_range_is_pointed_at(tmp_path, field,
+                                                         pointer):
+    """JSON integers have no range and Python's json keeps them exact: one
+    of 400 digits ended ``index`` in a traceback, numpy's OverflowError."""
+    doc = space_to_dict(round_sphere(2)[0])
+    rows = doc["algebra"]["structure"][0] if field == "structure" \
+        else doc[field]
+    rows[0][-1] = -10 ** 400
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    code = main(["index", "--space", str(path)])
+    with pytest.raises(SpaceFormatError, match="integer beyond the range of "
+                       "a float; every entry must be a finite number") as err:
+        load_space(str(path))
+    assert (code, err.value.pointer) == (2, pointer)
+
+
 @pytest.mark.parametrize("value", [5, 2.5, None, True, [1.0]])
 def test_algebra_of_neither_kind_reports_one_message(value):
     doc = two_sphere_document()

@@ -112,6 +112,7 @@ class Presentation:
         A stack with no such member is built and refuses each metric.
     """
 
+    @np.errstate(over="ignore", invalid="ignore")  # overflows refused below
     def __init__(self, algebra: LieAlgebra, isotropy: Subspace,
                  complement=None, tol: float = DEFAULT_TOL):
         self.algebra = algebra
@@ -122,22 +123,18 @@ class Presentation:
             raise ValueError("isotropy lives in the wrong ambient dimension")
 
         h = isotropy.basis
-        with np.errstate(over="ignore", invalid="ignore"):  # refused below
-            ad_h = adjoints(algebra, h)
-        if not np.isfinite(ad_h).all():
-            raise ValueError("the adjoint action of the isotropy overflows; "
-                             "rescale its basis")
+        ad_h = adjoints(algebra, h)
         first, second = pair_indices(r)
         leaks = first[:0]  # no pairs below r = 2
         if r > 1:  # the part of each bracket out of h, through h-perp
             perp = np.linalg.qr(h, mode="complete")[0][:, r:]
-            with np.errstate(over="ignore", invalid="ignore"):
-                out = ((perp.T @ ad_h) @ h)[first, :, second]
-            if not np.isfinite(out).all():
-                raise ValueError("the brackets of the isotropy overflow; "
-                                 "rescale its basis")
-            leaks = np.flatnonzero(np.linalg.norm(out, axis=-1) > CHECK_TOL)
+            out = ((perp.T @ ad_h) @ h)[first, :, second]
+            leaks = np.flatnonzero(~(np.linalg.norm(out, axis=-1)
+                                     <= CHECK_TOL))  # nan too
             if leaks.size:  # the relative floor decides these
+                if not np.isfinite(out[leaks]).all():
+                    raise ValueError("the brackets of the isotropy overflow; "
+                                     "rescale its basis")
                 hh = (ad_h[first[leaks]] @ h.T[second[leaks], :, None])[..., 0]
                 leaks = leaks[~isotropy.contains_columns(hh.T)]
         if leaks.size:
@@ -172,22 +169,19 @@ class Presentation:
         overlap = numerical_rank(t, tol) < n
         t[overlap] = np.eye(n)  # keeps the inverses of refused members finite
         t_inv = np.linalg.inv(t)
-        with np.errstate(over="ignore", invalid="ignore"):  # refused below
-            imgs = ad_h @ m[:, None]
-            reductive = np.abs(t_inv[:, None, :r] @ imgs).max(
-                axis=(-2, -1), initial=0.0)
-            e_ad_h_m = t_inv[:, None, r:] @ imgs
-        finite = (np.isfinite(e_ad_h_m).all(axis=(1, 2, 3))
-                  & np.isfinite(reductive).all(axis=1))
+        imgs = ad_h @ m[:, None]
+        reductive = np.abs(t_inv[:, None, :r] @ imgs).max(axis=(-2, -1),
+                                                           initial=0.0)
         refusals = [
             "isotropy and complement overlap" if lap else
+            None if not bad.any() else
             "the action of the isotropy on the complement overflows; "
-            "rescale the bases" if not fin else
+            "rescale the bases" if not np.isfinite(res).all() else
             f"complement is not reductive: isotropy vector {bad.argmax()} "
             f"maps it outside itself (residual {res[bad.argmax()]:.3e})"
-            if bad.any() else None
-            for lap, fin, res, bad in zip(overlap, finite, reductive,
-                                          reductive > CHECK_TOL)]
+            for lap, res, bad in zip(overlap, reductive,
+                                     ~(reductive <= CHECK_TOL))]  # nan too
+        e_ad_h_m = t_inv[:, None, r:] @ imgs
         if None in refusals:  # effectiveness, from the first passing member
             action = e_ad_h_m[refusals.index(None)].reshape(r, (n - r) ** 2)
             ideal = r - numerical_rank(action.T, tol)

@@ -383,12 +383,11 @@ class BilinearForm:
         if g.shape[0] != g.shape[1]:
             raise ValueError(f"gram matrix must be square, got {g.shape}")
         _refuse_non_finite("gram matrix", g)
-        with np.errstate(over="ignore"):  # an infinite residual is refused
-            asym = float(np.max(np.abs(g - g.T))) if g.size else 0.0
+        half = 0.5 * g  # no sum or difference of two halves overflows
+        asym = 2.0 * float(np.max(np.abs(half - half.T))) if g.size else 0.0
         if asym > DEFAULT_TOL * max(1.0, float(np.max(np.abs(g))) if g.size else 1.0):
             raise ValueError(f"gram matrix is not symmetric (residual {asym:.3e})")
-        # g + g.T would overflow near the largest float
-        object.__setattr__(self, "gram", 0.5 * g + 0.5 * g.T)
+        object.__setattr__(self, "gram", half + half.T)
 
     @property
     def dim(self) -> int:

@@ -409,13 +409,13 @@ def test_a_document_nested_too_deeply_is_exit_two(capsys, tmp_path, text):
 
 @pytest.mark.parametrize("name, field, message", [
     ("round-sphere:3", "metric", "metric is not positive definite"),
-    ("product-spheres:1", "isotropy",
-     "the adjoint action of the isotropy overflows; rescale its basis")])
+    ("product-spheres:1", "isotropy", "isotropy and complement overlap")])
 def test_an_entry_near_the_largest_float_is_refused_without_a_warning(
         capsys, tmp_path, name, field, message):
     """1e308 in an emitted document overflowed numpy products (the metric's
-    symmetrization, the isotropy's adjoint action), whose warnings came
-    before the refusal: stderr holds the one error line alone."""
+    symmetrization, the isotropy's adjoint action and the complement checks
+    after it), whose warnings came before the refusal: stderr holds the one
+    error line alone."""
     document = json.loads(run(capsys, "catalog", "emit", name)[1])
     document[field][0][0] = 1e308
     with warnings.catch_warnings():

@@ -103,8 +103,10 @@ class Presentation:
         decided by :meth:`~symidx.liealg.Subspace.contains_columns`,
         relative to its length), a stack is empty or has a member of another
         shape, the complement does not complete the isotropy to the whole
-        algebra or is not reductive, or the pair is not effective: a nonzero
-        ideal of the algebra lies in the isotropy.
+        algebra or is not reductive, the isotropy's brackets or its action
+        on a complement overflow (named so, where they decide a check), or
+        the pair is not effective: a nonzero ideal of the algebra lies in
+        the isotropy.
         As ``[h, m]`` lies in ``m``, the x in ``h`` with ``[x, m]`` in ``h``
         have ``[x, m] = 0`` and, by the Jacobi identity, form the largest
         such ideal, of dimension the nullity at ``tol`` of x -> tangent part
@@ -329,7 +331,8 @@ def _metric_refusals(pres: Presentation, grams: np.ndarray) -> list:
     smallest eigenvalue over the largest or 1 exceeding ``pres.tol``, and
     each isotropy vector must act skew-symmetrically, the largest entry of
     ``G A + (G A)^T`` for its action A at most
-    :data:`~symidx.liealg.CHECK_TOL`; per position, after its member's."""
+    :data:`~symidx.liealg.CHECK_TOL`, a check that overflows refused as
+    such; per position, after its member's."""
     _refuse_repeated_complements(pres)
     w = np.linalg.eigvalsh(grams) if pres.dim else np.ones((len(grams), 1))
     with np.errstate(over="ignore", invalid="ignore"):  # refused below

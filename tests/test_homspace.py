@@ -63,6 +63,7 @@ from meaning import (
     ideal_by_svd,
     invariant_by_loop,
     leaf,
+    same_bits,
     subalgebra_leaks,
     traced_peak,
 )
@@ -1388,6 +1389,31 @@ def test_a_stack_takes_one_metric_per_member_and_makes_no_space():
     with pytest.raises(ValueError, match="stack of size 1 is no space"):
         one.space(BilinearForm(gram))
     assert transvection_stack(one, [gram])["index"][0] == 2
+
+
+def test_an_int_position_of_a_stack_takes_a_metric_as_its_own_presentation():
+    """The part of a stack at an int position holds the 2-D arrays of one
+    complement and takes a metric as the presentation of that complement
+    alone does, bit for bit."""
+    stack = spin4_quotient([so4_so2_complement(lam) for lam in (0.5, 1.0)],
+                           1e-9)
+    metric = BilinearForm(so4_so2_gram(0.5, 1.5))
+    got = stack._members(1).space(metric)
+    want = spin4_quotient(so4_so2_complement(1.0), 1e-9).space(metric)
+    for name in ("m_basis", "eval_matrix", "_nabla_basis"):
+        assert same_bits(getattr(got, name), getattr(want, name)), name
+    assert transvection_space(got).index == transvection_space(want).index
+
+
+def test_a_part_read_by_an_index_array_is_no_space():
+    """A part of a stack read by an index array keeps the stack axis, even
+    of length 1, and is refused as a stack, not made a space of stacked
+    arrays."""
+    stack = spin4_quotient([so4_so2_complement(lam) for lam in (0.5, 1.0)],
+                           1e-9)
+    with pytest.raises(ValueError, match="stack of size 1 is no space"):
+        stack._members(np.array([1])).space(
+            BilinearForm(so4_so2_gram(0.5, 1.5)))
 
 
 def test_a_stack_from_an_iterator_keeps_its_complements():

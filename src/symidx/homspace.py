@@ -222,7 +222,7 @@ class Presentation:
         part reads its ``_stack``'s :attr:`_lift_brackets` at ``_member``.
         An int position gives a one-member part, with the 2-D arrays of a
         single complement, which :class:`~symidx.numcheck.ExponentialChart`
-        accepts."""
+        accepts and which takes a metric by :meth:`space`."""
         if self.m_basis.ndim == 2:
             return self
         at = rows if self._place is None else self._place[rows]
@@ -271,8 +271,9 @@ class HomogeneousSpace(Presentation):
         self._set_metric(metric, label)
 
     def _set_metric(self, metric: BilinearForm, label: str) -> None:
-        if self._place is not None:
-            raise ValueError(f"a stack of size {len(self._place)} is no space")
+        if self._place is not None or self.m_basis.ndim > 2:  # or a part's
+            size = len(self.m_basis if self._place is None else self._place)
+            raise ValueError(f"a stack of size {size} is no space")
         if metric.dim != self.dim:
             raise ValueError(
                 f"metric dimension {metric.dim} does not match the "
@@ -317,11 +318,11 @@ class HomogeneousSpace(Presentation):
 def _refuse_repeated_complements(pres: Presentation):
     """ValueError for a stack that repeats a complement, whose arrays hold
     one entry per member: :func:`transvection_stack` reads it by position."""
-    place, members = pres._place, len(pres._refusals)
-    if place is not None and 1 < members < len(place):
+    place = pres._place  # None for a part, whose refusal at an int
+    if place is not None and 1 < len(pres._refusals) < len(place):  # is one
         raise ValueError(f"a stack of {len(place)} positions repeats a "
-                         f"complement: {members} members, read by position "
-                         f"through transvection_stack")
+                         f"complement: {len(pres._refusals)} members, read "
+                         f"by position through transvection_stack")
 
 
 def _metric_refusals(pres: Presentation, grams: np.ndarray) -> list:

@@ -64,10 +64,9 @@ def round_sphere(n: int, tol: float = DEFAULT_TOL):
                          f"= {MAX_SPHERE_DIM}")
     alg, rep = so_elementary(n + 1)
     moves = rep[:, 0].any(axis=1)  # the generators E_1b, which move e_1
-    eye = np.eye(alg.dim)
-    sp = HomogeneousSpace(alg, Subspace(alg.dim, eye[:, ~moves]),
-                          BilinearForm(np.eye(n)),
-                          complement=Subspace(alg.dim, eye[:, moves]),
+    iso, comp = (Subspace._orthonormal(alg.dim, np.eye(alg.dim)[:, cols])
+                 for cols in (~moves, moves))  # orthonormal: no rank SVD
+    sp = HomogeneousSpace(alg, iso, BilinearForm(np.eye(n)), complement=comp,
                           label=f"round sphere S^{n}", tol=tol)
     return sp, {"family": "round-sphere", "n": n, "representation": rep}
 
@@ -146,8 +145,8 @@ def spin3_presentation(tol: float) -> Presentation:
     """Spin(3) with tangent basis order (j, k, i), without a metric."""
     m = np.zeros((3, 3))
     m[1, 0] = m[2, 1] = m[0, 2] = 1.0  # j, k, i
-    return Presentation(spin3_quaternion()[0], Subspace.zero(3), Subspace(3, m),
-                        tol)
+    return Presentation(spin3_quaternion()[0], Subspace.zero(3),
+                        Subspace._orthonormal(3, m), tol)
 
 
 def spin3_metric(a1: float, a2: float, a3: float, tol: float = DEFAULT_TOL):
@@ -232,7 +231,7 @@ def product_of_spheres_metric(rho: float) -> tuple:
     Gram matrix that the ambient metric induces on it, and the embedding
     that induces it."""
     embed = _product_embedding(rho)
-    complement = so4_so2_complement(1.0 / (1.0 + 2.0 * rho * rho))
+    complement = so4_so2_complement(_product_closed_form(rho)["lam"])
     values = embed @ complement.basis
     return complement, values.T @ values, embed
 
@@ -253,17 +252,18 @@ def product_of_spheres(rho: float, tol: float = DEFAULT_TOL):
     complement, gram, embed = product_of_spheres_metric(rho)
     sp = spin4_quotient(complement, tol).space(BilinearForm(gram),
                                                label=f"S^2({rho:g}) x S^3")
-    info = {
-        "family": "product-spheres",
-        "rho": rho,
-        "lam": 1.0 / (1.0 + 2.0 * rho * rho),
-        "s": 2.0 * (1.0 + rho * rho) / (1.0 + 2.0 * rho * rho),
-        "t": 2.0 * rho * rho / (1.0 + 2.0 * rho * rho),
-        "homothety": (1.0 + 2.0 * rho * rho) / 8.0,
-        "embedding": embed,
-        "representation": _product_representation(),
-    }
+    info = {"family": "product-spheres", "rho": rho,
+            **_product_closed_form(rho), "embedding": embed,
+            "representation": _product_representation()}
     return sp, info
+
+
+def _product_closed_form(rho: float) -> dict:
+    """The slope ``lam``, coupled metric parameters ``s`` and ``t`` and
+    ``homothety`` of :func:`product_of_spheres` at radius ``rho``."""
+    q = 1.0 + 2.0 * rho * rho
+    return {"lam": 1.0 / q, "s": 2.0 * (1.0 + rho * rho) / q,
+            "t": 2.0 * rho * rho / q, "homothety": q / 8.0}
 
 
 # ---------------------------------------------------------------------------

@@ -339,7 +339,7 @@ class Subspace:
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, np.zeros((ambient_dim, 0)))
+        return cls._orthonormal(ambient_dim, np.zeros((ambient_dim, 0)))
 
     @property
     def dim(self) -> int:

@@ -43,6 +43,7 @@ from .homspace import (
 )
 from .liealg import (
     DEFAULT_TOL,
+    BilinearForm,
     LieAlgebra,
     Subspace,
     derived_subalgebra,
@@ -51,6 +52,7 @@ from .liealg import (
     numerical_rank,
     pencil_eigh,
     so_elementary,
+    spin3_quaternion,
 )
 from .numcheck import ExponentialChart, integrate_field_equation
 
@@ -127,35 +129,31 @@ _UNCOUPLED_METRICS = ((0.5, 0.5), (1.0, 0.5), (1.5, 1.0))
 
 
 def _decided(pres, grams) -> tuple:
-    """``(nablas, stack)`` of the metrics ``grams`` on ``pres``, a space or
-    a stack read by position (``_members`` of an index array): one call each
-    of the metric rule, the Koszul derivatives and the parallel fields; a
-    refused metric raises as ``pres.space``."""
-    for refusal in filter(None, _metric_refusals(pres, grams)):
+    """``(part, nablas, stack)`` of the metrics ``grams`` (N, dim, dim) on
+    ``pres`` read by position, ``part = pres._members(arange(N))``: one call
+    each of the metric rule, the Koszul derivatives and the parallel fields;
+    a refused metric raises as ``pres.space``.  ``part._members(k)`` of an
+    int k is a one-member part, which takes a metric by ``space``."""
+    part = pres._members(np.arange(len(grams)))
+    for refusal in filter(None, _metric_refusals(part, grams)):
         raise ValueError(refusal)
-    nablas = _nablas(pres, grams)
-    return nablas, _transvections(pres, nablas)
+    nablas = _nablas(part, grams)
+    return part, nablas, _transvections(part, nablas)
 
 
 def _quotients(metrics) -> tuple:
-    """``(pres, grams, nablas, stack)`` of :func:`catalog.so4_so2` at every
-    slope of ``_SLOPES`` and every ``metrics`` pair, slope by slope: one
-    presentation of one member per slope, read by position, whose metrics
-    are :func:`_decided` at once.  Slope k starts at position
-    ``k * len(metrics)``; ``pres._members`` of an int position is that
-    slope's one-member part, which :class:`ExponentialChart` accepts."""
+    """The so4-so2 stack of a member a slope of ``_SLOPES`` and its Gram
+    matrices, ``metrics`` slope by slope from position ``k * len(metrics)``."""
     grams = np.array([catalog.so4_so2_gram(s, t) for s, t in metrics])
     comps = [catalog.so4_so2_complement(lam) for lam in _SLOPES]
-    pres = catalog.spin4_quotient([c for c in comps for _ in metrics],
-                                  DEFAULT_TOL)
-    pres = pres._members(np.arange(len(comps) * len(grams)))
-    grams = np.tile(grams, (len(comps), 1, 1))
-    return pres, grams, *_decided(pres, grams)
+    return (catalog.spin4_quotient([c for c in comps for _ in metrics],
+                                   DEFAULT_TOL),
+            np.tile(grams, (len(comps), 1, 1)))
 
 
 def _check_quotient_coupled():
     actual = {}
-    stack = _quotients(_COUPLED_METRICS)[-1]
+    stack = _decided(*_quotients(_COUPLED_METRICS))[-1]
     rows = zip(*(stack[key].tolist() for key in
                  ("index", "coindex", "involutive_ok")))
     points = itertools.product(_SLOPES, _COUPLED_METRICS)
@@ -169,7 +167,8 @@ def _check_quotient_coupled():
 
 
 def _check_quotient_uncoupled():
-    pres, grams, nablas, stack = _quotients(_UNCOUPLED_METRICS)
+    pres, grams = _quotients(_UNCOUPLED_METRICS)
+    pres, nablas, stack = _decided(pres, grams)
     count, worst = len(_UNCOUPLED_METRICS), 0.0
     indices = stack["index"].tolist()
     for k, lam in enumerate(_SLOPES):  # one chart per slope, on its part
@@ -219,23 +218,27 @@ def _check_bound_equalities():
 
 
 def _check_product_spheres():
-    actual = {}
-    for rho in (0.5, 1.0, 2.0):
-        sp, info = catalog.product_of_spheres(rho)
-        lam = info["lam"]
+    actual, rhos = {}, (0.5, 1.0, 2.0)
+    built = [catalog.product_of_spheres_metric(rho) for rho in rhos]
+    grams = np.array([BilinearForm(gram).gram for _, gram, _ in built])
+    pres, _, stack = _decided(catalog.spin4_quotient(
+        [comp for comp, _, _ in built], DEFAULT_TOL), grams)
+    reports = _unstack(TransvectionReport, stack, pres)
+    bounds = _unstack(BoundReport, symmetry_ideals(pres, stack), pres)
+    for k, (rho, rep, bound) in enumerate(zip(rhos, reports, bounds)):
+        info = catalog._product_closed_form(rho)
         want = info["homothety"] * catalog.so4_so2_gram(info["s"], info["t"])
-        err = float(np.max(np.abs(sp.metric.gram - want)))
+        err = float(np.max(np.abs(grams[k] - want)))
         _require(err <= 1e-9,
                  f"rho={rho}: metric deviates from the closed form by {err:.3e}")
-        rep = transvection_space(sp)
         _require((rep.index, rep.coindex) == (2, 3),
                  f"rho={rho}: index {rep.index}, coindex {rep.coindex}")
-        perp = perpendicular_killing_space(sp, rep)
-        cols = np.vstack([np.eye(3), -np.eye(3) / lam])
+        perp = perpendicular_killing_space(
+            pres._members(k).space(BilinearForm(grams[k])), rep)
+        cols = np.vstack([np.eye(3), -np.eye(3) / info["lam"]])
         _require(perp.equals(Subspace.from_spanning(6, cols)),
                  f"rho={rho}: perpendicular fields are not the weighted "
                  f"antidiagonal")
-        bound = symmetry_ideal(sp, rep)
         _require((bound.lhs, bound.rhs) == (12, 12) and bound.equality,
                  f"rho={rho}: bound {bound.lhs} vs {bound.rhs}")
         actual[f"rho={rho}"] = {"metric_error": err, "index": rep.index}
@@ -243,34 +246,38 @@ def _check_product_spheres():
 
 
 def _check_spin3_line():
-    actual = {}
-    for s in (0.25, 0.5, 0.75):
-        sp, info = catalog.spin3_one_parameter(s)
-        drift = float(np.max(np.abs(sp.nabla_at_base(
-            np.array([1.0, 0.0, 0.0])))))
+    actual, params = {}, (0.25, 0.5, 0.75)
+    pres = catalog.spin3_presentation(DEFAULT_TOL)
+    metrics = [BilinearForm(np.diag(catalog.spin3_line(s))) for s in params]
+    _, nablas, stack = _decided(pres, np.array([m.gram for m in metrics]))
+    rep_mats = spin3_quaternion()[1]
+    for s, metric, nabla, index in zip(params, metrics, nablas,
+                                       stack["index"].tolist()):
+        drift = float(np.max(np.abs(nabla[0])))  # the field i, e_0
         _require(drift <= 1e-8,
                  f"s={s}: distinguished field is not parallel ({drift:.3e})")
-        rep = transvection_space(sp)
-        _require(rep.index == 1, f"s={s}: index {rep.index} != 1")
-        rep_mats = info["representation"]
+        _require(index == 1, f"s={s}: index {index} != 1")
+        sp = pres.space(metric)
         len_j = closed_geodesic_length(sp, rep_mats, np.array([0.0, 1.0, 0.0]))
         len_i = closed_geodesic_length(sp, rep_mats, np.array([1.0, 0.0, 0.0]))
         _require(abs(len_j - 2.0 * math.pi * math.sqrt(s)) <= 1e-8,
                  f"s={s}: j-orbit length {len_j}")
         _require(abs(len_i - 2.0 * math.pi * math.sqrt(2.0)) <= 1e-8,
                  f"s={s}: i-orbit length {len_i}")
-        actual[f"s={s}"] = {"index": rep.index, "len_j": len_j, "len_i": len_i}
+        actual[f"s={s}"] = {"index": index, "len_j": len_j, "len_i": len_i}
     return {"index": 1, "len_j": "2*pi*sqrt(s)", "len_i": "2*pi*sqrt(2)"}, actual
 
 
 def _check_spin3_augmented():
-    actual = {}
-    for t in (0.5, 1.5, 3.0):
-        sp, _ = catalog.spin3_berger(t)
-        plain = transvection_space(sp)
-        _require(plain.index == 0,
-                 f"t={t}: unaugmented index {plain.index} != 0")
-        aug = augment_left_invariant(sp)
+    actual, ts = {}, (0.5, 1.5, 3.0)
+    pres = catalog.spin3_presentation(DEFAULT_TOL)
+    metrics = [BilinearForm(np.diag(a)) for a in (
+        *map(catalog.spin3_squashed, ts), (0.5, 0.9, 2.0), (2.0, 2.0, 2.0))]
+    indices = _decided(pres, np.array([m.gram for m in metrics[:4]])
+                       )[-1]["index"].tolist()  # Berger and generic
+    for t, metric, index in zip(ts, metrics, indices):
+        _require(index == 0, f"t={t}: unaugmented index {index} != 0")
+        aug = augment_left_invariant(pres.space(metric))
         _require(aug.algebra.dim == 4,
                  f"t={t}: augmentation found {aug.algebra.dim - 3} directions")
         rep = transvection_space(aug)
@@ -286,8 +293,7 @@ def _check_spin3_augmented():
                             "ratio": float(np.linalg.norm(y)
                                            / np.linalg.norm(x))}
 
-    sp, _ = catalog.spin3_metric(2.0, 2.0, 2.0)
-    aug = augment_left_invariant(sp)
+    aug = augment_left_invariant(pres.space(metrics[4]))
     rep = transvection_space(aug)
     _require(rep.index == 3,
              f"bi-invariant metric: augmented index {rep.index} != 3")
@@ -298,9 +304,8 @@ def _check_spin3_augmented():
              "diagonal")
     actual["bi-invariant"] = rep.index
 
-    sp, _ = catalog.spin3_metric(0.5, 0.9, 2.0)
-    _require(transvection_space(sp).index == 0,
-             "generic diagonal metric: index != 0")
+    _require(indices[3] == 0, "generic diagonal metric: index != 0")
+    sp = pres.space(metrics[3])
     _require(augment_left_invariant(sp) is sp,
              "generic diagonal metric: augmentation is not a no-op")
     actual["generic"] = 0
@@ -370,73 +375,101 @@ def _check_centriole():
             {"dims": dims, "coindex": coindex, "berger_t": berger_t})
 
 
-def _residual_spaces():
-    for sp, info in catalog.default_spaces():
-        yield sp
-    sp, _ = catalog.spin3_berger(1.5)
-    yield augment_left_invariant(sp)
-    sp, _ = catalog.spin3_metric(2.0, 2.0, 2.0)
-    yield augment_left_invariant(sp)
+def _residual_groups() -> list:
+    """The ten spaces of invariant-residuals as ``(pres, labels, grams,
+    places)`` by presentation, places in the order of the seeded draws: a
+    spin4 and a spin3 stack, then five spaces."""
+    half, (comp, gram, _) = (catalog.so4_so2_complement(0.5),
+                             catalog.product_of_spheres_metric(1.0))
+    spin3 = catalog.spin3_presentation(DEFAULT_TOL)
+    squashed = np.diag(catalog.spin3_squashed(1.5))
+    spaces = [catalog.round_sphere(2)[0], catalog.round_sphere(3)[0],
+              catalog.cp2_centriole()[0]] + [
+        augment_left_invariant(spin3.space(BilinearForm(g), label)) for g, label
+        in ((squashed, "Spin(3) metric (1.5, 1.5, 2)"),
+            (np.diag((2.0, 2.0, 2.0)), "Spin(3) metric (2, 2, 2)"))]
+    return [(catalog.spin4_quotient([half, half, comp] * 2, DEFAULT_TOL),
+             ["Spin(4)/S1 lam=0.5 s=0.5 t=1.5", "Spin(4)/S1 lam=0.5 s=0.5 t=1",
+              "S^2(1) x S^3"], [catalog.so4_so2_gram(0.5, 1.5),
+                                catalog.so4_so2_gram(0.5, 1.0),
+                                BilinearForm(gram).gram], (2, 3, 6)),
+            (spin3, ["Spin(3) metric (0.5, 1.5, 2)",
+                     "Spin(3) metric (1.5, 1.5, 2)"],
+             [np.diag(catalog.spin3_line(0.5)), squashed], (4, 5))] + [
+        (sp, [sp.label], [sp.metric.gram], (place,))
+        for place, sp in zip((0, 1, 7, 8, 9), spaces)]
 
 
 def _check_invariant_residuals():
-    rng = random.Random(167)
-    worst = 0.0
-    for count, sp in enumerate(_residual_spaces(), 1):
-        gram = sp.metric.gram
-        _, stack = _decided(sp, np.array([gram, 2.5 * gram]))
-        rep, scaled_rep = _unstack(TransvectionReport, stack, sp)
-        _require(rep.involutive_ok,
-                 f"{sp.label}: bracket relations of the parallel fields fail")
-        _require(rep.index + rep.coindex == sp.dim,
-                 f"{sp.label}: index and coindex do not add to the dimension")
-        p = rep.p_space.basis
-        # jacobi_operator's decisions on every parallel field at once
-        curvature = _curvature(sp, gram[None], sp._nabla_basis[None], p[None])
-        psd = _stacked_psd(gram[None], curvature[-1])[0]
-        xn, residuals, first, ops, _ = (v[0] for v in curvature)
-        for col, x in enumerate(p.T):
-            resid = float(np.max(np.abs(sp.nabla_at_base(x))))
-            worst = max(worst, resid)
-            _require(resid <= 1e-8,
-                     f"{sp.label}: reported parallel field has derivative "
-                     f"{resid:.3e}")
-            _refuse_curvature(first[col], residuals[col])
-            _require(psd[col],
-                     f"{sp.label}: curvature operator not psd along a "
-                     f"parallel direction")
-            along = float(np.linalg.norm(ops[col] @ sp.evaluate(xn[col])))
-            worst = max(worst, along)
-            _require(along <= 1e-8,
-                     f"{sp.label}: curvature operator does not vanish "
-                     f"along its own direction ({along:.3e})")
+    groups, rng, worst = _residual_groups(), random.Random(167), 0.0
+    # three seeded fields a space, drawn in the order of the places
+    dims = sorted((place, pres.algebra.dim) for pres, *_, places in groups
+                  for place in places)
+    fields = [_normal(rng, 3, n) for _, n in dims]
+    for pres, labels, grams, places in groups:
+        count, n = len(labels), pres.algebra.dim
+        grams = np.concatenate([grams, 2.5 * np.array(grams)])
+        pres, nablas, stack = _decided(pres, grams)
+        reports = _unstack(TransvectionReport, stack, pres)
         # the derivative operator of any field is skew for the metric
-        for _ in range(3):
-            n = sp.nabla_at_base(_normal(rng, sp.algebra.dim))
-            skew = float(np.max(np.abs(gram @ n + (gram @ n).T)))
-            worst = max(worst, skew)
-            _require(skew <= 1e-8,
-                     f"{sp.label}: derivative operator is not skew "
-                     f"({skew:.3e})")
-        b = killing_form_positive(sp.algebra).gram
-        ads = sp.algebra.ad_stack
+        x = np.array([fields[place] for place in places])[..., None, :]
+        gn = grams[:count, None] @ (x @ nablas[:count, None].reshape(
+            count, 1, n, -1)).reshape(count, 3, pres.dim, pres.dim)
+        skews = np.abs(gn + gn.swapaxes(-1, -2)).max(axis=(-2, -1)).tolist()
+        for label, rep, row in zip(labels, reports, skews):
+            _require(rep.involutive_ok, f"{label}: bracket relations of the "
+                                        f"parallel fields fail")
+            _require(rep.index + rep.coindex == pres.dim,
+                     f"{label}: index and coindex do not add to the dimension")
+            for skew in row:
+                worst = max(worst, skew)
+                _require(skew <= 1e-8, f"{label}: derivative operator is not "
+                                       f"skew ({skew:.3e})")
+        # per index, the parallel fields of the unscaled metrics: their
+        # derivatives and jacobi_operator's decisions, one product a field
+        for rows, p in stack["p_space"]:
+            rows, p = rows[rows < count], p[rows < count]
+            if not p.size:
+                continue
+            part = pres._members(rows)
+            drift = np.abs(np.ascontiguousarray(p.swapaxes(-1, -2))[
+                ..., None, :] @ nablas[rows, None].reshape(len(rows), 1, n, -1))
+            xn, residuals, first, ops, lowered = _curvature(
+                part, grams[rows], nablas[rows], p)
+            psd = _stacked_psd(grams[rows], lowered)
+            v = ops @ (part.eval_matrix[..., None, :, :] @ xn[..., None])
+            along = np.sqrt(v.swapaxes(-1, -2) @ v)[..., 0, 0]  # a dot, as
+            # np.linalg.norm takes for one vector: the same bits
+            for at, label in enumerate(labels[row] for row in rows.tolist()):
+                for col, resid in enumerate(drift[at].max(axis=(-2, -1))):
+                    worst = max(worst, float(resid), float(along[at, col]))
+                    _require(resid <= 1e-8, f"{label}: reported parallel "
+                                            f"field has derivative {resid:.3e}")
+                    _refuse_curvature(first[at, col], residuals[at, col])
+                    _require(psd[at, col], f"{label}: curvature operator not "
+                                           f"psd along a parallel direction")
+                    _require(along[at, col] <= 1e-8, f"{label}: curvature "
+                             f"operator does not vanish along its own "
+                             f"direction ({along[at, col]:.3e})")
+        b, ads = killing_form_positive(pres.algebra).gram, pres.algebra.ad_stack
         inv = float(np.max(np.abs(b @ ads + ads.transpose(0, 2, 1) @ b),
                            initial=0.0))
         worst = max(worst, inv)
         _require(inv <= 1e-8,
-                 f"{sp.label}: trace form is not ad-invariant ({inv:.3e})")
-        _require(scaled_rep.index == rep.index
-                 and scaled_rep.p_space.equals(rep.p_space),
-                 f"{sp.label}: subspace reports change under metric scaling")
-        bound, scaled_bound = _unstack(BoundReport,
-                                       symmetry_ideals(sp, stack), sp)
-        _require(bound.lhs <= bound.rhs,
-                 f"{sp.label}: dimension bound violated "
-                 f"({bound.lhs} > {bound.rhs})")
-        _require(scaled_bound.gD.equals(bound.gD),
-                 f"{sp.label}: symmetry ideal changes under metric scaling")
+                 f"{labels[0]}: trace form is not ad-invariant ({inv:.3e})")
+        bounds = _unstack(BoundReport, symmetry_ideals(pres, stack), pres)
+        for k, label in enumerate(labels):
+            rep, scaled_rep = reports[k], reports[count + k]
+            _require(scaled_rep.index == rep.index
+                     and scaled_rep.p_space.equals(rep.p_space),
+                     f"{label}: subspace reports change under metric scaling")
+            _require(bounds[k].lhs <= bounds[k].rhs,
+                     f"{label}: dimension bound violated "
+                     f"({bounds[k].lhs} > {bounds[k].rhs})")
+            _require(bounds[count + k].gD.equals(bounds[k].gD),
+                     f"{label}: symmetry ideal changes under metric scaling")
     return ({"max_residual": 1e-8},
-            {"spaces": count, "worst_residual": worst})
+            {"spaces": len(fields), "worst_residual": worst})
 
 
 # ---------------------------------------------------------------------------

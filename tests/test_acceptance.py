@@ -22,6 +22,7 @@ from symidx.homspace import (
     Presentation,
     TransvectionReport,
     _unstack,
+    augment_left_invariant,
     jacobi_operator,
     symmetry_ideal,
     symmetry_ideals,
@@ -212,6 +213,39 @@ def test_quotient_checks_build_one_presentation_per_check(monkeypatch):
     assert len(calls) == 2
 
 
+#: Per check, its calls of ``spin4_quotient``, ``spin3_presentation`` and
+#: ``Presentation.__init__``.
+BUILDS = {"spin3-line": (0, 1, 1),
+          "spin3-berger-augmented": (0, 1, 5),  # and 4 augmented spaces
+          "product-spheres-formulas": (1, 0, 1),
+          "invariant-residuals": (1, 1, 7)}  # one a group
+
+
+@pytest.mark.parametrize("name", BUILDS)
+def test_stacked_checks_build_each_presentation_once(monkeypatch, name):
+    """Each check decides the metrics that share a presentation as one
+    stack: it calls ``spin4_quotient`` and ``spin3_presentation`` at most
+    once, and validates one presentation a group, ``Presentation.__init__``,
+    beside the augmented spaces of the Berger check, one a metric."""
+    counts = {}
+
+    def count(owner, attr):
+        fn = getattr(owner, attr)
+
+        def counted(*args, **kwargs):
+            counts[attr] = counts.get(attr, 0) + 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, attr, counted)
+
+    count(catalog, "spin4_quotient")
+    count(catalog, "spin3_presentation")
+    count(Presentation, "__init__")
+    assert [o.status for o in run_checks(name)] == ["pass"]
+    assert tuple(counts.get(attr, 0) for attr in (
+        "spin4_quotient", "spin3_presentation", "__init__")) == BUILDS[name]
+
+
 def test_every_outcome_carries_its_duration(monkeypatch):
     outcomes = run_checks("spin3")
     corrupt_structure_tensors(monkeypatch)
@@ -269,11 +303,13 @@ def test_every_criterion_names_real_checks():
 
 
 def test_checks_are_deterministic():
-    a = run_checks("invariant-residuals")[0]
-    b = run_checks("invariant-residuals")[0]
-    assert a.status == b.status == "pass"
-    np.testing.assert_allclose(a.actual["worst_residual"],
-                               b.actual["worst_residual"], rtol=0, atol=0)
+    """Two runs of every check give outcomes equal in every field but
+    ``duration_ms``: what ``tests/output_digests.py`` compares by hand."""
+    first, second = run_checks(), run_checks()
+    assert [o.status for o in first] == ["pass"] * len(CHECK_NAMES)
+    for a, b in zip(first, second, strict=True):
+        assert a.check == b.check
+        assert same_outcome(a, b) and a.provenance == b.provenance, a.check
 
 
 def assert_same_report(got, want):
@@ -283,25 +319,67 @@ def assert_same_report(got, want):
     assert (got.index, got.involutive_ok) == (want.index, want.involutive_ok)
 
 
-def scaled_pairs():
-    """Each space of the invariant-residuals check with its 2.5x scaled
-    copy, and the two reports the check decides by one stacked call with
-    the stacked result they come from."""
-    for sp in verify._residual_spaces():
-        gram = sp.metric.gram
-        scaled = sp.space(BilinearForm(2.5 * gram), sp.label + " scaled")
-        _, stack = verify._decided(sp, np.array([gram, 2.5 * gram]))
-        yield sp, scaled, (_unstack(TransvectionReport, stack, sp), stack)
+def stacked_calls(monkeypatch, name) -> list:
+    """``(part, grams, nablas, stack)`` of each ``verify._decided`` call of
+    a passing run of the check ``name``: the groups it decides, in order."""
+    calls, decided = [], verify._decided
+
+    def captured(pres, grams):
+        part, nablas, stack = decided(pres, grams)
+        calls.append((part, grams, nablas, stack))
+        return part, nablas, stack
+
+    monkeypatch.setattr(verify, "_decided", captured)
+    assert [o.status for o in run_checks(name)] == ["pass"]
+    return calls
 
 
-@pytest.mark.parametrize("metrics", [verify._COUPLED_METRICS,
-                                     verify._UNCOUPLED_METRICS],
-                         ids=["coupled", "uncoupled"])
-def test_stacked_quotient_reports_match_one_space_at_a_time(metrics):
+def residual_spaces() -> list:
+    """The spaces of invariant-residuals, each built alone by the catalog,
+    in the order of the check's groups."""
+    augmented = [augment_left_invariant(sp) for sp, _ in (
+        catalog.spin3_berger(1.5), catalog.spin3_metric(2.0, 2.0, 2.0))]
+    return [sp for sp, _ in (
+        catalog.so4_so2(0.5, 0.5), catalog.so4_so2(0.5, 0.5, 1.0),
+        catalog.product_of_spheres(1.0), catalog.spin3_one_parameter(0.5),
+        catalog.spin3_berger(1.5), catalog.round_sphere(2),
+        catalog.round_sphere(3), catalog.cp2_centriole())] + augmented
+
+
+def scaled_pairs(monkeypatch):
+    """Each space of the invariant-residuals check, built alone, with its
+    2.5x scaled copy, and the check's own decision of both: the two
+    reports, read from the stacked result of the space's group, and that
+    group's ``(part, stack, k, count)``, the space at position k of count
+    metrics, its scaled copy at count + k.  The group's Gram matrices and
+    Koszul derivatives are the space's, bit for bit."""
+    spaces = iter(residual_spaces())
+    for part, grams, nablas, stack in stacked_calls(monkeypatch,
+                                                     "invariant-residuals"):
+        count = len(grams) // 2
+        reports = _unstack(TransvectionReport, stack, part)
+        for k in range(count):
+            sp = next(spaces)
+            gram = sp.metric.gram
+            assert same_bits(grams[k], gram)
+            assert same_bits(grams[count + k], 2.5 * gram)
+            assert same_bits(nablas[k], sp._nabla_basis)
+            scaled = sp.space(BilinearForm(2.5 * gram), sp.label + " scaled")
+            yield (sp, scaled, (reports[k], reports[count + k]),
+                   (part, stack, k, count))
+    assert next(spaces, None) is None
+
+
+@pytest.mark.parametrize("name,metrics", [
+    ("so4-so2-coupled", verify._COUPLED_METRICS),
+    ("so4-so2-uncoupled-derivative-oracle", verify._UNCOUPLED_METRICS)],
+    ids=["coupled", "uncoupled"])
+def test_stacked_quotient_reports_match_one_space_at_a_time(monkeypatch,
+                                                            name, metrics):
     """The so4-so2 checks decide all their slopes' metrics by one stacked
     call; each metric's Koszul derivatives and report, read from the
-    stacked arrays, are those of its own space, bit for bit."""
-    pres, grams, nablas, stack = verify._quotients(metrics)
+    check's stacked arrays, are those of its own space, bit for bit."""
+    (pres, grams, nablas, stack), = stacked_calls(monkeypatch, name)
     reports = _unstack(TransvectionReport, stack, pres)
     points = itertools.product(verify._SLOPES, metrics)
     for (lam, (s, t)), gram, nabla, rep in zip(points, grams, nablas, reports,
@@ -312,11 +390,13 @@ def test_stacked_quotient_reports_match_one_space_at_a_time(metrics):
         assert_same_report(rep, transvection_space(sp))
 
 
-def test_each_slopes_part_of_the_stack_charts_as_its_own_presentation():
+def test_each_slopes_part_of_the_stack_charts_as_its_own_presentation(
+        monkeypatch):
     """The derivative oracle charts a slope on the one-member part of the
     check's stack at the slope's first position: its finite-difference
     derivatives are those of the slope's own presentation, bit for bit."""
-    pres, grams = verify._quotients(verify._UNCOUPLED_METRICS)[:2]
+    (pres, grams, _, _), = stacked_calls(
+        monkeypatch, "so4-so2-uncoupled-derivative-oracle")
     count = len(verify._UNCOUPLED_METRICS)
     for k, lam in enumerate(verify._SLOPES):
         rows = slice(k * count, (k + 1) * count)
@@ -412,26 +492,32 @@ def test_a_refused_quotient_metric_fails_as_its_space_refuses_it(
     assert same_outcome(got, run_as(monkeypatch, name, QUOTIENT_CHECKS[name]))
 
 
-def test_stacked_residual_reports_and_bounds_match_one_space_at_a_time():
-    """invariant-residuals decides a space and its scaled copy by one
-    stacked report call and one symmetry_ideals call: each report is
-    transvection_space's bit for bit, each bound symmetry_ideal's."""
+def test_stacked_residual_reports_and_bounds_match_one_space_at_a_time(
+        monkeypatch):
+    """invariant-residuals decides the metrics of a group and their scaled
+    copies by one stacked report call and one symmetry_ideals call: each
+    report is transvection_space's bit for bit, each bound symmetry_ideal's,
+    and the check names each space by its catalog label."""
     count = 0
-    for sp, scaled, (reports, stack) in scaled_pairs():
+    for sp, scaled, reports, (part, stack, k, size) in scaled_pairs(
+            monkeypatch):
         count += 1
         assert_same_report(reports[0], transvection_space(sp))
         assert_same_report(reports[1], transvection_space(scaled))
-        bounds = _unstack(BoundReport, symmetry_ideals(sp, stack), sp)
-        for got, want in zip(bounds, [symmetry_ideal(sp, reports[0]),
-                                      symmetry_ideal(scaled, reports[1])]):
+        bounds = _unstack(BoundReport, symmetry_ideals(part, stack), part)
+        for got, want in zip(bounds[k::size],
+                             [symmetry_ideal(sp, reports[0]),
+                              symmetry_ideal(scaled, reports[1])]):
             assert same_bits(got.gD.basis, want.gD.basis)
             assert same_bits(got.g_prime.basis, want.g_prime.basis)
             assert ((got.k, got.lhs, got.rhs, got.equality)
                     == (want.k, want.lhs, want.rhs, want.equality))
     assert count == 10
+    assert [label for _, labels, _, _ in verify._residual_groups()
+            for label in labels] == [sp.label for sp in residual_spaces()]
 
 
-def test_batched_parallel_curvature_matches_jacobi_operator():
+def test_batched_parallel_curvature_matches_jacobi_operator(monkeypatch):
     """The one batched curvature evaluation of invariant-residuals, by
     _curvature and _stacked_psd, gives per parallel field jacobi_operator's
     unit direction, operator, self-adjointness residual and psd_ok, bit for
@@ -441,7 +527,7 @@ def test_batched_parallel_curvature_matches_jacobi_operator():
     message, and elsewhere agrees bit for bit as well."""
     rng = np.random.default_rng(36)
     seen = {"parallel": 0, "basis": 0, "random": 0, "refused": 0}
-    for sp, _, ((rep, _), _) in scaled_pairs():
+    for sp, _, (rep, _), _ in scaled_pairs(monkeypatch):
         gram = sp.metric.gram[None]
         for kind, fields in (("parallel", rep.p_space.basis),
                              ("basis", sp.m_basis),
@@ -514,8 +600,9 @@ def test_invariant_residuals_catch_a_scaled_report_that_moves(monkeypatch):
 def test_invariant_residuals_report_a_refused_scaled_metric(monkeypatch):
     """A scaled copy whose metric is refused fails the check with the
     refusal, not with an error on a missing report."""
-    def wrap(decided):
-        return lambda pres, grams: decided(pres, grams * [[[1.0]], [[-1.0]]])
+    def wrap(decided):  # each group's scaled copies, its second half
+        return lambda pres, grams: decided(pres, grams * np.repeat(
+            [1.0, -1.0], len(grams) // 2)[:, None, None])
 
     detail = residual_failure(monkeypatch, "_decided", wrap)
     assert detail == "ValueError: metric is not positive definite"

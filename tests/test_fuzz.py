@@ -6,22 +6,31 @@ the float limit, huge and negative integers, deep nesting, ragged and
 transposed matrices) and read by ``index`` and ``jacobi``; the arguments
 of every command are mutated too.  Each run must end as the command line
 promises: exit 0, 1 or 2, at most one ``error:`` line, and no traceback
-and no warning.  A failure names the seed that reproduces it.
+and no warning.  A seeded third of the document runs is traced as well:
+each must peak under the byte budget ``liealg._STACK_BYTES`` plus the
+document's size, by tracemalloc, after untraced first runs have done their
+imports.  A failure names the seed that reproduces it.
 """
 
 import contextlib
 import functools
 import io
 import json
+import math
 import random
 import warnings
 
+from meaning import traced_peak
+from symidx import liealg
 from symidx.cli import main
 
 NAMES = ("round-sphere:3", "so4-so2:0.5,0.6", "spin3:1,2,3",
          "product-spheres:1", "cp2-centriole")
 DOCUMENT_SEEDS = range(600)
 ARGUMENT_SEEDS = range(300)
+#: The document runs traced by tracemalloc, a third: tracing each run
+#: doubles its time.
+TRACED_SEEDS = frozenset(random.Random(27).sample(DOCUMENT_SEEDS, 200))
 
 #: Replacements of a value: other types, non-finite tokens, entries near
 #: the float limit and integers no float or machine integer holds.
@@ -172,13 +181,18 @@ def argument_case(seed: int) -> list:
     return argv
 
 
-def problems(argv: list) -> list:
-    """What in the run of ``argv`` breaks the command line's promise."""
+def problems(argv: list, budget: float = math.inf) -> list:
+    """What in the run of ``argv`` breaks the command line's promise; with a
+    finite ``budget``, a traced peak above that many bytes too."""
     try:
-        code, out, err, caught = run(argv)
+        (code, out, err, caught), peak = (
+            traced_peak(lambda: run(argv)) if budget < math.inf
+            else (run(argv), 0))
     except Exception as exc:  # noqa: BLE001 - the failure to report
         return [f"raised {type(exc).__name__}: {exc}"]
     found = [f"warned {message}" for message in caught]
+    if peak > budget:
+        found.append(f"traced peak of {peak} bytes, above {budget}")
     if code not in (0, 1, 2):
         found.append(f"exit {code}")
     if sum("error:" in line for line in err.splitlines()) > 1:
@@ -189,17 +203,31 @@ def problems(argv: list) -> list:
 
 
 def first_failure(cases) -> str:
-    for seed, argv in cases:
-        found = problems(argv)
+    """The first of ``(seed, argv)`` or ``(seed, argv, budget)`` cases whose
+    run has :func:`problems`, or ''."""
+    for seed, argv, *budget in cases:
+        found = problems(argv, *budget)
         if found:
             return f"seed {seed}, {argv}: {found}"
     return ""
 
 
+def document_cases(path):
+    """Each document case with its budget: that of :data:`TRACED_SEEDS`
+    the byte budget plus the size of its document, the others none."""
+    for seed in DOCUMENT_SEEDS:
+        argv = document_case(seed, path)
+        yield seed, argv, (liealg._STACK_BYTES + path.stat().st_size
+                           if seed in TRACED_SEEDS else math.inf)
+
+
 def test_mutated_documents_end_in_an_answer_or_one_error_line(tmp_path):
     path = tmp_path / "space.json"
-    assert not first_failure((seed, document_case(seed, path))
-                             for seed in DOCUMENT_SEEDS)
+    for name in NAMES:  # imports and caches of first runs, untraced
+        path.write_text(emitted(name))
+        run(["index", "--space", str(path)])
+        run(["jacobi", "--space", str(path), "--direction", "0"])
+    assert not first_failure(document_cases(path))
 
 
 def test_mutated_arguments_end_in_an_answer_or_one_error_line():

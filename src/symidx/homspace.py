@@ -271,7 +271,7 @@ class HomogeneousSpace(Presentation):
         self._set_metric(metric, label)
 
     def _set_metric(self, metric: BilinearForm, label: str) -> None:
-        if self._place is not None or self.m_basis.ndim > 2:  # or a part's
+        if self._place is not None or self.m_basis.ndim > 2:  # or a part
             size = len(self.m_basis if self._place is None else self._place)
             raise ValueError(f"a stack of size {size} is no space")
         if metric.dim != self.dim:
@@ -318,11 +318,11 @@ class HomogeneousSpace(Presentation):
 def _refuse_repeated_complements(pres: Presentation):
     """ValueError for a stack that repeats a complement, whose arrays hold
     one entry per member: :func:`transvection_stack` reads it by position."""
-    place = pres._place  # None for a part, whose refusal at an int
-    if place is not None and 1 < len(pres._refusals) < len(place):  # is one
+    place = pres._place  # None on a part, whose refusal may be a scalar
+    if place is not None and 1 < (members := len(pres._refusals)) < len(place):
         raise ValueError(f"a stack of {len(place)} positions repeats a "
-                         f"complement: {len(pres._refusals)} members, read "
-                         f"by position through transvection_stack")
+                         f"complement: {members} members, read by position "
+                         f"through transvection_stack")
 
 
 def _metric_refusals(pres: Presentation, grams: np.ndarray) -> list:

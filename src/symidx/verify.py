@@ -378,7 +378,8 @@ def _check_centriole():
 def _residual_groups() -> list:
     """The ten spaces of invariant-residuals as ``(pres, labels, grams,
     places)`` by presentation, places in the order of the seeded draws: a
-    spin4 and a spin3 stack, then five spaces."""
+    Spin(4) stack (so4-so2 coupled and not, product-spheres), a Spin(3)
+    stack (line, Berger), then S^2, S^3, cp2-centriole and two augmented."""
     half, (comp, gram, _) = (catalog.so4_so2_complement(0.5),
                              catalog.product_of_spheres_metric(1.0))
     spin3 = catalog.spin3_presentation(DEFAULT_TOL)

@@ -1376,11 +1376,16 @@ def test_a_stacked_presentation_refuses_exactly_its_failing_members():
 
 def test_a_stack_takes_one_metric_per_member_and_makes_no_space():
     """A metric count other than the stack's size is refused by one message
-    naming both counts, also where numpy would broadcast a stack of one;
-    a stack, even of one member, makes no single space."""
+    naming both counts, also where numpy would broadcast a stack of one and
+    on a part read by an index array; a stack, even of one member, makes no
+    single space, and it decides one metric per position, also where its
+    positions repeat a complement."""
     gram = so4_so2_gram(0.8, 1.2)
-    for size, count in ((1, 3), (2, 3), (3, 1), (2, 0)):
-        stack = spin4_quotient([so4_so2_complement(0.5)] * size, 1e-9)
+    part = spin4_quotient([so4_so2_complement(lam) for lam in (0.3, 0.6, 0.9)],
+                          1e-9)._members(np.arange(3))
+    stacks = [(spin4_quotient([so4_so2_complement(0.5)] * size, 1e-9), size,
+               count) for size, count in ((1, 3), (2, 3), (3, 1), (2, 0))]
+    for stack, size, count in stacks + [(part, 3, 5), (part, 3, 1)]:
         with pytest.raises(ValueError, match=(
                 f"a stack of size {size} takes one metric per member, "
                 f"got {count}")):
@@ -1388,21 +1393,26 @@ def test_a_stack_takes_one_metric_per_member_and_makes_no_space():
     one = spin4_quotient([so4_so2_complement(0.5)], 1e-9)
     with pytest.raises(ValueError, match="stack of size 1 is no space"):
         one.space(BilinearForm(gram))
-    assert transvection_stack(one, [gram])["index"][0] == 2
+    a, b = (so4_so2_complement(lam) for lam in (0.5, 1.0))
+    grams = [so4_so2_gram(s, 2.0 - s) for s in (0.8, 0.5, 1.2)]
+    for comps in ([a], [a, b, a]):
+        assert transvection_stack(spin4_quotient(comps, 1e-9), grams[
+            :len(comps)])["index"].tolist() == [2] * len(comps)
 
 
 def test_an_int_position_of_a_stack_takes_a_metric_as_its_own_presentation():
     """The part of a stack at an int position holds the 2-D arrays of one
     complement and takes a metric as the presentation of that complement
-    alone does, bit for bit."""
-    stack = spin4_quotient([so4_so2_complement(lam) for lam in (0.5, 1.0)],
-                           1e-9)
+    alone does, bit for bit, also where the stack's positions share that
+    one complement."""
+    a, b = (so4_so2_complement(lam) for lam in (0.5, 1.0))
     metric = BilinearForm(so4_so2_gram(0.5, 1.5))
-    got = stack._members(1).space(metric)
-    want = spin4_quotient(so4_so2_complement(1.0), 1e-9).space(metric)
-    for name in ("m_basis", "eval_matrix", "_nabla_basis"):
-        assert same_bits(getattr(got, name), getattr(want, name)), name
-    assert transvection_space(got).index == transvection_space(want).index
+    want = spin4_quotient(b, 1e-9).space(metric)
+    for comps in ([a, b], [b, b]):
+        got = spin4_quotient(comps, 1e-9)._members(1).space(metric)
+        for name in ("m_basis", "eval_matrix", "_nabla_basis"):
+            assert same_bits(getattr(got, name), getattr(want, name)), name
+        assert transvection_space(got).index == transvection_space(want).index
 
 
 def test_a_part_read_by_an_index_array_is_no_space():

@@ -475,11 +475,16 @@ def test_a_chart_refuses_metrics_of_another_shape(shape):
 
 
 def test_a_chart_refuses_a_stack_of_complements():
+    """A stack, or its part read by an index array, is refused at
+    construction, before any series reads its stacked arrays."""
     comps = [so4_so2_complement(lam) for lam in (0.5, 1.0)]
     pres = spin4_quotient(comps, 1e-9)
-    with pytest.raises(ValueError, match=r"a complement stack \(2, 6, 5\) "
-                                         r"has no chart"):
-        ExponentialChart(pres, so4_so2_gram(1.0, 0.5))
+    gram = so4_so2_gram(1.0, 0.5)
+    for stack, grams in ((pres, gram),
+                         (pres._members(np.arange(2)), np.array([gram] * 2))):
+        with pytest.raises(ValueError, match=r"a complement stack "
+                                             r"\(2, 6, 5\) has no chart"):
+            ExponentialChart(stack, grams)
 
 
 # ---------------------------------------------------------------------------

@@ -206,6 +206,29 @@ def test_the_sweep_gathers_no_members():
                 if use.startswith("cli.py:")]
 
 
+def test_only_the_presentation_reads_its_positions():
+    """A stack's position index ``_place`` is read by methods of
+    ``Presentation`` alone: every other reader asks its ``_size`` or reads
+    it by position through ``_members``.  The scan sees the reads inside."""
+    inside, outside = set(), set()
+
+    def visit(node, path, cls, fn):
+        if isinstance(node, ast.ClassDef):
+            cls = node.name
+        if isinstance(node, ast.FunctionDef):
+            fn = node.name
+        if getattr(node, "attr", None) == "_place":
+            (inside if cls == "Presentation" else outside).add(
+                f"{path.name}:{fn}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, path, cls, fn)
+
+    for path in sorted(pathlib.Path(symidx.__file__).parent.rglob("*.py")):
+        visit(ast.parse(path.read_text(), str(path)), path, None, None)
+    assert "homspace.py:_members" in inside
+    assert outside == set(), outside
+
+
 def printing_uses() -> list:
     """``file:line`` of each use of the name ``dumps`` and each call with an
     ``indent=`` keyword in the package."""

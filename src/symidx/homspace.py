@@ -83,9 +83,11 @@ class Presentation:
     complement : Subspace, sequence of Subspace, or None
         Reductive complement identified with the tangent space.  When
         omitted it is the orthogonal complement of the isotropy for the
-        ad-invariant reference form.  A sequence is a stack, kept as a
-        tuple, one per metric of :func:`transvection_stack`: each distinct
-        object in it is one member, validated once and refused alone.
+        ad-invariant reference form.  Only a single complement takes a
+        metric.  A sequence is a stack, kept as a tuple, one position per
+        metric of :func:`transvection_stack`, read through ``_members``:
+        each distinct object in it is one member, validated once and
+        refused alone.
     tol : float
         Cutoff of every rank decision about the space, fixed here: the
         validation below and, read as ``sp.tol``, the parallel fields of
@@ -191,15 +193,15 @@ class Presentation:
                 raise ValueError(
                     f"the pair is not effective: an ideal of dimension "
                     f"{ideal} lies inside the isotropy")
-        if self._place is None and refusals[0]:
-            raise ValueError(refusals[0])
-        if len(comps) == 1:  # held as the one complement: arrays broadcast
+        if self._place is None:  # 2-D: only a single complement takes a metric
+            if refusals[0]:
+                raise ValueError(refusals[0])
             m, t_inv, e_ad_h_m = comps[0].basis, t_inv[0], e_ad_h_m[0]
         self.complement = complement
         self._refusals = np.array(refusals, dtype=object)  # per member
 
         self.h_basis = h
-        self.m_basis = m
+        self.m_basis = m  # a stack's: per member, read by position in _members
         #: Value of a Killing field at the base point, as a matrix:
         #: tangent coordinates of the field with algebra coefficients x
         #: are ``eval_matrix @ x``.
@@ -217,13 +219,20 @@ class Presentation:
         return np.einsum("...kab,...ck->...abc", brackets(alg, m, m),
                          self.eval_matrix)
 
+    @property
+    def _size(self) -> int | None:
+        """Positions of a stack or of a part read by an index array; None
+        for the 2-D arrays of one complement, which take a metric."""
+        return (None if self.m_basis.ndim == 2 else
+                len(self.m_basis if self._place is None else self._place))
+
     def _members(self, rows) -> "Presentation":
         """The stack of positions ``rows``, each its own member, or self; a
         part reads its ``_stack``'s :attr:`_lift_brackets` at ``_member``.
         An int position gives a one-member part, with the 2-D arrays of a
         single complement, which :class:`~symidx.numcheck.ExponentialChart`
         accepts and which takes a metric by :meth:`space`."""
-        if self.m_basis.ndim == 2:
+        if self._size is None:
             return self
         at = rows if self._place is None else self._place[rows]
         part = Presentation.__new__(Presentation)
@@ -271,9 +280,8 @@ class HomogeneousSpace(Presentation):
         self._set_metric(metric, label)
 
     def _set_metric(self, metric: BilinearForm, label: str) -> None:
-        if self._place is not None or self.m_basis.ndim > 2:  # or a part
-            size = len(self.m_basis if self._place is None else self._place)
-            raise ValueError(f"a stack of size {size} is no space")
+        if self._size is not None:
+            raise ValueError(f"a stack of size {self._size} is no space")
         if metric.dim != self.dim:
             raise ValueError(
                 f"metric dimension {metric.dim} does not match the "
@@ -315,16 +323,6 @@ class HomogeneousSpace(Presentation):
         return nablas
 
 
-def _refuse_repeated_complements(pres: Presentation):
-    """ValueError for a stack that repeats a complement, whose arrays hold
-    one entry per member: :func:`transvection_stack` reads it by position."""
-    place = pres._place  # None on a part, whose refusal may be a scalar
-    if place is not None and 1 < (members := len(pres._refusals)) < len(place):
-        raise ValueError(f"a stack of {len(place)} positions repeats a "
-                         f"complement: {members} members, read by position "
-                         f"through transvection_stack")
-
-
 def _metric_refusals(pres: Presentation, grams: np.ndarray) -> list:
     """Why :class:`HomogeneousSpace` refuses each metric of ``grams``
     (N, dim, dim) on ``pres``, or None where it takes it: the one metric
@@ -333,8 +331,8 @@ def _metric_refusals(pres: Presentation, grams: np.ndarray) -> list:
     each isotropy vector must act skew-symmetrically, the largest entry of
     ``G A + (G A)^T`` for its action A at most
     :data:`~symidx.liealg.CHECK_TOL`, a check that overflows refused as
-    such; per position, after its member's."""
-    _refuse_repeated_complements(pres)
+    such; per position, after its member's.  ``pres`` is a space or a
+    part of :meth:`~Presentation._members`: one entry per position."""
     w = np.linalg.eigvalsh(grams) if pres.dim else np.ones((len(grams), 1))
     with np.errstate(over="ignore", invalid="ignore"):  # refused below
         ops = grams[:, None] @ pres._e_ad_h_m
@@ -361,8 +359,8 @@ def _metric_refusals(pres: Presentation, grams: np.ndarray) -> list:
 def _nablas(pres: Presentation, grams: np.ndarray) -> np.ndarray:
     """Shape (N, algebra dim, dim, dim): :attr:`HomogeneousSpace._nabla_basis`
     per metric of ``grams`` by the Koszul identity, on the brackets of the
-    stack's members, :attr:`~Presentation._lift_brackets`."""
-    _refuse_repeated_complements(pres)
+    stack's members, :attr:`~Presentation._lift_brackets`, on a space or a
+    part of :meth:`~Presentation._members`."""
     alg, e, m = pres.algebra, pres.eval_matrix, pres.m_basis
     ge = (grams @ e)[:, None]
     gv = ge @ alg.ad_stack @ m[..., None, :, :]
@@ -517,9 +515,8 @@ def transvection_stack(pres: Presentation, grams: np.ndarray) -> dict:
     the others' operators psd.  Other shapes of ``grams`` raise ``ValueError``.
     """
     d, grams = pres.dim, np.asarray(grams, dtype=float)
-    size = None if pres._place is None else len(pres._place)
-    if grams.ndim and size not in (None, len(grams)):
-        raise ValueError(f"a stack of size {size} takes one metric per "
+    if grams.ndim and pres._size not in (None, len(grams)):
+        raise ValueError(f"a stack of size {pres._size} takes one metric per "
                          f"member, got {len(grams)}")
     if grams.ndim != 3 or grams.shape[1:] != (d, d):
         raise ValueError(f"metrics of shape {grams.shape}, not (N, {d}, {d})")

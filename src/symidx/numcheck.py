@@ -105,8 +105,8 @@ class ExponentialChart:
 
     def __init__(self, pres: Presentation, grams: np.ndarray):
         grams, d = _real("metric", grams), pres.dim
-        if pres._place is not None:
-            shape = (len(pres._place), *pres.m_basis.shape[-2:])
+        if pres._size is not None:
+            shape = (pres._size, *pres.m_basis.shape[-2:])
             raise ValueError(f"a complement stack {shape} has no chart")
         if grams.shape[-2:] != (d, d) or not 2 <= grams.ndim <= 3:
             raise ValueError(f"metrics of shape {grams.shape}, not "

@@ -6,7 +6,8 @@ the float limit, huge and negative integers, deep nesting, ragged and
 transposed matrices) and read by ``index`` and ``jacobi``; the arguments
 of every command are mutated too.  Each run must end as the command line
 promises: exit 0, 1 or 2, at most one ``error:`` line, and no traceback
-and no warning.  A seeded third of the document runs is traced as well:
+and no warning.  Some documents are also read with their complement
+scaled as a whole, by powers of ten up to 1e300, under the same rule.  A seeded third of the document runs is traced as well:
 each must peak under the byte budget ``liealg._STACK_BYTES`` plus the
 document's size, by tracemalloc, after untraced first runs have done their
 imports.  A failure names the seed that reproduces it.
@@ -57,6 +58,12 @@ CATALOG_NAMES = NAMES + (
     "so4-so2:0.5,0.5,nan", "so4-so2:2,0.5", "spin3:1,2", "spin3:1,2,-3",
     "spin3:1e308,1e308,1e308", "product-spheres:-1", "product-spheres:1e308",
     "product-spheres:1e-200", "cp2-centriole:1", "foo", "", ":", "so4-so2:,")
+#: The documents whose complement is scaled as a whole, by each power of
+#: ten in SCALES.
+SCALED_NAMES = ("round-sphere:2", "round-sphere:5", "so4-so2:0.5,0.8",
+                "so4-so2:0.5,0.8,1.2", "spin3:1,1,1", "spin3:0.5,1.5,2",
+                "product-spheres:1", "cp2-centriole")
+SCALES = (100, 150, 155, 200, 300)
 
 
 class Pairs(list):
@@ -228,6 +235,24 @@ def test_mutated_documents_end_in_an_answer_or_one_error_line(tmp_path):
         run(["index", "--space", str(path)])
         run(["jacobi", "--space", str(path), "--direction", "0"])
     assert not first_failure(document_cases(path))
+
+
+def test_a_scaled_complement_ends_in_an_answer_or_one_error_line(tmp_path):
+    """Each document of :data:`SCALED_NAMES` with its complement times
+    10^k, k in :data:`SCALES`, read by ``index`` and ``jacobi``: an answer
+    or one named refusal, and no numpy warning on the way."""
+    path, cases = tmp_path / "space.json", []
+    for name in SCALED_NAMES:
+        document = json.loads(emitted(name))
+        for k in SCALES:
+            scaled = dict(document, complement=[
+                [float(10 ** k) * x for x in row]
+                for row in document["complement"]])
+            for argv in (["index"], ["jacobi", "--direction", "0"]):
+                path.write_text(dumps(scaled))
+                found = problems(argv[:1] + ["--space", str(path)] + argv[1:])
+                cases += [f"{name} at 1e{k}, {argv[0]}: {found}"] * bool(found)
+    assert cases == []
 
 
 def test_mutated_arguments_end_in_an_answer_or_one_error_line():

@@ -1374,6 +1374,35 @@ def test_a_stacked_presentation_refuses_exactly_its_failing_members():
         stack.space(BilinearForm(np.eye(5)))
 
 
+def test_a_stack_refuses_only_the_member_whose_brackets_overflow():
+    """The spin3 stack [c, 1e200 c]: the brackets of the scaled complement
+    overflow, so its member is refused by name with no numpy warning, and
+    the other member is decided as the spin3 space alone decides it."""
+    one = spin3_presentation(DEFAULT_TOL)
+    c = one.complement
+    message = "the brackets of the complement overflow; rescale its basis"
+    gram = np.diag([0.5, 1.5, 2.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        stack = Presentation(one.algebra, one.isotropy,
+                             [c, Subspace(3, 1e200 * c.basis)], DEFAULT_TOL)
+        assert homspace._metric_refusals(
+            stack._members(np.arange(2)), np.array([gram, gram])) == [
+            None, message]
+        found = transvection_stack(stack, [gram, gram])
+        want = transvection_stack(one, [gram])
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Presentation(one.algebra, one.isotropy,
+                         Subspace(3, 1e200 * c.basis))
+    for name in ("index", "coindex", "dim_transvection", "involutive_ok",
+                 "psd_ok", "refused"):
+        assert found[name][0] == want[name][0], name
+    assert found["index"][1] == -1
+    (rows, p), = found["p_space"]
+    (_, q), = want["p_space"]
+    assert rows.tolist() == [0] and np.array_equal(p, q)
+
+
 def test_a_stack_takes_one_metric_per_member_and_makes_no_space():
     """A metric count other than the stack's size is refused by one message
     naming both counts, also where numpy would broadcast a stack of one and

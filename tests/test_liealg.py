@@ -678,6 +678,17 @@ def test_matrix_algebra_refuses_too_many_generators_before_it_factors():
     assert so_elementary(17)[0].dim == liealg.MAX_ALGEBRA_DIM
 
 
+def test_so_elementary_refuses_above_the_limit_before_it_allocates():
+    """so(18), of dimension 153, is refused by name before its generators,
+    153 matrices of 18 x 18, and their skew parts are built."""
+    def refused():
+        with pytest.raises(ValueError, match=(
+                f"at most MAX_ALGEBRA_DIM = {liealg.MAX_ALGEBRA_DIM}")):
+            so_elementary(18)
+
+    assert traced_peak(refused)[1] < 2 ** 16
+
+
 def test_quaternion_left_multiplication_table():
     li = quaternion_left_multiplication(1)
     # i * j = k, i * i = -1

@@ -106,9 +106,9 @@ class Presentation:
         relative to its length), a stack is empty or has a member of another
         shape, the complement does not complete the isotropy to the whole
         algebra or is not reductive, the isotropy's brackets or its action
-        on a complement overflow (named so, where they decide a check), or
-        the pair is not effective: a nonzero ideal of the algebra lies in
-        the isotropy.
+        on a complement overflow (named so, where they decide a check), the
+        brackets of a complement overflow (named so), or the pair is not
+        effective: a nonzero ideal of the algebra lies in the isotropy.
         As ``[h, m]`` lies in ``m``, the x in ``h`` with ``[x, m]`` in ``h``
         have ``[x, m] = 0`` and, by the Jacobi identity, form the largest
         such ideal, of dimension the nullity at ``tol`` of x -> tangent part
@@ -176,16 +176,21 @@ class Presentation:
         imgs = ad_h @ m[:, None]
         reductive = np.abs(t_inv[:, None, :r] @ imgs).max(axis=(-2, -1),
                                                            initial=0.0)
+        e_ad_h_m = t_inv[:, None, r:] @ imgs
+        del t, imgs  # not alive beside the Koszul term
+        lift = np.einsum("...kab,...ck->...abc", brackets(algebra, m, m),
+                         t_inv[:, r:])
         refusals = [
             "isotropy and complement overlap" if lap else
+            "the brackets of the complement overflow; rescale its basis"
+            if not (bad.any() or np.isfinite(term).all()) else
             None if not bad.any() else
             "the action of the isotropy on the complement overflows; "
             "rescale the bases" if not np.isfinite(res).all() else
             f"complement is not reductive: isotropy vector {bad.argmax()} "
             f"maps it outside itself (residual {res[bad.argmax()]:.3e})"
-            for lap, res, bad in zip(overlap, reductive,
-                                     ~(reductive <= CHECK_TOL))]  # nan too
-        e_ad_h_m = t_inv[:, None, r:] @ imgs
+            for lap, res, bad, term in zip(overlap, reductive, ~(
+                reductive <= CHECK_TOL), lift)]  # nan too
         if None in refusals:  # effectiveness, from the first passing member
             action = e_ad_h_m[refusals.index(None)].reshape(r, (n - r) ** 2)
             ideal = r - numerical_rank(action.T, tol)
@@ -196,7 +201,7 @@ class Presentation:
         if self._place is None:  # 2-D: only a single complement takes a metric
             if refusals[0]:
                 raise ValueError(refusals[0])
-            m, t_inv, e_ad_h_m = comps[0].basis, t_inv[0], e_ad_h_m[0]
+            m, t_inv, e_ad_h_m, lift = m[0], t_inv[0], e_ad_h_m[0], lift[0]
         self.complement = complement
         self._refusals = np.array(refusals, dtype=object)  # per member
 
@@ -208,16 +213,10 @@ class Presentation:
         self.eval_matrix = t_inv[..., r:, :]
         #: Tangent part of ad(h) m, the metric-free factor of the skew check.
         self._e_ad_h_m = e_ad_h_m
+        #: Per member, the Koszul term: [a, b, c], coordinate c of [m_a, m_b].
+        self._lift_brackets = lift
 
-    _stack, _member = None, slice(None)  # of a part: see _members
-
-    @cached_property
-    def _lift_brackets(self) -> np.ndarray:
-        """Per member, the metric-free Koszul term: ``[a, b, c]`` is the
-        c-th coordinate of [m_a, m_b] at the base point (on first use)."""
-        alg, m = self.algebra, self.m_basis
-        return np.einsum("...kab,...ck->...abc", brackets(alg, m, m),
-                         self.eval_matrix)
+    _member = slice(None)  # of a part: its positions' members, see _members
 
     @property
     def _size(self) -> int | None:
@@ -228,7 +227,7 @@ class Presentation:
 
     def _members(self, rows) -> "Presentation":
         """The stack of positions ``rows``, each its own member, or self; a
-        part reads its ``_stack``'s :attr:`_lift_brackets` at ``_member``.
+        part reads the stack's shared :attr:`_lift_brackets` at ``_member``.
         An int position gives a one-member part, with the 2-D arrays of a
         single complement, which :class:`~symidx.numcheck.ExponentialChart`
         accepts and which takes a metric by :meth:`space`."""
@@ -236,8 +235,8 @@ class Presentation:
             return self
         at = rows if self._place is None else self._place[rows]
         part = Presentation.__new__(Presentation)
-        vars(part).update(vars(self), _place=None, _stack=self._stack or self,
-                          _member=self._member[rows] if self._stack else at)
+        vars(part).update(vars(self), _place=None, _member=(
+            self._member[at] if self._place is None else at))
         for name in ("_refusals", "m_basis", "eval_matrix", "_e_ad_h_m"):
             setattr(part, name, getattr(self, name)[at])
         return part
@@ -364,7 +363,7 @@ def _nablas(pres: Presentation, grams: np.ndarray) -> np.ndarray:
     alg, e, m = pres.algebra, pres.eval_matrix, pres.m_basis
     ge = (grams @ e)[:, None]
     gv = ge @ alg.ad_stack @ m[..., None, :, :]
-    mm = (pres._stack or pres)._lift_brackets[pres._member]
+    mm = pres._lift_brackets[pres._member]
     term2 = np.moveaxis(mm @ ge, -1, 1)
     rhs = 0.5 * (gv - gv.swapaxes(-1, -2) + term2)
     return np.linalg.inv(grams)[:, None] @ rhs.swapaxes(-1, -2)

@@ -855,6 +855,7 @@ def so_elementary(n: int):
     """
     if n < 2:
         raise ValueError("so(n) needs n >= 2")
+    checked_dim(n * (n - 1) // 2)  # before the generators are built
     first, second = np.triu_indices(n, 1)
     mats = np.zeros((len(first), n, n))
     mats[np.arange(len(first)), first, second] = 1.0

@@ -7,10 +7,11 @@ transposed matrices) and read by ``index`` and ``jacobi``; the arguments
 of every command are mutated too.  Each run must end as the command line
 promises: exit 0, 1 or 2, at most one ``error:`` line, and no traceback
 and no warning.  Some documents are also read with their complement
-scaled as a whole, by powers of ten up to 1e300, under the same rule.  A seeded third of the document runs is traced as well:
-each must peak under the byte budget ``liealg._STACK_BYTES`` plus the
-document's size, by tracemalloc, after untraced first runs have done their
-imports.  A failure names the seed that reproduces it.
+scaled as a whole, by powers of ten up to 1e300, under the same rule.
+A seeded third of the document runs is traced as well: each must peak
+under the byte budget ``liealg._STACK_BYTES`` plus the document's size,
+by tracemalloc, after untraced first runs have done their imports.  A
+failure names the seed that reproduces it.
 """
 
 import contextlib

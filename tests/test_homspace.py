@@ -1303,7 +1303,7 @@ def test_a_nested_part_of_a_stack_reads_its_own_members_lift_brackets():
     part = stack._members(np.arange(1, 4))
     nested = part._members(np.array([2, 0]))
     for sub, positions in ((part, [1, 2, 3]), (nested, [3, 1])):
-        assert sub._stack is stack
+        assert sub._lift_brackets is stack._lift_brackets
         got = homspace._nablas(sub, grams[positions])
         for row, i in enumerate(positions):
             one = spin4_quotient([a, b, a, c][i], 1e-9)

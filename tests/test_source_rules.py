@@ -109,8 +109,8 @@ def test_one_pivot_curvature_psd_rule():
 
 def test_the_presentation_forms_the_brackets_of_complement_lifts():
     """The metric-free Koszul term is a fact of the presentation: only
-    ``Presentation._lift_brackets`` brackets the complement with itself,
-    and ``_nablas`` reads it and names no ``brackets``."""
+    ``Presentation.__init__`` brackets the complement with itself, and
+    ``_nablas`` reads it and names no ``brackets``."""
     path = pathlib.Path(symidx.__file__).parent / "homspace.py"
     forming = set()
 
@@ -126,9 +126,24 @@ def test_the_presentation_forms_the_brackets_of_complement_lifts():
             visit(child, enclosing)
 
     visit(ast.parse(path.read_text()), None)
-    assert forming == {"_lift_brackets"}
+    assert forming == {"__init__"}
     assert "_nablas" not in uses_by_function("brackets")
     assert "_nablas" in uses_by_function("_lift_brackets")
+
+
+def test_the_presentation_forms_its_facts_eagerly_and_a_part_points_nowhere():
+    """``Presentation`` forms every member fact in its constructor: its body
+    defines no ``cached_property``, and no part of a stack points back at
+    the stack, so no module names ``_stack``.  The scans see a use."""
+    path = pathlib.Path(symidx.__file__).parent / "homspace.py"
+    cls, = (node for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.ClassDef)
+            and node.name == "Presentation")
+    named = {getattr(node, "attr", getattr(node, "id", None))
+             for node in ast.walk(cls)}
+    assert "cached_property" not in named and "_lift_brackets" in named
+    assert named_uses(("_stack",)) == []
+    assert named_uses(("_member",))
 
 
 def test_verify_reaches_the_stacked_core_by_one_route():

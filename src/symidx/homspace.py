@@ -182,9 +182,9 @@ class Presentation:
                          t_inv[:, r:])
         refusals = [
             "isotropy and complement overlap" if lap else
+            None if not bad.any() and np.isfinite(term).all() else
             "the brackets of the complement overflow; rescale its basis"
-            if not (bad.any() or np.isfinite(term).all()) else
-            None if not bad.any() else
+            if not bad.any() else
             "the action of the isotropy on the complement overflows; "
             "rescale the bases" if not np.isfinite(res).all() else
             f"complement is not reductive: isotropy vector {bad.argmax()} "

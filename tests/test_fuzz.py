@@ -22,6 +22,8 @@ import math
 import random
 import warnings
 
+import pytest
+
 from meaning import traced_peak
 from symidx import liealg
 from symidx.cli import main
@@ -238,17 +240,29 @@ def test_mutated_documents_end_in_an_answer_or_one_error_line(tmp_path):
     assert not first_failure(document_cases(path))
 
 
-def test_a_scaled_complement_ends_in_an_answer_or_one_error_line(tmp_path):
-    """Each document of :data:`SCALED_NAMES` with its complement times
-    10^k, k in :data:`SCALES`, read by ``index`` and ``jacobi``: an answer
-    or one named refusal, and no numpy warning on the way."""
+def _scaled(value, factor: float):
+    """The nested lists of numbers ``value``, each times ``factor``."""
+    if isinstance(value, list):
+        return [_scaled(entry, factor) for entry in value]
+    return factor * value
+
+
+@pytest.mark.parametrize("field", [("complement",), ("algebra", "structure")],
+                         ids=["complement", "structure"])
+def test_a_scaled_complement_ends_in_an_answer_or_one_error_line(tmp_path,
+                                                                 field):
+    """Each document of :data:`SCALED_NAMES` with its complement, or its
+    structure tensor, times 10^k, k in :data:`SCALES`, read by ``index``
+    and ``jacobi``: an answer or one named refusal, and no numpy warning on
+    the way."""
     path, cases = tmp_path / "space.json", []
     for name in SCALED_NAMES:
-        document = json.loads(emitted(name))
+        text = emitted(name)
         for k in SCALES:
-            scaled = dict(document, complement=[
-                [float(10 ** k) * x for x in row]
-                for row in document["complement"]])
+            scaled = json.loads(text)
+            *outer, last = field
+            node = functools.reduce(dict.__getitem__, outer, scaled)
+            node[last] = _scaled(node[last], float(10 ** k))
             path.write_text(dumps(scaled))
             for argv in (["index"], ["jacobi", "--direction", "0"]):
                 found = problems(argv[:1] + ["--space", str(path)] + argv[1:])

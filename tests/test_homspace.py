@@ -39,6 +39,7 @@ from symidx.homspace import (
     jacobi_operator,
     perpendicular_killing_space,
     symmetry_ideal,
+    symmetry_ideals,
     transvection_space,
     transvection_stack,
 )
@@ -1442,6 +1443,24 @@ def test_an_int_position_of_a_stack_takes_a_metric_as_its_own_presentation():
         for name in ("m_basis", "eval_matrix", "_nabla_basis"):
             assert same_bits(getattr(got, name), getattr(want, name)), name
         assert transvection_space(got).index == transvection_space(want).index
+    stack = spin4_quotient([a, b, a], 1e-9)
+    assert stack._members(1).complement is b
+    assert stack._members(np.arange(3)).complement == (a, b, a)
+    assert space_to_dict(stack._members(1).space(metric)) == space_to_dict(
+        want)
+
+
+def test_the_stacked_result_holds_every_report_field_by_name():
+    """Each field of :class:`BoundReport`, and each of
+    :class:`TransvectionReport` but ``s_space``, which the reports form
+    from ``p_space``, is a key of the stacked result of a stack."""
+    pres = spin4_quotient([so4_so2_complement(lam) for lam in (0.5, 1.0)],
+                          1e-9)
+    grams = np.array([so4_so2_gram(s, 2.0 - s) for s in (0.5, 1.2)])
+    stack = symmetry_ideals(pres, transvection_stack(pres, grams))
+    names = {f.name for cls in (TransvectionReport, BoundReport)
+             for f in dataclasses.fields(cls)}
+    assert names - {"s_space"} <= stack.keys()
 
 
 def test_a_part_read_by_an_index_array_is_no_space():

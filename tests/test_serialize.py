@@ -128,12 +128,16 @@ def _with(document, path, value):
      [0.0, 0.0], "/algebra/structure/2/1", r"shape \(3, 3, 3\)"),
     (_inline_two_sphere_document, ("algebra", "labels"), ["a", "b"],
      "/algebra/labels", "3 labels"),
+    (two_sphere_document, ("metric",), [[10 ** 400, 1.0], [2.0]],
+     "/metric/0/0", "integer beyond the range of a float"),
 ], ids=["ragged-isotropy", "long-complement-row", "ragged-metric",
-        "2x3-metric", "structure-1x1x1", "short-structure-row", "labels"])
+        "2x3-metric", "structure-1x1x1", "short-structure-row", "labels",
+        "huge-integer-before-ragged-row"])
 def test_malformed_shapes_are_format_errors(tmp_path, capsys, build, path,
                                             value, pointer, message):
     """Shapes the schema cannot express are refused with a pointer to the
-    first array of the wrong length, and the CLI exits with 2."""
+    first fault in document order, an array of the wrong length or an
+    integer no float holds, and the CLI exits with 2."""
     document = _with(build(), path, value)
     with pytest.raises(SpaceFormatError, match=message) as err:
         space_from_dict(document)

@@ -235,10 +235,10 @@ def _sweep_points(args, parser):
 
 
 def _sweep_rows(presentation, points, tol) -> tuple:
-    """The CSV rows of the points kept, in the numeric order of their
-    parameters (whose empty fields are the same at every point of a grid),
-    decided on the presentation of their complements, one per point, and
-    the count of refused curvature candidates, read from the stacked arrays."""
+    """The CSV rows of the points kept, in the order of ``points`` (by
+    ascending parameters, the first slowest, as grids ascend), decided on
+    the presentation of their complements, one per point, and the count of
+    refused curvature candidates, read from the stacked arrays."""
     kept = []
     for params, point in points:
         try:
@@ -247,7 +247,6 @@ def _sweep_rows(presentation, points, tol) -> tuple:
             pass
     if not kept:
         return [], 0
-    kept.sort(key=lambda point: point[0])
     fields, complements, grams = zip(*kept)
     grams, kept = np.array(grams), None  # one stack, not one array a point
     try:

@@ -25,7 +25,7 @@ the same derivative through coordinate Christoffel symbols.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property
 
@@ -226,17 +226,20 @@ class Presentation:
                 len(self.m_basis if self._place is None else self._place))
 
     def _members(self, rows) -> "Presentation":
-        """The stack of positions ``rows``, each its own member, or self; a
-        part reads the stack's shared :attr:`_lift_brackets` at ``_member``.
+        """The positions ``rows``, each its own member and complement, as a
+        stack, or self; a part reads :attr:`_lift_brackets` at ``_member``.
         An int position gives a one-member part, with the 2-D arrays of a
         single complement, which :class:`~symidx.numcheck.ExponentialChart`
         accepts and which takes a metric by :meth:`space`."""
         if self._size is None:
             return self
         at = rows if self._place is None else self._place[rows]
+        own = np.arange(self._size)[rows].tolist()  # the part's positions
         part = Presentation.__new__(Presentation)
         vars(part).update(vars(self), _place=None, _member=(
-            self._member[at] if self._place is None else at))
+            self._member[at] if self._place is None else at), complement=(
+            self.complement[own] if isinstance(own, int) else
+            tuple(map(self.complement.__getitem__, own))))
         for name in ("_refusals", "m_basis", "eval_matrix", "_e_ad_h_m"):
             setattr(part, name, getattr(self, name)[at])
         return part
@@ -472,26 +475,20 @@ def _bases(groups: list, count: int) -> list:
 
 
 def _unstack(cls, stack: dict, pres: Presentation) -> list:
-    """The ``cls`` report, :class:`TransvectionReport` or :class:`BoundReport`
-    (whose ``k`` is the coindex), of each metric of ``stack`` on ``pres``, or
-    None where its index is -1: the one place where the arrays become
-    objects, field by field, and ``s_space`` is formed."""
-    index, count = stack["index"].tolist(), len(stack["index"])
-    if cls is TransvectionReport:
-        s_space = [(rows, stacked_frames(pres._members(rows).eval_matrix @ p))
-                   for rows, p in stack["p_space"]]
-        fields = zip(_bases(stack["p_space"], count),
-                     _bases(stack["k_space"], count),
-                     _bases(s_space, count), index,
-                     stack["coindex"].tolist(),
-                     stack["dim_transvection"].tolist(),
-                     stack["involutive_ok"].tolist())
-    else:
-        fields = zip(_bases(stack["gD"], count),
-                     _bases(stack["g_prime"], count),
-                     stack["coindex"].tolist(), stack["lhs"].tolist(),
-                     stack["rhs"].tolist(), stack["equality"].tolist())
-    return [cls(*f) if i >= 0 else None for i, f in zip(index, fields)]
+    """The ``cls`` report, :class:`TransvectionReport` or :class:`BoundReport`,
+    of each metric of ``stack`` on ``pres``, or None where its index is -1:
+    the one place where the arrays become objects and ``s_space`` is formed.
+    Each field is read under its own name: a list of ``(rows, bases)``
+    groups gives subspaces, an array its entries."""
+    count = len(stack["index"])
+    if cls is TransvectionReport:  # the values of the parallel fields
+        stack = dict(stack, s_space=[
+            (rows, stacked_frames(pres._members(rows).eval_matrix @ p))
+            for rows, p in stack["p_space"]])
+    columns = [_bases(v, count) if isinstance(v, list) else v.tolist()
+               for v in (stack[f.name] for f in fields(cls))]
+    return [cls(*f) if i >= 0 else None
+            for i, f in zip(stack["index"].tolist(), zip(*columns))]
 
 
 def transvection_stack(pres: Presentation, grams: np.ndarray) -> dict:
@@ -502,11 +499,11 @@ def transvection_stack(pres: Presentation, grams: np.ndarray) -> dict:
     then :func:`_nablas` (brackets per member), :func:`_parallel_fields` and
     per index the curvature of those kept; then :func:`_decide_groups`.
 
-    Returns one stacked result, a dict and no report object.  Per metric,
-    it holds the arrays ``index`` (-1 where :class:`HomogeneousSpace`
-    refuses the metric), ``coindex``, ``dim_transvection`` and
-    ``involutive_ok`` of :class:`TransvectionReport`, ``psd_ok`` and
-    ``refused``; per group, the ``(rows, bases)`` lists ``p_space`` (one
+    Returns one stacked result, a dict and no report object, whose keys
+    are the fields of :class:`TransvectionReport` but ``s_space``, which
+    the report forms from ``p_space``, and ``psd_ok`` and ``refused``: per
+    metric an array (``index`` -1 where :class:`HomogeneousSpace` refuses
+    the metric), per group the ``(rows, bases)`` lists ``p_space`` (one
     group per index) and ``k_space`` of the metrics ``rows``.
     Of the curvature candidates, the tangent basis directions and the
     parallel fields, ``refused`` counts those :func:`jacobi_operator` raises
@@ -663,9 +660,9 @@ def symmetry_ideal(sp: Presentation,
 def symmetry_ideals(pres: Presentation, stack: dict) -> dict:
     """``stack``, a result of :func:`transvection_stack` on ``pres`` (at
     position i of a stack), with the :class:`BoundReport` of each metric but
-    those of index -1: the arrays ``lhs``, ``rhs`` and ``equality`` and the
-    groups ``gD`` and ``g_prime``: one pass per ``p_space`` group (one per
-    index), in chunks of :func:`_chunks` by the bytes of its leak stacks.
+    those of index -1, each field under its name: one pass per ``p_space``
+    group (one per index), in chunks of :func:`_chunks` by the bytes of its
+    leak stacks.
 
     Seeds the largest-ideal iteration of :func:`invariant_subspaces` with
     the isotropy plus ``p_space``, of full rank (:class:`TransvectionReport`)
@@ -716,8 +713,8 @@ def symmetry_ideals(pres: Presentation, stack: dict) -> dict:
         g_ds.append((rows, g_d))
         g_primes.append((rows, g_prime))
     lhs, rhs = 2 * (n - dims), stack["coindex"] * (stack["coindex"] + 1)
-    return dict(stack, lhs=lhs, rhs=rhs, equality=lhs == rhs, gD=g_ds,
-                g_prime=g_primes)
+    return dict(stack, gD=g_ds, g_prime=g_primes, k=stack["coindex"],
+                lhs=lhs, rhs=rhs, equality=lhs == rhs)
 
 
 def perpendicular_killing_space(sp: HomogeneousSpace,
@@ -776,6 +773,7 @@ def _unit_fields(pres: Presentation, grams: np.ndarray, nablas: np.ndarray,
     return x, c, n_c, along, residuals, first
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite R is refused
 def _curvature(pres: Presentation, grams: np.ndarray, nablas: np.ndarray,
                xs: np.ndarray) -> tuple:
     """The curvature operators R(., c')c' along the orbit geodesics of the
@@ -841,13 +839,16 @@ def jacobi_operator(sp: HomogeneousSpace, x: np.ndarray) -> JacobiSpectrum:
     ValueError
         If the field is not ``algebra.dim`` finite real coefficients, its
         speed at the base point is at most :data:`~symidx.liealg.CHECK_TOL`,
-        or its covariant derivative along itself has norm above
-        ``CHECK_TOL``: its orbit is not a geodesic.
+        its covariant derivative along itself has norm above ``CHECK_TOL``
+        (its orbit is not a geodesic), or the curvature overflows.
     """
     x = _coordinates("field", x, sp.algebra.dim, "algebra")
     xn, residuals, first, op, go = (v[0, 0] for v in _curvature(
         sp, sp.metric.gram[None], sp._nabla_basis[None], x[None, :, None]))
     _refuse_curvature(first, residuals)
+    if not np.isfinite(go).all():
+        raise ValueError("the curvature along the field overflows; rescale "
+                         "the algebra")
     w, vecs = pencil_eigh(0.5 * (go + go.T), sp.metric.gram, CHECK_TOL)
     return JacobiSpectrum(
         direction=xn, operator=op, eigenvalues=w, eigenvectors=vecs,

@@ -148,14 +148,26 @@ def stacked_contains(q: np.ndarray, vecs: np.ndarray) -> tuple:
     all in one projection.  The axis of ``vecs`` after the stack axes of
     ``q`` holds the coordinates; the result ``(inside, leaks)`` has one
     entry per vector, flattened to shape (..., m), and ``leaks`` holds the
-    squared norms of the residuals."""
+    squared norms of the residuals.  A vector whose squared norm overflows
+    is decided by the same rule in a power-of-two unit of itself."""
     flat = vecs.reshape(*q.shape[:-1], math.prod(vecs.shape[q.ndim - 1:]))
+    with np.errstate(over="ignore", invalid="ignore"):  # decided below
+        leaks, norms = _leaks_and_norms(q, flat)
+        inside = leaks <= CHECK_TOL * CHECK_TOL * np.maximum(1.0, norms)
+        huge = np.isinf(norms)
+        if huge.any():  # |v|^2 > 1: the rule is |r| <= CHECK_TOL |v|
+            unit = np.exp2(-np.frexp(np.abs(flat).max(axis=-2))[1])
+            small, size = _leaks_and_norms(q, flat * unit[..., None, :])
+            inside[huge] = (small <= CHECK_TOL * CHECK_TOL * size)[huge]
+    return inside, leaks
+
+
+def _leaks_and_norms(q: np.ndarray, flat: np.ndarray) -> tuple:
+    """Squared norms of each column's residual off ``q``, and of the column."""
     resid = q @ (q.swapaxes(-1, -2) @ flat)
     np.subtract(flat, resid, out=resid)
     resid *= resid  # squared norms on both sides
-    leaks = resid.sum(axis=-2)
-    return (leaks <= CHECK_TOL * CHECK_TOL
-            * np.maximum(1.0, (flat * flat).sum(axis=-2))), leaks
+    return resid.sum(axis=-2), (flat * flat).sum(axis=-2)
 
 
 def equal_groups(keys) -> list:

@@ -26,7 +26,6 @@ import itertools
 import json
 import math
 import numbers
-import sys
 from importlib import resources
 from json.encoder import encode_basestring_ascii as _quoted
 
@@ -158,57 +157,44 @@ def _validate(document: dict):
         raise SpaceFormatError(message, "/" + "/".join(map(str, path)))
 
 
-def _first_wrong_length(value, shape: tuple, path: tuple = ()):
-    """``(path, length, expected)`` of the first list, in document order,
-    whose length is not the one ``shape`` asks for at its depth, or None."""
-    if len(value) != shape[0]:
-        return path, len(value), shape[0]
-    if len(shape) > 1:
-        for i, row in enumerate(value):
-            found = _first_wrong_length(row, shape[1:], path + (i,))
-            if found:
-                return found
-    return None
-
-
-def _first_huge_integer(value, path: tuple = ()):
-    """The path of the first integer, in document order, beyond the range
-    of a float in the nested lists ``value``, or None."""
-    if isinstance(value, list):
-        for i, entry in enumerate(value):
-            found = _first_huge_integer(entry, path + (i,))
-            if found is not None:
-                return found
+def _first_fault(value, shape: tuple, rule: str, path: tuple = ()):
+    """``(message, path)`` of the first fault, in document order, of the
+    nested lists ``value``, or None: a list whose length is not the one
+    ``shape`` asks for at its depth (``rule`` says what the shape must be),
+    or an integer that ``float()`` cannot hold."""
+    if not shape:
+        try:
+            float(value)
+        except OverflowError:
+            return ("integer beyond the range of a float; every entry must "
+                    "be a finite number"), path
         return None
-    return path if abs(value) > sys.float_info.max else None
+    if len(value) != shape[0]:
+        return (f"{rule}; found {len(value)} entries where {shape[0]} are "
+                f"expected"), path
+    return next(filter(None, (_first_fault(entry, shape[1:], rule, path + (i,))
+                              for i, entry in enumerate(value))), None)
 
 
 def _float_array(value, shape: tuple, pointer: str, rule: str) -> np.ndarray:
     """``value``, nested lists of numbers as the schema guarantees, as a
     float array of ``shape``.
 
-    Raises :class:`SpaceFormatError` pointing at the first list of the
-    wrong length (``rule`` says what the shape must be), at the first
-    integer beyond the range of a float, or at the first NaN or infinity;
-    the schema can exclude none of them.
+    Raises :class:`SpaceFormatError` pointing at the first fault of
+    :func:`_first_fault`, which reads ``value`` only where numpy cannot
+    convert it to ``shape``, or else at the first NaN or infinity; the
+    schema can exclude none of them.
     """
     try:
         arr = np.asarray(value, dtype=float)
-    except OverflowError:  # an integer no float holds
-        path = _first_huge_integer(value)
-        raise SpaceFormatError(
-            "integer beyond the range of a float; every entry must be a "
-            "finite number", pointer + "".join(f"/{i}" for i in path)
-        ) from None
-    except ValueError:  # ragged: sibling lists of different lengths
+    except (OverflowError, ValueError):  # a huge integer, or ragged lists
         arr = None
     if arr is None or arr.shape != shape:
-        found = _first_wrong_length(value, shape)
-        if found:
-            path, length, expected = found
-            raise SpaceFormatError(
-                f"{rule}; found {length} entries where {expected} are "
-                f"expected", pointer + "".join(f"/{i}" for i in path))
+        fault = _first_fault(value, shape, rule)
+        if fault:
+            message, path = fault
+            raise SpaceFormatError(message,
+                                   pointer + "".join(f"/{i}" for i in path))
         # every length is right, so a level is empty and asarray dropped
         # the levels below it
         arr = np.zeros(shape)

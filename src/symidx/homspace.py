@@ -480,15 +480,14 @@ def _unstack(cls, stack: dict, pres: Presentation) -> list:
     the one place where the arrays become objects and ``s_space`` is formed.
     Each field is read under its own name: a list of ``(rows, bases)``
     groups gives subspaces, an array its entries."""
-    count = len(stack["index"])
+    index = stack["index"].tolist()
     if cls is TransvectionReport:  # the values of the parallel fields
         stack = dict(stack, s_space=[
             (rows, stacked_frames(pres._members(rows).eval_matrix @ p))
             for rows, p in stack["p_space"]])
-    columns = [_bases(v, count) if isinstance(v, list) else v.tolist()
+    columns = [_bases(v, len(index)) if isinstance(v, list) else v.tolist()
                for v in (stack[f.name] for f in fields(cls))]
-    return [cls(*f) if i >= 0 else None
-            for i, f in zip(stack["index"].tolist(), zip(*columns))]
+    return [cls(*f) if i >= 0 else None for i, f in zip(index, zip(*columns))]
 
 
 def transvection_stack(pres: Presentation, grams: np.ndarray) -> dict:

@@ -158,7 +158,7 @@ def _validate(document: dict):
 
 
 def _first_fault(value, shape: tuple, rule: str, path: tuple = ()):
-    """``(message, path)`` of the first fault, in document order, of the
+    """``(path, message)`` of the first fault, in document order, of the
     nested lists ``value``, or None: a list whose length is not the one
     ``shape`` asks for at its depth (``rule`` says what the shape must be),
     or an integer that ``float()`` cannot hold."""
@@ -166,12 +166,12 @@ def _first_fault(value, shape: tuple, rule: str, path: tuple = ()):
         try:
             float(value)
         except OverflowError:
-            return ("integer beyond the range of a float; every entry must "
-                    "be a finite number"), path
+            return path, ("integer beyond the range of a float; every entry "
+                          "must be a finite number")
         return None
     if len(value) != shape[0]:
-        return (f"{rule}; found {len(value)} entries where {shape[0]} are "
-                f"expected"), path
+        return path, (f"{rule}; found {len(value)} entries where {shape[0]} "
+                      f"are expected")
     return next(filter(None, (_first_fault(entry, shape[1:], rule, path + (i,))
                               for i, entry in enumerate(value))), None)
 
@@ -192,7 +192,7 @@ def _float_array(value, shape: tuple, pointer: str, rule: str) -> np.ndarray:
     if arr is None or arr.shape != shape:
         fault = _first_fault(value, shape, rule)
         if fault:
-            message, path = fault
+            path, message = fault
             raise SpaceFormatError(message,
                                    pointer + "".join(f"/{i}" for i in path))
         # every length is right, so a level is empty and asarray dropped

@@ -389,7 +389,7 @@ class TransvectionReport:
     of X, Y in ``p_space`` has value ``nabla_X Y - nabla_Y X = 0``, so
     ``k_space`` lies in the isotropy and ``dim_transvection = dim k + dim p``.
     ``involutive_ok`` is ``[k, p] in p`` and ``[k, k] in k``, certified or
-    checked with the same decision (:func:`_transvections`).
+    checked with the same decision (:func:`_decide_groups`).
     All of it is relative to the supplied algebra of Killing fields.
     """
 
@@ -460,8 +460,8 @@ def transvection_space(sp: HomogeneousSpace) -> TransvectionReport:
     ``[k, k] in k`` and ``[k, p] in p``, certified or checked with the same
     decision.  This is the one-metric case of :func:`transvection_stack`.
     """
-    return _unstack(TransvectionReport,
-                    _transvections(sp, sp._nabla_basis[None]), sp)[0]
+    return _unstack(TransvectionReport, _decide_groups(
+        sp, *_parallel_fields(sp, sp._nabla_basis[None])), sp)[0]
 
 
 def _bases(groups: list, count: int) -> list:
@@ -558,19 +558,13 @@ def _parallel_fields(pres: Presentation, nablas: np.ndarray) -> tuple:
                    for k, group in equal_groups(index)]
 
 
-def _transvections(pres: Presentation, nablas: np.ndarray) -> dict:
-    """The stacked result of :func:`transvection_stack`, but for ``psd_ok``
-    and ``refused``, of metrics that pass the metric checks, from their
-    :func:`_nablas`: the two halves that the stack splits, unchunked."""
-    return _decide_groups(pres, *_parallel_fields(pres, nablas))
-
-
 def _decide_groups(pres: Presentation, index: np.ndarray,
                    groups: list) -> dict:
-    """The stacked result of :func:`_transvections` for ``index`` (-1 where
-    refused) and ``groups`` of :func:`_parallel_fields`: one pass per group
-    of equal ``p_space``, then ``k_space``, dimension, in chunks of
-    :func:`_chunks` by the bytes of the adjoints of p.  These two
+    """The stacked result of :func:`transvection_stack`, but for ``psd_ok``
+    and ``refused``, for ``index`` (-1 where refused) and ``groups`` of
+    :func:`_parallel_fields`: one pass per group of equal ``p_space``, then
+    ``k_space``, dimension, in chunks of :func:`_chunks` by the bytes of the
+    adjoints of p.  These two
     rank decisions decide a metric; the rest follows by the theorems of
     :class:`TransvectionReport`.
     ``involutive_ok`` is ``[k, p] in p``, checked, and ``[k, k] in k``,

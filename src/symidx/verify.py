@@ -26,11 +26,12 @@ from .homspace import (
     BoundReport,
     TransvectionReport,
     _curvature,
+    _decide_groups,
     _metric_refusals,
     _nablas,
+    _parallel_fields,
     _refuse_curvature,
     _stacked_psd,
-    _transvections,
     _unstack,
     augment_left_invariant,
     closed_geodesic_length,
@@ -49,7 +50,6 @@ from .liealg import (
     derived_subalgebra,
     eigenvalue_clusters,
     killing_form_positive,
-    numerical_rank,
     pencil_eigh,
     so_elementary,
     spin3_quaternion,
@@ -75,18 +75,6 @@ class _CheckFailure(Exception):
 def _require(cond: bool, message: str):
     if not cond:
         raise _CheckFailure(message)
-
-
-def _opposite_directions(space) -> np.ndarray:
-    """Matrix A with the isotropy of an augmented space spanned by
-    columns of [[A], [-I]]; recovers which original directions were
-    doubled."""
-    n = space.algebra.dim - space.dim
-    top = space.isotropy.basis[: space.dim, :]
-    bottom = space.isotropy.basis[space.dim:, :]
-    if n == 0 or numerical_rank(bottom) < n:
-        raise _CheckFailure("space does not look augmented")
-    return -top @ np.linalg.inv(bottom)
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +126,7 @@ def _decided(pres, grams) -> tuple:
     for refusal in filter(None, _metric_refusals(part, grams)):
         raise ValueError(refusal)
     nablas = _nablas(part, grams)
-    return part, nablas, _transvections(part, nablas)
+    return part, nablas, _decide_groups(part, *_parallel_fields(part, nablas))
 
 
 def _quotients(metrics) -> tuple:
@@ -282,7 +270,9 @@ def _check_spin3_augmented():
                  f"t={t}: augmentation found {aug.algebra.dim - 3} directions")
         rep = transvection_space(aug)
         _require(rep.index == 1, f"t={t}: augmented index {rep.index} != 1")
-        a = _opposite_directions(aug)
+        # the isotropy of an augmented space is spanned by [[a], [-I]]:
+        # a holds the doubled directions
+        a = aug.isotropy.basis[:aug.dim]
         v = rep.p_space.basis[:, 0]
         x, y = v[:3], a @ v[3:]
         _require(float(np.linalg.norm(y - (t - 1.0) * x)) <= 1e-8,
@@ -297,7 +287,7 @@ def _check_spin3_augmented():
     rep = transvection_space(aug)
     _require(rep.index == 3,
              f"bi-invariant metric: augmented index {rep.index} != 3")
-    a = _opposite_directions(aug)
+    a = aug.isotropy.basis[:aug.dim]
     p = rep.p_space.basis
     _require(bool(np.all(np.linalg.norm(a @ p[3:] - p[:3], axis=0) <= 1e-8)),
              "bi-invariant metric: parallel fields are not the two-sided "

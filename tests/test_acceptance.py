@@ -9,7 +9,6 @@ output reads as a checklist even under capture.
 import dataclasses
 import itertools
 import json
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -279,17 +278,6 @@ def test_outcomes_print_by_their_fields(monkeypatch):
         ("passing", "pass", ""), ("failing", "fail", "requirement not met"),
         ("crashing", "fail", "RuntimeError: boom")]
     assert printed[0]["expected"] == {"n": 2}
-
-
-@pytest.mark.parametrize("space", [
-    catalog.spin3_berger(1.5)[0],  # nothing doubled
-    SimpleNamespace(algebra=SimpleNamespace(dim=4), dim=3,  # rank deficient
-                    isotropy=SimpleNamespace(basis=np.zeros((4, 1)))),
-])
-def test_a_space_that_is_not_augmented_fails_the_augmented_checks(space):
-    with pytest.raises(verify._CheckFailure,
-                       match="space does not look augmented"):
-        verify._opposite_directions(space)
 
 
 def test_every_criterion_names_real_checks():

@@ -150,7 +150,8 @@ def test_verify_reaches_the_stacked_core_by_one_route():
     """Every check of ``verify`` decides its metrics through ``_decided``:
     no other function there names the metric rule, the Koszul derivatives
     or the parallel fields of ``homspace``; the scan sees their import."""
-    for name in ("_metric_refusals", "_nablas", "_transvections"):
+    for name in ("_metric_refusals", "_nablas", "_parallel_fields",
+                 "_decide_groups"):
         found = {fn for fn, uses in uses_by_function(name).items()
                  if any(use.startswith("verify.py:") for use in uses)}
         assert found == {None, "_decided"}, (name, found)

@@ -424,6 +424,35 @@ def test_an_entry_near_the_largest_float_is_refused_without_a_warning(
     assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("scaled, name", [
+    ("spin3:1e308,1e308,1e308", "spin3:1,1,1"),
+    ("spin3:0.8e308,0.8e308,1.6e308", "spin3:1,1,2"),
+    ("spin3:0.5e308,1e308,1.5e308", "spin3:1,2,3")])
+def test_a_metric_near_the_largest_float_is_decided_as_its_unscaled_one(
+        capsys, tmp_path, scaled, name):
+    """The Koszul derivatives are homogeneous of degree 0 in the metric, so
+    a metric near 1e308 has the index, coindex and bound of the metric it
+    scales; its products overflowed to "SVD did not converge" from
+    ``index`` and an overflow refusal from ``jacobi``, after warnings."""
+    def decided(name):
+        path = tmp_path / "space.json"
+        path.write_text(run(capsys, "catalog", "emit", name)[1])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            index = run(capsys, "index", "--space", str(path))
+            jacobi = run(capsys, "jacobi", "--space", str(path),
+                         "--direction", "0")
+        assert not [w for w in caught if w.category is RuntimeWarning]
+        assert (index[0], jacobi[0]) == (0, 0), index[2] + jacobi[2]
+        payload = json.loads(index[1])
+        return ({key: payload["transvection"][key]
+                 for key in ("index", "coindex")},
+                {key: payload["bound"][key]
+                 for key in ("k", "lhs", "rhs", "equality")})
+
+    assert decided(scaled) == decided(name)
+
+
 def test_an_integer_of_too_many_digits_is_not_valid_json(capsys, tmp_path):
     """Python's json reads a JSON integer through ``int``, which refuses a
     string of more than 4300 digits with a ValueError: unusable input,

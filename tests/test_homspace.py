@@ -1654,6 +1654,25 @@ def test_operator_scales_inversely_with_the_metric():
                                np.sort(a.eigenvalues) / 4.0, atol=1e-10)
 
 
+_RESCALED_REFUSAL = pytest.mark.xfail(strict=True, raises=ValueError,
+                                      reason="ROADMAP item 2")
+
+
+@pytest.mark.parametrize("c", [
+    pytest.param(1e-12, marks=_RESCALED_REFUSAL),
+    pytest.param(1e-9, marks=_RESCALED_REFUSAL),
+    1e-8, 1.0, 1e7,
+    pytest.param(1e8, marks=_RESCALED_REFUSAL),
+    pytest.param(1e12, marks=_RESCALED_REFUSAL)])
+def test_a_rescaled_metric_keeps_the_index_of_the_metric(c):
+    """The index is invariant under scaling the metric by c > 0; the
+    definiteness and skewness checks of the metric are absolute, so they
+    refuse the metric at the small and the large scales."""
+    pres = spin4_quotient(so4_so2_complement(0.5), 1e-9)
+    sp = pres.space(BilinearForm(c * so4_so2_gram(0.8, 1.2)))
+    assert transvection_space(sp).index == 2
+
+
 def test_field_solutions_on_a_spectrum_with_a_negative_eigenvalue():
     """Through the cosh branch and for scalar t, against the integrated
     field equation of the operator with that spectrum, on a metric-

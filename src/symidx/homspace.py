@@ -362,8 +362,12 @@ def _nablas(pres: Presentation, grams: np.ndarray) -> np.ndarray:
     """Shape (N, algebra dim, dim, dim): :attr:`HomogeneousSpace._nabla_basis`
     per metric of ``grams`` by the Koszul identity, on the brackets of the
     stack's members, :attr:`~Presentation._lift_brackets`, on a space or a
-    part of :meth:`~Presentation._members`."""
+    part of :meth:`~Presentation._members`.  Homogeneous of degree 0 in the
+    metric, it scales each Gram matrix by a power of two first, so that a
+    metric near the largest float overflows no product."""
     alg, e, m = pres.algebra, pres.eval_matrix, pres.m_basis
+    top = np.frexp(grams.max(axis=(-2, -1), initial=0.0))[1]
+    grams = np.ldexp(grams, -top[:, None, None])
     ge = (grams @ e)[:, None]
     gv = ge @ alg.ad_stack @ m[..., None, :, :]
     mm = pres._lift_brackets[pres._member]

@@ -45,8 +45,8 @@ MAX_ALGEBRA_DIM = 136
 
 #: Most bytes of the work arrays of one block of a chunked loop, the
 #: package's one budget, which each loop cuts by its own bytes per item in
-#: :func:`_chunks`: the exact Jacobi sum, the commutator fit of
-#: :func:`matrix_algebra` and the stacked metric stages of ``homspace``.
+#: :func:`_chunks`: the exact Jacobi sum, :func:`matrix_algebra`'s fit, the
+#: stacked metric stages of ``homspace`` and the RK4 blocks of ``numcheck``.
 #: The 190-point coupled sweep takes its derivatives in 5 chunks and its one
 #: index group in one, at a traced peak of 629 KiB.
 _STACK_BYTES = 3 * 2 ** 18

@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from .homspace import Presentation
-from .liealg import _coordinates, _real, _refuse_non_finite
+from .liealg import _chunks, _coordinates, _real, _refuse_non_finite
 
 #: Inner step for first derivatives of analytic chart quantities.  With the
 #: fourth order stencil the truncation error is ~1e-16 and roundoff ~1e-12.
@@ -36,9 +36,8 @@ OUTER_STEP = 1e-2
 # offsets (in steps) and weights (over 12 steps) of the fourth order stencil
 _OFFSETS = np.array([2.0, 1.0, -1.0, -2.0])
 _WEIGHTS = np.array([-1.0, 8.0, -8.0, 1.0])
-# steps per block of integrate_field_equation, and entries its powers may hold
+# most steps per block of integrate_field_equation, fewer where _chunks cuts
 _RK4_BLOCK = 64
-_RK4_ENTRIES = 2 ** 16
 
 
 def _exp_and_differential(a: np.ndarray):
@@ -227,7 +226,7 @@ def integrate_field_equation(k_matrix: np.ndarray, v0: np.ndarray,
     ha = (t_end / steps) * np.block([[np.zeros((n, n)), np.eye(n)],
                                      [-k_matrix, np.zeros((n, n))]])
     eye = np.eye(2 * n)
-    block = max(1, min(steps, _RK4_BLOCK, _RK4_ENTRIES // (4 * n * n)))
+    block = min(steps, _chunks(_RK4_BLOCK, 4 * n * n)[0].stop)
     powers = np.empty((block, 2 * n, 2 * n))
     powers[0] = eye + ha @ (eye + ha @ (eye + ha @ (eye + ha / 4) / 3) / 2)
     done = 1

@@ -270,9 +270,7 @@ def _check_spin3_augmented():
                  f"t={t}: augmentation found {aug.algebra.dim - 3} directions")
         rep = transvection_space(aug)
         _require(rep.index == 1, f"t={t}: augmented index {rep.index} != 1")
-        # the isotropy of an augmented space is spanned by [[a], [-I]]:
-        # a holds the doubled directions
-        a = aug.isotropy.basis[:aug.dim]
+        a = aug.isotropy.basis[:aug.dim]  # the isotropy is [[a], [-I]]
         v = rep.p_space.basis[:, 0]
         x, y = v[:3], a @ v[3:]
         _require(float(np.linalg.norm(y - (t - 1.0) * x)) <= 1e-8,

@@ -32,11 +32,11 @@ from symidx.catalog import (
     spin4_quotient,
 )
 from symidx.homspace import jacobi_field, jacobi_operator
+from symidx.liealg import _chunks
 from symidx.numcheck import (
     INNER_STEP,
     OUTER_STEP,
     _RK4_BLOCK,
-    _RK4_ENTRIES,
     ExponentialChart,
     _christoffel,
     _derivatives,
@@ -380,8 +380,8 @@ def _field_operator(kind, n, seed):
 @pytest.mark.parametrize("steps", [1, 7, _RK4_BLOCK - 1, _RK4_BLOCK,
                                    _RK4_BLOCK + 1, 2001])
 def test_blocked_integrator_agrees_with_the_four_stages(kind, steps):
-    # at n = 4 the entry budget leaves whole blocks of _RK4_BLOCK steps
-    assert _RK4_ENTRIES >= _RK4_BLOCK * 8 * 8
+    # at n = 4 the byte budget leaves whole blocks of _RK4_BLOCK steps
+    assert _chunks(_RK4_BLOCK, 8 * 8)[0].stop == _RK4_BLOCK
     k = _field_operator(kind, 4, 23)
     if kind == "indefinite":
         assert np.linalg.eigvalsh(k).min() < 0 < np.linalg.eigvalsh(k).max()
@@ -394,14 +394,21 @@ def test_blocked_integrator_agrees_with_the_four_stages(kind, steps):
 
 
 def test_entry_budget_shortens_the_block_of_a_large_operator():
-    n = 48  # (2n)^2 = 9216 entries a power, so a block of 7 steps
-    assert _RK4_ENTRIES // (4 * n * n) < _RK4_BLOCK
+    n = 48  # (2n)^2 = 9216 entries a power, so a block of 9 steps
+    assert _chunks(_RK4_BLOCK, 4 * n * n)[0].stop < _RK4_BLOCK
     k = _field_operator("psd", n, 31) / n
     v0, w0 = np.random.default_rng(37).standard_normal((2, n))
     times, values = integrate_field_equation(k, v0, w0, 1.0, 30)
     want = reference_rk4(k, v0, w0, 1.0, 30)
     scale = float(np.max(np.abs(want)))
     assert float(np.max(np.abs(values - want))) <= 1e-12 * scale
+
+
+def test_an_operator_of_size_zero_integrates_to_empty_states():
+    """Its block of powers takes no bytes; an entry count per step divided
+    by (2n)^2 = 0 once raised ZeroDivisionError here."""
+    times, values = integrate_field_equation(np.zeros((0, 0)), [], [], 1.0, 5)
+    assert times.shape == (6,) and values.shape == (6, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -165,11 +165,11 @@ def users(name: str) -> set:
 
 
 def test_the_package_chunks_by_one_byte_budget():
-    """Every chunked loop of ``liealg`` and ``homspace`` cuts its items with
-    ``liealg._chunks``, the one helper that reads the package's one byte
-    budget ``_STACK_BYTES``, and each chunked stage calls it: no ``range``
-    steps through rows, and no other module constant counts bytes, entries
-    or rows."""
+    """Every chunked loop of ``liealg`` and ``homspace``, and the RK4 blocks
+    of ``numcheck``, cut their items with ``liealg._chunks``, the one helper
+    that reads the package's one byte budget ``_STACK_BYTES``, and each
+    chunked stage calls it: no ``range`` steps through rows, and no other
+    module constant counts bytes, entries or rows."""
     constants = set()
     for path in sorted(pathlib.Path(symidx.__file__).parent.rglob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
@@ -185,12 +185,13 @@ def test_the_package_chunks_by_one_byte_budget():
     assert [name for name in constants if name.endswith("_BYTES")] == [
         "liealg.py:_STACK_BYTES"]
     assert not [name for name in constants
-                if name.endswith(("_CHUNK", "_ROWS"))]
+                if name.endswith(("_CHUNK", "_ENTRIES", "_ROWS"))]
     assert users("_STACK_BYTES") == {"liealg.py:None", "liealg.py:_chunks"}
     assert users("_chunks") == {
         "liealg.py:jacobi_residual", "liealg.py:matrix_algebra",
         "homspace.py:None", "homspace.py:transvection_stack",
-        "homspace.py:_decide_groups", "homspace.py:symmetry_ideals"}
+        "homspace.py:_decide_groups", "homspace.py:symmetry_ideals",
+        "numcheck.py:None", "numcheck.py:integrate_field_equation"}
 
 
 def in_homspace(name: str) -> set:

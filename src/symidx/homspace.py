@@ -568,9 +568,8 @@ def _decide_groups(pres: Presentation, index: np.ndarray,
     and ``refused``, for ``index`` (-1 where refused) and ``groups`` of
     :func:`_parallel_fields`: one pass per group of equal ``p_space``, then
     ``k_space``, dimension, in chunks of :func:`_chunks` by the bytes of the
-    adjoints of p.  These two
-    rank decisions decide a metric; the rest follows by the theorems of
-    :class:`TransvectionReport`.
+    adjoints of p.  These two rank decisions decide a metric; the rest
+    follows by the theorems of :class:`TransvectionReport`.
     ``involutive_ok`` is ``[k, p] in p``, checked, and ``[k, k] in k``,
     which follows from it in exact arithmetic: checked only where
     :func:`_kk_certificate` exceeds CHECK_TOL / 2, as a smaller certificate

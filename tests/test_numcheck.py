@@ -405,8 +405,8 @@ def test_entry_budget_shortens_the_block_of_a_large_operator():
 
 
 def test_an_operator_of_size_zero_integrates_to_empty_states():
-    """Its block of powers takes no bytes; an entry count per step divided
-    by (2n)^2 = 0 once raised ZeroDivisionError here."""
+    """Its powers take no bytes, so the budget leaves a whole block: no
+    division by the (2n)^2 = 0 entries of a power."""
     times, values = integrate_field_equation(np.zeros((0, 0)), [], [], 1.0, 5)
     assert times.shape == (6,) and values.shape == (6, 0)
 

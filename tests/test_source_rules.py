@@ -148,8 +148,9 @@ def test_the_presentation_forms_its_facts_eagerly_and_a_part_points_nowhere():
 
 def test_verify_reaches_the_stacked_core_by_one_route():
     """Every check of ``verify`` decides its metrics through ``_decided``:
-    no other function there names the metric rule, the Koszul derivatives
-    or the parallel fields of ``homspace``; the scan sees their import."""
+    no other function there names the metric rule, the Koszul derivatives,
+    the parallel fields or their decision by groups of ``homspace``; the
+    scan sees their import."""
     for name in ("_metric_refusals", "_nablas", "_parallel_fields",
                  "_decide_groups"):
         found = {fn for fn, uses in uses_by_function(name).items()

@@ -453,6 +453,41 @@ def test_a_metric_near_the_largest_float_is_decided_as_its_unscaled_one(
     assert decided(scaled) == decided(name)
 
 
+@pytest.mark.parametrize("scaled, name", [
+    ("spin3:1e308,1e308,1e308", None),
+    ("spin3:0.8e308,0.8e308,1.6e308", "spin3:1,1,2"),
+    ("spin3:0.5e308,1e308,1.5e308", "spin3:1,2,3")])
+def test_an_augmented_metric_near_the_largest_float_is_decided_or_refused(
+        capsys, tmp_path, scaled, name):
+    """The bi-invariant directions are the kernel of a map linear in the
+    metric, so a Berger or generic metric near 1e308 is augmented as the
+    metric it scales; the round one meets the skew check of the augmented
+    algebra, whose refusal names the overflow.  The einsum of the structure
+    with the 1e308 form ended "kernel matrix entry [1, 2] is nan" or "is
+    inf", after a warning."""
+    def augmented(name):
+        path = tmp_path / "space.json"
+        path.write_text(run(capsys, "catalog", "emit", name)[1])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, "index", "--augment",
+                                 "--space", str(path))
+        assert not [w for w in caught if w.category is RuntimeWarning]
+        if code:
+            return code, out, err
+        payload = json.loads(out)
+        return (code,
+                {key: payload["transvection"][key]
+                 for key in ("index", "coindex", "dim_transvection")},
+                {key: payload["bound"][key] for key in ("k", "lhs", "rhs")})
+
+    if name is None:
+        assert augmented(scaled) == (1, "", "error: the skew check of the "
+                                     "metric overflows; rescale the metric\n")
+    else:
+        assert augmented(scaled) == augmented(name)
+
+
 def test_an_integer_of_too_many_digits_is_not_valid_json(capsys, tmp_path):
     """Python's json reads a JSON integer through ``int``, which refuses a
     string of more than 4300 digits with a ValueError: unusable input,

@@ -127,17 +127,11 @@ def _resolve_tol(args, parser) -> float:
         parser.error(f"{source}={tol}: {exc}")
 
 
-def _emit_json(payload) -> None:
-    print(to_json(payload))
-
-
 def _cmd_verify(args) -> int:
     outcomes = run_checks(args.filter)
     if not outcomes:
-        print(f"error: no check matches filter {args.filter!r}",
-              file=sys.stderr)
-        return 1
-    _emit_json(plain(outcomes))
+        raise ValueError(f"no check matches filter {args.filter!r}")
+    print(to_json(plain(outcomes)))
     return 0 if all(o.status == "pass" for o in outcomes) else 1
 
 
@@ -147,13 +141,13 @@ def _cmd_index(args, tol) -> int:
         sp = augment_left_invariant(sp)
     report = transvection_space(sp)
     bound = symmetry_ideal(sp, report)
-    _emit_json({
+    print(to_json({
         "label": sp.label,
         "dim": sp.dim,
         "augmented": bool(args.augment),
         "transvection": plain(report),
         "bound": plain(bound),
-    })
+    }))
     return 0
 
 
@@ -290,7 +284,7 @@ def _cmd_jacobi(args, tol, parser) -> int:
     payload = spectrum_to_dict(spectrum)
     payload["label"] = sp.label
     payload["direction_index"] = args.direction
-    _emit_json(payload)
+    print(to_json(payload))
     return 0
 
 
@@ -306,7 +300,7 @@ def _cmd_catalog(args, tol, parser) -> int:
     except ValueError as exc:  # an unknown name is unusable input
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _emit_json(space_to_dict(sp))
+    print(to_json(space_to_dict(sp)))
     return 0
 
 

@@ -527,11 +527,6 @@ class LieAlgebra:
         ads.flags.writeable = False
         return ads
 
-    @functools.cached_property
-    def _reference_forms(self) -> dict:
-        # tol -> reference_form(self, tol); filled by reference_form
-        return {}
-
 
 # ---------------------------------------------------------------------------
 # algebra operations
@@ -599,24 +594,20 @@ def reference_form(alg: LieAlgebra, tol: float = DEFAULT_TOL) -> BilinearForm:
 
     Computed once per algebra and ``tol``; the Gram matrix is read-only.
     """
-    forms = alg._reference_forms
-    if tol not in forms:
-        form = _reference_form(alg, tol)
-        form.gram.flags.writeable = False
-        forms[tol] = form
-    return forms[tol]
-
-
-def _reference_form(alg: LieAlgebra, tol: float) -> BilinearForm:
-    b = killing_form_positive(alg)
-    z = Subspace.kernel_of(b.gram, tol)
-    if z.dim == 0:
-        return b
-    t = np.hstack([z.basis, derived_subalgebra(alg, tol).basis])
-    if t.shape[1] != alg.dim or numerical_rank(t, tol) != alg.dim:
-        raise ValueError("kernel of B and derived subalgebra do not split the algebra")
-    proj_z = np.linalg.inv(t)[: z.dim, :]
-    return BilinearForm(b.gram + proj_z.T @ proj_z)
+    forms = vars(alg).setdefault("_reference_forms", {})
+    if tol in forms:
+        return forms[tol]
+    form = killing_form_positive(alg)
+    z = Subspace.kernel_of(form.gram, tol)
+    if z.dim:
+        t = np.hstack([z.basis, derived_subalgebra(alg, tol).basis])
+        if t.shape[1] != alg.dim or numerical_rank(t, tol) != alg.dim:
+            raise ValueError("kernel of B and derived subalgebra do not split the algebra")
+        proj_z = np.linalg.inv(t)[: z.dim, :]
+        form = BilinearForm(form.gram + proj_z.T @ proj_z)
+    form.gram.flags.writeable = False
+    forms[tol] = form
+    return form
 
 
 def orthogonal_complement(alg: LieAlgebra, sub: Subspace,
@@ -843,6 +834,7 @@ def bi_invariant_directions(alg: LieAlgebra, form, tol: float = DEFAULT_TOL) -> 
         Positive inner product on the algebra, in basis coordinates.
     """
     g = form.gram if isinstance(form, BilinearForm) else np.asarray(form, dtype=float)
+    g = np.ldexp(g, -np.frexp(np.abs(g).max(initial=0.0))[1])  # the kernel is linear in g
     c = alg.structure
     # rows indexed by pairs (b, c), unknowns indexed by a:
     #   g(bracket(e_a, e_b), e_c) + g(e_b, bracket(e_a, e_c)) = 0

@@ -259,7 +259,7 @@ def space_from_dict(document: dict, tol: float = DEFAULT_TOL) -> HomogeneousSpac
                             label=document.get("label", ""), tol=tol)
 
 
-def _refuse_non_finite(token: str):
+def _refuse_constant(token: str):
     raise SpaceFormatError(
         f"not valid JSON: non-finite number {token}; every entry must be "
         f"a finite number")
@@ -276,7 +276,7 @@ def load_space(path: str, tol: float = DEFAULT_TOL) -> HomogeneousSpace:
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            document = json.load(fh, parse_constant=_refuse_non_finite)
+            document = json.load(fh, parse_constant=_refuse_constant)
         except json.JSONDecodeError as exc:
             raise SpaceFormatError(
                 f"not valid JSON: {exc.msg} (line {exc.lineno}, "

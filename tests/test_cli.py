@@ -171,14 +171,15 @@ def test_index_builds_the_reference_form_only_to_split_a_proper_ideal(
     a line in u(2), builds one to split it off."""
     path = tmp_path / "space.json"
     path.write_text(run(capsys, "catalog", "emit", name)[1])
-    built, build = [], liealg._reference_form
-    monkeypatch.setattr(liealg, "_reference_form",
-                        lambda alg, tol: built.append(tol) or build(alg, tol))
+    built, build = [], liealg.killing_form_positive
+    monkeypatch.setattr(liealg, "killing_form_positive",
+                        lambda alg: built.append(alg) or build(alg))
     code, out, _ = run(capsys, "index", "--space", str(path))
     bound = json.loads(out)["bound"]
     proper = 0 < bound["gD"]["dim"] < bound["gD"]["ambient_dim"]
     assert code == 0 and proper == (name == "cp2-centriole")
-    assert built == ([1e-9] if proper else [])
+    assert [set(alg._reference_forms) for alg in built] == (
+        [{1e-9}] if proper else [])
 
 
 @pytest.mark.parametrize("build", [
@@ -539,7 +540,7 @@ def test_a_failed_write_to_stdout_is_not_a_read_error(
     def closed(payload):
         raise BrokenPipeError(32, "Broken pipe")
 
-    monkeypatch.setattr(cli, "_emit_json", closed)
+    monkeypatch.setattr(cli, "to_json", closed)
     with pytest.raises(BrokenPipeError):
         main(["index", "--space", quotient_file])
 

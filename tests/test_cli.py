@@ -79,6 +79,16 @@ def test_verify_filter_without_match_fails(capsys):
     assert "no check" in err
 
 
+def test_a_verify_filter_without_match_fails_through_main(capsys):
+    """``verify`` raises the ValueError that ``main`` prints, as every
+    command but ``catalog emit`` does: one ``error:`` line, exit 1."""
+    args = cli.build_parser().parse_args(["verify", "--filter", "nonexistent"])
+    with pytest.raises(ValueError, match="^no check matches filter"):
+        cli._cmd_verify(args)
+    assert run(capsys, "verify", "--filter", "nonexistent") == (
+        1, "", "error: no check matches filter 'nonexistent'\n")
+
+
 def test_verify_takes_no_tolerance(capsys, monkeypatch):
     """verify's checks fix their own tolerances, so it offers no --tol and
     does not read SYMIDX_TOL."""
